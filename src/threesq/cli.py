@@ -345,7 +345,7 @@ def _cmd_baseline(args) -> str:
         r = _chord(args.r, args.geodesic)
         k = spatial.ripley_k(pts, r)
         base = spatial.ripley_baseline(pts.size, r)
-        result = {"r": r, "k": k, "baseline": base, "ratio": k / base}
+        result = {"r": r, "k": k, "baseline": base, "ratio": k / base if base else 0.0}
     elif stat == "energy":
         value = spatial.riesz_energy(pts, args.s)
         base = spatial.uniform_energy_integral(args.s) * pts.size**2
@@ -377,7 +377,7 @@ def _cmd_baseline(args) -> str:
     out = {
         "config": _config(
             args,
-            ["stat", "N", "r", "s", "rho1", "rho2", "sigma", "samples", "m_max", "cells", "geodesic"],
+            ["stat", "N", "r", "s", "rho1", "rho2", "sigma", "samples", "cells", "geodesic"],
         ),
         "stat": stat,
         "N": args.N,
@@ -489,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho2", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None, dest="m_max")
     p.add_argument("--cells", type=int, default=100)
     p.add_argument("--geodesic", action="store_true")
 

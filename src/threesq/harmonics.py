@@ -17,6 +17,13 @@ aggregate of plain harmonic sums is
     sum_j W_j^2 = (2m+1)/(4*pi) * sum_{x,y} P_m(x.y)
 
 and V = sum_{m>=1} h(m)^2/(4*pi) * aggregate(m).
+
+The pair sums sum_{x,y} P_m(x.y) of a whole lattice shell are read from
+its exact inner-product histogram (the pair table, built by the
+orbit-reduced Gram kernel) as sum_t c(t) P_m(t/n).  Any other set goes
+through a blocked float kernel over the upper block triangle of its Gram
+matrix.  The basis sums in `weyl_sums` never use either, so they stay an
+independent check of the addition theorem.
 """
 
 from __future__ import annotations
@@ -28,10 +35,10 @@ import numpy as np
 
 from .errors import DomainError
 from .lattice import enumerate_points
-from .spatial import AnnulusSpec, UnitPointSet, _random_units, project
+from .spatial import AnnulusSpec, UnitPointSet, _random_units, _shell_table, project
 
 MAX_DEGREE = 2000
-_BLOCK = 256
+_BLOCK_ENTRIES = 1 << 16  # per buffer of the pair kernel: four of them fit in L2
 
 
 def legendre_p(m: int, t):
@@ -101,22 +108,60 @@ def zonal_csv(zc: ZonalCoefficients) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pair_legendre_sums(U: np.ndarray, m_max: int) -> np.ndarray:
+def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
     """sum over all ordered pairs (diagonal included) of P_m(x.y), m <= m_max."""
+    tbl = _shell_table(pts)
+    if tbl is None:
+        return _block_legendre_sums(pts.points, m_max)
+    x = tbl.t / float(tbl.n)
+    c = tbl.count.astype(np.float64)
+    sums = np.empty(m_max + 1)
+    p_prev, p_cur = np.ones_like(x), x
+    sums[0] = c.sum()
+    for m in range(1, m_max + 1):
+        if m > 1:
+            p_prev, p_cur = p_cur, ((2 * m - 1) * x * p_cur - (m - 1) * p_prev) / m
+        sums[m] = c @ p_cur
+    return sums
+
+
+def _block_legendre_sums(U: np.ndarray, m_max: int) -> np.ndarray:
+    """The pair sums of any point set, over the upper block triangle.
+
+    Row block I meets the columns from I on: its own square block counts
+    once and every later column twice, as P_m(x.y) is symmetric in x, y.
+    The recurrence runs in place in buffers allocated once, and each degree
+    is accumulated through a BLAS matrix-vector product with those weights.
+    """
     N = len(U)
     sums = np.zeros(m_max + 1)
-    for i0 in range(0, N, _BLOCK):
-        dots = U[i0 : i0 + _BLOCK] @ U.T
+    sums[0] = float(N) * N
+    if m_max == 0 or N == 0:
+        return sums
+    rows = max(1, _BLOCK_ENTRIES // N)
+    dots_buf, prev_buf, cur_buf, tmp_buf = (np.empty(rows * N) for _ in range(4))
+    for i0 in range(0, N, rows):
+        b, cols = min(rows, N - i0), N - i0
+        shape = (b, cols)
+        dots = dots_buf[: b * cols].reshape(shape)
+        np.matmul(U[i0 : i0 + b], U[i0:].T, out=dots)
         np.clip(dots, -1.0, 1.0, out=dots)
-        p_prev = np.ones_like(dots)
-        sums[0] += p_prev.sum()
-        if m_max == 0:
-            continue
-        p_cur = dots.copy()
-        sums[1] += p_cur.sum()
+        w = np.full(cols, 2.0)
+        w[:b] = 1.0
+        p_prev = prev_buf[: b * cols].reshape(shape)
+        p_cur = cur_buf[: b * cols].reshape(shape)
+        tmp = tmp_buf[: b * cols].reshape(shape)
+        p_prev.fill(1.0)
+        p_cur[...] = dots
+        sums[1] += (p_cur @ w).sum()
         for m in range(2, m_max + 1):
-            p_prev, p_cur = p_cur, ((2 * m - 1) * dots * p_cur - (m - 1) * p_prev) / m
-            sums[m] += p_cur.sum()
+            # P_m = ((2m-1)/m) x P_{m-1} - ((m-1)/m) P_{m-2}, into P_{m-2}'s buffer
+            np.multiply(dots, p_cur, out=tmp)
+            tmp *= (2 * m - 1) / m
+            p_prev *= (m - 1) / m
+            np.subtract(tmp, p_prev, out=p_prev)
+            p_prev, p_cur = p_cur, p_prev
+            sums[m] += (p_cur @ w).sum()
     return sums
 
 
@@ -226,7 +271,7 @@ def weyl_aggregate_direct(
     degree: int, pts: UnitPointSet
 ) -> float:
     """Aggregate via the addition theorem: (2d+1)/(4 pi) sum_{x,y} P_d."""
-    sums = _pair_legendre_sums(pts.points, degree)
+    sums = _pair_legendre_sums(pts, degree)
     return (2 * degree + 1) / (4.0 * math.pi) * float(sums[degree])
 
 
@@ -236,8 +281,11 @@ class SeriesResult:
 
     `last_term` is the final term's magnitude; `tail_estimate` fits the
     observed ~ m^-2 decay over the last terms and extrapolates the tail
-    (with a factor-2 margin), which is the honest truncation indicator
-    for an oscillating series whose single last term may sit at a zero.
+    (with a factor-2 margin), a truncation indicator for an oscillating
+    series whose single last term may sit at a zero.  It is an indicator,
+    not a bound: while m_max is below about sqrt(N) the terms have not
+    reached their m^-2 decay and the true remainder can exceed it many
+    times over.
     """
 
     value: float
@@ -256,13 +304,16 @@ def variance_series(
 
     V = sum_{m=1..m_max} h(m)^2/(4 pi) * (2m+1)/(4 pi) * sum_{x,y} P_m(x.y).
     Terms are nonnegative, so partial sums increase toward the Monte
-    Carlo variance of count_in over uniform centers.
+    Carlo variance of count_in over uniform centers.  The returned
+    `tail_estimate` indicates the truncation error but does not bound it
+    while m_max is below about sqrt(N), so |series - Monte Carlo| can
+    exceed it there on correct code.
     """
     if m_max < 1:
         raise DomainError("m_max must be at least 1")
     pts = _resolve_points(n, points)
     h = zonal_coeffs(spec, m_max).coeffs
-    sums = _pair_legendre_sums(pts.points, m_max)
+    sums = _pair_legendre_sums(pts, m_max)
     m = np.arange(m_max + 1)
     terms = (h * h / (4.0 * math.pi)) * ((2 * m + 1) / (4.0 * math.pi)) * sums
     terms[0] = 0.0

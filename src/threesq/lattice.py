@@ -5,21 +5,30 @@ through the 48-element group of signed permutations, a 48-fold saving
 over the naive triple loop.  Perfect-square tests always go through an
 exact integer comparison (a float square root is only a first guess), so
 results stay correct far past 2^53.
+
+The same group drives the pair statistics.  Every function of x.y over a
+whole shell is read from the exact inner-product histogram (`pair_table`),
+and that histogram comes from one orbit-reduced Gram kernel: one
+representative per orbit is dotted with all N points, and its row is
+weighted by the orbit size, since a signed permutation maps the shell onto
+itself and keeps x.y.  That is about N^2/48 integer products instead of N^2,
+and no N x N matrix is ever formed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InvariantError
 
 _FLOAT_SAFE = 1 << 50  # below this, float dot products of points are exact
+_GRAM_ENTRIES = 1 << 23  # entries per row block of the Gram kernel
 
 
 def three_squares_representable(n: int) -> bool:
@@ -47,20 +56,45 @@ class LatticeSet:
         return len(self.points)
 
 
-@dataclass
+@dataclass(eq=False)
 class PairCountTable:
-    """Histogram of inner products over ordered point pairs."""
+    """Histogram of inner products over ordered point pairs.
+
+    `t` holds the distinct inner products in ascending order and `count`
+    the ordered pairs at each, both int64; a nonempty table of a whole shell
+    ends at t = n with count N.  Shared through the cache: read-only.
+    """
 
     n: int
-    entries: dict[int, int] = field(default_factory=dict)
+    t: np.ndarray
+    count: np.ndarray
+
+    @cached_property
+    def entries(self) -> dict[int, int]:
+        """The histogram as a dict t -> count."""
+        return dict(zip(self.t.tolist(), self.count.tolist()))
 
     @property
     def empty(self) -> bool:
-        return not self.entries
+        return len(self.t) == 0
 
     @property
     def total(self) -> int:
-        return sum(self.entries.values())
+        return int(self.count.sum())
+
+
+@dataclass
+class ShellOrbits:
+    """A point set split into orbits of the signed-permutation group.
+
+    Points share an orbit exactly when their sorted absolute coordinates
+    agree.  For a set closed under the group (a whole shell) `size` is the
+    orbit size; `index` maps each point to its orbit.
+    """
+
+    reps: np.ndarray  # (R, 3) int64, one point per orbit
+    size: np.ndarray  # (R,) points per orbit
+    index: np.ndarray  # (N,) orbit of each point
 
 
 def _canonical_triples(n: int) -> list[tuple[int, int, int]]:
@@ -113,46 +147,85 @@ def enumerate_points(n: int) -> LatticeSet:
     return LatticeSet(n, arr, prim)
 
 
-def _accumulate_dots(P: np.ndarray, n: int, entries: dict[int, int]) -> None:
-    N = len(P)
-    step = max(1, (1 << 23) // max(N, 1))
+def shell_orbits(P: np.ndarray) -> ShellOrbits:
+    """Group integer points by their orbit under the 48 signed permutations."""
+    key = np.sort(np.abs(P), axis=1)
+    _, first, index, size = np.unique(
+        key, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    return ShellOrbits(P[first], size, index.reshape(-1))
+
+
+def orbit_gram_rows(P: np.ndarray, n: int, reps: np.ndarray):
+    """Yield (r0, G), G[i, j] = reps[r0 + i] . P[j] as exact int64.
+
+    Row blocks hold at most _GRAM_ENTRIES entries.  Below _FLOAT_SAFE the
+    products go through BLAS in float64, where every partial sum is an
+    exact integer (so the cast back is exact); above it they stay in int64.
+    """
+    step = max(1, _GRAM_ENTRIES // max(len(P), 1))
     if n <= _FLOAT_SAFE:
-        Pf = P.astype(np.float64)
-        for i0 in range(0, N, step):
-            g = np.rint(Pf[i0 : i0 + step] @ Pf.T).astype(np.int64)
-            vals, cnts = np.unique(g, return_counts=True)
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                entries[v] = entries.get(v, 0) + c
+        PT = P.astype(np.float64).T
+        R = reps.astype(np.float64)
+        for r0 in range(0, len(reps), step):
+            yield r0, (R[r0 : r0 + step] @ PT).astype(np.int64)
     else:
-        for i0 in range(0, N, step):
-            g = P[i0 : i0 + step] @ P.T
-            vals, cnts = np.unique(g, return_counts=True)
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                entries[v] = entries.get(v, 0) + c
+        for r0 in range(0, len(reps), step):
+            yield r0, reps[r0 : r0 + step] @ P.T
+
+
+def _merge_histograms(vals: list, cnts: list) -> tuple[np.ndarray, np.ndarray]:
+    t, inv = np.unique(np.concatenate(vals), return_inverse=True)
+    c = np.zeros(len(t), dtype=np.int64)
+    np.add.at(c, inv, np.concatenate(cnts))
+    return t, c
+
+
+def _orbit_histogram(P: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct x.y over ordered pairs of a whole shell, with their counts.
+
+    Block histograms are merged whenever they hold more than
+    _GRAM_ENTRIES values, which bounds memory by a few blocks.
+    """
+    orb = shell_orbits(P)
+    vals, cnts, pending = [], [], 0
+    for size in np.unique(orb.size).tolist():  # at most six orbit sizes
+        for _, g in orbit_gram_rows(P, n, orb.reps[orb.size == size]):
+            v, k = np.unique(g, return_counts=True)
+            vals.append(v)
+            cnts.append(size * k)
+            pending += len(v)
+            if pending > _GRAM_ENTRIES:
+                t, c = _merge_histograms(vals, cnts)
+                vals, cnts, pending = [t], [c], len(t)
+    return _merge_histograms(vals, cnts)
 
 
 @lru_cache(maxsize=8)
 def pair_table(n: int) -> PairCountTable:
     """Full inner-product histogram over ordered pairs of points.
 
-    Validates the marginals before returning: counts sum to N^2, the
-    entries at +-n both equal N, and the table is symmetric in t -> -t.
-    An empty sphere yields an empty (flagged) table.
+    Built by the orbit-reduced Gram kernel.  Validates the marginals
+    before returning: counts sum to N^2, the entries at +-n both equal N,
+    and the table is symmetric in t -> -t.  An empty sphere yields an
+    empty (flagged) table.
     """
     ls = enumerate_points(n)
     if ls.size == 0:
-        return PairCountTable(n, {})
-    entries: dict[int, int] = {}
-    _accumulate_dots(ls.points, n, entries)
+        empty = np.zeros(0, dtype=np.int64)
+        empty.setflags(write=False)
+        return PairCountTable(n, empty, empty)
+    t, c = _orbit_histogram(ls.points, n)
     N = ls.size
-    if sum(entries.values()) != N * N:
+    if int(c.sum()) != N * N:
         raise InvariantError(f"pair table of n={n} does not sum to N^2")
-    if entries.get(n) != N or entries.get(-n) != N:
+    if t[0] != -n or t[-1] != n or c[0] != N or c[-1] != N:
         raise InvariantError(f"pair table of n={n} has wrong diagonal counts")
-    for t, c in entries.items():
-        if entries.get(-t) != c:
-            raise InvariantError(f"pair table of n={n} is not symmetric at t={t}")
-    return PairCountTable(n, entries)
+    if not (np.array_equal(t, -t[::-1]) and np.array_equal(c, c[::-1])):
+        raise InvariantError(f"pair table of n={n} is not symmetric in t")
+    t.setflags(write=False)
+    c.setflags(write=False)
+    return PairCountTable(n, t, c)
 
 
 def pair_count(n: int, t: int) -> int:
@@ -244,6 +317,6 @@ def load_points(fh) -> LatticeSet:
 
 def pair_table_csv(tbl: PairCountTable) -> str:
     lines = ["t,count"]
-    for t in sorted(tbl.entries):
-        lines.append(f"{t},{tbl.entries[t]}")
+    for t, c in zip(tbl.t.tolist(), tbl.count.tolist()):
+        lines.append(f"{t},{c}")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,15 @@ against integer distance shells (Ripley counts) are evaluated on exact
 integers whenever the set remembers its integer source, which removes
 boundary misclassification entirely.
 
+A whole lattice shell (a set that remembers its source n and integer
+points and has the shell's N points) takes its energies from the pair
+table, sum over t < n of c(t) f(2(n - t)/n), with every distance exact
+from integers, and its nearest-neighbour spacings from the orbit-reduced
+Gram kernel: one representative row per orbit of the signed-permutation
+group, whose nearest-neighbour distance every point of the orbit shares.
+Ripley counts stay geometric, so they remain a second path to the pair
+table.  Every other set goes through blocked float distances.
+
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
 the caller's seed, and every randomized result embeds that seed.
 """
@@ -20,7 +29,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, DuplicatePointError, InvariantError
-from .lattice import LatticeSet, enumerate_points
+from .lattice import (
+    LatticeSet,
+    PairCountTable,
+    enumerate_points,
+    orbit_gram_rows,
+    pair_table,
+    shell_orbits,
+)
 
 _BLOCK = 512
 _NORM_TOL = 1e-12
@@ -123,6 +139,31 @@ def _row_blocks(P: np.ndarray):
         yield i0, d2
 
 
+def _shell_table(pts: UnitPointSet) -> PairCountTable | None:
+    """The pair table of pts if pts is a whole lattice shell, else None."""
+    if pts.source_n is None or pts.int_points is None:
+        return None
+    tbl = pair_table(pts.source_n)
+    # a nonempty table ends at t = n, whose count is the shell's N
+    if tbl.empty or int(tbl.count[-1]) != pts.size:
+        return None
+    return tbl
+
+
+def _table_energy(tbl: PairCountTable, s: float, cap: float | None = None) -> float:
+    """Sum over t < n of c(t) min(d^(-s), cap), with d^2 = 2(n - t)/n.
+
+    The one summation behind both energies of a whole shell, so the capped
+    sum never exceeds the plain one.
+    """
+    n = tbl.n
+    d2 = 2.0 * (n - tbl.t[:-1]) / n
+    terms = d2 ** (-s / 2.0)
+    if cap is not None:
+        np.minimum(terms, cap, out=terms)
+    return math.fsum((tbl.count[:-1] * terms).tolist())
+
+
 def _check_duplicates(i0: int, d2: np.ndarray) -> None:
     dup = np.argwhere(d2 < 1e-24)
     if len(dup):
@@ -147,6 +188,9 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         raise DomainError("s must lie in (0, 2)")
     if pts.size < 2:
         raise DomainError("need at least two points")
+    tbl = _shell_table(pts)
+    if tbl is not None:
+        return _table_energy(tbl, s)
     parts = []
     for i0, d2 in _row_blocks(pts.points):
         _check_duplicates(i0, d2)
@@ -169,6 +213,9 @@ def truncated_energy(pts: UnitPointSet, s: float, rho: float) -> float:
     if pts.size < 2:
         raise DomainError("need at least two points")
     cap = float(pts.source_n) ** (s * rho)
+    tbl = _shell_table(pts)
+    if tbl is not None:
+        return _table_energy(tbl, s, cap)
     parts = []
     for i0, d2 in _row_blocks(pts.points):
         _check_duplicates(i0, d2)
@@ -244,13 +291,30 @@ class SpacingReport:
             raise InvariantError("mean rescaled spacing exceeds the packing bound 4")
 
 
+def _shell_nn_d2(P: np.ndarray, n: int) -> np.ndarray:
+    """Squared nearest-neighbour distance of each point of a whole shell.
+
+    A signed permutation keeps the shell and all distances, so each orbit
+    takes the value of its representative: the largest x.y below n on its
+    Gram row (x.y = n only for y = x), as 2(n - t)/n.
+    """
+    orb = shell_orbits(P)
+    tmax = np.empty(len(orb.reps), dtype=np.int64)
+    for r0, g in orbit_gram_rows(P, n, orb.reps):
+        tmax[r0 : r0 + len(g)] = g.max(axis=1, where=g < n, initial=-n)
+    return (2.0 * (n - tmax) / n)[orb.index]
+
+
 def nn_spacings(pts: UnitPointSet) -> SpacingReport:
     if pts.size < 2:
         raise DomainError("need at least two points")
     N = pts.size
-    d2min = np.empty(N)
-    for i0, d2 in _row_blocks(pts.points):
-        d2min[i0 : i0 + len(d2)] = d2.min(axis=1)
+    if _shell_table(pts) is not None:
+        d2min = _shell_nn_d2(pts.int_points, pts.source_n)
+    else:
+        d2min = np.empty(N)
+        for i0, d2 in _row_blocks(pts.points):
+            d2min[i0 : i0 + len(d2)] = d2.min(axis=1)
     rescaled = N * d2min / 4.0
     x = np.sort(rescaled)
     cdf = 1.0 - np.exp(-x)

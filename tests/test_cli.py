@@ -186,6 +186,21 @@ def test_baseline_stats_all_run(capsys):
     assert math.isclose(out["result"]["ratio"], 1.0, rel_tol=0.1)
 
 
+def test_baseline_zero_ripley_baseline(capsys):
+    # one point has no pairs: baseline 0, reported ratio 0
+    assert main(["baseline", "--stat", "ripley", "--N", "1", "--seed", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["result"]["baseline"] == 0.0
+    assert out["result"]["ratio"] == 0.0
+    assert "m_max" not in out["config"]
+
+
+def test_baseline_has_no_m_max_flag():
+    code, _, err = run_cli(["baseline", "--stat", "energy", "--N", "10", "--seed", "1", "--m-max", "4"])
+    assert code == 2
+    assert "--m-max" in err
+
+
 def test_verify_arith_clean(capsys):
     assert main(["verify-arith", "--n-max", "60"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from threesq import harmonics, spatial
+from threesq import harmonics, lattice, spatial
 from threesq.errors import DomainError
 
 
@@ -203,6 +203,57 @@ def test_variance_series_annulus_aspects(shell5):
         series = harmonics.variance_series(None, spec, 500, points=shell5)
         mc = spatial.number_variance(shell5, spec, 150_000, seed=int(10 * ratio))
         assert abs(series.value - mc.variance) <= series.tail_estimate + 3 * mc.variance_stderr
+
+
+# ------------------------------------------------------ pair-table routes
+
+@pytest.mark.parametrize("n", [5, 101, 1009])
+def test_table_routes_match_generic_path(n):
+    # a whole shell reads its pair sums from the pair table; the same
+    # points without their integer source take the float kernels
+    pts = spatial.unit_shell(n)
+    bare = spatial.UnitPointSet(pts.points)
+    keeps_n = spatial.UnitPointSet(pts.points, n)  # truncation needs n
+    assert spatial._shell_table(pts) is not None
+    assert spatial._shell_table(bare) is None and spatial._shell_table(keeps_n) is None
+
+    def close(a, b):
+        return a == pytest.approx(b, rel=1e-9)
+
+    for sigma in (0.01, 0.2):
+        spec = spatial.AnnulusSpec.cap_of_area(sigma)
+        assert close(
+            harmonics.variance_series(None, spec, 40, points=pts).value,
+            harmonics.variance_series(None, spec, 40, points=bare).value,
+        )
+    for deg in (4, 6):
+        assert close(
+            harmonics.weyl_aggregate_direct(deg, pts),
+            harmonics.weyl_aggregate_direct(deg, bare),
+        )
+    for s in (0.5, 1.0, 1.5):
+        assert close(spatial.riesz_energy(pts, s), spatial.riesz_energy(bare, s))
+        for rho in (0.1, 0.5):
+            assert close(
+                spatial.truncated_energy(pts, s, rho),
+                spatial.truncated_energy(keeps_n, s, rho),
+            )
+    table = spatial.nn_spacings(pts)
+    generic = spatial.nn_spacings(bare)
+    assert np.allclose(table.rescaled_values, generic.rescaled_values, rtol=1e-9, atol=0)
+    assert close(table.ks_distance_to_exp, generic.ks_distance_to_exp)
+
+
+def test_partial_shell_takes_generic_path():
+    # a subset that still remembers its source is not a whole shell
+    ls = lattice.enumerate_points(101)
+    part = spatial.project(lattice.LatticeSet(101, ls.points[1:], ls.primitive[1:]))
+    assert spatial._shell_table(part) is None
+    bare = spatial.UnitPointSet(part.points)
+    assert spatial.riesz_energy(part, 1.0) == spatial.riesz_energy(bare, 1.0)
+    assert np.array_equal(
+        spatial.nn_spacings(part).rescaled_values, spatial.nn_spacings(bare).rescaled_values
+    )
 
 
 # ---------------------------------------------------------------- discrepancy

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from threesq import lattice
 from threesq.errors import DomainError
@@ -107,6 +109,39 @@ def test_pair_table_against_brute_double_loop():
                 t = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
                 hist[t] = hist.get(t, 0) + 1
         assert lattice.pair_table(n).entries == hist, n
+
+
+def integer_gram_histogram(n):
+    """Histogram of the full N x N integer Gram matrix, no symmetry used."""
+    P = lattice.enumerate_points(n).points
+    t, c = np.unique(P @ P.T, return_counts=True)
+    return dict(zip(t.tolist(), c.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3000))
+@example(1)
+@example(2)
+@example(3)
+@example(9)
+@example(25)
+@example(50)
+@example(425)
+def test_pair_table_matches_integer_gram(n):
+    assert lattice.pair_table(n).entries == integer_gram_histogram(n)
+
+
+def test_shell_orbits_partition_the_shell():
+    sizes = set()
+    for n in (1, 2, 3, 9, 25, 50, 425):
+        P = lattice.enumerate_points(n).points
+        orb = lattice.shell_orbits(P)
+        assert orb.size.sum() == len(P)
+        assert np.array_equal(np.bincount(orb.index), orb.size)
+        key = np.sort(np.abs(P), axis=1)
+        assert np.array_equal(key, np.sort(np.abs(orb.reps), axis=1)[orb.index])
+        sizes.update(orb.size.tolist())
+    assert sizes == {6, 8, 12, 24, 48}
 
 
 def test_pair_table_empty_flagged():
