@@ -17,7 +17,6 @@ from .arith import (
     Discriminant,
     Factorization,
     LocalDiagonalization,
-    chi_value,
     class_number,
     diagonalize_pair_form,
     dirichlet_l_one,

@@ -1,4 +1,9 @@
-"""Cached prime sieve and smallest-prime-factor table, grown on demand."""
+"""Cached prime sieve and smallest-prime-factor table, grown on demand.
+
+The table is int32 and never grows past `_MAX_LIMIT` = 2^25 entries
+(128 MB); a request beyond it raises DomainError before anything is
+allocated.
+"""
 
 from __future__ import annotations
 
@@ -7,35 +12,41 @@ import threading
 
 import numpy as np
 
+from .errors import DomainError
+
 _lock = threading.Lock()
 _spf: np.ndarray | None = None
 _primes: np.ndarray | None = None
 _limit = 0
 
 _MIN_LIMIT = 1 << 16
+_MAX_LIMIT = 1 << 25
 
 
 def _build(limit: int) -> None:
     global _spf, _primes, _limit
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
             block = spf[p * p :: p]
             block[block == 0] = p
-    idx = np.arange(limit + 1, dtype=np.int64)
-    spf[spf == 0] = idx[spf == 0]
+    idx = np.arange(limit + 1, dtype=np.int32)
+    unset = spf == 0
+    spf[unset] = idx[unset]
     _spf = spf
     _primes = idx[(spf == idx) & (idx >= 2)]
     _limit = limit
 
 
 def ensure(limit: int) -> None:
-    """Make sure the cached tables cover [0, limit]."""
+    """Make sure the cached tables cover [0, limit]; refuse limit > _MAX_LIMIT."""
     if limit <= _limit:
         return
+    if limit > _MAX_LIMIT:
+        raise DomainError(f"prime table through {limit} exceeds the cap {_MAX_LIMIT}")
     with _lock:
         if limit > _limit:
-            _build(max(limit, 2 * _limit, _MIN_LIMIT))
+            _build(min(max(limit, 2 * _limit, _MIN_LIMIT), _MAX_LIMIT))
 
 
 def spf_limit() -> int:

@@ -1,10 +1,23 @@
 """Integers that are sums of two squares: sieve, gaps, and pole probes.
 
 Membership is the classical criterion (every prime p = 3 mod 4 divides
-to an even power).  Windows [Y, 2Y) are sieved in segments: for each
-small prime p = 3 mod 4 the exact p-adic valuation of each multiple is
-computed, and a single residue check mod 4 catches the at-most-one large
-bad prime that can survive.
+to an even power).  Windows [Y, 2Y) are sieved in segments [lo, hi)
+with no division and no residue array:
+
+* for each prime p = 3 mod 4 with p <= sqrt(hi - 1), a bool parity
+  array is toggled on the multiples of every power p^k < hi, which
+  leaves ord_p(n) mod 2 on each multiple of p; odd parities are OR-ed
+  into the exclusion flags and the parity array is cleared again;
+* then every n whose odd part n / 2^a (a = ord_2(n)) is 3 mod 4 is
+  excluded, on the strided slices n = 3 * 2^a (mod 2^(a + 2)).
+
+The second step is exact.  Split the odd part of n as A * B, with A
+built from primes <= sqrt(hi - 1) and B from larger ones.  Since
+B <= n < hi, B is 1 or a single prime to the first power.  If every
+small bad valuation is even, A is a product of primes 1 mod 4 and even
+powers of primes 3 mod 4, so A = 1 mod 4 and the odd part is 3 mod 4
+exactly when B is a bad prime, i.e. when n is not a sum of two squares.
+If some small bad valuation is odd, n is already excluded.
 
 The probe connects lattice points near the pole of the sphere of radius
 m to gap certificates: a point (x1, x2, x3) with x1^2 + x2^2 =
@@ -44,31 +57,24 @@ class TwoSquaresWindow:
 
 
 def _sieve_segment(lo: int, hi: int, bad_primes: list[int]) -> np.ndarray:
-    """Membership flags for [lo, hi); bad_primes are the 3 mod 4 primes
-    up to sqrt(hi - 1)."""
+    """Membership flags for [lo, hi), 1 <= lo; bad_primes are the 3 mod 4
+    primes up to sqrt(hi - 1) (see the module docstring)."""
     size = hi - lo
-    res = np.arange(lo, hi, dtype=np.int64)
     excluded = np.zeros(size, dtype=bool)
+    parity = np.zeros(size, dtype=bool)
     for p in bad_primes:
         start = (-lo) % p
-        idx = np.arange(start, size, p)
-        if len(idx) == 0:
-            continue
-        vals = res[idx] // p
-        odd = np.ones(len(idx), dtype=bool)
-        mask = vals % p == 0
-        while mask.any():
-            vals[mask] //= p
-            odd[mask] ^= True
-            mask = vals % p == 0
-        excluded[idx[odd]] = True
-        res[idx] = vals
-    # strip powers of two, then any residue = 3 mod 4 hides one large bad prime
-    mask = (res & 1) == 0
-    while mask.any():
-        res[mask] >>= 1
-        mask &= (res & 1) == 0
-    excluded |= res % 4 == 3
+        pk = p
+        while pk < hi:
+            parity[(-lo) % pk :: pk] ^= True
+            pk *= p
+        excluded[start::p] |= parity[start::p]
+        parity[start::p] = False
+    # the odd part of n = 2^a * o is 3 mod 4 iff n = 3 * 2^a (mod 2^(a + 2))
+    two_a = 1
+    while 3 * two_a < hi:
+        excluded[(3 * two_a - lo) % (4 * two_a) :: 4 * two_a] = True
+        two_a *= 2
     return ~excluded
 
 
@@ -87,7 +93,7 @@ def window(y: int) -> TwoSquaresWindow:
     while lo < hi_total:
         hi = min(lo + _SEGMENT, hi_total)
         flags = _sieve_segment(lo, hi, bad)
-        chunks.append(np.arange(lo, hi, dtype=np.int64)[flags])
+        chunks.append(np.flatnonzero(flags) + lo)
         lo = hi
     members = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
     if len(members) < 2:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import threesq
 from threesq import arith, lattice
 from threesq.errors import DomainError
 
@@ -61,6 +67,32 @@ def test_factorize_roundtrip_large():
         assert all(p % q for q in range(2, min(p, 10**6)) if q * q <= p)
         prod *= p**k
     assert prod == n
+
+
+def brute_factors(n: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    p = 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**9))
+@example(65_537)
+@example(9_973**2)
+@example(10_007**2)
+@example(2 * 10_007 * 10_009)
+def test_factorize_matches_trial_division(n):
+    assert arith.factorize(n).factors == brute_factors(n)
 
 
 def test_factorize_zero_rejected():
@@ -153,6 +185,39 @@ def test_l_value_class_number_consistency():
     for n in (1, 2, 3, 5, 6, 10, 11, 13, 21, 30, 101, 1009):
         lval = arith.dirichlet_l_one(n, eps)
         assert abs(lval - arith.class_number_l_value(n)) <= 2 * eps
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=2_000_000))
+@example(1)
+@example(3)
+@example(1_999_993)
+def test_l_value_series_matches_class_number(n):
+    assume(n % 8 != 7 and arith.is_squarefree(n))
+    assert abs(arith.dirichlet_l_one(n, 1e-12) - arith.class_number_l_value(n)) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 1009, 1_000_003, 10_000_019])
+def test_l_value_honours_target_error(n):
+    reference = arith.dirichlet_l_one(n, 1e-15)
+    for k in range(2, 13, 2):
+        eps = 10.0**-k
+        assert abs(arith.dirichlet_l_one(n, eps) - reference) <= eps, (n, eps)
+
+
+def test_l_value_keeps_prime_table_small():
+    # a fresh process, so no earlier test has grown the table
+    code = (
+        "from threesq import arith, primes\n"
+        "arith.dirichlet_l_one(10_000_019, 1e-10)\n"
+        "print(primes.spf_limit())\n"
+    )
+    src = os.path.dirname(os.path.dirname(threesq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "65536"
 
 
 def test_l_value_rejects_7_mod_8():

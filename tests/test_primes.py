@@ -1,0 +1,32 @@
+import numpy as np
+import pytest
+
+from threesq import primes
+from threesq.errors import DomainError
+
+
+def test_spf_table_is_int32_and_correct():
+    spf = primes.spf_table(1000)
+    assert spf.dtype == np.int32
+    for n in range(2, 1001):
+        p = int(spf[n])
+        assert n % p == 0
+        assert all(p % d for d in range(2, p))
+        assert all(n % d for d in range(2, p))
+
+
+def test_ensure_refuses_beyond_cap_without_building():
+    before = primes.spf_limit()
+    with pytest.raises(DomainError):
+        primes.ensure(primes._MAX_LIMIT + 1)
+    with pytest.raises(DomainError):
+        primes.primes_up_to(10**12)
+    assert primes.spf_limit() == before
+
+
+def test_growth_is_clamped_to_cap(monkeypatch):
+    limit = primes.spf_limit()
+    monkeypatch.setattr(primes, "_MAX_LIMIT", limit + 10)
+    primes.ensure(limit + 1)  # doubling would ask for 2 * limit
+    assert primes.spf_limit() == limit + 10
+    assert len(primes.spf_table(limit + 10)) == limit + 11

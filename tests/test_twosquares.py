@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from threesq import primes
 from threesq import twosquares as ts
 from threesq.errors import DomainError
 
@@ -69,6 +72,47 @@ def test_windows_tile_without_overlap():
     joined = np.concatenate([a, b])
     assert (np.diff(joined) > 0).all()
     assert joined.min() >= 100 and joined.max() < 400
+
+
+def bad_primes_through(hi: int) -> list[int]:
+    return [p for p in primes.primes_up_to(math.isqrt(hi - 1)).tolist() if p % 4 == 3]
+
+
+def assert_segment_matches_membership(lo: int, hi: int) -> None:
+    flags = ts._sieve_segment(lo, hi, bad_primes_through(hi))
+    assert flags.dtype == bool and len(flags) == hi - lo
+    for n, flag in zip(range(lo, hi), flags.tolist()):
+        assert flag == ts.is_sum_two_squares(n), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=1, max_value=5000))
+def test_sieve_segment_matches_factorization(lo, length):
+    assert_segment_matches_membership(lo, lo + length)
+
+
+@pytest.mark.parametrize(
+    "center",
+    [3**k for k in range(1, 15)]
+    + [7**k for k in range(1, 9)]
+    + [121 * m for m in (1, 3, 7, 11, 19, 1003, 9973, 10007, 82_643)],
+)
+def test_sieve_segment_straddles_prime_powers(center):
+    # windows across 3^k, 7^k and 11^2 m, where the parity of high
+    # valuations and the large-prime residue decide membership
+    assert_segment_matches_membership(max(1, center - 40), center + 41)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=20_000), st.integers(min_value=0, max_value=60))
+def test_window_independent_of_segment_size(y, half):
+    expected = ts.window(y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ts, "_SEGMENT", 2 * half + 1)
+        got = ts.window(y)
+    assert np.array_equal(got.members, expected.members)
+    assert got.max_gap == expected.max_gap
+    assert got.argmax_pair == expected.argmax_pair
 
 
 def test_gap_scan_rows():
