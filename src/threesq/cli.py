@@ -85,7 +85,6 @@ def _config(args, keys) -> dict:
     for k in keys:
         cfg[k] = getattr(args, k)
     cfg["seed"] = getattr(args, "seed", None)
-    cfg["threads"] = args.threads
     return cfg
 
 
@@ -415,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     def cmd(name, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap (results are independent of it)")
         return p
 
     p = cmd("enumerate", help="list all integer points with |x|^2 = n")

@@ -20,8 +20,9 @@ and V = sum_{m>=1} h(m)^2/(4*pi) * aggregate(m).
 
 The pair sums sum_{x,y} P_m(x.y) of a whole lattice shell are read from
 its exact inner-product histogram (the pair table, built by the
-orbit-reduced Gram kernel) as sum_t c(t) P_m(t/n).  Any other set goes
-through a blocked float kernel over the upper block triangle of its Gram
+orbit-reduced Gram kernel) as sum_t c(t) P_m(t/n).  Any other set runs
+the Legendre recurrence on the blocks of `spatial._pair_blocks`, the one
+pair kernel of a point set, over the upper block triangle of its Gram
 matrix.  The basis sums in `weyl_sums` never use either, so they stay an
 independent check of the addition theorem.
 """
@@ -35,10 +36,9 @@ import numpy as np
 
 from .errors import DomainError
 from .lattice import enumerate_points
-from .spatial import AnnulusSpec, UnitPointSet, _random_units, _shell_table, project
+from .spatial import AnnulusSpec, UnitPointSet, _pair_blocks, _random_units, _shell_table, project
 
 MAX_DEGREE = 2000
-_BLOCK_ENTRIES = 1 << 16  # per buffer of the pair kernel: four of them fit in L2
 
 
 def legendre_p(m: int, t):
@@ -126,33 +126,19 @@ def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
 
 
 def _block_legendre_sums(U: np.ndarray, m_max: int) -> np.ndarray:
-    """The pair sums of any point set, over the upper block triangle.
+    """The pair sums of any point set, from the pair kernel's blocks.
 
-    Row block I meets the columns from I on: its own square block counts
-    once and every later column twice, as P_m(x.y) is symmetric in x, y.
-    The recurrence runs in place in buffers allocated once, and each degree
-    is accumulated through a BLAS matrix-vector product with those weights.
+    Each block runs the recurrence in place and accumulates every degree
+    through a BLAS matrix-vector product with the kernel's column weights.
     """
     N = len(U)
     sums = np.zeros(m_max + 1)
     sums[0] = float(N) * N
-    if m_max == 0 or N == 0:
+    if m_max == 0:
         return sums
-    rows = max(1, _BLOCK_ENTRIES // N)
-    dots_buf, prev_buf, cur_buf, tmp_buf = (np.empty(rows * N) for _ in range(4))
-    for i0 in range(0, N, rows):
-        b, cols = min(rows, N - i0), N - i0
-        shape = (b, cols)
-        dots = dots_buf[: b * cols].reshape(shape)
-        np.matmul(U[i0 : i0 + b], U[i0:].T, out=dots)
+    for _, dots, w in _pair_blocks(U):
         np.clip(dots, -1.0, 1.0, out=dots)
-        w = np.full(cols, 2.0)
-        w[:b] = 1.0
-        p_prev = prev_buf[: b * cols].reshape(shape)
-        p_cur = cur_buf[: b * cols].reshape(shape)
-        tmp = tmp_buf[: b * cols].reshape(shape)
-        p_prev.fill(1.0)
-        p_cur[...] = dots
+        p_prev, p_cur, tmp = np.ones_like(dots), dots.copy(), np.empty_like(dots)
         sums[1] += (p_cur @ w).sum()
         for m in range(2, m_max + 1):
             # P_m = ((2m-1)/m) x P_{m-1} - ((m-1)/m) P_{m-2}, into P_{m-2}'s buffer

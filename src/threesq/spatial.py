@@ -14,7 +14,14 @@ from integers, and its nearest-neighbour spacings from the orbit-reduced
 Gram kernel: one representative row per orbit of the signed-permutation
 group, whose nearest-neighbour distance every point of the orbit shares.
 Ripley counts stay geometric, so they remain a second path to the pair
-table.  Every other set goes through blocked float distances.
+table.
+
+Every other pair sum of a point set (energies, Ripley counts, spacings
+and the Legendre pair sums in `harmonics`) goes through one kernel,
+`_pair_blocks`, which walks the upper block triangle of the set's Gram
+matrix under one entry budget.  Each statistic maps a block to its value;
+Ripley counts of a lattice shell feed it the integer points and compare
+exact integer squared distances.
 
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
 the caller's seed, and every randomized result embeds that seed.
@@ -30,6 +37,7 @@ import numpy as np
 
 from .errors import DomainError, DuplicatePointError, InvariantError
 from .lattice import (
+    _FLOAT_SAFE,
     LatticeSet,
     PairCountTable,
     enumerate_points,
@@ -38,7 +46,7 @@ from .lattice import (
     shell_orbits,
 )
 
-_BLOCK = 512
+_PAIR_ENTRIES = 1 << 16  # Gram entries per block of the pair kernel
 _NORM_TOL = 1e-12
 
 
@@ -126,17 +134,34 @@ def binomial_sample(n_points: int, seed: int) -> UnitPointSet:
     return UnitPointSet(_random_units(rng, n_points))
 
 
-def _row_blocks(P: np.ndarray):
-    """Yield (row offset, squared distances to all points, self at +inf)."""
+def _pair_blocks(A: np.ndarray):
+    """Yield (i0, G, w) over the upper block triangle of the Gram matrix of A.
+
+    G = A[i0 : i0 + b] @ A[i0:].T is a fresh array of at most about
+    _PAIR_ENTRIES entries, and w weights its columns 1 on the block's own
+    square (the first b) and 2 beyond.  Summing w * f(G) over the blocks
+    gives the sum of f(x.y) over ordered pairs, diagonal included, for any
+    symmetric f.  Every pair loop of a point set goes through here.
+    """
+    N = len(A)
+    rows = max(1, _PAIR_ENTRIES // max(N, 1))
+    for i0 in range(0, N, rows):
+        b = min(rows, N - i0)
+        w = np.full(N - i0, 2.0)
+        w[:b] = 1.0
+        yield i0, A[i0 : i0 + b] @ A[i0:].T, w
+
+
+def _distance_blocks(P: np.ndarray):
+    """Yield (i0, d2, w): _pair_blocks as squared distances, self at +inf."""
     sq = np.einsum("ij,ij->i", P, P)
-    N = len(P)
-    for i0 in range(0, N, _BLOCK):
-        blk = P[i0 : i0 + _BLOCK]
-        d2 = sq[i0 : i0 + _BLOCK, None] + sq[None, :] - 2.0 * (blk @ P.T)
+    for i0, G, w in _pair_blocks(P):
+        b = len(G)
+        d2 = sq[i0 : i0 + b, None] + sq[None, i0:] - 2.0 * G
         np.clip(d2, 0.0, None, out=d2)
-        idx = np.arange(len(blk))
-        d2[idx, i0 + idx] = np.inf
-        yield i0, d2
+        idx = np.arange(b)
+        d2[idx, idx] = np.inf
+        yield i0, d2, w
 
 
 def _shell_table(pts: UnitPointSet) -> PairCountTable | None:
@@ -165,10 +190,12 @@ def _table_energy(tbl: PairCountTable, s: float, cap: float | None = None) -> fl
 
 
 def _check_duplicates(i0: int, d2: np.ndarray) -> None:
-    dup = np.argwhere(d2 < 1e-24)
+    # |x|^2 + |y|^2 - 2x.y rounds to within about 2e-15 of 0 for x = y, so
+    # pairs below 1e-14 (chord 1e-7, unresolved by this form) count as equal
+    dup = np.argwhere(d2 < 1e-14)
     if len(dup):
         i, j = dup[0]
-        raise DuplicatePointError(int(i0 + i), int(j))
+        raise DuplicatePointError(int(i0 + i), int(i0 + j))
 
 
 def uniform_energy_integral(s: float) -> float:
@@ -192,9 +219,9 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
     if tbl is not None:
         return _table_energy(tbl, s)
     parts = []
-    for i0, d2 in _row_blocks(pts.points):
+    for i0, d2, w in _distance_blocks(pts.points):
         _check_duplicates(i0, d2)
-        parts.append(float(np.sum(d2 ** (-s / 2.0))))
+        parts.append(float((d2 ** (-s / 2.0) @ w).sum()))
     return math.fsum(parts)
 
 
@@ -217,9 +244,9 @@ def truncated_energy(pts: UnitPointSet, s: float, rho: float) -> float:
     if tbl is not None:
         return _table_energy(tbl, s, cap)
     parts = []
-    for i0, d2 in _row_blocks(pts.points):
+    for i0, d2, w in _distance_blocks(pts.points):
         _check_duplicates(i0, d2)
-        parts.append(float(np.sum(np.minimum(d2 ** (-s / 2.0), cap))))
+        parts.append(float((np.minimum(d2 ** (-s / 2.0), cap) @ w).sum()))
     return math.fsum(parts)
 
 
@@ -247,27 +274,17 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
         if dmax < 1:
             return 0
         P = pts.int_points
+        sq = np.einsum("ij,ij->i", P, P)
         total = 0
-        if n <= (1 << 50):
-            Pf = P.astype(np.float64)
-            sq = np.einsum("ij,ij->i", Pf, Pf)
-            for i0 in range(0, N, _BLOCK):
-                d2 = np.rint(
-                    sq[i0 : i0 + _BLOCK, None]
-                    + sq[None, :]
-                    - 2.0 * (Pf[i0 : i0 + _BLOCK] @ Pf.T)
-                ).astype(np.int64)
-                total += int(((d2 >= 1) & (d2 <= dmax)).sum())
-        else:
-            for i0 in range(0, N, _BLOCK):
-                diff = P[i0 : i0 + _BLOCK, None, :] - P[None, :, :]
-                d2 = (diff * diff).sum(axis=2)
-                total += int(((d2 >= 1) & (d2 <= dmax)).sum())
+        # float64 Gram entries are exact integers up to _FLOAT_SAFE
+        for i0, G, w in _pair_blocks(P.astype(np.float64) if n <= _FLOAT_SAFE else P):
+            d2 = sq[i0 : i0 + len(G), None] + sq[None, i0:] - 2 * G.astype(np.int64)
+            total += int((((d2 >= 1) & (d2 <= dmax)) @ w).sum())
         return total
     total = 0
     r2 = r * r
-    for i0, d2 in _row_blocks(pts.points):
-        total += int((d2 < r2).sum())
+    for _, d2, w in _distance_blocks(pts.points):
+        total += int(((d2 < r2) @ w).sum())
     return total
 
 
@@ -312,9 +329,12 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
     if _shell_table(pts) is not None:
         d2min = _shell_nn_d2(pts.int_points, pts.source_n)
     else:
-        d2min = np.empty(N)
-        for i0, d2 in _row_blocks(pts.points):
-            d2min[i0 : i0 + len(d2)] = d2.min(axis=1)
+        d2min = np.full(N, np.inf)
+        for i0, d2, _ in _distance_blocks(pts.points):
+            # the block holds pairs (i, j >= i0) once: fold both ends
+            b = len(d2)
+            d2min[i0 : i0 + b] = np.minimum(d2min[i0 : i0 + b], d2.min(axis=1))
+            d2min[i0:] = np.minimum(d2min[i0:], d2.min(axis=0))
     rescaled = N * d2min / 4.0
     x = np.sort(rescaled)
     cdf = 1.0 - np.exp(-x)
@@ -362,7 +382,8 @@ def covering_radius_mesh(pts: UnitPointSet, resolution: float = 1e-3) -> float:
 
     Queries a Fibonacci mesh whose own covering radius is below
     `resolution`, so the true value exceeds this estimate by at most
-    `resolution`.  Independent of the convex-hull method.
+    `resolution`.  Independent of the convex-hull method.  The kd-tree
+    query uses every core.
     """
     from scipy.spatial import cKDTree
 
@@ -391,54 +412,6 @@ def count_in(pts: UnitPointSet, center, spec: AnnulusSpec) -> int:
     lo, hi = spec.dot_window()
     dots = pts.points @ c
     return int(((dots >= lo) & (dots <= hi)).sum())
-
-
-class CapIndex:
-    """Latitude-band index for repeated cap/annulus counting.
-
-    Bands bound every member's possible dot product with a query
-    direction; bands entirely inside or outside the window are settled
-    wholesale and only straddling bands are scanned point by point, with
-    the same comparisons as count_in, so counts are identical.
-    """
-
-    def __init__(self, pts: UnitPointSet, bands: int = 64):
-        if bands < 1:
-            raise DomainError("need at least one band")
-        order = np.argsort(pts.points[:, 2], kind="stable")
-        self.points = pts.points[order]
-        z = self.points[:, 2]
-        edges = np.linspace(-1.0, 1.0, bands + 1)
-        self.starts = np.searchsorted(z, edges[:-1], side="left")
-        self.stops = np.append(self.starts[1:], len(z))
-        self.z_lo = edges[:-1]
-        self.z_hi = edges[1:]
-
-    def count(self, center, spec: AnnulusSpec) -> int:
-        c = np.asarray(center, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(c) - 1.0) > 1e-9:
-            raise DomainError("center must be a unit vector")
-        lo, hi = spec.dot_window()
-        cz = c[2]
-        sc = math.sqrt(max(0.0, 1.0 - cz * cz))
-        total = 0
-        for b in range(len(self.z_lo)):
-            i0, i1 = int(self.starts[b]), int(self.stops[b])
-            if i0 == i1:
-                continue
-            z1, z2 = self.z_lo[b], self.z_hi[b]
-            s1 = math.sqrt(max(0.0, 1.0 - z1 * z1))
-            s2 = math.sqrt(max(0.0, 1.0 - z2 * z2))
-            hi_dot = 1.0 if z1 <= cz <= z2 else max(z1 * cz + s1 * sc, z2 * cz + s2 * sc)
-            lo_dot = -1.0 if z1 <= -cz <= z2 else min(z1 * cz - s1 * sc, z2 * cz - s2 * sc)
-            if hi_dot < lo or lo_dot > hi:
-                continue
-            if lo_dot >= lo and hi_dot <= hi:
-                total += i1 - i0
-                continue
-            dots = self.points[i0:i1] @ c
-            total += int(((dots >= lo) & (dots <= hi)).sum())
-        return total
 
 
 @dataclass

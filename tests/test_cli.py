@@ -201,6 +201,14 @@ def test_baseline_has_no_m_max_flag():
     assert "--m-max" in err
 
 
+def test_threads_flag_is_gone(capsys):
+    code, _, err = run_cli(["energy", "--n", "5", "--threads", "2"])
+    assert code == 2
+    assert "--threads" in err
+    assert main(["energy", "--n", "5"]) == 0
+    assert "threads" not in json.loads(capsys.readouterr().out)["config"]
+
+
 def test_verify_arith_clean(capsys):
     assert main(["verify-arith", "--n-max", "60"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,10 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from threesq import lattice, spatial
+from threesq import harmonics, lattice, spatial
 from threesq.errors import DomainError, DuplicatePointError
 
 
@@ -115,6 +116,39 @@ def test_ripley_baseline_value():
     assert spatial.ripley_baseline(6, 2.0) == pytest.approx(30.0)
 
 
+def _signed_perms(v):
+    return np.array(
+        sorted(
+            {
+                tuple(s * x for s, x in zip(signs, p))
+                for p in itertools.permutations(v)
+                for signs in itertools.product((1, -1), repeat=3)
+            }
+        ),
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize(
+    "v", [(1 << 26, 0, 0), (1 << 25, 1 << 25, 0), ((1 << 26) + 1, (1 << 26) + 3, 5)]
+)
+def test_ripley_int64_route_above_float_safe(v):
+    # n = 2^52, 2^51 and about 2^53: past _FLOAT_SAFE the Gram blocks stay
+    # in int64; float64 would round the last orbit's Gram entries
+    P = _signed_perms(v)
+    n = sum(x * x for x in v)
+    assert n > lattice._FLOAT_SAFE
+    pts = spatial.project(lattice.LatticeSet(n, P, np.zeros(len(P), dtype=bool)))
+    ints = [tuple(int(x) for x in p) for p in P]
+    d2 = [sum((x - y) ** 2 for x, y in zip(p, q)) for p in ints for q in ints]
+    # 1.0 and 2.0 land exactly on distance shells (d^2 = n, d^2 = 4n), and
+    # sqrt(d^2 / n) rounds to either side of the smallest shells
+    near = [math.sqrt(d / n) for d in sorted(set(d2) - {0})[:4]]
+    for r in [0.5, 1.0, 1.2, math.sqrt(2), 1.5, 1.8, 2.0, *near]:
+        lim = Fraction(r) ** 2 * n
+        assert spatial.ripley_k(pts, r) == sum(1 for d in d2 if 0 < d < lim), r
+
+
 # ------------------------------------------------------------------ spacings
 
 def test_spacings_octahedron(octahedron):
@@ -140,6 +174,51 @@ def test_spacings_respect_packing_bound():
     for seed in range(5):
         rep = spatial.nn_spacings(spatial.binomial_sample(50, seed))
         assert rep.mean <= 4.0 + 1e-9
+
+
+# -------------------------------------------------------------- pair kernel
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("N", [2, 3, 7, 50])
+def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
+    # blocks of `rows` rows, the last one ragged unless rows divides N
+    monkeypatch.setattr(spatial, "_PAIR_ENTRIES", rows * N)
+    P = spatial.binomial_sample(N, 10 * N + rows).points
+    pts = spatial.UnitPointSet(P, source_n=2)  # n = 2 sets the energy cap
+    diff = P[:, None, :] - P[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    off = ~np.eye(N, dtype=bool)
+    for s in (0.5, 1.0, 1.5):
+        terms = d2[off] ** (-s / 2)
+        assert spatial.riesz_energy(pts, s) == pytest.approx(math.fsum(terms), rel=1e-12)
+        for rho in (0.25, 0.5):
+            capped = np.minimum(terms, 2.0 ** (s * rho))
+            assert spatial.truncated_energy(pts, s, rho) == pytest.approx(
+                math.fsum(capped), rel=1e-12
+            )
+    for r in (0.1, 0.5, 1.0, 1.5, 2.0):
+        assert spatial.ripley_k(pts, r) == int((d2[off] < r * r).sum())
+    # the kernel's |x|^2 + |y|^2 - 2x.y is within about 2e-15 of d^2
+    nn = np.where(off, d2, np.inf).min(axis=1)
+    np.testing.assert_allclose(
+        spatial.nn_spacings(pts).rescaled_values, N * nn / 4, rtol=1e-12, atol=N * 4e-15 / 4
+    )
+    m_max = 12
+    dots = np.clip(P @ P.T, -1.0, 1.0)
+    full = [math.fsum(harmonics.legendre_p(m, dots).ravel()) for m in range(m_max + 1)]
+    np.testing.assert_allclose(
+        harmonics._pair_legendre_sums(pts, m_max), full, rtol=1e-12, atol=1e-12 * N * N
+    )
+
+    # a duplicate across the first and last blocks, and one inside a late block
+    for i in {0, N - 2}:
+        dup = P.copy()
+        dup[-1] = dup[i]
+        dup_pts = spatial.UnitPointSet(dup, source_n=2)
+        for energy in (spatial.riesz_energy, lambda p, s: spatial.truncated_energy(p, s, 0.5)):
+            with pytest.raises(DuplicatePointError) as err:
+                energy(dup_pts, 1.0)
+            assert set(err.value.indices) == {i, N - 1}
 
 
 # ------------------------------------------------------------ covering radius
@@ -182,15 +261,6 @@ def test_count_in_pinned(octahedron):
     assert spatial.count_in(octahedron, e1, spatial.AnnulusSpec.cap(2.0)) == 6
     assert spatial.count_in(octahedron, e1, spatial.AnnulusSpec.cap(1.0)) == 1
     assert spatial.count_in(octahedron, e1, spatial.AnnulusSpec(1.0, 1.5)) == 4
-
-
-def test_cap_index_matches_direct(shell5):
-    idx = spatial.CapIndex(shell5, bands=16)
-    rng = np.random.Generator(np.random.Philox(11))
-    for _ in range(200):
-        c = spatial._random_units(rng, 1)[0]
-        spec = spatial.AnnulusSpec(float(rng.uniform(0, 0.5)), float(rng.uniform(0.6, 2.0)))
-        assert idx.count(c, spec) == spatial.count_in(shell5, c, spec)
 
 
 # ------------------------------------------------------------ number variance
