@@ -30,7 +30,6 @@ from .arith import (
     majorant_general,
     majorant_squarefree,
     pair_count_formula,
-    pair_count_gcd_bound,
 )
 from .errors import DomainError, DuplicatePointError, InvariantError
 from .harmonics import (

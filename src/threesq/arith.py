@@ -17,8 +17,9 @@ the odd primes dividing n^2 - t^2, and by 24 and a 2-adic factor that is
 always 0 or 1, these densities give the number of ordered pairs (x, y)
 of integer points on the sphere |x|^2 = n with inner product x.y = t.
 
-Everything here is integer-exact (Fraction where intermediates are
-rational).  All functions are pure; the only caches are append-only
+Everything here is integer-exact: every local density is a sum of
+powers of p, so the pair-count formula is a product of Python ints.  All
+functions are pure; the only caches are append-only
 tables safe for concurrent readers.
 """
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -398,18 +398,13 @@ def majorant_squarefree(n: int, arg: int) -> int:
     return out
 
 
-def majorant_general(m: int, n: int, arg: int, literal_fourth_case: bool = False) -> int:
+def majorant_general(m: int, n: int, arg: int) -> int:
     """Multiplicative majorant for pair counts at general n.
 
     m is the squarefull part of gcd(n, t) (all exponents >= 2; m = 1 is
     allowed).  Prime-power values: 1 at 2^k; k+1 for p | m; the geometric
     character sum for odd p not dividing n; 1 for p | n, p coprime to m,
     k = 1; and 2 in the remaining case p | n, p coprime to m, k >= 2.
-
-    ``literal_fourth_case=True`` switches the last case's condition from
-    "p | n" to "p coprime to n", a variant convention that overlaps the
-    character-sum case and leaves p | n, k >= 2 without a value; it
-    raises DomainError on those uncovered prime powers.
     """
     if not is_squarefull(m):
         raise DomainError(f"m = {m} must be squarefull")
@@ -424,14 +419,7 @@ def majorant_general(m: int, n: int, arg: int, literal_fourth_case: bool = False
         elif n % p != 0:
             c = kronecker(-n, p)
             out *= sum(c**j for j in range(k + 1))
-        elif k == 1:
-            out *= 1
-        else:
-            if literal_fourth_case:
-                raise DomainError(
-                    f"prime power {p}^{k} with {p} | n, {p} coprime to m, k >= 2 "
-                    "has no value under the literal case list"
-                )
+        elif k >= 2:
             out *= 2
     return out
 
@@ -496,31 +484,36 @@ def diagonalize_pair_form(n: int, t: int, p: int) -> LocalDiagonalization:
     return LocalDiagonalization(n, t, p, a1, a2, e1, e2)
 
 
-def local_density(n: int, t: int, p: int) -> Fraction:
+def _geometric(p: int, k: int) -> int:
+    """1 + p + ... + p^(k-1), exactly; 0 for k = 0."""
+    return (p**k - 1) // (p - 1)
+
+
+def local_density(n: int, t: int, p: int) -> int:
     """p-adic density of the pair-count form at an odd prime p.
 
     Dispatches on the parities of the diagonal valuations (a1, a2);
-    primes not dividing n^2 - t^2 have density 1.
+    primes not dividing n^2 - t^2 have density 1.  Every case is an
+    integer.  With s the relevant quadratic character (+-1):
+
+    - a1 odd: the rational closed form p^k (1 - p^(-k-1)) / (1 - 1/p),
+      k = (a1 - 1)/2, is (p^(k+1) - 1)/(p - 1) = sum_{j<=k} p^j, and the
+      density is that sum times (1 + s);
+    - a1 even: the head p^(h-1) (1 - p^(-h)) / (1 - 1/p), h = a1/2, is
+      sum_{j<h} p^j (0 for a1 = 0), and the density is head (1 + s) or
+      2 head, as a2 is odd or even, plus p^h sum_{k<=a2-a1} s^k.
     """
     diag = diagonalize_pair_form(n, t, p)
     if (n * n - t * t) % p != 0:
-        return Fraction(1)
+        return 1
     a1, a2, e1, e2 = diag.a1, diag.a2, diag.eps1_residue, diag.eps2_residue
-
-    one = Fraction(1)
-    pf = Fraction(p)
-    if a1 % 2 == 1 and a2 % 2 == 1:
-        s = _legendre(-e1 * e2, p)
-        return pf ** ((a1 - 1) // 2) * (one - pf ** (-((a1 + 1) // 2))) / (one - one / pf) * (1 + s)
     if a1 % 2 == 1:
-        s = _legendre(-e2, p)
-        return pf ** ((a1 - 1) // 2) * (one - pf ** (-((a1 + 1) // 2))) / (one - one / pf) * (1 + s)
+        s = _legendre(-e1 * e2 if a2 % 2 == 1 else -e2, p)
+        return _geometric(p, (a1 + 1) // 2) * (1 + s)
     s = _legendre(-e1, p)
-    geo = sum(Fraction(s) ** k for k in range(a2 - a1 + 1))
-    head = pf ** ((a1 - 2) // 2) * (one - pf ** (-(a1 // 2))) / (one - one / pf)
-    if a2 % 2 == 1:
-        return head * (1 + s) + pf ** (a1 // 2) * geo
-    return 2 * head + pf ** (a1 // 2) * geo
+    head = _geometric(p, a1 // 2)
+    geo = sum(s**k for k in range(a2 - a1 + 1))
+    return head * (1 + s if a2 % 2 == 1 else 2) + p ** (a1 // 2) * geo
 
 
 def pair_count_formula(n: int, t: int) -> int:
@@ -532,25 +525,9 @@ def pair_count_formula(n: int, t: int) -> int:
     """
     if abs(t) >= n:
         raise DomainError("|t| < n required")
-    disc = n * n - t * t
-    val = Fraction(24)
-    for p, _ in factorize(disc).factors:
+    val = 24
+    for p, _ in factorize(n * n - t * t).factors:
         if p != 2:
             val *= local_density(n, t, p)
-    if val.denominator != 1:
-        raise InvariantError(f"non-integral density product at (n={n}, t={t})")
-    return int(val)
+    return val
 
-
-def pair_count_gcd_bound(n: int, t: int) -> tuple[float, int]:
-    """Diagnostic pair (gcd(n,t)^(1/2) * n^(1/4), exact pair count).
-
-    The count is O(gcd^(1/2) n^eps) with an ineffective constant, so this
-    is a monitor, not an assertion.
-    """
-    from . import lattice
-
-    if abs(t) >= n:
-        raise DomainError("|t| < n required")
-    g = math.gcd(n, t)
-    return math.sqrt(g) * n**0.25, lattice.pair_count(n, t)

@@ -292,8 +292,11 @@ def _cmd_verify_arith(args) -> str:
         if tbl.empty:
             continue
         shells += 1
+        dense = np.zeros(2 * n + 1, dtype=np.int64)  # count at t, index t + n
+        dense[tbl.t + n] = tbl.count
+        counts = dense.tolist()
         for t in range(-(n - 1), n):
-            a = tbl.entries.get(t, 0)
+            a = counts[t + n]
             pairs += 1
             if a not in (0, arith.pair_count_formula(n, t)):
                 mismatches += 1

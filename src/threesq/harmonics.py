@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .lattice import enumerate_points
-from .spatial import AnnulusSpec, UnitPointSet, _pair_blocks, _random_units, _shell_table, project
+from .lattice import enumerate_points, pair_table
+from .spatial import AnnulusSpec, UnitPointSet, _is_whole_shell, _pair_blocks, _random_units, project
 
 MAX_DEGREE = 2000
 
@@ -110,9 +110,9 @@ def zonal_csv(zc: ZonalCoefficients) -> str:
 
 def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
     """sum over all ordered pairs (diagonal included) of P_m(x.y), m <= m_max."""
-    tbl = _shell_table(pts)
-    if tbl is None:
+    if not _is_whole_shell(pts):
         return _block_legendre_sums(pts.points, m_max)
+    tbl = pair_table(pts.source_n)
     x = tbl.t / float(tbl.n)
     c = tbl.count.astype(np.float64)
     sums = np.empty(m_max + 1)

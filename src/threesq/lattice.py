@@ -12,7 +12,9 @@ and that histogram comes from one orbit-reduced Gram kernel: one
 representative per orbit is dotted with all N points, and its row is
 weighted by the orbit size, since a signed permutation maps the shell onto
 itself and keeps x.y.  That is about N^2/48 integer products instead of N^2,
-and no N x N matrix is ever formed.
+and no N x N matrix is ever formed.  The histogram is two sorted int64
+arrays, `t` and `count`; a pair count or a distance band is read from them
+by `np.searchsorted` and one slice sum.
 """
 
 from __future__ import annotations
@@ -71,7 +73,11 @@ class PairCountTable:
 
     @cached_property
     def entries(self) -> dict[int, int]:
-        """The histogram as a dict t -> count."""
+        """The histogram as a dict t -> count.
+
+        Kept only for the benchmark tracer, which reads its length; the
+        package reads `t` and `count`.
+        """
         return dict(zip(self.t.tolist(), self.count.tolist()))
 
     @property
@@ -232,28 +238,29 @@ def pair_count(n: int, t: int) -> int:
     """Ordered pairs (x, y) on the sphere of radius sqrt(n) with x.y = t."""
     if abs(t) > n:
         raise DomainError("|t| <= n required")
-    return pair_table(n).entries.get(t, 0)
+    tbl = pair_table(n)
+    i, j = np.searchsorted(tbl.t, t, side="left"), np.searchsorted(tbl.t, t, side="right")
+    return int(tbl.count[i:j].sum())
 
 
 def pairs_in_band(n: int, a, b) -> int:
     """Ordered pairs with a < |x - y|^2 < b (both strict).
 
     Equals the sum of pair counts over inner products
-    n - b/2 < t < n - a/2; bounds are compared as exact rationals so no
-    pair is ever misclassified at a shell boundary.
+    n - b/2 < t < n - a/2.  The bounds are exact rationals (a and b may
+    be ints, floats, Fractions, and b may be inf), turned into the
+    integer range lo <= t <= hi with lo = floor(n - b/2) + 1 and
+    hi = ceil(n - a/2) - 1, so no pair is ever misclassified at a shell
+    boundary.
     """
     if not (0 <= a < b):
         raise DomainError("need 0 <= a < b")
     tbl = pair_table(n)
-    if tbl.empty:
-        return 0
-    hi = Fraction(n) - Fraction(a) / 2
-    lo = None if math.isinf(b) else Fraction(n) - Fraction(b) / 2
-    total = 0
-    for t, c in tbl.entries.items():
-        if t < hi and (lo is None or t > lo):
-            total += c
-    return total
+    hi = min(n, math.ceil(n - Fraction(a) / 2) - 1)
+    lo = -n if math.isinf(b) else max(-n, math.floor(n - Fraction(b) / 2) + 1)
+    i = np.searchsorted(tbl.t, lo, side="left")
+    j = np.searchsorted(tbl.t, hi, side="right")
+    return int(tbl.count[i:j].sum())
 
 
 def points_near_pole(m: int, height: int) -> np.ndarray:

@@ -7,21 +7,24 @@ against integer distance shells (Ripley counts) are evaluated on exact
 integers whenever the set remembers its integer source, which removes
 boundary misclassification entirely.
 
-A whole lattice shell (a set that remembers its source n and integer
-points and has the shell's N points) takes its energies from the pair
+A whole lattice shell is a set that remembers its source n and integer
+points and has as many points as `enumerate_points(n)`; testing that
+builds no pair table.  A whole shell takes its energies from the pair
 table, sum over t < n of c(t) f(2(n - t)/n), with every distance exact
 from integers, and its nearest-neighbour spacings from the orbit-reduced
-Gram kernel: one representative row per orbit of the signed-permutation
-group, whose nearest-neighbour distance every point of the orbit shares.
-Ripley counts stay geometric, so they remain a second path to the pair
-table.
+Gram kernel without the table: one representative row per orbit of the
+signed-permutation group, whose nearest-neighbour distance every point of
+the orbit shares.  Ripley counts stay geometric, so they remain a second
+path to the pair table.
 
 Every other pair sum of a point set (energies, Ripley counts, spacings
 and the Legendre pair sums in `harmonics`) goes through one kernel,
 `_pair_blocks`, which walks the upper block triangle of the set's Gram
 matrix under one entry budget.  Each statistic maps a block to its value;
 Ripley counts of a lattice shell feed it the integer points and compare
-exact integer squared distances.
+exact integer squared distances.  Float squared distances come from the
+Gram form |x|^2 + |y|^2 - 2x.y, and the few below _CLOSE_D2, where that
+form loses digits, are recomputed from coordinate differences.
 
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
 the caller's seed, and every randomized result embeds that seed.
@@ -39,7 +42,6 @@ from .errors import DomainError, DuplicatePointError, InvariantError
 from .lattice import (
     _FLOAT_SAFE,
     LatticeSet,
-    PairCountTable,
     enumerate_points,
     orbit_gram_rows,
     pair_table,
@@ -48,6 +50,9 @@ from .lattice import (
 
 _PAIR_ENTRIES = 1 << 16  # Gram entries per block of the pair kernel
 _NORM_TOL = 1e-12
+# below this squared distance the Gram form's rounding (about 1e-15
+# absolute) would exceed 1e-12 relative, so differences are used instead
+_CLOSE_D2 = 1e-3
 
 
 @dataclass
@@ -153,35 +158,41 @@ def _pair_blocks(A: np.ndarray):
 
 
 def _distance_blocks(P: np.ndarray):
-    """Yield (i0, d2, w): _pair_blocks as squared distances, self at +inf."""
+    """Yield (i0, d2, w): _pair_blocks as squared distances, self at +inf.
+
+    Entries below _CLOSE_D2 are recomputed as |x - y|^2 from coordinate
+    differences, so close pairs keep their digits and d2 is never negative.
+    """
     sq = np.einsum("ij,ij->i", P, P)
     for i0, G, w in _pair_blocks(P):
         b = len(G)
         d2 = sq[i0 : i0 + b, None] + sq[None, i0:] - 2.0 * G
-        np.clip(d2, 0.0, None, out=d2)
         idx = np.arange(b)
         d2[idx, idx] = np.inf
+        k = np.flatnonzero(d2 < _CLOSE_D2)  # a 2-D np.nonzero costs 10x more
+        if len(k):
+            i, j = np.divmod(k, d2.shape[1])
+            diff = P[i0 + i] - P[i0 + j]
+            d2.flat[k] = np.einsum("ij,ij->i", diff, diff)
         yield i0, d2, w
 
 
-def _shell_table(pts: UnitPointSet) -> PairCountTable | None:
-    """The pair table of pts if pts is a whole lattice shell, else None."""
-    if pts.source_n is None or pts.int_points is None:
-        return None
-    tbl = pair_table(pts.source_n)
-    # a nonempty table ends at t = n, whose count is the shell's N
-    if tbl.empty or int(tbl.count[-1]) != pts.size:
-        return None
-    return tbl
+def _is_whole_shell(pts: UnitPointSet) -> bool:
+    """True if pts is a whole lattice shell: its source's every point."""
+    return (
+        pts.source_n is not None
+        and pts.int_points is not None
+        and enumerate_points(pts.source_n).size == pts.size
+    )
 
 
-def _table_energy(tbl: PairCountTable, s: float, cap: float | None = None) -> float:
+def _table_energy(n: int, s: float, cap: float | None = None) -> float:
     """Sum over t < n of c(t) min(d^(-s), cap), with d^2 = 2(n - t)/n.
 
-    The one summation behind both energies of a whole shell, so the capped
-    sum never exceeds the plain one.
+    The one summation behind both energies of a whole shell, read from its
+    pair table, so the capped sum never exceeds the plain one.
     """
-    n = tbl.n
+    tbl = pair_table(n)
     d2 = 2.0 * (n - tbl.t[:-1]) / n
     terms = d2 ** (-s / 2.0)
     if cap is not None:
@@ -190,12 +201,11 @@ def _table_energy(tbl: PairCountTable, s: float, cap: float | None = None) -> fl
 
 
 def _check_duplicates(i0: int, d2: np.ndarray) -> None:
-    # |x|^2 + |y|^2 - 2x.y rounds to within about 2e-15 of 0 for x = y, so
-    # pairs below 1e-14 (chord 1e-7, unresolved by this form) count as equal
-    dup = np.argwhere(d2 < 1e-14)
+    # pairs closer than chord 1e-7 count as equal
+    dup = np.flatnonzero(d2 < 1e-14)
     if len(dup):
-        i, j = dup[0]
-        raise DuplicatePointError(int(i0 + i), int(i0 + j))
+        i, j = divmod(int(dup[0]), d2.shape[1])
+        raise DuplicatePointError(i0 + i, i0 + j)
 
 
 def uniform_energy_integral(s: float) -> float:
@@ -215,9 +225,8 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         raise DomainError("s must lie in (0, 2)")
     if pts.size < 2:
         raise DomainError("need at least two points")
-    tbl = _shell_table(pts)
-    if tbl is not None:
-        return _table_energy(tbl, s)
+    if _is_whole_shell(pts):
+        return _table_energy(pts.source_n, s)
     parts = []
     for i0, d2, w in _distance_blocks(pts.points):
         _check_duplicates(i0, d2)
@@ -240,9 +249,8 @@ def truncated_energy(pts: UnitPointSet, s: float, rho: float) -> float:
     if pts.size < 2:
         raise DomainError("need at least two points")
     cap = float(pts.source_n) ** (s * rho)
-    tbl = _shell_table(pts)
-    if tbl is not None:
-        return _table_energy(tbl, s, cap)
+    if _is_whole_shell(pts):
+        return _table_energy(pts.source_n, s, cap)
     parts = []
     for i0, d2, w in _distance_blocks(pts.points):
         _check_duplicates(i0, d2)
@@ -326,7 +334,7 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
     if pts.size < 2:
         raise DomainError("need at least two points")
     N = pts.size
-    if _shell_table(pts) is not None:
+    if _is_whole_shell(pts):
         d2min = _shell_nn_d2(pts.int_points, pts.source_n)
     else:
         d2min = np.full(N, np.inf)

@@ -39,8 +39,11 @@ def test_criterion_01_pair_count_identity():
         if tbl.empty:
             continue
         shells += 1
+        dense = np.zeros(2 * n + 1, dtype=np.int64)  # count at t, index t + n
+        dense[tbl.t + n] = tbl.count
+        counts = dense.tolist()
         for t in range(-(n - 1), n):
-            count = tbl.entries.get(t, 0)
+            count = counts[t + n]
             pairs += 1
             assert count in (0, arith.pair_count_formula(n, t)), (n, t)
             assert count <= 24 * arith.majorant_squarefree(n, n * n - t * t), (n, t)

@@ -24,6 +24,53 @@ def brute_legendre(a: int, p: int) -> int:
     return 1 if a in squares else -1
 
 
+def fraction_local_density(n: int, t: int, p: int) -> Fraction:
+    """The density's rational closed forms, evaluated in Fractions.
+
+    Independent of the integer sums in arith.local_density; the quadratic
+    characters come from the Kronecker symbol, not the Euler criterion.
+    """
+    if (n * n - t * t) % p != 0:
+        return Fraction(1)
+    diag = arith.diagonalize_pair_form(n, t, p)
+    a1, a2, e1, e2 = diag.a1, diag.a2, diag.eps1_residue, diag.eps2_residue
+    one, pf = Fraction(1), Fraction(p)
+    if a1 % 2 == 1:
+        s = arith.kronecker(-e1 * e2 if a2 % 2 == 1 else -e2, p)
+        return pf ** ((a1 - 1) // 2) * (one - pf ** (-((a1 + 1) // 2))) / (one - one / pf) * (1 + s)
+    s = arith.kronecker(-e1, p)
+    geo = sum(Fraction(s) ** k for k in range(a2 - a1 + 1))
+    head = pf ** ((a1 - 2) // 2) * (one - pf ** (-(a1 // 2))) / (one - one / pf)
+    if a2 % 2 == 1:
+        return head * (1 + s) + pf ** (a1 // 2) * geo
+    return 2 * head + pf ** (a1 // 2) * geo
+
+
+@st.composite
+def density_triples(draw):
+    """(n, t, p): n random or rich in odd prime powers, t often a multiple
+    of a power of a prime dividing n, p an odd prime of n^2 - t^2 or not."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=10**7))
+    else:
+        n = (
+            3 ** draw(st.integers(0, 8))
+            * 5 ** draw(st.integers(0, 5))
+            * 7 ** draw(st.integers(0, 4))
+            * 11 ** draw(st.integers(0, 3))
+            * draw(st.integers(1, 40))
+        )
+        assume(n >= 2)
+    t = draw(st.integers(min_value=-(n - 1), max_value=n - 1))
+    odd_n = [p for p, _ in arith.factorize(n).factors if p != 2]
+    if odd_n and draw(st.booleans()):
+        q = draw(st.sampled_from(odd_n)) ** draw(st.integers(1, 4))
+        t = (1 if t >= 0 else -1) * (abs(t) // q * q)
+    odd_disc = [p for p, _ in arith.factorize(n * n - t * t).factors if p != 2]
+    p = draw(st.sampled_from(odd_disc + [3, 5, 7, 13]))
+    return n, t, p
+
+
 def brute_pair_count(n: int, t: int) -> int:
     """Direct double loop over all integer solutions, no numpy."""
     pts = []
@@ -268,13 +315,8 @@ def test_majorant_general_pinned():
     assert arith.majorant_general(4, 4, 8) == 1
     assert arith.majorant_general(9, 9, 3) == 2  # p | m, k = 1 gives k + 1
     assert arith.majorant_general(1, 5, 9) == 3  # reduces to the squarefree case
-
-
-def test_majorant_general_literal_variant_has_a_gap():
-    # p = 3 divides n = 12, is coprime to m = 4, exponent 2: no literal value
+    # p = 3 divides n = 12, is coprime to m = 4, exponent 2
     assert arith.majorant_general(4, 12, 9) == 2
-    with pytest.raises(DomainError):
-        arith.majorant_general(4, 12, 9, literal_fourth_case=True)
 
 
 def test_majorant_general_rejects_non_squarefull():
@@ -307,6 +349,21 @@ def test_local_density_closed_form_away_from_2n():
                     continue
                 expected = sum(arith.kronecker(d, p) ** j for j in range(k + 1))
                 assert arith.local_density(n, t, p) == Fraction(expected), (n, t, p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(density_triples())
+@example((5, 0, 5))
+@example((3**7, 3**5, 3))
+@example((3**6 * 5, 0, 3))
+@example((3**6 * 5, 3**6, 3))
+@example((6, 3, 3))  # a1 odd, a2 even: the character of -eps2, not -eps1 eps2
+@example((15, 3, 3))
+def test_local_density_matches_fraction_oracle(triple):
+    n, t, p = triple
+    value = arith.local_density(n, t, p)
+    assert type(value) is int
+    assert value == fraction_local_density(n, t, p), triple
 
 
 def test_local_density_rejects_two():
@@ -355,7 +412,7 @@ def test_general_majorant_bounds_pair_counts():
     worst = 0.0
     for n in (4, 12, 18, 20, 45, 48, 50, 63, 75, 98, 99):
         tbl = lattice.pair_table(n)
-        for t, count in tbl.entries.items():
+        for t, count in zip(tbl.t.tolist(), tbl.count.tolist()):
             if abs(t) >= n:
                 continue
             m = arith.squarefull_gcd_part(n, t)
@@ -367,14 +424,3 @@ def test_general_majorant_bounds_pair_counts():
             worst = max(worst, count / bound)
     assert worst <= 24.0, worst
 
-
-def test_gcd_bound_probe():
-    bound, actual = arith.pair_count_gcd_bound(5, 0)
-    assert bound == pytest.approx(math.sqrt(5) * 5**0.25)
-    assert actual == 48
-    bound, actual = arith.pair_count_gcd_bound(5, 4)
-    assert bound == pytest.approx(5**0.25)
-    assert actual == 72
-    bound, actual = arith.pair_count_gcd_bound(4, 0)
-    assert bound == pytest.approx(2 * 4**0.25)
-    assert actual == brute_pair_count(4, 0) == 24

@@ -214,8 +214,8 @@ def test_table_routes_match_generic_path(n):
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
     keeps_n = spatial.UnitPointSet(pts.points, n)  # truncation needs n
-    assert spatial._shell_table(pts) is not None
-    assert spatial._shell_table(bare) is None and spatial._shell_table(keeps_n) is None
+    assert spatial._is_whole_shell(pts)
+    assert not spatial._is_whole_shell(bare) and not spatial._is_whole_shell(keeps_n)
 
     def close(a, b):
         return a == pytest.approx(b, rel=1e-9)
@@ -248,12 +248,25 @@ def test_partial_shell_takes_generic_path():
     # a subset that still remembers its source is not a whole shell
     ls = lattice.enumerate_points(101)
     part = spatial.project(lattice.LatticeSet(101, ls.points[1:], ls.primitive[1:]))
-    assert spatial._shell_table(part) is None
+    lattice.pair_table.cache_clear()
+    assert not spatial._is_whole_shell(part)
     bare = spatial.UnitPointSet(part.points)
     assert spatial.riesz_energy(part, 1.0) == spatial.riesz_energy(bare, 1.0)
     assert np.array_equal(
         spatial.nn_spacings(part).rescaled_values, spatial.nn_spacings(bare).rescaled_values
     )
+    assert lattice.pair_table.cache_info().misses == 0  # no table for a partial shell
+
+    # the whole shell: its spacings build no table, its energies one, once
+    whole = spatial.unit_shell(101)
+    assert spatial._is_whole_shell(whole)
+    spatial.nn_spacings(whole)
+    assert lattice.pair_table.cache_info().misses == 0
+    spatial.riesz_energy(whole, 1.0)
+    assert lattice.pair_table.cache_info().misses == 1
+    spatial.riesz_energy(whole, 0.5)
+    spatial.nn_spacings(whole)
+    assert lattice.pair_table.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------- discrepancy

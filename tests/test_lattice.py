@@ -1,9 +1,10 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threesq import lattice
@@ -84,8 +85,13 @@ def test_enumerate_rejects_nonpositive():
 
 # -------------------------------------------------------------- pair tables
 
+def table_items(tbl):
+    """The table's (t, count) rows, in its own (ascending) order."""
+    return list(zip(tbl.t.tolist(), tbl.count.tolist()))
+
+
 def test_pair_table_octahedron_census():
-    assert lattice.pair_table(1).entries == {1: 6, 0: 24, -1: 6}
+    assert table_items(lattice.pair_table(1)) == [(-1, 6), (0, 24), (1, 6)]
 
 
 def test_pair_table_marginals():
@@ -95,9 +101,9 @@ def test_pair_table_marginals():
         tbl = lattice.pair_table(n)
         N = lattice.enumerate_points(n).size
         assert tbl.total == N * N
-        assert tbl.entries[n] == N and tbl.entries[-n] == N
-        assert max(tbl.entries) == n
-        assert all(tbl.entries[-t] == c for t, c in tbl.entries.items())
+        assert lattice.pair_count(n, n) == N and lattice.pair_count(n, -n) == N
+        assert tbl.t[0] == -n and tbl.t[-1] == n and np.all(np.diff(tbl.t) > 0)
+        assert all(lattice.pair_count(n, -t) == c for t, c in table_items(tbl))
 
 
 def test_pair_table_against_brute_double_loop():
@@ -108,7 +114,7 @@ def test_pair_table_against_brute_double_loop():
             for b in pts:
                 t = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
                 hist[t] = hist.get(t, 0) + 1
-        assert lattice.pair_table(n).entries == hist, n
+        assert table_items(lattice.pair_table(n)) == sorted(hist.items()), n
 
 
 def integer_gram_histogram(n):
@@ -128,7 +134,7 @@ def integer_gram_histogram(n):
 @example(50)
 @example(425)
 def test_pair_table_matches_integer_gram(n):
-    assert lattice.pair_table(n).entries == integer_gram_histogram(n)
+    assert table_items(lattice.pair_table(n)) == sorted(integer_gram_histogram(n).items())
 
 
 def test_shell_orbits_partition_the_shell():
@@ -153,6 +159,10 @@ def test_pair_count_pinned():
     assert lattice.pair_count(1, 0) == 24  # each axis point has 4 orthogonal mates
     assert lattice.pair_count(5, 5) == 24  # diagonal pairs
     assert lattice.pair_count(5, 4) == 72
+    assert lattice.pair_count(5, 0) == 48
+    assert lattice.pair_count(4, 0) == 24
+    assert lattice.pair_count(5, 3) == 24 and lattice.pair_count(4, 2) == 0  # gap
+    assert lattice.pair_count(7, 0) == 0  # empty shell
 
 
 # ------------------------------------------------------------ distance bands
@@ -185,6 +195,52 @@ def test_pairs_in_band_strictness():
 def test_pairs_in_band_infinite_upper():
     N = lattice.enumerate_points(5).size
     assert lattice.pairs_in_band(5, 0, math.inf) == N * N - N
+
+
+@st.composite
+def bands(draw):
+    """(n, a, b): ints, floats and Fractions on and beside the distance
+    shells |x - y|^2 = 2k, arbitrary floats, and b = inf."""
+    n = draw(st.integers(min_value=1, max_value=1500))
+
+    def bound():
+        d2 = 2 * draw(st.integers(min_value=0, max_value=2 * n))
+        return draw(
+            st.sampled_from(
+                [
+                    d2,
+                    float(d2),
+                    Fraction(d2),
+                    math.nextafter(d2, -math.inf),
+                    math.nextafter(d2, math.inf),
+                    Fraction(d2) - Fraction(1, 10**15),
+                    Fraction(d2) + Fraction(1, 10**15),
+                    Fraction(2 * d2 + 1, 2),
+                    draw(st.floats(min_value=0, max_value=4 * n + 1)),
+                ]
+            )
+        )
+
+    a = bound()
+    b = math.inf if draw(st.integers(0, 5)) == 0 else bound()
+    assume(0 <= a < b)
+    return n, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(bands())
+@example((5, 0, 2))
+@example((5, 2, 4))
+@example((5, 1.9999999999999998, math.inf))
+@example((7, 0, math.inf))
+@example((425, Fraction(2 * 425 - 1, 2), 4 * 425))
+def test_pairs_in_band_matches_integer_gram(band):
+    # every ordered pair with a < |x - y|^2 = 2(n - x.y) < b, compared
+    # exactly (Python compares int with float and Fraction exactly)
+    n, a, b = band
+    hist = integer_gram_histogram(n) if lattice.enumerate_points(n).size else {}
+    expect = sum(c for t, c in hist.items() if a < 2 * (n - t) < b)
+    assert lattice.pairs_in_band(n, a, b) == expect
 
 
 # ---------------------------------------------------------- near-pole points

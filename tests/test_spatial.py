@@ -221,6 +221,29 @@ def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
             assert set(err.value.indices) == {i, N - 1}
 
 
+def test_close_pair_keeps_its_digits():
+    # one pair planted 2.2e-5 apart in a binomial sample: the Gram form
+    # |x|^2 + |y|^2 - 2x.y would carry an absolute error near 1e-16 on its
+    # d^2 = 4.8e-10, so both statistics must take it from differences
+    P = spatial.binomial_sample(500, 77).points.copy()
+    tangent = np.cross(P[0], [0.0, 0.0, 1.0])
+    tangent /= np.linalg.norm(tangent)
+    q = P[0] + 2.2e-5 * tangent
+    P[1] = q / np.linalg.norm(q)
+    pts = spatial.UnitPointSet(P)
+    diff = P[:, None, :] - P[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    off = ~np.eye(len(P), dtype=bool)
+    assert d2[0, 1] == pytest.approx(4.84e-10, rel=1e-3)
+    for s in (0.5, 1.0, 1.5):
+        expect = math.fsum(d2[off] ** (-s / 2))
+        assert spatial.riesz_energy(pts, s) == pytest.approx(expect, rel=1e-12)
+    nn = np.where(off, d2, np.inf).min(axis=1)
+    np.testing.assert_allclose(
+        spatial.nn_spacings(pts).rescaled_values, len(P) * nn / 4, rtol=1e-12, atol=0
+    )
+
+
 # ------------------------------------------------------------ covering radius
 
 def test_covering_radius_octahedron(octahedron):
@@ -341,9 +364,8 @@ def test_box_moment_close_pair_inequality():
         _, sum_squares = spatial.box_moment(pts, K)
         d = part.diameter_bound()
         t_min = n * (1 - d * d / 2)
-        close_pairs = sum(
-            c for t, c in lattice.pair_table(n).entries.items() if t >= t_min
-        )
+        tbl = lattice.pair_table(n)
+        close_pairs = int(tbl.count[tbl.t >= t_min].sum())
         assert sum_squares <= close_pairs, n
 
 
