@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Covering radius and equal-area cell occupancy.
 
-The covering radius comes from convex-hull facet planes (exact) with a
-Fibonacci-mesh validator, and scales like a negative power of N.  Cell
+The covering radius comes from convex-hull facet planes (exact), is
+checked against a certified interval [lo, hi] from a branch and bound over
+cube-sphere cells, and scales like a negative power of N.  Cell
 occupancy second moments stay near the n^(1/2) mark expected when no
 cell hoards points.
 """
@@ -18,11 +19,13 @@ for n in (101, 1009, 10009, 100_003, 1_000_003):
     print(f"  n = {n:>7}: N = {pts.size:>5}  M = {m:.4f}  "
           f"M N^0.25 = {m * pts.size ** 0.25:.3f}  M N^0.5 = {m * pts.size ** 0.5:.2f}")
 
-pts = spatial.unit_shell(1009)
-exact = spatial.covering_radius(pts)
-mesh = spatial.covering_radius_mesh(pts, resolution=2e-3)
-print(f"\nhull vs mesh at n = 1009: {exact:.6f} vs {mesh:.6f} "
-      f"(gap {exact - mesh:.2e}, mesh resolution 2e-3)")
+print("\nhull value against the certified interval, resolution 2e-3:")
+for n in (1009, 100_003):
+    pts = spatial.unit_shell(n)
+    exact = spatial.covering_radius(pts)
+    lo, hi = spatial.covering_interval(pts, resolution=2e-3)
+    flag = "" if lo - 1e-12 <= exact <= hi + 1e-12 else "  MISMATCH"
+    print(f"  n = {n:>7}: hull {exact:.6f} in [{lo:.6f}, {hi:.6f}]{flag}")
 
 print("\nequal-area cell second moments, K = ceil(sqrt(n)) cells:")
 for n in (10_009, 100_003, 1_000_003):

@@ -60,6 +60,7 @@ from .spatial import (
     binomial_sample,
     box_moment,
     count_in,
+    covering_interval,
     covering_radius,
     covering_radius_mesh,
     nn_spacings,

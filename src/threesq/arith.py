@@ -458,12 +458,21 @@ def diagonalize_pair_form(n: int, t: int, p: int) -> LocalDiagonalization:
     and (n^2 - t^2)/n.  Otherwise substitute u = U+V, v = U-V: diagonal
     entries 2(n + t) and 2(n - t), whose valuations both equal ord_p(t).
     """
+    _check_pair_prime(n, t, p)
+    return _diagonalize(n, t, p)
+
+
+def _check_pair_prime(n: int, t: int, p: int) -> None:
     if p == 2:
         raise DomainError("the 2-adic factor is a 0/1 constant, not computed here")
     if p < 3 or not is_prime(p):
         raise DomainError(f"p = {p} must be an odd prime")
     if abs(t) >= n:
         raise DomainError("|t| < n required")
+
+
+def _diagonalize(n: int, t: int, p: int) -> LocalDiagonalization:
+    # diagonalize_pair_form for an odd prime p and |t| < n, unchecked
     disc = n * n - t * t
     a_total = ord_p(disc, p) if disc % p == 0 else 0
     v_n = ord_p(n, p) if n % p == 0 else 0
@@ -503,9 +512,15 @@ def local_density(n: int, t: int, p: int) -> int:
       sum_{j<h} p^j (0 for a1 = 0), and the density is head (1 + s) or
       2 head, as a2 is odd or even, plus p^h sum_{k<=a2-a1} s^k.
     """
-    diag = diagonalize_pair_form(n, t, p)
+    _check_pair_prime(n, t, p)
+    return _density(n, t, p)
+
+
+def _density(n: int, t: int, p: int) -> int:
+    # local_density for an odd prime p and |t| < n, unchecked
     if (n * n - t * t) % p != 0:
         return 1
+    diag = _diagonalize(n, t, p)
     a1, a2, e1, e2 = diag.a1, diag.a2, diag.eps1_residue, diag.eps2_residue
     if a1 % 2 == 1:
         s = _legendre(-e1 * e2 if a2 % 2 == 1 else -e2, p)
@@ -526,8 +541,9 @@ def pair_count_formula(n: int, t: int) -> int:
     if abs(t) >= n:
         raise DomainError("|t| < n required")
     val = 24
+    # the primes come from factorize, so the primality test is skipped
     for p, _ in factorize(n * n - t * t).factors:
         if p != 2:
-            val *= local_density(n, t, p)
+            val *= _density(n, t, p)
     return val
 

@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("covering", help="covering radius (convex-hull method)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mesh-check", type=float, default=None, help="also run the mesh validator at this resolution")
+    p.add_argument("--mesh-check", type=float, default=None, help="also report the lower end of the certified covering interval (cube-sphere branch and bound) at this resolution")
 
     p = cmd("variance", help="annulus count variance (Monte Carlo and/or series)")
     p.add_argument("--n", type=int, required=True)

@@ -377,39 +377,122 @@ def covering_radius(pts: UnitPointSet) -> float:
     return float(math.sqrt(2.0 - 2.0 * off.min()))
 
 
-def _fibonacci_mesh(count: int) -> np.ndarray:
-    i = np.arange(count, dtype=np.float64)
-    z = 1.0 - (2.0 * i + 1.0) / count
-    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+# Cube faces as (normal axis, sign, the two in-face axes); a face point
+# (u, v) in [-1, 1]^2 sits at sign on the normal axis and u, v on the others.
+_CUBE_FACES = (
+    (0, 1.0, 1, 2), (0, -1.0, 1, 2),
+    (1, 1.0, 2, 0), (1, -1.0, 2, 0),
+    (2, 1.0, 0, 1), (2, -1.0, 0, 1),
+)
+_COVER_CELLS = 1 << 20  # most cube-sphere cells one level may query
+_COVER_CHUNK = 1 << 16  # cells whose geometry and query share one pass
+_COVER_MIN_RESOLUTION = 1e-9
 
 
-def covering_radius_mesh(pts: UnitPointSet, resolution: float = 1e-3) -> float:
-    """Mesh lower bound on the covering radius.
+def _cell_geometry(face, i, j, w):
+    """Centres and circumradii of cube-sphere cells of face width w.
 
-    Queries a Fibonacci mesh whose own covering radius is below
-    `resolution`, so the true value exceeds this estimate by at most
-    `resolution`.  Independent of the convex-hull method.  The kd-tree
-    query uses every core.
+    Cell (face, i, j) is [-1 + i w, -1 + (i+1) w] x [-1 + j w, ...] in
+    face coordinates, normalised onto the sphere.  The circumradius is
+    measured in face-local coordinates, which the face map only permutes
+    and reflects, from component differences so it keeps its digits at
+    widths near 1e-9.
+    """
+    u0 = -1.0 + i * w
+    v0 = -1.0 + j * w
+    um = u0 + 0.5 * w
+    vm = v0 + 0.5 * w
+    nc = np.sqrt(um * um + vm * vm + 1.0)
+    cu, cv, cz = um / nc, vm / nc, 1.0 / nc
+    rho2 = np.zeros_like(um)
+    for u in (u0, u0 + w):
+        for v in (v0, v0 + w):
+            nx = np.sqrt(u * u + v * v + 1.0)
+            d2 = (cu - u / nx) ** 2 + (cv - v / nx) ** 2 + (cz - 1.0 / nx) ** 2
+            np.maximum(rho2, d2, out=rho2)
+    centres = np.empty((len(face), 3))
+    for f, (axis, sign, a, b) in enumerate(_CUBE_FACES):
+        on = face == f
+        centres[on, axis] = sign * cz[on]
+        centres[on, a] = cu[on]
+        centres[on, b] = cv[on]
+    return centres, np.sqrt(rho2)
+
+
+def covering_interval(pts: UnitPointSet, resolution: float) -> tuple[float, float]:
+    """Certified interval [lo, hi] holding the covering radius, hi - lo <= resolution.
+
+    Branch and bound over cube-sphere cells.  Each of the six cube faces
+    is split into a k0 x k0 grid in face coordinates, k0 = ceil(sqrt(N/6)),
+    and each cell is mapped to S^2 by normalising (gnomonic projection).
+    The planes bounding a cell pass through the origin, so the cell is the
+    sphere's intersection with the convex cone spanned by its four corners
+    and its edges are great-circle arcs.  For a centre c the set
+    {x : c.x >= tau |x|} is a convex cone when tau >= 0; taking tau the
+    smallest c.x over the corners, it contains the corners and so the
+    whole cell.  That tau is positive: with c the image of the face-grid
+    midpoint (um, vm), c.x has the sign of um u + vm v + 1, which is 1 on
+    a whole face and at least 1/2 on cells at most 1 wide.  Hence no point of the
+    cell is farther from c than a corner, and the circumradius rho is the
+    largest chord from c to a corner.
+
+    With d(c) the distance from c to the nearest point of the set, every
+    d(c) is a lower bound on the covering radius (`lo` is the largest
+    seen), and d(c) + rho bounds it from above over the cell by the
+    triangle inequality.  Each level queries a kd-tree once for all
+    centres, drops the cells with d(c) + rho <= lo and splits the rest
+    into four, until hi - lo <= resolution, hi being the largest
+    d(c) + rho over the remaining cells.  Independent of the convex-hull
+    method.
+
+    Where the farthest set is flat (one point, two antipodal points, a
+    set in a hemisphere) the remaining cells grow like 1/rho; a level
+    that would query more than _COVER_CELLS cells is refused up front.
     """
     from scipy.spatial import cKDTree
 
     if pts.size < 1:
         raise DomainError("need at least one point")
-    if not 0 < resolution < 1:
-        raise DomainError("resolution must lie in (0, 1)")
-    # Fibonacci mesh covering radius is 2.728/sqrt(M), so this M keeps it
-    # below `resolution`
-    count = int(min(3e7, math.ceil(7.5 / resolution**2)))
-    mesh = _fibonacci_mesh(count)
+    if not _COVER_MIN_RESOLUTION <= resolution < 1:
+        raise DomainError(f"resolution must lie in [{_COVER_MIN_RESOLUTION:g}, 1)")
+    k = math.isqrt(-(-pts.size // 6) - 1) + 1  # ceil(sqrt(N / 6))
+    if 6 * k * k > _COVER_CELLS:
+        raise DomainError(f"{6 * k * k} starting cells exceed the budget of {_COVER_CELLS}")
     tree = cKDTree(pts.points)
-    best = 0.0
-    step = 1 << 20
-    for i0 in range(0, count, step):
-        d, _ = tree.query(mesh[i0 : i0 + step], k=1, workers=-1)
-        best = max(best, float(d.max()))
-    return best
+    grid = np.arange(k * k)
+    face = np.repeat(np.arange(6), k * k)
+    i = np.tile(grid // k, 6)
+    j = np.tile(grid % k, 6)
+    lo = 0.0
+    while True:
+        up = np.empty(len(face))
+        for start in range(0, len(face), _COVER_CHUNK):
+            part = slice(start, start + _COVER_CHUNK)
+            centres, rho = _cell_geometry(face[part], i[part], j[part], 2.0 / k)
+            d, _ = tree.query(centres, k=1)
+            lo = max(lo, float(d.max()))
+            up[part] = d + rho
+        keep = up > lo
+        hi = float(up[keep].max()) if keep.any() else lo
+        if hi - lo <= resolution:
+            return lo, hi
+        cells = 4 * int(np.count_nonzero(keep))
+        if cells > _COVER_CELLS:
+            raise DomainError(
+                f"covering interval at resolution {resolution:g} needs more than "
+                f"{_COVER_CELLS} cells in one level (the farthest set is too flat)"
+            )
+        face = np.repeat(face[keep], 4)
+        i = 2 * np.repeat(i[keep], 4) + np.tile([0, 0, 1, 1], cells // 4)
+        j = 2 * np.repeat(j[keep], 4) + np.tile([0, 1, 0, 1], cells // 4)
+        k *= 2
+
+
+def covering_radius_mesh(pts: UnitPointSet, resolution: float = 1e-3) -> float:
+    """Lower end of `covering_interval`: a point of S^2 at this distance
+    from the set exists, and the true covering radius exceeds it by at
+    most `resolution`."""
+    return covering_interval(pts, resolution)[0]
 
 
 def count_in(pts: UnitPointSet, center, spec: AnnulusSpec) -> int:

@@ -168,6 +168,9 @@ def test_kronecker_examples():
     # -20 = 1 mod 7 is a square mod 7; the residue oracle settles the sign
     assert brute_legendre(-20, 7) == 1
     assert arith.kronecker(-20, 7) == 1
+    # (a|-1) is the sign of a
+    assert arith.kronecker(-3, -1) == -1
+    assert arith.kronecker(3, -1) == 1
 
 
 def test_kronecker_matches_legendre_at_odd_primes():
@@ -177,13 +180,25 @@ def test_kronecker_matches_legendre_at_odd_primes():
                 assert arith.kronecker(d, p) == brute_legendre(d, p), (d, p)
 
 
-def test_kronecker_multiplicative_in_bottom():
-    for d in (-3, -4, -20, -24, 5, 12, -163):
-        for m1 in range(1, 40):
-            for m2 in range(1, 40):
-                assert arith.kronecker(d, m1 * m2) == arith.kronecker(
-                    d, m1
-                ) * arith.kronecker(d, m2)
+NONZERO = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
+
+
+@settings(max_examples=500, deadline=None)
+@given(NONZERO, NONZERO, NONZERO)
+@example(-163, 38, 39)
+@example(-4, 2, 2)
+@example(5, -1, -2)
+def test_kronecker_multiplicative_in_bottom(d, m1, m2):
+    assert arith.kronecker(d, m1 * m2) == arith.kronecker(d, m1) * arith.kronecker(d, m2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(NONZERO, NONZERO, st.integers(min_value=0, max_value=5 * 10**5))
+@example(-4, -5, 0)
+@example(-20, 3, 1)
+def test_kronecker_multiplicative_in_top(d1, d2, half):
+    m = 2 * half + 1  # odd m > 0: the Jacobi symbol, multiplicative on top
+    assert arith.kronecker(d1 * d2, m) == arith.kronecker(d1, m) * arith.kronecker(d2, m)
 
 
 # ------------------------------------------------------------ class numbers

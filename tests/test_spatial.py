@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from threesq import harmonics, lattice, spatial
 from threesq.errors import DomainError, DuplicatePointError
@@ -275,6 +277,98 @@ def test_covering_radius_mesh_agrees(octahedron):
     exact = spatial.covering_radius(octahedron)
     est = spatial.covering_radius_mesh(octahedron, resolution=5e-3)
     assert 0 <= exact - est <= 5e-3
+
+
+def assert_interval_holds(pts, resolution):
+    lo, hi = spatial.covering_interval(pts, resolution)
+    assert hi - lo <= resolution
+    try:
+        hull = spatial.covering_radius(pts)
+    except DomainError:
+        # all points in a closed hemisphere: the covering radius is >= sqrt(2)
+        assert hi >= math.sqrt(2) - 1e-12
+        return
+    assert lo <= hull + 1e-12
+    assert hull <= hi + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=3000),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-4, max_value=0.05),
+)
+def test_covering_interval_holds_hull_on_samples(N, seed, resolution):
+    assert_interval_holds(spatial.binomial_sample(N, seed), resolution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=60_000), st.floats(min_value=1e-4, max_value=0.05))
+def test_covering_interval_holds_hull_on_shells(n, resolution):
+    assume(lattice.three_squares_representable(n))
+    assert_interval_holds(spatial.unit_shell(n), resolution)
+
+
+@pytest.mark.parametrize("resolution", [0.05, 1e-3, 1e-4])
+def test_covering_interval_pinned(octahedron, antipodal_pair, resolution):
+    one = spatial.UnitPointSet(np.array([[0.0, 0.0, 1.0]]))
+    octa = math.sqrt(2 - 2 / math.sqrt(3))
+    for pts, value in ((one, 2.0), (antipodal_pair, math.sqrt(2)), (octahedron, octa)):
+        lo, hi = spatial.covering_interval(pts, resolution)
+        assert lo - 1e-12 <= value <= hi + 1e-12, (pts.size, lo, value, hi)
+        assert hi - lo <= resolution
+
+
+def test_covering_interval_keeps_digits_at_finest_resolution():
+    pts = spatial.binomial_sample(500, 3)
+    lo, hi = spatial.covering_interval(pts, 1e-9)
+    hull = spatial.covering_radius(pts)
+    assert hi - lo <= 1e-9
+    assert lo - 1e-12 <= hull <= hi + 1e-12
+
+
+class _NoTree:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("kd-tree built before the refusal")
+
+
+def test_covering_interval_refuses_fine_resolution_up_front(monkeypatch, octahedron):
+    import scipy.spatial
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _NoTree)
+    for resolution in (9.9e-10, 1e-12, 0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError):
+            spatial.covering_interval(octahedron, resolution)
+    with pytest.raises(DomainError):
+        spatial.covering_radius_mesh(octahedron, 1e-10)
+
+
+def test_covering_interval_refuses_starting_grid_over_budget(monkeypatch):
+    import scipy.spatial
+
+    pts = spatial.binomial_sample(1000, 1)  # k0 = 13: 1014 starting cells
+    monkeypatch.setattr(spatial, "_COVER_CELLS", 1000)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", _NoTree)
+    with pytest.raises(DomainError):
+        spatial.covering_interval(pts, 1e-3)
+
+
+def test_covering_interval_refuses_flat_maximum_in_bounded_memory():
+    # one point: every point at chord >= 2 - e^2/4 from the antipode keeps
+    # its cell, about 4 pi / rho cells, past the budget near rho = 1e-5
+    import tracemalloc
+
+    one = spatial.UnitPointSet(np.array([[0.0, 0.0, 1.0]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="cells"):
+            spatial.covering_interval(one, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one level of _COVER_CELLS cells keeps a cell (3 int64) and its bound
+    # (float64); a chunk's geometry adds about 10 MB
+    assert peak < 64 * 2**20, peak
 
 
 # ------------------------------------------------------------------ counting
