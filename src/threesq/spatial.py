@@ -473,7 +473,7 @@ def covering_interval(pts: UnitPointSet, resolution: float) -> tuple[float, floa
             lo = max(lo, float(d.max()))
             up[part] = d + rho
         keep = up > lo
-        hi = float(up[keep].max()) if keep.any() else lo
+        hi = max(lo, float(up.max()))
         if hi - lo <= resolution:
             return lo, hi
         cells = 4 * int(np.count_nonzero(keep))

@@ -163,6 +163,8 @@ def test_covering_mesh_check_flag(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["mesh_estimate"] is not None
     assert 0 <= out["value"] - out["mesh_estimate"] <= 0.01
+    # a resolution the interval cannot certify is refused, exit code 2
+    assert main(["covering", "--n", "5", "--mesh-check", "1e-10"]) == 2
 
 
 def test_baseline_stats_all_run(capsys):
