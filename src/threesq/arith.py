@@ -385,16 +385,19 @@ def majorant_squarefree(n: int, arg: int) -> int:
     """
     if arg < 1:
         raise DomainError("argument must be a positive integer")
-    d = discriminant(n).d
+    return _majorant(n, discriminant(n).d, factorize(arg).factors)
+
+
+def _majorant(n: int, d: int, factors) -> int:
+    # majorant_squarefree from d = discriminant(n).d and the factors of arg
     out = 1
-    for p, k in factorize(arg).factors:
+    for p, k in factors:
         if p == 2:
             continue
         if n % p == 0:
             out *= 1 if k == 1 else 2
         else:
-            c = _chi_prime(d, p)
-            out *= sum(c**j for j in range(k + 1))
+            out *= _character_sum(_chi_prime(d, p), k)
     return out
 
 
@@ -417,20 +420,9 @@ def majorant_general(m: int, n: int, arg: int) -> int:
         if m % p == 0:
             out *= k + 1
         elif n % p != 0:
-            c = kronecker(-n, p)
-            out *= sum(c**j for j in range(k + 1))
+            out *= _character_sum(kronecker(-n, p), k)
         elif k >= 2:
             out *= 2
-    return out
-
-
-def squarefull_gcd_part(n: int, t: int) -> int:
-    """Product of p^ord_p(gcd(n,t)) over primes with ord_p(gcd(n,t)) >= 2."""
-    g = math.gcd(n, t)
-    out = 1
-    for p, k in factorize(g).factors if g > 1 else ():
-        if k >= 2:
-            out *= p**k
     return out
 
 
@@ -459,7 +451,7 @@ def diagonalize_pair_form(n: int, t: int, p: int) -> LocalDiagonalization:
     entries 2(n + t) and 2(n - t), whose valuations both equal ord_p(t).
     """
     _check_pair_prime(n, t, p)
-    return _diagonalize(n, t, p)
+    return LocalDiagonalization(n, t, p, *_diagonalize(n, t, p))
 
 
 def _check_pair_prime(n: int, t: int, p: int) -> None:
@@ -471,8 +463,9 @@ def _check_pair_prime(n: int, t: int, p: int) -> None:
         raise DomainError("|t| < n required")
 
 
-def _diagonalize(n: int, t: int, p: int) -> LocalDiagonalization:
-    # diagonalize_pair_form for an odd prime p and |t| < n, unchecked
+def _diagonalize(n: int, t: int, p: int) -> tuple[int, int, int, int]:
+    # (a1, a2, eps1_residue, eps2_residue) of diagonalize_pair_form for an
+    # odd prime p and |t| < n, unchecked
     disc = n * n - t * t
     a_total = ord_p(disc, p) if disc % p == 0 else 0
     v_n = ord_p(n, p) if n % p == 0 else 0
@@ -490,7 +483,14 @@ def _diagonalize(n: int, t: int, p: int) -> LocalDiagonalization:
     a2 = a_total - a1
     if a2 < a1:
         raise InvariantError(f"valuations out of order for (n={n}, t={t}, p={p})")
-    return LocalDiagonalization(n, t, p, a1, a2, e1, e2)
+    return a1, a2, e1, e2
+
+
+def _character_sum(c: int, k: int) -> int:
+    """sum_{j<=k} c^j for a character value c in {-1, 0, 1}."""
+    if c == 1:
+        return k + 1
+    return 1 if c == 0 or k % 2 == 0 else 0
 
 
 def _geometric(p: int, k: int) -> int:
@@ -520,14 +520,13 @@ def _density(n: int, t: int, p: int) -> int:
     # local_density for an odd prime p and |t| < n, unchecked
     if (n * n - t * t) % p != 0:
         return 1
-    diag = _diagonalize(n, t, p)
-    a1, a2, e1, e2 = diag.a1, diag.a2, diag.eps1_residue, diag.eps2_residue
+    a1, a2, e1, e2 = _diagonalize(n, t, p)
     if a1 % 2 == 1:
         s = _legendre(-e1 * e2 if a2 % 2 == 1 else -e2, p)
         return _geometric(p, (a1 + 1) // 2) * (1 + s)
     s = _legendre(-e1, p)
     head = _geometric(p, a1 // 2)
-    geo = sum(s**k for k in range(a2 - a1 + 1))
+    geo = _character_sum(s, a2 - a1)
     return head * (1 + s if a2 % 2 == 1 else 2) + p ** (a1 // 2) * geo
 
 
@@ -540,10 +539,23 @@ def pair_count_formula(n: int, t: int) -> int:
     """
     if abs(t) >= n:
         raise DomainError("|t| < n required")
+    return _formula(n, t, factorize(n * n - t * t).factors)
+
+
+def _formula(n: int, t: int, factors) -> int:
+    # pair_count_formula from the factors of n^2 - t^2; the primes come
+    # from factorize, so the primality test is skipped
     val = 24
-    # the primes come from factorize, so the primality test is skipped
-    for p, _ in factorize(n * n - t * t).factors:
+    for p, _ in factors:
         if p != 2:
             val *= _density(n, t, p)
     return val
 
+
+def shell_pair_values(n: int):
+    """Yield (t, pair_count_formula(n, t), majorant_squarefree(n, n^2 - t^2))
+    for -n < t < n at squarefree n, factoring each n^2 - t^2 once."""
+    d = discriminant(n).d
+    for t in range(-(n - 1), n):
+        factors = factorize(n * n - t * t).factors
+        yield t, _formula(n, t, factors), _majorant(n, d, factors)

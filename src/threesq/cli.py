@@ -295,12 +295,12 @@ def _cmd_verify_arith(args) -> str:
         dense = np.zeros(2 * n + 1, dtype=np.int64)  # count at t, index t + n
         dense[tbl.t + n] = tbl.count
         counts = dense.tolist()
-        for t in range(-(n - 1), n):
+        for t, formula, majorant in arith.shell_pair_values(n):
             a = counts[t + n]
             pairs += 1
-            if a not in (0, arith.pair_count_formula(n, t)):
+            if a not in (0, formula):
                 mismatches += 1
-            if a > 24 * arith.majorant_squarefree(n, n * n - t * t):
+            if a > 24 * majorant:
                 bound_violations += 1
     out = {
         "config": _config(args, ["n_max"]),

@@ -53,6 +53,8 @@ _NORM_TOL = 1e-12
 # below this squared distance the Gram form's rounding (about 1e-15
 # absolute) would exceed 1e-12 relative, so differences are used instead
 _CLOSE_D2 = 1e-3
+_BAND_ROWS = 128  # random centers per block of the z-banded annulus count
+_BAND_SLACK = 1e-11  # squared-chord slack of the band reach, see number_variance
 
 
 @dataclass
@@ -521,6 +523,36 @@ class VarianceReport:
     variance_stderr: float
 
 
+def _annulus_histogram(
+    pts: UnitPointSet, spec: AnnulusSpec, samples: int, seed: int
+) -> np.ndarray:
+    """hist[k] = how many of the random centers of `number_variance` see
+    exactly k points in their annulus."""
+    N = pts.size
+    lo, hi = spec.dot_window()
+    reach = math.sqrt(spec.rho2**2 + _BAND_SLACK)
+    P = pts.points[np.argsort(pts.points[:, 2], kind="stable")]
+    z = np.ascontiguousarray(P[:, 2])
+    rng = np.random.Generator(np.random.Philox(seed))
+    hist = np.zeros(N + 1, dtype=np.int64)
+    chunk = max(1, (1 << 22) // max(N, 1))
+    remaining = samples
+    while remaining:
+        k = min(chunk, remaining)
+        remaining -= k
+        centers = _random_units(rng, k)
+        centers = centers[np.argsort(centers[:, 2])]
+        counts = np.empty(k, dtype=np.int64)
+        for b in range(0, k, _BAND_ROWS):
+            C = centers[b : b + _BAND_ROWS]
+            j0 = np.searchsorted(z, C[0, 2] - reach, side="left")
+            j1 = np.searchsorted(z, C[-1, 2] + reach, side="right")
+            dots = C @ P[j0:j1].T
+            counts[b : b + len(C)] = ((dots >= lo) & (dots <= hi)).sum(axis=1, dtype=np.int32)
+        hist += np.bincount(counts, minlength=N + 1)
+    return hist
+
+
 def number_variance(
     pts: UnitPointSet, spec: AnnulusSpec, samples: int, seed: int
 ) -> VarianceReport:
@@ -531,22 +563,27 @@ def number_variance(
     expectation.  Counts are binned exactly; all moments come from the
     integer histogram, including the standard error of the variance
     estimate via the fourth central moment.
+
+    Each center is dotted only with the points its annulus can reach in z.
+    A coordinate of a difference is at most its length, so a point x in
+    the annulus of c has |x_z - c_z| <= |x - c| <= rho2.  The points are
+    sorted by z once; each chunk of centers is drawn as in a dense count,
+    then sorted by z (the histogram does not depend on their order) and
+    walked in blocks of _BAND_ROWS, and a block meets only the points
+    with z within the reach of its first and last center.  The reach is
+    sqrt(rho2^2 + _BAND_SLACK), not rho2, so that no point whose computed
+    dot passes lo is dropped: with |x|, |c| within 1e-12 of 1 (the
+    `UnitPointSet` tolerance) and a dot and lo each rounded by under
+    1e-15, a passing dot gives |x - c|^2 = |x|^2 + |c|^2 - 2 x.c
+    <= rho2^2 + 2.1e-12 < rho2^2 + _BAND_SLACK.  A fixed pad on rho2 would
+    not do: for a cap of radius 1e-4 the slack sqrt(rho2^2 + 2.1e-12) - rho2
+    is 1e-8.  The counts, and every moment, therefore equal those of
+    dotting each center with all N points.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
     N = pts.size
-    lo, hi = spec.dot_window()
-    rng = np.random.Generator(np.random.Philox(seed))
-    hist = np.zeros(N + 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(N, 1))
-    remaining = samples
-    while remaining:
-        k = min(chunk, remaining)
-        remaining -= k
-        centers = _random_units(rng, k)
-        dots = centers @ pts.points.T
-        counts = ((dots >= lo) & (dots <= hi)).sum(axis=1)
-        hist += np.bincount(counts, minlength=N + 1)
+    hist = _annulus_histogram(pts, spec, samples, seed)
     weights = hist.tolist()
     s1 = sum(w * k for k, w in enumerate(weights))
     s2 = sum(w * k * k for k, w in enumerate(weights))

@@ -46,6 +46,16 @@ def fraction_local_density(n: int, t: int, p: int) -> Fraction:
     return 2 * head + pf ** (a1 // 2) * geo
 
 
+def squarefull_gcd_part(n: int, t: int) -> int:
+    """Product of p^ord_p(gcd(n,t)) over primes with ord_p(gcd(n,t)) >= 2."""
+    g = math.gcd(n, t)
+    out = 1
+    for p, k in arith.factorize(g).factors if g > 1 else ():
+        if k >= 2:
+            out *= p**k
+    return out
+
+
 @st.composite
 def density_triples(draw):
     """(n, t, p): n random or rich in odd prime powers, t often a multiple
@@ -326,6 +336,30 @@ def test_majorant_squarefree_multiplicative():
                 assert f(5, a * b) == f(5, a) * f(5, b)
 
 
+def test_character_sum_closed_form():
+    for c in (-1, 0, 1):
+        for k in range(12):
+            assert arith._character_sum(c, k) == sum(c**j for j in range(k + 1)), (c, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=1500))
+@example(1)
+@example(5)
+def test_shell_pair_values_match_public_functions(n):
+    assume(arith.is_squarefree(n))
+    rows = list(arith.shell_pair_values(n))
+    assert [t for t, _, _ in rows] == list(range(-(n - 1), n))
+    for t, formula, majorant in rows:
+        assert formula == arith.pair_count_formula(n, t), (n, t)
+        assert majorant == arith.majorant_squarefree(n, n * n - t * t), (n, t)
+
+
+def test_shell_pair_values_rejects_non_squarefree():
+    with pytest.raises(DomainError):
+        next(arith.shell_pair_values(12))
+
+
 def test_majorant_general_pinned():
     assert arith.majorant_general(4, 4, 8) == 1
     assert arith.majorant_general(9, 9, 3) == 2  # p | m, k = 1 gives k + 1
@@ -430,7 +464,7 @@ def test_general_majorant_bounds_pair_counts():
         for t, count in zip(tbl.t.tolist(), tbl.count.tolist()):
             if abs(t) >= n:
                 continue
-            m = arith.squarefull_gcd_part(n, t)
+            m = squarefull_gcd_part(n, t)
             n1, t1 = n // m, t // m
             tau = 1
             for _, k in arith.factorize(m).factors:

@@ -280,6 +280,26 @@ def test_point_roundtrip():
     assert back.points.tolist() == ls.points.tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=100_000))
+@example(7)  # 8m + 7: an empty shell
+@example(28)  # 4(8m + 7): empty too
+@example(1)
+@example(100_000)
+def test_point_roundtrip_random_shells(n):
+    ls = lattice.enumerate_points(n)
+    buf = io.StringIO()
+    lattice.save_points(ls, buf)
+    text = buf.getvalue()
+    assert text.splitlines()[0] == f"# n={n} N={ls.size}"
+    back = lattice.load_points(io.StringIO(text))
+    assert back.n == n
+    assert back.size == ls.size
+    assert back.points.dtype == np.int64 and back.points.shape == (ls.size, 3)
+    assert back.points.tolist() == ls.points.tolist()
+    assert back.primitive.tolist() == ls.primitive.tolist()
+
+
 def test_pair_table_csv():
     text = lattice.pair_table_csv(lattice.pair_table(1))
     assert text.splitlines()[0] == "t,count"

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -420,6 +421,103 @@ def test_number_variance_determinism(shell5):
 def test_number_variance_rejects_few_samples(shell5):
     with pytest.raises(DomainError):
         spatial.number_variance(shell5, spatial.AnnulusSpec.cap(0.5), 99, seed=0)
+
+
+def dense_histogram(pts, spec, samples, seed):
+    """Annulus-count histogram with every center dotted with every point,
+    over the centers number_variance draws (same chunks, same stream)."""
+    N = pts.size
+    lo, hi = spec.dot_window()
+    rng = np.random.Generator(np.random.Philox(seed))
+    hist = np.zeros(N + 1, dtype=np.int64)
+    chunk = max(1, (1 << 22) // max(N, 1))
+    remaining = samples
+    while remaining:
+        k = min(chunk, remaining)
+        remaining -= k
+        dots = spatial._random_units(rng, k) @ pts.points.T
+        hist += np.bincount(((dots >= lo) & (dots <= hi)).sum(axis=1), minlength=N + 1)
+    return hist
+
+
+def assert_banded_equals_dense(pts, spec, samples, seed):
+    dense = dense_histogram(pts, spec, samples, seed)
+    assert dense.sum() == samples
+    for rows in (1, 7, 128):
+        with mock.patch.object(spatial, "_BAND_ROWS", rows):
+            banded = spatial._annulus_histogram(pts, spec, samples, seed)
+        assert banded.tolist() == dense.tolist(), rows
+
+
+@st.composite
+def variance_point_sets(draw):
+    """Binomial samples, lattice shells (many tied z) or sets with both poles."""
+    kind = draw(st.sampled_from(["binomial", "shell", "poles"]))
+    if kind == "shell":
+        return spatial.unit_shell(draw(st.integers(min_value=1, max_value=30_000)))
+    pts = spatial.binomial_sample(draw(st.integers(1, 3000)), draw(st.integers(0, 2**31 - 1)))
+    if kind == "binomial":
+        return pts
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]] * draw(st.integers(1, 3)))
+    return spatial.UnitPointSet(np.vstack([pts.points, poles]))
+
+
+@st.composite
+def annuli(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return spatial.AnnulusSpec(0, 2)
+    rho2 = draw(st.floats(min_value=1e-6, max_value=2.0))
+    rho1 = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))) * rho2
+    assume(rho1 < rho2)
+    return spatial.AnnulusSpec(rho1, rho2)
+
+
+# Center seeds lie above every point seed.  A sample drawn from the
+# centers' own stream puts points exactly on centers, where a dot of
+# 1 +- 1 ulp meets hi = 1 and its count depends on the BLAS kernel (a
+# one-row product goes through gemv, a block through gemm).
+@settings(max_examples=150, deadline=None)
+@given(variance_point_sets(), annuli(), st.integers(100, 4000), st.integers(2**31, 2**32))
+def test_banded_counts_match_dense(pts, spec, samples, seed):
+    chunk = max(1, (1 << 22) // max(pts.size, 1))
+    assume(samples % 128 and samples % 7 and samples % chunk)
+    assert_banded_equals_dense(pts, spec, samples, seed)
+
+
+def test_banded_counts_pinned_cases(octahedron, shell5):
+    # several chunks with a partial last one (chunk = 1398 at N = 3000)
+    big = spatial.binomial_sample(3000, 4)
+    assert_banded_equals_dense(big, spatial.AnnulusSpec.cap_of_area(0.01), 2 * 1398 + 5, 11)
+    assert_banded_equals_dense(big, spatial.AnnulusSpec(0.3, 0.5), 1398 + 131, 12)
+    assert_banded_equals_dense(octahedron, spatial.AnnulusSpec(0, 2), 333, 13)
+    assert_banded_equals_dense(shell5, spatial.AnnulusSpec(0.9, 1.1), 1001, 14)
+    empty = spatial.unit_shell(7)
+    assert empty.size == 0
+    assert_banded_equals_dense(empty, spatial.AnnulusSpec.cap(0.5), 101, 15)
+
+
+def test_banded_counts_keep_points_past_a_fixed_pad():
+    # points 1.4e-6 from their center with norm 1 + 9e-13 (inside the
+    # UnitPointSet tolerance) dot it at lo + 4e-13 for a cap of radius
+    # 1e-6, so every BLAS kernel counts them, yet their z lies farther
+    # than rho2 + 1e-9 from the center's
+    spec = spatial.AnnulusSpec.cap(1e-6)
+    theta, eta = 1.4e-6, 9e-13
+    rng = np.random.Generator(np.random.Philox(5))
+    centers = spatial._random_units(rng, 101)
+    planted = []
+    for c in centers[np.abs(centers[:, 2]) < 0.6]:
+        up = np.array([0.0, 0.0, 1.0]) - c[2] * c
+        up /= np.linalg.norm(up)
+        for sign in (1, -1):
+            planted.append((1 + eta) * (math.cos(theta) * c + sign * math.sin(theta) * up))
+            assert abs(planted[-1][2] - c[2]) > spec.rho2 + 1e-9
+            assert planted[-1] @ c > spec.dot_window()[0] + 1e-13
+    pts = spatial.UnitPointSet(np.array(planted))
+    assert pts.size >= 40
+    dense = dense_histogram(pts, spec, 101, 5)
+    assert dense[2:].sum() >= 20  # each such center sees both of its points
+    assert_banded_equals_dense(pts, spec, 101, 5)
 
 
 # ------------------------------------------------------------------ boxes
