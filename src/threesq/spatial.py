@@ -17,14 +17,16 @@ signed-permutation group, whose nearest-neighbour distance every point of
 the orbit shares.  Ripley counts stay geometric, so they remain a second
 path to the pair table.
 
-Every other pair sum of a point set (energies, Ripley counts, spacings
-and the Legendre pair sums in `harmonics`) goes through one kernel,
-`_pair_blocks`, which walks the upper block triangle of the set's Gram
-matrix under one entry budget.  Each statistic maps a block to its value;
-Ripley counts of a lattice shell feed it the integer points and compare
-exact integer squared distances.  Float squared distances come from the
-Gram form |x|^2 + |y|^2 - 2x.y, and the few below _CLOSE_D2, where that
-form loses digits, are recomputed from coordinate differences.
+Every other pair sum of a point set (energies, Ripley counts and
+spacings) goes through one kernel, `_pair_blocks`, which walks the upper
+block triangle of the set's Gram matrix under one entry budget.  Each
+statistic maps a block to its value; Ripley counts of a lattice shell
+feed it the integer points and compare exact integer squared distances.
+Float squared distances come from the Gram form |x|^2 + |y|^2 - 2x.y,
+and the few below _CLOSE_D2, where that form loses digits, are
+recomputed from coordinate differences.  The Legendre pair sums in
+`harmonics` need no pair loop: they come from harmonic sums, in chunks
+under the same entry budget.
 
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
 the caller's seed, and every randomized result embeds that seed.
@@ -120,8 +122,15 @@ class AnnulusSpec:
         return cls(0.0, 2.0 * math.sqrt(sigma))
 
     def dot_window(self) -> tuple[float, float]:
-        # dist in [rho1, rho2]  <=>  dot in [1 - rho2^2/2, 1 - rho1^2/2]
-        return 1.0 - self.rho2**2 / 2.0, 1.0 - self.rho1**2 / 2.0
+        """dist in [rho1, rho2]  <=>  dot in [1 - rho2^2/2, 1 - rho1^2/2].
+
+        A cap (rho1 = 0) has no upper end and the whole sphere (rho2 = 2)
+        no lower end: x.x and x.(-x) round past +-1, and a point on its
+        center, or on its antipode, must still count.
+        """
+        lo = -math.inf if self.rho2 >= 2 else 1.0 - self.rho2**2 / 2.0
+        hi = math.inf if self.rho1 == 0 else 1.0 - self.rho1**2 / 2.0
+        return lo, hi
 
 
 def _random_units(rng: np.random.Generator, k: int) -> np.ndarray:

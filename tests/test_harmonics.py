@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threesq import harmonics, lattice, spatial
 from threesq.errors import DomainError
@@ -203,6 +207,73 @@ def test_variance_series_annulus_aspects(shell5):
         series = harmonics.variance_series(None, spec, 500, points=shell5)
         mc = spatial.number_variance(shell5, spec, 150_000, seed=int(10 * ratio))
         assert abs(series.value - mc.variance) <= series.tail_estimate + 3 * mc.variance_stderr
+
+
+# ------------------------------------------------------ float-set pair sums
+
+@st.composite
+def float_point_sets(draw):
+    """Binomial samples with poles, antipodes and duplicates planted."""
+    N = draw(st.integers(1, 80))
+    P = spatial.binomial_sample(N, draw(st.integers(0, 2**31 - 1))).points.copy()
+    kinds = st.sampled_from(["north", "south", "antipode", "duplicate"])
+    index = st.integers(0, N - 1)
+    for kind, i, j in draw(st.lists(st.tuples(kinds, index, index), max_size=6)):
+        if kind == "north":
+            P[i] = [0.0, 0.0, 1.0]
+        elif kind == "south":
+            P[i] = [0.0, 0.0, -1.0]
+        elif kind == "antipode":
+            P[i] = -P[j]
+        else:
+            P[i] = P[j]
+    return spatial.UnitPointSet(P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_point_sets(), st.integers(1, 60), st.data())
+def test_pair_legendre_sums_match_full_matrix(pts, m_max, data):
+    # chunks of `rows` points, the last one ragged unless rows divides N
+    N = pts.size
+    rows = data.draw(st.integers(1, N))
+    dots = np.clip(pts.points @ pts.points.T, -1.0, 1.0)
+    full = [math.fsum(harmonics.legendre_p(m, dots).ravel()) for m in range(m_max + 1)]
+    with mock.patch.object(harmonics, "_PAIR_ENTRIES", rows * (m_max + 1)):
+        sums = harmonics._pair_legendre_sums(pts, m_max)
+    np.testing.assert_allclose(sums, full, rtol=1e-12, atol=1e-12 * N * N)
+    # sums of squares, so every variance_series term on a float set is >= 0
+    assert (sums >= 0).all()
+
+
+def test_pair_legendre_sums_pinned_cases(octahedron):
+    bare = spatial.UnitPointSet(octahedron.points)
+    assert not spatial._is_whole_shell(bare)
+    assert abs(harmonics._pair_legendre_sums(bare, 2)[2]) <= 1e-10 * 36
+    # one point: S_m = P_m(1) = 1 at every degree.  At the poles the degree
+    # step's rounding grows like m^2 eps (9e-11 at m = 2000).  The point at
+    # z = -0.91 (s = 0.42, near 1/e) is where unscaled sectoral values of
+    # degree 2000 fall into the subnormal range (an error of 9e-6).
+    for P in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], spatial.binomial_sample(1, 3).points[0]):
+        sums = harmonics._pair_legendre_sums(spatial.UnitPointSet(np.array([P])), harmonics.MAX_DEGREE)
+        np.testing.assert_allclose(sums[:61], 1.0, rtol=1e-12)
+        np.testing.assert_allclose(sums, 1.0, rtol=1e-10)
+
+
+def test_float_route_refuses_degrees_past_max_before_allocating():
+    pts = spatial.binomial_sample(3, 0)
+    spec = spatial.AnnulusSpec.cap_of_area(0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            harmonics.variance_series(None, spec, harmonics.MAX_DEGREE + 1, points=pts)
+        with pytest.raises(DomainError):
+            harmonics.weyl_aggregate_direct(harmonics.MAX_DEGREE + 1, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the order sums alone would take 32 MB
+    # a whole shell reads the pair table, with no degree limit
+    assert harmonics.variance_series(5, spec, harmonics.MAX_DEGREE + 1).value > 0
 
 
 # ------------------------------------------------------ pair-table routes

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from threesq import harmonics, lattice, spatial
+from threesq import lattice, spatial
 from threesq.errors import DomainError, DuplicatePointError
 
 
@@ -206,12 +206,6 @@ def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
     np.testing.assert_allclose(
         spatial.nn_spacings(pts).rescaled_values, N * nn / 4, rtol=1e-12, atol=N * 4e-15 / 4
     )
-    m_max = 12
-    dots = np.clip(P @ P.T, -1.0, 1.0)
-    full = [math.fsum(harmonics.legendre_p(m, dots).ravel()) for m in range(m_max + 1)]
-    np.testing.assert_allclose(
-        harmonics._pair_legendre_sums(pts, m_max), full, rtol=1e-12, atol=1e-12 * N * N
-    )
 
     # a duplicate across the first and last blocks, and one inside a late block
     for i in {0, N - 2}:
@@ -374,6 +368,19 @@ def test_covering_interval_refuses_flat_maximum_in_bounded_memory():
 
 # ------------------------------------------------------------------ counting
 
+def test_points_on_their_center_count():
+    # x.x rounds to 1 + 2^-52 for some points; a cap has no upper dot test
+    # and the whole sphere no lower one, so neither drops such a point
+    pts = spatial.binomial_sample(170, 0)
+    assert spatial.count_in(pts, pts.points[5], spatial.AnnulusSpec.cap(0.1)) >= 1
+    for x in pts.points:
+        assert spatial.count_in(pts, x, spatial.AnnulusSpec.cap(1e-3)) >= 1
+        assert spatial.count_in(pts, -x, spatial.AnnulusSpec(0, 2)) == 170
+    # the centers of 170 samples at seed 0 are that sample's own points
+    rep = spatial.number_variance(pts, spatial.AnnulusSpec(0, 2), 170, seed=0)
+    assert rep.mean == 170 and rep.variance == 0
+
+
 def test_count_in_pinned(octahedron):
     e1 = np.array([1.0, 0.0, 0.0])
     assert spatial.count_in(octahedron, e1, spatial.AnnulusSpec.cap(2.0)) == 6
@@ -473,8 +480,9 @@ def annuli(draw):
 
 
 # Center seeds lie above every point seed.  A sample drawn from the
-# centers' own stream puts points exactly on centers, where a dot of
-# 1 +- 1 ulp meets hi = 1 and its count depends on the BLAS kernel (a
+# centers' own stream puts points exactly on centers.  A cap has no upper
+# dot test, but an annulus whose rho1^2/2 rounds away has hi = 1, where a
+# dot of 1 +- 1 ulp decides the count and depends on the BLAS kernel (a
 # one-row product goes through gemv, a block through gemm).
 @settings(max_examples=150, deadline=None)
 @given(variance_point_sets(), annuli(), st.integers(100, 4000), st.integers(2**31, 2**32))
