@@ -381,24 +381,14 @@ def majorant_squarefree(n: int, arg: int) -> int:
     Prime-power values: 1 at powers of 2; sum_{j<=k} chi(p)^j for odd
     p not dividing n; 1 for p | n with k = 1 and 2 for p | n with k >= 2.
     The ordered-pair count at inner product t is at most
-    24 * majorant_squarefree(n, n^2 - t^2).
+    24 * majorant_squarefree(n, n^2 - t^2).  It is majorant_general(1, n,
+    arg): with m = 1 the general prime-power values reduce to these.
     """
+    if not is_squarefree(n):
+        raise DomainError(f"n = {n} must be a squarefree positive integer")
     if arg < 1:
         raise DomainError("argument must be a positive integer")
-    return _majorant(n, discriminant(n).d, factorize(arg).factors)
-
-
-def _majorant(n: int, d: int, factors) -> int:
-    # majorant_squarefree from d = discriminant(n).d and the factors of arg
-    out = 1
-    for p, k in factors:
-        if p == 2:
-            continue
-        if n % p == 0:
-            out *= 1 if k == 1 else 2
-        else:
-            out *= _character_sum(_chi_prime(d, p), k)
-    return out
+    return _majorant(n, 1, factorize(arg).factors)
 
 
 def majorant_general(m: int, n: int, arg: int) -> int:
@@ -413,14 +403,20 @@ def majorant_general(m: int, n: int, arg: int) -> int:
         raise DomainError(f"m = {m} must be squarefull")
     if arg < 1:
         raise DomainError("argument must be a positive integer")
+    return _majorant(n, m, factorize(arg).factors)
+
+
+def _majorant(n: int, m: int, factors) -> int:
+    # majorant_general from the factors of arg.  For odd p the character
+    # chi_d(p) of d = -n or d = -4n is (-n | p), as 4 is a square mod p.
     out = 1
-    for p, k in factorize(arg).factors:
+    for p, k in factors:
         if p == 2:
             continue
         if m % p == 0:
             out *= k + 1
         elif n % p != 0:
-            out *= _character_sum(kronecker(-n, p), k)
+            out *= _character_sum(_legendre(-n, p), k)
         elif k >= 2:
             out *= 2
     return out
@@ -555,7 +551,8 @@ def _formula(n: int, t: int, factors) -> int:
 def shell_pair_values(n: int):
     """Yield (t, pair_count_formula(n, t), majorant_squarefree(n, n^2 - t^2))
     for -n < t < n at squarefree n, factoring each n^2 - t^2 once."""
-    d = discriminant(n).d
+    if not is_squarefree(n):
+        raise DomainError(f"n = {n} must be a squarefree positive integer")
     for t in range(-(n - 1), n):
         factors = factorize(n * n - t * t).factors
-        yield t, _formula(n, t, factors), _majorant(n, d, factors)
+        yield t, _formula(n, t, factors), _majorant(n, 1, factors)

@@ -105,13 +105,6 @@ def zonal_coeffs(spec: AnnulusSpec, m_max: int) -> ZonalCoefficients:
     return ZonalCoefficients(spec, h)
 
 
-def zonal_csv(zc: ZonalCoefficients) -> str:
-    lines = ["m,h"]
-    for m, h in enumerate(zc.coeffs.tolist()):
-        lines.append("%d,%.17g" % (m, h))
-    return "\n".join(lines) + "\n"
-
-
 def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
     """sum over all ordered pairs (diagonal included) of P_m(x.y), m <= m_max."""
     if not _is_whole_shell(pts):
@@ -194,10 +187,13 @@ def _normalized_assoc_legendre(deg: int, z: np.ndarray, s: np.ndarray) -> np.nda
     """Fully normalized P~_deg^mu(z) for mu = 0..deg, shape (deg+1, N).
 
     Normalization sqrt((2 deg + 1)/(4 pi) * (deg-mu)!/(deg+mu)!) is baked
-    into the recurrences so every intermediate stays O(1).
+    into the recurrences so every intermediate stays O(1) times
+    _ORDER_SCALE, which is divided out once at the end.  The scale keeps
+    the sectoral values of points near s = 1/e out of the subnormal range
+    up to MAX_DEGREE; being a power of two it changes no digit elsewhere.
     """
     out = np.empty((deg + 1, len(z)))
-    pmm = np.full(len(z), math.sqrt(1.0 / (4.0 * math.pi)))
+    pmm = np.full(len(z), _ORDER_SCALE * math.sqrt(1.0 / (4.0 * math.pi)))
     for mu in range(deg + 1):
         if mu > 0:
             pmm = -math.sqrt((2 * mu + 1) / (2.0 * mu)) * s * pmm
@@ -216,7 +212,7 @@ def _normalized_assoc_legendre(deg: int, z: np.ndarray, s: np.ndarray) -> np.nda
             )
             p_prev, p_cur = p_cur, a * z * p_cur - b * p_prev
         out[mu] = p_cur
-    return out
+    return out / _ORDER_SCALE
 
 
 def real_harmonic_basis(deg: int, points: np.ndarray) -> np.ndarray:

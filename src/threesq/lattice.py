@@ -3,8 +3,9 @@
 Enumeration runs over canonical triples 0 <= x1 <= x2 <= x3 and expands
 through the 48-element group of signed permutations, a 48-fold saving
 over the naive triple loop.  Perfect-square tests always go through an
-exact integer comparison (a float square root is only a first guess), so
-results stay correct far past 2^53.
+exact int64 comparison (a float square root is only a first guess).
+Shells past _FLOAT_SAFE = 2^50 are refused: their enumeration would take
+weeks, and below it every float dot product of two points is exact.
 
 The same group drives the pair statistics.  Every function of x.y over a
 whole shell is read from the exact inner-product histogram (`pair_table`),
@@ -105,36 +106,34 @@ class ShellOrbits:
 
 def _canonical_triples(n: int) -> list[tuple[int, int, int]]:
     out = []
-    use_numpy = n <= _FLOAT_SAFE
     for x1 in range(math.isqrt(n) + 1):
         r1 = n - x1 * x1
         if r1 < 2 * x1 * x1:
             break
         hi = math.isqrt(r1 // 2)
-        if use_numpy:
-            xs = np.arange(x1, hi + 1, dtype=np.int64)
-            r2 = r1 - xs * xs
-            s = np.sqrt(r2.astype(np.float64)).astype(np.int64)
-            s = np.where((s + 1) * (s + 1) <= r2, s + 1, s)
-            s = np.where(s * s > r2, s - 1, s)
-            ok = s * s == r2
-            out.extend(
-                (x1, int(a), int(b)) for a, b in zip(xs[ok].tolist(), s[ok].tolist())
-            )
-        else:
-            for x2 in range(x1, hi + 1):
-                r2 = r1 - x2 * x2
-                x3 = math.isqrt(r2)
-                if x3 * x3 == r2:
-                    out.append((x1, x2, x3))
+        xs = np.arange(x1, hi + 1, dtype=np.int64)
+        r2 = r1 - xs * xs
+        s = np.sqrt(r2.astype(np.float64)).astype(np.int64)
+        s = np.where((s + 1) * (s + 1) <= r2, s + 1, s)
+        s = np.where(s * s > r2, s - 1, s)
+        ok = s * s == r2
+        out.extend(
+            (x1, int(a), int(b)) for a, b in zip(xs[ok].tolist(), s[ok].tolist())
+        )
     return out
 
 
 @lru_cache(maxsize=64)
 def enumerate_points(n: int) -> LatticeSet:
-    """Enumerate every integer solution of x1^2 + x2^2 + x3^2 = n."""
+    """Enumerate every integer solution of x1^2 + x2^2 + x3^2 = n.
+
+    Shells past _FLOAT_SAFE are refused: the work grows about linearly
+    in n (11 s at n = 1e10), so n = 2^50 would take about two weeks.
+    """
     if n < 1:
         raise DomainError("n must be a positive integer")
+    if n > _FLOAT_SAFE:
+        raise DomainError(f"n = {n} exceeds 2^50, past which shells are not enumerated")
     pts: list[tuple[int, int, int]] = []
     for tri in _canonical_triples(n):
         for perm in set(itertools.permutations(tri)):
@@ -162,22 +161,18 @@ def shell_orbits(P: np.ndarray) -> ShellOrbits:
     return ShellOrbits(P[first], size, index.reshape(-1))
 
 
-def orbit_gram_rows(P: np.ndarray, n: int, reps: np.ndarray):
+def orbit_gram_rows(P: np.ndarray, reps: np.ndarray):
     """Yield (r0, G), G[i, j] = reps[r0 + i] . P[j] as exact int64.
 
-    Row blocks hold at most _GRAM_ENTRIES entries.  Below _FLOAT_SAFE the
-    products go through BLAS in float64, where every partial sum is an
-    exact integer (so the cast back is exact); above it they stay in int64.
+    Row blocks hold at most _GRAM_ENTRIES entries.  The products go
+    through BLAS in float64: on an enumerable shell (n <= _FLOAT_SAFE)
+    every partial sum is an exact integer, so the cast back is exact.
     """
     step = max(1, _GRAM_ENTRIES // max(len(P), 1))
-    if n <= _FLOAT_SAFE:
-        PT = P.astype(np.float64).T
-        R = reps.astype(np.float64)
-        for r0 in range(0, len(reps), step):
-            yield r0, (R[r0 : r0 + step] @ PT).astype(np.int64)
-    else:
-        for r0 in range(0, len(reps), step):
-            yield r0, reps[r0 : r0 + step] @ P.T
+    PT = P.astype(np.float64).T
+    R = reps.astype(np.float64)
+    for r0 in range(0, len(reps), step):
+        yield r0, (R[r0 : r0 + step] @ PT).astype(np.int64)
 
 
 def _merge_histograms(vals: list, cnts: list) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +182,7 @@ def _merge_histograms(vals: list, cnts: list) -> tuple[np.ndarray, np.ndarray]:
     return t, c
 
 
-def _orbit_histogram(P: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_histogram(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct x.y over ordered pairs of a whole shell, with their counts.
 
     Block histograms are merged whenever they hold more than
@@ -196,7 +191,7 @@ def _orbit_histogram(P: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     orb = shell_orbits(P)
     vals, cnts, pending = [], [], 0
     for size in np.unique(orb.size).tolist():  # at most six orbit sizes
-        for _, g in orbit_gram_rows(P, n, orb.reps[orb.size == size]):
+        for _, g in orbit_gram_rows(P, orb.reps[orb.size == size]):
             v, k = np.unique(g, return_counts=True)
             vals.append(v)
             cnts.append(size * k)
@@ -221,7 +216,7 @@ def pair_table(n: int) -> PairCountTable:
         empty = np.zeros(0, dtype=np.int64)
         empty.setflags(write=False)
         return PairCountTable(n, empty, empty)
-    t, c = _orbit_histogram(ls.points, n)
+    t, c = _orbit_histogram(ls.points)
     N = ls.size
     if int(c.sum()) != N * N:
         raise InvariantError(f"pair table of n={n} does not sum to N^2")
@@ -321,9 +316,3 @@ def load_points(fh) -> LatticeSet:
     )
     return LatticeSet(n, arr, prim)
 
-
-def pair_table_csv(tbl: PairCountTable) -> str:
-    lines = ["t,count"]
-    for t, c in zip(tbl.t.tolist(), tbl.count.tolist()):
-        lines.append(f"{t},{c}")
-    return "\n".join(lines) + "\n"

@@ -189,10 +189,14 @@ def _distance_blocks(P: np.ndarray):
 
 
 def _is_whole_shell(pts: UnitPointSet) -> bool:
-    """True if pts is a whole lattice shell: its source's every point."""
+    """True if pts is a whole lattice shell: its source's every point.
+
+    No shell past _FLOAT_SAFE is enumerated, so a set there is never one.
+    """
     return (
         pts.source_n is not None
         and pts.int_points is not None
+        and pts.source_n <= _FLOAT_SAFE
         and enumerate_points(pts.source_n).size == pts.size
     )
 
@@ -336,7 +340,7 @@ def _shell_nn_d2(P: np.ndarray, n: int) -> np.ndarray:
     """
     orb = shell_orbits(P)
     tmax = np.empty(len(orb.reps), dtype=np.int64)
-    for r0, g in orbit_gram_rows(P, n, orb.reps):
+    for r0, g in orbit_gram_rows(P, orb.reps):
         tmax[r0 : r0 + len(g)] = g.max(axis=1, where=g < n, initial=-n)
     return (2.0 * (n - tmax) / n)[orb.index]
 

@@ -119,29 +119,22 @@ def gap_scan(y_values) -> list[tuple[int, int, float]]:
 class ProbeResult:
     m: int
     height: int
-    delta: float  # smoothness exponent the caller worked with
     best_x3: int | None  # largest qualifying x3 strictly below the pole
     certified_distance: int | None  # m - best_x3, an upper bound certificate
     distance: int  # exact dist(2m, sums of two squares)
     pole_in_sequence: bool  # whether 2m itself is a sum of two squares
-    smooth_cutoff: int
-    m_is_rough: bool  # m free of prime factors below the cutoff
     candidates: int  # near-pole points examined
 
 
-def gap_probe(m: int, height: int, delta: float = 0.1) -> ProbeResult:
+def gap_probe(m: int, height: int) -> ProbeResult:
     """Probe dist(2m, sums of two squares) through near-pole points.
 
     A point with x3 < m and m + x3 in the sequence certifies
     dist <= m - x3 (since 2m = (m + x3) + (m - x3)); the exact distance
-    comes from an independent outward scan.  `delta` is the smoothness
-    exponent recorded alongside (rough means no prime factor below
-    max(2, height^(1/2))); the certified bound can only be trusted to
-    exist for rough m, but whenever a certificate is found it is checked
-    unconditionally.
+    comes from an independent outward scan.  A certificate is only known
+    to exist for m free of small prime factors; whenever one is found it
+    is checked against that distance.
     """
-    if not 0 < delta < 1:
-        raise DomainError("delta must lie in (0, 1)")
     pts = points_near_pole(m, height)
     best: int | None = None
     for x1, x2, x3 in pts.tolist():
@@ -155,20 +148,15 @@ def gap_probe(m: int, height: int, delta: float = 0.1) -> ProbeResult:
     dist = 0
     while not (is_sum_two_squares(2 * m - dist) or is_sum_two_squares(2 * m + dist)):
         dist += 1
-    cutoff = max(2, math.isqrt(max(height, 1)))
-    rough = all(p >= cutoff for p, _ in factorize(m).factors) if m > 1 else True
     if best is not None and dist > m - best:
         raise InvariantError("certificate shorter than the exact distance")
     return ProbeResult(
         m=m,
         height=height,
-        delta=delta,
         best_x3=best,
         certified_distance=None if best is None else m - best,
         distance=dist,
         pole_in_sequence=is_sum_two_squares(2 * m),
-        smooth_cutoff=cutoff,
-        m_is_rough=rough,
         candidates=len(pts),
     )
 

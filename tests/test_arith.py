@@ -336,6 +336,30 @@ def test_majorant_squarefree_multiplicative():
                 assert f(5, a * b) == f(5, a) * f(5, b)
 
 
+def squarefree_majorant_oracle(n: int, arg: int) -> int:
+    """The documented prime-power values, with chi = kronecker(d, .)."""
+    d = arith.discriminant(n).d
+    out = 1
+    for p, k in arith.factorize(arg).factors:
+        if p == 2:
+            continue
+        if n % p == 0:
+            out *= 1 if k == 1 else 2
+        else:
+            out *= sum(arith.kronecker(d, p) ** j for j in range(k + 1))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**5), st.integers(min_value=1, max_value=10**9))
+@example(5, 9)
+@example(3, 3**4 * 7**3)
+def test_majorant_squarefree_is_general_at_m_one(n, arg):
+    assume(arith.is_squarefree(n))
+    value = arith.majorant_squarefree(n, arg)
+    assert value == arith.majorant_general(1, n, arg) == squarefree_majorant_oracle(n, arg)
+
+
 def test_character_sum_closed_form():
     for c in (-1, 0, 1):
         for k in range(12):

@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from threesq.cli import dumps_canonical, load_schema, main
+from threesq.cli import build_parser, dumps_canonical, load_schema, main
 
 
 def run_cli(args):
@@ -73,6 +74,12 @@ def test_csv_commands_parse(capsys):
     rows = dict(tuple(map(int, ln.split(","))) for ln in lines[2:])
     assert rows[4] == 72
 
+    # the octahedron: 6 points, 24 ordered pairs at right angles
+    assert main(["pairs", "--n", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "t,count"
+    assert "0,24" in lines[2:]
+
     assert main(["twosq-gaps", "--y-list", "9,100"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "Y,G,ratio"
@@ -106,6 +113,15 @@ def test_domain_error_exit_two():
     code, _, err = run_cli(["variance", "--n", "5", "--sigma", "0.3", "--samples", "200"])
     assert code == 2  # randomized command without an explicit seed
     assert "seed" in err
+
+
+def test_enumerate_refuses_shells_past_float_safe(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert main(["enumerate", "--n", str((1 << 50) + 1)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "2^50" in capsys.readouterr().err
 
 
 def test_bad_usage_exit_two():
@@ -146,8 +162,10 @@ def test_variance_zonal_table(tmp_path, capsys):
     lines = zpath.read_text().splitlines()
     assert lines[0] == "m,h"
     assert len(lines) == 12
-    m0, h0 = lines[1].split(",")
-    assert float(h0) == pytest.approx(4 * math.pi * 0.25)
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [int(m) for m, _ in rows] == list(range(11))
+    h = [float(v) for _, v in rows]
+    assert h[0] == pytest.approx(4 * math.pi * 0.25)
 
 
 def test_geodesic_conversion(capsys):
@@ -209,6 +227,51 @@ def test_threads_flag_is_gone(capsys):
     assert "--threads" in err
     assert main(["energy", "--n", "5"]) == 0
     assert "threads" not in json.loads(capsys.readouterr().out)["config"]
+
+
+def test_twosq_probe_has_no_delta_flag(capsys):
+    code, _, err = run_cli(["twosq-probe", "--m", "5", "--h", "1", "--delta", "0.1"])
+    assert code == 2
+    assert "--delta" in err
+    assert main(["twosq-probe", "--m", "5", "--h", "1"]) == 0
+    assert "delta" not in json.loads(capsys.readouterr().out)["config"]
+
+
+def test_config_echoes_parser_options(capsys):
+    # the config holds the command, every option but --out in the order
+    # the parser declares it, and the seed last
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    cases = {
+        "pairs": ["--n", "5"],
+        "energy": ["--n", "5"],
+        "ripley": ["--n", "5", "--r", "0.5"],
+        "spacing": ["--n", "5"],
+        "covering": ["--n", "5"],
+        "variance": ["--n", "5", "--sigma", "0.3", "--m-max", "4"],
+        "boxes": ["--n", "5", "--cells", "4"],
+        "weyl": ["--n", "5", "--degree", "2"],
+        "discrepancy": ["--n", "5", "--m-max", "2"],
+        "verify-arith": ["--n-max", "5"],
+        "twosq-gaps": ["--y-list", "9"],
+        "twosq-probe": ["--m", "5", "--h", "1"],
+        "baseline": ["--stat", "spacing", "--N", "20", "--seed", "1"],
+    }
+    assert set(cases) | {"enumerate"} == set(subparsers.choices)
+    for command, args in cases.items():
+        assert main([command, *args]) == 0, command
+        text = capsys.readouterr().out
+        if text.startswith("# config: "):
+            config = json.loads(text.splitlines()[0].removeprefix("# config: "))
+        else:
+            config = json.loads(text)["config"]
+        options = [
+            a.dest for a in subparsers.choices[command]._actions
+            if a.dest not in ("help", "out", "seed")
+        ]
+        assert list(config) == ["command", *options, "seed"], command
+        assert config["command"] == command
 
 
 def test_verify_arith_clean(capsys):

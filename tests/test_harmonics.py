@@ -156,6 +156,15 @@ def test_harmonic_basis_pointwise_identity():
         assert np.allclose((basis**2).sum(axis=0), target, rtol=1e-11)
 
 
+def test_harmonic_basis_identity_at_max_degree():
+    # z = -0.909, s = 0.416 near 1/e: unscaled, the sectoral values of this
+    # point pass through the subnormal range before degree 2000
+    pts = spatial.binomial_sample(1, 3)
+    deg = harmonics.MAX_DEGREE
+    basis = harmonics.real_harmonic_basis(deg, pts.points)
+    assert float((basis**2).sum()) == pytest.approx((2 * deg + 1) / (4 * math.pi), rel=1e-10)
+
+
 # ------------------------------------------------------------ variance series
 
 def test_variance_series_full_sphere():

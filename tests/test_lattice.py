@@ -299,8 +299,3 @@ def test_point_roundtrip_random_shells(n):
     assert back.points.tolist() == ls.points.tolist()
     assert back.primitive.tolist() == ls.primitive.tolist()
 
-
-def test_pair_table_csv():
-    text = lattice.pair_table_csv(lattice.pair_table(1))
-    assert text.splitlines()[0] == "t,count"
-    assert "0,24" in text

@@ -152,6 +152,18 @@ def test_ripley_int64_route_above_float_safe(v):
         assert spatial.ripley_k(pts, r) == sum(1 for d in d2 if 0 < d < lim), r
 
 
+def test_set_past_float_safe_is_not_enumerated():
+    # n = 2^52: a hand-built octahedron takes the float pair kernel, since
+    # no shell past _FLOAT_SAFE is enumerated (enumerate_points refuses it)
+    P = _signed_perms((1 << 26, 0, 0))
+    pts = spatial.project(lattice.LatticeSet(1 << 52, P, np.zeros(len(P), dtype=bool)))
+    with mock.patch.object(spatial, "enumerate_points", side_effect=AssertionError):
+        energy = spatial.riesz_energy(pts, 1.0)
+        rep = spatial.nn_spacings(pts)
+    assert energy == pytest.approx(6 * (4 / math.sqrt(2) + 1 / 2))
+    assert np.allclose(rep.rescaled_values, 3.0)
+
+
 # ------------------------------------------------------------------ spacings
 
 def test_spacings_octahedron(octahedron):
