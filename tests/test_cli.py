@@ -74,12 +74,6 @@ def test_csv_commands_parse(capsys):
     rows = dict(tuple(map(int, ln.split(","))) for ln in lines[2:])
     assert rows[4] == 72
 
-    # the octahedron: 6 points, 24 ordered pairs at right angles
-    assert main(["pairs", "--n", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "t,count"
-    assert "0,24" in lines[2:]
-
     assert main(["twosq-gaps", "--y-list", "9,100"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "Y,G,ratio"

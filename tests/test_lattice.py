@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threesq import lattice
+from threesq.cli import main
 from threesq.errors import DomainError
 
 
@@ -298,4 +299,13 @@ def test_point_roundtrip_random_shells(n):
     assert back.points.dtype == np.int64 and back.points.shape == (ls.size, 3)
     assert back.points.tolist() == ls.points.tolist()
     assert back.primitive.tolist() == ls.primitive.tolist()
+
+
+def test_pair_table_csv(capsys):
+    # the pair table is written as CSV by the `pairs` command alone;
+    # the octahedron has 24 ordered pairs at right angles
+    assert main(["pairs", "--n", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "t,count"
+    assert "0,24" in lines[2:]
 
