@@ -22,10 +22,11 @@ The pair sums S_m = sum_{x,y} P_m(x.y) of a whole lattice shell are read
 from its exact inner-product histogram (the pair table, built by the
 orbit-reduced Gram kernel) as sum_t c(t) P_m(t/n).  Any other set takes
 them from the other side of the addition theorem, as sums of squares of
-its harmonic sums over every degree at once (`_harmonic_pair_sums`):
-O(N M^2) work with no pair loop, against O(N^2 M) for the pairs.  The
-basis sums in `weyl_sums` never use either, so they stay an independent
-check of the addition theorem.
+its harmonic sums over every degree at once (`_harmonic_sums`): O(N M^2)
+work with no pair loop, against O(N^2 M) for the pairs.  The discrepancy
+bound reads the magnitudes of the same harmonic sums.  The basis sums in
+`weyl_sums` run order outer, one degree at a time, and use neither, so
+they stay an independent check of both.
 """
 
 from __future__ import annotations
@@ -45,30 +46,26 @@ MAX_DEGREE = 2000
 _ORDER_SCALE = 2.0**900
 
 
+def _legendre_seq(m_max: int, x):
+    """P_0(x), ..., P_m_max(x) by the three-term recurrence, x a float or an array."""
+    p_prev, p_cur = np.ones_like(x), x
+    yield p_prev
+    for k in range(1, m_max + 1):
+        if k > 1:
+            p_prev, p_cur = p_cur, ((2 * k - 1) * x * p_cur - (k - 1) * p_prev) / k
+        yield p_cur
+
+
 def legendre_p(m: int, t):
     """Legendre polynomial P_m via the three-term recurrence; P_m(1) = 1."""
     if m < 0:
         raise DomainError("degree must be nonnegative")
-    arr = np.asarray(t, dtype=np.float64)
+    arr = np.array(t, dtype=np.float64)
     if np.any(np.abs(arr) > 1.0):
         raise DomainError("argument must lie in [-1, 1]")
-    p_prev = np.ones_like(arr)
-    if m == 0:
-        return p_prev if arr.ndim else float(p_prev)
-    p_cur = arr.copy()
-    for k in range(2, m + 1):
-        p_prev, p_cur = p_cur, ((2 * k - 1) * arr * p_cur - (k - 1) * p_prev) / k
-    return p_cur if arr.ndim else float(p_cur)
-
-
-def _legendre_column(m_max: int, t: float) -> np.ndarray:
-    out = np.empty(m_max + 1)
-    out[0] = 1.0
-    if m_max >= 1:
-        out[1] = t
-    for k in range(2, m_max + 1):
-        out[k] = ((2 * k - 1) * t * out[k - 1] - (k - 1) * out[k - 2]) / k
-    return out
+    for p in _legendre_seq(m, arr):
+        pass
+    return p if arr.ndim else float(p)
 
 
 @dataclass
@@ -94,64 +91,66 @@ def zonal_coeffs(spec: AnnulusSpec, m_max: int) -> ZonalCoefficients:
         raise DomainError("m_max must be nonnegative")
     t_hi = 1.0 - spec.rho1**2 / 2.0
     t_lo = 1.0 - spec.rho2**2 / 2.0
-    col_hi = _legendre_column(m_max + 1, t_hi)
-    col_lo = _legendre_column(m_max + 1, t_lo)
+    hi, lo = (np.fromiter(_legendre_seq(m_max + 1, t), np.float64, m_max + 2) for t in (t_hi, t_lo))
     h = np.empty(m_max + 1)
     h[0] = 2.0 * math.pi * (t_hi - t_lo)
-    for m in range(1, m_max + 1):
-        anti_hi = col_hi[m + 1] - col_hi[m - 1]
-        anti_lo = col_lo[m + 1] - col_lo[m - 1]
-        h[m] = 2.0 * math.pi * (anti_hi - anti_lo) / (2 * m + 1)
+    m = np.arange(1, m_max + 1)
+    h[1:] = 2.0 * math.pi * ((hi[2:] - hi[:-2]) - (lo[2:] - lo[:-2])) / (2 * m + 1)
     return ZonalCoefficients(spec, h)
 
 
 def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
-    """sum over all ordered pairs (diagonal included) of P_m(x.y), m <= m_max."""
-    if not _is_whole_shell(pts):
-        return _harmonic_pair_sums(pts.points, m_max)
-    tbl = pair_table(pts.source_n)
-    x = tbl.t / float(tbl.n)
-    c = tbl.count.astype(np.float64)
+    """S_m = sum over all ordered pairs (diagonal included) of P_m(x.y), m <= m_max.
+
+    A whole shell reads them from its pair table, sum_t c(t) P_m(t/n).  Any
+    other set takes them from the addition theorem, S_m = 4 pi/(2m+1)
+    (|W_0|^2 + 2 sum_{mu>=1} |W_mu|^2) over its harmonic sums W_m^mu of
+    `_harmonic_sums`, and is refused above MAX_DEGREE before anything is
+    allocated.  Every term is a sum of squares, so S_m >= 0 exactly, and
+    S_0 = N^2.  Work is O(N m_max^2), which beats the O(N^2 m_max) of the
+    pairs while m_max is below about N (at N = 500, m_max = 400 the pairs
+    were about 3x faster; no caller runs there).
+    """
+    if _is_whole_shell(pts):
+        tbl = pair_table(pts.source_n)
+        c = tbl.count.astype(np.float64)
+        x = tbl.t / float(tbl.n)
+        return np.fromiter((c @ p for p in _legendre_seq(m_max, x)), np.float64, m_max + 1)
+    if m_max > MAX_DEGREE:
+        raise DomainError(f"m_max must be at most {MAX_DEGREE} for a set that is not a whole shell")
+    W, start = _harmonic_sums(pts.points, m_max)
     sums = np.empty(m_max + 1)
-    p_prev, p_cur = np.ones_like(x), x
-    sums[0] = c.sum()
+    sums[0] = float(pts.size) * pts.size
     for m in range(1, m_max + 1):
-        if m > 1:
-            p_prev, p_cur = p_cur, ((2 * m - 1) * x * p_cur - (m - 1) * p_prev) / m
-        sums[m] = c @ p_cur
+        w = W[start[m] : start[m + 1]]
+        sq = w.real * w.real + w.imag * w.imag
+        sums[m] = 4.0 * math.pi / (2 * m + 1) * (sq[0] + 2.0 * sq[1:].sum())
     return sums
 
 
-def _harmonic_pair_sums(U: np.ndarray, m_max: int) -> np.ndarray:
-    """The pair sums of any point set, from its harmonic sums of every degree.
+def _harmonic_sums(U: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complex harmonic sums W_m^mu of a point set, 0 <= mu <= m <= m_max.
 
-    By the addition theorem S_m = 4 pi/(2m+1) (|W_0|^2 + 2 sum_{mu>=1}
-    |W_mu|^2), with W_mu = sum_x P~_m^mu(z_x) e^{i mu phi_x} and P~ the
-    fully normalized associated Legendre function of
-    `_normalized_assoc_legendre`.  Y_m^mu = P~_m^mu e^{i mu phi} runs its
-    recurrence in complex form, degree outer and every order at once: the
-    degree step P~_m^mu = a z P~_{m-1}^mu - b P~_{m-2}^mu (same a, b; b is
-    0 at mu = m - 1) has real coefficients, and the sectoral step carries
+    W_m^mu = sum_x P~_m^mu(z_x) e^{i mu phi_x}, with P~ the fully normalized
+    associated Legendre function of `_normalized_assoc_legendre`; degree m
+    holds orders 0..m at [start[m]:start[m + 1]].  Y_m^mu = P~_m^mu
+    e^{i mu phi} runs its recurrence in complex form, degree outer and every
+    order at once: the degree step P~_m^mu = a z P~_{m-1}^mu - b P~_{m-2}^mu
+    (same a, b; b is 0 at mu = m - 1) has real coefficients, and the
+    sectoral step, with the same Condon-Shortley sign, carries
     s e^{i phi} = x + iy, so no angle is formed and the poles need no care.
-    Every term is a sum of squares, so S_m >= 0 exactly, and S_0 = N^2.
     At the poles the degree step's rounding grows like m^2 eps: one point
     there gives S_m = 1 within 2e-14 at m = 60 and 9e-11 at m = 2000.
 
     Points go in chunks of _PAIR_ENTRIES // (m_max + 1), so the three
     recurrence arrays hold at most about _PAIR_ENTRIES entries each, and
-    the order sums of every (m, mu), (m_max + 1)(m_max + 2)/2 of them, are
-    accumulated across chunks (153 at m_max = 16, within the budget up to
-    m_max = 360, 32 MB at MAX_DEGREE).  Work is O(N m_max^2), which beats
-    the O(N^2 m_max) of the pairs while m_max is below about N (at N = 500,
-    m_max = 400 the pairs were about 3x faster; no caller runs there).
+    the order sums, (m_max + 1)(m_max + 2)/2 of them, are accumulated
+    across chunks (153 at m_max = 16, within the budget up to m_max = 360,
+    32 MB at MAX_DEGREE).
     """
-    if m_max > MAX_DEGREE:
-        raise DomainError(f"m_max must be at most {MAX_DEGREE} for a set that is not a whole shell")
     N = len(U)
-    sums = np.empty(m_max + 1)
-    sums[0] = float(N) * N
     start = np.arange(m_max + 2)
-    start = start * (start + 1) // 2  # order sums of degree m at start[m]:start[m + 1]
+    start = start * (start + 1) // 2
     acc = np.zeros(start[-1], dtype=complex)
     orders = np.arange(m_max, dtype=np.float64)
     rows = max(1, _PAIR_ENTRIES // (m_max + 1))
@@ -162,6 +161,7 @@ def _harmonic_pair_sums(U: np.ndarray, m_max: int) -> np.ndarray:
         cur = np.zeros_like(prev)
         tmp = np.empty_like(prev)
         cur[0] = _ORDER_SCALE / math.sqrt(4.0 * math.pi)
+        acc[0] += cur[0].sum()
         for m in range(1, m_max + 1):
             mu = orders[:m]
             den = m * m - mu * mu
@@ -176,11 +176,8 @@ def _harmonic_pair_sums(U: np.ndarray, m_max: int) -> np.ndarray:
             prev[m] *= -math.sqrt((2 * m + 1) / (2.0 * m))
             prev, cur = cur, prev
             acc[start[m] : start[m + 1]] += cur[: m + 1].sum(axis=1)
-    for m in range(1, m_max + 1):
-        W = acc[start[m] : start[m + 1]] / _ORDER_SCALE
-        sq = W.real * W.real + W.imag * W.imag
-        sums[m] = 4.0 * math.pi / (2 * m + 1) * (sq[0] + 2.0 * sq[1:].sum())
-    return sums
+    acc /= _ORDER_SCALE
+    return acc, start
 
 
 def _normalized_assoc_legendre(deg: int, z: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -295,7 +292,7 @@ def weyl_aggregate_direct(
 
     A whole lattice shell takes it through the addition theorem,
     (2d+1)/(4 pi) sum_t c(t) P_d(t/n) from its pair table.  Any other set
-    sums |W_mu|^2 over the complex harmonic sums of `_harmonic_pair_sums`,
+    sums |W_mu|^2 over the complex harmonic sums of `_harmonic_sums`,
     which shares the recurrence coefficients with `weyl_sums` but not its
     code: the real basis runs order outer and one degree at a time.
     """
@@ -361,18 +358,21 @@ def discrepancy_bound(
 ) -> float:
     """Discrepancy bound shape 1/(M+1) + sum_nu (1/nu) sum_j |W_j| / N.
 
-    Uses normalized harmonic sums; the unspecified absolute constant in
-    front is not included, so treat the value as a shape to compare
-    against, not a certified bound.
+    W_j are the sums of the real basis of `real_harmonic_basis`, read off
+    the complex sums of `_harmonic_sums`: |W_0|, then sqrt(2) |Re W_mu| and
+    sqrt(2) |Im W_mu|.  The unspecified absolute constant in front is not
+    included, so treat the value as a shape to compare against, not a
+    certified bound.
     """
-    if m_max < 1:
-        raise DomainError("m_max must be at least 1")
+    if not 1 <= m_max <= MAX_DEGREE:
+        raise DomainError(f"m_max must lie in [1, {MAX_DEGREE}]")
     pts = _resolve_points(n, points)
-    total = 1.0 / (m_max + 1)
-    for nu in range(1, m_max + 1):
-        tbl = weyl_sums(None, nu, normalized=True, points=pts)
-        total += float(np.abs(tbl.values).sum()) / nu
-    return total
+    W, start = _harmonic_sums(pts.points, m_max)
+    mags = math.sqrt(2.0) * (np.abs(W.real) + np.abs(W.imag))
+    first = start[1:-1]  # order 0 of degrees 1..m_max
+    mags[first] = np.abs(W[first])
+    per_degree = np.add.reduceat(mags, first) / np.arange(1, m_max + 1)
+    return 1.0 / (m_max + 1) + float(per_degree.sum()) / pts.size
 
 
 def cap_discrepancy_estimate(

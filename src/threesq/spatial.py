@@ -25,8 +25,8 @@ feed it the integer points and compare exact integer squared distances.
 Float squared distances come from the Gram form |x|^2 + |y|^2 - 2x.y,
 and the few below _CLOSE_D2, where that form loses digits, are
 recomputed from coordinate differences.  The Legendre pair sums in
-`harmonics` need no pair loop: they come from harmonic sums, in chunks
-under the same entry budget.
+`harmonics` need no pair loop: they come from the same harmonic sums as
+its discrepancy bound, in chunks under the same entry budget.
 
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
 the caller's seed, and every randomized result embeds that seed.
@@ -530,7 +530,6 @@ class VarianceReport:
     mean: float
     variance: float
     expected_mean: float
-    conjectured_variance: float
     seed: int
     n_points: int
     variance_stderr: float
@@ -605,15 +604,13 @@ def number_variance(
     variance = (s2 - s1 * s1 / S) / (S - 1)
     m4 = sum(w * (k - mean) ** 4 for k, w in enumerate(weights)) / S
     var_of_var = max(0.0, (m4 - (S - 3) / (S - 1) * variance**2) / S)
-    sigma = spec.area
     return VarianceReport(
         n=pts.source_n,
         annulus=spec,
         samples=samples,
         mean=mean,
         variance=variance,
-        expected_mean=N * sigma,
-        conjectured_variance=N * sigma,
+        expected_mean=N * spec.area,
         seed=seed,
         n_points=N,
         variance_stderr=math.sqrt(var_of_var),

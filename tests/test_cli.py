@@ -118,23 +118,29 @@ def test_enumerate_refuses_shells_past_float_safe(capsys):
     assert "2^50" in capsys.readouterr().err
 
 
+def test_discrepancy_refuses_degrees_past_max(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert main(["discrepancy", "--n", "5", "--m-max", "2001"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "2000" in capsys.readouterr().err
+
+
 def test_bad_usage_exit_two():
     code, _, _ = run_cli(["ripley", "--n", "5"])  # missing --r
     assert code == 2
 
 
 def test_byte_identical_reruns():
-    args = [
-        "variance", "--n", "5", "--sigma", "0.3",
-        "--samples", "400", "--seed", "11", "--m-max", "30",
-    ]
-    _, out1, _ = run_cli(args)
-    _, out2, _ = run_cli(args)
-    assert out1 == out2
-    args = ["baseline", "--stat", "spacing", "--N", "300", "--seed", "9"]
-    _, out1, _ = run_cli(args)
-    _, out2, _ = run_cli(args)
-    assert out1 == out2
+    for args in (
+        ["variance", "--n", "5", "--sigma", "0.3", "--samples", "400", "--seed", "11", "--m-max", "30"],
+        ["baseline", "--stat", "spacing", "--N", "300", "--seed", "9"],
+        ["discrepancy", "--n", "101", "--m-max", "20", "--estimate", "--centers", "1000", "--seed", "3"],
+    ):
+        _, out1, _ = run_cli(args)
+        _, out2, _ = run_cli(args)
+        assert out1 == out2
 
 
 def test_output_file(tmp_path):

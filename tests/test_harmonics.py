@@ -277,6 +277,8 @@ def test_float_route_refuses_degrees_past_max_before_allocating():
             harmonics.variance_series(None, spec, harmonics.MAX_DEGREE + 1, points=pts)
         with pytest.raises(DomainError):
             harmonics.weyl_aggregate_direct(harmonics.MAX_DEGREE + 1, pts)
+        with pytest.raises(DomainError):
+            harmonics.discrepancy_bound(None, harmonics.MAX_DEGREE + 1, points=pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -354,6 +356,23 @@ def test_partial_shell_takes_generic_path():
 def test_discrepancy_bound_shape(shell5):
     val = harmonics.discrepancy_bound(None, 20, points=shell5)
     assert 0 < val < 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        float_point_sets(),
+        st.integers(1, 2000).filter(lattice.three_squares_representable).map(spatial.unit_shell),
+    ),
+    st.integers(1, 60),
+)
+def test_discrepancy_bound_matches_real_basis_sums(pts, m_max):
+    # the bound from the real basis, one order-outer degree at a time
+    oracle = 1.0 / (m_max + 1) + sum(
+        float(np.abs(harmonics.weyl_sums(None, nu, normalized=True, points=pts).values).sum()) / nu
+        for nu in range(1, m_max + 1)
+    )
+    assert harmonics.discrepancy_bound(None, m_max, points=pts) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_discrepancy_estimate_octahedron(octahedron):
