@@ -17,6 +17,7 @@ from .arith import (
     Discriminant,
     Factorization,
     LocalDiagonalization,
+    PairFormulaTable,
     class_number,
     diagonalize_pair_form,
     dirichlet_l_one,
@@ -30,6 +31,7 @@ from .arith import (
     majorant_general,
     majorant_squarefree,
     pair_count_formula,
+    pair_count_formula_table,
 )
 from .errors import DomainError, DuplicatePointError, InvariantError
 from .harmonics import (

@@ -41,6 +41,10 @@ from .lattice import enumerate_points, pair_table
 from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_whole_shell, _random_units, project
 
 MAX_DEGREE = 2000
+# Highest series degree on a whole lattice shell, whose pair sums come
+# from the pair table: the degree loop is interpreted and keeps a few
+# floats per degree, so variance_series refuses more before any work.
+MAX_SHELL_DEGREE = 1 << 16
 # power-of-two scale of the order recurrence, so that sectoral values of
 # points near s = 1/e stay out of the subnormal range up to MAX_DEGREE
 _ORDER_SCALE = 2.0**900
@@ -330,14 +334,15 @@ def variance_series(
     V = sum_{m=1..m_max} h(m)^2/(4 pi) * (2m+1)/(4 pi) * sum_{x,y} P_m(x.y).
     A set that is not a whole lattice shell takes the pair sums from its
     harmonic sums and is refused above MAX_DEGREE before anything is
-    allocated.  Terms are nonnegative, so partial sums increase toward
-    the Monte Carlo variance of count_in over uniform centers.  The returned
+    allocated; a whole shell is refused above MAX_SHELL_DEGREE.  Terms
+    are nonnegative, so partial sums increase toward the Monte Carlo
+    variance of count_in over uniform centers.  The returned
     `tail_estimate` indicates the truncation error but does not bound it
     while m_max is below about sqrt(N), so |series - Monte Carlo| can
     exceed it there on correct code.
     """
-    if m_max < 1:
-        raise DomainError("m_max must be at least 1")
+    if not 1 <= m_max <= MAX_SHELL_DEGREE:
+        raise DomainError(f"m_max must lie in [1, {MAX_SHELL_DEGREE}]")
     pts = _resolve_points(n, points)
     sums = _pair_legendre_sums(pts, m_max)
     h = zonal_coeffs(spec, m_max).coeffs

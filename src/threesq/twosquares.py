@@ -78,8 +78,8 @@ def _sieve_segment(lo: int, hi: int, bad_primes: list[int]) -> np.ndarray:
     return ~excluded
 
 
-def window(y: int) -> TwoSquaresWindow:
-    """All sums of two squares in [Y, 2Y) and the largest internal gap."""
+def _member_segments(y: int):
+    """Members of [Y, 2Y), ascending, one sieve segment at a time."""
     if y < 1:
         raise DomainError("Y must be positive")
     hi_total = 2 * y
@@ -88,30 +88,45 @@ def window(y: int) -> TwoSquaresWindow:
         for p in _primes.primes_up_to(math.isqrt(hi_total - 1)).tolist()
         if p % 4 == 3
     ]
-    chunks = []
-    lo = y
-    while lo < hi_total:
+    for lo in range(y, hi_total, _SEGMENT):
         hi = min(lo + _SEGMENT, hi_total)
-        flags = _sieve_segment(lo, hi, bad)
-        chunks.append(np.flatnonzero(flags) + lo)
-        lo = hi
+        yield np.flatnonzero(_sieve_segment(lo, hi, bad)) + lo
+
+
+def _largest_gap(segments) -> tuple[int, tuple[int, int] | None]:
+    """Largest gap between consecutive members and its first pair, carrying
+    only the last member and the running maximum across segments."""
+    best, pair, last = 0, None, None
+    for members in segments:
+        if members.size == 0:
+            continue
+        first = int(members[0])
+        if last is not None and first - last > best:
+            best, pair = first - last, (last, first)
+        if members.size > 1:
+            gaps = np.diff(members)
+            k = int(np.argmax(gaps))
+            if gaps[k] > best:
+                best, pair = int(gaps[k]), (int(members[k]), int(members[k + 1]))
+        last = int(members[-1])
+    return best, pair
+
+
+def window(y: int) -> TwoSquaresWindow:
+    """All sums of two squares in [Y, 2Y) and the largest internal gap."""
+    chunks = list(_member_segments(y))
     members = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    if len(members) < 2:
-        return TwoSquaresWindow(y, members, 0, None)
-    gaps = np.diff(members)
-    k = int(np.argmax(gaps))
-    return TwoSquaresWindow(
-        y, members, int(gaps[k]), (int(members[k]), int(members[k + 1]))
-    )
+    return TwoSquaresWindow(y, members, *_largest_gap(chunks))
 
 
 def gap_scan(y_values) -> list[tuple[int, int, float]]:
     """Rows (Y, G(Y), G(Y) / Y^(1/4)); the ratio is a monitor, the
-    elementary bound's constant is not specified."""
+    elementary bound's constant is not specified.  No member array is
+    kept: each window is folded segment by segment."""
     out = []
     for y in y_values:
-        w = window(int(y))
-        out.append((int(y), w.max_gap, w.max_gap / int(y) ** 0.25))
+        g, _ = _largest_gap(_member_segments(int(y)))
+        out.append((int(y), g, g / int(y) ** 0.25))
     return out
 
 

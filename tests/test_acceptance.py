@@ -30,29 +30,29 @@ def big_shell():
 def test_criterion_01_pair_count_identity():
     """Exact A-formula membership and multiplicative bound to n = 500."""
     t0 = time.time()
-    pairs = 0
-    shells = 0
+    shells, counts = [], []
     for n in range(1, 501):
         if not arith.is_squarefree(n):
             continue
         tbl = lattice.pair_table(n)
         if tbl.empty:
             continue
-        shells += 1
-        dense = np.zeros(2 * n + 1, dtype=np.int64)  # count at t, index t + n
-        dense[tbl.t + n] = tbl.count
-        counts = dense.tolist()
-        for t in range(-(n - 1), n):
-            count = counts[t + n]
-            pairs += 1
-            assert count in (0, arith.pair_count_formula(n, t)), (n, t)
-            assert count <= 24 * arith.majorant_squarefree(n, n * n - t * t), (n, t)
+        shells.append(n)
+        dense = np.zeros(2 * n - 1, dtype=np.int64)  # count at t, index t + n - 1
+        dense[tbl.t[1:-1] + n - 1] = tbl.count[1:-1]
+        counts.append(dense)
+    formula = arith.pair_count_formula_table(shells)
+    count = np.concatenate(counts)
+    bad = np.flatnonzero((count != 0) & (count != formula.formula))
+    assert bad.size == 0, (formula.n[bad[0]], formula.t[bad[0]])
+    over = np.flatnonzero(count > 24 * formula.majorant)
+    assert over.size == 0, (formula.n[over[0]], formula.t[over[0]])
     elapsed = time.time() - t0
     assert elapsed < 300.0
     report(
         "AC1",
         True,
-        f"{pairs} (n,t) pairs over {shells} shells, zero mismatches, {elapsed:.1f}s",
+        f"{len(count)} (n,t) pairs over {len(shells)} shells, zero mismatches, {elapsed:.1f}s",
     )
 
 

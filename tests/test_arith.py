@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,48 @@ def fraction_local_density(n: int, t: int, p: int) -> Fraction:
     if a2 % 2 == 1:
         return head * (1 + s) + pf ** (a1 // 2) * geo
     return 2 * head + pf ** (a1 // 2) * geo
+
+
+def scalar_local_density(n: int, t: int, p: int) -> int:
+    """The local density one prime at a time, in Python ints.
+
+    Diagonalizes from the valuations of n, t and n^2 - t^2 (completing the
+    square when ord_p(n) <= ord_p(t), else u = U+V, v = U-V) and sums the
+    density's integer series; the characters come from the Kronecker
+    symbol, not the Euler criterion.
+    """
+    disc = n * n - t * t
+    if disc % p != 0:
+        return 1
+    a_total = arith.ord_p(disc, p)
+    v_n = arith.ord_p(n, p)
+    v_t = None if t == 0 else arith.ord_p(t, p)
+    if v_t is None or v_n <= v_t:
+        a1 = v_n
+        e1 = (n // p**v_n) % p
+        e2 = (disc // p**a_total) % p * pow(e1, p - 2, p) % p
+    else:
+        a1 = v_t
+        e1 = (n + t) // p ** arith.ord_p(n + t, p) * 2 % p
+        e2 = (n - t) // p ** arith.ord_p(n - t, p) * 2 % p
+    a2 = a_total - a1
+    assert a1 <= a2
+
+    def geometric(k):
+        return sum(p**j for j in range(k))
+
+    if a1 % 2 == 1:
+        s = arith.kronecker(-e1 * e2 if a2 % 2 == 1 else -e2, p)
+        return geometric((a1 + 1) // 2) * (1 + s)
+    s = arith.kronecker(-e1, p)
+    geo = sum(s**k for k in range(a2 - a1 + 1))
+    return geometric(a1 // 2) * (1 + s if a2 % 2 == 1 else 2) + p ** (a1 // 2) * geo
+
+
+def scalar_pair_formula(n: int, t: int) -> int:
+    """24 times scalar_local_density over the odd primes of n^2 - t^2."""
+    primes = {p for m in (n - t, n + t) for p, _ in arith.factorize(m).factors if p != 2}
+    return 24 * math.prod(scalar_local_density(n, t, p) for p in primes)
 
 
 def squarefull_gcd_part(n: int, t: int) -> int:
@@ -377,6 +420,138 @@ def test_shell_pair_values_match_public_functions(n):
     for t, formula, majorant in rows:
         assert formula == arith.pair_count_formula(n, t), (n, t)
         assert majorant == arith.majorant_squarefree(n, n * n - t * t), (n, t)
+
+
+def dense_counts(n: int) -> np.ndarray:
+    """Geometric pair counts at t = -(n-1) .. n-1 (0 where no pair)."""
+    tbl = lattice.pair_table(n)
+    dense = np.zeros(2 * n - 1, dtype=np.int64)
+    dense[tbl.t[1:-1] + n - 1] = tbl.count[1:-1]
+    return dense
+
+
+def assert_table_bounds_pair_counts(shells) -> None:
+    tbl = arith.pair_count_formula_table(shells)
+    counts = np.concatenate([dense_counts(n) for n in shells])
+    bad = np.flatnonzero((counts != 0) & (counts != tbl.formula))
+    assert bad.size == 0, (tbl.n[bad[0]], tbl.t[bad[0]], counts[bad[0]], tbl.formula[bad[0]])
+    over = np.flatnonzero(counts > 24 * tbl.majorant)
+    assert over.size == 0, (tbl.n[over[0]], tbl.t[over[0]])
+
+
+SQUAREFREE_SHELLS = st.integers(min_value=1, max_value=3000).filter(arith.is_squarefree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(SQUAREFREE_SHELLS, min_size=1, max_size=3))
+@example([1])
+@example([2011])  # prime, 3 mod 8
+@example([1001])  # 7 * 11 * 13, 1 mod 4
+@example([2, 6, 10, 2002])
+def test_formula_table_bounds_pair_tables(shells):
+    assert_table_bounds_pair_counts(shells)
+
+
+def test_formula_table_matches_pair_table_near_a_million():
+    # n = 1 000 003 is prime, 3 mod 8: every m = 1 .. 2n - 1 goes through
+    # the sieve, and the large-prime remainders dominate
+    n = 1_000_003
+    tbl = arith.pair_count_formula_table(n)
+    counts = dense_counts(n)
+    assert len(tbl.t) == len(counts) == 2 * n - 1
+    assert np.all((counts == 0) | (counts == tbl.formula))
+    assert np.all(counts <= 24 * tbl.majorant)
+    assert np.count_nonzero(counts) > 1000
+
+
+# shells up to 20 000 rich in odd prime powers
+RICH_SHELLS = sorted(
+    {
+        3**a * 5**b * 7**c * 11**d * m
+        for a in range(10) for b in range(7) for c in range(6) for d in range(5) for m in (1, 2, 4, 13)
+    }
+    - {1}
+    & set(range(20_001))
+)
+
+
+@st.composite
+def shell_rows(draw):
+    """(n, t) with n <= 20 000: n any, or rich in odd prime powers; t often
+    a multiple of a power of a prime of n."""
+    n = draw(st.integers(1, 20_000) | st.sampled_from(RICH_SHELLS))
+    t = draw(st.integers(min_value=-(n - 1), max_value=n - 1))
+    odd_n = [p for p, _ in arith.factorize(n).factors if p != 2]
+    if odd_n and draw(st.booleans()):
+        q = draw(st.sampled_from(odd_n)) ** draw(st.integers(1, 4))
+        t = (1 if t >= 0 else -1) * (abs(t) // q * q)
+    return n, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(shell_rows(), min_size=1, max_size=3))
+@example([(1, 0)])
+@example([(3**7, 3**5), (5, 0)])
+@example([(3**6 * 5, 3**6), (45, 15), (98, 49)])
+def test_formula_table_matches_scalar_oracle(rows):
+    shells = [n for n, _ in rows]
+    tbl = arith.pair_count_formula_table(shells)
+    start = np.cumsum([0] + [2 * n - 1 for n in shells])
+    for (n, t), lo in zip(rows, start.tolist()):
+        i = lo + t + n - 1
+        assert (tbl.n[i], tbl.t[i]) == (n, t)
+        expected = scalar_pair_formula(n, t)
+        assert tbl.formula[i] == expected == arith.pair_count_formula(n, t), (n, t)
+        assert tbl.majorant[i] == arith.majorant_general(1, n, n * n - t * t), (n, t)
+
+
+@st.composite
+def rows_past_spf_cap(draw):
+    n = draw(st.integers(min_value=1 << 26, max_value=1 << 40))
+    return n, draw(st.integers(min_value=-(n - 1), max_value=n - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows_past_spf_cap())
+@example((1 << 40, 1 << 39))
+@example((3**25, 2 * 3**24))  # ord_3(t) < ord_3(n): the u = U+V branch
+@example((3**25 * 2, 3**25))
+@example((10**12 + 39, 10**12 - 11))
+def test_scalar_formula_matches_oracle_past_spf_cap(row):
+    # n -+ t past the prime table: factorize falls back on trial division and rho
+    n, t = row
+    value = arith.pair_count_formula(n, t)
+    assert type(value) is int
+    assert value == scalar_pair_formula(n, t), row
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6), st.integers(4, 2000))
+def test_formula_table_independent_of_grid_blocks(shells, cells):
+    expected = arith.pair_count_formula_table(shells)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_TABLE_CELLS", cells)
+        mp.setattr(arith, "_LEGENDRE_CELLS", 1 + cells // 100)
+        got = arith.pair_count_formula_table(shells)
+    for a, b in zip((got.n, got.t, got.formula, got.majorant), (expected.n, expected.t, expected.formula, expected.majorant)):
+        assert np.array_equal(a, b)
+    # the groups tile the shells in order, and a grid of several shells
+    # stays within the cell budget
+    lengths = 2 * np.array(shells) - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_TABLE_CELLS", cells)
+        groups = list(arith._grid_groups(lengths))
+    assert [g.start for g in groups] == [0] + [g.stop for g in groups[:-1]]
+    assert groups[-1].stop == len(shells)
+    for g in groups:
+        assert g.stop - g.start == 1 or (g.stop - g.start) * lengths[g].max() <= cells
+
+
+def test_formula_table_domain():
+    assert len(arith.pair_count_formula_table([]).t) == 0
+    for bad in (0, -3, arith.MAX_TABLE_SHELL + 1):
+        with pytest.raises(DomainError):
+            arith.pair_count_formula_table([5, bad])
 
 
 def test_shell_pair_values_rejects_non_squarefree():

@@ -127,6 +127,40 @@ def test_discrepancy_refuses_degrees_past_max(capsys):
     assert "2000" in capsys.readouterr().err
 
 
+def test_variance_refuses_shell_degrees_past_cap(capsys):
+    import time
+
+    from threesq.harmonics import MAX_SHELL_DEGREE
+
+    start = time.perf_counter()
+    assert main(["variance", "--n", "5", "--sigma", "0.1", "--m-max", str(MAX_SHELL_DEGREE + 1)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert str(MAX_SHELL_DEGREE) in capsys.readouterr().err
+
+
+def test_verify_arith_refuses_over_budget_before_building(capsys, monkeypatch):
+    import tracemalloc
+
+    from threesq import arith, cli, lattice
+
+    def forbidden(*args):
+        raise AssertionError("built before the budget check")
+
+    monkeypatch.setattr(lattice, "pair_table", forbidden)
+    monkeypatch.setattr(arith, "pair_count_formula_table", forbidden)
+    edge = max(x for x in range(1, 5000) if cli._verify_arith_work(x) <= cli.VERIFY_ARITH_BUDGET)
+    assert cli._verify_arith_work(edge + 1) > cli.VERIFY_ARITH_BUDGET
+    tracemalloc.start()
+    try:
+        for n_max in (edge + 1, 10**6, 10**40):
+            assert main(["verify-arith", "--n-max", str(n_max)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "budget" in capsys.readouterr().err
+
+
 def test_bad_usage_exit_two():
     code, _, _ = run_cli(["ripley", "--n", "5"])  # missing --r
     assert code == 2

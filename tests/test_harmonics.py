@@ -283,8 +283,21 @@ def test_float_route_refuses_degrees_past_max_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16  # the order sums alone would take 32 MB
-    # a whole shell reads the pair table, with no degree limit
+    # a whole shell reads the pair table, up to MAX_SHELL_DEGREE
     assert harmonics.variance_series(5, spec, harmonics.MAX_DEGREE + 1).value > 0
+
+
+def test_shell_route_refuses_degrees_past_cap_before_allocating():
+    spec = spatial.AnnulusSpec.cap_of_area(0.1)
+    tracemalloc.start()
+    try:
+        for m_max in (harmonics.MAX_SHELL_DEGREE + 1, 10**8):
+            with pytest.raises(DomainError):
+                harmonics.variance_series(5, spec, m_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # ------------------------------------------------------ pair-table routes

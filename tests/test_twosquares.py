@@ -115,6 +115,36 @@ def test_window_independent_of_segment_size(y, half):
     assert got.argmax_pair == expected.argmax_pair
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=20_000), st.integers(min_value=0, max_value=60))
+def test_gap_scan_carries_across_segments(y, half):
+    # largest gap of the whole member array, against the scan folding
+    # segments of 2 * half + 1 integers (most of them empty at half = 0)
+    members = ts.window(y).members
+    gaps = np.diff(members)
+    expected = int(gaps.max()) if gaps.size else 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ts, "_SEGMENT", 2 * half + 1)
+        (row,) = ts.gap_scan([y])
+    assert row[:2] == (y, expected)
+
+
+def test_gap_scan_keeps_no_member_array():
+    import tracemalloc
+
+    y = 1 << 20  # 214 197 members, 1.7 MB as int64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ts, "_SEGMENT", 1 << 14)
+        tracemalloc.start()
+        try:
+            (row,) = ts.gap_scan([y])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert row[1] == ts.window(y).max_gap
+    assert peak < 1 << 19
+
+
 def test_gap_scan_rows():
     rows = ts.gap_scan([9, 1000])
     assert rows[0] == (9, 3, pytest.approx(3 / 9**0.25))
