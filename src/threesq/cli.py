@@ -16,6 +16,7 @@ binomial baseline both report build their fields in one function each.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -379,6 +380,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="threesq",

@@ -83,6 +83,21 @@ def test_criterion_02_gauss_dirichlet_closure():
     )
 
 
+@pytest.mark.parametrize("n", [1_000_000_003, 1_000_000_001])
+def test_criterion_02_closure_near_1e9(n):
+    """Enumeration = class number = L-value at squarefree n near 1e9.
+
+    1e9+3 = 23 * 307 * 141623 is 3 (mod 8), so N = 24 h(-n); 1e9+1 =
+    7 * 11 * 13 * 19 * 52579 is 1 (mod 4), so N = 12 h(-4n).
+    """
+    t0 = time.time()
+    N = lattice.enumerate_points(n).size
+    assert arith.gauss_count(n) == N
+    gap = abs(arith.dirichlet_l_one(n, 1e-12) - arith.class_number_l_value(n))
+    assert gap <= 1e-11
+    report("AC2", True, f"n = {n}: N = {N} from all three paths, L-gap {gap:.1e}, {time.time() - t0:.1f}s")
+
+
 def test_criterion_03_ripley_dual_path():
     """Geometric pair counting equals the inner-product band sum, exactly."""
     pts5 = spatial.unit_shell(5)

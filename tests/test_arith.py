@@ -256,16 +256,119 @@ def test_kronecker_multiplicative_in_top(d1, d2, half):
 
 # ------------------------------------------------------------ class numbers
 
+def reduced_forms(d: int) -> list[tuple[int, int, int]]:
+    """Reduced primitive forms of discriminant d < 0 by a double loop over b, a.
+
+    Linear in |d|: the O(sqrt|d|) root count in arith.class_number is
+    checked against it.
+    """
+    forms = []
+    b = abs(d) % 2
+    while 3 * b * b <= -d:
+        m = (b * b - d) // 4
+        for a in range(max(b, 1), math.isqrt(m) + 1):
+            if m % a:
+                continue
+            c = m // a
+            if math.gcd(math.gcd(a, b), c) != 1:
+                continue
+            forms.append((a, b, c))
+            if not (b == 0 or b == a or a == c):
+                forms.append((a, -b, c))
+        b += 2
+    return forms
+
+
+def fundamental_discriminant(kind: int, m: int) -> int:
+    """A candidate d < 0 with |d| <= 8m + 8 in one of the four fundamental classes.
+
+    kind 0: d = 1 (mod 8); 1: d = 5 (mod 8); 2: d/4 = 2 (mod 4);
+    3: d/4 = 3 (mod 4).  Squarefreeness is left to the caller.
+    """
+    if kind == 0:
+        return -(8 * m + 7)
+    if kind == 1:
+        return -(8 * m + 3)
+    return -4 * (4 * (m // 2) + (2 if kind == 2 else 1))
+
+
+PINNED_CLASS_NUMBERS = {-3: 1, -4: 1, -7: 1, -8: 1, -11: 1, -15: 2, -20: 2, -23: 3, -24: 2, -163: 1}
+
+
 def test_class_number_pinned():
     # hand enumeration of reduced forms:
     #  d=-4: (1,0,1); d=-20: (1,0,5),(2,2,3); d=-23: (1,1,6),(2,+-1,3)
-    assert arith.class_number(-4) == 1
-    assert arith.class_number(-20) == 2
-    assert arith.class_number(-23) == 3
-    assert arith.class_number(-3) == 1
-    assert arith.class_number(-11) == 1
-    assert arith.class_number(-24) == 2
-    assert arith.class_number(-163) == 1
+    for d, h in PINNED_CLASS_NUMBERS.items():
+        assert arith.class_number(d) == h == len(reduced_forms(d)), d
+    # the boundary rules: (2,1,2) has a = c, and (2,2,3) has |b| = a
+    assert reduced_forms(-15) == [(1, 1, 4), (2, 1, 2)]
+    assert reduced_forms(-20) == [(1, 0, 5), (2, 2, 3)]
+
+
+def test_sqrt_mod_prime_matches_squares():
+    # primes through 257 = 2^8 + 1 reach every Tonelli-Shanks depth up to 8
+    for p in arith._primes.primes_up_to(260).tolist()[1:]:
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, p):
+            x = arith._sqrt_mod_prime(a, p)
+            assert (x is None) == (a % p not in squares), (a, p)
+            assert x is None or x * x % p == a % p
+
+
+def test_class_number_matches_form_loop_exhaustively():
+    for d in range(-3, -5001, -1):
+        if arith._is_fundamental(d):
+            assert arith.class_number(d) == len(reduced_forms(d)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=10**6 // 8 - 1))
+@example(0, 124_998)  # d = -999991
+@example(1, 124_999)  # d = -999995
+@example(2, 124_997)  # d = -999976
+@example(3, 124_999)  # d = -999988
+def test_class_number_matches_form_loop(kind, m):
+    d = fundamental_discriminant(kind, m)
+    assume(arith._is_fundamental(d))
+    assert -d <= 10**6
+    assert arith.class_number(d) == len(reduced_forms(d))
+
+
+def test_class_number_reads_no_character(monkeypatch):
+    # the form count and the L-value are compared as two paths, so the count
+    # must work with every character routine of the L-value gone
+    def broken(*args):
+        raise AssertionError("class_number read a character")
+
+    for name in ("_chi_table", "_chi_prime", "kronecker", "_legendre"):
+        monkeypatch.setattr(arith, name, broken)
+    arith.class_number.cache_clear()
+    # both values agree with the form loop; 16416 also with 2 pi h / (w sqrt q)
+    assert arith.class_number(-4 * (10**8 + 1)) == 16416
+    assert arith.class_number(-(10**8 + 7)) == 7253
+
+
+def test_class_number_refuses_past_cap_before_allocating():
+    import tracemalloc
+
+    d = -(arith.MAX_CLASS_NUMBER_DISC + 3)  # = 1 (mod 4)
+    assert d % 4 == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="cap"):
+            arith.class_number(d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_class_number_cache_is_bounded_and_shared_with_gauss_count():
+    assert arith.class_number.cache_info().maxsize is not None
+    arith.class_number(-20)
+    hits = arith.class_number.cache_info().hits
+    assert arith.gauss_count(5) == 24
+    assert arith.class_number.cache_info().hits == hits + 1
 
 
 def test_class_number_rejects_bad_inputs():

@@ -177,6 +177,34 @@ def test_byte_identical_reruns():
         assert out1 == out2
 
 
+def test_cached_parser_matches_fresh_parser(capsys, monkeypatch):
+    from threesq import cli
+
+    argsets = [
+        ["ripley", "--n", "5", "--r", "0.7746"],
+        ["pairs", "--n", "6"],
+        ["ripley", "--n", "5"],  # missing --r: fails to parse
+        ["variance", "--n", "5", "--sigma", "0.3", "--samples", "400", "--seed", "11", "--m-max", "30"],
+        ["ripley", "--n", "6", "--r", "0.5", "--geodesic"],
+        ["twosq-probe", "--m", "50", "--h", "4"],
+        ["pairs", "--n", "6"],
+    ]
+
+    def run_all():
+        results = []
+        for args in argsets:
+            code = main(args)
+            out = capsys.readouterr()
+            results.append((code, out.out, out.err))
+        return results
+
+    cached = run_all()
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_all() == cached
+
+
 def test_output_file(tmp_path):
     target = tmp_path / "out.json"
     assert main(["energy", "--n", "5", "--out", str(target)]) == 0
