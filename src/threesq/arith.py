@@ -485,7 +485,8 @@ def dirichlet_l_one(n: int, target_error: float) -> float:
     chi = _chi_table(d, hi)
     x = np.arange(1, hi + 1) * delta
     terms = erfc(x) + np.exp(-x * x) / (math.sqrt(math.pi) * x)
-    return math.pi / math.sqrt(q) * float(np.dot(chi[1:], terms))
+    # einsum, not BLAS: a threaded ddot would tie the digits to the thread count
+    return math.pi / math.sqrt(q) * float(np.einsum("i,i->", chi[1:], terms))
 
 
 def class_number_l_value(n: int) -> float:

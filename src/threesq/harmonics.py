@@ -119,7 +119,9 @@ def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
         tbl = pair_table(pts.source_n)
         c = tbl.count.astype(np.float64)
         x = tbl.t / float(tbl.n)
-        return np.fromiter((c @ p for p in _legendre_seq(m_max, x)), np.float64, m_max + 1)
+        # einsum, not BLAS: a threaded ddot would tie the digits to the thread count
+        sums = (np.einsum("i,i->", c, p) for p in _legendre_seq(m_max, x))
+        return np.fromiter(sums, np.float64, m_max + 1)
     if m_max > MAX_DEGREE:
         raise DomainError(f"m_max must be at most {MAX_DEGREE} for a set that is not a whole shell")
     W, start = _harmonic_sums(pts.points, m_max)

@@ -1,11 +1,13 @@
 """Integer points on the sphere x1^2 + x2^2 + x3^2 = n.
 
-Enumeration runs over canonical triples 0 <= x1 <= x2 <= x3 and expands
-through the 48-element group of signed permutations, a 48-fold saving
-over the naive triple loop.  Perfect-square tests always go through an
-exact int64 comparison (a float square root is only a first guess).
-Shells past _FLOAT_SAFE = 2^50 are refused: their enumeration would take
-weeks, and below it every float dot product of two points is exact.
+Enumeration solves a^2 + b^2 = n - x1^2 for canonical triples
+0 <= x1 <= a <= b, one row per x1, and expands them through the 48-element
+group of signed permutations, a 48-fold saving over the naive triple loop.
+Near-pole scans solve x1^2 + x2^2 = m^2 - x3^2, one row per x3, and expand
+through the 8 elements that fix x3.  Both share one exact perfect-square
+test (`_two_squares`) and one group table.  Shells past _FLOAT_SAFE = 2^50
+are refused: their enumeration would take weeks, and below it every float
+dot product of two points is exact.
 
 The same group drives the pair statistics.  Every function of x.y over a
 whole shell is read from the exact inner-product histogram (`pair_table`),
@@ -32,6 +34,13 @@ from .errors import DomainError, InvariantError
 
 _FLOAT_SAFE = 1 << 50  # below this, float dot products of points are exact
 _GRAM_ENTRIES = 1 << 23  # entries per row block of the Gram kernel
+_CANDIDATES = 1 << 14  # values of a per _two_squares call: 128 KB int64 arrays
+_MAX_POLE_RADIUS = 1 << 31  # near-pole scans stay in int64 up to here
+
+# The 48 signed permutations x -> sign * x[perm]; _FIX_X3 marks the 8 fixing x3
+_PERM = np.repeat(list(itertools.permutations(range(3))), 8, axis=0)
+_SIGN = np.tile(list(itertools.product((1, -1), repeat=3)), (6, 1))
+_FIX_X3 = (_PERM[:, 2] == 2) & (_SIGN[:, 2] == 1)
 
 
 def three_squares_representable(n: int) -> bool:
@@ -57,6 +66,14 @@ class LatticeSet:
     @property
     def size(self) -> int:
         return len(self.points)
+
+    @classmethod
+    def of(cls, n: int, points: np.ndarray) -> LatticeSet:
+        """The set of sorted `points`, frozen, with its primitive flags."""
+        prim = np.gcd.reduce(np.abs(points), axis=1) == 1
+        for arr in (points, prim):
+            arr.setflags(write=False)
+        return cls(n, points, prim)
 
 
 @dataclass(eq=False)
@@ -104,23 +121,38 @@ class ShellOrbits:
     index: np.ndarray  # (N,) orbit of each point
 
 
-def _canonical_triples(n: int) -> list[tuple[int, int, int]]:
-    out = []
-    for x1 in range(math.isqrt(n) + 1):
-        r1 = n - x1 * x1
-        if r1 < 2 * x1 * x1:
-            break
-        hi = math.isqrt(r1 // 2)
-        xs = np.arange(x1, hi + 1, dtype=np.int64)
-        r2 = r1 - xs * xs
-        s = np.sqrt(r2.astype(np.float64)).astype(np.int64)
-        s = np.where((s + 1) * (s + 1) <= r2, s + 1, s)
-        s = np.where(s * s > r2, s - 1, s)
-        ok = s * s == r2
-        out.extend(
-            (x1, int(a), int(b)) for a, b in zip(xs[ok].tolist(), s[ok].tolist())
-        )
-    return out
+def _two_squares(r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b >= 0) with a^2 + b^2 = r and lo <= a < hi, as int64 arrays.
+
+    The one perfect-square test: b is the rounded float root of r - a^2,
+    kept when b^2 == r - a^2 in int64.  Exact for r <= 2^62: every square
+    fits, and the float root of k^2, k <= 2^31, lies within k 2^-52 of k."""
+    a = np.arange(lo, hi, dtype=np.int64)
+    rem = r - a * a
+    b = np.rint(np.sqrt(rem)).astype(np.int64)
+    k = np.flatnonzero(b * b == rem)
+    return a[k], b[k]
+
+
+def _solve_rows(fixed: np.ndarray, r: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Rows (f, a, b) with a^2 + b^2 = r and lo <= a <= b, for each entry
+    (f, r, lo); long rows go in chunks of _CANDIDATES values of a."""
+    keys, sols = [], []
+    for f, ri, li in zip(fixed.tolist(), r.tolist(), lo.tolist()):
+        hi = math.isqrt(ri // 2) + 1
+        for a0 in range(li, hi, _CANDIDATES):
+            keys.append(f)
+            sols.append(_two_squares(ri, a0, min(a0 + _CANDIDATES, hi)))
+    f = np.repeat(keys, [len(a) for a, _ in sols])
+    return np.column_stack((f, *(np.concatenate(c) for c in zip(*sols))))
+
+
+def _images(rows: np.ndarray, group=slice(None)) -> np.ndarray:
+    """Every image of `rows` under the signed permutations _PERM[group],
+    _SIGN[group], lexicographically sorted, each point once."""
+    X = (rows[:, _PERM[group]] * _SIGN[group]).reshape(-1, 3)
+    X = X[np.lexsort(X.T[::-1])]
+    return np.concatenate((X[:1], X[1:][(X[1:] != X[:-1]).any(axis=1)]))
 
 
 @lru_cache(maxsize=64)
@@ -134,22 +166,11 @@ def enumerate_points(n: int) -> LatticeSet:
         raise DomainError("n must be a positive integer")
     if n > _FLOAT_SAFE:
         raise DomainError(f"n = {n} exceeds 2^50, past which shells are not enumerated")
-    pts: list[tuple[int, int, int]] = []
-    for tri in _canonical_triples(n):
-        for perm in set(itertools.permutations(tri)):
-            signs = [(v, -v) if v else (0,) for v in perm]
-            pts.extend(itertools.product(*signs))
-    pts.sort()
-    arr = np.array(pts, dtype=np.int64).reshape(len(pts), 3)
-    if len(pts):
-        prim = np.gcd.reduce(np.abs(arr), axis=1) == 1
-    else:
-        prim = np.zeros(0, dtype=bool)
-    if bool(len(pts)) != three_squares_representable(n):
+    x1 = np.arange(math.isqrt(n // 3) + 1, dtype=np.int64)
+    ls = LatticeSet.of(n, _images(_solve_rows(x1, n - x1 * x1, x1)))
+    if bool(ls.size) != three_squares_representable(n):
         raise InvariantError(f"enumeration of n={n} contradicts the 4^a(8b+7) test")
-    arr.setflags(write=False)
-    prim.setflags(write=False)
-    return LatticeSet(n, arr, prim)
+    return ls
 
 
 def shell_orbits(P: np.ndarray) -> ShellOrbits:
@@ -259,60 +280,41 @@ def pairs_in_band(n: int, a, b) -> int:
 
 
 def points_near_pole(m: int, height: int) -> np.ndarray:
-    """All x with |x|^2 = m^2 and m - x3 <= height.
+    """All x with |x|^2 = m^2 and m - x3 <= height, lexicographically sorted.
 
     Scans x3 downward from the pole and solves x1^2 + x2^2 = m^2 - x3^2
-    directly, avoiding enumeration of the whole sphere.
+    directly, avoiding enumeration of the whole sphere.  Radii past 2^31,
+    where m^2 would leave int64, are refused.
     """
     if m < 1:
         raise DomainError("m must be positive")
+    if m > _MAX_POLE_RADIUS:
+        raise DomainError(f"m = {m} exceeds 2^31, past which near-pole scans leave int64")
     if not 0 <= height < 2 * m:
         raise DomainError("need 0 <= height < 2m")
-    pts: list[tuple[int, int, int]] = []
-    for x3 in range(m, m - height - 1, -1):
-        r = m * m - x3 * x3
-        planar: set[tuple[int, int]] = set()
-        for a in range(math.isqrt(r) + 1):
-            rem = r - a * a
-            b = math.isqrt(rem)
-            if b * b == rem:
-                planar.update({(a, b), (a, -b), (-a, b), (-a, -b), (b, a), (b, -a), (-b, a), (-b, -a)})
-        pts.extend((u, v, x3) for u, v in planar)
-    pts.sort()
-    arr = np.array(pts, dtype=np.int64).reshape(len(pts), 3)
-    if len(pts) and not np.all((arr.astype(object) ** 2).sum(axis=1) == m * m):
+    x3 = np.arange(m, m - height - 1, -1, dtype=np.int64)
+    rows = _solve_rows(x3, m * m - x3 * x3, np.zeros_like(x3))
+    pts = _images(rows[:, [1, 2, 0]], _FIX_X3)
+    if not np.all(np.einsum("ij,ij->i", pts, pts) == m * m):
         raise InvariantError("near-pole point off the sphere")
-    return arr
+    return pts
 
 
 def save_points(ls: LatticeSet, fh) -> None:
     """Text format: header '# n=<n> N=<N>' then one 'x1 x2 x3' per line."""
     fh.write(f"# n={ls.n} N={ls.size}\n")
-    for x1, x2, x3 in ls.points.tolist():
-        fh.write(f"{x1} {x2} {x3}\n")
+    fh.write(("%d %d %d\n" * ls.size) % tuple(ls.points.ravel().tolist()))
 
 
 def load_points(fh) -> LatticeSet:
     header = fh.readline().strip()
     if not header.startswith("# n="):
         raise DomainError("missing point-set header")
-    head, count = header[2:].split()
-    n = int(head.split("=")[1])
-    declared = int(count.split("=")[1])
-    pts = []
-    for line in fh:
-        line = line.strip()
-        if line:
-            pts.append(tuple(int(v) for v in line.split()))
-    if len(pts) != declared:
+    n, declared = (int(field.split("=")[1]) for field in header[2:].split())
+    arr = np.array(fh.read().split(), dtype=np.int64).reshape(-1, 3)
+    if len(arr) != declared:
         raise DomainError("point count does not match header")
-    arr = np.array(sorted(pts), dtype=np.int64).reshape(len(pts), 3)
-    if len(pts) and not np.all((arr * arr).sum(axis=1) == n):
+    arr = arr[np.lexsort(arr.T[::-1])]
+    if not np.all((arr * arr).sum(axis=1) == n):
         raise InvariantError("loaded point off the sphere")
-    prim = (
-        np.gcd.reduce(np.abs(arr), axis=1) == 1
-        if len(pts)
-        else np.zeros(0, dtype=bool)
-    )
-    return LatticeSet(n, arr, prim)
-
+    return LatticeSet.of(n, arr)

@@ -236,17 +236,7 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
     The uniform baseline is uniform_energy_integral(s) * N^2.  Duplicate
     points raise DuplicatePointError naming the offending indices.
     """
-    if not 0 < s < 2:
-        raise DomainError("s must lie in (0, 2)")
-    if pts.size < 2:
-        raise DomainError("need at least two points")
-    if _is_whole_shell(pts):
-        return _table_energy(pts.source_n, s)
-    parts = []
-    for i0, d2, w in _distance_blocks(pts.points):
-        _check_duplicates(i0, d2)
-        parts.append(float((d2 ** (-s / 2.0) @ w).sum()))
-    return math.fsum(parts)
+    return _riesz_sum(pts, s)
 
 
 def truncated_energy(pts: UnitPointSet, s: float, rho: float) -> float:
@@ -257,19 +247,27 @@ def truncated_energy(pts: UnitPointSet, s: float, rho: float) -> float:
     """
     if not 0 < rho <= 0.5:
         raise DomainError("rho must lie in (0, 1/2]")
+    return _riesz_sum(pts, s, rho)
+
+
+def _riesz_sum(pts: UnitPointSet, s: float, rho: float | None = None) -> float:
+    """Both energies: the plain sum, or capped at n^(s*rho) if rho is given."""
     if not 0 < s < 2:
         raise DomainError("s must lie in (0, 2)")
-    if pts.source_n is None:
+    if rho is not None and pts.source_n is None:
         raise DomainError("truncated potential needs a lattice source n")
     if pts.size < 2:
         raise DomainError("need at least two points")
-    cap = float(pts.source_n) ** (s * rho)
+    cap = None if rho is None else float(pts.source_n) ** (s * rho)
     if _is_whole_shell(pts):
         return _table_energy(pts.source_n, s, cap)
     parts = []
     for i0, d2, w in _distance_blocks(pts.points):
         _check_duplicates(i0, d2)
-        parts.append(float((np.minimum(d2 ** (-s / 2.0), cap) @ w).sum()))
+        terms = d2 ** (-s / 2.0)
+        if cap is not None:
+            np.minimum(terms, cap, out=terms)
+        parts.append(float((terms @ w).sum()))
     return math.fsum(parts)
 
 

@@ -151,15 +151,11 @@ def gap_probe(m: int, height: int) -> ProbeResult:
     is checked against that distance.
     """
     pts = points_near_pole(m, height)
-    best: int | None = None
-    for x1, x2, x3 in pts.tolist():
-        if x3 == m:
-            continue
-        if x1 * x1 + x2 * x2 != (m - x3) * (m + x3):
-            raise InvariantError("near-pole point fails the factorization identity")
-        if is_sum_two_squares(m + x3):
-            if best is None or x3 > best:
-                best = x3
+    x1, x2, x3 = pts.T
+    if np.any(x1 * x1 + x2 * x2 != (m - x3) * (m + x3)):
+        raise InvariantError("near-pole point fails the factorization identity")
+    below = np.unique(x3[x3 < m])[::-1].tolist()
+    best = next((z for z in below if is_sum_two_squares(m + z)), None)
     dist = 0
     while not (is_sum_two_squares(2 * m - dist) or is_sum_two_squares(2 * m + dist)):
         dist += 1

@@ -438,6 +438,25 @@ def test_l_value_keeps_prime_table_small():
     assert out.stdout.strip() == "65536"
 
 
+def test_l_value_independent_of_blas_threads():
+    # chi . terms has about 2.7 sqrt(q) = 85 000 entries at n = 1e9+3,
+    # long enough for OpenBLAS to thread a dot product
+    code = "from threesq import arith\nprint(repr(arith.dirichlet_l_one(10**9 + 3, 1e-10)))\n"
+    src = os.path.dirname(os.path.dirname(threesq.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        outs.append(out.stdout)
+    assert outs[0] == outs[1] != ""
+
+
 def test_l_value_rejects_7_mod_8():
     with pytest.raises(DomainError):
         arith.dirichlet_l_one(7, 1e-8)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -8,9 +9,13 @@ import pytest
 from threesq.cli import build_parser, dumps_canonical, load_schema, main
 
 
-def run_cli(args):
+def run_cli(args, env=None):
+    """Run the CLI in a fresh process; `env` entries override the environment."""
     proc = subprocess.run(
-        [sys.executable, "-m", "threesq.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "threesq.cli", *args],
+        capture_output=True,
+        text=True,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -118,6 +123,15 @@ def test_enumerate_refuses_shells_past_float_safe(capsys):
     assert "2^50" in capsys.readouterr().err
 
 
+def test_twosq_probe_refuses_radii_past_2_31(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert main(["twosq-probe", "--m", str((1 << 31) + 1), "--h", "14"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "2^31" in capsys.readouterr().err
+
+
 def test_discrepancy_refuses_degrees_past_max(capsys):
     import time
 
@@ -167,14 +181,18 @@ def test_bad_usage_exit_two():
 
 
 def test_byte_identical_reruns():
+    # the whole-shell series of n = 100057 has a pair table long enough
+    # for OpenBLAS to thread a dot product; its digits must not follow
+    # the thread count
     for args in (
         ["variance", "--n", "5", "--sigma", "0.3", "--samples", "400", "--seed", "11", "--m-max", "30"],
         ["baseline", "--stat", "spacing", "--N", "300", "--seed", "9"],
         ["discrepancy", "--n", "101", "--m-max", "20", "--estimate", "--centers", "1000", "--seed", "3"],
+        ["variance", "--n", "100057", "--sigma", "0.01", "--m-max", "16"],
     ):
-        _, out1, _ = run_cli(args)
-        _, out2, _ = run_cli(args)
-        assert out1 == out2
+        _, out1, _ = run_cli(args, {"OPENBLAS_NUM_THREADS": "1"})
+        _, out2, _ = run_cli(args, {"OPENBLAS_NUM_THREADS": "2"})
+        assert out1 and out1 == out2
 
 
 def test_cached_parser_matches_fresh_parser(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +31,36 @@ def brute_enumerate(n):
                 if z:
                     pts.append((x, y, -z))
     return [list(p) for p in sorted(pts)]
+
+
+def scalar_enumerate(n):
+    """Canonical triples x1 <= x2 <= x3 by a scalar isqrt loop, expanded
+    by itertools signed permutations and a sort of tuples."""
+    pts = []
+    for x1 in range(math.isqrt(n // 3) + 1):
+        for x2 in range(x1, math.isqrt((n - x1 * x1) // 2) + 1):
+            rem = n - x1 * x1 - x2 * x2
+            x3 = math.isqrt(rem)
+            if x3 * x3 != rem:
+                continue
+            for perm in set(itertools.permutations((x1, x2, x3))):
+                pts.extend(itertools.product(*[(v, -v) if v else (0,) for v in perm]))
+    return sorted(pts)
+
+
+def scalar_near_pole(m, height):
+    """Near-pole points by a scalar isqrt loop over every a and a set of
+    the eight planar images of each solution."""
+    pts = []
+    for x3 in range(m, m - height - 1, -1):
+        r = m * m - x3 * x3
+        planar = set()
+        for a in range(math.isqrt(r) + 1):
+            b = math.isqrt(r - a * a)
+            if b * b == r - a * a:
+                planar.update({(a, b), (a, -b), (-a, b), (-a, -b), (b, a), (b, -a), (-b, a), (-b, -a)})
+        pts.extend((u, v, x3) for u, v in planar)
+    return sorted(pts)
 
 
 def convolution_counts(limit):
@@ -77,6 +109,52 @@ def test_primitive_flags():
     assert e4.size == 6 and not e4.primitive.any()  # all (0,0,+-2) type
     e5 = lattice.enumerate_points(5)
     assert e5.primitive.all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=200_000))
+@example(7)  # empty shells
+@example(28)
+@example(1)  # zero coordinates
+@example(2)
+@example(3)  # equal coordinates
+@example(25)
+def test_enumerate_matches_scalar_oracle(n):
+    ls = lattice.enumerate_points(n)
+    expect = scalar_enumerate(n)
+    assert ls.points.dtype == np.int64 and ls.points.shape == (len(expect), 3)
+    assert list(map(tuple, ls.points.tolist())) == expect
+    assert ls.primitive.tolist() == [math.gcd(*p) == 1 for p in expect]
+
+
+def test_long_rows_are_solved_in_chunks(monkeypatch):
+    monkeypatch.setattr(lattice, "_CANDIDATES", 3)
+    for n in (1, 3, 25, 425, 10_001, 100_057):
+        got = lattice.enumerate_points.__wrapped__(n).points.tolist()
+        assert list(map(tuple, got)) == scalar_enumerate(n), n
+    assert list(map(tuple, lattice.points_near_pole(1000, 40).tolist())) == scalar_near_pole(1000, 40)
+
+
+@st.composite
+def two_square_sums(draw):
+    """(a, b) with a <= b and a^2 + b^2 <= 2^62, the range of near-pole scans."""
+    b = draw(st.integers(min_value=0, max_value=1 << 31))
+    return draw(st.integers(min_value=0, max_value=min(b, math.isqrt((1 << 62) - b * b)))), b
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_square_sums())
+@example((0, 1 << 31))
+@example((1 << 30, 1 << 30))
+@example((0, 0))
+def test_two_squares_exact_up_to_2_62(ab):
+    # the window of a around a known solution, against a scalar isqrt loop
+    a, b = ab
+    r = a * a + b * b
+    lo, hi = max(0, a - 3), min(a + 4, math.isqrt(r // 2) + 1)
+    got = list(zip(*(v.tolist() for v in lattice._two_squares(r, lo, hi))))
+    expect = [(u, math.isqrt(r - u * u)) for u in range(lo, hi) if math.isqrt(r - u * u) ** 2 == r - u * u]
+    assert (a, b) in got and got == expect
 
 
 def test_enumerate_rejects_nonpositive():
@@ -266,6 +344,42 @@ def test_points_near_pole_on_sphere():
 def test_points_near_pole_rejects_big_height():
     with pytest.raises(DomainError):
         lattice.points_near_pole(5, 10)
+
+
+@st.composite
+def pole_caps(draw):
+    m = draw(st.integers(min_value=1, max_value=100_000))
+    return m, draw(st.integers(min_value=0, max_value=min(2 * m, 30) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pole_caps())
+@example((1, 0))
+@example((1, 1))
+@example((2, 3))
+@example((5, 0))
+@example((5, 9))
+def test_points_near_pole_matches_scalar_oracle(cap):
+    m, h = cap
+    pts = lattice.points_near_pole(m, h)
+    assert pts.dtype == np.int64
+    assert list(map(tuple, pts.tolist())) == scalar_near_pole(m, h)
+
+
+def test_points_near_pole_at_the_int64_limit():
+    m = 1 << 31
+    assert list(map(tuple, lattice.points_near_pole(m, 2).tolist())) == scalar_near_pole(m, 2)
+
+
+def test_points_near_pole_refuses_past_2_31_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="2\\^31"):
+            lattice.points_near_pole((1 << 31) + 1, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # ------------------------------------------------------------- serialization
