@@ -36,6 +36,9 @@ _FLOAT_SAFE = 1 << 50  # below this, float dot products of points are exact
 _GRAM_ENTRIES = 1 << 23  # entries per row block of the Gram kernel
 _CANDIDATES = 1 << 14  # values of a per _two_squares call: 128 KB int64 arrays
 _MAX_POLE_RADIUS = 1 << 31  # near-pole scans stay in int64 up to here
+# values of a one near-pole scan may test (see _pole_candidates): about 10 s
+# at 1.1-1.5 ns per candidate on a 2-vCPU AMD EPYC
+MAX_POLE_CANDIDATES = 6 * 10**9
 
 # The 48 signed permutations x -> sign * x[perm]; _FIX_X3 marks the 8 fixing x3
 _PERM = np.repeat(list(itertools.permutations(range(3))), 8, axis=0)
@@ -279,12 +282,22 @@ def pairs_in_band(n: int, a, b) -> int:
     return int(tbl.count[i:j].sum())
 
 
+def _pole_candidates(m: int, height: int) -> int:
+    """Upper bound on the values of a that `points_near_pole` tests.
+
+    Each of the height + 1 rows has r = (m - x3)(m + x3) <= 2 m height and
+    tests a <= isqrt(r / 2) <= isqrt(m height).
+    """
+    return (height + 1) * (math.isqrt(height * m) + 1)
+
+
 def points_near_pole(m: int, height: int) -> np.ndarray:
     """All x with |x|^2 = m^2 and m - x3 <= height, lexicographically sorted.
 
     Scans x3 downward from the pole and solves x1^2 + x2^2 = m^2 - x3^2
     directly, avoiding enumeration of the whole sphere.  Radii past 2^31,
-    where m^2 would leave int64, are refused.
+    where m^2 would leave int64, are refused, and so is a scan whose
+    candidate bound passes MAX_POLE_CANDIDATES (about 10 s of work).
     """
     if m < 1:
         raise DomainError("m must be positive")
@@ -292,6 +305,11 @@ def points_near_pole(m: int, height: int) -> np.ndarray:
         raise DomainError(f"m = {m} exceeds 2^31, past which near-pole scans leave int64")
     if not 0 <= height < 2 * m:
         raise DomainError("need 0 <= height < 2m")
+    if _pole_candidates(m, height) > MAX_POLE_CANDIDATES:
+        raise DomainError(
+            f"near-pole scan (m = {m}, height = {height}) would test up to "
+            f"{_pole_candidates(m, height)} candidates, over the budget of {MAX_POLE_CANDIDATES}"
+        )
     x3 = np.arange(m, m - height - 1, -1, dtype=np.int64)
     rows = _solve_rows(x3, m * m - x3 * x3, np.zeros_like(x3))
     pts = _images(rows[:, [1, 2, 0]], _FIX_X3)

@@ -4,12 +4,23 @@ Membership is the classical criterion (every prime p = 3 mod 4 divides
 to an even power).  Windows [Y, 2Y) are sieved in segments [lo, hi)
 with no division and no residue array:
 
-* for each prime p = 3 mod 4 with p <= sqrt(hi - 1), a bool parity
-  array is toggled on the multiples of every power p^k < hi, which
-  leaves ord_p(n) mod 2 on each multiple of p; odd parities are OR-ed
-  into the exclusion flags and the parity array is cleared again;
+* for each prime p = 3 mod 4 with p <= sqrt(hi - 1), and for each odd
+  k = 1, 3, 5, ... with p^k < hi, the flags at the multiples of p^(k+1)
+  are saved, every multiple of p^k is excluded, and the saved flags are
+  written back (one strided write per odd power, no parity array);
 * then every n whose odd part n / 2^a (a = ord_2(n)) is 3 mod 4 is
   excluded, on the strided slices n = 3 * 2^a (mod 2^(a + 2)).
+
+The first step ORs exactly [ord_p(n) odd] into the exclusion flags.  By
+induction on odd k, after level k every n with ord_p(n) in {1, 3, ..., k}
+is excluded and every multiple of p^(k+1) holds its flag from before
+level 1: level k sets the multiples of p^k, which are those with
+ord_p(n) = k and the multiples of p^(k+1), and the restore puts the
+latter back.  The last level has p^(k+1) >= hi, so no multiple of
+p^(k+1) lies in [lo, hi) (lo >= 1) and its restore is empty.  Every
+n with ord_p(n) even keeps its flag: ord_p(n) = 0 is never written, and
+ord_p(n) = j > 0 even is a multiple of p^(k+1) at each level k < j and
+not a multiple of p^k at each level k > j.
 
 The second step is exact.  Split the odd part of n as A * B, with A
 built from primes <= sqrt(hi - 1) and B from larger ones.  Since
@@ -18,6 +29,11 @@ small bad valuation is even, A is a product of primes 1 mod 4 and even
 powers of primes 3 mod 4, so A = 1 mod 4 and the odd part is 3 mod 4
 exactly when B is a bad prime, i.e. when n is not a sum of two squares.
 If some small bad valuation is odd, n is already excluded.
+
+Gaps are folded from the flags, one cache-sized slice at a time, so a
+scan holds one segment of flags and no member array.  A scan is refused
+up front past MAX_GAP_SCAN integers, a window past MAX_WINDOW_BYTES of
+members.
 
 The probe connects lattice points near the pole of the sphere of radius
 m to gap certificates: a point (x1, x2, x3) with x1^2 + x2^2 =
@@ -38,6 +54,11 @@ from .errors import DomainError, InvariantError
 from .lattice import points_near_pole
 
 _SEGMENT = 1 << 21
+# sum of Y over one gap_scan: Y = 4e9 alone sieves in about 10 s on a 2-vCPU
+# AMD EPYC (2.4 ns per integer; 1.3 ns at Y = 1e8, where primes are fewer)
+MAX_GAP_SCAN = 4 * 10**9
+MAX_WINDOW_BYTES = 1 << 28  # members of [Y, 2Y) as int64: at most 8 Y bytes
+_FOLD = 1 << 16  # flags per fold slice: its index and gap arrays stay in cache
 
 
 def is_sum_two_squares(n: int) -> bool:
@@ -59,27 +80,25 @@ class TwoSquaresWindow:
 def _sieve_segment(lo: int, hi: int, bad_primes: list[int]) -> np.ndarray:
     """Membership flags for [lo, hi), 1 <= lo; bad_primes are the 3 mod 4
     primes up to sqrt(hi - 1) (see the module docstring)."""
-    size = hi - lo
-    excluded = np.zeros(size, dtype=bool)
-    parity = np.zeros(size, dtype=bool)
+    excluded = np.zeros(hi - lo, dtype=bool)
     for p in bad_primes:
-        start = (-lo) % p
         pk = p
         while pk < hi:
-            parity[(-lo) % pk :: pk] ^= True
-            pk *= p
-        excluded[start::p] |= parity[start::p]
-        parity[start::p] = False
+            multiples = slice((-lo) % (pk * p), None, pk * p)  # of p^(k+1)
+            saved = excluded[multiples].copy()
+            excluded[(-lo) % pk :: pk] = True
+            excluded[multiples] = saved
+            pk *= p * p
     # the odd part of n = 2^a * o is 3 mod 4 iff n = 3 * 2^a (mod 2^(a + 2))
     two_a = 1
     while 3 * two_a < hi:
         excluded[(3 * two_a - lo) % (4 * two_a) :: 4 * two_a] = True
         two_a *= 2
-    return ~excluded
+    return np.logical_not(excluded, out=excluded)  # in place: no fresh pages
 
 
-def _member_segments(y: int):
-    """Members of [Y, 2Y), ascending, one sieve segment at a time."""
+def _segments(y: int):
+    """(lo, membership flags of [lo, hi)) for the sieve segments of [Y, 2Y)."""
     if y < 1:
         raise DomainError("Y must be positive")
     hi_total = 2 * y
@@ -89,44 +108,66 @@ def _member_segments(y: int):
         if p % 4 == 3
     ]
     for lo in range(y, hi_total, _SEGMENT):
-        hi = min(lo + _SEGMENT, hi_total)
-        yield np.flatnonzero(_sieve_segment(lo, hi, bad)) + lo
+        yield lo, _sieve_segment(lo, min(lo + _SEGMENT, hi_total), bad)
 
 
 def _largest_gap(segments) -> tuple[int, tuple[int, int] | None]:
-    """Largest gap between consecutive members and its first pair, carrying
-    only the last member and the running maximum across segments."""
+    """Largest gap between consecutive members and its first pair.
+
+    Each segment is read in slices of _FOLD flags, from the slice-relative
+    indices of its members; only the last member and the running maximum
+    are carried across slices, so no member or gap array spans a segment.
+    """
     best, pair, last = 0, None, None
-    for members in segments:
-        if members.size == 0:
-            continue
-        first = int(members[0])
-        if last is not None and first - last > best:
-            best, pair = first - last, (last, first)
-        if members.size > 1:
-            gaps = np.diff(members)
-            k = int(np.argmax(gaps))
-            if gaps[k] > best:
-                best, pair = int(gaps[k]), (int(members[k]), int(members[k + 1]))
-        last = int(members[-1])
+    for lo, flags in segments:
+        for start in range(0, len(flags), _FOLD):
+            idx = np.flatnonzero(flags[start : start + _FOLD])
+            if idx.size == 0:
+                continue
+            base = lo + start
+            first = base + int(idx[0])
+            if last is not None and first - last > best:
+                best, pair = first - last, (last, first)
+            if idx.size > 1:
+                gaps = np.diff(idx)
+                k = int(np.argmax(gaps))
+                if gaps[k] > best:
+                    best, pair = int(gaps[k]), (base + int(idx[k]), base + int(idx[k + 1]))
+            last = base + int(idx[-1])
     return best, pair
 
 
+def _check_window_bytes(y: int) -> None:
+    if 8 * y > MAX_WINDOW_BYTES:
+        raise DomainError(
+            f"Y = {y} needs up to {8 * y} bytes of members, over the cap of {MAX_WINDOW_BYTES}"
+        )
+
+
 def window(y: int) -> TwoSquaresWindow:
-    """All sums of two squares in [Y, 2Y) and the largest internal gap."""
-    chunks = list(_member_segments(y))
+    """All sums of two squares in [Y, 2Y) and the largest internal gap.
+    A Y whose members could pass MAX_WINDOW_BYTES is refused."""
+    _check_window_bytes(y)
+    segments = list(_segments(y))
+    chunks = [np.flatnonzero(flags) + lo for lo, flags in segments]
     members = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    return TwoSquaresWindow(y, members, *_largest_gap(chunks))
+    return TwoSquaresWindow(y, members, *_largest_gap(segments))
 
 
 def gap_scan(y_values) -> list[tuple[int, int, float]]:
     """Rows (Y, G(Y), G(Y) / Y^(1/4)); the ratio is a monitor, the
     elementary bound's constant is not specified.  No member array is
-    kept: each window is folded segment by segment."""
+    kept: each window is folded segment by segment.  A list whose sum of
+    Y passes MAX_GAP_SCAN (about 10 s of sieving) is refused before any
+    sieving."""
+    ys = [int(y) for y in y_values]
+    total = sum(ys)
+    if total > MAX_GAP_SCAN:
+        raise DomainError(f"sum of Y = {total} exceeds the gap-scan budget of {MAX_GAP_SCAN}")
     out = []
-    for y in y_values:
-        g, _ = _largest_gap(_member_segments(int(y)))
-        out.append((int(y), g, g / int(y) ** 0.25))
+    for y in ys:
+        g, _ = _largest_gap(_segments(y))
+        out.append((y, g, g / y**0.25))
     return out
 
 
@@ -179,14 +220,14 @@ def rough_interval_check(y: int, delta: float = 0.1) -> tuple[bool, int, int]:
     desk scale the cutoff G^delta stays below 2 and the check is vacuous,
     which is recorded rather than hidden.
     """
-    w = window(y)
-    g = w.max_gap
+    ((_, g, _),) = gap_scan([y])
     if g <= 0:
         return True, 0, 0
     cutoff = int(g**delta)
     need = max(1, g // 8)
     if cutoff < 2:
         return True, 0, need
+    _check_window_bytes(y)  # the rough flags and their run lengths
     smooth_ps = [int(p) for p in _primes.primes_up_to(cutoff).tolist()]
     flags = np.ones(y, dtype=bool)  # rough flags for [Y, 2Y)
     for p in smooth_ps:

@@ -132,6 +132,32 @@ def test_twosq_probe_refuses_radii_past_2_31(capsys):
     assert "2^31" in capsys.readouterr().err
 
 
+def test_twosq_probe_refuses_over_candidate_budget(capsys):
+    import time
+
+    start = time.perf_counter()
+    assert main(["twosq-probe", "--m", "100000", "--h", "199999"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "budget" in capsys.readouterr().err
+
+
+def test_twosq_gaps_refuses_over_budget_before_sieving(capsys, monkeypatch):
+    import time
+
+    from threesq import twosquares
+
+    def forbidden(*args):
+        raise AssertionError("sieved before the budget check")
+
+    monkeypatch.setattr(twosquares, "_sieve_segment", forbidden)
+    start = time.perf_counter()
+    assert main(["twosq-gaps", "--y-list", "10000000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "budget" in capsys.readouterr().err
+    # the whole list is budgeted: each Y fits, their sum does not
+    half = twosquares.MAX_GAP_SCAN // 2 + 1
+    assert main(["twosq-gaps", "--y-list", f"{half},{half}"]) == 2
+
 def test_discrepancy_refuses_degrees_past_max(capsys):
     import time
 

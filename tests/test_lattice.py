@@ -382,6 +382,28 @@ def test_points_near_pole_refuses_past_2_31_before_allocating():
     assert peak < 1 << 16
 
 
+@settings(max_examples=60, deadline=None)
+@given(pole_caps())
+@example((1, 1))
+@example((100_000, 29))
+def test_pole_candidate_bound_covers_the_scan(cap):
+    # the values of a that _solve_rows tests, row by row
+    m, h = cap
+    tested = sum(math.isqrt((m * m - x3 * x3) // 2) + 1 for x3 in range(m - h, m + 1))
+    assert tested <= lattice._pole_candidates(m, h)
+
+
+def test_points_near_pole_refuses_over_candidate_budget(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("scanned before the budget check")
+
+    monkeypatch.setattr(lattice, "_solve_rows", forbidden)
+    with pytest.raises(DomainError, match="budget"):
+        lattice.points_near_pole(10**5, 2 * 10**5 - 1)
+    # the benchmark's probes (m up to 459 600, height 14) sit far inside
+    assert lattice._pole_candidates(459_600, 14) < lattice.MAX_POLE_CANDIDATES // 10**4
+
+
 # ------------------------------------------------------------- serialization
 
 def test_point_roundtrip():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threesq import primes
@@ -20,6 +20,35 @@ def brute_two_squares(n: int) -> bool:
             return True
         a += 1
     return False
+
+
+def parity_sieve_segment(lo: int, hi: int, bad_primes: list[int]) -> np.ndarray:
+    """The former sieve: a parity array toggled on every p^k < hi, its odd
+    entries OR-ed into the exclusions, then cleared; same 2-adic step."""
+    size = hi - lo
+    excluded = np.zeros(size, dtype=bool)
+    parity = np.zeros(size, dtype=bool)
+    for p in bad_primes:
+        start = (-lo) % p
+        pk = p
+        while pk < hi:
+            parity[(-lo) % pk :: pk] ^= True
+            pk *= p
+        excluded[start::p] |= parity[start::p]
+        parity[start::p] = False
+    two_a = 1
+    while 3 * two_a < hi:
+        excluded[(3 * two_a - lo) % (4 * two_a) :: 4 * two_a] = True
+        two_a *= 2
+    return ~excluded
+
+
+def expected_gap(members: np.ndarray) -> tuple[int, tuple[int, int] | None]:
+    """Largest gap of a whole member array and its first pair."""
+    if members.size < 2:
+        return 0, None
+    k = int(np.argmax(np.diff(members)))
+    return int(members[k + 1] - members[k]), (int(members[k]), int(members[k + 1]))
 
 
 # --------------------------------------------------------------- membership
@@ -103,6 +132,40 @@ def test_sieve_segment_straddles_prime_powers(center):
     assert_segment_matches_membership(max(1, center - 40), center + 41)
 
 
+def assert_segment_matches_parity_oracle(lo: int, hi: int) -> None:
+    bad = bad_primes_through(hi)
+    assert np.array_equal(ts._sieve_segment(lo, hi, bad), parity_sieve_segment(lo, hi, bad))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=1 << 16))
+@example(1, 1)
+@example(1, 1 << 16)
+@example(3**18 - 40, 1 << 16)  # every k up to 18 for p = 3
+def test_sieve_segment_matches_parity_oracle(lo, length):
+    assert_segment_matches_parity_oracle(lo, lo + length)
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 1999])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("length", [1, 50, 4000])
+def test_sieve_segment_ends_at_prime_squares(p, offset, length):
+    # hi - 1 = p^2 - 1, p^2, p^2 + 1: p leaves or joins the bad primes, and
+    # the segment's last level has no multiple of p^(k+1) left to restore
+    hi = p * p + offset + 1
+    assert_segment_matches_parity_oracle(max(1, hi - length), hi)
+
+
+@pytest.mark.parametrize(
+    "pk", [3**k for k in range(1, 19)] + [7**k for k in range(1, 11)]
+)
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_sieve_segment_across_prime_powers(pk, edge):
+    # segments that start or end at p^k - 1, p^k and p^k + 1
+    for lo, hi in ((pk + edge, pk + edge + 300), (max(1, pk + edge - 300), pk + edge + 1)):
+        assert_segment_matches_parity_oracle(lo, hi)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=20_000), st.integers(min_value=0, max_value=60))
 def test_window_independent_of_segment_size(y, half):
@@ -127,6 +190,50 @@ def test_gap_scan_carries_across_segments(y, half):
         mp.setattr(ts, "_SEGMENT", 2 * half + 1)
         (row,) = ts.gap_scan([y])
     assert row[:2] == (y, expected)
+
+
+@pytest.mark.parametrize("fold", [1, 7, ts._FOLD])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=20_000), st.integers(min_value=0, max_value=60))
+def test_gap_fold_independent_of_slice_length(fold, y, half):
+    # members and gaps against the whole-array diff, with fold slices of
+    # 1 and 7 flags (many empty, gaps across every slice edge) or the
+    # default, in segments of 2 * half + 1 integers or the default
+    members = np.array(
+        [n for n in range(y, 2 * y) if ts.is_sum_two_squares(n)], dtype=np.int64
+    )
+    gap, pair = expected_gap(members)
+    for segment in (2 * half + 1, ts._SEGMENT):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ts, "_FOLD", fold)
+            mp.setattr(ts, "_SEGMENT", segment)
+            w = ts.window(y)
+            (row,) = ts.gap_scan([y])
+        assert np.array_equal(w.members, members)
+        assert (w.max_gap, w.argmax_pair) == (gap, pair)
+        assert row[:2] == (y, gap)
+
+
+def test_gap_scan_refuses_over_budget_before_sieving(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sieved before the budget check")
+
+    monkeypatch.setattr(ts, "_sieve_segment", forbidden)
+    with pytest.raises(DomainError, match="budget"):
+        ts.gap_scan([10**13])
+    with pytest.raises(DomainError, match="budget"):
+        ts.gap_scan([ts.MAX_GAP_SCAN // 2 + 1] * 2)
+    # the acceptance scan and the README example stay inside
+    assert sum(10**k for k in range(3, 9)) <= ts.MAX_GAP_SCAN
+
+
+def test_window_refuses_members_over_byte_cap(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sieved before the byte check")
+
+    monkeypatch.setattr(ts, "_sieve_segment", forbidden)
+    with pytest.raises(DomainError, match="bytes"):
+        ts.window(ts.MAX_WINDOW_BYTES // 8 + 1)
 
 
 def test_gap_scan_keeps_no_member_array():
@@ -200,3 +307,28 @@ def test_rough_interval_check_windows():
     for y in (10_000, 100_000):
         ok, worst, need = ts.rough_interval_check(y)
         assert ok, (y, worst, need)
+
+
+def test_rough_interval_check_builds_no_window(monkeypatch):
+    # G from the segment fold; delta = 0.5 makes the cutoff 3 or more, so
+    # the rough runs are really sieved: both checked by scalar loops
+    expected = {}
+    for y in (1_000, 77_777):
+        g = expected_gap(ts.window(y).members)[0]
+        small = [p for p in range(2, int(g**0.5) + 1) if all(p % q for q in range(2, p))]
+        worst = run = 0
+        for n in range(y, 2 * y):
+            run = run + 1 if any(n % p == 0 for p in small) else 0
+            worst = max(worst, run)
+        need = max(1, g // 8)
+        expected[y] = (worst < need, worst, need)
+    monkeypatch.setattr(ts, "window", lambda y: pytest.fail("window built"))
+    for y, result in expected.items():
+        assert ts.rough_interval_check(y, 0.5) == result
+
+
+def test_rough_interval_check_refuses_flags_over_byte_cap(monkeypatch):
+    y = ts.MAX_WINDOW_BYTES // 8 + 1
+    monkeypatch.setattr(ts, "gap_scan", lambda ys: [(y, 100, 100 / y**0.25)])
+    with pytest.raises(DomainError, match="bytes"):
+        ts.rough_interval_check(y, 0.5)
