@@ -154,9 +154,6 @@ def test_twosq_gaps_refuses_over_budget_before_sieving(capsys, monkeypatch):
     assert main(["twosq-gaps", "--y-list", "10000000000000"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "budget" in capsys.readouterr().err
-    # the whole list is budgeted: each Y fits, their sum does not
-    half = twosquares.MAX_GAP_SCAN // 2 + 1
-    assert main(["twosq-gaps", "--y-list", f"{half},{half}"]) == 2
 
 def test_discrepancy_refuses_degrees_past_max(capsys):
     import time

@@ -221,7 +221,7 @@ def test_gap_scan_refuses_over_budget_before_sieving(monkeypatch):
     monkeypatch.setattr(ts, "_sieve_segment", forbidden)
     with pytest.raises(DomainError, match="budget"):
         ts.gap_scan([10**13])
-    with pytest.raises(DomainError, match="budget"):
+    with pytest.raises(DomainError, match="budget"):  # each Y fits, their sum does not
         ts.gap_scan([ts.MAX_GAP_SCAN // 2 + 1] * 2)
     # the acceptance scan and the README example stay inside
     assert sum(10**k for k in range(3, 9)) <= ts.MAX_GAP_SCAN
