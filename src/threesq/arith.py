@@ -1,6 +1,6 @@
 """Exact arithmetic behind sphere pair counts.
 
-Integer factorization, Kronecker/Legendre symbols, class numbers of
+Integer factorization, Kronecker and Jacobi symbols, class numbers of
 imaginary quadratic fields, Dirichlet L-values at s=1, and the p-adic
 local densities of the binary quadratic form
 
@@ -19,9 +19,10 @@ of integer points on the sphere |x|^2 = n with inner product x.y = t.
 
 Everything here is integer-exact: every local density is a sum of
 powers of p, so the pair-count formula is a product of integers.  One
-elementwise density routine serves both routes to it.  The scalar
-`pair_count_formula` feeds it the primes of n - t and n + t from
-`factorize`, as Python ints, so it reaches n ~ 2^40.
+elementwise int64 density routine serves both routes to it, and every
+quadratic character it reads comes from `_jacobi`, exact for any int64
+input.  The scalar `pair_count_formula` feeds it the primes of n - t and
+n + t from `factorize`, so it reaches n < 2^62, where n + t stays in int64.
 `pair_count_formula_table` evaluates whole shells in int64 numpy passes.
 Its rows (n, t), |t| < n, need the odd primes of n - t and n + t, and for
 one shell both run over m = 1 .. 2n - 1.  So the shells sit side by side
@@ -40,8 +41,8 @@ as the rows of a grid over m, sieved like `twosquares._sieve_segment`:
   contributes 1 there and is applied by the general density at the rows
   with p | t, the only rows where p divides both sides.
 
-All functions are pure; the only caches are append-only tables safe for
-concurrent readers.
+All functions are pure; the only caches are the prime tables and a
+bounded cache of class numbers.
 """
 
 from __future__ import annotations
@@ -229,21 +230,26 @@ def kronecker(d: int, m: int) -> int:
     return k if n == 1 else 0
 
 
-def _legendre(a: int, p: int) -> int:
-    # Euler criterion; p an odd prime.
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+def _jacobi(a, m) -> np.ndarray:
+    """Jacobi symbol (a | m) elementwise for int64 a and odd m > 0: -1, 0 or 1.
 
-
-def _chi_prime(d: int, p: int) -> int:
-    """kronecker(d, p) for prime p, via the Euler criterion for odd p."""
-    if p == 2:
-        if d % 2 == 0:
-            return 0
-        return 1 if d % 8 in (1, 7) else -1
-    return _legendre(d, p)
+    Exact for every int64 input, because after a -> a mod m nothing grows:
+    each step strips the twos of a by a shift, applies (2 | m) = -1 for
+    m = 3, 5 (mod 8) and reciprocity (a = m = 3 mod 4 flips the sign) as
+    sign bits, and replaces (a, m) by (m mod a, a) (H. Cohen, GTM 138,
+    Algorithm 1.4.10).  The symbol is 0 when the final m, gcd(a, m), is
+    not 1.
+    """
+    a = np.mod(a, m)
+    m = m + np.zeros_like(a)  # a fresh array in the broadcast shape
+    flips = np.zeros_like(a)  # the parity of sign flips, in bit 0
+    while a.any():
+        done = a == 0  # m is gcd(a, m) there, and stays
+        twos = np.bitwise_count((a & -a) - 1) & ~done  # ord_2(a)
+        a >>= twos
+        flips ^= (twos & ((m >> 1) ^ (m >> 2))) ^ ((a & m) >> 1)
+        a, m = m % (a | done), a | (m * done)
+    return np.where(m == 1, 1 - 2 * (flips & 1), 0)
 
 
 @dataclass(frozen=True)
@@ -414,11 +420,13 @@ def class_number(d: int) -> int:
 
 
 def _chi_table(d: int, upto: int) -> np.ndarray:
-    """chi_d(m) for m = 0..upto as a float array, filled multiplicatively."""
+    """chi_d(m) for m = 0..upto as a float array, filled multiplicatively
+    from chi_d(2) and one `_jacobi` call for all the odd primes."""
     chi = np.ones(upto + 1)
     chi[0] = 0.0
-    for p in _primes.primes_up_to(upto).tolist():
-        cp = _chi_prime(d, p)
+    ps = _primes.primes_up_to(upto)
+    values = [kronecker(d, 2)] + _jacobi(d, ps[1:].astype(np.int64)).tolist()
+    for p, cp in zip(ps.tolist(), values):
         if cp == 1:
             continue
         if cp == 0:
@@ -553,7 +561,7 @@ def _majorant(n: int, m: int, factors) -> int:
         if m % p == 0:
             out *= k + 1
         elif n % p != 0:
-            out *= int(_character_sum(_legendre(-n, p), k))
+            out *= int(_character_sum(kronecker(-n, p), k))
         elif k >= 2:
             out *= 2
     return out
@@ -586,7 +594,8 @@ def diagonalize_pair_form(n: int, t: int, p: int) -> LocalDiagonalization:
     Everything is read off A = ord_p(n - t) and B = ord_p(n + t).  Since
     n and t are half the sum and half the difference of n + t and n - t,
     min(ord_p n, ord_p t) = min(A, B), so a1 = min(A, B), a2 = max(A, B),
-    and ord_p(n) exceeds a1 exactly when p divides n / p^a1.
+    and ord_p(n) exceeds a1 exactly when p divides n / p^a1.  n >= 2^62
+    is refused, as by `local_density`.
     """
     _check_pair_prime(n, t, p)
     a_minus, a_plus = ord_p(n - t, p), ord_p(n + t, p)
@@ -606,8 +615,7 @@ def _check_pair_prime(n: int, t: int, p: int) -> None:
         raise DomainError("the 2-adic factor is a 0/1 constant, not computed here")
     if p < 3 or not is_prime(p):
         raise DomainError(f"p = {p} must be an odd prime")
-    if abs(t) >= n:
-        raise DomainError("|t| < n required")
+    _check_pair_shell(n, t)
 
 
 def _character_sum(c, k):
@@ -615,30 +623,11 @@ def _character_sum(c, k):
     return np.where(c == 1, k + 1, np.where((c == 0) | (k % 2 == 0), 1, 0))
 
 
-def _legendre_array(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(a | p) elementwise for odd primes p, as -1, 0 or 1.
-
-    Object arrays (Python ints of any size) go through `_legendre`; int64
-    arrays take Euler's criterion by square-and-multiply on every entry
-    at once, which keeps products below 2^62 for p < 2^31.
-    """
-    if a.dtype == object:
-        return np.frompyfunc(_legendre, 2, 1)(a, p)
-    a, p = np.broadcast_arrays(a % p, p)
-    r = np.ones(a.shape, dtype=np.int64)
-    e = (p - 1) // 2
-    while e.any():
-        r = np.where((e & 1) == 1, r * a % p, r)
-        a = a * a % p
-        e = e >> 1
-    return np.where(r == p - 1, -1, r)
-
-
 def _local_factors(n, t, p, a_minus, a_plus):
     """Local density and squarefree-majorant factor at odd primes, elementwise.
 
-    Takes n, t with |t| < n, an odd prime p, A = ord_p(n - t) and
-    B = ord_p(n + t), as int64 arrays or object arrays of Python ints.
+    Takes n, t with |t| < n < 2^62, an odd prime p, A = ord_p(n - t) and
+    B = ord_p(n + t), as int64 arrays.
     The diagonal form is that of `diagonalize_pair_form`, and the density
     dispatches on the parities of (a1, a2).  With s the relevant quadratic
     character:
@@ -652,8 +641,9 @@ def _local_factors(n, t, p, a_minus, a_plus):
 
     s is (-e1 | p) for a1 even, (-e1 e2 | p) for a1, a2 odd and (-e2 | p)
     for a1 odd, a2 even.  Up to squares these are -u_n, -u_- u_+ and
-    -u_- u_+ u_n, where u_n, u_- and u_+ are the residues of n / p^a1,
-    (n - t) / p^A and (n + t) / p^B.  When ord_p n exceeds a1 (u_n = 0,
+    -u_- u_+ u_n, where u_n, u_- and u_+ are n / p^a1, (n - t) / p^A and
+    (n + t) / p^B, so s is a product of their symbols and (-1 | p), with
+    no product of residues formed.  When ord_p n exceeds a1 (p | u_n,
     the u = U+V branch) A = B, so a1 = a2, and s drops out of the even
     case.  For p not dividing n this is a1 = 0 and s = (-n | p), so the
     density is the character sum of the squarefree majorant; for p | n
@@ -661,12 +651,10 @@ def _local_factors(n, t, p, a_minus, a_plus):
     """
     a1 = np.minimum(a_minus, a_plus)
     a2 = np.maximum(a_minus, a_plus)
-    u_minus = (n - t) // p**a_minus % p
-    u_plus = (n + t) // p**a_plus % p
-    u_n = n // p**a1 % p
     odd1, odd2 = a1 % 2 == 1, a2 % 2 == 1
-    x = np.where(odd1, -(u_minus * u_plus % p) * np.where(odd2, 1, u_n), -u_n)
-    s = _legendre_array(x % p, p)
+    units = (p - 1, n // p**a1, (n - t) // p**a_minus, (n + t) // p**a_plus)  # p - 1 = -1 mod p
+    neg, s_n, s_minus, s_plus = _jacobi(np.stack(units), p)
+    s = neg * np.where(odd1 & odd2, 1, s_n) * np.where(odd1, s_minus * s_plus, 1)
     h = a1 // 2
     head = (p**h - 1) // (p - 1)
     density = np.where(
@@ -679,7 +667,7 @@ def _local_factors(n, t, p, a_minus, a_plus):
 
 
 def _odd_prime_entries(n: int, t: int):
-    """Object arrays (p, ord_p(n - t), ord_p(n + t)) over the odd primes
+    """int64 arrays (p, ord_p(n - t), ord_p(n + t)) over the odd primes
     of n^2 - t^2, from `factorize` of n - t and n + t."""
     ords: dict[int, list[int]] = {}
     for side, m in enumerate((n - t, n + t)):
@@ -687,17 +675,27 @@ def _odd_prime_entries(n: int, t: int):
             if p != 2:
                 ords.setdefault(p, [0, 0])[side] = k
     rows = [(p, a, b) for p, (a, b) in ords.items()]
-    return tuple(np.array(col, dtype=object) for col in zip(*rows)) if rows else None
+    return tuple(np.array(col, dtype=np.int64) for col in zip(*rows)) if rows else None
+
+
+MAX_PAIR_SHELL = 1 << 62  # below it n + t < 2n stays in int64
+
+
+def _check_pair_shell(n: int, t: int) -> None:
+    if n >= MAX_PAIR_SHELL:
+        raise DomainError(f"n = {n} is not below 2^62, past which n + t leaves int64")
+    if abs(t) >= n:
+        raise DomainError("|t| < n required")
 
 
 def local_density(n: int, t: int, p: int) -> int:
     """p-adic density of the pair-count form at an odd prime p.
 
     Primes not dividing n^2 - t^2 have density 1; every case is an
-    integer (see `_local_factors`).
+    integer (see `_local_factors`).  n >= 2^62 is refused.
     """
     _check_pair_prime(n, t, p)
-    one = [np.array([v], dtype=object) for v in (p, ord_p(n - t, p), ord_p(n + t, p))]
+    one = [np.array([v], dtype=np.int64) for v in (p, ord_p(n - t, p), ord_p(n + t, p))]
     return int(_local_factors(n, t, *one)[0][0])
 
 
@@ -707,11 +705,11 @@ def pair_count_formula(n: int, t: int) -> int:
     The exact ordered-pair count at inner product t equals either this
     value or 0; the missing 2-adic factor is always 0 or 1, so membership
     in {0, pair_count_formula(n, t)} is the testable statement.  A
-    one-row view of the densities of `pair_count_formula_table`, on
-    Python ints, so n up to 2^40 works.
+    one-row view of the densities of `pair_count_formula_table`, with the
+    primes from `factorize` rather than the sieve; n >= 2^62 is refused
+    before anything is factored.
     """
-    if abs(t) >= n:
-        raise DomainError("|t| < n required")
+    _check_pair_shell(n, t)
     entries = _odd_prime_entries(n, t)
     if entries is None:
         return 24
@@ -720,9 +718,9 @@ def pair_count_formula(n: int, t: int) -> int:
 
 # Largest shell of pair_count_formula_table: a shell fills 2n - 1 grid
 # cells, and at 2^22 the table's four int64 columns take 0.27 GB and the
-# call peaks at 0.34 GB (81 MB at n = 1e6 + 3, in 0.25 s).  int64 stays
-# exact below it: residue products stay below (2n)^2 and powers p^k of
-# the sieve below 2n.
+# call peaks at 0.34 GB (81 MB at n = 1e6 + 3, in 0.25 s).  The bound is
+# memory: the characters are exact for any int64, and powers p^k of the
+# sieve stay below 2n.
 MAX_TABLE_SHELL = 1 << 22
 _TABLE_CELLS = 1 << 20
 _LEGENDRE_CELLS = 1 << 16  # cells per block of the large-prime characters
@@ -794,7 +792,7 @@ def _formula_rows(ns: np.ndarray, formula: np.ndarray, majorant: np.ndarray) -> 
     rest //= rest & -rest  # odd parts of m
     grid = np.ones((len(ns), width), dtype=np.int64)
     small = _primes.primes_up_to(math.isqrt(width))[1:].astype(np.int64)
-    chi = _legendre_array(-ns[:, None], small)  # (-n | p), shells by primes
+    chi = _jacobi(-ns[:, None], small)  # (-n | p), shells by primes
     for j, p in enumerate(small.tolist()):
         k = np.ones(width // p, dtype=np.int64)  # ord_p(m) at m = p, 2p, ...
         step = p
@@ -807,7 +805,7 @@ def _formula_rows(ns: np.ndarray, formula: np.ndarray, majorant: np.ndarray) -> 
     step = max(1, _LEGENDRE_CELLS // len(ns))
     for lo in range(0, big.size, step):
         cols = big[lo : lo + step]
-        grid[:, cols] *= 1 + _legendre_array(-ns[:, None], rest[cols])
+        grid[:, cols] *= 1 + _jacobi(-ns[:, None], rest[cols])
 
     lengths = 2 * ns - 1
     starts = np.cumsum(lengths) - lengths
@@ -843,12 +841,3 @@ def _valuation(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         x = np.where(hit, x // p, x)
         hit = x % p == 0
     return k
-
-
-def shell_pair_values(n: int):
-    """(t, pair_count_formula(n, t), majorant_squarefree(n, n^2 - t^2))
-    for -n < t < n at squarefree n, read from `pair_count_formula_table`."""
-    if not is_squarefree(n):
-        raise DomainError(f"n = {n} must be a squarefree positive integer")
-    tbl = pair_count_formula_table(n)
-    return zip(tbl.t.tolist(), tbl.formula.tolist(), tbl.majorant.tolist())

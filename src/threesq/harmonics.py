@@ -138,7 +138,7 @@ def _harmonic_sums(U: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Complex harmonic sums W_m^mu of a point set, 0 <= mu <= m <= m_max.
 
     W_m^mu = sum_x P~_m^mu(z_x) e^{i mu phi_x}, with P~ the fully normalized
-    associated Legendre function of `_normalized_assoc_legendre`; degree m
+    associated Legendre function of `_assoc_legendre_normalized`; degree m
     holds orders 0..m at [start[m]:start[m + 1]].  Y_m^mu = P~_m^mu
     e^{i mu phi} runs its recurrence in complex form, degree outer and every
     order at once: the degree step P~_m^mu = a z P~_{m-1}^mu - b P~_{m-2}^mu
@@ -186,7 +186,7 @@ def _harmonic_sums(U: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     return acc, start
 
 
-def _normalized_assoc_legendre(deg: int, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _assoc_legendre_normalized(deg: int, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Fully normalized P~_deg^mu(z) for mu = 0..deg, shape (deg+1, N).
 
     Normalization sqrt((2 deg + 1)/(4 pi) * (deg-mu)!/(deg+mu)!) is baked
@@ -232,7 +232,7 @@ def real_harmonic_basis(deg: int, points: np.ndarray) -> np.ndarray:
     safe = np.where(s > 0, s, 1.0)
     cphi = np.where(s > 0, x / safe, 1.0)
     sphi = np.where(s > 0, y / safe, 0.0)
-    ptilde = _normalized_assoc_legendre(deg, z, s)
+    ptilde = _assoc_legendre_normalized(deg, z, s)
     out = np.empty((2 * deg + 1, len(points)))
     out[0] = ptilde[0]
     cos_m = np.ones_like(cphi)

@@ -39,6 +39,10 @@ _MAX_POLE_RADIUS = 1 << 31  # near-pole scans stay in int64 up to here
 # values of a one near-pole scan may test (see _pole_candidates): about 10 s
 # at 1.1-1.5 ns per candidate on a 2-vCPU AMD EPYC
 MAX_POLE_CANDIDATES = 6 * 10**9
+# Gram products one pair table may take, predicted as N^2/48 (see pair_table).
+# n = 1e8+3 (3.5e7 products) builds in 0.95 s and peaks at 782 MB; n = 1e9+3
+# (1.6e8) would take 16 s and 2.3 GB, on a 2-vCPU AMD EPYC.
+MAX_GRAM_PRODUCTS = 5 * 10**7
 
 # The 48 signed permutations x -> sign * x[perm]; _FIX_X3 marks the 8 fixing x3
 _PERM = np.repeat(list(itertools.permutations(range(3))), 8, axis=0)
@@ -64,7 +68,6 @@ class LatticeSet:
 
     n: int
     points: np.ndarray  # (N, 3) int64
-    primitive: np.ndarray  # (N,) bool: gcd(x1, x2, x3) == 1
 
     @property
     def size(self) -> int:
@@ -72,11 +75,9 @@ class LatticeSet:
 
     @classmethod
     def of(cls, n: int, points: np.ndarray) -> LatticeSet:
-        """The set of sorted `points`, frozen, with its primitive flags."""
-        prim = np.gcd.reduce(np.abs(points), axis=1) == 1
-        for arr in (points, prim):
-            arr.setflags(write=False)
-        return cls(n, points, prim)
+        """The set of sorted `points`, frozen."""
+        points.setflags(write=False)
+        return cls(n, points)
 
 
 @dataclass(eq=False)
@@ -139,13 +140,18 @@ def _two_squares(r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve_rows(fixed: np.ndarray, r: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Rows (f, a, b) with a^2 + b^2 = r and lo <= a <= b, for each entry
-    (f, r, lo); long rows go in chunks of _CANDIDATES values of a."""
+    (f, r, lo); long rows go in chunks of _CANDIDATES values of a, and
+    only chunks holding a solution are kept."""
     keys, sols = [], []
     for f, ri, li in zip(fixed.tolist(), r.tolist(), lo.tolist()):
         hi = math.isqrt(ri // 2) + 1
         for a0 in range(li, hi, _CANDIDATES):
-            keys.append(f)
-            sols.append(_two_squares(ri, a0, min(a0 + _CANDIDATES, hi)))
+            a, b = _two_squares(ri, a0, min(a0 + _CANDIDATES, hi))
+            if len(a):
+                keys.append(f)
+                sols.append((a, b))
+    if not sols:
+        return np.zeros((0, 3), dtype=np.int64)
     f = np.repeat(keys, [len(a) for a, _ in sols])
     return np.column_stack((f, *(np.concatenate(c) for c in zip(*sols))))
 
@@ -233,9 +239,15 @@ def pair_table(n: int) -> PairCountTable:
     Built by the orbit-reduced Gram kernel.  Validates the marginals
     before returning: counts sum to N^2, the entries at +-n both equal N,
     and the table is symmetric in t -> -t.  An empty sphere yields an
-    empty (flagged) table.
+    empty (flagged) table.  A shell whose N^2/48 Gram products pass
+    MAX_GRAM_PRODUCTS is refused after enumeration, before any product.
     """
     ls = enumerate_points(n)
+    products = ls.size**2 // 48
+    if products > MAX_GRAM_PRODUCTS:
+        raise DomainError(
+            f"pair table of n = {n} needs about {products} Gram products, over the budget of {MAX_GRAM_PRODUCTS}"
+        )
     if ls.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         empty.setflags(write=False)

@@ -8,13 +8,11 @@ allocated.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
 from .errors import DomainError
 
-_lock = threading.Lock()
 _spf: np.ndarray | None = None
 _primes: np.ndarray | None = None
 _limit = 0
@@ -44,9 +42,7 @@ def ensure(limit: int) -> None:
         return
     if limit > _MAX_LIMIT:
         raise DomainError(f"prime table through {limit} exceeds the cap {_MAX_LIMIT}")
-    with _lock:
-        if limit > _limit:
-            _build(min(max(limit, 2 * _limit, _MIN_LIMIT), _MAX_LIMIT))
+    _build(min(max(limit, 2 * _limit, _MIN_LIMIT), _MAX_LIMIT))
 
 
 def spf_limit() -> int:

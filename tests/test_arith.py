@@ -254,6 +254,47 @@ def test_kronecker_multiplicative_in_top(d1, d2, half):
     assert arith.kronecker(d1 * d2, m) == arith.kronecker(d1, m) * arith.kronecker(d2, m)
 
 
+INT64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+ODD_MODULI = st.integers(min_value=0, max_value=(1 << 60) - 1).map(lambda h: 2 * h + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(INT64, ODD_MODULI), min_size=1, max_size=40))
+@example([(-(1 << 63), (1 << 61) - 1), ((1 << 63) - 1, 3), (-1, 1), (0, 9), (6, 9)])
+def test_jacobi_matches_kronecker_on_int64(pairs):
+    a = np.array([x for x, _ in pairs], dtype=np.int64)
+    m = np.array([y for _, y in pairs], dtype=np.int64)
+    assert arith._jacobi(a, m).tolist() == [arith.kronecker(x, y) for x, y in pairs]
+
+
+SMALL_ODD_PRIMES = [p for p in range(3, 10_000) if arith.is_prime(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_ODD_PRIMES), st.lists(INT64, min_size=1, max_size=20))
+def test_jacobi_matches_residue_oracle_below_ten_thousand(p, tops):
+    got = arith._jacobi(np.array(tops, dtype=np.int64), p).tolist()
+    assert got == [brute_legendre(a, p) for a in tops]
+
+
+def test_jacobi_pinned_cases():
+    a = np.array([0, 1, -1, 12345, -(1 << 63)], dtype=np.int64)
+    assert arith._jacobi(a, 1).tolist() == [1] * 5  # (a | 1) = 1
+    assert arith._jacobi(np.array([0, 15, -30, 45]), 15).tolist() == [0] * 4  # a = 0 (mod m) or gcd > 1
+    assert arith._jacobi(2, np.array([3, 5, 7, 9, 17])).tolist() == [-1, -1, 1, 1, 1]
+    # past 2^31 the int64 square of a residue overflows, so Euler's
+    # criterion in int64 fails there; the symbol must not
+    past = [p for p in range((1 << 31) + 1, (1 << 31) + 200, 2) if arith.is_prime(p)]
+    assert past[0] == 2147483659
+    tops = [2, -1, 3, (1 << 31) - 1, (1 << 62) + 7, -(10**18 + 9)]
+    for p in past:
+        euler = [1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in tops]
+        assert arith._jacobi(np.array(tops), p).tolist() == euler, p
+    # broadcast: shells by moduli
+    grid = arith._jacobi(np.array([[-5], [-7]]), np.array([3, 11, 13]))
+    assert grid.tolist() == [[arith.kronecker(d, q) for q in (3, 11, 13)] for d in (-5, -7)]
+
+
 # ------------------------------------------------------------ class numbers
 
 def reduced_forms(d: int) -> list[tuple[int, int, int]]:
@@ -340,7 +381,7 @@ def test_class_number_reads_no_character(monkeypatch):
     def broken(*args):
         raise AssertionError("class_number read a character")
 
-    for name in ("_chi_table", "_chi_prime", "kronecker", "_legendre"):
+    for name in ("_chi_table", "_jacobi", "kronecker"):
         monkeypatch.setattr(arith, name, broken)
     arith.class_number.cache_clear()
     # both values agree with the form loop; 16416 also with 2 pi h / (w sqrt q)
@@ -502,7 +543,10 @@ def test_majorant_squarefree_multiplicative():
 
 
 def squarefree_majorant_oracle(n: int, arg: int) -> int:
-    """The documented prime-power values, with chi = kronecker(d, .)."""
+    """The documented prime-power values, with chi(p) = d^((p-1)/2) mod p.
+
+    Euler's criterion, not the Kronecker symbol that `arith` reads, so
+    the oracle's characters come by a second path."""
     d = arith.discriminant(n).d
     out = 1
     for p, k in arith.factorize(arg).factors:
@@ -511,7 +555,8 @@ def squarefree_majorant_oracle(n: int, arg: int) -> int:
         if n % p == 0:
             out *= 1 if k == 1 else 2
         else:
-            out *= sum(arith.kronecker(d, p) ** j for j in range(k + 1))
+            chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+            out *= sum(chi**j for j in range(k + 1))
     return out
 
 
@@ -535,11 +580,12 @@ def test_character_sum_closed_form():
 @given(st.integers(min_value=1, max_value=1500))
 @example(1)
 @example(5)
-def test_shell_pair_values_match_public_functions(n):
+def test_formula_table_shell_matches_public_functions(n):
     assume(arith.is_squarefree(n))
-    rows = list(arith.shell_pair_values(n))
-    assert [t for t, _, _ in rows] == list(range(-(n - 1), n))
-    for t, formula, majorant in rows:
+    tbl = arith.pair_count_formula_table(n)
+    assert tbl.n.tolist() == [n] * (2 * n - 1)
+    assert tbl.t.tolist() == list(range(-(n - 1), n))
+    for t, formula, majorant in zip(tbl.t.tolist(), tbl.formula.tolist(), tbl.majorant.tolist()):
         assert formula == arith.pair_count_formula(n, t), (n, t)
         assert majorant == arith.majorant_squarefree(n, n * n - t * t), (n, t)
 
@@ -648,6 +694,28 @@ def test_scalar_formula_matches_oracle_past_spf_cap(row):
 
 
 @settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1 << 60, max_value=arith.MAX_PAIR_SHELL - 1), st.data())
+@example((1 << 62) - 1, None)  # n + t = 2^63 - 3 at t = n - 1
+def test_scalar_formula_matches_oracle_below_int64_cap(n, data):
+    t = n - 1 if data is None else data.draw(st.integers(min_value=-(n - 1), max_value=n - 1))
+    assert arith.pair_count_formula(n, t) == scalar_pair_formula(n, t), (n, t)
+
+
+def test_pair_formula_refuses_shells_past_int64_cap(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("factored before the cap check")
+
+    monkeypatch.setattr(arith, "factorize", forbidden)
+    monkeypatch.setattr(arith, "ord_p", forbidden)
+    for call in (
+        lambda: arith.pair_count_formula(arith.MAX_PAIR_SHELL, 1),
+        lambda: arith.local_density(arith.MAX_PAIR_SHELL + 5, 0, 3),
+    ):
+        with pytest.raises(DomainError, match="2\\^62"):
+            call()
+
+
+@settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6), st.integers(4, 2000))
 def test_formula_table_independent_of_grid_blocks(shells, cells):
     expected = arith.pair_count_formula_table(shells)
@@ -674,11 +742,6 @@ def test_formula_table_domain():
     for bad in (0, -3, arith.MAX_TABLE_SHELL + 1):
         with pytest.raises(DomainError):
             arith.pair_count_formula_table([5, bad])
-
-
-def test_shell_pair_values_rejects_non_squarefree():
-    with pytest.raises(DomainError):
-        next(arith.shell_pair_values(12))
 
 
 def test_majorant_general_pinned():

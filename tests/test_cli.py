@@ -6,16 +6,20 @@ import sys
 
 import pytest
 
+import threesq
 from threesq.cli import build_parser, dumps_canonical, load_schema, main
 
 
 def run_cli(args, env=None):
-    """Run the CLI in a fresh process; `env` entries override the environment."""
+    """Run the CLI in a fresh process that imports threesq from where this
+    process found it; `env` entries override the environment."""
+    src = os.path.dirname(os.path.dirname(threesq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "threesq.cli", *args],
         capture_output=True,
         text=True,
-        env=None if env is None else {**os.environ, **env},
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

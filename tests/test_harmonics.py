@@ -342,7 +342,7 @@ def test_table_routes_match_generic_path(n):
 def test_partial_shell_takes_generic_path():
     # a subset that still remembers its source is not a whole shell
     ls = lattice.enumerate_points(101)
-    part = spatial.project(lattice.LatticeSet(101, ls.points[1:], ls.primitive[1:]))
+    part = spatial.project(lattice.LatticeSet(101, ls.points[1:]))
     lattice.pair_table.cache_clear()
     assert not spatial._is_whole_shell(part)
     bare = spatial.UnitPointSet(part.points)

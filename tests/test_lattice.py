@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -104,13 +105,6 @@ def test_enumerate_empty_iff_4a_8b7():
         assert empty == (not lattice.three_squares_representable(n)), n
 
 
-def test_primitive_flags():
-    e4 = lattice.enumerate_points(4)
-    assert e4.size == 6 and not e4.primitive.any()  # all (0,0,+-2) type
-    e5 = lattice.enumerate_points(5)
-    assert e5.primitive.all()
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=200_000))
 @example(7)  # empty shells
@@ -124,7 +118,6 @@ def test_enumerate_matches_scalar_oracle(n):
     expect = scalar_enumerate(n)
     assert ls.points.dtype == np.int64 and ls.points.shape == (len(expect), 3)
     assert list(map(tuple, ls.points.tolist())) == expect
-    assert ls.primitive.tolist() == [math.gcd(*p) == 1 for p in expect]
 
 
 def test_long_rows_are_solved_in_chunks(monkeypatch):
@@ -133,6 +126,27 @@ def test_long_rows_are_solved_in_chunks(monkeypatch):
         got = lattice.enumerate_points.__wrapped__(n).points.tolist()
         assert list(map(tuple, got)) == scalar_enumerate(n), n
     assert list(map(tuple, lattice.points_near_pole(1000, 40).tolist())) == scalar_near_pole(1000, 40)
+
+
+def test_near_pole_scan_keeps_no_empty_chunk(monkeypatch):
+    # most chunks of a near-pole scan hold no solution; none may be kept
+    # past the next call, or a long scan holds one pair of arrays per chunk
+    empties, alive = [], []
+    solve = lattice._two_squares
+
+    def tracked(r, lo, hi):
+        alive.append(sum(ref() is not None for ref in empties))
+        a, b = solve(r, lo, hi)
+        if len(a) == 0:
+            empties.extend((weakref.ref(a), weakref.ref(b)))
+        return a, b
+
+    monkeypatch.setattr(lattice, "_CANDIDATES", 4)
+    monkeypatch.setattr(lattice, "_two_squares", tracked)
+    got = lattice.points_near_pole(1000, 40)
+    assert list(map(tuple, got.tolist())) == scalar_near_pole(1000, 40)
+    assert len(empties) > 200
+    assert max(alive) <= 2  # the pair still bound in the loop, from the chunk before
 
 
 @st.composite
@@ -232,6 +246,27 @@ def test_shell_orbits_partition_the_shell():
 def test_pair_table_empty_flagged():
     tbl = lattice.pair_table(7)
     assert tbl.empty
+
+
+def test_pair_table_refuses_over_gram_budget(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Gram products before the budget check")
+
+    budget = lattice.MAX_GRAM_PRODUCTS
+    # n = 101 has N = 168: 168^2 // 48 = 588 predicted products
+    monkeypatch.setattr(lattice, "orbit_gram_rows", forbidden)
+    monkeypatch.setattr(lattice, "MAX_GRAM_PRODUCTS", 587)
+    with pytest.raises(DomainError, match="budget"):
+        lattice.pair_table.__wrapped__(101)
+    monkeypatch.setattr(lattice, "MAX_GRAM_PRODUCTS", 588)
+    with pytest.raises(AssertionError, match="before the budget"):
+        lattice.pair_table.__wrapped__(101)
+    # the refusal reaches the command line as exit code 2
+    monkeypatch.setattr(lattice, "MAX_GRAM_PRODUCTS", 0)
+    lattice.pair_table.cache_clear()
+    assert main(["pairs", "--n", "101"]) == 2
+    # the stretch shells: n = 1e8+3 (N = 40 848) is admitted, 1e9+3 (N = 88 320) refused
+    assert 40_848**2 // 48 <= budget < 88_320**2 // 48
 
 
 def test_pair_count_pinned():
@@ -434,7 +469,6 @@ def test_point_roundtrip_random_shells(n):
     assert back.size == ls.size
     assert back.points.dtype == np.int64 and back.points.shape == (ls.size, 3)
     assert back.points.tolist() == ls.points.tolist()
-    assert back.primitive.tolist() == ls.primitive.tolist()
 
 
 def test_pair_table_csv(capsys):

@@ -141,7 +141,7 @@ def test_ripley_int64_route_above_float_safe(v):
     P = _signed_perms(v)
     n = sum(x * x for x in v)
     assert n > lattice._FLOAT_SAFE
-    pts = spatial.project(lattice.LatticeSet(n, P, np.zeros(len(P), dtype=bool)))
+    pts = spatial.project(lattice.LatticeSet(n, P))
     ints = [tuple(int(x) for x in p) for p in P]
     d2 = [sum((x - y) ** 2 for x, y in zip(p, q)) for p in ints for q in ints]
     # 1.0 and 2.0 land exactly on distance shells (d^2 = n, d^2 = 4n), and
@@ -156,7 +156,7 @@ def test_set_past_float_safe_is_not_enumerated():
     # n = 2^52: a hand-built octahedron takes the float pair kernel, since
     # no shell past _FLOAT_SAFE is enumerated (enumerate_points refuses it)
     P = _signed_perms((1 << 26, 0, 0))
-    pts = spatial.project(lattice.LatticeSet(1 << 52, P, np.zeros(len(P), dtype=bool)))
+    pts = spatial.project(lattice.LatticeSet(1 << 52, P))
     with mock.patch.object(spatial, "enumerate_points", side_effect=AssertionError):
         energy = spatial.riesz_energy(pts, 1.0)
         rep = spatial.nn_spacings(pts)
