@@ -17,16 +17,26 @@ signed-permutation group, whose nearest-neighbour distance every point of
 the orbit shares.  Ripley counts stay geometric, so they remain a second
 path to the pair table.
 
-Every other pair sum of a point set (energies, Ripley counts and
-spacings) goes through one kernel, `_pair_blocks`, which walks the upper
-block triangle of the set's Gram matrix under one entry budget.  Each
-statistic maps a block to its value; Ripley counts of a lattice shell
-feed it the integer points and compare exact integer squared distances.
-Float squared distances come from the Gram form |x|^2 + |y|^2 - 2x.y,
-and the few below _CLOSE_D2, where that form loses digits, are
-recomputed from coordinate differences.  The Legendre pair sums in
-`harmonics` need no pair loop: they come from the same harmonic sums as
-its discrepancy bound, in chunks under the same entry budget.
+Every other pair sum of a point set (energies and Ripley counts) goes
+through one kernel, `_pair_blocks`, which walks the upper block triangle
+of the set's Gram matrix under one entry budget.  Each statistic maps a
+block to its value; Ripley counts of a lattice shell feed it the integer
+points and compare exact integer squared distances.  Energies walk the
+whole triangle.  Ripley counts only see pairs closer than r, and a
+coordinate of a difference is at most its length, so they walk a z band
+(`_z_band`): the points sorted by z, each row block cut where z passes
+its last row's z plus the reach, which leaves every pair within the
+reach in.  Both predict their Gram products before the first one and
+refuse past MAX_PAIR_PRODUCTS.  Float squared distances come from the
+Gram form |x|^2 + |y|^2 - 2x.y, and the few below _CLOSE_D2, where that
+form loses digits, are recomputed from coordinate differences.
+
+Nearest-neighbour spacings of any other set need no pair loop: a kd-tree
+offers each point its nearest candidates, and the spacing is the
+coordinate-difference d^2 of the nearest other one, ties and duplicates
+settled against every point near it.  The Legendre pair sums in
+`harmonics` need no pair loop either: they come from the same harmonic
+sums as its discrepancy bound, in chunks under the same entry budget.
 
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
 the caller's seed, and every randomized result embeds that seed.
@@ -57,6 +67,10 @@ _NORM_TOL = 1e-12
 _CLOSE_D2 = 1e-3
 _BAND_ROWS = 128  # random centers per block of the z-banded annulus count
 _BAND_SLACK = 1e-11  # squared-chord slack of the band reach, see number_variance
+_NN_TIE = 1e-9  # relative gap below which two nearest-neighbour candidates tie
+# Gram products one pair kernel may take: about 10 s of Ripley counts at
+# 2.2 ns per product, and up to about 17 s of energies at 3.5 ns
+MAX_PAIR_PRODUCTS = 4_500_000_000
 
 
 @dataclass
@@ -150,42 +164,91 @@ def binomial_sample(n_points: int, seed: int) -> UnitPointSet:
     return UnitPointSet(_random_units(rng, n_points))
 
 
-def _pair_blocks(A: np.ndarray):
+def _z_band(A: np.ndarray, reach):
+    """A sorted by z, and the row blocks of its pair kernel of this reach.
+
+    Returns (S, blocks).  A block (i0, i1, j1) takes rows
+    i0 <= i < i1 of S and columns i0 <= j < j1, j1 the first column whose
+    z passes z(i1 - 1) + reach, so it holds every pair of its rows whose
+    z differ by at most the reach.  Its row count is the largest whose
+    rows x columns stay within _PAIR_ENTRIES (never fewer than one row);
+    since j1 >= i1, that is at most isqrt(_PAIR_ENTRIES) rows, and one
+    searchsorted over that window finds it.  The plan sums rows x columns
+    over the blocks as it goes and stops with DomainError as soon as the
+    sum passes MAX_PAIR_PRODUCTS, so a refused band costs little planning
+    and no product.
+    """
+    S = A[np.argsort(A[:, 2], kind="stable")]
+    z = S[:, 2]
+    N = len(S)
+    ends = np.searchsorted(z, z + reach, side="right")
+    window = np.arange(1, math.isqrt(_PAIR_ENTRIES) + 1)
+    blocks = []
+    products = 0
+    i0 = 0
+    while i0 < N:
+        m = min(len(window), N - i0)
+        cost = window[:m] * (ends[i0 : i0 + m] - i0)
+        i1 = i0 + max(1, int(np.searchsorted(cost, _PAIR_ENTRIES, side="right")))
+        j1 = int(ends[i1 - 1])
+        blocks.append((i0, i1, j1))
+        products += (i1 - i0) * (j1 - i0)
+        _check_products(products)
+        i0 = i1
+    return S, blocks
+
+
+def _pair_blocks(A: np.ndarray, blocks=None):
     """Yield (i0, G, w) over the upper block triangle of the Gram matrix of A.
 
-    G = A[i0 : i0 + b] @ A[i0:].T is a fresh array of at most about
-    _PAIR_ENTRIES entries, and w weights its columns 1 on the block's own
-    square (the first b) and 2 beyond.  Summing w * f(G) over the blocks
-    gives the sum of f(x.y) over ordered pairs, diagonal included, for any
-    symmetric f.  Every pair loop of a point set goes through here.
+    G = A[i0 : i1] @ A[i0 : j1].T is a fresh array of about _PAIR_ENTRIES
+    entries at most, and w weights its columns 1 on the block's own
+    square (the first i1 - i0) and 2 beyond.  Summing w * f(G) over the
+    blocks gives the sum of f(x.y) over ordered pairs, diagonal included,
+    for any symmetric f.  Every pair loop of a point set goes through here.
+
+    Without blocks each block runs to the last column (j1 = N).  The
+    blocks of `_z_band` (A then sorted by z) skip every pair whose z
+    differ by more than the reach; a coordinate of a difference is at
+    most its length, so the sum is the same for any f that vanishes at
+    distances above the reach.
     """
     N = len(A)
-    rows = max(1, _PAIR_ENTRIES // max(N, 1))
-    for i0 in range(0, N, rows):
-        b = min(rows, N - i0)
-        w = np.full(N - i0, 2.0)
-        w[:b] = 1.0
-        yield i0, A[i0 : i0 + b] @ A[i0:].T, w
+    if blocks is None:
+        rows = max(1, _PAIR_ENTRIES // max(N, 1))
+        blocks = ((i0, min(i0 + rows, N), N) for i0 in range(0, N, rows))
+    for i0, i1, j1 in blocks:
+        w = np.full(j1 - i0, 2.0)
+        w[: i1 - i0] = 1.0
+        yield i0, A[i0:i1] @ A[i0:j1].T, w
 
 
-def _distance_blocks(P: np.ndarray):
+def _distance_blocks(P: np.ndarray, blocks=None):
     """Yield (i0, d2, w): _pair_blocks as squared distances, self at +inf.
 
     Entries below _CLOSE_D2 are recomputed as |x - y|^2 from coordinate
     differences, so close pairs keep their digits and d2 is never negative.
     """
     sq = np.einsum("ij,ij->i", P, P)
-    for i0, G, w in _pair_blocks(P):
-        b = len(G)
-        d2 = sq[i0 : i0 + b, None] + sq[None, i0:] - 2.0 * G
+    for i0, G, w in _pair_blocks(P, blocks):
+        b, c = G.shape
+        d2 = sq[i0 : i0 + b, None] + sq[None, i0 : i0 + c] - 2.0 * G
         idx = np.arange(b)
         d2[idx, idx] = np.inf
         k = np.flatnonzero(d2 < _CLOSE_D2)  # a 2-D np.nonzero costs 10x more
         if len(k):
-            i, j = np.divmod(k, d2.shape[1])
+            i, j = np.divmod(k, c)
             diff = P[i0 + i] - P[i0 + j]
             d2.flat[k] = np.einsum("ij,ij->i", diff, diff)
         yield i0, d2, w
+
+
+def _check_products(products: int) -> None:
+    """Refuse a pair kernel predicted to pass MAX_PAIR_PRODUCTS Gram products."""
+    if products > MAX_PAIR_PRODUCTS:
+        raise DomainError(
+            f"pair kernel needs at least {products} Gram products, over the budget of {MAX_PAIR_PRODUCTS}"
+        )
 
 
 def _is_whole_shell(pts: UnitPointSet) -> bool:
@@ -261,6 +324,7 @@ def _riesz_sum(pts: UnitPointSet, s: float, rho: float | None = None) -> float:
     cap = None if rho is None else float(pts.source_n) ** (s * rho)
     if _is_whole_shell(pts):
         return _table_energy(pts.source_n, s, cap)
+    _check_products(pts.size**2 // 2)
     parts = []
     for i0, d2, w in _distance_blocks(pts.points):
         _check_duplicates(i0, d2)
@@ -282,6 +346,16 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     For a projected lattice shell the count is taken over exact integer
     squared distances, so it agrees exactly with the inner-product sum
     pairs_in_band(n, 0, r^2 * n).
+
+    A coordinate of a difference is at most its length, so only pairs
+    whose z differ by at most a reach can count, and the pair kernel
+    walks a z band (`_z_band`) with the count of every pair.  On integer
+    points a counted pair has dz^2 <= d^2 <= dmax, so the reach
+    isqrt(dmax) is exact.  On float points it is sqrt(r^2 + _BAND_SLACK),
+    as in `number_variance`: a computed d^2 below r^2 is within about
+    1e-15 of the true one, and the slack also outgrows the rounding of
+    z + reach at every r.  The band's Gram products are predicted first,
+    and past MAX_PAIR_PRODUCTS the count is refused before any product.
     """
     if not 0 < r <= 2:
         raise DomainError("r must lie in (0, 2]")
@@ -294,17 +368,19 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
         dmax = (lim.numerator - 1) // lim.denominator
         if dmax < 1:
             return 0
-        P = pts.int_points
+        P, blocks = _z_band(pts.int_points, math.isqrt(dmax))
         sq = np.einsum("ij,ij->i", P, P)
         total = 0
         # float64 Gram entries are exact integers up to _FLOAT_SAFE
-        for i0, G, w in _pair_blocks(P.astype(np.float64) if n <= _FLOAT_SAFE else P):
-            d2 = sq[i0 : i0 + len(G), None] + sq[None, i0:] - 2 * G.astype(np.int64)
+        for i0, G, w in _pair_blocks(P.astype(np.float64) if n <= _FLOAT_SAFE else P, blocks):
+            b, c = G.shape
+            d2 = sq[i0 : i0 + b, None] + sq[None, i0 : i0 + c] - 2 * G.astype(np.int64)
             total += int((((d2 >= 1) & (d2 <= dmax)) @ w).sum())
         return total
+    P, blocks = _z_band(pts.points, math.sqrt(r * r + _BAND_SLACK))
     total = 0
     r2 = r * r
-    for _, d2, w in _distance_blocks(pts.points):
+    for _, d2, w in _distance_blocks(P, blocks):
         total += int(((d2 < r2) @ w).sum())
     return total
 
@@ -343,19 +419,59 @@ def _shell_nn_d2(P: np.ndarray, n: int) -> np.ndarray:
     return (2.0 * (n - tmax) / n)[orb.index]
 
 
+def _float_nn_d2(P: np.ndarray) -> np.ndarray:
+    """min over j != i of |P_i - P_j|^2 from coordinate differences, per i.
+
+    A kd-tree (Friedman, Bentley & Finkel 1977) offers each point its
+    three nearest candidates, itself among them unless it has two or more
+    duplicates.  The tree's distances and the difference form differ by
+    rounding only, far below _NN_TIE relative, but may order near-equal
+    candidates differently (a compiler may fuse the tree's multiply-adds).
+    So the nearest other candidate holds the minimum unless the next one
+    lies within _NN_TIE of it.  Such a row, a tie or a duplicate (d = 0),
+    takes the minimum over every point the tree finds within
+    (1 + _NN_TIE) times the nearest distance, so it equals the minimum
+    over all j != i.
+    """
+    from scipy.spatial import cKDTree
+
+    N = len(P)
+    tree = cKDTree(P)
+    d, idx = tree.query(P, k=min(3, N))
+    own = idx == np.arange(N)[:, None]
+    diff = P[:, None, :] - P[idx]
+    d2 = (diff * diff).sum(axis=2)
+    d2[own] = np.inf
+    d[own] = np.inf
+    d.sort(axis=1)
+    nn = d2.min(axis=1)
+    tied = np.flatnonzero(d[:, 1] <= d[:, 0] * (1.0 + _NN_TIE))
+    if len(tied):
+        near = tree.query_ball_point(P[tied], d[tied, 0] * (1.0 + _NN_TIE))
+        i = np.repeat(tied, [len(c) for c in near])
+        j = np.concatenate(near).astype(np.intp)
+        diff = P[i] - P[j]
+        dj = (diff * diff).sum(axis=1)
+        dj[i == j] = np.inf
+        np.minimum.at(nn, i, dj)
+    return nn
+
+
 def nn_spacings(pts: UnitPointSet) -> SpacingReport:
+    """Nearest-neighbour spacings N d_j^2 / 4 and their KS distance to Exp(1).
+
+    A whole lattice shell takes d_j^2 exactly from its orbit kernel
+    (`_shell_nn_d2`); any other set takes them from a kd-tree, each as
+    the coordinate-difference form |P_j - P_i|^2 of its nearest other
+    point (`_float_nn_d2`), so a duplicate point gives 0.
+    """
     if pts.size < 2:
         raise DomainError("need at least two points")
     N = pts.size
     if _is_whole_shell(pts):
         d2min = _shell_nn_d2(pts.int_points, pts.source_n)
     else:
-        d2min = np.full(N, np.inf)
-        for i0, d2, _ in _distance_blocks(pts.points):
-            # the block holds pairs (i, j >= i0) once: fold both ends
-            b = len(d2)
-            d2min[i0 : i0 + b] = np.minimum(d2min[i0 : i0 + b], d2.min(axis=1))
-            d2min[i0:] = np.minimum(d2min[i0:], d2.min(axis=0))
+        d2min = _float_nn_d2(pts.points)
     rescaled = N * d2min / 4.0
     x = np.sort(rescaled)
     cdf = 1.0 - np.exp(-x)

@@ -95,6 +95,32 @@ def test_csv_commands_parse(capsys):
     assert len([ln for ln in lines[2:] if not ln.startswith("#")]) == 5
 
 
+@pytest.mark.parametrize("n", [1, 5, 100_057])
+def test_pairs_csv_matches_per_row_format(capsys, n):
+    from threesq import lattice
+
+    assert main(["pairs", "--n", str(n)]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    tbl = lattice.pair_table(n)
+    rows = [f"{t},{c}" for t, c in zip(tbl.t.tolist(), tbl.count.tolist())]
+    assert lines[1:] == ["t,count", *rows, ""]
+
+
+def test_import_leaves_kd_tree_module_unloaded():
+    # scipy.spatial is imported inside the functions that use it, so a run
+    # that needs no kd-tree or hull never pays for its import
+    code = "import sys, threesq, threesq.cli; print('scipy.spatial' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(threesq.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_enumerate_text_format(capsys):
     assert main(["enumerate", "--n", "5"]) == 0
     out = capsys.readouterr().out
@@ -158,6 +184,22 @@ def test_twosq_gaps_refuses_over_budget_before_sieving(capsys, monkeypatch):
     assert main(["twosq-gaps", "--y-list", "10000000000000"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "budget" in capsys.readouterr().err
+
+def test_baseline_energy_refuses_over_pair_budget_before_any_product(capsys, monkeypatch):
+    import time
+
+    from threesq import spatial
+
+    def forbidden(*args):
+        raise AssertionError("Gram products before the budget check")
+
+    monkeypatch.setattr(spatial, "_pair_blocks", forbidden)
+    start = time.perf_counter()
+    assert main(["baseline", "--stat", "energy", "--N", "1000000", "--seed", "1"]) == 2
+    assert main(["baseline", "--stat", "ripley", "--N", "1000000", "--seed", "1", "--r", "2"]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "budget" in capsys.readouterr().err
+
 
 def test_discrepancy_refuses_degrees_past_max(capsys):
     import time

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threesq import lattice, spatial
@@ -213,11 +213,9 @@ def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
             )
     for r in (0.1, 0.5, 1.0, 1.5, 2.0):
         assert spatial.ripley_k(pts, r) == int((d2[off] < r * r).sum())
-    # the kernel's |x|^2 + |y|^2 - 2x.y is within about 2e-15 of d^2
+    # spacings take the difference form d^2 itself
     nn = np.where(off, d2, np.inf).min(axis=1)
-    np.testing.assert_allclose(
-        spatial.nn_spacings(pts).rescaled_values, N * nn / 4, rtol=1e-12, atol=N * 4e-15 / 4
-    )
+    np.testing.assert_array_max_ulp(spatial.nn_spacings(pts).rescaled_values, N * nn / 4, maxulp=1)
 
     # a duplicate across the first and last blocks, and one inside a late block
     for i in {0, N - 2}:
@@ -248,9 +246,207 @@ def test_close_pair_keeps_its_digits():
         expect = math.fsum(d2[off] ** (-s / 2))
         assert spatial.riesz_energy(pts, s) == pytest.approx(expect, rel=1e-12)
     nn = np.where(off, d2, np.inf).min(axis=1)
-    np.testing.assert_allclose(
-        spatial.nn_spacings(pts).rescaled_values, len(P) * nn / 4, rtol=1e-12, atol=0
+    np.testing.assert_array_max_ulp(
+        spatial.nn_spacings(pts).rescaled_values, len(P) * nn / 4, maxulp=1
     )
+
+
+# ------------------------------------------------- reach-limited pair sums
+
+def ripley_full_width(pts, r, r2=None):
+    """Ripley's count over every pair in one block, with the arithmetic the
+    z-banded kernel uses: exact integer d^2 on a lattice source (int64
+    past _FLOAT_SAFE), else the Gram form with close pairs recomputed from
+    differences, counted below r2 = r^2 unless r2 is given."""
+    if pts.source_n is not None and pts.int_points is not None:
+        n = pts.source_n
+        lim = Fraction(r) * Fraction(r) * n
+        dmax = (lim.numerator - 1) // lim.denominator
+        P = pts.int_points
+        A = P.astype(np.float64) if n <= lattice._FLOAT_SAFE else P
+        sq = np.einsum("ij,ij->i", P, P)
+        d2 = sq[:, None] + sq[None, :] - 2 * (A @ A.T).astype(np.int64)
+        return int(((d2 >= 1) & (d2 <= dmax)).sum())
+    P = pts.points
+    sq = np.einsum("ij,ij->i", P, P)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (P @ P.T)
+    np.fill_diagonal(d2, np.inf)
+    i, j = np.nonzero(d2 < spatial._CLOSE_D2)
+    diff = P[i] - P[j]
+    d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+    return int((d2 < (r * r if r2 is None else r2)).sum())
+
+
+def assert_ripley_matches_full_width(pts, r):
+    """Float sets: the Gram entry of a pair can round differently with the
+    shape of the block that holds it (BLAS picks its kernel by shape), so
+    a pair whose d^2 lies within that rounding of r^2 may count either
+    way.  Every other pair counts alike, and with no such pair the counts
+    are equal."""
+    k = spatial.ripley_k(pts, r)
+    tie = 1e-14  # a few ulps of d^2 <= 4
+    lo = ripley_full_width(pts, r, r * r - tie)
+    hi = ripley_full_width(pts, r, r * r + tie)
+    assert lo <= k <= hi
+    if lo == hi:
+        assert k == ripley_full_width(pts, r)
+
+
+@st.composite
+def awkward_sets(draw, max_base=40):
+    """Binomial points plus poles, antipodes, points of equal z (turned
+    about the z axis) and duplicates, in a drawn order."""
+    base = draw(st.integers(0, max_base))
+    P = spatial.binomial_sample(base, draw(st.integers(0, 2**32 - 1))).points if base else np.zeros((0, 3))
+    parts = [P]
+    if draw(st.booleans()):
+        parts.append(np.array([[0.0, 0.0, 1.0]]))
+    if draw(st.booleans()):
+        parts.append(np.array([[0.0, 0.0, -1.0]]))
+    if base:
+        pick = st.lists(st.integers(0, base - 1), max_size=6)
+        parts.append(-P[draw(pick)])
+        turn = draw(pick)
+        phi = draw(st.floats(0.0, 2 * math.pi))
+        c, s = math.cos(phi), math.sin(phi)
+        T = P[turn]
+        parts.append(np.column_stack([c * T[:, 0] - s * T[:, 1], s * T[:, 0] + c * T[:, 1], T[:, 2]]))
+        parts.append(P[draw(pick)])
+    Q = np.concatenate(parts)
+    assume(len(Q) >= 2)
+    return Q[draw(st.permutations(range(len(Q))))]
+
+
+BLOCK_ENTRIES = st.sampled_from([1, 2, 3, 5, 17, 64, 1 << 16])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    awkward_sets(),
+    st.one_of(st.floats(1e-3, 2.0), st.sampled_from([1.0, math.sqrt(2), 2.0])),
+    st.integers(0, 10**6),
+    BLOCK_ENTRIES,
+)
+def test_banded_ripley_matches_full_width_on_float_sets(P, r, pick, entries):
+    pts = spatial.UnitPointSet(P)
+    diff = P[:, None, :] - P[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))[~np.eye(len(P), dtype=bool)]
+    # radii on the set's own distances as well as anywhere in (0, 2]
+    for radius in (r, max(1e-3, min(2.0, float(d[pick % len(d)])))):
+        with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+            assert_ripley_matches_full_width(pts, radius)
+
+
+SHELLS = [n for n in range(1, 700) if lattice.three_squares_representable(n)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SHELLS), st.integers(0, 10**6), st.sampled_from([-0.5, 0.0, 0.5]), BLOCK_ENTRIES)
+def test_banded_ripley_matches_full_width_on_shells(n, pick, nudge, entries):
+    pts = spatial.unit_shell(n)
+    P = pts.int_points
+    d2 = sorted({int(x) for x in ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2).ravel()} - {0})
+    z = sorted({int(c) for c in np.abs(P[:, 2])} - {0})
+    radii = [min(2.0, math.sqrt((d2[pick % len(d2)] + nudge) / n))] if d2 else []
+    if z:
+        # dmax = 4c^2: (a, b, c) and (a, b, -c) differ in z alone, by isqrt(dmax)
+        radii.append(min(2.0, math.sqrt((4 * z[pick % len(z)] ** 2 + 0.5) / n)))
+    for r in radii:
+        with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+            assert spatial.ripley_k(pts, r) == ripley_full_width(pts, r), r
+
+
+def test_banded_ripley_keeps_pairs_apart_in_z_alone():
+    # n = 9: (2, 2, -1) and (2, 2, 1) are 2 apart, and dmax = 4 sets the
+    # integer reach to exactly 2; one row per block cuts at z + reach
+    pts = spatial.unit_shell(9)
+    r = math.sqrt(4.5 / 9)
+    assert 4 < Fraction(r) ** 2 * 9 <= 5
+    with mock.patch.object(spatial, "_PAIR_ENTRIES", 1):
+        assert spatial.ripley_k(pts, r) == ripley_full_width(pts, r)
+        assert spatial.ripley_k(pts, r) == lattice.pairs_in_band(9, 0, Fraction(r) ** 2 * 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1 << 26, 1 << 29),
+    st.integers(0, 1 << 29),
+    st.integers(0, 1 << 29),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 2.0),
+    BLOCK_ENTRIES,
+)
+def test_banded_ripley_matches_full_width_past_float_safe(a, b, c, seed, r, entries):
+    P = _signed_perms((a, b, c))
+    n = a * a + b * b + c * c
+    assume(n > lattice._FLOAT_SAFE)
+    keep = np.random.default_rng(seed).random(len(P)) < 0.7
+    pts = spatial.project(lattice.LatticeSet(n, P[keep]))
+    d2 = np.unique(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))[1:]
+    for radius in (r, min(2.0, math.sqrt(int(d2[seed % len(d2)]) / n))):
+        with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+            assert spatial.ripley_k(pts, radius) == ripley_full_width(pts, radius)
+
+
+def dense_nn_d2(P):
+    diff = P[:, None, :] - P[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return d2.min(axis=1)
+
+
+OCTAHEDRON = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [0, 0, 1.0], [0, 0, -1.0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_sets())
+@example(OCTAHEDRON)
+@example(np.concatenate([OCTAHEDRON, OCTAHEDRON[:3]]))
+@example(np.array([[0.0, 0, 1], [0.0, 0, -1]]))
+@example(np.array([[0.0, 0, 1], [0.0, 0, 1]]))
+@example(np.array([[0.0, 0, 1], [0.0, 0, 1], [1.0, 0, 0]]))
+@example(np.array([[0.0, 0, 1], [0.0, 0, 1], [0.0, 0, 1], [1.0, 0, 0]]))
+@example(np.array([[0.0, 0.6, 0.8], [0.0, 0, 1], [0.6, 0, 0.8]]))
+def test_float_spacings_match_dense_difference_form(P):
+    # the kd-tree's candidates, ties and duplicates settled, give the dense
+    # minimum of the difference form
+    N = len(P)
+    expect = N * dense_nn_d2(P) / 4
+    rep = spatial.nn_spacings(spatial.UnitPointSet(P))
+    np.testing.assert_array_max_ulp(rep.rescaled_values, expect, maxulp=1)
+    # every row settled over the tree's ball of twice its nearest distance
+    with mock.patch.object(spatial, "_NN_TIE", 1.0):
+        rep = spatial.nn_spacings(spatial.UnitPointSet(P))
+    np.testing.assert_array_max_ulp(rep.rescaled_values, expect, maxulp=1)
+
+
+def band_products(blocks):
+    return sum((i1 - i0) * (j1 - i0) for i0, i1, j1 in blocks)
+
+
+def test_ripley_refuses_over_product_budget_before_any_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Gram products before the budget check")
+
+    monkeypatch.setattr(spatial, "_pair_blocks", forbidden)
+    monkeypatch.setattr(spatial, "MAX_PAIR_PRODUCTS", 10**6)
+    pts = spatial.binomial_sample(2000, 5)
+    # a small reach predicts few products, the whole sphere about N^2 / 2
+    assert band_products(spatial._z_band(pts.points, 0.01)[1]) < 10**6
+    with pytest.raises(DomainError, match="budget"):
+        spatial.ripley_k(pts, 2.0)
+    with pytest.raises(DomainError, match="budget"):
+        spatial.ripley_k(spatial.unit_shell(100_057), 2.0)
+    for energy in (lambda p: spatial.riesz_energy(p, 1.0), lambda p: spatial.truncated_energy(p, 1.0, 0.5)):
+        with pytest.raises(DomainError, match="budget"):
+            energy(spatial.UnitPointSet(pts.points, source_n=2))
+
+
+def test_pair_product_budget_admits_the_stretch_shell():
+    # n = 1e9 + 3 has N = 88 320 points; at r = 2 the band is the whole
+    # sphere, so the predicted products depend on N alone
+    P = spatial.binomial_sample(88_320, 1).points
+    assert band_products(spatial._z_band(P, 2.0)[1]) <= spatial.MAX_PAIR_PRODUCTS
 
 
 # ------------------------------------------------------------ covering radius
