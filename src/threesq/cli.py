@@ -179,7 +179,7 @@ def _cmd_covering(args) -> dict:
     value = spatial.covering_radius(pts)
     mesh = (
         spatial.covering_radius_mesh(pts, args.mesh_check)
-        if args.mesh_check
+        if args.mesh_check is not None
         else None
     )
     return {
@@ -315,7 +315,10 @@ def _cmd_verify_arith(args) -> dict:
 
 
 def _cmd_twosq_gaps(args) -> str:
-    ys = [int(v) for v in args.y_list.split(",")]
+    try:
+        ys = [int(v) for v in args.y_list.split(",")]
+    except ValueError:
+        raise DomainError(f"--y-list must be comma-separated integers, not {args.y_list!r}") from None
     rows = (f"{y},{g},{_fmt_float(ratio)}" for y, g, ratio in twosquares.gap_scan(ys))
     return _csv("Y,G,ratio", rows, _config(args))
 

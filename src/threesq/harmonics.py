@@ -301,7 +301,10 @@ def weyl_aggregate_direct(
     sums |W_mu|^2 over the complex harmonic sums of `_harmonic_sums`,
     which shares the recurrence coefficients with `weyl_sums` but not its
     code: the real basis runs order outer and one degree at a time.
+    Degrees outside [1, MAX_DEGREE] are refused, as in `weyl_sums`.
     """
+    if degree < 1 or degree > MAX_DEGREE:
+        raise DomainError(f"degree must lie in [1, {MAX_DEGREE}]")
     sums = _pair_legendre_sums(pts, degree)
     return (2 * degree + 1) / (4.0 * math.pi) * float(sums[degree])
 

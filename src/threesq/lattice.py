@@ -113,16 +113,15 @@ class PairCountTable:
 
 @dataclass
 class ShellOrbits:
-    """A point set split into orbits of the signed-permutation group.
+    """Points of one sphere split into orbits of the signed-permutation group.
 
     Points share an orbit exactly when their sorted absolute coordinates
     agree.  For a set closed under the group (a whole shell) `size` is the
-    orbit size; `index` maps each point to its orbit.
+    orbit size.
     """
 
     reps: np.ndarray  # (R, 3) int64, one point per orbit
     size: np.ndarray  # (R,) points per orbit
-    index: np.ndarray  # (N,) orbit of each point
 
 
 def _two_squares(r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +182,18 @@ def enumerate_points(n: int) -> LatticeSet:
 
 
 def shell_orbits(P: np.ndarray) -> ShellOrbits:
-    """Group integer points by their orbit under the 48 signed permutations."""
+    """Group integer points of one sphere by their orbit under the 48 signed
+    permutations.
+
+    The points must share one squared length n.  With a <= b <= c their
+    sorted absolute coordinates, a and b then fix c = sqrt(n - a^2 - b^2),
+    so the one int64 code a (b_max + 1) + b keys the orbit.  Orbits come
+    in ascending (a, b), each represented by its first point in P.
+    """
     key = np.sort(np.abs(P), axis=1)
-    _, first, index, size = np.unique(
-        key, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    return ShellOrbits(P[first], size, index.reshape(-1))
+    code = key[:, 0] * (int(key[:, 1].max(initial=0)) + 1) + key[:, 1]
+    _, first, size = np.unique(code, return_index=True, return_counts=True)
+    return ShellOrbits(P[first], size)
 
 
 def orbit_gram_rows(P: np.ndarray, reps: np.ndarray):

@@ -11,11 +11,8 @@ A whole lattice shell is a set that remembers its source n and integer
 points and has as many points as `enumerate_points(n)`; testing that
 builds no pair table.  A whole shell takes its energies from the pair
 table, sum over t < n of c(t) f(2(n - t)/n), with every distance exact
-from integers, and its nearest-neighbour spacings from the orbit-reduced
-Gram kernel without the table: one representative row per orbit of the
-signed-permutation group, whose nearest-neighbour distance every point of
-the orbit shares.  Ripley counts stay geometric, so they remain a second
-path to the pair table.
+from integers.  Ripley counts stay geometric, so they remain a second
+path to the pair table, and nearest-neighbour spacings need no table.
 
 Every other pair sum of a point set (energies and Ripley counts) goes
 through one kernel, `_pair_blocks`, which walks the upper block triangle
@@ -31,10 +28,12 @@ refuse past MAX_PAIR_PRODUCTS.  Float squared distances come from the
 Gram form |x|^2 + |y|^2 - 2x.y, and the few below _CLOSE_D2, where that
 form loses digits, are recomputed from coordinate differences.
 
-Nearest-neighbour spacings of any other set need no pair loop: a kd-tree
+Nearest-neighbour spacings of every set need no pair loop: a kd-tree
 offers each point its nearest candidates, and the spacing is the
 coordinate-difference d^2 of the nearest other one, ties and duplicates
-settled against every point near it.  The Legendre pair sums in
+settled against every point near it.  On the integer points of a whole
+shell each of those d^2 is an exact integer, so one routine serves float
+sets and shells alike.  The Legendre pair sums in
 `harmonics` need no pair loop either: they come from the same harmonic
 sums as its discrepancy bound, in chunks under the same entry budget.
 
@@ -51,14 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, DuplicatePointError, InvariantError
-from .lattice import (
-    _FLOAT_SAFE,
-    LatticeSet,
-    enumerate_points,
-    orbit_gram_rows,
-    pair_table,
-    shell_orbits,
-)
+from .lattice import _FLOAT_SAFE, LatticeSet, enumerate_points, pair_table
 
 _PAIR_ENTRIES = 1 << 16  # Gram entries per block of the pair kernel
 _NORM_TOL = 1e-12
@@ -71,6 +63,9 @@ _NN_TIE = 1e-9  # relative gap below which two nearest-neighbour candidates tie
 # Gram products one pair kernel may take: about 10 s of Ripley counts at
 # 2.2 ns per product, and up to about 17 s of energies at 3.5 ns
 MAX_PAIR_PRODUCTS = 4_500_000_000
+# points one binomial sample may hold: room for a same-size baseline of the
+# largest stretch shell, n = 1e10+19 with N = 955 416
+MAX_SAMPLE_POINTS = 1 << 20
 
 
 @dataclass
@@ -157,9 +152,14 @@ def _random_units(rng: np.random.Generator, k: int) -> np.ndarray:
 
 
 def binomial_sample(n_points: int, seed: int) -> UnitPointSet:
-    """n_points i.i.d. uniform points on S^2, reproducible per seed."""
+    """n_points i.i.d. uniform points on S^2, reproducible per seed.
+
+    More than MAX_SAMPLE_POINTS points are refused before any is drawn.
+    """
     if n_points < 1:
         raise DomainError("need at least one point")
+    if n_points > MAX_SAMPLE_POINTS:
+        raise DomainError(f"{n_points} sample points exceed the cap of {MAX_SAMPLE_POINTS}")
     rng = np.random.Generator(np.random.Philox(seed))
     return UnitPointSet(_random_units(rng, n_points))
 
@@ -405,21 +405,7 @@ class SpacingReport:
             raise InvariantError("mean rescaled spacing exceeds the packing bound 4")
 
 
-def _shell_nn_d2(P: np.ndarray, n: int) -> np.ndarray:
-    """Squared nearest-neighbour distance of each point of a whole shell.
-
-    A signed permutation keeps the shell and all distances, so each orbit
-    takes the value of its representative: the largest x.y below n on its
-    Gram row (x.y = n only for y = x), as 2(n - t)/n.
-    """
-    orb = shell_orbits(P)
-    tmax = np.empty(len(orb.reps), dtype=np.int64)
-    for r0, g in orbit_gram_rows(P, orb.reps):
-        tmax[r0 : r0 + len(g)] = g.max(axis=1, where=g < n, initial=-n)
-    return (2.0 * (n - tmax) / n)[orb.index]
-
-
-def _float_nn_d2(P: np.ndarray) -> np.ndarray:
+def _nn_d2(P: np.ndarray) -> np.ndarray:
     """min over j != i of |P_i - P_j|^2 from coordinate differences, per i.
 
     A kd-tree (Friedman, Bentley & Finkel 1977) offers each point its
@@ -432,6 +418,12 @@ def _float_nn_d2(P: np.ndarray) -> np.ndarray:
     takes the minimum over every point the tree finds within
     (1 + _NN_TIE) times the nearest distance, so it equals the minimum
     over all j != i.
+
+    P may be float or int64.  On the integer points of an enumerable shell
+    (n <= _FLOAT_SAFE = 2^50) every coordinate, difference and square is
+    an integer of at most 2^52, and so is every |P_i - P_j|^2 <= 4n; the
+    tree and the float64 sums of squares therefore compute each squared
+    distance exactly, and the result is the exact minimum.
     """
     from scipy.spatial import cKDTree
 
@@ -440,7 +432,7 @@ def _float_nn_d2(P: np.ndarray) -> np.ndarray:
     d, idx = tree.query(P, k=min(3, N))
     own = idx == np.arange(N)[:, None]
     diff = P[:, None, :] - P[idx]
-    d2 = (diff * diff).sum(axis=2)
+    d2 = (diff * diff).sum(axis=2, dtype=np.float64)
     d2[own] = np.inf
     d[own] = np.inf
     d.sort(axis=1)
@@ -451,7 +443,7 @@ def _float_nn_d2(P: np.ndarray) -> np.ndarray:
         i = np.repeat(tied, [len(c) for c in near])
         j = np.concatenate(near).astype(np.intp)
         diff = P[i] - P[j]
-        dj = (diff * diff).sum(axis=1)
+        dj = (diff * diff).sum(axis=1, dtype=np.float64)
         dj[i == j] = np.inf
         np.minimum.at(nn, i, dj)
     return nn
@@ -460,18 +452,19 @@ def _float_nn_d2(P: np.ndarray) -> np.ndarray:
 def nn_spacings(pts: UnitPointSet) -> SpacingReport:
     """Nearest-neighbour spacings N d_j^2 / 4 and their KS distance to Exp(1).
 
-    A whole lattice shell takes d_j^2 exactly from its orbit kernel
-    (`_shell_nn_d2`); any other set takes them from a kd-tree, each as
-    the coordinate-difference form |P_j - P_i|^2 of its nearest other
-    point (`_float_nn_d2`), so a duplicate point gives 0.
+    Every set takes d_j^2 from one kd-tree routine (`_nn_d2`), as the
+    coordinate-difference form |P_j - P_i|^2 of its nearest other point,
+    so a duplicate point gives 0.  A whole lattice shell runs it on its
+    integer points, where every squared distance D = 2(n - x.y) is exact,
+    and divides by n once: d_j^2 = D/n, correctly rounded.
     """
     if pts.size < 2:
         raise DomainError("need at least two points")
     N = pts.size
     if _is_whole_shell(pts):
-        d2min = _shell_nn_d2(pts.int_points, pts.source_n)
+        d2min = _nn_d2(pts.int_points) / pts.source_n
     else:
-        d2min = _float_nn_d2(pts.points)
+        d2min = _nn_d2(pts.points)
     rescaled = N * d2min / 4.0
     x = np.sort(rescaled)
     cdf = 1.0 - np.exp(-x)

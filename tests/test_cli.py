@@ -8,6 +8,7 @@ import pytest
 
 import threesq
 from threesq.cli import build_parser, dumps_canonical, load_schema, main
+from threesq.errors import DomainError
 
 
 def run_cli(args, env=None):
@@ -185,6 +186,31 @@ def test_twosq_gaps_refuses_over_budget_before_sieving(capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert "budget" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("ys", ["10,abc", ",", "", "1.5", "10,,20"])
+def test_twosq_gaps_refuses_malformed_y_list(capsys, ys):
+    assert main(["twosq-gaps", "--y-list", ys]) == 2
+    err = capsys.readouterr().err
+    assert "--y-list" in err and "internal error" not in err
+
+
+def test_baseline_refuses_oversized_sample_before_drawing(capsys, monkeypatch):
+    from threesq import spatial
+
+    def forbidden(*args):
+        raise AssertionError("points drawn before the size check")
+
+    # the cap admits a same-size baseline for n = 1e10+19 (N = 955 416)
+    assert 955_416 <= spatial.MAX_SAMPLE_POINTS
+    monkeypatch.setattr(spatial, "_random_units", forbidden)
+    for N in (spatial.MAX_SAMPLE_POINTS + 1, 10**12):
+        with pytest.raises(DomainError, match="cap"):
+            spatial.binomial_sample(N, 1)
+        assert main(["baseline", "--stat", "spacing", "--N", str(N), "--seed", "1"]) == 2
+        assert "cap" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="before the size check"):
+        spatial.binomial_sample(spatial.MAX_SAMPLE_POINTS, 1)
+
 def test_baseline_energy_refuses_over_pair_budget_before_any_product(capsys, monkeypatch):
     import time
 
@@ -332,6 +358,14 @@ def test_covering_mesh_check_flag(capsys):
     assert 0 <= out["value"] - out["mesh_estimate"] <= 0.01
     # a resolution the interval cannot certify is refused, exit code 2
     assert main(["covering", "--n", "5", "--mesh-check", "1e-10"]) == 2
+
+
+def test_covering_mesh_check_zero_is_refused(capsys):
+    # 0 is a given resolution, not an absent flag
+    assert main(["covering", "--n", "5", "--mesh-check", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resolution" in captured.err
 
 
 def test_baseline_stats_all_run(capsys):

@@ -270,6 +270,7 @@ def test_pair_legendre_sums_pinned_cases(octahedron):
 
 def test_float_route_refuses_degrees_past_max_before_allocating():
     pts = spatial.binomial_sample(3, 0)
+    shell = spatial.unit_shell(5)
     spec = spatial.AnnulusSpec.cap_of_area(0.1)
     tracemalloc.start()
     try:
@@ -279,6 +280,12 @@ def test_float_route_refuses_degrees_past_max_before_allocating():
             harmonics.weyl_aggregate_direct(harmonics.MAX_DEGREE + 1, pts)
         with pytest.raises(DomainError):
             harmonics.discrepancy_bound(None, harmonics.MAX_DEGREE + 1, points=pts)
+        # the direct aggregate refuses degrees below 1 too, and on a whole
+        # shell, whose pair table has no degree limit of its own
+        for points in (pts, shell):
+            for degree in (0, -1, harmonics.MAX_DEGREE + 1):
+                with pytest.raises(DomainError, match="degree"):
+                    harmonics.weyl_aggregate_direct(degree, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

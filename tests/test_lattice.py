@@ -235,10 +235,13 @@ def test_shell_orbits_partition_the_shell():
     for n in (1, 2, 3, 9, 25, 50, 425):
         P = lattice.enumerate_points(n).points
         orb = lattice.shell_orbits(P)
-        assert orb.size.sum() == len(P)
-        assert np.array_equal(np.bincount(orb.index), orb.size)
-        key = np.sort(np.abs(P), axis=1)
-        assert np.array_equal(key, np.sort(np.abs(orb.reps), axis=1)[orb.index])
+        images = [lattice._images(rep[None]) for rep in orb.reps]
+        # each size is its rep's orbit, and the orbits tile the shell
+        assert orb.size.tolist() == [len(img) for img in images]
+        union = np.concatenate(images)
+        assert np.array_equal(union[np.lexsort(union.T[::-1])], P)
+        keys = {tuple(k) for k in np.sort(np.abs(orb.reps), axis=1).tolist()}
+        assert len(keys) == len(orb.reps)
         sizes.update(orb.size.tolist())
     assert sizes == {6, 8, 12, 24, 48}
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 from fractions import Fraction
 
@@ -418,6 +419,42 @@ def test_float_spacings_match_dense_difference_form(P):
     with mock.patch.object(spatial, "_NN_TIE", 1.0):
         rep = spatial.nn_spacings(spatial.UnitPointSet(P))
     np.testing.assert_array_max_ulp(rep.rescaled_values, expect, maxulp=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000).filter(lattice.three_squares_representable))
+@example(1)
+@example(2)
+@example(3)
+@example(9)
+@example(25)
+@example(50)
+@example(425)
+def test_whole_shell_spacings_are_exact(n):
+    # the kd-tree on integer points gives the exact largest x.y below n
+    pts = spatial.unit_shell(n)
+    assert spatial._is_whole_shell(pts)
+    P = pts.int_points
+    G = P @ P.T
+    np.fill_diagonal(G, -n - 1)
+    tmax = G.max(axis=1)
+    N = len(P)
+    expect = N * (2.0 * (n - tmax) / n) / 4
+    assert np.array_equal(spatial.nn_spacings(pts).rescaled_values, expect)
+
+
+def test_whole_shell_spacings_stay_small():
+    # n = 1e8+3 (N = 40 848): the kd-tree route holds a few arrays of N
+    # rows, about 10 MB, and no block of Gram products
+    pts = spatial.unit_shell(10**8 + 3)
+    tracemalloc.start()
+    try:
+        rep = spatial.nn_spacings(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.rescaled_values.size == 40_848
+    assert peak < 32 << 20
 
 
 def band_products(blocks):
