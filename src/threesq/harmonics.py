@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lattice import enumerate_points, pair_table
-from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_whole_shell, _random_units, project
+from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _check_centers, _is_whole_shell, _random_units, project
 
 MAX_DEGREE = 2000
 # Highest series degree on a whole lattice shell, whose pair sums come
@@ -48,6 +48,9 @@ MAX_SHELL_DEGREE = 1 << 16
 # power-of-two scale of the order recurrence, so that sectoral values of
 # points near s = 1/e stay out of the subnormal range up to MAX_DEGREE
 _ORDER_SCALE = 2.0**900
+# cap_discrepancy_estimate's cost of one center in dot products: each row
+# is sorted and searched in Python, about 10 us against 10 ns a product
+_ESTIMATE_FLOOR = 1024
 
 
 def _legendre_seq(m_max: int, x):
@@ -390,13 +393,19 @@ def cap_discrepancy_estimate(
 ) -> float:
     """Max over sampled caps of |count/N - area|: a lower bound on the
     spherical cap discrepancy (closed caps, so each sampled value is a
-    true cap discrepancy)."""
+    true cap discrepancy).
+
+    Each center is dotted with all N points, and a count predicted to
+    pass spatial.MAX_CENTER_PRODUCTS products is refused before any
+    center is drawn; a center costs at least _ESTIMATE_FLOOR products.
+    """
     if center_samples < 100:
         raise DomainError("need at least 100 sampled centers")
     radii = np.asarray(radius_grid, dtype=np.float64)
     if radii.ndim != 1 or len(radii) == 0 or radii.min() <= 0 or radii.max() > 2:
         raise DomainError("radius grid must contain chord radii in (0, 2]")
     N = pts.size
+    _check_centers(center_samples, N, _ESTIMATE_FLOOR)
     rng = np.random.Generator(np.random.Philox(seed))
     thresholds = np.sort(1.0 - radii**2 / 2.0)
     areas = (2.0 - 2.0 * thresholds) / 4.0  # cap area for each threshold

@@ -25,8 +25,17 @@ coordinate of a difference is at most its length, so they walk a z band
 its last row's z plus the reach, which leaves every pair within the
 reach in.  Both predict their Gram products before the first one and
 refuse past MAX_PAIR_PRODUCTS.  Float squared distances come from the
-Gram form |x|^2 + |y|^2 - 2x.y, and the few below _CLOSE_D2, where that
-form loses digits, are recomputed from coordinate differences.
+Gram form (|x|^2 + |y|^2) - 2x.y, and the few below _CLOSE_D2, where that
+form loses digits, are recomputed from coordinate differences, as are
+float Ripley pairs within _RIPLEY_TIE of r^2, so no count depends on the
+shape of the block that holds a pair.
+
+The kernel allocates its blocks once per call: every Gram block, squared
+distance block, weight vector and mask is a view of one array sized from
+the plan's largest block, overwritten block after block in place (matmul
+and ufunc `out=`), so no block allocates an array of its own size.  The
+s = 1 energy takes 1/sqrt(d^2), two correctly rounded steps, instead of
+pow.  The Monte Carlo annulus counts reuse one workspace the same way.
 
 Nearest-neighbour spacings of every set need no pair loop: a kd-tree
 offers each point its nearest candidates, and the spacing is the
@@ -57,6 +66,10 @@ _NORM_TOL = 1e-12
 # below this squared distance the Gram form's rounding (about 1e-15
 # absolute) would exceed 1e-12 relative, so differences are used instead
 _CLOSE_D2 = 1e-3
+# the Gram form and the difference form of one d^2 <= 4 differ by a few
+# 1e-15 at most, so a float Ripley pair whose Gram-form d^2 lies farther
+# than this from r^2 counts alike in both; nearer ones take the latter
+_RIPLEY_TIE = 1e-12
 _BAND_ROWS = 128  # random centers per block of the z-banded annulus count
 _BAND_SLACK = 1e-11  # squared-chord slack of the band reach, see number_variance
 _NN_TIE = 1e-9  # relative gap below which two nearest-neighbour candidates tie
@@ -66,6 +79,16 @@ MAX_PAIR_PRODUCTS = 4_500_000_000
 # points one binomial sample may hold: room for a same-size baseline of the
 # largest stretch shell, n = 1e10+19 with N = 955 416
 MAX_SAMPLE_POINTS = 1 << 20
+# center-point dot products one Monte Carlo count may take, predicted as
+# samples x max(N, floor), the floor being the count's cost per center in
+# products: about 2.5 s of number_variance at its dense worst (2.5 ns a
+# product; 0.35 us, or _VARIANCE_FLOOR products, a center) and 10 s of
+# harmonics.cap_discrepancy_estimate (10 ns a product, 10 us a center)
+MAX_CENTER_PRODUCTS = 1_000_000_000
+_VARIANCE_FLOOR = 256
+# cells one equal-area partition may hold: four per point of the largest
+# stretch shell (N = 955 416), about 60 ms and 50 MB
+MAX_CELLS = 1 << 22
 
 
 @dataclass
@@ -198,14 +221,37 @@ def _z_band(A: np.ndarray, reach):
     return S, blocks
 
 
+def _full_plan(N: int) -> list[tuple[int, int, int]]:
+    """Blocks (i0, i1, j1) of the whole upper triangle: equal row counts
+    of about _PAIR_ENTRIES / N rows, each block running to j1 = N."""
+    rows = max(1, _PAIR_ENTRIES // max(N, 1))
+    return [(i0, min(i0 + rows, N), N) for i0 in range(0, N, rows)]
+
+
+def _workspace(blocks, dtype=np.float64) -> np.ndarray:
+    """One flat array as long as the largest block (rows x columns) of a plan."""
+    return np.empty(max(((i1 - i0) * (j1 - i0) for i0, i1, j1 in blocks), default=0), dtype)
+
+
+def _block(buf: np.ndarray, b: int, c: int) -> np.ndarray:
+    """The first b * c entries of a workspace as a C-ordered b x c block."""
+    return buf[: b * c].reshape(b, c)
+
+
 def _pair_blocks(A: np.ndarray, blocks=None):
     """Yield (i0, G, w) over the upper block triangle of the Gram matrix of A.
 
-    G = A[i0 : i1] @ A[i0 : j1].T is a fresh array of about _PAIR_ENTRIES
-    entries at most, and w weights its columns 1 on the block's own
-    square (the first i1 - i0) and 2 beyond.  Summing w * f(G) over the
-    blocks gives the sum of f(x.y) over ordered pairs, diagonal included,
-    for any symmetric f.  Every pair loop of a point set goes through here.
+    G = A[i0 : i1] @ A[i0 : j1].T, and w weights its columns 1 on the
+    block's own square (the first i1 - i0) and 2 beyond.  Summing
+    w * f(G) over the blocks gives the sum of f(x.y) over ordered pairs,
+    diagonal included, for any symmetric f.  Every pair loop of a point
+    set goes through here.
+
+    G and w are views of two arrays allocated once per call, sized from
+    the plan's largest block, so no block allocates an array of its own
+    size: each is valid only until the next block is drawn, and a caller
+    may overwrite both.  w is set afresh for every block (its widths
+    differ from block to block), and G is matmul's `out`.
 
     Without blocks each block runs to the last column (j1 = N).  The
     blocks of `_z_band` (A then sorted by z) skip every pair whose z
@@ -213,34 +259,68 @@ def _pair_blocks(A: np.ndarray, blocks=None):
     most its length, so the sum is the same for any f that vanishes at
     distances above the reach.
     """
-    N = len(A)
     if blocks is None:
-        rows = max(1, _PAIR_ENTRIES // max(N, 1))
-        blocks = ((i0, min(i0 + rows, N), N) for i0 in range(0, N, rows))
+        blocks = _full_plan(len(A))
+    G = _workspace(blocks, A.dtype)
+    w = np.empty(max((j1 - i0 for i0, _, j1 in blocks), default=0))
     for i0, i1, j1 in blocks:
-        w = np.full(j1 - i0, 2.0)
-        w[: i1 - i0] = 1.0
-        yield i0, A[i0:i1] @ A[i0:j1].T, w
+        b, c = i1 - i0, j1 - i0
+        Gb = _block(G, b, c)
+        np.matmul(A[i0:i1], A[i0:j1].T, out=Gb)
+        wb = w[:c]
+        wb[:b] = 1.0
+        wb[b:] = 2.0
+        yield i0, Gb, wb
+
+
+def _gram_d2(sq: np.ndarray, i0: int, G: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Squared distances (sq_i + sq_j) - 2 G of one block, in a view of buf.
+
+    sq_i + sq_j is rounded first, as the expression reads, and G is
+    doubled in place.  On integer points (exact in float64 up to
+    _FLOAT_SAFE, or int64 past it) every entry is exact.
+    """
+    b, c = G.shape
+    d2 = _block(buf, b, c)
+    np.add(sq[i0 : i0 + b, None], sq[None, i0 : i0 + c], out=d2)
+    G *= 2
+    d2 -= G
+    return d2
 
 
 def _distance_blocks(P: np.ndarray, blocks=None):
-    """Yield (i0, d2, w): _pair_blocks as squared distances, self at +inf.
+    """Yield (i0, d2, w, close): _pair_blocks as squared distances, self at +inf.
 
     Entries below _CLOSE_D2 are recomputed as |x - y|^2 from coordinate
-    differences, so close pairs keep their digits and d2 is never negative.
+    differences, so close pairs keep their digits and d2 is never
+    negative; close holds their flat indices into d2, ascending.  Every
+    pair closer than about 0.03 is among them, duplicates included.
+
+    d2 is a view of one array allocated once per call, like G and w of
+    `_pair_blocks`: valid only until the next block, and free to be
+    overwritten by the caller.
     """
+    if blocks is None:
+        blocks = _full_plan(len(P))
     sq = np.einsum("ij,ij->i", P, P)
+    buf = _workspace(blocks)
+    near = _workspace(blocks, bool)
     for i0, G, w in _pair_blocks(P, blocks):
-        b, c = G.shape
-        d2 = sq[i0 : i0 + b, None] + sq[None, i0 : i0 + c] - 2.0 * G
-        idx = np.arange(b)
-        d2[idx, idx] = np.inf
-        k = np.flatnonzero(d2 < _CLOSE_D2)  # a 2-D np.nonzero costs 10x more
-        if len(k):
-            i, j = np.divmod(k, c)
+        d2 = _gram_d2(sq, i0, G, buf)
+        b, c = d2.shape
+        np.fill_diagonal(d2, np.inf)
+        close = np.flatnonzero(np.less(d2, _CLOSE_D2, out=_block(near, b, c)))
+        if len(close):
+            i, j = np.divmod(close, c)
             diff = P[i0 + i] - P[i0 + j]
-            d2.flat[k] = np.einsum("ij,ij->i", diff, diff)
-        yield i0, d2, w
+            d2.flat[close] = np.einsum("ij,ij->i", diff, diff)
+        yield i0, d2, w, close
+
+
+def _ordered_pairs(mask: np.ndarray) -> int:
+    """Ordered pairs marked in a block of `_pair_blocks`: the block's own
+    square (its first rows-many columns) counts once, the rest twice."""
+    return 2 * int(np.count_nonzero(mask)) - int(np.count_nonzero(mask[:, : mask.shape[0]]))
 
 
 def _check_products(products: int) -> None:
@@ -248,6 +328,16 @@ def _check_products(products: int) -> None:
     if products > MAX_PAIR_PRODUCTS:
         raise DomainError(
             f"pair kernel needs at least {products} Gram products, over the budget of {MAX_PAIR_PRODUCTS}"
+        )
+
+
+def _check_centers(samples: int, N: int, floor: int) -> None:
+    """Refuse a Monte Carlo count predicted to pass MAX_CENTER_PRODUCTS
+    dot products, samples x max(N, floor), before any center is drawn."""
+    products = samples * max(N, floor)
+    if products > MAX_CENTER_PRODUCTS:
+        raise DomainError(
+            f"{samples} centers need about {products} dot products, over the budget of {MAX_CENTER_PRODUCTS}"
         )
 
 
@@ -278,9 +368,10 @@ def _table_energy(n: int, s: float, cap: float | None = None) -> float:
     return math.fsum((tbl.count[:-1] * terms).tolist())
 
 
-def _check_duplicates(i0: int, d2: np.ndarray) -> None:
-    # pairs closer than chord 1e-7 count as equal
-    dup = np.flatnonzero(d2 < 1e-14)
+def _check_duplicates(i0: int, d2: np.ndarray, close: np.ndarray) -> None:
+    """Raise on the first pair of a `_distance_blocks` block closer than
+    chord 1e-7; such pairs count as equal, and all are among `close`."""
+    dup = close[d2.flat[close] < 1e-14]
     if len(dup):
         i, j = divmod(int(dup[0]), d2.shape[1])
         raise DuplicatePointError(i0 + i, i0 + j)
@@ -326,9 +417,15 @@ def _riesz_sum(pts: UnitPointSet, s: float, rho: float | None = None) -> float:
         return _table_energy(pts.source_n, s, cap)
     _check_products(pts.size**2 // 2)
     parts = []
-    for i0, d2, w in _distance_blocks(pts.points):
-        _check_duplicates(i0, d2)
-        terms = d2 ** (-s / 2.0)
+    for i0, d2, w, close in _distance_blocks(pts.points):
+        _check_duplicates(i0, d2, close)
+        terms = d2  # the block's workspace, overwritten in place
+        if s == 1.0:
+            # two correctly rounded steps, several times cheaper than pow
+            np.sqrt(terms, out=terms)
+            np.divide(1.0, terms, out=terms)
+        else:
+            np.power(terms, -s / 2.0, out=terms)
         if cap is not None:
             np.minimum(terms, cap, out=terms)
         parts.append(float((terms @ w).sum()))
@@ -356,6 +453,13 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     1e-15 of the true one, and the slack also outgrows the rounding of
     z + reach at every r.  The band's Gram products are predicted first,
     and past MAX_PAIR_PRODUCTS the count is refused before any product.
+
+    On float points the Gram form of d^2 is within a few 1e-15 of the
+    coordinate-difference form |x - y|^2, and BLAS rounds it differently
+    for different block shapes.  A pair whose Gram-form d^2 lies within
+    _RIPLEY_TIE of r^2 is therefore settled from differences, and the
+    count equals that of |x - y|^2 < r^2 over all pairs, whatever the
+    blocking.
     """
     if not 0 < r <= 2:
         raise DomainError("r must lie in (0, 2]")
@@ -369,19 +473,35 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
         if dmax < 1:
             return 0
         P, blocks = _z_band(pts.int_points, math.isqrt(dmax))
-        sq = np.einsum("ij,ij->i", P, P)
+        # float64 sums and Gram entries are exact integers up to _FLOAT_SAFE
+        A = P.astype(np.float64) if n <= _FLOAT_SAFE else P
+        sq = np.einsum("ij,ij->i", A, A)
+        buf = _workspace(blocks, A.dtype)
+        mask = _workspace(blocks, bool)
         total = 0
-        # float64 Gram entries are exact integers up to _FLOAT_SAFE
-        for i0, G, w in _pair_blocks(P.astype(np.float64) if n <= _FLOAT_SAFE else P, blocks):
-            b, c = G.shape
-            d2 = sq[i0 : i0 + b, None] + sq[None, i0 : i0 + c] - 2 * G.astype(np.int64)
-            total += int((((d2 >= 1) & (d2 <= dmax)) @ w).sum())
+        for i0, G, _ in _pair_blocks(A, blocks):
+            d2 = _gram_d2(sq, i0, G, buf)
+            m = _block(mask, *d2.shape)
+            total += _ordered_pairs(np.less_equal(d2, dmax, out=m))
+            total -= _ordered_pairs(np.less(d2, 1, out=m))  # self and duplicates
         return total
     P, blocks = _z_band(pts.points, math.sqrt(r * r + _BAND_SLACK))
-    total = 0
     r2 = r * r
-    for _, d2, w in _distance_blocks(P, blocks):
-        total += int(((d2 < r2) @ w).sum())
+    below = _workspace(blocks, bool)
+    above = _workspace(blocks, bool)
+    total = 0
+    for i0, d2, _, _ in _distance_blocks(P, blocks):
+        b, c = d2.shape
+        lo = np.less(d2, r2 - _RIPLEY_TIE, out=_block(below, b, c))
+        hi = np.less(d2, r2 + _RIPLEY_TIE, out=_block(above, b, c))
+        total += _ordered_pairs(lo)
+        if np.count_nonzero(hi) > np.count_nonzero(lo):
+            # settle the pairs within _RIPLEY_TIE of r^2 from differences
+            tie = np.flatnonzero(np.not_equal(lo, hi, out=hi))
+            i, j = np.divmod(tie, c)
+            diff = P[i0 + i] - P[i0 + j]
+            inside = np.einsum("ij,ij->i", diff, diff) < r2
+            total += 2 * int(np.count_nonzero(inside)) - int(np.count_nonzero(inside[j < b]))
     return total
 
 
@@ -655,19 +775,35 @@ def _annulus_histogram(
     rng = np.random.Generator(np.random.Philox(seed))
     hist = np.zeros(N + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(N, 1))
+    dots = np.empty(0)
+    inside = np.empty(0, bool)
+    below = np.empty(0, bool)
     remaining = samples
     while remaining:
         k = min(chunk, remaining)
         remaining -= k
         centers = _random_units(rng, k)
         centers = centers[np.argsort(centers[:, 2])]
-        counts = np.empty(k, dtype=np.int64)
-        for b in range(0, k, _BAND_ROWS):
+        # the chunk's plan: block b meets the points with z in [j0, j1)
+        starts = np.arange(0, k, _BAND_ROWS)
+        j0 = np.searchsorted(z, centers[starts, 2] - reach, side="left")
+        j1 = np.searchsorted(z, centers[np.minimum(starts + _BAND_ROWS, k) - 1, 2] + reach, side="right")
+        size = min(k, _BAND_ROWS) * int((j1 - j0).max())
+        if len(dots) < size:
+            # one workspace for every block; the widest blocks of later
+            # chunks differ by a few points, so room for twice this one's
+            # spares a regrowth (pages never written are never touched)
+            room = min(2 * size, min(k, _BAND_ROWS) * N)
+            dots, inside, below = np.empty(room), np.empty(room, bool), np.empty(room, bool)
+        counts = np.empty(k, dtype=np.int32)  # int32 sums cost 2/3 of int64 ones
+        for b, lo_j, hi_j in zip(starts.tolist(), j0.tolist(), j1.tolist()):
             C = centers[b : b + _BAND_ROWS]
-            j0 = np.searchsorted(z, C[0, 2] - reach, side="left")
-            j1 = np.searchsorted(z, C[-1, 2] + reach, side="right")
-            dots = C @ P[j0:j1].T
-            counts[b : b + len(C)] = ((dots >= lo) & (dots <= hi)).sum(axis=1, dtype=np.int32)
+            shape = len(C), hi_j - lo_j
+            D = np.matmul(C, P[lo_j:hi_j].T, out=_block(dots, *shape))
+            M = np.greater_equal(D, lo, out=_block(inside, *shape))
+            if hi < math.inf:  # a cap has no upper end
+                M &= np.less_equal(D, hi, out=_block(below, *shape))
+            M.sum(axis=1, dtype=np.int32, out=counts[b : b + len(C)])
         hist += np.bincount(counts, minlength=N + 1)
     return hist
 
@@ -697,11 +833,18 @@ def number_variance(
     <= rho2^2 + 2.1e-12 < rho2^2 + _BAND_SLACK.  A fixed pad on rho2 would
     not do: for a cap of radius 1e-4 the slack sqrt(rho2^2 + 2.1e-12) - rho2
     is 1e-8.  The counts, and every moment, therefore equal those of
-    dotting each center with all N points.
+    dotting each center with all N points.  Each block's dots and masks
+    are views of one workspace, grown only when a chunk's widest block
+    needs more.
+
+    samples x max(N, _VARIANCE_FLOOR) dot products are predicted first,
+    and past MAX_CENTER_PRODUCTS the count is refused before any center
+    is drawn.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
     N = pts.size
+    _check_centers(samples, N, _VARIANCE_FLOOR)
     hist = _annulus_histogram(pts, spec, samples, seed)
     weights = hist.tolist()
     s1 = sum(w * k for k, w in enumerate(weights))
@@ -769,9 +912,17 @@ class CellPartition:
         return best
 
 
+def _check_cells(cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise DomainError(f"{cells} cells exceed the cap of {MAX_CELLS}")
+
+
 def equal_area_cells(cells: int) -> CellPartition:
+    """Equal-area partition into `cells` cells; more than MAX_CELLS are
+    refused before anything is allocated."""
     if cells < 1:
         raise DomainError("need at least one cell")
+    _check_cells(cells)
     bands = max(1, round(math.sqrt(math.pi * cells) / 2.0))
     bands = min(bands, cells)
     centers_u = (np.arange(bands) + 0.5) * 2.0 / bands
@@ -793,10 +944,11 @@ def box_moment(pts: UnitPointSet, cells: int) -> tuple[int, int]:
 
     Cells form an equal-area zonal partition; the first component always
     equals the number of points, and sum of squares >= N^2 / K by
-    Cauchy-Schwarz.
+    Cauchy-Schwarz.  More than MAX_CELLS cells are refused up front.
     """
     if cells < 2:
         raise DomainError("need at least two cells")
+    _check_cells(cells)
     part = equal_area_cells(cells)
     ids = part.assign(pts.points)
     counts = np.bincount(ids, minlength=part.size)

@@ -211,6 +211,53 @@ def test_baseline_refuses_oversized_sample_before_drawing(capsys, monkeypatch):
     with pytest.raises(AssertionError, match="before the size check"):
         spatial.binomial_sample(spatial.MAX_SAMPLE_POINTS, 1)
 
+def test_boxes_refuses_cells_past_cap_before_partitioning(capsys, monkeypatch):
+    from threesq import spatial
+
+    def forbidden(*args):
+        raise AssertionError("partition built before the cell check")
+
+    # the cap admits four cells per point of n = 1e10+19 (N = 955 416)
+    assert 4 * 955_416 <= spatial.MAX_CELLS
+    monkeypatch.setattr(spatial, "equal_area_cells", forbidden)
+    for cells in (spatial.MAX_CELLS + 1, 10**11):
+        assert main(["boxes", "--n", "5", "--cells", str(cells)]) == 2
+        assert "cap" in capsys.readouterr().err
+        with pytest.raises(DomainError, match="cap"):
+            spatial.box_moment(spatial.unit_shell(5), cells)
+    monkeypatch.undo()
+    with pytest.raises(DomainError, match="cap"):
+        spatial.equal_area_cells(spatial.MAX_CELLS + 1)
+
+
+def test_monte_carlo_counts_refuse_over_budget_before_drawing(capsys, monkeypatch):
+    from threesq import harmonics, spatial
+
+    def forbidden(*args):
+        raise AssertionError("centers drawn before the budget check")
+
+    # the benchmark's variance jobs (10 000 centers, N <= 2112) and the
+    # acceptance dual path (10^6 centers on 24 points) stay well inside
+    spatial._check_centers(10 * 10_000, 2112, spatial._VARIANCE_FLOOR)
+    spatial._check_centers(10**6, 24, spatial._VARIANCE_FLOOR)
+    monkeypatch.setattr(spatial, "_random_units", forbidden)
+    monkeypatch.setattr(harmonics, "_random_units", forbidden)
+    runs = [
+        ["variance", "--n", "5", "--sigma", "0.1", "--samples", "1000000000000", "--seed", "1"],
+        ["variance", "--n", "100057", "--sigma", "0.01", "--samples", "1000000", "--seed", "1"],
+        ["discrepancy", "--n", "5", "--m-max", "5", "--estimate", "--centers", "100000000", "--seed", "1"],
+        ["discrepancy", "--n", "5", "--m-max", "5", "--estimate", "--centers", "1000000", "--seed", "1"],
+    ]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        assert "budget" in capsys.readouterr().err
+    shell = spatial.unit_shell(5)
+    with pytest.raises(DomainError, match="budget"):
+        spatial.number_variance(shell, spatial.AnnulusSpec.cap(0.5), 10**12, 1)
+    with pytest.raises(DomainError, match="budget"):
+        harmonics.cap_discrepancy_estimate(shell, 10**8, [0.5], 1)
+
+
 def test_baseline_energy_refuses_over_pair_budget_before_any_product(capsys, monkeypatch):
     import time
 

@@ -254,11 +254,11 @@ def test_close_pair_keeps_its_digits():
 
 # ------------------------------------------------- reach-limited pair sums
 
-def ripley_full_width(pts, r, r2=None):
+def ripley_full_width(pts, r):
     """Ripley's count over every pair in one block, with the arithmetic the
     z-banded kernel uses: exact integer d^2 on a lattice source (int64
-    past _FLOAT_SAFE), else the Gram form with close pairs recomputed from
-    differences, counted below r2 = r^2 unless r2 is given."""
+    past _FLOAT_SAFE), else the Gram form with close pairs, and pairs
+    within _RIPLEY_TIE of r^2, recomputed from differences."""
     if pts.source_n is not None and pts.int_points is not None:
         n = pts.source_n
         lim = Fraction(r) * Fraction(r) * n
@@ -269,28 +269,14 @@ def ripley_full_width(pts, r, r2=None):
         d2 = sq[:, None] + sq[None, :] - 2 * (A @ A.T).astype(np.int64)
         return int(((d2 >= 1) & (d2 <= dmax)).sum())
     P = pts.points
+    r2 = r * r
     sq = np.einsum("ij,ij->i", P, P)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (P @ P.T)
     np.fill_diagonal(d2, np.inf)
-    i, j = np.nonzero(d2 < spatial._CLOSE_D2)
+    i, j = np.nonzero((d2 < spatial._CLOSE_D2) | (np.abs(d2 - r2) <= spatial._RIPLEY_TIE))
     diff = P[i] - P[j]
     d2[i, j] = np.einsum("ij,ij->i", diff, diff)
-    return int((d2 < (r * r if r2 is None else r2)).sum())
-
-
-def assert_ripley_matches_full_width(pts, r):
-    """Float sets: the Gram entry of a pair can round differently with the
-    shape of the block that holds it (BLAS picks its kernel by shape), so
-    a pair whose d^2 lies within that rounding of r^2 may count either
-    way.  Every other pair counts alike, and with no such pair the counts
-    are equal."""
-    k = spatial.ripley_k(pts, r)
-    tie = 1e-14  # a few ulps of d^2 <= 4
-    lo = ripley_full_width(pts, r, r * r - tie)
-    hi = ripley_full_width(pts, r, r * r + tie)
-    assert lo <= k <= hi
-    if lo == hi:
-        assert k == ripley_full_width(pts, r)
+    return int((d2 < r2).sum())
 
 
 @st.composite
@@ -335,7 +321,7 @@ def test_banded_ripley_matches_full_width_on_float_sets(P, r, pick, entries):
     # radii on the set's own distances as well as anywhere in (0, 2]
     for radius in (r, max(1e-3, min(2.0, float(d[pick % len(d)])))):
         with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
-            assert_ripley_matches_full_width(pts, radius)
+            assert spatial.ripley_k(pts, radius) == ripley_full_width(pts, radius), radius
 
 
 SHELLS = [n for n in range(1, 700) if lattice.three_squares_representable(n)]
@@ -771,6 +757,62 @@ def test_banded_counts_keep_points_past_a_fixed_pad():
     dense = dense_histogram(pts, spec, 101, 5)
     assert dense[2:].sum() >= 20  # each such center sees both of its points
     assert_banded_equals_dense(pts, spec, 101, 5)
+
+
+# ----------------------------------------------------------- pair workspace
+
+def dense_difference_d2(P):
+    """Every |P_i - P_j|^2 from coordinate differences, in the kernel's einsum form."""
+    diff = (P[:, None, :] - P[None, :, :]).reshape(-1, 3)
+    return np.einsum("ij,ij->i", diff, diff).reshape(len(P), len(P))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    awkward_sets(max_base=60),
+    st.sampled_from([1, 7, 64, 1 << 16]),
+    st.floats(1e-3, 2.0),
+    st.integers(0, 10**6),
+    annuli(),
+    st.integers(2**31, 2**32),
+)
+def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
+    # one workspace serves blocks of many shapes: ragged last blocks of the
+    # full triangle, and z-band blocks of varying rows and widths; a stale
+    # tail of a buffer or a stale weight vector would move these sums
+    N = len(P)
+    pts = spatial.UnitPointSet(P, source_n=2)  # n = 2 sets the energy cap
+    d2 = dense_difference_d2(P)
+    off = ~np.eye(N, dtype=bool)
+    dup = bool((d2[off] < 1e-14).any())
+    with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+        for s in (1.0, 0.5):
+            for rho in (None, 0.5):
+                energy = spatial.riesz_energy if rho is None else (
+                    lambda p, s: spatial.truncated_energy(p, s, rho))
+                if dup:
+                    with pytest.raises(DuplicatePointError):
+                        energy(pts, s)
+                    continue
+                terms = d2[off] ** (-s / 2)
+                if rho is not None:
+                    terms = np.minimum(terms, 2.0 ** (s * rho))
+                assert energy(pts, s) == pytest.approx(math.fsum(terms.tolist()), rel=1e-13)
+        own = float(np.sqrt(d2[off][pick % (N * N - N)]))
+        for radius in (r, min(2.0, max(1e-3, own)), 2.0):
+            assert spatial.ripley_k(pts, radius) == int((d2[off] < radius * radius).sum()), radius
+        # the kernel itself over a z-band plan: f(x.y) = max(0, x.y - c)
+        # vanishes beyond the reach, so the band's weighted sum is the sum
+        # over all ordered pairs, diagonal included
+        S, blocks = spatial._z_band(P, r)
+        c = 1.0 - r * r / 2.0
+        parts = [float((w * np.maximum(G - c, 0.0)).sum()) for _, G, w in spatial._pair_blocks(S, blocks)]
+        dense = np.maximum(P @ P.T - c, 0.0)
+        assert math.fsum(parts) == pytest.approx(math.fsum(dense.ravel().tolist()), rel=1e-12, abs=1e-12)
+    for rows in (1, 7):
+        with mock.patch.object(spatial, "_BAND_ROWS", rows):
+            banded = spatial._annulus_histogram(pts, spec, 300, seed)
+        assert banded.tolist() == dense_histogram(pts, spec, 300, seed).tolist(), rows
 
 
 # ------------------------------------------------------------------ boxes
