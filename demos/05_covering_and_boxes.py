@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Covering radius and equal-area cell occupancy.
 
-The covering radius comes from convex-hull facet planes (exact), is
-checked against a certified interval [lo, hi] from a branch and bound over
+The covering radius comes from convex-hull facet planes: for a whole
+shell, the hull over one symmetry sector, its winning plane evaluated on
+the integer points (exact up to the last rounding).  It is checked
+against a certified interval [lo, hi] from a branch and bound over
 cube-sphere cells, and scales like a negative power of N.  Cell
 occupancy second moments stay near the n^(1/2) mark expected when no
 cell hoards points.

@@ -13,6 +13,12 @@ builds no pair table.  A whole shell takes its energies from the pair
 table, sum over t < n of c(t) f(2(n - t)/n), with every distance exact
 from integers.  Ripley counts stay geometric, so they remain a second
 path to the pair table, and nearest-neighbour spacings need no table.
+Its covering radius needs only the hull facets over one sector of its
+48 signed permutations: one hull of the points near that sector and a
+phantom vertex opposite it, accepted when a certificate shows those
+facets are facets of the whole hull (see `covering_radius`), and the
+winning plane is evaluated on its integer points, free of the
+cancellation in 2 - 2*offset.  Other sets take the whole hull.
 
 Every other pair sum of a point set (energies and Ripley counts) goes
 through one kernel, `_pair_blocks`, which walks the upper block triangle
@@ -89,6 +95,20 @@ _VARIANCE_FLOOR = 256
 # cells one equal-area partition may hold: four per point of the largest
 # stretch shell (N = 955 416), about 60 ms and 50 MB
 MAX_CELLS = 1 << 22
+# D = {0 <= x <= y <= z} on S^2, a fundamental domain of the 48 signed
+# permutations, is the spherical triangle with vertices e_z, (e_y + e_z)/sqrt 2
+# and (1, 1, 1)/sqrt 3; its circumcap, centre _SECTOR_CENTER and chord radius
+# _SECTOR_RADIUS (about 0.4765), holds it
+_SECTOR_VERTICES = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+_SECTOR_VERTICES /= np.linalg.norm(_SECTOR_VERTICES, axis=1)[:, None]
+_SECTOR_CENTER = np.cross(
+    _SECTOR_VERTICES[2] - _SECTOR_VERTICES[0], _SECTOR_VERTICES[1] - _SECTOR_VERTICES[0]
+)
+_SECTOR_CENTER /= np.linalg.norm(_SECTOR_CENTER)
+_SECTOR_RADIUS = float(np.linalg.norm(_SECTOR_VERTICES - _SECTOR_CENTER, axis=1).max())
+_SECTOR_MARGIN = 2.5  # starting margin of the gathered cap, times N^(-1/4)
+_SECTOR_SLACK = 1e-9  # chord slack on the safe side of every certificate test
+_PLANE_TIE = 1e-12  # float offsets this close to the smallest are settled exactly
 
 
 @dataclass
@@ -598,25 +618,145 @@ def covering_radius(pts: UnitPointSet) -> float:
 
     The farthest point sits over a facet of the convex hull: a facet at
     distance `off` from the origin has all its vertices at chord distance
-    sqrt(2 - 2*off) from the outward unit normal, and the covering radius
-    is the maximum over facets.  Requires the origin strictly inside the
-    hull; otherwise (all points in a closed hemisphere) the method is
+    rho = sqrt(2 - 2*off) from the outward unit normal u, the cap of radius
+    rho around u holds no point in its interior, and the covering radius
+    is the maximum of rho over facets.  Requires the origin strictly inside
+    the hull; otherwise (all points in a closed hemisphere) the method is
     invalid and the covering radius is at least sqrt(2).
-    """
-    from scipy.spatial import ConvexHull, QhullError
 
+    A whole lattice shell needs only the facets over one symmetry sector.
+    The shell is invariant under the 48 signed permutations, so a deepest
+    hole lies in D = {0 <= x <= y <= z}, which the cap of chord radius
+    r_D around c0 holds (`_SECTOR_CENTER`, `_SECTOR_RADIUS`).  One hull is
+    taken of the shell points within r_D + M of c0 and a phantom vertex at
+    -c0, and its result is accepted when
+      (a) every facet offset is positive;
+      (b) every facet through the phantom has its opposite arc farther
+          than r_D from c0;
+      (c) every other facet with |u - c0| <= r_D + rho has its empty cap
+          inside the gathered one: |u - c0| + rho <= r_D + M,
+    each with _SECTOR_SLACK on the safe side.  Otherwise M doubles, and
+    once r_D + M reaches 2 the whole shell's hull is taken.  Proof
+    sketch: by (a) the spherical triangles of the facets tile S^2, and a
+    triangle lies in its facet's cap.  A triangle through the phantom is
+    the union of arcs from -c0 to its opposite arc, along which the
+    distance to c0 falls, so by (b) it misses the cap around c0 and the
+    other triangles cover D.  Those meeting the cap are the facets that
+    (c) tests.  A shell point left out lies farther than r_D + M from c0,
+    so by (c) it lies outside their caps, which are then empty for the
+    whole shell: they are facets of the whole hull, and their rho is at
+    most the covering radius.  Every point of a facet's triangle is
+    within rho of one of its vertices, so the deepest hole in D is within
+    the largest of these rho, which is therefore the covering radius.
+
+    The winning plane is then evaluated on the integer points: for a
+    facet within _PLANE_TIE of the smallest float offset, with primitive
+    integer normal nu and vertex a, q = |nu|^2 n and p = |nu.a| are
+    exact and off^2 = p^2/q.  The largest (q - p^2)/q, compared exactly,
+    gives rho = sqrt(2(q - p^2) / (q + p sqrt(q))), which has none of
+    the cancellation of 2 - 2*off.
+    """
     if pts.size < 4:
         raise DomainError("fewer than 4 points always sit in a closed hemisphere")
+    if _is_whole_shell(pts):
+        return _shell_covering(pts)
+    off = -_hull(pts.points).equations[:, 3]
+    _check_offsets(off)
+    return float(math.sqrt(2.0 - 2.0 * off.min()))
+
+
+def _hull(P: np.ndarray):
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
-        hull = ConvexHull(pts.points)
+        return ConvexHull(P)
     except QhullError as exc:
         raise DomainError(
             "degenerate configuration: points lie in a closed hemisphere or a plane"
         ) from exc
-    off = -hull.equations[:, 3]
+
+
+def _check_offsets(off: np.ndarray) -> None:
     if off.min() <= 1e-12:
         raise DomainError("points lie in a closed hemisphere; covering radius >= sqrt(2)")
-    return float(math.sqrt(2.0 - 2.0 * off.min()))
+
+
+def _shell_covering(pts: UnitPointSet) -> float:
+    """`covering_radius` of a whole shell: the sector hull, else the whole
+    hull, which a shell of at most 48 points (one orbit) takes at once."""
+    P, A, N = pts.points, pts.int_points, pts.size
+    margin = _SECTOR_MARGIN * N**-0.25
+    while N > 48 and _SECTOR_RADIUS + margin < 2.0:
+        reach = _SECTOR_RADIUS + margin
+        near = np.flatnonzero(P @ _SECTOR_CENTER >= 1.0 - reach * reach / 2.0)
+        facets = _sector_facets(P[near], reach)
+        if facets is not None:
+            return _exact_covering(A[near], pts.source_n, *facets)
+        margin *= 2.0
+    hull = _hull(P)
+    off = -hull.equations[:, 3]
+    _check_offsets(off)
+    return _exact_covering(A, pts.source_n, hull.simplices, off)
+
+
+def _sector_facets(Q: np.ndarray, reach: float):
+    """(simplices, offsets) of the facets over the sector that the hull of
+    Q and a phantom vertex at -c0 certifies, Q being the points within
+    chord `reach` of c0; None if the certificate of `covering_radius`
+    fails."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    k = len(Q)
+    try:
+        hull = ConvexHull(np.vstack([Q, -_SECTOR_CENTER]))
+    except QhullError:
+        return None
+    off = -hull.equations[:, 3]
+    if off.min() <= 0.0:  # (a)
+        return None
+    # (b): the arc from x to y lies in the cap of chord radius |x - m| around
+    # their normalized midpoint m, so it keeps that far less |m - c0| from c0
+    phantom = (hull.simplices == k).any(axis=1)
+    arcs = np.sort(hull.simplices[phantom], axis=1)[:, :2]
+    x, y = Q[arcs[:, 0]], Q[arcs[:, 1]]
+    m = x + y
+    m /= np.linalg.norm(m, axis=1)[:, None]
+    gap = np.linalg.norm(m - _SECTOR_CENTER, axis=1) - np.linalg.norm(x - m, axis=1)
+    if not (gap > _SECTOR_RADIUS + _SECTOR_SLACK).all():
+        return None
+    # (c)
+    rho = np.sqrt(2.0 - 2.0 * np.minimum(off, 1.0))
+    dist = np.linalg.norm(hull.equations[:, :3] - _SECTOR_CENTER, axis=1)
+    meets = ~phantom & (dist <= _SECTOR_RADIUS + rho + _SECTOR_SLACK)
+    if not (dist[meets] + rho[meets] <= reach - _SECTOR_SLACK).all():
+        return None
+    return hull.simplices[meets], off[meets]
+
+
+def _exact_covering(A: np.ndarray, n: int, simplices: np.ndarray, off: np.ndarray) -> float:
+    """The largest rho of the facets within _PLANE_TIE of the smallest
+    offset, from exact integer planes (see `covering_radius`).
+
+    The normal is made primitive and p positive, so a plane's value does
+    not depend on the triangle that carries it; equal (q - p^2)/q of
+    different planes are settled by the larger float, so the result does
+    not depend on which facets the hull listed either.  A degenerate
+    triangle of a coplanar face (zero normal) carries no plane.
+    """
+    T = A[simplices[off <= off.min() + _PLANE_TIE]]
+    # coordinates of a shell up to 2^50 are at most 2^25, so every entry
+    # of these cross products is at most 2^53 and int64 holds it exactly
+    normals = np.cross(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0])
+    planes = []
+    for nu, a in zip(normals.tolist(), T[:, 0].tolist()):
+        g = math.gcd(*nu)
+        if g == 0:
+            continue
+        nu = [x // g for x in nu]
+        p = abs(sum(x * y for x, y in zip(nu, a)))
+        q = sum(x * x for x in nu) * n
+        planes.append((Fraction(q - p * p, q), math.sqrt(2 * (q - p * p) / (q + p * math.sqrt(q)))))
+    return max(planes)[1]
 
 
 # Cube faces as (normal axis, sign, the two in-face axes); a face point
@@ -846,13 +986,17 @@ def number_variance(
     N = pts.size
     _check_centers(samples, N, _VARIANCE_FLOOR)
     hist = _annulus_histogram(pts, spec, samples, seed)
-    weights = hist.tolist()
-    s1 = sum(w * k for k, w in enumerate(weights))
-    s2 = sum(w * k * k for k, w in enumerate(weights))
+    # the moments skip the empty counts outside the occupied range, whose
+    # terms are exact zeros
+    occupied = np.flatnonzero(hist)
+    first = int(occupied[0])
+    weights = hist[first : occupied[-1] + 1].tolist()
+    s1 = sum(w * k for k, w in enumerate(weights, first))
+    s2 = sum(w * k * k for k, w in enumerate(weights, first))
     S = samples
     mean = s1 / S
     variance = (s2 - s1 * s1 / S) / (S - 1)
-    m4 = sum(w * (k - mean) ** 4 for k, w in enumerate(weights)) / S
+    m4 = sum(w * (k - mean) ** 4 for k, w in enumerate(weights, first)) / S
     var_of_var = max(0.0, (m4 - (S - 3) / (S - 1) * variance**2) / S)
     return VarianceReport(
         n=pts.source_n,

@@ -499,6 +499,79 @@ def test_covering_radius_area_lower_bound():
         assert spatial.covering_radius(pts) >= 2 / math.sqrt(300)
 
 
+def full_hull_covering(pts):
+    """The whole shell's hull, its winning plane evaluated exactly."""
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(pts.points)
+    return spatial._exact_covering(
+        pts.int_points, pts.source_n, hull.simplices, -hull.equations[:, 3]
+    )
+
+
+def float_hull_covering(pts):
+    """The whole hull's covering radius from float offsets, as
+    covering_radius computed it for every set before it read shells'
+    integer planes."""
+    from scipy.spatial import ConvexHull
+
+    return math.sqrt(2.0 - 2.0 * (-ConvexHull(pts.points).equations[:, 3]).min())
+
+
+def assert_shell_covering_exact(pts):
+    value = spatial.covering_radius(pts)
+    assert value == full_hull_covering(pts), pts.source_n
+    assert value == pytest.approx(float_hull_covering(pts), rel=1e-12), pts.source_n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=200_000), st.sampled_from([1.0, 0.01]))
+def test_shell_covering_sector_matches_full_hull(n, scale):
+    assume(lattice.three_squares_representable(n))
+    with mock.patch.object(spatial, "_SECTOR_MARGIN", spatial._SECTOR_MARGIN * scale):
+        assert_shell_covering_exact(spatial.unit_shell(n))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.01])
+def test_shell_covering_sector_matches_full_hull_below_60(monkeypatch, scale):
+    # shells of at most 48 points (one orbit) take the whole hull
+    monkeypatch.setattr(spatial, "_SECTOR_MARGIN", spatial._SECTOR_MARGIN * scale)
+    for n in range(1, 60):
+        if lattice.three_squares_representable(n):
+            assert_shell_covering_exact(spatial.unit_shell(n))
+
+
+# a margin 100 times too small lets a hull through clause (b) of the
+# certificate wrongly at n = 26 and 53, and through (c) at n = 95 966 and
+# 150 821, were either clause dropped
+@pytest.mark.parametrize("n", [26, 53, 1009, 95_966, 150_821, 1_000_003])
+def test_shell_covering_small_margin_retries(monkeypatch, n):
+    import scipy.spatial
+
+    pts = spatial.unit_shell(n)
+    value = spatial.covering_radius(pts)
+    hulls = []
+    hull = scipy.spatial.ConvexHull
+
+    def counting(P, *args, **kwargs):
+        hulls.append(len(P))
+        return hull(P, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    monkeypatch.setattr(spatial, "_SECTOR_MARGIN", spatial._SECTOR_MARGIN / 100)
+    assert spatial.covering_radius(pts) == value
+    assert len(hulls) > 1
+    assert hulls[-1] < pts.size  # certified on a sector, not the whole hull
+
+
+@pytest.mark.parametrize("n", [59, 1009, 100_057])
+def test_shell_covering_ignores_row_order(n):
+    pts = spatial.unit_shell(n)
+    perm = np.random.default_rng(n).permutation(pts.size)
+    shuffled = spatial.UnitPointSet(pts.points[perm], n, pts.int_points[perm])
+    assert spatial.covering_radius(shuffled) == spatial.covering_radius(pts)
+
+
 def test_covering_radius_mesh_agrees(octahedron):
     exact = spatial.covering_radius(octahedron)
     est = spatial.covering_radius_mesh(octahedron, resolution=5e-3)
