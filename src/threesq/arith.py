@@ -497,13 +497,6 @@ def dirichlet_l_one(n: int, target_error: float) -> float:
     return math.pi / math.sqrt(q) * float(np.einsum("i,i->", chi[1:], terms))
 
 
-def class_number_l_value(n: int) -> float:
-    """2*pi*h / (w*sqrt(q)): the class-number expression for L(1, chi)."""
-    d = discriminant(n).d
-    w = 6 if d == -3 else 4 if d == -4 else 2
-    return 2.0 * math.pi * class_number(d) / (w * math.sqrt(-d))
-
-
 def gauss_count(n: int) -> int:
     """Number of integer points on the sphere of radius sqrt(n), from h(d).
 
@@ -567,49 +560,6 @@ def _majorant(n: int, m: int, factors) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class LocalDiagonalization:
-    """Diagonal form eps1*p^a1*u^2 + eps2*p^a2*v^2 of the pair-count form.
-
-    a1 = ord_p(gcd(n, t)), a1 + a2 = ord_p(n^2 - t^2), a1 <= a2; the unit
-    parts are recorded by their residues mod p.
-    """
-
-    n: int
-    t: int
-    p: int
-    a1: int
-    a2: int
-    eps1_residue: int
-    eps2_residue: int
-
-
-def diagonalize_pair_form(n: int, t: int, p: int) -> LocalDiagonalization:
-    """Diagonalize n*u^2 + 2t*u*v + n*v^2 over the p-adic integers, p odd.
-
-    When ord_p(n) <= ord_p(t), complete the square: diagonal entries n
-    and (n^2 - t^2)/n.  Otherwise substitute u = U+V, v = U-V: diagonal
-    entries 2(n + t) and 2(n - t), whose valuations both equal ord_p(t).
-
-    Everything is read off A = ord_p(n - t) and B = ord_p(n + t).  Since
-    n and t are half the sum and half the difference of n + t and n - t,
-    min(ord_p n, ord_p t) = min(A, B), so a1 = min(A, B), a2 = max(A, B),
-    and ord_p(n) exceeds a1 exactly when p divides n / p^a1.  n >= 2^62
-    is refused, as by `local_density`.
-    """
-    _check_pair_prime(n, t, p)
-    a_minus, a_plus = ord_p(n - t, p), ord_p(n + t, p)
-    a1 = min(a_minus, a_plus)
-    u_minus = (n - t) // p**a_minus % p
-    u_plus = (n + t) // p**a_plus % p
-    u_n = n // p**a1 % p
-    if u_n:
-        e1, e2 = u_n, u_minus * u_plus * pow(u_n, -1, p) % p
-    else:
-        e1, e2 = 2 * u_plus % p, 2 * u_minus % p
-    return LocalDiagonalization(n, t, p, a1, max(a_minus, a_plus), e1, e2)
-
-
 def _check_pair_prime(n: int, t: int, p: int) -> None:
     if p == 2:
         raise DomainError("the 2-adic factor is a 0/1 constant, not computed here")
@@ -628,9 +578,14 @@ def _local_factors(n, t, p, a_minus, a_plus):
 
     Takes n, t with |t| < n < 2^62, an odd prime p, A = ord_p(n - t) and
     B = ord_p(n + t), as int64 arrays.
-    The diagonal form is that of `diagonalize_pair_form`, and the density
-    dispatches on the parities of (a1, a2).  With s the relevant quadratic
-    character:
+    Over the p-adic integers n u^2 + 2t uv + n v^2 is equivalent to
+    e1 p^a1 u^2 + e2 p^a2 v^2 with units e1, e2, a1 = min(A, B) and
+    a2 = max(A, B): n and t are half the sum and half the difference of
+    n + t and n - t, so min(ord_p n, ord_p t) = min(A, B).  When
+    ord_p(n) <= ord_p(t), completing the square gives the diagonal entries
+    n and (n^2 - t^2)/n; otherwise u = U+V, v = U-V gives 2(n + t) and
+    2(n - t).  The density dispatches on the parities of (a1, a2).  With s
+    the relevant quadratic character:
 
     - a1 odd: the rational closed form p^k (1 - p^(-k-1)) / (1 - 1/p),
       k = (a1 - 1)/2, is (p^(k+1) - 1)/(p - 1) = sum_{j<=k} p^j, and the

@@ -1,10 +1,11 @@
 """Command-line surface: reproducible experiments with frozen schemas.
 
 Outputs are byte-deterministic for a fixed argument vector: JSON field
-order is fixed by schema.json (shipped with the package), floats are
-printed with 17 significant digits, and every randomized command requires
-an explicit --seed which is echoed into the output.  Exit codes: 0
-success, 2 domain error, 3 internal invariant violation.
+order is frozen in schema.json (shipped with the package, read by the
+tests), floats are printed with 17 significant digits, and every
+randomized command requires an explicit --seed which is echoed into the
+output.  Exit codes: 0 success, 2 domain error, 3 internal invariant
+violation.
 
 This module alone formats JSON and CSV; the library modules return
 numbers and arrays.  A handler returns a dict (printed as canonical JSON)
@@ -21,17 +22,11 @@ import io
 import json
 import math
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import arith, harmonics, lattice, spatial, twosquares
 from .errors import DomainError, InvariantError
-
-
-def load_schema() -> dict:
-    with resources.files("threesq").joinpath("schema.json").open() as fh:
-        return json.load(fh)
 
 
 def _fmt_float(x: float) -> str:

@@ -63,18 +63,6 @@ def _legendre_seq(m_max: int, x):
         yield p_cur
 
 
-def legendre_p(m: int, t):
-    """Legendre polynomial P_m via the three-term recurrence; P_m(1) = 1."""
-    if m < 0:
-        raise DomainError("degree must be nonnegative")
-    arr = np.array(t, dtype=np.float64)
-    if np.any(np.abs(arr) > 1.0):
-        raise DomainError("argument must lie in [-1, 1]")
-    for p in _legendre_seq(m, arr):
-        pass
-    return p if arr.ndim else float(p)
-
-
 @dataclass
 class ZonalCoefficients:
     """Legendre coefficients h(m) of an annulus indicator.
@@ -86,11 +74,6 @@ class ZonalCoefficients:
 
     spec: AnnulusSpec
     coeffs: np.ndarray
-
-    def parseval_partial(self) -> np.ndarray:
-        """Cumulative sums of (2m+1)/(4 pi) h(m)^2; the limit is 4*pi*area."""
-        m = np.arange(len(self.coeffs))
-        return np.cumsum((2 * m + 1) / (4 * math.pi) * self.coeffs**2)
 
 
 def zonal_coeffs(spec: AnnulusSpec, m_max: int) -> ZonalCoefficients:
@@ -294,24 +277,6 @@ def weyl_sums(
     return WeylSumTable(pts.source_n, degree, vals, normalized)
 
 
-def weyl_aggregate_direct(
-    degree: int, pts: UnitPointSet
-) -> float:
-    """The degree-d aggregate sum_j W_j^2 without the real basis.
-
-    A whole lattice shell takes it through the addition theorem,
-    (2d+1)/(4 pi) sum_t c(t) P_d(t/n) from its pair table.  Any other set
-    sums |W_mu|^2 over the complex harmonic sums of `_harmonic_sums`,
-    which shares the recurrence coefficients with `weyl_sums` but not its
-    code: the real basis runs order outer and one degree at a time.
-    Degrees outside [1, MAX_DEGREE] are refused, as in `weyl_sums`.
-    """
-    if degree < 1 or degree > MAX_DEGREE:
-        raise DomainError(f"degree must lie in [1, {MAX_DEGREE}]")
-    sums = _pair_legendre_sums(pts, degree)
-    return (2 * degree + 1) / (4.0 * math.pi) * float(sums[degree])
-
-
 @dataclass
 class SeriesResult:
     """Truncated variance series with truncation diagnostics.
@@ -344,7 +309,7 @@ def variance_series(
     harmonic sums and is refused above MAX_DEGREE before anything is
     allocated; a whole shell is refused above MAX_SHELL_DEGREE.  Terms
     are nonnegative, so partial sums increase toward the Monte Carlo
-    variance of count_in over uniform centers.  The returned
+    variance of the annulus count over uniform centers.  The returned
     `tail_estimate` indicates the truncation error but does not bound it
     while m_max is below about sqrt(N), so |series - Monte Carlo| can
     exceed it there on correct code.

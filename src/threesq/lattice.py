@@ -340,16 +340,3 @@ def save_points(ls: LatticeSet, fh) -> None:
     fh.write(f"# n={ls.n} N={ls.size}\n")
     fh.write(("%d %d %d\n" * ls.size) % tuple(ls.points.ravel().tolist()))
 
-
-def load_points(fh) -> LatticeSet:
-    header = fh.readline().strip()
-    if not header.startswith("# n="):
-        raise DomainError("missing point-set header")
-    n, declared = (int(field.split("=")[1]) for field in header[2:].split())
-    arr = np.array(fh.read().split(), dtype=np.int64).reshape(-1, 3)
-    if len(arr) != declared:
-        raise DomainError("point count does not match header")
-    arr = arr[np.lexsort(arr.T[::-1])]
-    if not np.all((arr * arr).sum(axis=1) == n):
-        raise InvariantError("loaded point off the sphere")
-    return LatticeSet.of(n, arr)

@@ -374,18 +374,12 @@ def _is_whole_shell(pts: UnitPointSet) -> bool:
     )
 
 
-def _table_energy(n: int, s: float, cap: float | None = None) -> float:
-    """Sum over t < n of c(t) min(d^(-s), cap), with d^2 = 2(n - t)/n.
-
-    The one summation behind both energies of a whole shell, read from its
-    pair table, so the capped sum never exceeds the plain one.
-    """
+def _table_energy(n: int, s: float) -> float:
+    """Sum over t < n of c(t) d^(-s), with d^2 = 2(n - t)/n: the energy of
+    a whole shell, read from its pair table."""
     tbl = pair_table(n)
     d2 = 2.0 * (n - tbl.t[:-1]) / n
-    terms = d2 ** (-s / 2.0)
-    if cap is not None:
-        np.minimum(terms, cap, out=terms)
-    return math.fsum((tbl.count[:-1] * terms).tolist())
+    return math.fsum((tbl.count[:-1] * d2 ** (-s / 2.0)).tolist())
 
 
 def _check_duplicates(i0: int, d2: np.ndarray, close: np.ndarray) -> None:
@@ -410,31 +404,12 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
     The uniform baseline is uniform_energy_integral(s) * N^2.  Duplicate
     points raise DuplicatePointError naming the offending indices.
     """
-    return _riesz_sum(pts, s)
-
-
-def truncated_energy(pts: UnitPointSet, s: float, rho: float) -> float:
-    """Riesz sum with the potential capped at n^(s*rho).
-
-    Equals riesz_energy whenever the minimal gap exceeds n^(-rho); needs
-    a lattice source to set the cutoff.
-    """
-    if not 0 < rho <= 0.5:
-        raise DomainError("rho must lie in (0, 1/2]")
-    return _riesz_sum(pts, s, rho)
-
-
-def _riesz_sum(pts: UnitPointSet, s: float, rho: float | None = None) -> float:
-    """Both energies: the plain sum, or capped at n^(s*rho) if rho is given."""
     if not 0 < s < 2:
         raise DomainError("s must lie in (0, 2)")
-    if rho is not None and pts.source_n is None:
-        raise DomainError("truncated potential needs a lattice source n")
     if pts.size < 2:
         raise DomainError("need at least two points")
-    cap = None if rho is None else float(pts.source_n) ** (s * rho)
     if _is_whole_shell(pts):
-        return _table_energy(pts.source_n, s, cap)
+        return _table_energy(pts.source_n, s)
     _check_products(pts.size**2 // 2)
     parts = []
     for i0, d2, w, close in _distance_blocks(pts.points):
@@ -446,8 +421,6 @@ def _riesz_sum(pts: UnitPointSet, s: float, rho: float | None = None) -> float:
             np.divide(1.0, terms, out=terms)
         else:
             np.power(terms, -s / 2.0, out=terms)
-        if cap is not None:
-            np.minimum(terms, cap, out=terms)
         parts.append(float((terms @ w).sum()))
     return math.fsum(parts)
 
@@ -655,14 +628,19 @@ def covering_radius(pts: UnitPointSet) -> float:
     exact and off^2 = p^2/q.  The largest (q - p^2)/q, compared exactly,
     gives rho = sqrt(2(q - p^2) / (q + p sqrt(q))), which has none of
     the cancellation of 2 - 2*off.
+
+    Any other set takes the whole hull, and its winning facets are
+    evaluated in the difference form, which keeps those digits too (see
+    `_float_covering`).
     """
     if pts.size < 4:
         raise DomainError("fewer than 4 points always sit in a closed hemisphere")
     if _is_whole_shell(pts):
         return _shell_covering(pts)
-    off = -_hull(pts.points).equations[:, 3]
+    hull = _hull(pts.points)
+    off = -hull.equations[:, 3]
     _check_offsets(off)
-    return float(math.sqrt(2.0 - 2.0 * off.min()))
+    return _float_covering(pts.points, hull.simplices, off)
 
 
 def _hull(P: np.ndarray):
@@ -679,6 +657,21 @@ def _hull(P: np.ndarray):
 def _check_offsets(off: np.ndarray) -> None:
     if off.min() <= 1e-12:
         raise DomainError("points lie in a closed hemisphere; covering radius >= sqrt(2)")
+
+
+def _float_covering(P: np.ndarray, simplices: np.ndarray, off: np.ndarray) -> float:
+    """The largest rho of the facets within _PLANE_TIE of the smallest
+    offset, each from coordinate differences: u is the facet's unit normal,
+    the normalised cross product of its edge differences, and rho the least
+    |u - v| over its vertices v.  A degenerate triangle (zero normal)
+    carries no plane, as in `_exact_covering`."""
+    T = P[simplices[off <= off.min() + _PLANE_TIE]]
+    u = np.cross(T[:, 1] - T[:, 0], T[:, 2] - T[:, 0])
+    norm = np.linalg.norm(u, axis=1)
+    T, u = T[norm > 0], u[norm > 0] / norm[norm > 0, None]
+    u *= np.sign(np.einsum("ij,ij->i", u, T[:, 0]))[:, None]  # outward
+    diff = u[:, None, :] - T
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).min(axis=1).max()))
 
 
 def _shell_covering(pts: UnitPointSet) -> float:
@@ -875,16 +868,6 @@ def covering_radius_mesh(pts: UnitPointSet, resolution: float = 1e-3) -> float:
     from the set exists, and the true covering radius exceeds it by at
     most `resolution`."""
     return covering_interval(pts, resolution)[0]
-
-
-def count_in(pts: UnitPointSet, center, spec: AnnulusSpec) -> int:
-    """Points with rho1 <= |P - center| <= rho2, boundaries included."""
-    c = np.asarray(center, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(c) - 1.0) > 1e-9:
-        raise DomainError("center must be a unit vector")
-    lo, hi = spec.dot_window()
-    dots = pts.points @ c
-    return int(((dots >= lo) & (dots <= hi)).sum())
 
 
 @dataclass

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,44 @@ def brute_legendre(a: int, p: int) -> int:
     return 1 if a in squares else -1
 
 
+@dataclass(frozen=True)
+class LocalDiagonalization:
+    """Diagonal form eps1*p^a1*u^2 + eps2*p^a2*v^2 of the pair-count form.
+
+    a1 = ord_p(gcd(n, t)), a1 + a2 = ord_p(n^2 - t^2), a1 <= a2; the unit
+    parts are recorded by their residues mod p.
+    """
+
+    a1: int
+    a2: int
+    eps1_residue: int
+    eps2_residue: int
+
+
+def diagonalize_pair_form(n: int, t: int, p: int) -> LocalDiagonalization:
+    """Diagonalize n*u^2 + 2t*u*v + n*v^2 over the p-adic integers, p odd.
+
+    When ord_p(n) <= ord_p(t), complete the square: diagonal entries n
+    and (n^2 - t^2)/n.  Otherwise substitute u = U+V, v = U-V: diagonal
+    entries 2(n + t) and 2(n - t), whose valuations both equal ord_p(t).
+
+    Everything is read off A = ord_p(n - t) and B = ord_p(n + t).  Since
+    n and t are half the sum and half the difference of n + t and n - t,
+    min(ord_p n, ord_p t) = min(A, B), so a1 = min(A, B), a2 = max(A, B),
+    and ord_p(n) exceeds a1 exactly when p divides n / p^a1.
+    """
+    a_minus, a_plus = arith.ord_p(n - t, p), arith.ord_p(n + t, p)
+    a1 = min(a_minus, a_plus)
+    u_minus = (n - t) // p**a_minus % p
+    u_plus = (n + t) // p**a_plus % p
+    u_n = n // p**a1 % p
+    if u_n:
+        e1, e2 = u_n, u_minus * u_plus * pow(u_n, -1, p) % p
+    else:
+        e1, e2 = 2 * u_plus % p, 2 * u_minus % p
+    return LocalDiagonalization(a1, max(a_minus, a_plus), e1, e2)
+
+
 def fraction_local_density(n: int, t: int, p: int) -> Fraction:
     """The density's rational closed forms, evaluated in Fractions.
 
@@ -33,7 +72,7 @@ def fraction_local_density(n: int, t: int, p: int) -> Fraction:
     """
     if (n * n - t * t) % p != 0:
         return Fraction(1)
-    diag = arith.diagonalize_pair_form(n, t, p)
+    diag = diagonalize_pair_form(n, t, p)
     a1, a2, e1, e2 = diag.a1, diag.a2, diag.eps1_residue, diag.eps2_residue
     one, pf = Fraction(1), Fraction(p)
     if a1 % 2 == 1:
@@ -122,6 +161,13 @@ def density_triples(draw):
     odd_disc = [p for p, _ in arith.factorize(n * n - t * t).factors if p != 2]
     p = draw(st.sampled_from(odd_disc + [3, 5, 7, 13]))
     return n, t, p
+
+
+def class_number_l_value(n: int) -> float:
+    """2*pi*h / (w*sqrt(q)): the class-number expression for L(1, chi)."""
+    d = arith.discriminant(n).d
+    w = 6 if d == -3 else 4 if d == -4 else 2
+    return 2.0 * math.pi * arith.class_number(d) / (w * math.sqrt(-d))
 
 
 def brute_pair_count(n: int, t: int) -> int:
@@ -443,7 +489,7 @@ def test_l_value_class_number_consistency():
     eps = 1e-9
     for n in (1, 2, 3, 5, 6, 10, 11, 13, 21, 30, 101, 1009):
         lval = arith.dirichlet_l_one(n, eps)
-        assert abs(lval - arith.class_number_l_value(n)) <= 2 * eps
+        assert abs(lval - class_number_l_value(n)) <= 2 * eps
 
 
 @settings(max_examples=30, deadline=None)
@@ -453,7 +499,7 @@ def test_l_value_class_number_consistency():
 @example(1_999_993)
 def test_l_value_series_matches_class_number(n):
     assume(n % 8 != 7 and arith.is_squarefree(n))
-    assert abs(arith.dirichlet_l_one(n, 1e-12) - arith.class_number_l_value(n)) <= 1e-11
+    assert abs(arith.dirichlet_l_one(n, 1e-12) - class_number_l_value(n)) <= 1e-11
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 1009, 1_000_003, 10_000_019])
@@ -811,7 +857,7 @@ def test_diagonalization_invariants():
             for p, _ in arith.factorize(disc).factors:
                 if p == 2:
                     continue
-                diag = arith.diagonalize_pair_form(n, t, p)
+                diag = diagonalize_pair_form(n, t, p)
                 g = math.gcd(n, t)
                 assert diag.a1 == (arith.ord_p(g, p) if g % p == 0 else 0)
                 assert diag.a1 + diag.a2 == arith.ord_p(disc, p)

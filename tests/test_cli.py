@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
 import threesq
-from threesq.cli import build_parser, dumps_canonical, load_schema, main
+from threesq.cli import build_parser, dumps_canonical, main
 from threesq.errors import DomainError
 
 
@@ -23,6 +24,12 @@ def run_cli(args, env=None):
         env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def load_schema() -> dict:
+    """The frozen field order per subcommand, shipped with the package."""
+    with resources.files("threesq").joinpath("schema.json").open() as fh:
+        return json.load(fh)
 
 
 # ------------------------------------------------------------- serialization

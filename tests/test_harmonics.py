@@ -24,6 +24,20 @@ def legendre_exact(m: int, t: Fraction) -> Fraction:
     return p_cur
 
 
+def legendre(m: int, t):
+    """P_m(t), the last value of `harmonics._legendre_seq`."""
+    *_, p = harmonics._legendre_seq(m, t)
+    return p
+
+
+def weyl_aggregate(degree: int, pts) -> float:
+    """The degree-d aggregate sum_j W_j^2 without the real basis, through
+    the addition theorem: (2d+1)/(4 pi) S_d, S_d from
+    `harmonics._pair_legendre_sums` (a whole shell's pair table, any other
+    set's complex harmonic sums, which run no code of `weyl_sums`)."""
+    return (2 * degree + 1) / (4.0 * math.pi) * float(harmonics._pair_legendre_sums(pts, degree)[degree])
+
+
 def rotation(alpha: float, beta: float) -> np.ndarray:
     rz = np.array(
         [
@@ -45,32 +59,27 @@ def rotation(alpha: float, beta: float) -> np.ndarray:
 # ---------------------------------------------------------------- legendre
 
 def test_legendre_low_degrees():
-    assert harmonics.legendre_p(0, 0.77) == 1.0
-    assert harmonics.legendre_p(1, 0.5) == 0.5
-    assert harmonics.legendre_p(2, 0.5) == pytest.approx(0.5 * (3 * 0.25 - 1))
+    assert legendre(0, 0.77) == 1.0
+    assert legendre(1, 0.5) == 0.5
+    assert legendre(2, 0.5) == pytest.approx(0.5 * (3 * 0.25 - 1))
 
 
 def test_legendre_against_exact_recurrence():
     # the stated reference is a high-precision recomputation; exact
     # rationals are sharper than any finite precision
-    val = harmonics.legendre_p(10, 0.3)
+    val = legendre(10, 0.3)
     exact = legendre_exact(10, Fraction(3, 10))
     assert abs(val - float(exact)) < 1e-12
     for m in (3, 7, 25):
         for t in (-0.9, -0.25, 0.1, 0.6):
             exact = legendre_exact(m, Fraction(t).limit_denominator(10**6))
-            approx = harmonics.legendre_p(m, float(Fraction(t).limit_denominator(10**6)))
+            approx = legendre(m, float(Fraction(t).limit_denominator(10**6)))
             assert abs(approx - float(exact)) < 1e-11
 
 
 def test_legendre_at_one_exact():
     for m in range(0, 60):
-        assert harmonics.legendre_p(m, 1.0) == 1.0
-
-
-def test_legendre_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        harmonics.legendre_p(3, 1.5)
+        assert legendre(m, 1.0) == 1.0
 
 
 # ------------------------------------------------------------ zonal coeffs
@@ -96,7 +105,8 @@ def test_zonal_h0_is_area():
 def test_zonal_parseval_monotone_bounded():
     spec = spatial.AnnulusSpec.cap_of_area(0.2)
     zc = harmonics.zonal_coeffs(spec, 800)
-    partial = zc.parseval_partial()
+    m = np.arange(len(zc.coeffs))
+    partial = np.cumsum((2 * m + 1) / (4 * math.pi) * zc.coeffs**2)
     assert (np.diff(partial) >= -1e-15).all()
     limit = 4 * math.pi * spec.area
     assert partial[-1] <= limit + 1e-9
@@ -117,15 +127,13 @@ def test_weyl_octahedron_degree_two():
     # hand value over the 36 pairs: 6*(P2(1) + 4 P2(0) + P2(-1)) = 0
     tbl = harmonics.weyl_sums(1, 2)
     assert tbl.aggregate() == pytest.approx(0.0, abs=1e-20)
-    assert harmonics.weyl_aggregate_direct(2, spatial.unit_shell(1)) == pytest.approx(
-        0.0, abs=1e-10
-    )
+    assert weyl_aggregate(2, spatial.unit_shell(1)) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_weyl_aggregate_matches_addition_theorem(shell5):
     for deg in (2, 4, 6):
         tbl = harmonics.weyl_sums(None, deg, points=shell5)
-        direct = harmonics.weyl_aggregate_direct(deg, shell5)
+        direct = weyl_aggregate(deg, shell5)
         assert tbl.aggregate() == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
@@ -246,7 +254,7 @@ def test_pair_legendre_sums_match_full_matrix(pts, m_max, data):
     N = pts.size
     rows = data.draw(st.integers(1, N))
     dots = np.clip(pts.points @ pts.points.T, -1.0, 1.0)
-    full = [math.fsum(harmonics.legendre_p(m, dots).ravel()) for m in range(m_max + 1)]
+    full = [math.fsum(p.ravel()) for p in harmonics._legendre_seq(m_max, dots)]
     with mock.patch.object(harmonics, "_PAIR_ENTRIES", rows * (m_max + 1)):
         sums = harmonics._pair_legendre_sums(pts, m_max)
     np.testing.assert_allclose(sums, full, rtol=1e-12, atol=1e-12 * N * N)
@@ -270,22 +278,15 @@ def test_pair_legendre_sums_pinned_cases(octahedron):
 
 def test_float_route_refuses_degrees_past_max_before_allocating():
     pts = spatial.binomial_sample(3, 0)
-    shell = spatial.unit_shell(5)
     spec = spatial.AnnulusSpec.cap_of_area(0.1)
     tracemalloc.start()
     try:
         with pytest.raises(DomainError):
             harmonics.variance_series(None, spec, harmonics.MAX_DEGREE + 1, points=pts)
         with pytest.raises(DomainError):
-            harmonics.weyl_aggregate_direct(harmonics.MAX_DEGREE + 1, pts)
+            harmonics._pair_legendre_sums(pts, harmonics.MAX_DEGREE + 1)
         with pytest.raises(DomainError):
             harmonics.discrepancy_bound(None, harmonics.MAX_DEGREE + 1, points=pts)
-        # the direct aggregate refuses degrees below 1 too, and on a whole
-        # shell, whose pair table has no degree limit of its own
-        for points in (pts, shell):
-            for degree in (0, -1, harmonics.MAX_DEGREE + 1):
-                with pytest.raises(DomainError, match="degree"):
-                    harmonics.weyl_aggregate_direct(degree, points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,7 +316,7 @@ def test_table_routes_match_generic_path(n):
     # points without their integer source take the float kernels
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
-    keeps_n = spatial.UnitPointSet(pts.points, n)  # truncation needs n
+    keeps_n = spatial.UnitPointSet(pts.points, n)  # a source without integer points
     assert spatial._is_whole_shell(pts)
     assert not spatial._is_whole_shell(bare) and not spatial._is_whole_shell(keeps_n)
 
@@ -329,17 +330,9 @@ def test_table_routes_match_generic_path(n):
             harmonics.variance_series(None, spec, 40, points=bare).value,
         )
     for deg in (4, 6):
-        assert close(
-            harmonics.weyl_aggregate_direct(deg, pts),
-            harmonics.weyl_aggregate_direct(deg, bare),
-        )
+        assert close(weyl_aggregate(deg, pts), weyl_aggregate(deg, bare))
     for s in (0.5, 1.0, 1.5):
         assert close(spatial.riesz_energy(pts, s), spatial.riesz_energy(bare, s))
-        for rho in (0.1, 0.5):
-            assert close(
-                spatial.truncated_energy(pts, s, rho),
-                spatial.truncated_energy(keeps_n, s, rho),
-            )
     table = spatial.nn_spacings(pts)
     generic = spatial.nn_spacings(bare)
     assert np.allclose(table.rescaled_values, generic.rescaled_values, rtol=1e-9, atol=0)

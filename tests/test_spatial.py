@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from unittest import mock
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -59,19 +60,18 @@ def test_riesz_energy_duplicate_detection():
     assert set(err.value.indices) == {0, 1}
 
 
-def test_truncated_energy_octahedron(octahedron):
-    # n = 1 puts the cutoff at 1, below both 1/sqrt(2) and 1/2 potentials
-    full = spatial.riesz_energy(octahedron, 1.0)
-    for rho in (0.1, 0.3, 0.5):
-        assert spatial.truncated_energy(octahedron, 1.0, rho) == pytest.approx(full)
-    # cap 1 also bounds every term by 1
-    assert spatial.truncated_energy(octahedron, 1.0, 0.5) <= 6 * 5
-
-
-def test_truncated_energy_caps_close_pairs(shell5):
-    full = spatial.riesz_energy(shell5, 1.0)
-    trunc = spatial.truncated_energy(shell5, 1.0, 0.5)
-    assert trunc <= full
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=20_000), st.sampled_from([0.5, 1.0, 1.5]))
+@example(1, 1.0)
+@example(20_000, 1.5)
+def test_shell_energy_matches_float_kernel(n, s):
+    # the pair table's sum over t against the float pair kernel on the
+    # same points stripped of their source
+    assume(lattice.three_squares_representable(n))
+    pts = spatial.unit_shell(n)
+    bare = spatial.UnitPointSet(pts.points)
+    assert spatial._is_whole_shell(pts) and not spatial._is_whole_shell(bare)
+    assert spatial.riesz_energy(pts, s) == pytest.approx(spatial.riesz_energy(bare, s), rel=1e-9)
 
 
 # ------------------------------------------------------------------- ripley
@@ -200,18 +200,13 @@ def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
     # blocks of `rows` rows, the last one ragged unless rows divides N
     monkeypatch.setattr(spatial, "_PAIR_ENTRIES", rows * N)
     P = spatial.binomial_sample(N, 10 * N + rows).points
-    pts = spatial.UnitPointSet(P, source_n=2)  # n = 2 sets the energy cap
+    pts = spatial.UnitPointSet(P)
     diff = P[:, None, :] - P[None, :, :]
     d2 = (diff * diff).sum(axis=2)
     off = ~np.eye(N, dtype=bool)
     for s in (0.5, 1.0, 1.5):
         terms = d2[off] ** (-s / 2)
         assert spatial.riesz_energy(pts, s) == pytest.approx(math.fsum(terms), rel=1e-12)
-        for rho in (0.25, 0.5):
-            capped = np.minimum(terms, 2.0 ** (s * rho))
-            assert spatial.truncated_energy(pts, s, rho) == pytest.approx(
-                math.fsum(capped), rel=1e-12
-            )
     for r in (0.1, 0.5, 1.0, 1.5, 2.0):
         assert spatial.ripley_k(pts, r) == int((d2[off] < r * r).sum())
     # spacings take the difference form d^2 itself
@@ -222,11 +217,9 @@ def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
     for i in {0, N - 2}:
         dup = P.copy()
         dup[-1] = dup[i]
-        dup_pts = spatial.UnitPointSet(dup, source_n=2)
-        for energy in (spatial.riesz_energy, lambda p, s: spatial.truncated_energy(p, s, 0.5)):
-            with pytest.raises(DuplicatePointError) as err:
-                energy(dup_pts, 1.0)
-            assert set(err.value.indices) == {i, N - 1}
+        with pytest.raises(DuplicatePointError) as err:
+            spatial.riesz_energy(spatial.UnitPointSet(dup), 1.0)
+        assert set(err.value.indices) == {i, N - 1}
 
 
 def test_close_pair_keeps_its_digits():
@@ -460,9 +453,8 @@ def test_ripley_refuses_over_product_budget_before_any_product(monkeypatch):
         spatial.ripley_k(pts, 2.0)
     with pytest.raises(DomainError, match="budget"):
         spatial.ripley_k(spatial.unit_shell(100_057), 2.0)
-    for energy in (lambda p: spatial.riesz_energy(p, 1.0), lambda p: spatial.truncated_energy(p, 1.0, 0.5)):
-        with pytest.raises(DomainError, match="budget"):
-            energy(spatial.UnitPointSet(pts.points, source_n=2))
+    with pytest.raises(DomainError, match="budget"):
+        spatial.riesz_energy(pts, 1.0)
 
 
 def test_pair_product_budget_admits_the_stretch_shell():
@@ -497,6 +489,47 @@ def test_covering_radius_area_lower_bound():
     for seed in (1, 2, 3):
         pts = spatial.binomial_sample(300, seed)
         assert spatial.covering_radius(pts) >= 2 / math.sqrt(300)
+
+
+def decimal_covering(P):
+    """60 digits of the largest, over the hull facets within 1e-9 of the
+    smallest offset, of the least |u - v| over the facet's vertices v, u
+    its unit normal: every sum and product exact in Fractions of the float
+    coordinates, and only the square roots rounded."""
+    from scipy.spatial import ConvexHull
+
+    def dec(x):
+        return Decimal(x.numerator) / Decimal(x.denominator)
+
+    hull = ConvexHull(P)
+    off = -hull.equations[:, 3]
+    best = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for tri in hull.simplices[off <= off.min() + 1e-9]:
+            a, b, c = ([Fraction(x) for x in P[i].tolist()] for i in tri)
+            e, f = [y - x for x, y in zip(a, b)], [y - x for x, y in zip(a, c)]
+            nu = [e[1] * f[2] - e[2] * f[1], e[2] * f[0] - e[0] * f[2], e[0] * f[1] - e[1] * f[0]]
+            norm = dec(sum(x * x for x in nu)).sqrt()
+            if norm == 0:
+                continue
+            d2 = min(
+                dec(sum(x * x for x in v)) + 1 - 2 * dec(abs(sum(x * y for x, y in zip(nu, v)))) / norm
+                for v in (a, b, c)
+            )
+            best = max(best, d2)
+        return best.sqrt()
+
+
+@pytest.mark.parametrize("N", [2064, 30_600])
+def test_float_covering_keeps_its_digits(N):
+    # sqrt(2 - 2 * offset) was 21 and 333 ulps off here: the offset's
+    # rounding, near 1e-16, is 1/rho^2 times larger relative to rho
+    pts = spatial.binomial_sample(N, 7)
+    value = spatial.covering_radius(pts)
+    exact = decimal_covering(pts.points)
+    ulps = abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact)))
+    assert ulps <= 16, (N, float(ulps))
 
 
 def full_hull_covering(pts):
@@ -672,14 +705,21 @@ def test_covering_interval_refuses_flat_maximum_in_bounded_memory():
 
 # ------------------------------------------------------------------ counting
 
+def count_in(pts, center, spec):
+    """Points with rho1 <= |P - center| <= rho2, read off the dot window."""
+    lo, hi = spec.dot_window()
+    dots = pts.points @ np.asarray(center, dtype=np.float64)
+    return int(((dots >= lo) & (dots <= hi)).sum())
+
+
 def test_points_on_their_center_count():
     # x.x rounds to 1 + 2^-52 for some points; a cap has no upper dot test
     # and the whole sphere no lower one, so neither drops such a point
     pts = spatial.binomial_sample(170, 0)
-    assert spatial.count_in(pts, pts.points[5], spatial.AnnulusSpec.cap(0.1)) >= 1
+    assert count_in(pts, pts.points[5], spatial.AnnulusSpec.cap(0.1)) >= 1
     for x in pts.points:
-        assert spatial.count_in(pts, x, spatial.AnnulusSpec.cap(1e-3)) >= 1
-        assert spatial.count_in(pts, -x, spatial.AnnulusSpec(0, 2)) == 170
+        assert count_in(pts, x, spatial.AnnulusSpec.cap(1e-3)) >= 1
+        assert count_in(pts, -x, spatial.AnnulusSpec(0, 2)) == 170
     # the centers of 170 samples at seed 0 are that sample's own points
     rep = spatial.number_variance(pts, spatial.AnnulusSpec(0, 2), 170, seed=0)
     assert rep.mean == 170 and rep.variance == 0
@@ -687,9 +727,9 @@ def test_points_on_their_center_count():
 
 def test_count_in_pinned(octahedron):
     e1 = np.array([1.0, 0.0, 0.0])
-    assert spatial.count_in(octahedron, e1, spatial.AnnulusSpec.cap(2.0)) == 6
-    assert spatial.count_in(octahedron, e1, spatial.AnnulusSpec.cap(1.0)) == 1
-    assert spatial.count_in(octahedron, e1, spatial.AnnulusSpec(1.0, 1.5)) == 4
+    assert count_in(octahedron, e1, spatial.AnnulusSpec.cap(2.0)) == 6
+    assert count_in(octahedron, e1, spatial.AnnulusSpec.cap(1.0)) == 1
+    assert count_in(octahedron, e1, spatial.AnnulusSpec(1.0, 1.5)) == 4
 
 
 # ------------------------------------------------------------ number variance
@@ -854,23 +894,18 @@ def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
     # full triangle, and z-band blocks of varying rows and widths; a stale
     # tail of a buffer or a stale weight vector would move these sums
     N = len(P)
-    pts = spatial.UnitPointSet(P, source_n=2)  # n = 2 sets the energy cap
+    pts = spatial.UnitPointSet(P)
     d2 = dense_difference_d2(P)
     off = ~np.eye(N, dtype=bool)
     dup = bool((d2[off] < 1e-14).any())
     with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
         for s in (1.0, 0.5):
-            for rho in (None, 0.5):
-                energy = spatial.riesz_energy if rho is None else (
-                    lambda p, s: spatial.truncated_energy(p, s, rho))
-                if dup:
-                    with pytest.raises(DuplicatePointError):
-                        energy(pts, s)
-                    continue
-                terms = d2[off] ** (-s / 2)
-                if rho is not None:
-                    terms = np.minimum(terms, 2.0 ** (s * rho))
-                assert energy(pts, s) == pytest.approx(math.fsum(terms.tolist()), rel=1e-13)
+            if dup:
+                with pytest.raises(DuplicatePointError):
+                    spatial.riesz_energy(pts, s)
+                continue
+            terms = d2[off] ** (-s / 2)
+            assert spatial.riesz_energy(pts, s) == pytest.approx(math.fsum(terms.tolist()), rel=1e-13)
         own = float(np.sqrt(d2[off][pick % (N * N - N)]))
         for radius in (r, min(2.0, max(1e-3, own)), 2.0):
             assert spatial.ripley_k(pts, radius) == int((d2[off] < radius * radius).sum()), radius
