@@ -55,7 +55,7 @@ import numpy as np
 from scipy.special import erfc
 
 from . import primes as _primes
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, budget
 
 # Witness set making Miller-Rabin deterministic for n < 3.3e24 (> 2^80).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -278,11 +278,6 @@ def _is_fundamental(d: int) -> bool:
     return False
 
 
-# |d| above this is refused.  At |d| = 1e14 the count sieves 5.8e6 entries
-# and takes 1.6 s, its process peaking at 150 MB (0.04 s at 4e10).
-MAX_CLASS_NUMBER_DISC = 10**14
-
-
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
     """x with x^2 = a (mod p) for an odd prime p, or None for a non-residue.
 
@@ -354,12 +349,12 @@ def class_number(d: int) -> int:
 
     No character value is read: each prime's root count comes from roots
     found here and checked by squaring, so the count stays independent
-    of `dirichlet_l_one`.  |d| > MAX_CLASS_NUMBER_DISC is refused.
+    of `dirichlet_l_one`.  |d| past the "class_number_disc" budget of
+    `errors.BUDGETS` is refused.
     """
     if d >= 0 or d % 4 not in (0, 1):
         raise DomainError(f"d = {d} is not a negative discriminant")
-    if -d > MAX_CLASS_NUMBER_DISC:
-        raise DomainError(f"|d| = {-d} exceeds the class-number cap {MAX_CLASS_NUMBER_DISC}")
+    budget("class_number_disc", -d, f"class number of d = {d}")
     if not _is_fundamental(d):
         raise DomainError(f"d = {d} is not fundamental")
     D = -d
@@ -671,12 +666,6 @@ def pair_count_formula(n: int, t: int) -> int:
     return 24 * math.prod(_local_factors(n, t, *entries)[0].tolist())
 
 
-# Largest shell of pair_count_formula_table: a shell fills 2n - 1 grid
-# cells, and at 2^22 the table's four int64 columns take 0.27 GB and the
-# call peaks at 0.34 GB (81 MB at n = 1e6 + 3, in 0.25 s).  The bound is
-# memory: the characters are exact for any int64, and powers p^k of the
-# sieve stay below 2n.
-MAX_TABLE_SHELL = 1 << 22
 _TABLE_CELLS = 1 << 20
 _LEGENDRE_CELLS = 1 << 16  # cells per block of the large-prime characters
 
@@ -701,12 +690,16 @@ def pair_count_formula_table(shells) -> PairFormulaTable:
     holds at most _TABLE_CELLS cells, so many small shells cost a few
     dozen array operations together.  The majorant column holds the
     squarefree majorant's prime-power values (`majorant_general` with
-    m = 1), a bound on pair counts at squarefree n.  Shells outside
-    [1, MAX_TABLE_SHELL] are refused before anything is built.
+    m = 1), a bound on pair counts at squarefree n.  A shell fills 2n - 1
+    grid cells; shells below 1, or past the "formula_cells" budget of
+    `errors.BUDGETS`, are refused before anything is built.
     """
     ns = np.atleast_1d(np.asarray(shells, dtype=np.int64))
-    if ns.size and not (1 <= ns.min() and ns.max() <= MAX_TABLE_SHELL):
-        raise DomainError(f"shells must lie in [1, {MAX_TABLE_SHELL}]")
+    if ns.size:
+        if ns.min() < 1:
+            raise DomainError("shells must be positive")
+        top = int(ns.max())
+        budget("formula_cells", 2 * top - 1, f"pair-count formula table of n = {top}")
     lengths = 2 * ns - 1
     formula = np.empty(int(lengths.sum()), dtype=np.int64)
     majorant = np.empty_like(formula)

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import arith, harmonics, lattice, spatial, twosquares
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, budget
 
 
 def _fmt_float(x: float) -> str:
@@ -264,26 +264,12 @@ def _cmd_discrepancy(args) -> dict:
     }
 
 
-# verify-arith's predicted work, in (n, t) rows and Gram products: the
-# formula table has at most sum_{n <= X} (2n - 1) = X^2 rows at n_max = X,
-# and the pair tables take about sum_{n <= X} r3(n)^2 / 48 = 103/160 X^2
-# orbit-reduced Gram products (sum_{n <= X} r3(n)^2 ~ 30.9 X^2).  The
-# budget admits n_max up to 2063: at 2000 the command takes 0.6 s and
-# peaks at 0.16 GB (AMD EPYC, one thread).
-VERIFY_ARITH_BUDGET = 7_000_000
-
-
 def _verify_arith_work(n_max: int) -> int:
     return n_max * n_max * 263 // 160
 
 
 def _cmd_verify_arith(args) -> dict:
-    work = _verify_arith_work(args.n_max)
-    if work > VERIFY_ARITH_BUDGET:
-        raise DomainError(
-            f"--n-max {args.n_max} predicts {work} rows and Gram products, "
-            f"over the budget of {VERIFY_ARITH_BUDGET}"
-        )
+    budget("verify_arith", _verify_arith_work(args.n_max), f"verify-arith --n-max {args.n_max}")
     shells, tables = [], []
     for n in range(1, args.n_max + 1):
         if not arith.is_squarefree(n):

@@ -36,15 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, budget
 from .lattice import enumerate_points, pair_table
-from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _check_centers, _is_whole_shell, _random_units, project
+from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_whole_shell, _random_units, project
 
 MAX_DEGREE = 2000
-# Highest series degree on a whole lattice shell, whose pair sums come
-# from the pair table: the degree loop is interpreted and keeps a few
-# floats per degree, so variance_series refuses more before any work.
-MAX_SHELL_DEGREE = 1 << 16
 # power-of-two scale of the order recurrence, so that sectoral values of
 # points near s = 1/e stay out of the subnormal range up to MAX_DEGREE
 _ORDER_SCALE = 2.0**900
@@ -307,15 +303,17 @@ def variance_series(
     V = sum_{m=1..m_max} h(m)^2/(4 pi) * (2m+1)/(4 pi) * sum_{x,y} P_m(x.y).
     A set that is not a whole lattice shell takes the pair sums from its
     harmonic sums and is refused above MAX_DEGREE before anything is
-    allocated; a whole shell is refused above MAX_SHELL_DEGREE.  Terms
-    are nonnegative, so partial sums increase toward the Monte Carlo
-    variance of the annulus count over uniform centers.  The returned
+    allocated; a whole shell is refused past the "shell_degree" budget of
+    `errors.BUDGETS`.  Terms are nonnegative, so partial sums increase
+    toward the Monte Carlo variance of the annulus count over uniform
+    centers.  The returned
     `tail_estimate` indicates the truncation error but does not bound it
     while m_max is below about sqrt(N), so |series - Monte Carlo| can
     exceed it there on correct code.
     """
-    if not 1 <= m_max <= MAX_SHELL_DEGREE:
-        raise DomainError(f"m_max must lie in [1, {MAX_SHELL_DEGREE}]")
+    if m_max < 1:
+        raise DomainError("m_max must be positive")
+    budget("shell_degree", m_max, "variance series")
     pts = _resolve_points(n, points)
     sums = _pair_legendre_sums(pts, m_max)
     h = zonal_coeffs(spec, m_max).coeffs
@@ -361,8 +359,9 @@ def cap_discrepancy_estimate(
     true cap discrepancy).
 
     Each center is dotted with all N points, and a count predicted to
-    pass spatial.MAX_CENTER_PRODUCTS products is refused before any
-    center is drawn; a center costs at least _ESTIMATE_FLOOR products.
+    pass the "center_products" budget of `errors.BUDGETS` is refused
+    before any center is drawn; a center costs at least _ESTIMATE_FLOOR
+    products.
     """
     if center_samples < 100:
         raise DomainError("need at least 100 sampled centers")
@@ -370,7 +369,7 @@ def cap_discrepancy_estimate(
     if radii.ndim != 1 or len(radii) == 0 or radii.min() <= 0 or radii.max() > 2:
         raise DomainError("radius grid must contain chord radii in (0, 2]")
     N = pts.size
-    _check_centers(center_samples, N, _ESTIMATE_FLOOR)
+    budget("center_products", center_samples * max(N, _ESTIMATE_FLOOR), f"{center_samples} random centers")
     rng = np.random.Generator(np.random.Philox(seed))
     thresholds = np.sort(1.0 - radii**2 / 2.0)
     areas = (2.0 - 2.0 * thresholds) / 4.0  # cap area for each threshold

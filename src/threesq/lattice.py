@@ -30,19 +30,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, budget
 
 _FLOAT_SAFE = 1 << 50  # below this, float dot products of points are exact
 _GRAM_ENTRIES = 1 << 23  # entries per row block of the Gram kernel
 _CANDIDATES = 1 << 14  # values of a per _two_squares call: 128 KB int64 arrays
 _MAX_POLE_RADIUS = 1 << 31  # near-pole scans stay in int64 up to here
-# values of a one near-pole scan may test (see _pole_candidates): about 10 s
-# at 1.1-1.5 ns per candidate on a 2-vCPU AMD EPYC
-MAX_POLE_CANDIDATES = 6 * 10**9
-# Gram products one pair table may take, predicted as N^2/48 (see pair_table).
-# n = 1e8+3 (3.5e7 products) builds in 0.95 s and peaks at 782 MB; n = 1e9+3
-# (1.6e8) would take 16 s and 2.3 GB, on a 2-vCPU AMD EPYC.
-MAX_GRAM_PRODUCTS = 5 * 10**7
 
 # The 48 signed permutations x -> sign * x[perm]; _FIX_X3 marks the 8 fixing x3
 _PERM = np.repeat(list(itertools.permutations(range(3))), 8, axis=0)
@@ -244,15 +237,12 @@ def pair_table(n: int) -> PairCountTable:
     Built by the orbit-reduced Gram kernel.  Validates the marginals
     before returning: counts sum to N^2, the entries at +-n both equal N,
     and the table is symmetric in t -> -t.  An empty sphere yields an
-    empty (flagged) table.  A shell whose N^2/48 Gram products pass
-    MAX_GRAM_PRODUCTS is refused after enumeration, before any product.
+    empty (flagged) table.  A shell whose N^2/48 Gram products pass the
+    "gram_products" budget of `errors.BUDGETS` is refused after
+    enumeration, before any product.
     """
     ls = enumerate_points(n)
-    products = ls.size**2 // 48
-    if products > MAX_GRAM_PRODUCTS:
-        raise DomainError(
-            f"pair table of n = {n} needs about {products} Gram products, over the budget of {MAX_GRAM_PRODUCTS}"
-        )
+    budget("gram_products", ls.size**2 // 48, f"pair table of n = {n}")
     if ls.size == 0:
         empty = np.zeros(0, dtype=np.int64)
         empty.setflags(write=False)
@@ -314,7 +304,8 @@ def points_near_pole(m: int, height: int) -> np.ndarray:
     Scans x3 downward from the pole and solves x1^2 + x2^2 = m^2 - x3^2
     directly, avoiding enumeration of the whole sphere.  Radii past 2^31,
     where m^2 would leave int64, are refused, and so is a scan whose
-    candidate bound passes MAX_POLE_CANDIDATES (about 10 s of work).
+    candidate bound passes the "pole_candidates" budget (about 10 s of
+    work).
     """
     if m < 1:
         raise DomainError("m must be positive")
@@ -322,11 +313,7 @@ def points_near_pole(m: int, height: int) -> np.ndarray:
         raise DomainError(f"m = {m} exceeds 2^31, past which near-pole scans leave int64")
     if not 0 <= height < 2 * m:
         raise DomainError("need 0 <= height < 2m")
-    if _pole_candidates(m, height) > MAX_POLE_CANDIDATES:
-        raise DomainError(
-            f"near-pole scan (m = {m}, height = {height}) would test up to "
-            f"{_pole_candidates(m, height)} candidates, over the budget of {MAX_POLE_CANDIDATES}"
-        )
+    budget("pole_candidates", _pole_candidates(m, height), f"near-pole scan (m = {m}, height = {height})")
     x3 = np.arange(m, m - height - 1, -1, dtype=np.int64)
     rows = _solve_rows(x3, m * m - x3 * x3, np.zeros_like(x3))
     pts = _images(rows[:, [1, 2, 0]], _FIX_X3)

@@ -1,8 +1,8 @@
 """Cached prime sieve and smallest-prime-factor table, grown on demand.
 
-The table is int32 and never grows past `_MAX_LIMIT` = 2^25 entries
-(128 MB); a request beyond it raises DomainError before anything is
-allocated.
+The table is int32 and never grows past the "prime_table" budget of
+`errors.BUDGETS`, 2^25 entries (128 MB); a request beyond it raises
+DomainError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -11,14 +11,13 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BUDGETS, budget
 
 _spf: np.ndarray | None = None
 _primes: np.ndarray | None = None
 _limit = 0
 
 _MIN_LIMIT = 1 << 16
-_MAX_LIMIT = 1 << 25
 
 
 def _build(limit: int) -> None:
@@ -37,12 +36,12 @@ def _build(limit: int) -> None:
 
 
 def ensure(limit: int) -> None:
-    """Make sure the cached tables cover [0, limit]; refuse limit > _MAX_LIMIT."""
+    """Make sure the cached tables cover [0, limit]; refuse a limit past
+    the "prime_table" budget."""
     if limit <= _limit:
         return
-    if limit > _MAX_LIMIT:
-        raise DomainError(f"prime table through {limit} exceeds the cap {_MAX_LIMIT}")
-    _build(min(max(limit, 2 * _limit, _MIN_LIMIT), _MAX_LIMIT))
+    budget("prime_table", limit, f"prime table through {limit}")
+    _build(min(max(limit, 2 * _limit, _MIN_LIMIT), BUDGETS["prime_table"].limit))
 
 
 def spf_limit() -> int:

@@ -30,7 +30,7 @@ coordinate of a difference is at most its length, so they walk a z band
 (`_z_band`): the points sorted by z, each row block cut where z passes
 its last row's z plus the reach, which leaves every pair within the
 reach in.  Both predict their Gram products before the first one and
-refuse past MAX_PAIR_PRODUCTS.  Float squared distances come from the
+refuse past the "pair_products" budget.  Float squared distances come from the
 Gram form (|x|^2 + |y|^2) - 2x.y, and the few below _CLOSE_D2, where that
 form loses digits, are recomputed from coordinate differences, as are
 float Ripley pairs within _RIPLEY_TIE of r^2, so no count depends on the
@@ -64,7 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, DuplicatePointError, InvariantError
+from .errors import DomainError, DuplicatePointError, InvariantError, budget
 from .lattice import _FLOAT_SAFE, LatticeSet, enumerate_points, pair_table
 
 _PAIR_ENTRIES = 1 << 16  # Gram entries per block of the pair kernel
@@ -79,22 +79,7 @@ _RIPLEY_TIE = 1e-12
 _BAND_ROWS = 128  # random centers per block of the z-banded annulus count
 _BAND_SLACK = 1e-11  # squared-chord slack of the band reach, see number_variance
 _NN_TIE = 1e-9  # relative gap below which two nearest-neighbour candidates tie
-# Gram products one pair kernel may take: about 10 s of Ripley counts at
-# 2.2 ns per product, and up to about 17 s of energies at 3.5 ns
-MAX_PAIR_PRODUCTS = 4_500_000_000
-# points one binomial sample may hold: room for a same-size baseline of the
-# largest stretch shell, n = 1e10+19 with N = 955 416
-MAX_SAMPLE_POINTS = 1 << 20
-# center-point dot products one Monte Carlo count may take, predicted as
-# samples x max(N, floor), the floor being the count's cost per center in
-# products: about 2.5 s of number_variance at its dense worst (2.5 ns a
-# product; 0.35 us, or _VARIANCE_FLOOR products, a center) and 10 s of
-# harmonics.cap_discrepancy_estimate (10 ns a product, 10 us a center)
-MAX_CENTER_PRODUCTS = 1_000_000_000
-_VARIANCE_FLOOR = 256
-# cells one equal-area partition may hold: four per point of the largest
-# stretch shell (N = 955 416), about 60 ms and 50 MB
-MAX_CELLS = 1 << 22
+_VARIANCE_FLOOR = 256  # number_variance's cost of one center in dot products
 # D = {0 <= x <= y <= z} on S^2, a fundamental domain of the 48 signed
 # permutations, is the spherical triangle with vertices e_z, (e_y + e_z)/sqrt 2
 # and (1, 1, 1)/sqrt 3; its circumcap, centre _SECTOR_CENTER and chord radius
@@ -131,10 +116,6 @@ class UnitPointSet:
     def size(self) -> int:
         return len(self.points)
 
-    def antipodal(self) -> "UnitPointSet":
-        ip = None if self.int_points is None else -self.int_points
-        return UnitPointSet(-self.points, self.source_n, ip)
-
 
 def project(ls: LatticeSet) -> UnitPointSet:
     """Divide a lattice shell by sqrt(n) to land on the unit sphere."""
@@ -170,7 +151,7 @@ class AnnulusSpec:
     @classmethod
     def cap_of_area(cls, sigma: float) -> "AnnulusSpec":
         if not 0 < sigma <= 1:
-            raise DomainError("cap area must be in (0, 1]")
+            raise DomainError("area sigma must lie in (0, 1]")
         return cls(0.0, 2.0 * math.sqrt(sigma))
 
     def dot_window(self) -> tuple[float, float]:
@@ -197,12 +178,11 @@ def _random_units(rng: np.random.Generator, k: int) -> np.ndarray:
 def binomial_sample(n_points: int, seed: int) -> UnitPointSet:
     """n_points i.i.d. uniform points on S^2, reproducible per seed.
 
-    More than MAX_SAMPLE_POINTS points are refused before any is drawn.
+    Points past the "sample_points" budget are refused before any is drawn.
     """
     if n_points < 1:
         raise DomainError("need at least one point")
-    if n_points > MAX_SAMPLE_POINTS:
-        raise DomainError(f"{n_points} sample points exceed the cap of {MAX_SAMPLE_POINTS}")
+    budget("sample_points", n_points, "binomial sample")
     rng = np.random.Generator(np.random.Philox(seed))
     return UnitPointSet(_random_units(rng, n_points))
 
@@ -218,8 +198,8 @@ def _z_band(A: np.ndarray, reach):
     since j1 >= i1, that is at most isqrt(_PAIR_ENTRIES) rows, and one
     searchsorted over that window finds it.  The plan sums rows x columns
     over the blocks as it goes and stops with DomainError as soon as the
-    sum passes MAX_PAIR_PRODUCTS, so a refused band costs little planning
-    and no product.
+    sum passes the "pair_products" budget, so a refused band costs little
+    planning and no product.
     """
     S = A[np.argsort(A[:, 2], kind="stable")]
     z = S[:, 2]
@@ -236,7 +216,7 @@ def _z_band(A: np.ndarray, reach):
         j1 = int(ends[i1 - 1])
         blocks.append((i0, i1, j1))
         products += (i1 - i0) * (j1 - i0)
-        _check_products(products)
+        budget("pair_products", products, "pair kernel")
         i0 = i1
     return S, blocks
 
@@ -343,24 +323,6 @@ def _ordered_pairs(mask: np.ndarray) -> int:
     return 2 * int(np.count_nonzero(mask)) - int(np.count_nonzero(mask[:, : mask.shape[0]]))
 
 
-def _check_products(products: int) -> None:
-    """Refuse a pair kernel predicted to pass MAX_PAIR_PRODUCTS Gram products."""
-    if products > MAX_PAIR_PRODUCTS:
-        raise DomainError(
-            f"pair kernel needs at least {products} Gram products, over the budget of {MAX_PAIR_PRODUCTS}"
-        )
-
-
-def _check_centers(samples: int, N: int, floor: int) -> None:
-    """Refuse a Monte Carlo count predicted to pass MAX_CENTER_PRODUCTS
-    dot products, samples x max(N, floor), before any center is drawn."""
-    products = samples * max(N, floor)
-    if products > MAX_CENTER_PRODUCTS:
-        raise DomainError(
-            f"{samples} centers need about {products} dot products, over the budget of {MAX_CENTER_PRODUCTS}"
-        )
-
-
 def _is_whole_shell(pts: UnitPointSet) -> bool:
     """True if pts is a whole lattice shell: its source's every point.
 
@@ -410,7 +372,7 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         raise DomainError("need at least two points")
     if _is_whole_shell(pts):
         return _table_energy(pts.source_n, s)
-    _check_products(pts.size**2 // 2)
+    budget("pair_products", pts.size**2 // 2, "pair kernel")
     parts = []
     for i0, d2, w, close in _distance_blocks(pts.points):
         _check_duplicates(i0, d2, close)
@@ -431,9 +393,10 @@ def ripley_baseline(n_points: int, r: float) -> float:
 
 
 def ripley_k(pts: UnitPointSet, r: float) -> int:
-    """Ordered pairs of distinct points at chord distance strictly below r.
+    """Ordered pairs (i, j), i != j, of points at chord distance strictly below r.
 
-    For a projected lattice shell the count is taken over exact integer
+    The count runs over index pairs, so a point repeated in the set pairs
+    with its copy at distance 0 on every path.  For a projected lattice shell the count is taken over exact integer
     squared distances, so it agrees exactly with the inner-product sum
     pairs_in_band(n, 0, r^2 * n).
 
@@ -445,7 +408,8 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     as in `number_variance`: a computed d^2 below r^2 is within about
     1e-15 of the true one, and the slack also outgrows the rounding of
     z + reach at every r.  The band's Gram products are predicted first,
-    and past MAX_PAIR_PRODUCTS the count is refused before any product.
+    and past the "pair_products" budget the count is refused before any
+    product.
 
     On float points the Gram form of d^2 is within a few 1e-15 of the
     coordinate-difference form |x - y|^2, and BLAS rounds it differently
@@ -463,8 +427,6 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
         n = pts.source_n
         lim = Fraction(r) * Fraction(r) * n  # exact rational threshold
         dmax = (lim.numerator - 1) // lim.denominator
-        if dmax < 1:
-            return 0
         P, blocks = _z_band(pts.int_points, math.isqrt(dmax))
         # float64 sums and Gram entries are exact integers up to _FLOAT_SAFE
         A = P.astype(np.float64) if n <= _FLOAT_SAFE else P
@@ -476,8 +438,8 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
             d2 = _gram_d2(sq, i0, G, buf)
             m = _block(mask, *d2.shape)
             total += _ordered_pairs(np.less_equal(d2, dmax, out=m))
-            total -= _ordered_pairs(np.less(d2, 1, out=m))  # self and duplicates
-        return total
+        # each self pair has d^2 = 0 and sits once, on its block's own square
+        return total - N
     P, blocks = _z_band(pts.points, math.sqrt(r * r + _BAND_SLACK))
     r2 = r * r
     below = _workspace(blocks, bool)
@@ -759,7 +721,6 @@ _CUBE_FACES = (
     (1, 1.0, 2, 0), (1, -1.0, 2, 0),
     (2, 1.0, 0, 1), (2, -1.0, 0, 1),
 )
-_COVER_CELLS = 1 << 20  # most cube-sphere cells one level may query
 _COVER_CHUNK = 1 << 16  # cells whose geometry and query share one pass
 _COVER_MIN_RESOLUTION = 1e-9
 
@@ -822,7 +783,8 @@ def covering_interval(pts: UnitPointSet, resolution: float) -> tuple[float, floa
 
     Where the farthest set is flat (one point, two antipodal points, a
     set in a hemisphere) the remaining cells grow like 1/rho; a level
-    that would query more than _COVER_CELLS cells is refused up front.
+    that would query more cells than the "cover_cells" budget is refused
+    up front.
     """
     from scipy.spatial import cKDTree
 
@@ -831,8 +793,7 @@ def covering_interval(pts: UnitPointSet, resolution: float) -> tuple[float, floa
     if not _COVER_MIN_RESOLUTION <= resolution < 1:
         raise DomainError(f"resolution must lie in [{_COVER_MIN_RESOLUTION:g}, 1)")
     k = math.isqrt(-(-pts.size // 6) - 1) + 1  # ceil(sqrt(N / 6))
-    if 6 * k * k > _COVER_CELLS:
-        raise DomainError(f"{6 * k * k} starting cells exceed the budget of {_COVER_CELLS}")
+    budget("cover_cells", 6 * k * k, "covering interval's starting grid")
     tree = cKDTree(pts.points)
     grid = np.arange(k * k)
     face = np.repeat(np.arange(6), k * k)
@@ -852,11 +813,7 @@ def covering_interval(pts: UnitPointSet, resolution: float) -> tuple[float, floa
         if hi - lo <= resolution:
             return lo, hi
         cells = 4 * int(np.count_nonzero(keep))
-        if cells > _COVER_CELLS:
-            raise DomainError(
-                f"covering interval at resolution {resolution:g} needs more than "
-                f"{_COVER_CELLS} cells in one level (the farthest set is too flat)"
-            )
+        budget("cover_cells", cells, f"covering interval at resolution {resolution:g} (a flat farthest set)")
         face = np.repeat(face[keep], 4)
         i = 2 * np.repeat(i[keep], 4) + np.tile([0, 0, 1, 1], cells // 4)
         j = 2 * np.repeat(j[keep], 4) + np.tile([0, 1, 0, 1], cells // 4)
@@ -961,13 +918,13 @@ def number_variance(
     needs more.
 
     samples x max(N, _VARIANCE_FLOOR) dot products are predicted first,
-    and past MAX_CENTER_PRODUCTS the count is refused before any center
-    is drawn.
+    and past the "center_products" budget the count is refused before
+    any center is drawn.
     """
     if samples < 100:
         raise DomainError("need at least 100 samples")
     N = pts.size
-    _check_centers(samples, N, _VARIANCE_FLOOR)
+    budget("center_products", samples * max(N, _VARIANCE_FLOOR), f"{samples} random centers")
     hist = _annulus_histogram(pts, spec, samples, seed)
     # the moments skip the empty counts outside the occupied range, whose
     # terms are exact zeros
@@ -1039,17 +996,12 @@ class CellPartition:
         return best
 
 
-def _check_cells(cells: int) -> None:
-    if cells > MAX_CELLS:
-        raise DomainError(f"{cells} cells exceed the cap of {MAX_CELLS}")
-
-
 def equal_area_cells(cells: int) -> CellPartition:
-    """Equal-area partition into `cells` cells; more than MAX_CELLS are
-    refused before anything is allocated."""
+    """Equal-area partition into `cells` cells; cells past the
+    "partition_cells" budget are refused before anything is allocated."""
     if cells < 1:
         raise DomainError("need at least one cell")
-    _check_cells(cells)
+    budget("partition_cells", cells, "equal-area partition")
     bands = max(1, round(math.sqrt(math.pi * cells) / 2.0))
     bands = min(bands, cells)
     centers_u = (np.arange(bands) + 0.5) * 2.0 / bands
@@ -1071,11 +1023,11 @@ def box_moment(pts: UnitPointSet, cells: int) -> tuple[int, int]:
 
     Cells form an equal-area zonal partition; the first component always
     equals the number of points, and sum of squares >= N^2 / K by
-    Cauchy-Schwarz.  More than MAX_CELLS cells are refused up front.
+    Cauchy-Schwarz.  `equal_area_cells` refuses cells past its budget
+    up front.
     """
     if cells < 2:
         raise DomainError("need at least two cells")
-    _check_cells(cells)
     part = equal_area_cells(cells)
     ids = part.assign(pts.points)
     counts = np.bincount(ids, minlength=part.size)

@@ -32,8 +32,8 @@ If some small bad valuation is odd, n is already excluded.
 
 Gaps are folded from the flags, one cache-sized slice at a time, so a
 scan holds one segment of flags and no member array.  A scan is refused
-up front past MAX_GAP_SCAN integers, a window past MAX_WINDOW_BYTES of
-members.
+up front past the "gap_scan" budget of `errors.BUDGETS`, a window past
+its "window_bytes" budget of members.
 
 The probe connects lattice points near the pole of the sphere of radius
 m to gap certificates: a point (x1, x2, x3) with x1^2 + x2^2 =
@@ -50,14 +50,10 @@ import numpy as np
 
 from . import primes as _primes
 from .arith import factorize
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, budget
 from .lattice import points_near_pole
 
 _SEGMENT = 1 << 21
-# sum of Y over one gap_scan: Y = 4e9 alone sieves in about 10 s on a 2-vCPU
-# AMD EPYC (2.4 ns per integer; 1.3 ns at Y = 1e8, where primes are fewer)
-MAX_GAP_SCAN = 4 * 10**9
-MAX_WINDOW_BYTES = 1 << 28  # members of [Y, 2Y) as int64: at most 8 Y bytes
 _FOLD = 1 << 16  # flags per fold slice: its index and gap arrays stay in cache
 
 
@@ -137,17 +133,10 @@ def _largest_gap(segments) -> tuple[int, tuple[int, int] | None]:
     return best, pair
 
 
-def _check_window_bytes(y: int) -> None:
-    if 8 * y > MAX_WINDOW_BYTES:
-        raise DomainError(
-            f"Y = {y} needs up to {8 * y} bytes of members, over the cap of {MAX_WINDOW_BYTES}"
-        )
-
-
 def window(y: int) -> TwoSquaresWindow:
     """All sums of two squares in [Y, 2Y) and the largest internal gap.
-    A Y whose members could pass MAX_WINDOW_BYTES is refused."""
-    _check_window_bytes(y)
+    A Y whose members could pass the "window_bytes" budget is refused."""
+    budget("window_bytes", 8 * y, f"window of Y = {y}")
     segments = list(_segments(y))
     chunks = [np.flatnonzero(flags) + lo for lo, flags in segments]
     members = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
@@ -158,12 +147,10 @@ def gap_scan(y_values) -> list[tuple[int, int, float]]:
     """Rows (Y, G(Y), G(Y) / Y^(1/4)); the ratio is a monitor, the
     elementary bound's constant is not specified.  No member array is
     kept: each window is folded segment by segment.  A list whose sum of
-    Y passes MAX_GAP_SCAN (about 10 s of sieving) is refused before any
-    sieving."""
+    Y passes the "gap_scan" budget (about 10 s of sieving) is refused
+    before any sieving."""
     ys = [int(y) for y in y_values]
-    total = sum(ys)
-    if total > MAX_GAP_SCAN:
-        raise DomainError(f"sum of Y = {total} exceeds the gap-scan budget of {MAX_GAP_SCAN}")
+    budget("gap_scan", sum(ys), "gap scan")
     out = []
     for y in ys:
         g, _ = _largest_gap(_segments(y))
@@ -218,8 +205,11 @@ def rough_interval_check(y: int, delta: float = 0.1) -> tuple[bool, int, int]:
 
     Returns (ok, max run of non-rough integers, required bound G/8); at
     desk scale the cutoff G^delta stays below 2 and the check is vacuous,
-    which is recorded rather than hidden.
+    which is recorded rather than hidden.  A Y whose rough flags and run
+    lengths could pass the "window_bytes" budget is refused before G is
+    sieved.
     """
+    budget("window_bytes", 8 * y, f"rough flags of Y = {y}")
     ((_, g, _),) = gap_scan([y])
     if g <= 0:
         return True, 0, 0
@@ -227,7 +217,6 @@ def rough_interval_check(y: int, delta: float = 0.1) -> tuple[bool, int, int]:
     need = max(1, g // 8)
     if cutoff < 2:
         return True, 0, need
-    _check_window_bytes(y)  # the rough flags and their run lengths
     smooth_ps = [int(p) for p in _primes.primes_up_to(cutoff).tolist()]
     flags = np.ones(y, dtype=bool)  # rough flags for [Y, 2Y)
     for p in smooth_ps:

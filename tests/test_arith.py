@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import threesq
 from threesq import arith, lattice
-from threesq.errors import DomainError
+from threesq.errors import BUDGETS, DomainError
 
 
 # ---------------------------------------------------------------- oracles
@@ -438,11 +438,11 @@ def test_class_number_reads_no_character(monkeypatch):
 def test_class_number_refuses_past_cap_before_allocating():
     import tracemalloc
 
-    d = -(arith.MAX_CLASS_NUMBER_DISC + 3)  # = 1 (mod 4)
+    d = -(BUDGETS["class_number_disc"].limit + 3)  # = 1 (mod 4)
     assert d % 4 == 1
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="cap"):
+        with pytest.raises(DomainError, match="budget"):
             arith.class_number(d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -785,7 +785,7 @@ def test_formula_table_independent_of_grid_blocks(shells, cells):
 
 def test_formula_table_domain():
     assert len(arith.pair_count_formula_table([]).t) == 0
-    for bad in (0, -3, arith.MAX_TABLE_SHELL + 1):
+    for bad in (0, -3, (BUDGETS["formula_cells"].limit + 1) // 2 + 1):
         with pytest.raises(DomainError):
             arith.pair_count_formula_table([5, bad])
 

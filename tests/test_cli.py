@@ -9,7 +9,7 @@ import pytest
 
 import threesq
 from threesq.cli import build_parser, dumps_canonical, main
-from threesq.errors import DomainError
+from threesq.errors import BUDGETS, DomainError
 
 
 def run_cli(args, env=None):
@@ -207,16 +207,17 @@ def test_baseline_refuses_oversized_sample_before_drawing(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("points drawn before the size check")
 
-    # the cap admits a same-size baseline for n = 1e10+19 (N = 955 416)
-    assert 955_416 <= spatial.MAX_SAMPLE_POINTS
+    # the budget admits a same-size baseline for n = 1e10+19 (N = 955 416)
+    limit = BUDGETS["sample_points"].limit
+    assert 955_416 <= limit
     monkeypatch.setattr(spatial, "_random_units", forbidden)
-    for N in (spatial.MAX_SAMPLE_POINTS + 1, 10**12):
-        with pytest.raises(DomainError, match="cap"):
+    for N in (limit + 1, 10**12):
+        with pytest.raises(DomainError, match="budget"):
             spatial.binomial_sample(N, 1)
         assert main(["baseline", "--stat", "spacing", "--N", str(N), "--seed", "1"]) == 2
-        assert "cap" in capsys.readouterr().err
+        assert "budget" in capsys.readouterr().err
     with pytest.raises(AssertionError, match="before the size check"):
-        spatial.binomial_sample(spatial.MAX_SAMPLE_POINTS, 1)
+        spatial.binomial_sample(limit, 1)
 
 def test_boxes_refuses_cells_past_cap_before_partitioning(capsys, monkeypatch):
     from threesq import spatial
@@ -224,17 +225,17 @@ def test_boxes_refuses_cells_past_cap_before_partitioning(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("partition built before the cell check")
 
-    # the cap admits four cells per point of n = 1e10+19 (N = 955 416)
-    assert 4 * 955_416 <= spatial.MAX_CELLS
-    monkeypatch.setattr(spatial, "equal_area_cells", forbidden)
-    for cells in (spatial.MAX_CELLS + 1, 10**11):
+    # the budget admits four cells per point of n = 1e10+19 (N = 955 416)
+    limit = BUDGETS["partition_cells"].limit
+    assert 4 * 955_416 <= limit
+    monkeypatch.setattr(spatial, "CellPartition", forbidden)
+    for cells in (limit + 1, 10**11):
         assert main(["boxes", "--n", "5", "--cells", str(cells)]) == 2
-        assert "cap" in capsys.readouterr().err
-        with pytest.raises(DomainError, match="cap"):
+        assert "budget" in capsys.readouterr().err
+        with pytest.raises(DomainError, match="budget"):
             spatial.box_moment(spatial.unit_shell(5), cells)
-    monkeypatch.undo()
-    with pytest.raises(DomainError, match="cap"):
-        spatial.equal_area_cells(spatial.MAX_CELLS + 1)
+        with pytest.raises(DomainError, match="budget"):
+            spatial.equal_area_cells(cells)
 
 
 def test_monte_carlo_counts_refuse_over_budget_before_drawing(capsys, monkeypatch):
@@ -245,8 +246,9 @@ def test_monte_carlo_counts_refuse_over_budget_before_drawing(capsys, monkeypatc
 
     # the benchmark's variance jobs (10 000 centers, N <= 2112) and the
     # acceptance dual path (10^6 centers on 24 points) stay well inside
-    spatial._check_centers(10 * 10_000, 2112, spatial._VARIANCE_FLOOR)
-    spatial._check_centers(10**6, 24, spatial._VARIANCE_FLOOR)
+    limit = BUDGETS["center_products"].limit
+    assert 10 * 10_000 * max(2112, spatial._VARIANCE_FLOOR) <= limit
+    assert 10**6 * max(24, spatial._VARIANCE_FLOOR) <= limit
     monkeypatch.setattr(spatial, "_random_units", forbidden)
     monkeypatch.setattr(harmonics, "_random_units", forbidden)
     runs = [
@@ -293,12 +295,11 @@ def test_discrepancy_refuses_degrees_past_max(capsys):
 def test_variance_refuses_shell_degrees_past_cap(capsys):
     import time
 
-    from threesq.harmonics import MAX_SHELL_DEGREE
-
+    limit = BUDGETS["shell_degree"].limit
     start = time.perf_counter()
-    assert main(["variance", "--n", "5", "--sigma", "0.1", "--m-max", str(MAX_SHELL_DEGREE + 1)]) == 2
+    assert main(["variance", "--n", "5", "--sigma", "0.1", "--m-max", str(limit + 1)]) == 2
     assert time.perf_counter() - start < 1.0
-    assert str(MAX_SHELL_DEGREE) in capsys.readouterr().err
+    assert str(limit) in capsys.readouterr().err
 
 
 def test_verify_arith_refuses_over_budget_before_building(capsys, monkeypatch):
@@ -311,8 +312,9 @@ def test_verify_arith_refuses_over_budget_before_building(capsys, monkeypatch):
 
     monkeypatch.setattr(lattice, "pair_table", forbidden)
     monkeypatch.setattr(arith, "pair_count_formula_table", forbidden)
-    edge = max(x for x in range(1, 5000) if cli._verify_arith_work(x) <= cli.VERIFY_ARITH_BUDGET)
-    assert cli._verify_arith_work(edge + 1) > cli.VERIFY_ARITH_BUDGET
+    limit = BUDGETS["verify_arith"].limit
+    edge = max(x for x in range(1, 5000) if cli._verify_arith_work(x) <= limit)
+    assert cli._verify_arith_work(edge + 1) > limit
     tracemalloc.start()
     try:
         for n_max in (edge + 1, 10**6, 10**40):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threesq import harmonics, lattice, spatial
-from threesq.errors import DomainError
+from threesq.errors import BUDGETS, DomainError
 
 
 # ---------------------------------------------------------------- oracles
@@ -291,7 +291,7 @@ def test_float_route_refuses_degrees_past_max_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16  # the order sums alone would take 32 MB
-    # a whole shell reads the pair table, up to MAX_SHELL_DEGREE
+    # a whole shell reads the pair table, up to its "shell_degree" budget
     assert harmonics.variance_series(5, spec, harmonics.MAX_DEGREE + 1).value > 0
 
 
@@ -299,7 +299,7 @@ def test_shell_route_refuses_degrees_past_cap_before_allocating():
     spec = spatial.AnnulusSpec.cap_of_area(0.1)
     tracemalloc.start()
     try:
-        for m_max in (harmonics.MAX_SHELL_DEGREE + 1, 10**8):
+        for m_max in (BUDGETS["shell_degree"].limit + 1, 10**8):
             with pytest.raises(DomainError):
                 harmonics.variance_series(5, spec, m_max)
         peak = tracemalloc.get_traced_memory()[1]

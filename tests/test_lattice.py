@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from threesq import lattice
 from threesq.cli import main
-from threesq.errors import DomainError
+from threesq.errors import BUDGETS, DomainError
 
 
 # ---------------------------------------------------------------- oracles
@@ -255,17 +255,18 @@ def test_pair_table_refuses_over_gram_budget(monkeypatch):
     def forbidden(*args):
         raise AssertionError("Gram products before the budget check")
 
-    budget = lattice.MAX_GRAM_PRODUCTS
+    gram = BUDGETS["gram_products"]
+    budget = gram.limit
     # n = 101 has N = 168: 168^2 // 48 = 588 predicted products
     monkeypatch.setattr(lattice, "orbit_gram_rows", forbidden)
-    monkeypatch.setattr(lattice, "MAX_GRAM_PRODUCTS", 587)
+    monkeypatch.setitem(BUDGETS, "gram_products", gram._replace(limit=587))
     with pytest.raises(DomainError, match="budget"):
         lattice.pair_table.__wrapped__(101)
-    monkeypatch.setattr(lattice, "MAX_GRAM_PRODUCTS", 588)
+    monkeypatch.setitem(BUDGETS, "gram_products", gram._replace(limit=588))
     with pytest.raises(AssertionError, match="before the budget"):
         lattice.pair_table.__wrapped__(101)
     # the refusal reaches the command line as exit code 2
-    monkeypatch.setattr(lattice, "MAX_GRAM_PRODUCTS", 0)
+    monkeypatch.setitem(BUDGETS, "gram_products", gram._replace(limit=0))
     lattice.pair_table.cache_clear()
     assert main(["pairs", "--n", "101"]) == 2
     # the stretch shells: n = 1e8+3 (N = 40 848) is admitted, 1e9+3 (N = 88 320) refused
@@ -439,7 +440,7 @@ def test_points_near_pole_refuses_over_candidate_budget(monkeypatch):
     with pytest.raises(DomainError, match="budget"):
         lattice.points_near_pole(10**5, 2 * 10**5 - 1)
     # the benchmark's probes (m up to 459 600, height 14) sit far inside
-    assert lattice._pole_candidates(459_600, 14) < lattice.MAX_POLE_CANDIDATES // 10**4
+    assert lattice._pole_candidates(459_600, 14) < BUDGETS["pole_candidates"].limit // 10**4
 
 
 # ------------------------------------------------------------- serialization

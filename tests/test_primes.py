@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from threesq import primes
-from threesq.errors import DomainError
+from threesq.errors import BUDGETS, DomainError
 
 
 def test_spf_table_is_int32_and_correct():
@@ -18,7 +18,7 @@ def test_spf_table_is_int32_and_correct():
 def test_ensure_refuses_beyond_cap_without_building():
     before = primes.spf_limit()
     with pytest.raises(DomainError):
-        primes.ensure(primes._MAX_LIMIT + 1)
+        primes.ensure(BUDGETS["prime_table"].limit + 1)
     with pytest.raises(DomainError):
         primes.primes_up_to(10**12)
     assert primes.spf_limit() == before
@@ -26,7 +26,7 @@ def test_ensure_refuses_beyond_cap_without_building():
 
 def test_growth_is_clamped_to_cap(monkeypatch):
     limit = primes.spf_limit()
-    monkeypatch.setattr(primes, "_MAX_LIMIT", limit + 10)
+    monkeypatch.setitem(BUDGETS, "prime_table", BUDGETS["prime_table"]._replace(limit=limit + 10))
     primes.ensure(limit + 1)  # doubling would ask for 2 * limit
     assert primes.spf_limit() == limit + 10
     assert len(primes.spf_table(limit + 10)) == limit + 11

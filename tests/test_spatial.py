@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threesq import lattice, spatial
-from threesq.errors import DomainError, DuplicatePointError
+from threesq.errors import BUDGETS, DomainError, DuplicatePointError
 
 
 # ------------------------------------------------------------------- types
@@ -113,6 +113,30 @@ def test_ripley_agreement_random_shells():
         r = float(rng.uniform(0.05, 2.0))
         assert spatial.ripley_k(pts, r) == lattice.pairs_in_band(n, 0, Fraction(r) ** 2 * n)
         count += 1
+
+
+def test_ripley_counts_a_duplicate_point_as_a_pair():
+    # six points of n = 5 and a copy of the first: the copy pairs with it
+    # at distance 0, once each way, on the integer path and the float one
+    P = lattice.enumerate_points(5).points[:6]
+    P = np.vstack([P, P[:1]])
+    for pts in (spatial.UnitPointSet(P / math.sqrt(5), 5, P), spatial.UnitPointSet(P / math.sqrt(5))):
+        assert [spatial.ripley_k(pts, r) for r in (0.5, 1.0, 2.0)] == [2, 26, 42]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 9, 26, 101, 1009]), st.data())
+def test_ripley_integer_set_with_repeated_rows_matches_its_float_copy(n, data):
+    P = lattice.enumerate_points(n).points
+    rows = data.draw(st.lists(st.integers(0, len(P) - 1), min_size=2, max_size=60))
+    r = data.draw(st.floats(min_value=1e-3, max_value=2.0))
+    # integer squared distances tie with r^2 n only near an integer, where
+    # the float copy may round either way
+    assume(abs(r * r * n - round(r * r * n)) > 1e-6)
+    Q = P[rows]
+    exact = spatial.UnitPointSet(Q / math.sqrt(n), n, Q)
+    float_copy = spatial.UnitPointSet(Q / math.sqrt(n))
+    assert spatial.ripley_k(exact, r) == spatial.ripley_k(float_copy, r)
 
 
 def test_ripley_baseline_value():
@@ -445,7 +469,7 @@ def test_ripley_refuses_over_product_budget_before_any_product(monkeypatch):
         raise AssertionError("Gram products before the budget check")
 
     monkeypatch.setattr(spatial, "_pair_blocks", forbidden)
-    monkeypatch.setattr(spatial, "MAX_PAIR_PRODUCTS", 10**6)
+    monkeypatch.setitem(BUDGETS, "pair_products", BUDGETS["pair_products"]._replace(limit=10**6))
     pts = spatial.binomial_sample(2000, 5)
     # a small reach predicts few products, the whole sphere about N^2 / 2
     assert band_products(spatial._z_band(pts.points, 0.01)[1]) < 10**6
@@ -461,7 +485,7 @@ def test_pair_product_budget_admits_the_stretch_shell():
     # n = 1e9 + 3 has N = 88 320 points; at r = 2 the band is the whole
     # sphere, so the predicted products depend on N alone
     P = spatial.binomial_sample(88_320, 1).points
-    assert band_products(spatial._z_band(P, 2.0)[1]) <= spatial.MAX_PAIR_PRODUCTS
+    assert band_products(spatial._z_band(P, 2.0)[1]) <= BUDGETS["pair_products"].limit
 
 
 # ------------------------------------------------------------ covering radius
@@ -679,7 +703,7 @@ def test_covering_interval_refuses_starting_grid_over_budget(monkeypatch):
     import scipy.spatial
 
     pts = spatial.binomial_sample(1000, 1)  # k0 = 13: 1014 starting cells
-    monkeypatch.setattr(spatial, "_COVER_CELLS", 1000)
+    monkeypatch.setitem(BUDGETS, "cover_cells", BUDGETS["cover_cells"]._replace(limit=1000))
     monkeypatch.setattr(scipy.spatial, "cKDTree", _NoTree)
     with pytest.raises(DomainError):
         spatial.covering_interval(pts, 1e-3)
@@ -698,7 +722,7 @@ def test_covering_interval_refuses_flat_maximum_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one level of _COVER_CELLS cells keeps a cell (3 int64) and its bound
+    # one level of "cover_cells" cells keeps a cell (3 int64) and its bound
     # (float64); a chunk's geometry adds about 10 MB
     assert peak < 64 * 2**20, peak
 
@@ -985,8 +1009,14 @@ def test_binomial_single_point():
 
 # ------------------------------------------------------------------ symmetry
 
+def antipodal(pts):
+    """The set mapped by x -> -x, keeping its integer source."""
+    ip = None if pts.int_points is None else -pts.int_points
+    return spatial.UnitPointSet(-pts.points, pts.source_n, ip)
+
+
 def test_statistics_antipodal_invariance(shell5):
-    flipped = shell5.antipodal()
+    flipped = antipodal(shell5)
     assert spatial.riesz_energy(shell5, 1.0) == spatial.riesz_energy(flipped, 1.0)
     assert spatial.ripley_k(shell5, 0.9) == spatial.ripley_k(flipped, 0.9)
     assert spatial.covering_radius(shell5) == pytest.approx(

@@ -1,13 +1,17 @@
 """The package's public surface is what its readers read.
 
-Every public top-level function or class of a `src/threesq` module must be
-read somewhere other than its own definition: in `src/`, `demos/`,
-`perfbench/*.py` or `README.md`.  A read in Python is a name, an attribute
-or an imported name, matched by name; in the README it is the name as a
-word.  A re-export from `__init__.py` is no read, and there is none.  The
-tests do not count, so a name that only they read is an oracle and lives
-in the tests.  The names kept for another reason are listed in KEPT with
-it.
+Every public top-level function or class of a `src/threesq` module, and
+every public method or property of such a class, must be read somewhere
+other than its own definition: in `src/`, `demos/`, `perfbench/*.py` or
+`README.md`.  A read in Python is a name, an attribute or an imported
+name, matched by name; in the README it is the name as a word.  A
+re-export from `__init__.py` is no read, and there is none.  The tests do
+not count, so a name that only they read is an oracle and lives in the
+tests.  The names kept for another reason are listed in KEPT with it.
+
+Every work or memory refusal goes through `errors.budget`: each entry of
+`errors.BUDGETS` is named by some call of it, and no other DomainError
+of the package speaks of a budget or a cap.
 """
 
 import ast
@@ -17,6 +21,7 @@ import re
 from pathlib import Path
 
 import threesq
+from threesq import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threesq"
@@ -46,28 +51,46 @@ def names_read(tree: ast.AST) -> set[str]:
     return out
 
 
-def unread_names() -> set[str]:
-    """module.name of every public top-level def or class nothing reads."""
-    modules = {
+def package_modules() -> dict[str, list[ast.stmt]]:
+    """The top-level statements of each module of the package but __init__."""
+    return {
         path.stem: ast.parse(path.read_text()).body
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
+
+
+def is_public_def(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+
+
+def unread_names() -> set[str]:
+    """module.name of every public top-level def or class nothing reads, and
+    module.class.name of every such method or property."""
+    modules = package_modules()
     scripts = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     statements = [stmt for body in modules.values() for stmt in body]
     statements += [stmt for path in scripts for stmt in ast.parse(path.read_text()).body]
     # what each top-level statement reads; a definition is one of them
     reads = [(stmt, names_read(stmt)) for stmt in statements]
     readme = (ROOT / "README.md").read_text()
+
+    def is_read(name: str, readers: list[set[str]]) -> bool:
+        return any(name in names for names in readers) or bool(re.search(rf"\b{re.escape(name)}\b", readme))
+
     unread = set()
     for module, body in modules.items():
-        for stmt in body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
-                continue
-            if any(other is not stmt and stmt.name in names for other, names in reads):
-                continue
-            if not re.search(rf"\b{re.escape(stmt.name)}\b", readme):
+        for stmt in filter(is_public_def, body):
+            outside = [names for other, names in reads if other is not stmt]
+            if not is_read(stmt.name, outside):
                 unread.add(f"{module}.{stmt.name}")
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            # a member is read by the other statements and by its class's other members
+            for member in filter(is_public_def, stmt.body):
+                inside = [names_read(other) for other in stmt.body if other is not member]
+                if not is_read(member.name, outside + inside):
+                    unread.add(f"{module}.{stmt.name}.{member.name}")
     return unread
 
 
@@ -89,3 +112,46 @@ def test_package_reexports_nothing():
     assert exported == []
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def calls_named(tree: ast.AST, name: str):
+    """Every call of `name`, as a plain name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            ):
+                yield node
+
+
+def test_every_budget_is_checked_by_name():
+    named = {
+        call.args[0].value
+        for body in package_modules().values()
+        for stmt in body
+        for call in calls_named(stmt, "budget")
+        if call.args and isinstance(call.args[0], ast.Constant)
+    }
+    assert named == set(errors.BUDGETS), named ^ set(errors.BUDGETS)
+
+
+def test_no_refusal_outside_the_registry_speaks_of_a_budget():
+    found = []
+    for module, body in package_modules().items():
+        if module == "errors":
+            continue
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Raise) or node.exc not in calls_named(node, "DomainError"):
+                    continue
+                for part in ast.walk(node.exc):
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                        if re.search(r"budget|cap", part.value, re.IGNORECASE):
+                            found.append(f"{module}: {part.value!r}")
+    assert not found, found
+
+
+def test_readme_limits_table_lists_every_budget():
+    rows = re.findall(r"^\| `(\w+)` \|", (ROOT / "README.md").read_text(), re.MULTILINE)
+    assert rows == list(errors.BUDGETS)

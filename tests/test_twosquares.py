@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from threesq import primes
 from threesq import twosquares as ts
-from threesq.errors import DomainError
+from threesq.errors import BUDGETS, DomainError
 
 
 # ---------------------------------------------------------------- oracles
@@ -222,9 +222,9 @@ def test_gap_scan_refuses_over_budget_before_sieving(monkeypatch):
     with pytest.raises(DomainError, match="budget"):
         ts.gap_scan([10**13])
     with pytest.raises(DomainError, match="budget"):  # each Y fits, their sum does not
-        ts.gap_scan([ts.MAX_GAP_SCAN // 2 + 1] * 2)
+        ts.gap_scan([BUDGETS["gap_scan"].limit // 2 + 1] * 2)
     # the acceptance scan and the README example stay inside
-    assert sum(10**k for k in range(3, 9)) <= ts.MAX_GAP_SCAN
+    assert sum(10**k for k in range(3, 9)) <= BUDGETS["gap_scan"].limit
 
 
 def test_window_refuses_members_over_byte_cap(monkeypatch):
@@ -233,7 +233,7 @@ def test_window_refuses_members_over_byte_cap(monkeypatch):
 
     monkeypatch.setattr(ts, "_sieve_segment", forbidden)
     with pytest.raises(DomainError, match="bytes"):
-        ts.window(ts.MAX_WINDOW_BYTES // 8 + 1)
+        ts.window(BUDGETS["window_bytes"].limit // 8 + 1)
 
 
 def test_gap_scan_keeps_no_member_array():
@@ -327,8 +327,18 @@ def test_rough_interval_check_builds_no_window(monkeypatch):
         assert ts.rough_interval_check(y, 0.5) == result
 
 
+def test_rough_interval_check_refuses_before_sieving(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("sieved before the byte check")
+
+    # delta = 1 makes the cutoff G itself, so the rough flags are needed
+    monkeypatch.setattr(ts, "_sieve_segment", forbidden)
+    with pytest.raises(DomainError, match="bytes"):
+        ts.rough_interval_check(BUDGETS["window_bytes"].limit // 8 + 1, delta=1.0)
+
+
 def test_rough_interval_check_refuses_flags_over_byte_cap(monkeypatch):
-    y = ts.MAX_WINDOW_BYTES // 8 + 1
+    y = BUDGETS["window_bytes"].limit // 8 + 1
     monkeypatch.setattr(ts, "gap_scan", lambda ys: [(y, 100, 100 / y**0.25)])
     with pytest.raises(DomainError, match="bytes"):
         ts.rough_interval_check(y, 0.5)
