@@ -66,11 +66,11 @@ BUDGETS: dict[str, Budget] = {
     # entries and takes 1.6 s, its process peaking at 150 MB (0.04 s at
     # 4e10).
     "class_number_disc": Budget(10**14, "|d|"),
-    # grid cells of one shell of arith.pair_count_formula_table, 2n - 1:
-    # at n = 2^22 the table's four int64 columns take 0.27 GB and the call
-    # peaks at 0.34 GB (81 MB at n = 1e6 + 3, in 0.25 s).  The bound is
-    # memory: the characters are exact for any int64, and powers p^k of
-    # the sieve stay below 2n.
+    # rows of one arith.pair_count_formula_table, the sum of 2n - 1 over its
+    # shells: at one shell of n = 2^22 the table's four int64 columns take
+    # 0.27 GB and the call peaks at 0.34 GB (81 MB at n = 1e6 + 3, in
+    # 0.25 s).  The bound is memory: the characters are exact for any
+    # int64, and powers p^k of the sieve stay below 2n.
     "formula_cells": Budget((1 << 23) - 1, "grid cells"),
     # sum of Y over one twosquares.gap_scan: Y = 4e9 alone sieves in about
     # 10 s on a 2-vCPU AMD EPYC (2.4 ns per integer; 1.3 ns at Y = 1e8,

@@ -478,6 +478,20 @@ def test_discriminant_rule():
 
 # ----------------------------------------------------------------- L-values
 
+def test_l_series_terms_match_math_erfc():
+    # the kernels switch at x = 1 and x = 8; both and their neighbours are
+    # on the grid
+    edges = [np.nextafter(e, e - 1) for e in (1.0, 8.0)] + [1.0, 8.0] + [np.nextafter(e, e + 1) for e in (1.0, 8.0)]
+    x = np.unique(np.concatenate([np.linspace(0, 26, 100_001)[1:], np.geomspace(1e-6, 26, 2001), edges]))
+    got = arith._l_series_terms(x)
+    want = np.array([math.erfc(v) + math.exp(-v * v) / (math.sqrt(math.pi) * v) for v in x.tolist()])
+    rel = np.abs(got - want) / want
+    # up to 6 scipy.special.erfc itself is 4.3e-15 off math.erfc; beyond,
+    # the rounding of x^2 in exp(-x^2) dominates
+    assert rel[x <= 6].max() <= 5e-15
+    assert rel[x > 6].max() <= 1e-13
+
+
 def test_l_value_closed_forms():
     assert arith.dirichlet_l_one(5, 1e-10) == pytest.approx(2 * math.pi / math.sqrt(20), abs=1e-10)
     assert arith.dirichlet_l_one(2, 1e-10) == pytest.approx(math.pi / math.sqrt(8), abs=1e-10)

@@ -114,10 +114,11 @@ def case_class_number_disc(mp):
 
 def case_formula_cells(mp):
     forbid(mp, arith, "_formula_rows")
-    # verify-arith --n-max 5 checks the squarefree shells 1, 2, 3 and 5
+    # the sum of 2n - 1 over the shells; verify-arith --n-max 5 checks the
+    # squarefree shells 1, 2, 3 and 5
     return [
-        (2 * 7 - 1, lambda: arith.pair_count_formula_table([3, 7])),
-        (2 * 5 - 1, ["verify-arith", "--n-max", "5"]),
+        (5 + 13, lambda: arith.pair_count_formula_table([3, 7])),
+        (1 + 3 + 5 + 9, ["verify-arith", "--n-max", "5"]),
     ]
 
 
@@ -186,6 +187,18 @@ def test_budget_refuses_one_unit_past_its_limit_before_any_work(name, monkeypatc
         else:
             assert main(run) == 3, run
             assert "work before the budget" in capsys.readouterr().err, run
+
+
+def test_formula_cells_bound_the_whole_table(monkeypatch):
+    # one shell of n = 2^22 fills the budget alone; 64 of them would take
+    # 17 GB in the table's int64 columns and are refused together
+    forbid(monkeypatch, arith, "_formula_rows")
+    n = 1 << 22
+    assert 2 * n - 1 == BUDGETS["formula_cells"].limit
+    with pytest.raises(AssertionError, match="work before the budget"):
+        arith.pair_count_formula_table([n])
+    with pytest.raises(DomainError, match="over the budget"):
+        arith.pair_count_formula_table([n] * 64)
 
 
 def test_every_case_is_a_budget():

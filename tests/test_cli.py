@@ -6,10 +6,13 @@ import sys
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import threesq
 from threesq.cli import build_parser, dumps_canonical, main
 from threesq.errors import BUDGETS, DomainError
+from threesq.lattice import three_squares_representable
 
 
 def run_cli(args, env=None):
@@ -114,19 +117,74 @@ def test_pairs_csv_matches_per_row_format(capsys, n):
     assert lines[1:] == ["t,count", *rows, ""]
 
 
-def test_import_leaves_kd_tree_module_unloaded():
-    # scipy.spatial is imported inside the functions that use it, so a run
-    # that needs no kd-tree or hull never pays for its import
-    code = "import sys, threesq, threesq.cli; print('scipy.spatial' in sys.modules)"
+def scipy_loaded_after(code, *argv):
+    """The scipy modules, as a printed list, that a fresh process running
+    `code` with `argv` has loaded."""
     src = os.path.dirname(os.path.dirname(threesq.__file__))
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_leaves_kd_tree_module_unloaded():
+    # scipy.spatial is imported inside the functions that use it, and the
+    # L-value series needs no scipy.special, so importing the CLI loads no
+    # scipy module at all
+    assert scipy_loaded_after("import sys, threesq, threesq.cli") == "[]"
+
+
+# one tiny run of every subcommand and of every baseline statistic; only the
+# kd-tree and hull routes may load scipy
+_NO_SCIPY_RUNS = [
+    ["enumerate", "--n", "5"],
+    ["pairs", "--n", "5"],
+    ["energy", "--n", "5"],
+    ["ripley", "--n", "5", "--r", "0.5"],
+    ["variance", "--n", "5", "--sigma", "0.3", "--samples", "100", "--seed", "1", "--m-max", "6"],
+    ["boxes", "--n", "5", "--cells", "10"],
+    ["weyl", "--n", "5", "--degree", "2"],
+    ["discrepancy", "--n", "5", "--m-max", "4", "--estimate", "--centers", "100", "--seed", "1"],
+    ["verify-arith", "--n-max", "20"],
+    ["twosq-gaps", "--y-list", "100"],
+    ["twosq-probe", "--m", "5", "--h", "1"],
+    *(
+        ["baseline", "--stat", stat, "--N", "50", "--seed", "1", "--sigma", "0.3", "--samples", "100"]
+        for stat in ("ripley", "energy", "variance", "boxes")
+    ),
+]
+_SCIPY_RUNS = [
+    ["spacing", "--n", "101"],
+    ["covering", "--n", "101"],
+    ["covering", "--n", "5", "--mesh-check", "0.1"],
+    ["baseline", "--stat", "spacing", "--N", "50", "--seed", "1"],
+    ["baseline", "--stat", "covering", "--N", "50", "--seed", "1"],
+]
+
+
+def test_scipy_runs_cover_every_command():
+    from threesq.cli import _HANDLERS
+
+    runs = _NO_SCIPY_RUNS + _SCIPY_RUNS
+    assert {args[0] for args in runs} == set(_HANDLERS)
+    baseline = next(a for a in build_parser()._actions if a.dest == "command").choices["baseline"]
+    stat = next(a for a in baseline._actions if a.dest == "stat")
+    assert {args[2] for args in runs if args[0] == "baseline"} == set(stat.choices)
+
+
+@pytest.mark.parametrize(
+    "args, loads_scipy",
+    [pytest.param(args, False, id=" ".join(args[:3])) for args in _NO_SCIPY_RUNS]
+    + [pytest.param(args, True, id=" ".join(args[:3])) for args in _SCIPY_RUNS],
+)
+def test_only_kd_tree_and_hull_runs_load_scipy(args, loads_scipy):
+    loaded = scipy_loaded_after("import sys; from threesq.cli import main; assert main(sys.argv[1:]) == 0", *args)
+    assert (loaded != "[]") == loads_scipy, loaded
 
 
 def test_enumerate_text_format(capsys):
@@ -331,19 +389,38 @@ def test_bad_usage_exit_two():
     assert code == 2
 
 
-def test_byte_identical_reruns():
-    # the whole-shell series of n = 100057 has a pair table long enough
-    # for OpenBLAS to thread a dot product; its digits must not follow
-    # the thread count
-    for args in (
-        ["variance", "--n", "5", "--sigma", "0.3", "--samples", "400", "--seed", "11", "--m-max", "30"],
-        ["baseline", "--stat", "spacing", "--N", "300", "--seed", "9"],
-        ["discrepancy", "--n", "101", "--m-max", "20", "--estimate", "--centers", "1000", "--seed", "3"],
-        ["variance", "--n", "100057", "--sigma", "0.01", "--m-max", "16"],
-    ):
-        _, out1, _ = run_cli(args, {"OPENBLAS_NUM_THREADS": "1"})
-        _, out2, _ = run_cli(args, {"OPENBLAS_NUM_THREADS": "2"})
-        assert out1 and out1 == out2
+@st.composite
+def rerun_args(draw):
+    """A random seeded run: Monte Carlo and series variance on a shell, a
+    baseline statistic, or a sampled discrepancy estimate."""
+    seed = str(draw(st.integers(0, 2**32 - 1)))
+    n = str(draw(st.integers(1, 3000).filter(three_squares_representable)))
+    sigma = repr(draw(st.floats(1e-3, 0.5)))
+    samples = str(draw(st.integers(100, 500)))
+    kind = draw(st.sampled_from(["variance", "baseline", "discrepancy"]))
+    if kind == "variance":
+        m_max = str(draw(st.integers(1, 40)))
+        return ["variance", "--n", n, "--sigma", sigma, "--samples", samples, "--seed", seed, "--m-max", m_max]
+    if kind == "baseline":
+        stat = draw(st.sampled_from(["ripley", "energy", "spacing", "covering", "variance", "boxes"]))
+        big_n = str(draw(st.integers(50, 500)))
+        return ["baseline", "--stat", stat, "--N", big_n, "--seed", seed, "--sigma", sigma, "--samples", samples]
+    m_max = str(draw(st.integers(1, 30)))
+    return ["discrepancy", "--n", n, "--m-max", m_max, "--estimate", "--centers", samples, "--seed", seed]
+
+
+# every example is two fresh processes, so the examples are few
+@settings(max_examples=10, deadline=None)
+@given(rerun_args())
+# the whole-shell series of n = 100057 has a pair table long enough for
+# OpenBLAS to thread a dot product; its digits must not follow the thread
+# count
+@example(["variance", "--n", "100057", "--sigma", "0.01", "--m-max", "16"])
+def test_byte_identical_reruns(args):
+    code1, out1, err1 = run_cli(args, {"OPENBLAS_NUM_THREADS": "1"})
+    code2, out2, _ = run_cli(args, {"OPENBLAS_NUM_THREADS": "2"})
+    assert code1 == code2 == 0, err1
+    assert out1 and out1 == out2
 
 
 def test_cached_parser_matches_fresh_parser(capsys, monkeypatch):
