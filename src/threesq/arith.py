@@ -415,14 +415,22 @@ def class_number(d: int) -> int:
 
 def _chi_table(d: int, upto: int) -> np.ndarray:
     """chi_d(m) for m = 0..upto as a float array, filled multiplicatively
-    from chi_d(2) and one `_jacobi` call for all the odd primes."""
+    from chi_d(2) and one `_jacobi` call for all the odd primes.
+
+    A prime p <= sqrt(upto) with chi_d(p) != 1 scales the multiples of
+    each of its powers, one slice each.  A larger prime divides each
+    m <= upto at most once, so the multiples of all of them are scaled
+    by one indexed pass, whose indices are distinct.
+    """
     chi = np.ones(upto + 1)
     chi[0] = 0.0
-    ps = _primes.primes_up_to(upto)
-    values = [kronecker(d, 2)] + _jacobi(d, ps[1:].astype(np.int64)).tolist()
-    for p, cp in zip(ps.tolist(), values):
-        if cp == 1:
-            continue
+    ps = _primes.primes_up_to(upto).astype(np.int64)
+    values = np.empty(ps.size)
+    values[:1] = kronecker(d, 2)
+    values[1:] = _jacobi(d, ps[1:])
+    ps, values = ps[values != 1], values[values != 1]
+    small = np.searchsorted(ps, math.isqrt(upto), side="right")
+    for p, cp in zip(ps[:small].tolist(), values[:small].tolist()):
         if cp == 0:
             chi[p::p] = 0.0
         else:
@@ -430,6 +438,9 @@ def _chi_table(d: int, upto: int) -> np.ndarray:
             while pk <= upto:
                 chi[pk::pk] *= -1.0
                 pk *= p
+    big = ps[small:]
+    counts = upto // big
+    chi[(_ragged_arange(counts) + 1) * np.repeat(big, counts)] *= np.repeat(values[small:], counts)
     return chi
 
 

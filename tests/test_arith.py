@@ -478,6 +478,18 @@ def test_discriminant_rule():
 
 # ----------------------------------------------------------------- L-values
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10**10), st.integers(min_value=0, max_value=3000))
+@example(1, 3)
+@example(3, 4)
+@example(10**10 + 19, 2)
+def test_chi_table_matches_kronecker(n, upto):
+    # primes above sqrt(upto) take the indexed pass, the rest their slices
+    assume(n % 8 != 7 and arith.is_squarefree(n))
+    d = arith.discriminant(n).d
+    assert arith._chi_table(d, upto).tolist() == [arith.kronecker(d, m) for m in range(upto + 1)]
+
+
 def test_l_series_terms_match_math_erfc():
     # the kernels switch at x = 1 and x = 8; both and their neighbours are
     # on the grid
