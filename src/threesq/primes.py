@@ -38,7 +38,7 @@ def _build(limit: int) -> None:
 def ensure(limit: int) -> None:
     """Make sure the cached tables cover [0, limit]; refuse a limit past
     the "prime_table" budget."""
-    if limit <= _limit:
+    if limit <= _limit and _spf is not None:
         return
     budget("prime_table", limit, f"prime table through {limit}")
     _build(min(max(limit, 2 * _limit, _MIN_LIMIT), BUDGETS["prime_table"].limit))

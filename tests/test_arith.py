@@ -483,6 +483,7 @@ def test_discriminant_rule():
 @example(1, 3)
 @example(3, 4)
 @example(10**10 + 19, 2)
+@example(5, 0)
 def test_chi_table_matches_kronecker(n, upto):
     # primes above sqrt(upto) take the indexed pass, the rest their slices
     assume(n % 8 != 7 and arith.is_squarefree(n))

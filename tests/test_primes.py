@@ -30,3 +30,13 @@ def test_growth_is_clamped_to_cap(monkeypatch):
     primes.ensure(limit + 1)  # doubling would ask for 2 * limit
     assert primes.spf_limit() == limit + 10
     assert len(primes.spf_table(limit + 10)) == limit + 11
+
+
+def test_primes_up_to_below_two_before_any_sieve(monkeypatch):
+    # a process whose first request is below 2 still gets a table
+    monkeypatch.setattr(primes, "_spf", None)
+    monkeypatch.setattr(primes, "_primes", None)
+    monkeypatch.setattr(primes, "_limit", 0)
+    assert primes.primes_up_to(0).size == 0
+    assert primes.primes_up_to(1).size == 0
+    assert primes.spf_limit() > 0
