@@ -109,8 +109,21 @@ def _shell_or_fail(n: int) -> spatial.UnitPointSet:
 
 
 def _chord(r: float, geodesic: bool) -> float:
-    # geodesic radii are accepted at the CLI and converted to chords
-    return 2.0 * math.sin(r / 2.0) if geodesic else r
+    # geodesic radii are accepted at the CLI and converted to chords; past
+    # pi the chord would fold back to that of 2 pi - r
+    if not geodesic:
+        return r
+    if not 0 <= r <= math.pi:
+        raise DomainError(f"a geodesic radius must lie in [0, pi], not {r}")
+    return 2.0 * math.sin(r / 2.0)
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # Fields of the statistics that a lattice shell and the binomial baseline
@@ -212,9 +225,7 @@ def _cmd_variance(args) -> dict:
         series = harmonics.variance_series(None, spec, args.m_max, points=pts)
         if args.zonal_out:
             h = harmonics.zonal_coeffs(spec, args.m_max).coeffs.tolist()
-            text = _csv("m,h", (f"{m},{_fmt_float(v)}" for m, v in enumerate(h)))
-            with open(args.zonal_out, "w") as fh:
-                fh.write(text)
+            _write_file(args.zonal_out, _csv("m,h", (f"{m},{_fmt_float(v)}" for m, v in enumerate(h))))
     return {
         "config": _config(args),
         "n": args.n,
@@ -461,6 +472,10 @@ def main(argv=None) -> int:
     try:
         out = _HANDLERS[args.command](args)
         text = out if isinstance(out, str) else dumps_canonical(out) + "\n"
+        if args.out:
+            _write_file(args.out, text)
+        else:
+            sys.stdout.write(text)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -470,11 +485,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # treat unexpected failures as invariant breaks
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

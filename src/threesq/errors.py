@@ -7,8 +7,8 @@ Every input whose cost in work or memory can be predicted before any of
 it starts is checked against one entry of BUDGETS by `budget`, which
 refuses it with a DomainError of one shape.  Bounds that protect
 exactness or a numeric range (2^50 shells, 2^31 pole radii, 2^62 pair
-shells, degree 2000 of the harmonic sums) are not budgets: their
-messages give that reason instead.
+shells, 2^61 integer Ripley sources, degree 2000 of the harmonic sums)
+are not budgets: their messages give that reason instead.
 """
 
 from typing import NamedTuple
@@ -36,9 +36,11 @@ class Budget(NamedTuple):
 
 
 BUDGETS: dict[str, Budget] = {
-    # Gram products one pair kernel of spatial may take (riesz_energy and
-    # the z band of ripley_k): about 10 s of Ripley counts at 2.2 ns per
-    # product, and up to about 17 s of energies at 3.5 ns
+    # Gram products one pair walk of spatial may take, predicted by its
+    # z-band plan as the sum of rows x columns over the blocks (riesz_energy
+    # plans the whole upper triangle, ripley_k the band within r): about
+    # 10 s of Ripley counts at 2.2 ns per product, and up to about 17 s of
+    # energies at 3.5 ns
     "pair_products": Budget(4_500_000_000, "Gram products"),
     # points one binomial sample may hold: room for a same-size baseline of
     # the largest stretch shell, n = 1e10+19 with N = 955 416

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, budget
 from .lattice import enumerate_points, pair_table
-from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_whole_shell, _random_units, project
+from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_whole_shell, _random_units, _rng, project
 
 MAX_DEGREE = 2000
 # power-of-two scale of the order recurrence, so that sectoral values of
@@ -370,7 +370,7 @@ def cap_discrepancy_estimate(
         raise DomainError("radius grid must contain chord radii in (0, 2]")
     N = pts.size
     budget("center_products", center_samples * max(N, _ESTIMATE_FLOOR), f"{center_samples} random centers")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _rng(seed)
     thresholds = np.sort(1.0 - radii**2 / 2.0)
     areas = (2.0 - 2.0 * thresholds) / 4.0  # cap area for each threshold
     best = 0.0

@@ -20,28 +20,32 @@ facets are facets of the whole hull (see `covering_radius`), and the
 winning plane is evaluated on its integer points, free of the
 cancellation in 2 - 2*offset.  Other sets take the whole hull.
 
-Every other pair sum of a point set (energies and Ripley counts) goes
-through one kernel, `_pair_blocks`, which walks the upper block triangle
-of the set's Gram matrix under one entry budget.  Each statistic maps a
-block to its value; Ripley counts of a lattice shell feed it the integer
-points and compare exact integer squared distances.  Energies walk the
-whole triangle.  Ripley counts only see pairs closer than r, and a
-coordinate of a difference is at most its length, so they walk a z band
-(`_z_band`): the points sorted by z, each row block cut where z passes
-its last row's z plus the reach, which leaves every pair within the
-reach in.  Both predict their Gram products before the first one and
-refuse past the "pair_products" budget.  Float squared distances come from the
-Gram form (|x|^2 + |y|^2) - 2x.y, and the few below _CLOSE_D2, where that
-form loses digits, are recomputed from coordinate differences, as are
-float Ripley pairs within _RIPLEY_TIE of r^2, so no count depends on the
-shape of the block that holds a pair.
+Every other pair sum of a point set (energies and Ripley counts) takes
+its blocks from one planner and its distances from one walk.  The
+planner, `_z_band`, sorts the points by z and cuts row blocks of the
+upper triangle under one entry budget, each block's columns ending
+where z passes its last row's z plus a reach; a coordinate of a
+difference is at most its length, so every pair within the reach is
+in.  Ripley counts plan at a reach just past r, energies at reach inf,
+which is the whole triangle.  The plan predicts its Gram products
+before the first one and refuses past the "pair_products" budget.
+The walk, `_distance_blocks`, yields each block's squared distances
+with its self entries at the dtype's largest value, and every statistic
+reduces a block by one rule, `_ordered`: the block's own square counts
+once and the rest twice.  Ripley counts of a lattice source walk the
+integer points, whose squared distances are exact integers.  Float
+squared distances come from the Gram form (|x|^2 + |y|^2) - 2x.y, and
+the few below _CLOSE_D2, where that form loses digits, are recomputed
+from coordinate differences, as are float Ripley pairs within
+_RIPLEY_TIE of r^2, so no count depends on the shape of the block that
+holds a pair.
 
-The kernel allocates its blocks once per call: every Gram block, squared
-distance block, weight vector and mask is a view of one array sized from
-the plan's largest block, overwritten block after block in place (matmul
-and ufunc `out=`), so no block allocates an array of its own size.  The
-s = 1 energy takes 1/sqrt(d^2), two correctly rounded steps, instead of
-pow.  The Monte Carlo annulus counts reuse one workspace the same way.
+The walk allocates its blocks once per call: every Gram block, squared
+distance block and mask is a view of one array sized from the plan's
+largest block, overwritten block after block in place (matmul and ufunc
+`out=`), so no block allocates an array of its own size.  The s = 1
+energy takes 1/sqrt(d^2), two correctly rounded steps, instead of pow.
+The Monte Carlo annulus counts reuse one workspace the same way.
 
 Nearest-neighbour spacings of every set need no pair loop: a kd-tree
 offers each point its nearest candidates, and the spacing is the
@@ -53,7 +57,8 @@ sets and shells alike.  The Legendre pair sums in
 sums as its discrepancy bound, in chunks under the same entry budget.
 
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
-the caller's seed, and every randomized result embeds that seed.
+the caller's seed (`_rng`, which refuses a negative one), and every
+randomized result embeds that seed.
 """
 
 from __future__ import annotations
@@ -175,6 +180,13 @@ def _random_units(rng: np.random.Generator, k: int) -> np.ndarray:
     return pts
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The counter-based generator (Philox) keyed by a non-negative seed."""
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, not {seed}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def binomial_sample(n_points: int, seed: int) -> UnitPointSet:
     """n_points i.i.d. uniform points on S^2, reproducible per seed.
 
@@ -183,27 +195,28 @@ def binomial_sample(n_points: int, seed: int) -> UnitPointSet:
     if n_points < 1:
         raise DomainError("need at least one point")
     budget("sample_points", n_points, "binomial sample")
-    rng = np.random.Generator(np.random.Philox(seed))
-    return UnitPointSet(_random_units(rng, n_points))
+    return UnitPointSet(_random_units(_rng(seed), n_points))
 
 
 def _z_band(A: np.ndarray, reach):
-    """A sorted by z, and the row blocks of its pair kernel of this reach.
+    """The order that sorts A by z, and the blocks of its pair walk of this reach.
 
-    Returns (S, blocks).  A block (i0, i1, j1) takes rows
-    i0 <= i < i1 of S and columns i0 <= j < j1, j1 the first column whose
-    z passes z(i1 - 1) + reach, so it holds every pair of its rows whose
-    z differ by at most the reach.  Its row count is the largest whose
-    rows x columns stay within _PAIR_ENTRIES (never fewer than one row);
-    since j1 >= i1, that is at most isqrt(_PAIR_ENTRIES) rows, and one
-    searchsorted over that window finds it.  The plan sums rows x columns
-    over the blocks as it goes and stops with DomainError as soon as the
-    sum passes the "pair_products" budget, so a refused band costs little
-    planning and no product.
+    Returns (order, blocks).  A block (i0, i1, j1) takes rows
+    i0 <= i < i1 of S = A[order] and columns i0 <= j < j1, j1 the first
+    column whose z passes z(i1 - 1) + reach, so it holds every pair of
+    its rows whose z differ by at most the reach; at reach = inf every
+    block runs to the last column, and the blocks cover the whole upper
+    triangle.  Its row count is the largest whose rows x columns stay
+    within _PAIR_ENTRIES (never fewer than one row); since j1 >= i1, that
+    is at most isqrt(_PAIR_ENTRIES) rows, and one searchsorted over that
+    window finds it.  The plan sums rows x columns over the blocks as it
+    goes and stops with DomainError as soon as the sum passes the
+    "pair_products" budget, so a refused plan costs little planning and
+    no product.
     """
-    S = A[np.argsort(A[:, 2], kind="stable")]
-    z = S[:, 2]
-    N = len(S)
+    order = np.argsort(A[:, 2], kind="stable")
+    z = A[order, 2]
+    N = len(z)
     ends = np.searchsorted(z, z + reach, side="right")
     window = np.arange(1, math.isqrt(_PAIR_ENTRIES) + 1)
     blocks = []
@@ -218,14 +231,7 @@ def _z_band(A: np.ndarray, reach):
         products += (i1 - i0) * (j1 - i0)
         budget("pair_products", products, "pair kernel")
         i0 = i1
-    return S, blocks
-
-
-def _full_plan(N: int) -> list[tuple[int, int, int]]:
-    """Blocks (i0, i1, j1) of the whole upper triangle: equal row counts
-    of about _PAIR_ENTRIES / N rows, each block running to j1 = N."""
-    rows = max(1, _PAIR_ENTRIES // max(N, 1))
-    return [(i0, min(i0 + rows, N), N) for i0 in range(0, N, rows)]
+    return order, blocks
 
 
 def _workspace(blocks, dtype=np.float64) -> np.ndarray:
@@ -238,89 +244,65 @@ def _block(buf: np.ndarray, b: int, c: int) -> np.ndarray:
     return buf[: b * c].reshape(b, c)
 
 
-def _pair_blocks(A: np.ndarray, blocks=None):
-    """Yield (i0, G, w) over the upper block triangle of the Gram matrix of A.
+def _distance_blocks(P: np.ndarray, blocks):
+    """Yield (i0, d2, close) over the blocks (i0, i1, j1) of a `_z_band` plan of P.
 
-    G = A[i0 : i1] @ A[i0 : j1].T, and w weights its columns 1 on the
-    block's own square (the first i1 - i0) and 2 beyond.  Summing
-    w * f(G) over the blocks gives the sum of f(x.y) over ordered pairs,
-    diagonal included, for any symmetric f.  Every pair loop of a point
-    set goes through here.
+    d2 holds |P_i - P_j|^2 for rows i0 <= i < i1 and columns
+    i0 <= j < j1, from the Gram form (|P_i|^2 + |P_j|^2) - 2 P_i.P_j,
+    with the block's self entries (i = j) set to the dtype's largest
+    value (+inf for floats).  Every pair sum of a point set is a
+    reduction of these blocks by `_ordered`.
 
-    G and w are views of two arrays allocated once per call, sized from
-    the plan's largest block, so no block allocates an array of its own
-    size: each is valid only until the next block is drawn, and a caller
-    may overwrite both.  w is set afresh for every block (its widths
-    differ from block to block), and G is matmul's `out`.
+    Integer points (int64) give exact d2: in float64 when every |P_i|^2
+    is at most _FLOAT_SAFE, where every sum and product is an integer
+    below 2^53, else in int64, which holds d2 <= 4n for n < 2^61.  Float
+    points lose digits in the Gram form only where d2 is small, so the
+    entries below _CLOSE_D2 are recomputed from coordinate differences,
+    which keeps them and makes d2 never negative; close holds their flat
+    indices into d2, ascending, and every pair closer than about 0.03 is
+    among them, duplicates included.  Integer points have none to
+    recompute, and their close is empty.
 
-    Without blocks each block runs to the last column (j1 = N).  The
-    blocks of `_z_band` (A then sorted by z) skip every pair whose z
-    differ by more than the reach; a coordinate of a difference is at
-    most its length, so the sum is the same for any f that vanishes at
-    distances above the reach.
+    d2 is a view of one array allocated once per call, sized from the
+    plan's largest block, as is the Gram block it is formed from (matmul
+    and ufunc `out=`), so no block allocates an array of its own size:
+    d2 is valid only until the next block, and free to be overwritten by
+    the caller.
     """
-    if blocks is None:
-        blocks = _full_plan(len(A))
-    G = _workspace(blocks, A.dtype)
-    w = np.empty(max((j1 - i0 for i0, _, j1 in blocks), default=0))
+    exact = P.dtype.kind == "i"
+    sq = np.einsum("ij,ij->i", P, P)
+    if exact and sq.max(initial=0) <= _FLOAT_SAFE:
+        P, sq = P.astype(np.float64), sq.astype(np.float64)
+    top = np.inf if P.dtype.kind == "f" else np.iinfo(P.dtype).max
+    gram = _workspace(blocks, P.dtype)
+    dist = _workspace(blocks, P.dtype)
+    near = _workspace(blocks, bool)
+    close = np.empty(0, np.intp)
     for i0, i1, j1 in blocks:
         b, c = i1 - i0, j1 - i0
-        Gb = _block(G, b, c)
-        np.matmul(A[i0:i1], A[i0:j1].T, out=Gb)
-        wb = w[:c]
-        wb[:b] = 1.0
-        wb[b:] = 2.0
-        yield i0, Gb, wb
+        G = np.matmul(P[i0:i1], P[i0:j1].T, out=_block(gram, b, c))
+        d2 = np.add(sq[i0:i1, None], sq[None, i0:j1], out=_block(dist, b, c))
+        G *= 2
+        d2 -= G
+        np.fill_diagonal(d2, top)
+        if not exact:
+            close = np.flatnonzero(np.less(d2, _CLOSE_D2, out=_block(near, b, c)))
+            if len(close):
+                i, j = np.divmod(close, c)
+                diff = P[i0 + i] - P[i0 + j]
+                d2.flat[close] = np.einsum("ij,ij->i", diff, diff)
+        yield i0, d2, close
 
 
-def _gram_d2(sq: np.ndarray, i0: int, G: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Squared distances (sq_i + sq_j) - 2 G of one block, in a view of buf.
+def _ordered(total, x: np.ndarray):
+    """total(x) over the ordered pairs of a `_distance_blocks` block x.
 
-    sq_i + sq_j is rounded first, as the expression reads, and G is
-    doubled in place.  On integer points (exact in float64 up to
-    _FLOAT_SAFE, or int64 past it) every entry is exact.
+    The block's own square (its first rows-many columns) holds both
+    orders of each of its pairs, and every other column holds one order
+    of pairs whose other order no block holds; so the square counts once
+    and the rest twice.
     """
-    b, c = G.shape
-    d2 = _block(buf, b, c)
-    np.add(sq[i0 : i0 + b, None], sq[None, i0 : i0 + c], out=d2)
-    G *= 2
-    d2 -= G
-    return d2
-
-
-def _distance_blocks(P: np.ndarray, blocks=None):
-    """Yield (i0, d2, w, close): _pair_blocks as squared distances, self at +inf.
-
-    Entries below _CLOSE_D2 are recomputed as |x - y|^2 from coordinate
-    differences, so close pairs keep their digits and d2 is never
-    negative; close holds their flat indices into d2, ascending.  Every
-    pair closer than about 0.03 is among them, duplicates included.
-
-    d2 is a view of one array allocated once per call, like G and w of
-    `_pair_blocks`: valid only until the next block, and free to be
-    overwritten by the caller.
-    """
-    if blocks is None:
-        blocks = _full_plan(len(P))
-    sq = np.einsum("ij,ij->i", P, P)
-    buf = _workspace(blocks)
-    near = _workspace(blocks, bool)
-    for i0, G, w in _pair_blocks(P, blocks):
-        d2 = _gram_d2(sq, i0, G, buf)
-        b, c = d2.shape
-        np.fill_diagonal(d2, np.inf)
-        close = np.flatnonzero(np.less(d2, _CLOSE_D2, out=_block(near, b, c)))
-        if len(close):
-            i, j = np.divmod(close, c)
-            diff = P[i0 + i] - P[i0 + j]
-            d2.flat[close] = np.einsum("ij,ij->i", diff, diff)
-        yield i0, d2, w, close
-
-
-def _ordered_pairs(mask: np.ndarray) -> int:
-    """Ordered pairs marked in a block of `_pair_blocks`: the block's own
-    square (its first rows-many columns) counts once, the rest twice."""
-    return 2 * int(np.count_nonzero(mask)) - int(np.count_nonzero(mask[:, : mask.shape[0]]))
+    return 2 * total(x) - total(x[:, : x.shape[0]])
 
 
 def _is_whole_shell(pts: UnitPointSet) -> bool:
@@ -344,13 +326,14 @@ def _table_energy(n: int, s: float) -> float:
     return math.fsum((tbl.count[:-1] * d2 ** (-s / 2.0)).tolist())
 
 
-def _check_duplicates(i0: int, d2: np.ndarray, close: np.ndarray) -> None:
+def _check_duplicates(order: np.ndarray, i0: int, d2: np.ndarray, close: np.ndarray) -> None:
     """Raise on the first pair of a `_distance_blocks` block closer than
-    chord 1e-7; such pairs count as equal, and all are among `close`."""
+    chord 1e-7, named by its indices before the walk's `order`; such
+    pairs count as equal, and all are among `close`."""
     dup = close[d2.flat[close] < 1e-14]
     if len(dup):
         i, j = divmod(int(dup[0]), d2.shape[1])
-        raise DuplicatePointError(i0 + i, i0 + j)
+        raise DuplicatePointError(int(order[i0 + i]), int(order[i0 + j]))
 
 
 def uniform_energy_integral(s: float) -> float:
@@ -364,7 +347,11 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
     """Sum of |P_i - P_j|^(-s) over ordered pairs i != j.
 
     The uniform baseline is uniform_energy_integral(s) * N^2.  Duplicate
-    points raise DuplicatePointError naming the offending indices.
+    points raise DuplicatePointError naming the offending indices.  A
+    whole shell reads its pair table; any other set walks the z band at
+    reach inf, the whole upper triangle, whose Gram products are
+    predicted first, and past the "pair_products" budget the energy is
+    refused before any product.
     """
     if not 0 < s < 2:
         raise DomainError("s must lie in (0, 2)")
@@ -372,10 +359,10 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         raise DomainError("need at least two points")
     if _is_whole_shell(pts):
         return _table_energy(pts.source_n, s)
-    budget("pair_products", pts.size**2 // 2, "pair kernel")
+    order, blocks = _z_band(pts.points, math.inf)
     parts = []
-    for i0, d2, w, close in _distance_blocks(pts.points):
-        _check_duplicates(i0, d2, close)
+    for i0, d2, close in _distance_blocks(pts.points[order], blocks):
+        _check_duplicates(order, i0, d2, close)
         terms = d2  # the block's workspace, overwritten in place
         if s == 1.0:
             # two correctly rounded steps, several times cheaper than pow
@@ -383,7 +370,7 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
             np.divide(1.0, terms, out=terms)
         else:
             np.power(terms, -s / 2.0, out=terms)
-        parts.append(float((terms @ w).sum()))
+        parts.append(float(_ordered(np.sum, terms)))
     return math.fsum(parts)
 
 
@@ -396,13 +383,15 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     """Ordered pairs (i, j), i != j, of points at chord distance strictly below r.
 
     The count runs over index pairs, so a point repeated in the set pairs
-    with its copy at distance 0 on every path.  For a projected lattice shell the count is taken over exact integer
-    squared distances, so it agrees exactly with the inner-product sum
-    pairs_in_band(n, 0, r^2 * n).
+    with its copy at distance 0 on every path.  For a projected lattice
+    shell the count is taken over exact integer squared distances, so it
+    agrees exactly with the inner-product sum pairs_in_band(n, 0, r^2 * n);
+    those reach 4n, which int64 holds only for n < 2^61, and a source
+    past that is refused.
 
     A coordinate of a difference is at most its length, so only pairs
-    whose z differ by at most a reach can count, and the pair kernel
-    walks a z band (`_z_band`) with the count of every pair.  On integer
+    whose z differ by at most a reach can count, and the count walks a
+    z band (`_z_band`) that holds every such pair.  On integer
     points a counted pair has dz^2 <= d^2 <= dmax, so the reach
     isqrt(dmax) is exact.  On float points it is sqrt(r^2 + _BAND_SLACK),
     as in `number_variance`: a computed d^2 below r^2 is within about
@@ -425,38 +414,36 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
         return 0
     if pts.source_n is not None and pts.int_points is not None:
         n = pts.source_n
+        if n >= 1 << 61:
+            raise DomainError(
+                f"integer Ripley counts need n < 2^61, where every squared distance (at most 4n) fits in int64; n = {n}"
+            )
         lim = Fraction(r) * Fraction(r) * n  # exact rational threshold
         dmax = (lim.numerator - 1) // lim.denominator
-        P, blocks = _z_band(pts.int_points, math.isqrt(dmax))
-        # float64 sums and Gram entries are exact integers up to _FLOAT_SAFE
-        A = P.astype(np.float64) if n <= _FLOAT_SAFE else P
-        sq = np.einsum("ij,ij->i", A, A)
-        buf = _workspace(blocks, A.dtype)
-        mask = _workspace(blocks, bool)
+        order, blocks = _z_band(pts.int_points, math.isqrt(dmax))
+        inside = _workspace(blocks, bool)
         total = 0
-        for i0, G, _ in _pair_blocks(A, blocks):
-            d2 = _gram_d2(sq, i0, G, buf)
-            m = _block(mask, *d2.shape)
-            total += _ordered_pairs(np.less_equal(d2, dmax, out=m))
-        # each self pair has d^2 = 0 and sits once, on its block's own square
-        return total - N
-    P, blocks = _z_band(pts.points, math.sqrt(r * r + _BAND_SLACK))
+        for _, d2, _ in _distance_blocks(pts.int_points[order], blocks):
+            total += _ordered(np.count_nonzero, np.less_equal(d2, dmax, out=_block(inside, *d2.shape)))
+        return total
+    order, blocks = _z_band(pts.points, math.sqrt(r * r + _BAND_SLACK))
+    P = pts.points[order]
     r2 = r * r
     below = _workspace(blocks, bool)
     above = _workspace(blocks, bool)
     total = 0
-    for i0, d2, _, _ in _distance_blocks(P, blocks):
+    for i0, d2, _ in _distance_blocks(P, blocks):
         b, c = d2.shape
         lo = np.less(d2, r2 - _RIPLEY_TIE, out=_block(below, b, c))
         hi = np.less(d2, r2 + _RIPLEY_TIE, out=_block(above, b, c))
-        total += _ordered_pairs(lo)
         if np.count_nonzero(hi) > np.count_nonzero(lo):
             # settle the pairs within _RIPLEY_TIE of r^2 from differences
             tie = np.flatnonzero(np.not_equal(lo, hi, out=hi))
             i, j = np.divmod(tie, c)
             diff = P[i0 + i] - P[i0 + j]
-            inside = np.einsum("ij,ij->i", diff, diff) < r2
-            total += 2 * int(np.count_nonzero(inside)) - int(np.count_nonzero(inside[j < b]))
+            d2.flat[tie] = np.einsum("ij,ij->i", diff, diff)
+            np.less(d2, r2, out=lo)
+        total += _ordered(np.count_nonzero, lo)
     return total
 
 
@@ -852,7 +839,7 @@ def _annulus_histogram(
     reach = math.sqrt(spec.rho2**2 + _BAND_SLACK)
     P = pts.points[np.argsort(pts.points[:, 2], kind="stable")]
     z = np.ascontiguousarray(P[:, 2])
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _rng(seed)
     hist = np.zeros(N + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(N, 1))
     dots = np.empty(0)

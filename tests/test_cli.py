@@ -333,7 +333,7 @@ def test_baseline_energy_refuses_over_pair_budget_before_any_product(capsys, mon
     def forbidden(*args):
         raise AssertionError("Gram products before the budget check")
 
-    monkeypatch.setattr(spatial, "_pair_blocks", forbidden)
+    monkeypatch.setattr(spatial, "_distance_blocks", forbidden)
     start = time.perf_counter()
     assert main(["baseline", "--stat", "energy", "--N", "1000000", "--seed", "1"]) == 2
     assert main(["baseline", "--stat", "ripley", "--N", "1000000", "--seed", "1", "--r", "2"]) == 2
@@ -458,6 +458,21 @@ def test_output_file(tmp_path):
     assert data["N"] == 24
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "5", "--out"],
+        ["variance", "--n", "5", "--sigma", "0.1", "--m-max", "3", "--zonal-out"],
+    ],
+    ids=["out", "zonal-out"],
+)
+def test_unwritable_output_path_is_a_domain_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    assert main([*argv, str(target)]) == 2
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_variance_zonal_table(tmp_path, capsys):
     import math
 
@@ -482,6 +497,45 @@ def test_geodesic_conversion(capsys):
     assert main(["ripley", "--n", "5", "--r", str(math.pi / 3), "--geodesic"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["r"] == pytest.approx(2 * math.sin(math.pi / 6))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ripley", "--n", "5", "--r", "4", "--geodesic"],
+        ["ripley", "--n", "5", "--r", "-0.5", "--geodesic"],
+        ["variance", "--n", "5", "--rho2", "4", "--geodesic", "--m-max", "3"],
+        ["baseline", "--stat", "ripley", "--N", "10", "--seed", "1", "--r", "3.5", "--geodesic"],
+    ],
+)
+def test_geodesic_radius_past_pi_is_refused(argv, capsys):
+    # past pi the chord 2 sin(r/2) would fold back to that of 2 pi - r
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "geodesic radius must lie in [0, pi]" in captured.err
+    assert captured.out == ""
+
+
+def test_geodesic_radius_pi_is_the_whole_sphere(capsys):
+    import math
+
+    assert main(["ripley", "--n", "5", "--r", str(math.pi), "--geodesic"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variance", "--n", "5", "--sigma", "0.1", "--samples", "100", "--seed", "-1"],
+        ["baseline", "--stat", "energy", "--N", "10", "--seed", "-1"],
+        ["baseline", "--stat", "variance", "--N", "10", "--seed", "-1", "--sigma", "0.1", "--samples", "100"],
+        ["discrepancy", "--n", "5", "--m-max", "3", "--estimate", "--centers", "100", "--seed", "-1"],
+    ],
+    ids=["variance", "baseline", "baseline-variance", "discrepancy"],
+)
+def test_negative_seed_is_a_domain_error(argv, capsys):
+    assert main(argv) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_covering_mesh_check_flag(capsys):

@@ -396,6 +396,11 @@ def test_discrepancy_estimate_octahedron(octahedron):
     assert est <= 1.0
 
 
+def test_discrepancy_estimate_refuses_negative_seed(octahedron):
+    with pytest.raises(DomainError, match="non-negative"):
+        harmonics.cap_discrepancy_estimate(octahedron, 100, [0.5], seed=-1)
+
+
 def test_discrepancy_estimate_binomial_scale():
     pts = spatial.binomial_sample(10_000, 21)
     grid = np.geomspace(0.02, 2.0, 32)

@@ -246,6 +246,17 @@ def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
         assert set(err.value.indices) == {i, N - 1}
 
 
+def test_negative_seed_is_refused():
+    shell = spatial.unit_shell(5)
+    with pytest.raises(DomainError, match="non-negative"):
+        spatial._rng(-1)
+    with pytest.raises(DomainError, match="non-negative"):
+        spatial.binomial_sample(10, -1)
+    with pytest.raises(DomainError, match="non-negative"):
+        spatial.number_variance(shell, spatial.AnnulusSpec.cap(0.5), 100, -1)
+    assert spatial._rng(0).random() == np.random.Generator(np.random.Philox(0)).random()
+
+
 def test_close_pair_keeps_its_digits():
     # one pair planted 2.2e-5 apart in a binomial sample: the Gram form
     # |x|^2 + |y|^2 - 2x.y would carry an absolute error near 1e-16 on its
@@ -392,6 +403,74 @@ def test_banded_ripley_matches_full_width_past_float_safe(a, b, c, seed, r, entr
             assert spatial.ripley_k(pts, radius) == ripley_full_width(pts, radius)
 
 
+def octahedron_of_radius(m):
+    """The six points +-m e_i on the shell n = m^2, as its lattice source."""
+    P = np.concatenate([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)]) * m
+    return spatial.project(lattice.LatticeSet(m * m, P))
+
+
+def test_integer_ripley_counts_exactly_below_2_61():
+    # at m = 2^30 the antipodes' d^2 = 4n = 2^62 still fits in int64
+    pts = octahedron_of_radius(2**30)
+    assert pts.source_n == 2**60
+    # neighbours sit at chord sqrt 2, antipodes at 2, which r = 2 leaves out
+    assert spatial.ripley_k(pts, 1.5) == 24
+    assert spatial.ripley_k(pts, 2.0) == 24
+    # at m = 2^31 - 1, 4n passes 2^63 and would wrap
+    with pytest.raises(DomainError, match=r"n < 2\^61"):
+        spatial.ripley_k(octahedron_of_radius(2**31 - 1), 1.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(awkward_sets(), st.floats(1e-3, 2.0), st.integers(0, 10**6), BLOCK_ENTRIES, st.data())
+def test_pair_statistics_do_not_depend_on_point_order(P, r, pick, entries, data):
+    # the walk sorts by z, so a permuted set meets the same pairs in other
+    # blocks; a duplicate is still named by the caller's indices
+    Q = P[data.draw(st.permutations(range(len(P))))]
+    d2 = dense_difference_d2(P)
+    dup = bool((d2[~np.eye(len(P), dtype=bool)] < 1e-14).any())
+    with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+        assert spatial.ripley_k(spatial.UnitPointSet(P), r) == spatial.ripley_k(spatial.UnitPointSet(Q), r)
+        if not dup:
+            for s in (0.5, 1.0):
+                energies = [spatial.riesz_energy(spatial.UnitPointSet(X), s) for X in (P, Q)]
+                assert energies[0] == pytest.approx(energies[1], rel=1e-13)
+        # plant a copy of one point at a drawn position
+        k, at = pick % len(Q), data.draw(st.integers(0, len(Q)))
+        planted = np.insert(Q, at, Q[k], axis=0)
+        with pytest.raises(DuplicatePointError) as err:
+            spatial.riesz_energy(spatial.UnitPointSet(planted), 1.0)
+    i, j = err.value.indices
+    assert i != j and np.sum((planted[i] - planted[j]) ** 2) < 1e-14
+    if not dup:
+        assert {i, j} == {k + (k >= at), at}
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_sets(max_base=80), st.one_of(st.floats(0.0, 2.5), st.just(math.inf)), BLOCK_ENTRIES)
+def test_z_band_holds_each_pair_within_reach_in_one_block(P, reach, entries):
+    N = len(P)
+    with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+        order, blocks = spatial._z_band(P, reach)
+    assert sorted(order.tolist()) == list(range(N))
+    z = P[order, 2]
+    assert (np.diff(z) >= 0).all()
+    # the blocks' rows run through 0..N once, in order
+    assert [i0 for i0, _, _ in blocks] == [0] + [i1 for _, i1, _ in blocks[:-1]]
+    assert blocks[-1][1] == N
+    held = np.zeros((N, N), dtype=int)  # held[i, j], i < j: blocks holding the pair
+    for i0, i1, j1 in blocks:
+        b, c = i1 - i0, j1 - i0
+        assert i0 < i1 <= j1 <= N
+        assert b == 1 or b * c <= entries
+        held[i0:i1, i0:j1] += np.triu(np.ones((b, c), dtype=int), k=1)
+    assert held.max(initial=0) <= 1
+    # a pair within the reach, as the planner's z + reach rounds it, is held
+    i, j = np.triu_indices(N, k=1)
+    near = z[j] <= z[i] + reach
+    assert (held[i[near], j[near]] == 1).all()
+
+
 def dense_nn_d2(P):
     diff = P[:, None, :] - P[None, :, :]
     d2 = (diff * diff).sum(axis=2)
@@ -468,7 +547,7 @@ def test_ripley_refuses_over_product_budget_before_any_product(monkeypatch):
     def forbidden(*args):
         raise AssertionError("Gram products before the budget check")
 
-    monkeypatch.setattr(spatial, "_pair_blocks", forbidden)
+    monkeypatch.setattr(spatial, "_distance_blocks", forbidden)
     monkeypatch.setitem(BUDGETS, "pair_products", BUDGETS["pair_products"]._replace(limit=10**6))
     pts = spatial.binomial_sample(2000, 5)
     # a small reach predicts few products, the whole sphere about N^2 / 2
@@ -486,6 +565,8 @@ def test_pair_product_budget_admits_the_stretch_shell():
     # sphere, so the predicted products depend on N alone
     P = spatial.binomial_sample(88_320, 1).points
     assert band_products(spatial._z_band(P, 2.0)[1]) <= BUDGETS["pair_products"].limit
+    # energies plan the same whole triangle at reach inf
+    assert spatial._z_band(P, math.inf)[1] == spatial._z_band(P, 2.0)[1]
 
 
 # ------------------------------------------------------------ covering radius
@@ -933,14 +1014,21 @@ def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
         own = float(np.sqrt(d2[off][pick % (N * N - N)]))
         for radius in (r, min(2.0, max(1e-3, own)), 2.0):
             assert spatial.ripley_k(pts, radius) == int((d2[off] < radius * radius).sum()), radius
-        # the kernel itself over a z-band plan: f(x.y) = max(0, x.y - c)
-        # vanishes beyond the reach, so the band's weighted sum is the sum
-        # over all ordered pairs, diagonal included
-        S, blocks = spatial._z_band(P, r)
-        c = 1.0 - r * r / 2.0
-        parts = [float((w * np.maximum(G - c, 0.0)).sum()) for _, G, w in spatial._pair_blocks(S, blocks)]
-        dense = np.maximum(P @ P.T - c, 0.0)
-        assert math.fsum(parts) == pytest.approx(math.fsum(dense.ravel().tolist()), rel=1e-12, abs=1e-12)
+        # the walk itself over a z-band plan: each block is its slice of the
+        # dense d^2, self entries at +inf, and f(d^2) = max(0, r^2 - d^2)
+        # vanishes beyond the reach, so the band's once/twice sum is the
+        # sum over all ordered pairs i != j
+        order, blocks = spatial._z_band(P, r)
+        S = P[order]
+        dense = dense_difference_d2(S)
+        np.fill_diagonal(dense, np.inf)
+        parts = []
+        for (i0, i1, j1), (k0, block, _) in zip(blocks, spatial._distance_blocks(S, blocks), strict=True):
+            assert k0 == i0
+            np.testing.assert_allclose(block, dense[i0:i1, i0:j1], rtol=0, atol=1e-14)
+            parts.append(float(spatial._ordered(np.sum, np.maximum(r * r - block, 0.0))))
+        expect = math.fsum(np.maximum(r * r - dense, 0.0).ravel().tolist())
+        assert math.fsum(parts) == pytest.approx(expect, rel=1e-12, abs=1e-14 * N * N)
     for rows in (1, 7):
         with mock.patch.object(spatial, "_BAND_ROWS", rows):
             banded = spatial._annulus_histogram(pts, spec, 300, seed)

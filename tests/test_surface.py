@@ -9,6 +9,11 @@ re-export from `__init__.py` is no read, and there is none.  The tests do
 not count, so a name that only they read is an oracle and lives in the
 tests.  The names kept for another reason are listed in KEPT with it.
 
+Every private top-level function, class or constant of a `src/threesq`
+module must be read by `src/` itself, outside its own definition, so no
+helper outlives its last caller; the tests may reach into private names,
+but they do not keep one alive.
+
 Every work or memory refusal goes through `errors.budget`: each entry of
 `errors.BUDGETS` is named by some call of it, and no other DomainError
 of the package speaks of a budget or a cap.
@@ -97,6 +102,32 @@ def unread_names() -> set[str]:
 def test_every_public_name_has_a_reader():
     unread = unread_names() - set(KEPT)
     assert not unread, f"public names nothing outside the tests reads: {sorted(unread)}"
+
+
+def private_names(stmt: ast.stmt) -> list[str]:
+    """The private, non-dunder names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_read_by_the_package():
+    modules = package_modules()
+    reads = [(stmt, names_read(stmt)) for body in modules.values() for stmt in body]
+    unread = [
+        f"{module}.{name}"
+        for module, body in modules.items()
+        for stmt in body
+        for name in private_names(stmt)
+        if not any(name in names for other, names in reads if other is not stmt)
+    ]
+    assert not unread, f"private names nothing in src/ reads: {unread}"
 
 
 def test_kept_names_exist():
