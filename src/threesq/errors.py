@@ -37,10 +37,12 @@ class Budget(NamedTuple):
 
 BUDGETS: dict[str, Budget] = {
     # Gram products one pair walk of spatial may take, predicted by its
-    # z-band plan as the sum of rows x columns over the blocks (riesz_energy
-    # plans the whole upper triangle, ripley_k the band within r): about
-    # 10 s of Ripley counts at 2.2 ns per product, and up to about 17 s of
-    # energies at 3.5 ns
+    # z-band plan as the sum of rows x columns over the tiles (riesz_energy
+    # plans the whole upper triangle, ripley_k the band within r).  Float
+    # sets on a 2-vCPU Xeon, OpenBLAS at 1 thread: the s = 1 energy takes
+    # 3.37 ns per product at N = 8 192 and 3.22 at 32 768, Ripley at r = 2
+    # 1.42 and 1.10; so the limit is about 15 s of energies and 5-6 s of
+    # Ripley counts
     "pair_products": Budget(4_500_000_000, "Gram products"),
     # points one binomial sample may hold: room for a same-size baseline of
     # the largest stretch shell, n = 1e10+19 with N = 955 416

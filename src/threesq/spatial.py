@@ -21,30 +21,35 @@ winning plane is evaluated on its integer points, free of the
 cancellation in 2 - 2*offset.  Other sets take the whole hull.
 
 Every other pair sum of a point set (energies and Ripley counts) takes
-its blocks from one planner and its distances from one walk.  The
-planner, `_z_band`, sorts the points by z and cuts row blocks of the
-upper triangle under one entry budget, each block's columns ending
-where z passes its last row's z plus a reach; a coordinate of a
-difference is at most its length, so every pair within the reach is
-in.  Ripley counts plan at a reach just past r, energies at reach inf,
-which is the whole triangle.  The plan predicts its Gram products
-before the first one and refuses past the "pair_products" budget.
-The walk, `_distance_blocks`, yields each block's squared distances
-with its self entries at the dtype's largest value, and every statistic
-reduces a block by one rule, `_ordered`: the block's own square counts
-once and the rest twice.  Ripley counts of a lattice source walk the
-integer points, whose squared distances are exact integers.  Float
-squared distances come from the Gram form (|x|^2 + |y|^2) - 2x.y, and
-the few below _CLOSE_D2, where that form loses digits, are recomputed
-from coordinate differences, as are float Ripley pairs within
-_RIPLEY_TIE of r^2, so no count depends on the shape of the block that
-holds a pair.
+its tiles from one planner and its distances from one walk.  The
+planner, `_z_band`, sorts the points by z and cuts the upper triangle
+into row blocks of one height, each running from its diagonal to where
+z passes its last row's z plus a reach, and cuts each row block into
+tiles of at most _PAIR_ENTRIES entries (64 x 1024 at the default); a
+coordinate of a difference is at most its length, so every pair within
+the reach is in.  Ripley counts plan at a reach just past r, energies
+at reach inf, which is the whole triangle.  The plan predicts its Gram
+products before the first one and refuses past the "pair_products"
+budget.  The walk, `_distance_blocks`, yields each tile's squared
+distances from one matrix product of augmented coordinates,
+[x, |x|^2, 1] . [-2y, 1, |y|^2], with a diagonal tile's self entries at
+the dtype's largest value, and every statistic reduces a tile by one
+rule, `_ordered`: a diagonal tile's own square counts once and every
+other entry twice.  Ripley counts of a lattice source walk the integer
+points, where every partial sum of the product is an integer of at most
+4n, so their squared distances are exact: in float64 up to
+n = _FLOAT_SAFE = 2^50, past it in int64.  Float squared distances are
+within a few ulps of 4 of the coordinate-difference form, far inside
+_RIPLEY_TIE; the few below _CLOSE_D2, where that is a loss of digits,
+are recomputed from coordinate differences, as are float Ripley pairs
+within _RIPLEY_TIE of r^2, so no count depends on the shape of the tile
+that holds a pair.
 
-The walk allocates its blocks once per call: every Gram block, squared
-distance block and mask is a view of one array sized from the plan's
-largest block, overwritten block after block in place (matmul and ufunc
-`out=`), so no block allocates an array of its own size.  The s = 1
-energy takes 1/sqrt(d^2), two correctly rounded steps, instead of pow.
+The walk allocates its tiles once per call: every squared-distance
+tile and mask is a view of one array sized from the plan's largest
+tile, overwritten tile after tile in place (matmul and ufunc `out=`),
+so no tile allocates an array of its own size.  The s = 1 energy takes
+1/sqrt(d^2), two correctly rounded steps, instead of pow.
 The Monte Carlo annulus counts reuse one workspace the same way.
 
 Nearest-neighbour spacings of every set need no pair loop: a kd-tree
@@ -72,7 +77,7 @@ import numpy as np
 from .errors import DomainError, DuplicatePointError, InvariantError, budget
 from .lattice import _FLOAT_SAFE, LatticeSet, enumerate_points, pair_table
 
-_PAIR_ENTRIES = 1 << 16  # Gram entries per block of the pair kernel
+_PAIR_ENTRIES = 1 << 16  # Gram entries per tile of the pair kernel
 _NORM_TOL = 1e-12
 # below this squared distance the Gram form's rounding (about 1e-15
 # absolute) would exceed 1e-12 relative, so differences are used instead
@@ -199,44 +204,42 @@ def binomial_sample(n_points: int, seed: int) -> UnitPointSet:
 
 
 def _z_band(A: np.ndarray, reach):
-    """The order that sorts A by z, and the blocks of its pair walk of this reach.
+    """The order that sorts A by z, and the tiles of its pair walk of this reach.
 
-    Returns (order, blocks).  A block (i0, i1, j1) takes rows
-    i0 <= i < i1 of S = A[order] and columns i0 <= j < j1, j1 the first
-    column whose z passes z(i1 - 1) + reach, so it holds every pair of
-    its rows whose z differ by at most the reach; at reach = inf every
-    block runs to the last column, and the blocks cover the whole upper
-    triangle.  Its row count is the largest whose rows x columns stay
-    within _PAIR_ENTRIES (never fewer than one row); since j1 >= i1, that
-    is at most isqrt(_PAIR_ENTRIES) rows, and one searchsorted over that
-    window finds it.  The plan sums rows x columns over the blocks as it
-    goes and stops with DomainError as soon as the sum passes the
-    "pair_products" budget, so a refused plan costs little planning and
-    no product.
+    Returns (order, tiles).  A tile (i0, i1, j0, j1) takes rows
+    i0 <= i < i1 and columns j0 <= j < j1 of the pairs of S = A[order].
+    The rows run in blocks of a fixed height, h = isqrt(_PAIR_ENTRIES) // 4
+    (64 at the default, never below 1), and each row block's columns run
+    from i0 to the first column whose z passes z(i1 - 1) + reach, cut into
+    tiles at most _PAIR_ENTRIES // h wide (1024), so no tile has more than
+    _PAIR_ENTRIES entries.  A row block thus holds every pair of its rows
+    whose z differ by at most the reach; at reach = inf every row block
+    runs to the last column, and the tiles cover the whole upper triangle.
+    The first tile of a row block (j0 = i0) is its diagonal tile, and
+    holds the block's own square.  The plan's Gram products, the sum of
+    rows x columns over the tiles, are predicted from the row blocks
+    before any tile is listed, and past the "pair_products" budget the
+    plan is refused with DomainError, so a refused plan costs no product.
     """
     order = np.argsort(A[:, 2], kind="stable")
     z = A[order, 2]
-    N = len(z)
-    ends = np.searchsorted(z, z + reach, side="right")
-    window = np.arange(1, math.isqrt(_PAIR_ENTRIES) + 1)
-    blocks = []
-    products = 0
-    i0 = 0
-    while i0 < N:
-        m = min(len(window), N - i0)
-        cost = window[:m] * (ends[i0 : i0 + m] - i0)
-        i1 = i0 + max(1, int(np.searchsorted(cost, _PAIR_ENTRIES, side="right")))
-        j1 = int(ends[i1 - 1])
-        blocks.append((i0, i1, j1))
-        products += (i1 - i0) * (j1 - i0)
-        budget("pair_products", products, "pair kernel")
-        i0 = i1
-    return order, blocks
+    h = max(1, math.isqrt(_PAIR_ENTRIES) // 4)
+    w = _PAIR_ENTRIES // h
+    i0 = np.arange(0, len(z), h)
+    i1 = np.minimum(i0 + h, len(z))
+    j1 = np.searchsorted(z, z[i1 - 1] + reach, side="right")
+    budget("pair_products", int(((i1 - i0) * (j1 - i0)).sum()), "pair kernel")
+    tiles = [
+        (a, b, j0, min(j0 + w, c))
+        for a, b, c in zip(i0.tolist(), i1.tolist(), j1.tolist())
+        for j0 in range(a, c, w)
+    ]
+    return order, tiles
 
 
-def _workspace(blocks, dtype=np.float64) -> np.ndarray:
-    """One flat array as long as the largest block (rows x columns) of a plan."""
-    return np.empty(max(((i1 - i0) * (j1 - i0) for i0, i1, j1 in blocks), default=0), dtype)
+def _workspace(tiles, dtype=np.float64) -> np.ndarray:
+    """One flat array as long as the largest tile (rows x columns) of a plan."""
+    return np.empty(max(((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in tiles), default=0), dtype)
 
 
 def _block(buf: np.ndarray, b: int, c: int) -> np.ndarray:
@@ -244,65 +247,74 @@ def _block(buf: np.ndarray, b: int, c: int) -> np.ndarray:
     return buf[: b * c].reshape(b, c)
 
 
-def _distance_blocks(P: np.ndarray, blocks):
-    """Yield (i0, d2, close) over the blocks (i0, i1, j1) of a `_z_band` plan of P.
+def _distance_blocks(P: np.ndarray, tiles):
+    """Yield (i0, j0, d2, close) over the tiles (i0, i1, j0, j1) of a `_z_band` plan of P.
 
     d2 holds |P_i - P_j|^2 for rows i0 <= i < i1 and columns
-    i0 <= j < j1, from the Gram form (|P_i|^2 + |P_j|^2) - 2 P_i.P_j,
-    with the block's self entries (i = j) set to the dtype's largest
-    value (+inf for floats).  Every pair sum of a point set is a
-    reduction of these blocks by `_ordered`.
+    j0 <= j < j1, from one matrix product of augmented coordinates,
+    [P_i, |P_i|^2, 1] . [-2 P_j, 1, |P_j|^2], with a diagonal tile's self
+    entries (i = j) set to the dtype's largest value (+inf for floats).
+    Every pair sum of a point set is a reduction of these tiles by
+    `_ordered`.
 
-    Integer points (int64) give exact d2: in float64 when every |P_i|^2
-    is at most _FLOAT_SAFE, where every sum and product is an integer
-    below 2^53, else in int64, which holds d2 <= 4n for n < 2^61.  Float
-    points lose digits in the Gram form only where d2 is small, so the
-    entries below _CLOSE_D2 are recomputed from coordinate differences,
-    which keeps them and makes d2 never negative; close holds their flat
-    indices into d2, ascending, and every pair closer than about 0.03 is
-    among them, duplicates included.  Integer points have none to
-    recompute, and their close is empty.
+    Integer points (int64) give exact d2.  Every partial sum of the
+    augmented product, in any order, is at most |P_i|^2 + 2|P_i||P_j| +
+    |P_j|^2 <= 4n in magnitude, so the product is taken in float64 when
+    every |P_i|^2 = n is at most _FLOAT_SAFE = 2^50, where every partial
+    sum is an integer of at most 2^52, else in int64, which holds 4n for
+    n < 2^61.  On float points of the unit sphere each term is at most 2,
+    so d2 is within a few ulps of 4 (a few 1e-15) of its coordinate-
+    difference form: far inside _RIPLEY_TIE, but a loss of digits where
+    d2 is small.  So the entries below _CLOSE_D2 are recomputed from
+    coordinate differences, which keeps them and makes d2 never negative;
+    close holds their flat indices into d2, ascending, and every pair
+    closer than about 0.03 is among them, duplicates included.  A tile
+    whose first column's z lies more than sqrt(_CLOSE_D2) above its last
+    row's z holds no such pair, since |dz| <= |P_i - P_j|, and is not
+    scanned.  Integer points have none to recompute, and their close is
+    empty.
 
     d2 is a view of one array allocated once per call, sized from the
-    plan's largest block, as is the Gram block it is formed from (matmul
-    and ufunc `out=`), so no block allocates an array of its own size:
-    d2 is valid only until the next block, and free to be overwritten by
-    the caller.
+    plan's largest tile (matmul and ufunc `out=`), so no tile allocates
+    an array of its own size: d2 is valid only until the next tile, and
+    free to be overwritten by the caller.
     """
     exact = P.dtype.kind == "i"
     sq = np.einsum("ij,ij->i", P, P)
     if exact and sq.max(initial=0) <= _FLOAT_SAFE:
         P, sq = P.astype(np.float64), sq.astype(np.float64)
+    one = np.ones_like(sq)
+    left = np.column_stack([P, sq, one])
+    right = np.column_stack([-2 * P, one, sq]).T.copy()
     top = np.inf if P.dtype.kind == "f" else np.iinfo(P.dtype).max
-    gram = _workspace(blocks, P.dtype)
-    dist = _workspace(blocks, P.dtype)
-    near = _workspace(blocks, bool)
-    close = np.empty(0, np.intp)
-    for i0, i1, j1 in blocks:
-        b, c = i1 - i0, j1 - i0
-        G = np.matmul(P[i0:i1], P[i0:j1].T, out=_block(gram, b, c))
-        d2 = np.add(sq[i0:i1, None], sq[None, i0:j1], out=_block(dist, b, c))
-        G *= 2
-        d2 -= G
-        np.fill_diagonal(d2, top)
-        if not exact:
+    gap = math.sqrt(_CLOSE_D2)
+    dist = _workspace(tiles, P.dtype)
+    near = _workspace(tiles, bool)
+    none = np.empty(0, np.intp)
+    for i0, i1, j0, j1 in tiles:
+        b, c = i1 - i0, j1 - j0
+        d2 = np.matmul(left[i0:i1], right[:, j0:j1], out=_block(dist, b, c))
+        if j0 == i0:
+            np.fill_diagonal(d2, top)
+        close = none
+        if not exact and P[j0, 2] - P[i1 - 1, 2] <= gap:
             close = np.flatnonzero(np.less(d2, _CLOSE_D2, out=_block(near, b, c)))
             if len(close):
                 i, j = np.divmod(close, c)
-                diff = P[i0 + i] - P[i0 + j]
+                diff = P[i0 + i] - P[j0 + j]
                 d2.flat[close] = np.einsum("ij,ij->i", diff, diff)
-        yield i0, d2, close
+        yield i0, j0, d2, close
 
 
-def _ordered(total, x: np.ndarray):
-    """total(x) over the ordered pairs of a `_distance_blocks` block x.
+def _ordered(total, x: np.ndarray, diagonal: bool):
+    """total(x) over the ordered pairs of a `_distance_blocks` tile x.
 
-    The block's own square (its first rows-many columns) holds both
-    orders of each of its pairs, and every other column holds one order
-    of pairs whose other order no block holds; so the square counts once
-    and the rest twice.
+    A diagonal tile's own square (its first rows-many columns) holds
+    both orders of each of its pairs, and every other entry of any tile
+    holds one order of a pair whose other order no tile holds; so the
+    square counts once and the rest twice.
     """
-    return 2 * total(x) - total(x[:, : x.shape[0]])
+    return 2 * total(x) - total(x[:, : x.shape[0]]) if diagonal else 2 * total(x)
 
 
 def _is_whole_shell(pts: UnitPointSet) -> bool:
@@ -326,14 +338,14 @@ def _table_energy(n: int, s: float) -> float:
     return math.fsum((tbl.count[:-1] * d2 ** (-s / 2.0)).tolist())
 
 
-def _check_duplicates(order: np.ndarray, i0: int, d2: np.ndarray, close: np.ndarray) -> None:
-    """Raise on the first pair of a `_distance_blocks` block closer than
+def _check_duplicates(order: np.ndarray, i0: int, j0: int, d2: np.ndarray, close: np.ndarray) -> None:
+    """Raise on the first pair of a `_distance_blocks` tile closer than
     chord 1e-7, named by its indices before the walk's `order`; such
     pairs count as equal, and all are among `close`."""
     dup = close[d2.flat[close] < 1e-14]
     if len(dup):
         i, j = divmod(int(dup[0]), d2.shape[1])
-        raise DuplicatePointError(int(order[i0 + i]), int(order[i0 + j]))
+        raise DuplicatePointError(int(order[i0 + i]), int(order[j0 + j]))
 
 
 def uniform_energy_integral(s: float) -> float:
@@ -359,18 +371,18 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         raise DomainError("need at least two points")
     if _is_whole_shell(pts):
         return _table_energy(pts.source_n, s)
-    order, blocks = _z_band(pts.points, math.inf)
+    order, tiles = _z_band(pts.points, math.inf)
     parts = []
-    for i0, d2, close in _distance_blocks(pts.points[order], blocks):
-        _check_duplicates(order, i0, d2, close)
-        terms = d2  # the block's workspace, overwritten in place
+    for i0, j0, d2, close in _distance_blocks(pts.points[order], tiles):
+        _check_duplicates(order, i0, j0, d2, close)
+        terms = d2  # the tile's workspace, overwritten in place
         if s == 1.0:
             # two correctly rounded steps, several times cheaper than pow
             np.sqrt(terms, out=terms)
             np.divide(1.0, terms, out=terms)
         else:
             np.power(terms, -s / 2.0, out=terms)
-        parts.append(float(_ordered(np.sum, terms)))
+        parts.append(float(_ordered(np.sum, terms, j0 == i0)))
     return math.fsum(parts)
 
 
@@ -402,10 +414,10 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
 
     On float points the Gram form of d^2 is within a few 1e-15 of the
     coordinate-difference form |x - y|^2, and BLAS rounds it differently
-    for different block shapes.  A pair whose Gram-form d^2 lies within
+    for different tile shapes.  A pair whose Gram-form d^2 lies within
     _RIPLEY_TIE of r^2 is therefore settled from differences, and the
     count equals that of |x - y|^2 < r^2 over all pairs, whatever the
-    blocking.
+    tiling.
     """
     if not 0 < r <= 2:
         raise DomainError("r must lie in (0, 2]")
@@ -420,19 +432,20 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
             )
         lim = Fraction(r) * Fraction(r) * n  # exact rational threshold
         dmax = (lim.numerator - 1) // lim.denominator
-        order, blocks = _z_band(pts.int_points, math.isqrt(dmax))
-        inside = _workspace(blocks, bool)
+        order, tiles = _z_band(pts.int_points, math.isqrt(dmax))
+        inside = _workspace(tiles, bool)
         total = 0
-        for _, d2, _ in _distance_blocks(pts.int_points[order], blocks):
-            total += _ordered(np.count_nonzero, np.less_equal(d2, dmax, out=_block(inside, *d2.shape)))
+        for i0, j0, d2, _ in _distance_blocks(pts.int_points[order], tiles):
+            within = np.less_equal(d2, dmax, out=_block(inside, *d2.shape))
+            total += _ordered(np.count_nonzero, within, j0 == i0)
         return total
-    order, blocks = _z_band(pts.points, math.sqrt(r * r + _BAND_SLACK))
+    order, tiles = _z_band(pts.points, math.sqrt(r * r + _BAND_SLACK))
     P = pts.points[order]
     r2 = r * r
-    below = _workspace(blocks, bool)
-    above = _workspace(blocks, bool)
+    below = _workspace(tiles, bool)
+    above = _workspace(tiles, bool)
     total = 0
-    for i0, d2, _ in _distance_blocks(P, blocks):
+    for i0, j0, d2, _ in _distance_blocks(P, tiles):
         b, c = d2.shape
         lo = np.less(d2, r2 - _RIPLEY_TIE, out=_block(below, b, c))
         hi = np.less(d2, r2 + _RIPLEY_TIE, out=_block(above, b, c))
@@ -440,10 +453,10 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
             # settle the pairs within _RIPLEY_TIE of r^2 from differences
             tie = np.flatnonzero(np.not_equal(lo, hi, out=hi))
             i, j = np.divmod(tie, c)
-            diff = P[i0 + i] - P[i0 + j]
+            diff = P[i0 + i] - P[j0 + j]
             d2.flat[tie] = np.einsum("ij,ij->i", diff, diff)
             np.less(d2, r2, out=lo)
-        total += _ordered(np.count_nonzero, lo)
+        total += _ordered(np.count_nonzero, lo, j0 == i0)
     return total
 
 

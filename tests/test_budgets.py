@@ -42,11 +42,13 @@ def case_pair_products(mp):
     forbid(mp, spatial, "_distance_blocks")
     pts = spatial.binomial_sample(100, 1)
     # energies plan at reach inf and Ripley counts at reach 2, which on
-    # the unit sphere is the whole band too: one block of all 100 rows
+    # the unit sphere is the whole band too: a row block of 64 rows by
+    # 100 columns, then one of the last 36 rows by 36 columns
+    products = 64 * 100 + 36 * 36
     return [
-        (100 * 100, lambda: spatial.riesz_energy(pts, 1.0)),
-        (100 * 100, lambda: spatial.ripley_k(pts, 2.0)),
-        (100 * 100, ["baseline", "--stat", "energy", "--N", "100", "--seed", "1"]),
+        (products, lambda: spatial.riesz_energy(pts, 1.0)),
+        (products, lambda: spatial.ripley_k(pts, 2.0)),
+        (products, ["baseline", "--stat", "energy", "--N", "100", "--seed", "1"]),
     ]
 
 

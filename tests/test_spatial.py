@@ -403,6 +403,29 @@ def test_banded_ripley_matches_full_width_past_float_safe(a, b, c, seed, r, entr
             assert spatial.ripley_k(pts, radius) == ripley_full_width(pts, radius)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers((1 << 24) + 1, (1 << 24) + (1 << 21)),
+    st.integers(0, 1 << 24),
+    st.integers(0, 1 << 24),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 2.0),
+    BLOCK_ENTRIES,
+)
+def test_banded_ripley_matches_full_width_up_to_float_safe(a, b, c, seed, r, entries):
+    # at n in (2^48, 2^50] the walk still takes the augmented product in
+    # float64; its partial sums reach 4n <= 2^52, integers it holds exactly
+    P = _signed_perms((a, b, c))
+    n = a * a + b * b + c * c
+    assert 1 << 48 < n <= lattice._FLOAT_SAFE
+    keep = np.random.default_rng(seed).random(len(P)) < 0.7
+    pts = spatial.project(lattice.LatticeSet(n, P[keep]))
+    d2 = np.unique(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))[1:]
+    for radius in (r, min(2.0, math.sqrt(int(d2[seed % len(d2)]) / n))):
+        with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+            assert spatial.ripley_k(pts, radius) == ripley_full_width(pts, radius)
+
+
 def octahedron_of_radius(m):
     """The six points +-m e_i on the shell n = m^2, as its lattice source."""
     P = np.concatenate([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)]) * m
@@ -451,24 +474,66 @@ def test_pair_statistics_do_not_depend_on_point_order(P, r, pick, entries, data)
 def test_z_band_holds_each_pair_within_reach_in_one_block(P, reach, entries):
     N = len(P)
     with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
-        order, blocks = spatial._z_band(P, reach)
+        order, tiles = spatial._z_band(P, reach)
     assert sorted(order.tolist()) == list(range(N))
     z = P[order, 2]
     assert (np.diff(z) >= 0).all()
-    # the blocks' rows run through 0..N once, in order
-    assert [i0 for i0, _, _ in blocks] == [0] + [i1 for _, i1, _ in blocks[:-1]]
-    assert blocks[-1][1] == N
-    held = np.zeros((N, N), dtype=int)  # held[i, j], i < j: blocks holding the pair
-    for i0, i1, j1 in blocks:
-        b, c = i1 - i0, j1 - i0
-        assert i0 < i1 <= j1 <= N
-        assert b == 1 or b * c <= entries
-        held[i0:i1, i0:j1] += np.triu(np.ones((b, c), dtype=int), k=1)
+    # the row blocks run through 0..N once, in order, each at the height
+    # derived from the entry budget but the last; each row block's tiles
+    # run from its diagonal, one after the other
+    h = max(1, math.isqrt(entries) // 4)
+    starts = sorted({i0 for i0, _, _, _ in tiles})
+    assert starts == list(range(0, N, h))
+    held = np.zeros((N, N), dtype=int)  # held[i, j], i < j: tiles holding the pair
+    for i0 in starts:
+        row = [t for t in tiles if t[0] == i0]
+        assert row[0][2] == i0
+        assert [j0 for _, _, j0, _ in row[1:]] == [j1 for _, _, _, j1 in row[:-1]]
+    for i0, i1, j0, j1 in tiles:
+        b, c = i1 - i0, j1 - j0
+        assert i1 == min(i0 + h, N)
+        assert i0 <= j0 < j1 <= N
+        assert j0 > i0 or c >= b  # a diagonal tile holds its square
+        assert b * c <= entries
+        held[i0:i1, j0:j1] += np.triu(np.ones((b, c), dtype=int), k=i0 - j0 + 1)
     assert held.max(initial=0) <= 1
     # a pair within the reach, as the planner's z + reach rounds it, is held
     i, j = np.triu_indices(N, k=1)
     near = z[j] <= z[i] + reach
     assert (held[i[near], j[near]] == 1).all()
+
+
+@pytest.mark.parametrize("entries, N, k", [(1 << 16, 1100, 3), (64, 40, 1)])
+def test_duplicate_in_an_off_diagonal_tile_is_named_by_the_callers_indices(entries, N, k):
+    # points on one latitude keep their order under the stable z sort, so
+    # a copy of point k put last lies N - 1 - k columns from it: past the
+    # first tile's width (1024 at the default, 32 at 64 entries), in a
+    # tile whose columns start right of its rows
+    phi = np.linspace(0.0, 2 * math.pi, N, endpoint=False)
+    P = np.column_stack([0.8 * np.cos(phi), 0.8 * np.sin(phi), np.full(N, 0.6)])
+    P[-1] = P[k]
+    with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+        tiles = spatial._z_band(P, math.inf)[1]
+        i0, i1, j0, j1 = next(t for t in tiles if t[0] <= k < t[1] and t[2] <= N - 1 < t[3])
+        assert j0 > i0
+        for s in (1.0, 0.5):
+            with pytest.raises(DuplicatePointError) as err:
+                spatial.riesz_energy(spatial.UnitPointSet(P), s)
+            assert err.value.indices == (k, N - 1)
+
+
+@pytest.mark.parametrize("N", [63, 64, 65, 1023, 1024, 1025, 1089])
+def test_pair_sums_at_tile_boundaries(N):
+    # the default tiles are 64 rows by 1024 columns: these sizes end the
+    # last row block or a row block's columns just before, at and just
+    # past a tile's edge
+    pts = spatial.binomial_sample(N, N)
+    d2 = dense_difference_d2(pts.points)[~np.eye(N, dtype=bool)]
+    for s in (0.5, 1.0, 1.5):
+        expect = math.fsum((d2 ** (-s / 2)).tolist())
+        assert spatial.riesz_energy(pts, s) == pytest.approx(expect, rel=1e-13), s
+    for r in (3 / math.sqrt(N), 0.5, float(np.sqrt(d2[N])), 2.0):
+        assert spatial.ripley_k(pts, r) == int((d2 < r * r).sum()), r
 
 
 def dense_nn_d2(P):
@@ -539,8 +604,8 @@ def test_whole_shell_spacings_stay_small():
     assert peak < 32 << 20
 
 
-def band_products(blocks):
-    return sum((i1 - i0) * (j1 - i0) for i0, i1, j1 in blocks)
+def band_products(tiles):
+    return sum((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in tiles)
 
 
 def test_ripley_refuses_over_product_budget_before_any_product(monkeypatch):
@@ -564,9 +629,14 @@ def test_pair_product_budget_admits_the_stretch_shell():
     # n = 1e9 + 3 has N = 88 320 points; at r = 2 the band is the whole
     # sphere, so the predicted products depend on N alone
     P = spatial.binomial_sample(88_320, 1).points
-    assert band_products(spatial._z_band(P, 2.0)[1]) <= BUDGETS["pair_products"].limit
+    tiles = spatial._z_band(P, 2.0)[1]
+    assert band_products(tiles) <= BUDGETS["pair_products"].limit
     # energies plan the same whole triangle at reach inf
-    assert spatial._z_band(P, math.inf)[1] == spatial._z_band(P, 2.0)[1]
+    assert spatial._z_band(P, math.inf)[1] == tiles
+    # every row block is a whole tile high but the last, and every tile
+    # stays within the entry budget: no product shrinks to one row
+    assert {i1 - i0 for i0, i1, _, _ in tiles if i1 < len(P)} == {64}
+    assert max((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in tiles) == spatial._PAIR_ENTRIES
 
 
 # ------------------------------------------------------------ covering radius
@@ -995,9 +1065,9 @@ def dense_difference_d2(P):
     st.integers(2**31, 2**32),
 )
 def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
-    # one workspace serves blocks of many shapes: ragged last blocks of the
-    # full triangle, and z-band blocks of varying rows and widths; a stale
-    # tail of a buffer or a stale weight vector would move these sums
+    # one workspace serves tiles of many shapes: ragged last rows and
+    # columns of the full triangle, and z-band tiles of varying widths; a
+    # stale tail of the buffer would move these sums
     N = len(P)
     pts = spatial.UnitPointSet(P)
     d2 = dense_difference_d2(P)
@@ -1014,19 +1084,19 @@ def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
         own = float(np.sqrt(d2[off][pick % (N * N - N)]))
         for radius in (r, min(2.0, max(1e-3, own)), 2.0):
             assert spatial.ripley_k(pts, radius) == int((d2[off] < radius * radius).sum()), radius
-        # the walk itself over a z-band plan: each block is its slice of the
+        # the walk itself over a z-band plan: each tile is its slice of the
         # dense d^2, self entries at +inf, and f(d^2) = max(0, r^2 - d^2)
         # vanishes beyond the reach, so the band's once/twice sum is the
         # sum over all ordered pairs i != j
-        order, blocks = spatial._z_band(P, r)
+        order, tiles = spatial._z_band(P, r)
         S = P[order]
         dense = dense_difference_d2(S)
         np.fill_diagonal(dense, np.inf)
         parts = []
-        for (i0, i1, j1), (k0, block, _) in zip(blocks, spatial._distance_blocks(S, blocks), strict=True):
-            assert k0 == i0
-            np.testing.assert_allclose(block, dense[i0:i1, i0:j1], rtol=0, atol=1e-14)
-            parts.append(float(spatial._ordered(np.sum, np.maximum(r * r - block, 0.0))))
+        for (i0, i1, j0, j1), (k0, l0, tile, _) in zip(tiles, spatial._distance_blocks(S, tiles), strict=True):
+            assert (k0, l0) == (i0, j0)
+            np.testing.assert_allclose(tile, dense[i0:i1, j0:j1], rtol=0, atol=1e-14)
+            parts.append(float(spatial._ordered(np.sum, np.maximum(r * r - tile, 0.0), j0 == i0)))
         expect = math.fsum(np.maximum(r * r - dense, 0.0).ravel().tolist())
         assert math.fsum(parts) == pytest.approx(expect, rel=1e-12, abs=1e-14 * N * N)
     for rows in (1, 7):
