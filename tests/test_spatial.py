@@ -161,7 +161,7 @@ def _signed_perms(v):
     "v", [(1 << 26, 0, 0), (1 << 25, 1 << 25, 0), ((1 << 26) + 1, (1 << 26) + 3, 5)]
 )
 def test_ripley_int64_route_above_float_safe(v):
-    # n = 2^52, 2^51 and about 2^53: past _FLOAT_SAFE the Gram blocks stay
+    # n = 2^52, 2^51 and about 2^53: past _FLOAT_SAFE the Gram tiles stay
     # in int64; float64 would round the last orbit's Gram entries
     P = _signed_perms(v)
     n = sum(x * x for x in v)
@@ -221,7 +221,9 @@ def test_spacings_respect_packing_bound():
 @pytest.mark.parametrize("rows", [1, 2, 3])
 @pytest.mark.parametrize("N", [2, 3, 7, 50])
 def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
-    # blocks of `rows` rows, the last one ragged unless rows divides N
+    # tiles of at most rows * N entries: at N = 50 that is `rows` rows by
+    # all 50 columns, the last row block ragged unless rows divides N;
+    # the smaller sets take one-row tiles
     monkeypatch.setattr(spatial, "_PAIR_ENTRIES", rows * N)
     P = spatial.binomial_sample(N, 10 * N + rows).points
     pts = spatial.UnitPointSet(P)
@@ -237,7 +239,7 @@ def test_pair_kernel_matches_full_matrix(monkeypatch, N, rows):
     nn = np.where(off, d2, np.inf).min(axis=1)
     np.testing.assert_array_max_ulp(spatial.nn_spacings(pts).rescaled_values, N * nn / 4, maxulp=1)
 
-    # a duplicate across the first and last blocks, and one inside a late block
+    # a duplicate across the first and last row blocks, and one inside a late one
     for i in {0, N - 2}:
         dup = P.copy()
         dup[-1] = dup[i]
@@ -283,10 +285,11 @@ def test_close_pair_keeps_its_digits():
 # ------------------------------------------------- reach-limited pair sums
 
 def ripley_full_width(pts, r):
-    """Ripley's count over every pair in one block, with the arithmetic the
-    z-banded kernel uses: exact integer d^2 on a lattice source (int64
-    past _FLOAT_SAFE), else the Gram form with close pairs, and pairs
-    within _RIPLEY_TIE of r^2, recomputed from differences."""
+    """Ripley's count over every pair in one block, settling every pair as
+    the z-banded kernel does: exact integer d^2 on a lattice source (int64
+    past _FLOAT_SAFE), else the Gram form (|x|^2 + |y|^2) - 2x.y, which is
+    not the kernel's augmented product, with close pairs, and pairs within
+    _RIPLEY_TIE of r^2, recomputed from differences."""
     if pts.source_n is not None and pts.int_points is not None:
         n = pts.source_n
         lim = Fraction(r) * Fraction(r) * n
@@ -373,7 +376,7 @@ def test_banded_ripley_matches_full_width_on_shells(n, pick, nudge, entries):
 
 def test_banded_ripley_keeps_pairs_apart_in_z_alone():
     # n = 9: (2, 2, -1) and (2, 2, 1) are 2 apart, and dmax = 4 sets the
-    # integer reach to exactly 2; one row per block cuts at z + reach
+    # integer reach to exactly 2; one-row tiles cut at z + reach
     pts = spatial.unit_shell(9)
     r = math.sqrt(4.5 / 9)
     assert 4 < Fraction(r) ** 2 * 9 <= 5
@@ -392,9 +395,15 @@ def test_banded_ripley_keeps_pairs_apart_in_z_alone():
     BLOCK_ENTRIES,
 )
 def test_banded_ripley_matches_full_width_past_float_safe(a, b, c, seed, r, entries):
-    P = _signed_perms((a, b, c))
-    n = a * a + b * b + c * c
-    assume(n > lattice._FLOAT_SAFE)
+    assume(a * a + b * b + c * c > lattice._FLOAT_SAFE)
+    assert_orbit_ripley_matches_full_width((a, b, c), seed, r, entries)
+
+
+def assert_orbit_ripley_matches_full_width(v, seed, r, entries):
+    """Ripley counts of a seeded part of v's signed-permutation orbit, at r
+    and at one of the orbit's own distances, equal ripley_full_width."""
+    P = _signed_perms(v)
+    n = sum(x * x for x in v)
     keep = np.random.default_rng(seed).random(len(P)) < 0.7
     pts = spatial.project(lattice.LatticeSet(n, P[keep]))
     d2 = np.unique(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))[1:]
@@ -415,15 +424,8 @@ def test_banded_ripley_matches_full_width_past_float_safe(a, b, c, seed, r, entr
 def test_banded_ripley_matches_full_width_up_to_float_safe(a, b, c, seed, r, entries):
     # at n in (2^48, 2^50] the walk still takes the augmented product in
     # float64; its partial sums reach 4n <= 2^52, integers it holds exactly
-    P = _signed_perms((a, b, c))
-    n = a * a + b * b + c * c
-    assert 1 << 48 < n <= lattice._FLOAT_SAFE
-    keep = np.random.default_rng(seed).random(len(P)) < 0.7
-    pts = spatial.project(lattice.LatticeSet(n, P[keep]))
-    d2 = np.unique(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))[1:]
-    for radius in (r, min(2.0, math.sqrt(int(d2[seed % len(d2)]) / n))):
-        with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
-            assert spatial.ripley_k(pts, radius) == ripley_full_width(pts, radius)
+    assert 1 << 48 < a * a + b * b + c * c <= lattice._FLOAT_SAFE
+    assert_orbit_ripley_matches_full_width((a, b, c), seed, r, entries)
 
 
 def octahedron_of_radius(m):
@@ -448,7 +450,7 @@ def test_integer_ripley_counts_exactly_below_2_61():
 @given(awkward_sets(), st.floats(1e-3, 2.0), st.integers(0, 10**6), BLOCK_ENTRIES, st.data())
 def test_pair_statistics_do_not_depend_on_point_order(P, r, pick, entries, data):
     # the walk sorts by z, so a permuted set meets the same pairs in other
-    # blocks; a duplicate is still named by the caller's indices
+    # tiles; a duplicate is still named by the caller's indices
     Q = P[data.draw(st.permutations(range(len(P))))]
     d2 = dense_difference_d2(P)
     dup = bool((d2[~np.eye(len(P), dtype=bool)] < 1e-14).any())
