@@ -49,10 +49,11 @@ BUDGETS: dict[str, Budget] = {
     "sample_points": Budget(1 << 20, "points"),
     # center-point dot products one Monte Carlo count may take, predicted
     # as samples x max(N, floor), the floor being the count's cost per
-    # center in products: about 2.5 s of spatial.number_variance at its
-    # dense worst (2.5 ns a product; 0.35 us, or 256 products, a center)
-    # and 10 s of harmonics.cap_discrepancy_estimate (10 ns a product,
-    # 10 us a center)
+    # center in products: spatial.number_variance takes 1.0-1.35 ns a
+    # product at its dense worst (N = 2064, rho2 = 2; 1.0-1.4 s) and
+    # 0.36-0.44 us a center at N = 24 on 64 x 24 tiles (its floor, 256
+    # products; 1.4-1.7 s), harmonics.cap_discrepancy_estimate 10 ns a
+    # product and 10 us a center (10 s).  2-vCPU Xeon, OpenBLAS 1 thread
     "center_products": Budget(1_000_000_000, "dot products"),
     # cells one equal-area partition may hold: four per point of the
     # largest stretch shell (N = 955 416), about 60 ms and 50 MB

@@ -20,37 +20,34 @@ facets are facets of the whole hull (see `covering_radius`), and the
 winning plane is evaluated on its integer points, free of the
 cancellation in 2 - 2*offset.  Other sets take the whole hull.
 
-Every other pair sum of a point set (energies and Ripley counts) takes
-its tiles from one planner and its distances from one walk.  The
-planner, `_z_band`, sorts the points by z and cuts the upper triangle
-into row blocks of one height, each running from its diagonal to where
-z passes its last row's z plus a reach, and cuts each row block into
-tiles of at most _PAIR_ENTRIES entries (64 x 1024 at the default); a
-coordinate of a difference is at most its length, so every pair within
-the reach is in.  Ripley counts plan at a reach just past r, energies
-at reach inf, which is the whole triangle.  The plan predicts its Gram
-products before the first one and refuses past the "pair_products"
-budget.  The walk, `_distance_blocks`, yields each tile's squared
-distances from one matrix product of augmented coordinates,
-[x, |x|^2, 1] . [-2y, 1, |y|^2], with a diagonal tile's self entries at
-the dtype's largest value, and every statistic reduces a tile by one
-rule, `_ordered`: a diagonal tile's own square counts once and every
-other entry twice.  Ripley counts of a lattice source walk the integer
-points, where every partial sum of the product is an integer of at most
-4n, so their squared distances are exact: in float64 up to
-n = _FLOAT_SAFE = 2^50, past it in int64.  Float squared distances are
-within a few ulps of 4 of the coordinate-difference form, far inside
-_RIPLEY_TIE; the few below _CLOSE_D2, where that is a loss of digits,
-are recomputed from coordinate differences, as are float Ripley pairs
-within _RIPLEY_TIE of r^2, so no count depends on the shape of the tile
-that holds a pair.
-
-The walk allocates its tiles once per call: every squared-distance
-tile and mask is a view of one array sized from the plan's largest
-tile, overwritten tile after tile in place (matmul and ufunc `out=`),
-so no tile allocates an array of its own size.  The s = 1 energy takes
-1/sqrt(d^2), two correctly rounded steps, instead of pow.
-The Monte Carlo annulus counts reuse one workspace the same way.
+Every other pair sum of a point set (energies and Ripley counts) and
+every Monte Carlo annulus count takes its tiles from one planner and its
+products from one loop.  The planner, `_z_band`, takes points sorted by
+z and cuts row blocks of one height, each over the columns whose z lies
+within a reach of its rows', into tiles of at most _PAIR_ENTRIES
+entries (64 x 1024 at the default); a coordinate of a difference is at
+most its length, so every pair within the reach is in.  A pair walk's
+rows are its columns, from each row block's diagonal: Ripley counts plan
+at a reach just past r, energies at reach inf, the whole upper triangle,
+and the plan refuses past the "pair_products" budget before any product.
+An annulus count's rows are a chunk of random centers (`number_variance`).
+The loop, `_products`, writes each tile's matrix product into one
+workspace.  The pair walk, `_distance_blocks`, multiplies augmented
+coordinates, [x, |x|^2, 1] . [-2y, 1, |y|^2], so each tile holds squared
+distances, a diagonal tile's self entries at the dtype's largest value,
+and every statistic reduces a tile by one rule, `_ordered`: a diagonal
+tile's own square counts once and every other entry twice.  Ripley
+counts of a lattice source walk the integer points, where every partial
+sum of the product is an integer of at most 4n, so their squared
+distances are exact: in float64 up to n = _FLOAT_SAFE = 2^50, past it in
+int64.  Float squared distances are within a few ulps of 4 of the
+coordinate-difference form, far inside _RIPLEY_TIE; the few below
+_CLOSE_D2, where that is a loss of digits, are recomputed from
+coordinate differences, as are float Ripley pairs within _RIPLEY_TIE of
+r^2, so no count depends on the shape of the tile that holds a pair.
+Every tile and mask of a plan is a view of one array sized from its
+largest tile, overwritten in place (matmul and ufunc `out=`).  The
+s = 1 energy takes 1/sqrt(d^2), two correctly rounded steps, not pow.
 
 Nearest-neighbour spacings of every set need no pair loop: a kd-tree
 offers each point its nearest candidates, and the spacing is the
@@ -86,7 +83,6 @@ _CLOSE_D2 = 1e-3
 # 1e-15 at most, so a float Ripley pair whose Gram-form d^2 lies farther
 # than this from r^2 counts alike in both; nearer ones take the latter
 _RIPLEY_TIE = 1e-12
-_BAND_ROWS = 128  # random centers per block of the z-banded annulus count
 _BAND_SLACK = 1e-11  # squared-chord slack of the band reach, see number_variance
 _NN_TIE = 1e-9  # relative gap below which two nearest-neighbour candidates tie
 _VARIANCE_FLOOR = 256  # number_variance's cost of one center in dot products
@@ -203,38 +199,42 @@ def binomial_sample(n_points: int, seed: int) -> UnitPointSet:
     return UnitPointSet(_random_units(_rng(seed), n_points))
 
 
-def _z_band(A: np.ndarray, reach):
-    """The order that sorts A by z, and the tiles of its pair walk of this reach.
+def _z_band(z: np.ndarray, reach, rows: np.ndarray | None = None):
+    """The tiles of a walk over columns of ascending z within a reach in z.
 
-    Returns (order, tiles).  A tile (i0, i1, j0, j1) takes rows
-    i0 <= i < i1 and columns j0 <= j < j1 of the pairs of S = A[order].
-    The rows run in blocks of a fixed height, h = isqrt(_PAIR_ENTRIES) // 4
-    (64 at the default, never below 1), and each row block's columns run
-    from i0 to the first column whose z passes z(i1 - 1) + reach, cut into
-    tiles at most _PAIR_ENTRIES // h wide (1024), so no tile has more than
-    _PAIR_ENTRIES entries.  A row block thus holds every pair of its rows
-    whose z differ by at most the reach; at reach = inf every row block
-    runs to the last column, and the tiles cover the whole upper triangle.
-    The first tile of a row block (j0 = i0) is its diagonal tile, and
-    holds the block's own square.  The plan's Gram products, the sum of
-    rows x columns over the tiles, are predicted from the row blocks
-    before any tile is listed, and past the "pair_products" budget the
-    plan is refused with DomainError, so a refused plan costs no product.
+    A tile (i0, i1, j0, j1) takes rows i0 <= i < i1 and columns
+    j0 <= j < j1.  The rows run in blocks of a fixed height,
+    h = isqrt(_PAIR_ENTRIES) // 4 (64 at the default, never below 1), and
+    each row block's columns run to the first whose z passes its last
+    row's z plus the reach, cut into tiles at most _PAIR_ENTRIES // h wide
+    (1024), so no tile has more than _PAIR_ENTRIES entries.  Without
+    `rows` the rows are the columns, and each row block starts at its
+    diagonal (j0 = i0): its first tile, the diagonal tile, holds the
+    block's own square, and the tiles hold every pair of the upper
+    triangle whose z differ by at most the reach (all of it at reach inf).
+    Their Gram products are predicted from the row blocks before any tile
+    is listed, and past the "pair_products" budget the plan is refused
+    with DomainError.  With `rows`, the ascending z of a second set, a
+    row block starts at the first column whose z reaches its first row's
+    z less the reach, and one with no column that near has no tile; its
+    caller bounds the products.
     """
-    order = np.argsort(A[:, 2], kind="stable")
-    z = A[order, 2]
+    zr = z if rows is None else rows
     h = max(1, math.isqrt(_PAIR_ENTRIES) // 4)
     w = _PAIR_ENTRIES // h
-    i0 = np.arange(0, len(z), h)
-    i1 = np.minimum(i0 + h, len(z))
-    j1 = np.searchsorted(z, z[i1 - 1] + reach, side="right")
-    budget("pair_products", int(((i1 - i0) * (j1 - i0)).sum()), "pair kernel")
-    tiles = [
-        (a, b, j0, min(j0 + w, c))
-        for a, b, c in zip(i0.tolist(), i1.tolist(), j1.tolist())
-        for j0 in range(a, c, w)
+    i0 = np.arange(0, len(zr), h)
+    i1 = np.minimum(i0 + h, len(zr))
+    j1 = np.searchsorted(z, zr[i1 - 1] + reach, side="right")
+    if rows is None:
+        j0 = i0
+        budget("pair_products", int(((i1 - i0) * (j1 - j0)).sum()), "pair kernel")
+    else:
+        j0 = np.searchsorted(z, rows[i0] - reach, side="left")
+    return [
+        (a, b, j, min(j + w, c))
+        for a, b, d, c in zip(i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist())
+        for j in range(d, c, w)
     ]
-    return order, tiles
 
 
 def _workspace(tiles, dtype=np.float64) -> np.ndarray:
@@ -247,15 +247,24 @@ def _block(buf: np.ndarray, b: int, c: int) -> np.ndarray:
     return buf[: b * c].reshape(b, c)
 
 
+def _products(left: np.ndarray, right: np.ndarray, tiles):
+    """Yield (i0, i1, j0, G) over the tiles (i0, i1, j0, j1) of a `_z_band`
+    plan, G = left[i0:i1] @ right[:, j0:j1] written into one workspace,
+    so G is valid only until the next tile and free to be overwritten."""
+    buf = _workspace(tiles, left.dtype)
+    for i0, i1, j0, j1 in tiles:
+        yield i0, i1, j0, np.matmul(left[i0:i1], right[:, j0:j1], out=_block(buf, i1 - i0, j1 - j0))
+
+
 def _distance_blocks(P: np.ndarray, tiles):
-    """Yield (i0, j0, d2, close) over the tiles (i0, i1, j0, j1) of a `_z_band` plan of P.
+    """Yield (i0, j0, d2, close) over the tiles (i0, i1, j0, j1) of a `_z_band` pair plan of P.
 
     d2 holds |P_i - P_j|^2 for rows i0 <= i < i1 and columns
-    j0 <= j < j1, from one matrix product of augmented coordinates,
-    [P_i, |P_i|^2, 1] . [-2 P_j, 1, |P_j|^2], with a diagonal tile's self
-    entries (i = j) set to the dtype's largest value (+inf for floats).
-    Every pair sum of a point set is a reduction of these tiles by
-    `_ordered`.
+    j0 <= j < j1, the `_products` of the augmented coordinates
+    [P_i, |P_i|^2, 1] and [-2 P_j, 1, |P_j|^2], each written once in its
+    final layout (N x 5 and 5 x N), with a diagonal tile's self entries
+    (i = j) set to the dtype's largest value (+inf for floats).  Every
+    pair sum of a point set is a reduction of these tiles by `_ordered`.
 
     Integer points (int64) give exact d2.  Every partial sum of the
     augmented product, in any order, is at most |P_i|^2 + 2|P_i||P_j| +
@@ -272,35 +281,29 @@ def _distance_blocks(P: np.ndarray, tiles):
     whose first column's z lies more than sqrt(_CLOSE_D2) above its last
     row's z holds no such pair, since |dz| <= |P_i - P_j|, and is not
     scanned.  Integer points have none to recompute, and their close is
-    empty.
-
-    d2 is a view of one array allocated once per call, sized from the
-    plan's largest tile (matmul and ufunc `out=`), so no tile allocates
-    an array of its own size: d2 is valid only until the next tile, and
-    free to be overwritten by the caller.
+    empty.  d2 is `_products`' workspace, and its close mask one more of
+    the same size.
     """
     exact = P.dtype.kind == "i"
     sq = np.einsum("ij,ij->i", P, P)
-    if exact and sq.max(initial=0) <= _FLOAT_SAFE:
-        P, sq = P.astype(np.float64), sq.astype(np.float64)
-    one = np.ones_like(sq)
-    left = np.column_stack([P, sq, one])
-    right = np.column_stack([-2 * P, one, sq]).T.copy()
-    top = np.inf if P.dtype.kind == "f" else np.iinfo(P.dtype).max
+    dtype = np.int64 if exact and sq.max(initial=0) > _FLOAT_SAFE else np.float64
+    left = np.empty((len(P), 5), dtype)
+    right = np.empty((5, len(P)), dtype)
+    left[:, :3], left[:, 3], left[:, 4] = P, sq, 1
+    np.multiply(P.T, -2, out=right[:3])
+    right[3], right[4] = 1, sq
+    top = np.iinfo(dtype).max if dtype == np.int64 else np.inf
     gap = math.sqrt(_CLOSE_D2)
-    dist = _workspace(tiles, P.dtype)
     near = _workspace(tiles, bool)
     none = np.empty(0, np.intp)
-    for i0, i1, j0, j1 in tiles:
-        b, c = i1 - i0, j1 - j0
-        d2 = np.matmul(left[i0:i1], right[:, j0:j1], out=_block(dist, b, c))
+    for i0, i1, j0, d2 in _products(left, right, tiles):
         if j0 == i0:
             np.fill_diagonal(d2, top)
         close = none
         if not exact and P[j0, 2] - P[i1 - 1, 2] <= gap:
-            close = np.flatnonzero(np.less(d2, _CLOSE_D2, out=_block(near, b, c)))
+            close = np.flatnonzero(np.less(d2, _CLOSE_D2, out=_block(near, *d2.shape)))
             if len(close):
-                i, j = np.divmod(close, c)
+                i, j = np.divmod(close, d2.shape[1])
                 diff = P[i0 + i] - P[j0 + j]
                 d2.flat[close] = np.einsum("ij,ij->i", diff, diff)
         yield i0, j0, d2, close
@@ -371,9 +374,10 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         raise DomainError("need at least two points")
     if _is_whole_shell(pts):
         return _table_energy(pts.source_n, s)
-    order, tiles = _z_band(pts.points, math.inf)
+    order = np.argsort(pts.points[:, 2], kind="stable")
+    P = pts.points[order]
     parts = []
-    for i0, j0, d2, close in _distance_blocks(pts.points[order], tiles):
+    for i0, j0, d2, close in _distance_blocks(P, _z_band(P[:, 2], math.inf)):
         _check_duplicates(order, i0, j0, d2, close)
         terms = d2  # the tile's workspace, overwritten in place
         if s == 1.0:
@@ -432,15 +436,16 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
             )
         lim = Fraction(r) * Fraction(r) * n  # exact rational threshold
         dmax = (lim.numerator - 1) // lim.denominator
-        order, tiles = _z_band(pts.int_points, math.isqrt(dmax))
+        A = pts.int_points[np.argsort(pts.int_points[:, 2], kind="stable")]
+        tiles = _z_band(A[:, 2], math.isqrt(dmax))
         inside = _workspace(tiles, bool)
         total = 0
-        for i0, j0, d2, _ in _distance_blocks(pts.int_points[order], tiles):
+        for i0, j0, d2, _ in _distance_blocks(A, tiles):
             within = np.less_equal(d2, dmax, out=_block(inside, *d2.shape))
             total += _ordered(np.count_nonzero, within, j0 == i0)
         return total
-    order, tiles = _z_band(pts.points, math.sqrt(r * r + _BAND_SLACK))
-    P = pts.points[order]
+    P = pts.points[np.argsort(pts.points[:, 2], kind="stable")]
+    tiles = _z_band(P[:, 2], math.sqrt(r * r + _BAND_SLACK))
     r2 = r * r
     below = _workspace(tiles, bool)
     above = _workspace(tiles, bool)
@@ -850,40 +855,25 @@ def _annulus_histogram(
     N = pts.size
     lo, hi = spec.dot_window()
     reach = math.sqrt(spec.rho2**2 + _BAND_SLACK)
-    P = pts.points[np.argsort(pts.points[:, 2], kind="stable")]
-    z = np.ascontiguousarray(P[:, 2])
+    # the points sorted by z, one C-contiguous 3 x N factor for every chunk
+    PT = np.ascontiguousarray(pts.points[np.argsort(pts.points[:, 2], kind="stable")].T)
     rng = _rng(seed)
     hist = np.zeros(N + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(N, 1))
-    dots = np.empty(0)
-    inside = np.empty(0, bool)
-    below = np.empty(0, bool)
     remaining = samples
     while remaining:
         k = min(chunk, remaining)
         remaining -= k
         centers = _random_units(rng, k)
         centers = centers[np.argsort(centers[:, 2])]
-        # the chunk's plan: block b meets the points with z in [j0, j1)
-        starts = np.arange(0, k, _BAND_ROWS)
-        j0 = np.searchsorted(z, centers[starts, 2] - reach, side="left")
-        j1 = np.searchsorted(z, centers[np.minimum(starts + _BAND_ROWS, k) - 1, 2] + reach, side="right")
-        size = min(k, _BAND_ROWS) * int((j1 - j0).max())
-        if len(dots) < size:
-            # one workspace for every block; the widest blocks of later
-            # chunks differ by a few points, so room for twice this one's
-            # spares a regrowth (pages never written are never touched)
-            room = min(2 * size, min(k, _BAND_ROWS) * N)
-            dots, inside, below = np.empty(room), np.empty(room, bool), np.empty(room, bool)
-        counts = np.empty(k, dtype=np.int32)  # int32 sums cost 2/3 of int64 ones
-        for b, lo_j, hi_j in zip(starts.tolist(), j0.tolist(), j1.tolist()):
-            C = centers[b : b + _BAND_ROWS]
-            shape = len(C), hi_j - lo_j
-            D = np.matmul(C, P[lo_j:hi_j].T, out=_block(dots, *shape))
-            M = np.greater_equal(D, lo, out=_block(inside, *shape))
+        tiles = _z_band(PT[2], reach, centers[:, 2])
+        inside, below = _workspace(tiles, bool), _workspace(tiles, bool)
+        counts = np.zeros(k, dtype=np.int32)  # int32 sums cost 2/3 of int64 ones
+        for i0, i1, _, D in _products(centers, PT, tiles):
+            M = np.greater_equal(D, lo, out=_block(inside, *D.shape))
             if hi < math.inf:  # a cap has no upper end
-                M &= np.less_equal(D, hi, out=_block(below, *shape))
-            M.sum(axis=1, dtype=np.int32, out=counts[b : b + len(C)])
+                M &= np.less_equal(D, hi, out=_block(below, *D.shape))
+            counts[i0:i1] += M.sum(axis=1, dtype=np.int32)
         hist += np.bincount(counts, minlength=N + 1)
     return hist
 
@@ -904,8 +894,9 @@ def number_variance(
     the annulus of c has |x_z - c_z| <= |x - c| <= rho2.  The points are
     sorted by z once; each chunk of centers is drawn as in a dense count,
     then sorted by z (the histogram does not depend on their order) and
-    walked in blocks of _BAND_ROWS, and a block meets only the points
-    with z within the reach of its first and last center.  The reach is
+    walked on the pair walk's tiles (`_z_band` with the centers as rows,
+    `_products`): a row block of centers meets only the points with z
+    within the reach of its first and last center.  The reach is
     sqrt(rho2^2 + _BAND_SLACK), not rho2, so that no point whose computed
     dot passes lo is dropped: with |x|, |c| within 1e-12 of 1 (the
     `UnitPointSet` tolerance) and a dot and lo each rounded by under
@@ -913,9 +904,9 @@ def number_variance(
     <= rho2^2 + 2.1e-12 < rho2^2 + _BAND_SLACK.  A fixed pad on rho2 would
     not do: for a cap of radius 1e-4 the slack sqrt(rho2^2 + 2.1e-12) - rho2
     is 1e-8.  The counts, and every moment, therefore equal those of
-    dotting each center with all N points.  Each block's dots and masks
-    are views of one workspace, grown only when a chunk's widest block
-    needs more.
+    dotting each center with all N points.  A center's count is summed
+    over the tiles of its row block, which may be several or none; the
+    tiles' dots and masks are views of workspaces sized once per chunk.
 
     samples x max(N, _VARIANCE_FLOOR) dot products are predicted first,
     and past the "center_products" budget the count is refused before

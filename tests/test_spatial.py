@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -471,12 +472,19 @@ def test_pair_statistics_do_not_depend_on_point_order(P, r, pick, entries, data)
         assert {i, j} == {k + (k >= at), at}
 
 
+def z_band_of(P, reach):
+    """The order that sorts P by z, as the pair statistics sort it, and
+    the tiles of its pair walk at this reach."""
+    order = np.argsort(P[:, 2], kind="stable")
+    return order, spatial._z_band(P[order, 2], reach)
+
+
 @settings(max_examples=150, deadline=None)
 @given(awkward_sets(max_base=80), st.one_of(st.floats(0.0, 2.5), st.just(math.inf)), BLOCK_ENTRIES)
 def test_z_band_holds_each_pair_within_reach_in_one_block(P, reach, entries):
     N = len(P)
     with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
-        order, tiles = spatial._z_band(P, reach)
+        order, tiles = z_band_of(P, reach)
     assert sorted(order.tolist()) == list(range(N))
     z = P[order, 2]
     assert (np.diff(z) >= 0).all()
@@ -505,6 +513,34 @@ def test_z_band_holds_each_pair_within_reach_in_one_block(P, reach, entries):
     assert (held[i[near], j[near]] == 1).all()
 
 
+@settings(max_examples=150, deadline=None)
+@given(awkward_sets(max_base=80), awkward_sets(max_base=80), st.floats(0.0, 2.5), BLOCK_ENTRIES)
+def test_z_band_holds_each_center_within_reach_in_one_tile(P, C, reach, entries):
+    # the rectangle plan: rows are centers, columns points, both sorted by z
+    z, rows = np.sort(P[:, 2]), np.sort(C[:, 2])
+    M, N = len(rows), len(z)
+    with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+        tiles = spatial._z_band(z, reach, rows)
+    h = max(1, math.isqrt(entries) // 4)
+    held = np.zeros((M, N), dtype=int)
+    for i0, i1, j0, j1 in tiles:
+        assert i0 % h == 0 and i1 == min(i0 + h, M)
+        assert 0 <= j0 < j1 <= N
+        assert (i1 - i0) * (j1 - j0) <= entries
+        held[i0:i1, j0:j1] += 1
+    assert held.max(initial=0) <= 1
+    # a center and a point within the reach, as the planner rounds
+    # z -+ reach, share exactly one tile
+    near = (z[None, :] <= rows[:, None] + reach) & (z[None, :] >= rows[:, None] - reach)
+    assert (held[near] == 1).all()
+    # a row block whose z range, widened by the reach, holds no point has
+    # no tile
+    for i0 in range(0, M, h):
+        last = rows[min(i0 + h, M) - 1]
+        meets = ((z >= rows[i0] - reach) & (z <= last + reach)).any()
+        assert meets == any(t[0] == i0 for t in tiles)
+
+
 @pytest.mark.parametrize("entries, N, k", [(1 << 16, 1100, 3), (64, 40, 1)])
 def test_duplicate_in_an_off_diagonal_tile_is_named_by_the_callers_indices(entries, N, k):
     # points on one latitude keep their order under the stable z sort, so
@@ -515,7 +551,7 @@ def test_duplicate_in_an_off_diagonal_tile_is_named_by_the_callers_indices(entri
     P = np.column_stack([0.8 * np.cos(phi), 0.8 * np.sin(phi), np.full(N, 0.6)])
     P[-1] = P[k]
     with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
-        tiles = spatial._z_band(P, math.inf)[1]
+        tiles = z_band_of(P, math.inf)[1]
         i0, i1, j0, j1 = next(t for t in tiles if t[0] <= k < t[1] and t[2] <= N - 1 < t[3])
         assert j0 > i0
         for s in (1.0, 0.5):
@@ -618,7 +654,7 @@ def test_ripley_refuses_over_product_budget_before_any_product(monkeypatch):
     monkeypatch.setitem(BUDGETS, "pair_products", BUDGETS["pair_products"]._replace(limit=10**6))
     pts = spatial.binomial_sample(2000, 5)
     # a small reach predicts few products, the whole sphere about N^2 / 2
-    assert band_products(spatial._z_band(pts.points, 0.01)[1]) < 10**6
+    assert band_products(z_band_of(pts.points, 0.01)[1]) < 10**6
     with pytest.raises(DomainError, match="budget"):
         spatial.ripley_k(pts, 2.0)
     with pytest.raises(DomainError, match="budget"):
@@ -631,10 +667,10 @@ def test_pair_product_budget_admits_the_stretch_shell():
     # n = 1e9 + 3 has N = 88 320 points; at r = 2 the band is the whole
     # sphere, so the predicted products depend on N alone
     P = spatial.binomial_sample(88_320, 1).points
-    tiles = spatial._z_band(P, 2.0)[1]
+    tiles = z_band_of(P, 2.0)[1]
     assert band_products(tiles) <= BUDGETS["pair_products"].limit
     # energies plan the same whole triangle at reach inf
-    assert spatial._z_band(P, math.inf)[1] == tiles
+    assert z_band_of(P, math.inf)[1] == tiles
     # every row block is a whole tile high but the last, and every tile
     # stays within the entry budget: no product shrinks to one row
     assert {i1 - i0 for i0, i1, _, _ in tiles if i1 < len(P)} == {64}
@@ -968,13 +1004,16 @@ def dense_histogram(pts, spec, samples, seed):
     return hist
 
 
-def assert_banded_equals_dense(pts, spec, samples, seed):
+def assert_banded_equals_dense(pts, spec, samples, seed, sizes=(16, 256, spatial._PAIR_ENTRIES)):
+    """The annulus count's histogram on tiles of each of these sizes (by
+    default 1 x 16, 4 x 64 and 64 x 1024 centers by points) equals the
+    dense one."""
     dense = dense_histogram(pts, spec, samples, seed)
     assert dense.sum() == samples
-    for rows in (1, 7, 128):
-        with mock.patch.object(spatial, "_BAND_ROWS", rows):
+    for entries in sizes:
+        with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
             banded = spatial._annulus_histogram(pts, spec, samples, seed)
-        assert banded.tolist() == dense.tolist(), rows
+        assert banded.tolist() == dense.tolist(), entries
 
 
 @st.composite
@@ -1009,20 +1048,63 @@ def annuli(draw):
 @given(variance_point_sets(), annuli(), st.integers(100, 4000), st.integers(2**31, 2**32))
 def test_banded_counts_match_dense(pts, spec, samples, seed):
     chunk = max(1, (1 << 22) // max(pts.size, 1))
-    assume(samples % 128 and samples % 7 and samples % chunk)
-    assert_banded_equals_dense(pts, spec, samples, seed)
+    assume(samples % 4 and samples % chunk)
+    # one-row tiles are left to the smaller sets of the pinned cases and
+    # of the workspace test: here they would take a tile per 16 points
+    # for every center
+    assert_banded_equals_dense(pts, spec, samples, seed, sizes=(256, spatial._PAIR_ENTRIES))
 
 
 def test_banded_counts_pinned_cases(octahedron, shell5):
     # several chunks with a partial last one (chunk = 1398 at N = 3000)
+    # (one-row tiles only on the small sets, as in test_banded_counts_match_dense)
     big = spatial.binomial_sample(3000, 4)
-    assert_banded_equals_dense(big, spatial.AnnulusSpec.cap_of_area(0.01), 2 * 1398 + 5, 11)
-    assert_banded_equals_dense(big, spatial.AnnulusSpec(0.3, 0.5), 1398 + 131, 12)
+    wide = (256, spatial._PAIR_ENTRIES)
+    assert_banded_equals_dense(big, spatial.AnnulusSpec.cap_of_area(0.01), 2 * 1398 + 5, 11, wide)
+    assert_banded_equals_dense(big, spatial.AnnulusSpec(0.3, 0.5), 1398 + 131, 12, wide)
     assert_banded_equals_dense(octahedron, spatial.AnnulusSpec(0, 2), 333, 13)
     assert_banded_equals_dense(shell5, spatial.AnnulusSpec(0.9, 1.1), 1001, 14)
     empty = spatial.unit_shell(7)
     assert empty.size == 0
     assert_banded_equals_dense(empty, spatial.AnnulusSpec.cap(0.5), 101, 15)
+
+
+def chunk_plan(pts, spec, samples, seed):
+    """The first chunk's centers of `number_variance`, sorted by z, and
+    their tiles against the points at the default size."""
+    k = min(samples, max(1, (1 << 22) // max(pts.size, 1)))
+    centers = spatial._random_units(spatial._rng(seed), k)
+    centers = centers[np.argsort(centers[:, 2])]
+    reach = math.sqrt(spec.rho2**2 + spatial._BAND_SLACK)
+    return centers, spatial._z_band(np.sort(pts.points[:, 2]), reach, centers[:, 2])
+
+
+def test_banded_counts_sum_a_center_over_its_row_blocks_tiles():
+    # 3000 points, chunks of 1398 centers: a row block of 64 centers spans
+    # about 0.09 in z, and an annulus of outer radius 1.2 gives it some
+    # 2000 points, two 1024-wide tiles or more, over which each count sums
+    pts = spatial.binomial_sample(3000, 21)
+    spec = spatial.AnnulusSpec(0.4, 1.2)
+    _, tiles = chunk_plan(pts, spec, 1398 + 77, 22)
+    per_block = collections.Counter(i0 for i0, _, _, _ in tiles)
+    assert max(per_block.values()) >= 2
+    assert_banded_equals_dense(pts, spec, 1398 + 77, 22, (256, spatial._PAIR_ENTRIES))
+
+
+def test_banded_counts_stay_zero_where_a_row_block_meets_no_point():
+    # twelve points on one circle near the north pole and caps of radius
+    # 0.3: only the row blocks of centers above z = 0.69 reach a point in
+    # z, and the rest have no tile, so their centers' counts are the zeros
+    # they start at
+    phi = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
+    pts = spatial.UnitPointSet(np.column_stack([0.1 * np.cos(phi), 0.1 * np.sin(phi), np.full(12, math.sqrt(0.99))]))
+    spec = spatial.AnnulusSpec.cap(0.3)
+    _, tiles = chunk_plan(pts, spec, 2001, 23)
+    h = math.isqrt(spatial._PAIR_ENTRIES) // 4
+    assert len({i0 for i0, _, _, _ in tiles}) < len(range(0, 2001, h)) // 2
+    dense = dense_histogram(pts, spec, 2001, 23)
+    assert 0 < dense[1:].sum() < dense[0]
+    assert_banded_equals_dense(pts, spec, 2001, 23)
 
 
 def test_banded_counts_keep_points_past_a_fixed_pad():
@@ -1090,7 +1172,7 @@ def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
         # dense d^2, self entries at +inf, and f(d^2) = max(0, r^2 - d^2)
         # vanishes beyond the reach, so the band's once/twice sum is the
         # sum over all ordered pairs i != j
-        order, tiles = spatial._z_band(P, r)
+        order, tiles = z_band_of(P, r)
         S = P[order]
         dense = dense_difference_d2(S)
         np.fill_diagonal(dense, np.inf)
@@ -1101,10 +1183,11 @@ def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
             parts.append(float(spatial._ordered(np.sum, np.maximum(r * r - tile, 0.0), j0 == i0)))
         expect = math.fsum(np.maximum(r * r - dense, 0.0).ravel().tolist())
         assert math.fsum(parts) == pytest.approx(expect, rel=1e-12, abs=1e-14 * N * N)
-    for rows in (1, 7):
-        with mock.patch.object(spatial, "_BAND_ROWS", rows):
+    hist = dense_histogram(pts, spec, 300, seed)
+    for size in (16, 256):
+        with mock.patch.object(spatial, "_PAIR_ENTRIES", size):
             banded = spatial._annulus_histogram(pts, spec, 300, seed)
-        assert banded.tolist() == dense_histogram(pts, spec, 300, seed).tolist(), rows
+        assert banded.tolist() == hist.tolist(), size
 
 
 # ------------------------------------------------------------------ boxes
