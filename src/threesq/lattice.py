@@ -108,13 +108,14 @@ class PairCountTable:
 class ShellOrbits:
     """Points of one sphere split into orbits of the signed-permutation group.
 
-    Points share an orbit exactly when their sorted absolute coordinates
-    agree.  For a set closed under the group (a whole shell) `size` is the
-    orbit size.
+    Points share an orbit exactly when their images in the sector
+    0 <= x <= y <= z (`fold`) agree.  For a set closed under the group (a
+    whole shell) `size` is the orbit size.
     """
 
-    reps: np.ndarray  # (R, 3) int64, one point per orbit
+    first: np.ndarray  # (R,) the row of each orbit's first point
     size: np.ndarray  # (R,) points per orbit
+    index: np.ndarray  # (N,) the orbit of each row
 
 
 def _two_squares(r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -174,19 +175,34 @@ def enumerate_points(n: int) -> LatticeSet:
     return ls
 
 
+def fold(P: np.ndarray) -> np.ndarray:
+    """The image of each row of P in the sector 0 <= x <= y <= z of the 48
+    signed permutations: its absolute values, sorted by a three-compare
+    min/max network.  Exact on int64 and float64 alike, it equals
+    np.sort(np.abs(P), axis=1)."""
+    F = np.abs(P)
+    lo = np.minimum(F[:, 0], F[:, 1])
+    hi = np.maximum(F[:, 0], F[:, 1])
+    mid = np.minimum(hi, F[:, 2])
+    np.maximum(hi, F[:, 2], out=F[:, 2])
+    np.minimum(lo, mid, out=F[:, 0])
+    np.maximum(lo, mid, out=F[:, 1])
+    return F
+
+
 def shell_orbits(P: np.ndarray) -> ShellOrbits:
     """Group integer points of one sphere by their orbit under the 48 signed
     permutations.
 
     The points must share one squared length n.  With a <= b <= c their
-    sorted absolute coordinates, a and b then fix c = sqrt(n - a^2 - b^2),
+    image in the sector (`fold`), a and b then fix c = sqrt(n - a^2 - b^2),
     so the one int64 code a (b_max + 1) + b keys the orbit.  Orbits come
     in ascending (a, b), each represented by its first point in P.
     """
-    key = np.sort(np.abs(P), axis=1)
+    key = fold(P)
     code = key[:, 0] * (int(key[:, 1].max(initial=0)) + 1) + key[:, 1]
-    _, first, size = np.unique(code, return_index=True, return_counts=True)
-    return ShellOrbits(P[first], size)
+    _, first, index, size = np.unique(code, return_index=True, return_inverse=True, return_counts=True)
+    return ShellOrbits(first, size, index)
 
 
 def orbit_gram_rows(P: np.ndarray, reps: np.ndarray):
@@ -219,7 +235,7 @@ def _orbit_histogram(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orb = shell_orbits(P)
     vals, cnts, pending = [], [], 0
     for size in np.unique(orb.size).tolist():  # at most six orbit sizes
-        for _, g in orbit_gram_rows(P, orb.reps[orb.size == size]):
+        for _, g in orbit_gram_rows(P, P[orb.first[orb.size == size]]):
             v, k = np.unique(g, return_counts=True)
             vals.append(v)
             cnts.append(size * k)

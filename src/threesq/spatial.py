@@ -30,7 +30,8 @@ most its length, so every pair within the reach is in.  A pair walk's
 rows are its columns, from each row block's diagonal: Ripley counts plan
 at a reach just past r, energies at reach inf, the whole upper triangle,
 and the plan refuses past the "pair_products" budget before any product.
-An annulus count's rows are a chunk of random centers (`number_variance`).
+An annulus count's rows are a chunk of random centers (`number_variance`),
+in taller row blocks where fewer points than a tile is wide leave room.
 The loop, `_products`, writes each tile's matrix product into one
 workspace.  The pair walk, `_distance_blocks`, multiplies augmented
 coordinates, [x, |x|^2, 1] . [-2y, 1, |y|^2], so each tile holds squared
@@ -54,13 +55,17 @@ offers each point its nearest candidates, and the spacing is the
 coordinate-difference d^2 of the nearest other one, ties and duplicates
 settled against every point near it.  On the integer points of a whole
 shell each of those d^2 is an exact integer, so one routine serves float
-sets and shells alike.  The Legendre pair sums in
-`harmonics` need no pair loop either: they come from the same harmonic
-sums as its discrepancy bound, in chunks under the same entry budget.
+sets and shells alike, and a whole shell queries it at one point per
+orbit of the signed permutations, which share their d^2.  The Legendre
+pair sums in `harmonics` need no pair loop either: they come from the
+same harmonic sums as its discrepancy bound, in chunks under the same
+entry budget.
 
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
 the caller's seed (`_rng`, which refuses a negative one), and every
-randomized result embeds that seed.
+randomized result embeds that seed.  A whole shell's annulus counts fold
+each center into the sector D (`lattice.fold`), which keeps its count,
+and walk only the points near D.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, DuplicatePointError, InvariantError, budget
-from .lattice import _FLOAT_SAFE, LatticeSet, enumerate_points, pair_table
+from .lattice import _FLOAT_SAFE, LatticeSet, enumerate_points, fold, pair_table, shell_orbits
 
 _PAIR_ENTRIES = 1 << 16  # Gram entries per tile of the pair kernel
 _NORM_TOL = 1e-12
@@ -217,11 +222,17 @@ def _z_band(z: np.ndarray, reach, rows: np.ndarray | None = None):
     with DomainError.  With `rows`, the ascending z of a second set, a
     row block starts at the first column whose z reaches its first row's
     z less the reach, and one with no column that near has no tile; its
-    caller bounds the products.
+    caller bounds the products.  There the rows need no square diagonal
+    tile, so fewer columns c than a tile is wide take row blocks
+    _PAIR_ENTRIES // c high (2730 at c = 24), whose columns fit one tile.
     """
     zr = z if rows is None else rows
     h = max(1, math.isqrt(_PAIR_ENTRIES) // 4)
     w = _PAIR_ENTRIES // h
+    if rows is not None:
+        # fewer columns than a tile is wide: taller row blocks, as many entries
+        h = max(h, _PAIR_ENTRIES // max(1, min(len(z), w)))
+        w = _PAIR_ENTRIES // h
     i0 = np.arange(0, len(zr), h)
     i1 = np.minimum(i0 + h, len(zr))
     j1 = np.searchsorted(z, zr[i1 - 1] + reach, side="right")
@@ -485,8 +496,9 @@ class SpacingReport:
             raise InvariantError("mean rescaled spacing exceeds the packing bound 4")
 
 
-def _nn_d2(P: np.ndarray) -> np.ndarray:
-    """min over j != i of |P_i - P_j|^2 from coordinate differences, per i.
+def _nn_d2(P: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
+    """min over j != i of |P_i - P_j|^2 from coordinate differences, for
+    each row i of P, or for each row i in `at`.
 
     A kd-tree (Friedman, Bentley & Finkel 1977) offers each point its
     three nearest candidates, itself among them unless it has two or more
@@ -508,10 +520,11 @@ def _nn_d2(P: np.ndarray) -> np.ndarray:
     from scipy.spatial import cKDTree
 
     N = len(P)
+    Q, rows = (P, np.arange(N)) if at is None else (P[at], at)
     tree = cKDTree(P)
-    d, idx = tree.query(P, k=min(3, N))
-    own = idx == np.arange(N)[:, None]
-    diff = P[:, None, :] - P[idx]
+    d, idx = tree.query(Q, k=min(3, N))
+    own = idx == rows[:, None]
+    diff = Q[:, None, :] - P[idx]
     d2 = (diff * diff).sum(axis=2, dtype=np.float64)
     d2[own] = np.inf
     d[own] = np.inf
@@ -519,12 +532,12 @@ def _nn_d2(P: np.ndarray) -> np.ndarray:
     nn = d2.min(axis=1)
     tied = np.flatnonzero(d[:, 1] <= d[:, 0] * (1.0 + _NN_TIE))
     if len(tied):
-        near = tree.query_ball_point(P[tied], d[tied, 0] * (1.0 + _NN_TIE))
+        near = tree.query_ball_point(Q[tied], d[tied, 0] * (1.0 + _NN_TIE))
         i = np.repeat(tied, [len(c) for c in near])
         j = np.concatenate(near).astype(np.intp)
-        diff = P[i] - P[j]
+        diff = Q[i] - P[j]
         dj = (diff * diff).sum(axis=1, dtype=np.float64)
-        dj[i == j] = np.inf
+        dj[rows[i] == j] = np.inf
         np.minimum.at(nn, i, dj)
     return nn
 
@@ -536,13 +549,20 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
     coordinate-difference form |P_j - P_i|^2 of its nearest other point,
     so a duplicate point gives 0.  A whole lattice shell runs it on its
     integer points, where every squared distance D = 2(n - x.y) is exact,
-    and divides by n once: d_j^2 = D/n, correctly rounded.
+    and divides by n once: d_j^2 = D/n, correctly rounded.  It queries the
+    tree at one point per orbit of the 48 signed permutations
+    (`lattice.shell_orbits`), about N/48 queries: a signed permutation g
+    maps the shell onto itself and keeps distances, so g x has the nearest
+    distance of x, and each point takes its orbit's exact D through the
+    orbit index.  The values are those of querying every point, bit for
+    bit.  Any other set queries every point.
     """
     if pts.size < 2:
         raise DomainError("need at least two points")
     N = pts.size
     if _is_whole_shell(pts):
-        d2min = _nn_d2(pts.int_points) / pts.source_n
+        orb = shell_orbits(pts.int_points)
+        d2min = (_nn_d2(pts.int_points, at=orb.first) / pts.source_n)[orb.index]
     else:
         d2min = _nn_d2(pts.points)
     rescaled = N * d2min / 4.0
@@ -573,16 +593,23 @@ def covering_radius(pts: UnitPointSet) -> float:
       (a) every facet offset is positive;
       (b) every facet through the phantom has its opposite arc farther
           than r_D from c0;
-      (c) every other facet with |u - c0| <= r_D + rho has its empty cap
-          inside the gathered one: |u - c0| + rho <= r_D + M,
+      (c) every other facet with |u - c0| <= r_D + rho, unless its longest
+          edge L is at most sqrt 2 and its nearest vertex lies farther
+          than r_D + L from c0, has its empty cap inside the gathered
+          one: |u - c0| + rho <= r_D + M,
     each with _SECTOR_SLACK on the safe side.  Otherwise M doubles, and
     once r_D + M reaches 2 the whole shell's hull is taken.  Proof
     sketch: by (a) the spherical triangles of the facets tile S^2, and a
     triangle lies in its facet's cap.  A triangle through the phantom is
     the union of arcs from -c0 to its opposite arc, along which the
     distance to c0 falls, so by (b) it misses the cap around c0 and the
-    other triangles cover D.  Those meeting the cap are the facets that
-    (c) tests.  A shell point left out lies farther than r_D + M from c0,
+    other triangles cover D.  A triangle also lies within L of each of its
+    vertices a when L <= sqrt 2: a point of it is y/|y| for a convex
+    combination y of the vertices, with a.y >= 1 - L^2/2 >= 0 and
+    |y| <= 1.  So the triangles meeting the cap are among the facets that
+    (c) tests; the slivers between points on the rim of the gathered cap,
+    whose caps can pass chord 2 from c0, are not, and so no longer force
+    a second hull.  A shell point left out lies farther than r_D + M from c0,
     so by (c) it lies outside their caps, which are then empty for the
     whole shell: they are facets of the whole hull, and their rho is at
     most the covering radius.  Every point of a facet's triangle is
@@ -684,10 +711,15 @@ def _sector_facets(Q: np.ndarray, reach: float):
     gap = np.linalg.norm(m - _SECTOR_CENTER, axis=1) - np.linalg.norm(x - m, axis=1)
     if not (gap > _SECTOR_RADIUS + _SECTOR_SLACK).all():
         return None
-    # (c)
+    # (c): a facet's triangle lies in its cap, and within chord L of each of
+    # its vertices when its longest edge L is at most sqrt 2
     rho = np.sqrt(2.0 - 2.0 * np.minimum(off, 1.0))
     dist = np.linalg.norm(hull.equations[:, :3] - _SECTOR_CENTER, axis=1)
-    meets = ~phantom & (dist <= _SECTOR_RADIUS + rho + _SECTOR_SLACK)
+    T = hull.points[hull.simplices]
+    L = np.linalg.norm(T - np.roll(T, 1, axis=1), axis=2).max(axis=1)
+    nearest = np.linalg.norm(T - _SECTOR_CENTER, axis=2).min(axis=1)
+    apart = (L <= math.sqrt(2.0)) & (nearest > _SECTOR_RADIUS + L + _SECTOR_SLACK)
+    meets = ~phantom & ~apart & (dist <= _SECTOR_RADIUS + rho + _SECTOR_SLACK)
     if not (dist[meets] + rho[meets] <= reach - _SECTOR_SLACK).all():
         return None
     return hull.simplices[meets], off[meets]
@@ -855,8 +887,14 @@ def _annulus_histogram(
     N = pts.size
     lo, hi = spec.dot_window()
     reach = math.sqrt(spec.rho2**2 + _BAND_SLACK)
+    P = pts.points
+    sector = _is_whole_shell(pts)
+    if sector:
+        gather = _SECTOR_RADIUS + reach + _SECTOR_SLACK
+        if gather < 2.0:
+            P = P[P @ _SECTOR_CENTER >= 1.0 - gather * gather / 2.0]
     # the points sorted by z, one C-contiguous 3 x N factor for every chunk
-    PT = np.ascontiguousarray(pts.points[np.argsort(pts.points[:, 2], kind="stable")].T)
+    PT = np.ascontiguousarray(P[np.argsort(P[:, 2], kind="stable")].T)
     rng = _rng(seed)
     hist = np.zeros(N + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(N, 1))
@@ -865,6 +903,8 @@ def _annulus_histogram(
         k = min(chunk, remaining)
         remaining -= k
         centers = _random_units(rng, k)
+        if sector:
+            centers = fold(centers)
         centers = centers[np.argsort(centers[:, 2])]
         tiles = _z_band(PT[2], reach, centers[:, 2])
         inside, below = _workspace(tiles, bool), _workspace(tiles, bool)
@@ -907,6 +947,24 @@ def number_variance(
     dotting each center with all N points.  A center's count is summed
     over the tiles of its row block, which may be several or none; the
     tiles' dots and masks are views of workspaces sized once per chunk.
+
+    A whole lattice shell walks one symmetry sector.  Its chunks are drawn
+    as above, then each center c is folded into D = {0 <= x <= y <= z}
+    (`lattice.fold`, absolute values then a sort), a signed permutation g
+    with g c in D.  Since g P = P and g keeps dot products, g c sees as
+    many points as c: in exact arithmetic the same count, and in floats
+    dots of the same three products summed in another order, which move
+    a count only for a center within an ulp or two of its window's edge,
+    as the tile shapes of BLAS already do.  D lies in the cap of chord
+    radius r_D around c0 (`_SECTOR_RADIUS`, `_SECTOR_CENTER`), and a point
+    x that a center c in D counts has |x - c| < reach (the band argument
+    above), so |x - c0| <= |x - c| + |c - c0| < reach + r_D.  Only the
+    points within R = r_D + reach + _SECTOR_SLACK of c0 are kept: the
+    slack widens R^2 by more than 2 r_D 1e-9, far past the few 1e-12 by
+    which the dot test x.c0 >= 1 - R^2/2 can err on norms within 1e-12 of
+    1.  Where R reaches 2 every point is kept.  The walk then runs on the
+    kept points, R^2/4 of the shell: about N/9 for a cap of area 0.01, and
+    never below r_D^2/4, about N/18.
 
     samples x max(N, _VARIANCE_FLOOR) dot products are predicted first,
     and past the "center_products" budget the count is refused before

@@ -235,15 +235,41 @@ def test_shell_orbits_partition_the_shell():
     for n in (1, 2, 3, 9, 25, 50, 425):
         P = lattice.enumerate_points(n).points
         orb = lattice.shell_orbits(P)
-        images = [lattice._images(rep[None]) for rep in orb.reps]
+        reps = P[orb.first]
+        images = [lattice._images(rep[None]) for rep in reps]
         # each size is its rep's orbit, and the orbits tile the shell
         assert orb.size.tolist() == [len(img) for img in images]
         union = np.concatenate(images)
         assert np.array_equal(union[np.lexsort(union.T[::-1])], P)
-        keys = {tuple(k) for k in np.sort(np.abs(orb.reps), axis=1).tolist()}
-        assert len(keys) == len(orb.reps)
+        keys = {tuple(k) for k in np.sort(np.abs(reps), axis=1).tolist()}
+        assert len(keys) == len(reps)
+        # each point's orbit index names the orbit that holds it
+        assert orb.index.shape == (len(P),)
+        assert orb.index[orb.first].tolist() == list(range(len(reps)))
+        assert np.bincount(orb.index, minlength=len(reps)).tolist() == orb.size.tolist()
+        for k, img in enumerate(images):
+            mine = P[orb.index == k]
+            assert np.array_equal(mine[np.lexsort(mine.T[::-1])], img)
         sizes.update(orb.size.tolist())
     assert sizes == {6, 8, 12, 24, 48}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(*[st.integers(-5, 5)] * 3), min_size=1, max_size=40),
+    st.sampled_from([np.int64, np.float64]),
+    st.floats(-1.0, 1.0),
+)
+def test_fold_is_the_sorted_absolute_values(rows, dtype, scale):
+    # small coordinates give ties, zeros and (scaled by a negative float)
+    # negative zeros; the min/max network sorts each row like np.sort
+    P = np.array(rows, dtype=dtype)
+    if dtype == np.float64:
+        P = P * scale
+    F = lattice.fold(P)
+    assert F.dtype == P.dtype
+    assert F.tobytes() == np.sort(np.abs(P), axis=1).tobytes()
+    assert (F >= 0).all() and (np.diff(F, axis=1) >= 0).all()
 
 
 def test_pair_table_empty_flagged():

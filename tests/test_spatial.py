@@ -513,6 +513,31 @@ def test_z_band_holds_each_pair_within_reach_in_one_block(P, reach, entries):
     assert (held[i[near], j[near]] == 1).all()
 
 
+def rectangle_rows(entries, columns):
+    """The row height of a rectangle plan: the pair walk's, isqrt(entries) // 4
+    (64 at the default), or taller where fewer columns than a tile is wide
+    (entries // that height, 1024 at the default) leave it room."""
+    h = max(1, math.isqrt(entries) // 4)
+    return max(h, entries // max(1, min(columns, entries // h)))
+
+
+def test_rectangle_rows_follow_the_columns():
+    # the default tiles, 64 x 1024, below 1024 columns grow to as many entries
+    E = spatial._PAIR_ENTRIES
+    assert [rectangle_rows(E, c) for c in (0, 1, 24, 200, 1023, 1024, 30_600)] == [E, E, 2730, 327, 64, 64, 64]
+    for columns in (0, 1, 24, 200, 1023, 1024, 5000):
+        z = np.linspace(-1.0, 1.0, columns)
+        rows = np.linspace(-1.0, 1.0, 100_000)
+        tiles = spatial._z_band(z, 2.5, rows)
+        h = rectangle_rows(E, columns)
+        assert {i1 - i0 for i0, i1, _, _ in tiles if i1 < len(rows)} <= {h}
+        assert bool(tiles) == (columns > 0)
+        assert all((i1 - i0) * (j1 - j0) <= E for i0, i1, j0, j1 in tiles)
+    # the pair triangle keeps its 64-row blocks at any N
+    assert {i1 - i0 for i0, i1, _, _ in spatial._z_band(np.linspace(-1.0, 1.0, 24), 2.5)} == {24}
+    assert {i1 - i0 for i0, i1, _, _ in spatial._z_band(np.linspace(-1.0, 1.0, 200), 2.5) if i1 < 200} == {64}
+
+
 @settings(max_examples=150, deadline=None)
 @given(awkward_sets(max_base=80), awkward_sets(max_base=80), st.floats(0.0, 2.5), BLOCK_ENTRIES)
 def test_z_band_holds_each_center_within_reach_in_one_tile(P, C, reach, entries):
@@ -521,7 +546,7 @@ def test_z_band_holds_each_center_within_reach_in_one_tile(P, C, reach, entries)
     M, N = len(rows), len(z)
     with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
         tiles = spatial._z_band(z, reach, rows)
-    h = max(1, math.isqrt(entries) // 4)
+    h = rectangle_rows(entries, N)
     held = np.zeros((M, N), dtype=int)
     for i0, i1, j0, j1 in tiles:
         assert i0 % h == 0 and i1 == min(i0 + h, M)
@@ -626,6 +651,28 @@ def test_whole_shell_spacings_are_exact(n):
     N = len(P)
     expect = N * (2.0 * (n - tmax) / n) / 4
     assert np.array_equal(spatial.nn_spacings(pts).rescaled_values, expect)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**6).filter(lattice.three_squares_representable))
+@example(1)
+@example(2)
+@example(3)
+@example(9)
+@example(25)
+@example(50)
+@example(425)
+@example(4**3 * 1009)  # 4^a m: every point of 4n is twice one of n
+@example(7**2 * 2029)  # p^2 m: the points of m scaled by p, and more
+def test_whole_shell_spacings_query_one_point_per_orbit(n):
+    # the orbit route queries the kd-tree at one point per orbit; every
+    # point then takes its orbit's d^2, which the query over all rows gives
+    # it too, the same exact integer, so the floats agree byte for byte
+    pts = spatial.unit_shell(n)
+    P = pts.int_points
+    assert len(lattice.shell_orbits(P).first) < len(P)
+    expect = len(P) * (spatial._nn_d2(P) / n) / 4.0
+    assert spatial.nn_spacings(pts).rescaled_values.tobytes() == expect.tobytes()
 
 
 def test_whole_shell_spacings_stay_small():
@@ -808,6 +855,30 @@ def test_shell_covering_small_margin_retries(monkeypatch, n):
     assert spatial.covering_radius(pts) == value
     assert len(hulls) > 1
     assert hulls[-1] < pts.size  # certified on a sector, not the whole hull
+
+
+def test_shell_covering_passes_rim_slivers_on_the_first_hull(monkeypatch):
+    # n = 17 100 026 (N = 54 240): the first hull's only facets that broke
+    # (c) were slivers between points on the rim of the gathered cap, whose
+    # caps (rho about 1.1) reached past chord 2 from c0; each has its
+    # nearest vertex farther than r_D + its longest edge from c0, so its
+    # triangle misses the cap around the sector and (c) leaves it out
+    import scipy.spatial
+
+    n = 17_100_026
+    pts = spatial.unit_shell(n)
+    hulls = []
+    hull = scipy.spatial.ConvexHull
+
+    def counting(P, *args, **kwargs):
+        hulls.append(len(P))
+        return hull(P, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    value = spatial.covering_radius(pts)
+    assert hulls == [5490]
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", hull)
+    assert value == full_hull_covering(pts)
 
 
 @pytest.mark.parametrize("n", [59, 1009, 100_057])
@@ -1069,6 +1140,76 @@ def test_banded_counts_pinned_cases(octahedron, shell5):
     assert_banded_equals_dense(empty, spatial.AnnulusSpec.cap(0.5), 101, 15)
 
 
+def columns_walked(pts, spec, samples, seed):
+    """The histogram of `_annulus_histogram` and the number of points its
+    first chunk walks (the columns of its first plan)."""
+    seen = []
+    plan = spatial._z_band
+
+    def spy(z, reach, rows=None):
+        seen.append(len(z))
+        return plan(z, reach, rows)
+
+    with mock.patch.object(spatial, "_z_band", spy):
+        hist = spatial._annulus_histogram(pts, spec, samples, seed)
+    return hist, seen[0]
+
+
+# caps, annuli, the whole sphere, and radii whose gather around the sector,
+# r_D + rho2 past 2, drops no point
+SECTOR_SPECS = [
+    spatial.AnnulusSpec.cap_of_area(0.01),
+    spatial.AnnulusSpec.cap(0.05),
+    spatial.AnnulusSpec(0.05, 0.3),
+    spatial.AnnulusSpec(0.3, 0.9),
+    spatial.AnnulusSpec(0, 2),
+    spatial.AnnulusSpec.cap(1.6),
+    spatial.AnnulusSpec(1.0, 1.8),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 200_000).filter(lattice.three_squares_representable),
+    st.one_of(st.sampled_from(SECTOR_SPECS), annuli()),
+    st.integers(100, 3000),
+    st.integers(2**31, 2**32),
+)
+@example(100_057, SECTOR_SPECS[0], 2 * 2080 + 5, 2**31)  # three chunks of N = 2016
+@example(5, SECTOR_SPECS[5], 1001, 2**31 + 1)
+@example(425, SECTOR_SPECS[6], 1001, 2**31 + 2)
+@example(3, SECTOR_SPECS[4], 333, 2**31 + 3)
+def test_sector_cap_counts_match_dense_folded_and_not(n, spec, samples, seed):
+    # two paths to one histogram: a whole shell folds its centers into the
+    # sector and walks only the points near it; the same points stripped of
+    # their source walk unfolded; both equal every center dotted with every
+    # point, on the default tiles and on 4 x 64 ones
+    pts = spatial.unit_shell(n)
+    bare = spatial.UnitPointSet(pts.points)
+    assert spatial._is_whole_shell(pts) and not spatial._is_whole_shell(bare)
+    wide = (256, spatial._PAIR_ENTRIES)
+    assert_banded_equals_dense(pts, spec, samples, seed, wide)
+    assert_banded_equals_dense(bare, spec, samples, seed, wide)
+
+
+def test_sector_cap_counts_walk_the_points_near_the_sector():
+    # n = 100 057 (N = 2016): a cap of area 0.01 around a center of the
+    # sector reaches only the points within r_D + 0.2 of its centre, about
+    # a ninth of the shell; once r_D + rho2 passes 2 every point is walked,
+    # and a set that is no whole shell always walks every point
+    pts = spatial.unit_shell(100_057)
+    bare = spatial.UnitPointSet(pts.points)
+    for spec in SECTOR_SPECS:
+        hist, walked = columns_walked(pts, spec, 500, 31)
+        bare_hist, bare_walked = columns_walked(bare, spec, 500, 31)
+        assert hist.tolist() == bare_hist.tolist() == dense_histogram(pts, spec, 500, 31).tolist()
+        assert bare_walked == pts.size
+        gather = spatial._SECTOR_RADIUS + math.sqrt(spec.rho2**2 + spatial._BAND_SLACK) + spatial._SECTOR_SLACK
+        assert (walked == pts.size) == (gather >= 2.0), spec
+        if spec.rho2 <= 0.3:
+            assert walked < pts.size / 4, spec
+
+
 def chunk_plan(pts, spec, samples, seed):
     """The first chunk's centers of `number_variance`, sorted by z, and
     their tiles against the points at the default size."""
@@ -1095,16 +1236,16 @@ def test_banded_counts_stay_zero_where_a_row_block_meets_no_point():
     # twelve points on one circle near the north pole and caps of radius
     # 0.3: only the row blocks of centers above z = 0.69 reach a point in
     # z, and the rest have no tile, so their centers' counts are the zeros
-    # they start at
+    # they start at (twelve columns give row blocks of 5461 centers)
     phi = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
     pts = spatial.UnitPointSet(np.column_stack([0.1 * np.cos(phi), 0.1 * np.sin(phi), np.full(12, math.sqrt(0.99))]))
     spec = spatial.AnnulusSpec.cap(0.3)
-    _, tiles = chunk_plan(pts, spec, 2001, 23)
-    h = math.isqrt(spatial._PAIR_ENTRIES) // 4
-    assert len({i0 for i0, _, _, _ in tiles}) < len(range(0, 2001, h)) // 2
-    dense = dense_histogram(pts, spec, 2001, 23)
+    _, tiles = chunk_plan(pts, spec, 20_001, 23)
+    h = rectangle_rows(spatial._PAIR_ENTRIES, 12)
+    assert len({i0 for i0, _, _, _ in tiles}) < len(range(0, 20_001, h)) // 2
+    dense = dense_histogram(pts, spec, 20_001, 23)
     assert 0 < dense[1:].sum() < dense[0]
-    assert_banded_equals_dense(pts, spec, 2001, 23)
+    assert_banded_equals_dense(pts, spec, 20_001, 23)
 
 
 def test_banded_counts_keep_points_past_a_fixed_pad():
