@@ -593,10 +593,10 @@ def covering_radius(pts: UnitPointSet) -> float:
       (a) every facet offset is positive;
       (b) every facet through the phantom has its opposite arc farther
           than r_D from c0;
-      (c) every other facet with |u - c0| <= r_D + rho, unless its longest
-          edge L is at most sqrt 2 and its nearest vertex lies farther
-          than r_D + L from c0, has its empty cap inside the gathered
-          one: |u - c0| + rho <= r_D + M,
+      (c) every other facet with |u - c0| <= r_D + rho has its empty cap
+          inside the gathered one, |u - c0| + rho <= r_D + M, or else
+          its longest edge L is at most sqrt 2 and its nearest vertex
+          lies farther than r_D + L from c0, and is left out,
     each with _SECTOR_SLACK on the safe side.  Otherwise M doubles, and
     once r_D + M reaches 2 the whole shell's hull is taken.  Proof
     sketch: by (a) the spherical triangles of the facets tile S^2, and a
@@ -607,10 +607,10 @@ def covering_radius(pts: UnitPointSet) -> float:
     vertices a when L <= sqrt 2: a point of it is y/|y| for a convex
     combination y of the vertices, with a.y >= 1 - L^2/2 >= 0 and
     |y| <= 1.  So the triangles meeting the cap are among the facets that
-    (c) tests; the slivers between points on the rim of the gathered cap,
-    whose caps can pass chord 2 from c0, are not, and so no longer force
-    a second hull.  A shell point left out lies farther than r_D + M from c0,
-    so by (c) it lies outside their caps, which are then empty for the
+    (c) keeps; it leaves out the slivers between points on the rim of the
+    gathered cap, whose caps can pass chord 2 from c0 though they lie far
+    from D.  A shell point left out lies farther than r_D + M from c0,
+    so by (c) it lies outside the kept caps, which are then empty for the
     whole shell: they are facets of the whole hull, and their rho is at
     most the covering radius.  Every point of a facet's triangle is
     within rho of one of its vertices, so the deepest hole in D is within
@@ -712,16 +712,19 @@ def _sector_facets(Q: np.ndarray, reach: float):
     if not (gap > _SECTOR_RADIUS + _SECTOR_SLACK).all():
         return None
     # (c): a facet's triangle lies in its cap, and within chord L of each of
-    # its vertices when its longest edge L is at most sqrt 2
+    # its vertices when its longest edge L is at most sqrt 2; only a facet
+    # whose cap leaves the gathered one needs the second test
     rho = np.sqrt(2.0 - 2.0 * np.minimum(off, 1.0))
     dist = np.linalg.norm(hull.equations[:, :3] - _SECTOR_CENTER, axis=1)
-    T = hull.points[hull.simplices]
-    L = np.linalg.norm(T - np.roll(T, 1, axis=1), axis=2).max(axis=1)
-    nearest = np.linalg.norm(T - _SECTOR_CENTER, axis=2).min(axis=1)
-    apart = (L <= math.sqrt(2.0)) & (nearest > _SECTOR_RADIUS + L + _SECTOR_SLACK)
-    meets = ~phantom & ~apart & (dist <= _SECTOR_RADIUS + rho + _SECTOR_SLACK)
-    if not (dist[meets] + rho[meets] <= reach - _SECTOR_SLACK).all():
-        return None
+    meets = ~phantom & (dist <= _SECTOR_RADIUS + rho + _SECTOR_SLACK)
+    broken = np.flatnonzero(meets & (dist + rho > reach - _SECTOR_SLACK))
+    if len(broken):
+        T = hull.points[hull.simplices[broken]]
+        L = np.linalg.norm(T - np.roll(T, 1, axis=1), axis=2).max(axis=1)
+        nearest = np.linalg.norm(T - _SECTOR_CENTER, axis=2).min(axis=1)
+        if not ((L <= math.sqrt(2.0)) & (nearest > _SECTOR_RADIUS + L + _SECTOR_SLACK)).all():
+            return None
+        meets[broken] = False
     return hull.simplices[meets], off[meets]
 
 
