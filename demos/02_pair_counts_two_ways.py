@@ -27,7 +27,7 @@ print()
 print("multiplicative majorant (squarefree n): count <= 24 f(n^2 - t^2)")
 ratios = []
 for t in range(-(n - 1), n):
-    bound = 24 * arith.majorant_squarefree(n, n * n - t * t)
+    bound = 24 * arith.majorant_general(1, n, n * n - t * t)
     count = lattice.pair_count(n, t)
     if bound == 0:
         assert count == 0  # a vanishing majorant forces a vanishing count

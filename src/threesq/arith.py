@@ -251,19 +251,11 @@ def _jacobi(a, m) -> np.ndarray:
     return np.where(m == 1, 1 - 2 * (flips & 1), 0)
 
 
-@dataclass(frozen=True)
-class Discriminant:
+def discriminant(n: int) -> int:
     """Fundamental discriminant of Q(sqrt(-n)) for squarefree n."""
-
-    n: int
-    d: int
-
-
-def discriminant(n: int) -> Discriminant:
     if n < 1 or not is_squarefree(n):
         raise DomainError(f"n = {n} must be a squarefree positive integer")
-    d = -n if (-n) % 4 == 1 else -4 * n
-    return Discriminant(n, d)
+    return -n if (-n) % 4 == 1 else -4 * n
 
 
 def _is_fundamental(d: int) -> bool:
@@ -553,7 +545,7 @@ def dirichlet_l_one(n: int, target_error: float) -> float:
         raise DomainError(
             f"n = {n} = 7 (mod 8): not a sum of three squares, no count identity"
         )
-    d = discriminant(n).d
+    d = discriminant(n)
     q = -d
     delta = math.sqrt(math.pi / q)
     log_goal = math.log(target_error / 2)
@@ -592,24 +584,8 @@ def gauss_count(n: int) -> int:
         raise DomainError("class-number count requires n > 3")
     if not is_squarefree(n):
         raise DomainError(f"n = {n} must be squarefree")
-    h = class_number(discriminant(n).d)
+    h = class_number(discriminant(n))
     return 24 * h if n % 8 == 3 else 12 * h
-
-
-def majorant_squarefree(n: int, arg: int) -> int:
-    """Multiplicative majorant for pair counts at squarefree n.
-
-    Prime-power values: 1 at powers of 2; sum_{j<=k} chi(p)^j for odd
-    p not dividing n; 1 for p | n with k = 1 and 2 for p | n with k >= 2.
-    The ordered-pair count at inner product t is at most
-    24 * majorant_squarefree(n, n^2 - t^2).  It is majorant_general(1, n,
-    arg): with m = 1 the general prime-power values reduce to these.
-    """
-    if not is_squarefree(n):
-        raise DomainError(f"n = {n} must be a squarefree positive integer")
-    if arg < 1:
-        raise DomainError("argument must be a positive integer")
-    return _majorant(n, 1, factorize(arg).factors)
 
 
 def majorant_general(m: int, n: int, arg: int) -> int:

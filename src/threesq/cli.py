@@ -202,6 +202,8 @@ def _cmd_covering(args) -> dict:
 
 def _resolve_annulus(args) -> spatial.AnnulusSpec:
     if args.sigma is not None:
+        if args.rho1 != 0.0 or args.rho2 is not None:
+            raise DomainError("give either --sigma or --rho2 (with optional --rho1), not both")
         return spatial.AnnulusSpec.cap_of_area(args.sigma)
     if args.rho2 is None:
         raise DomainError("give either --sigma or --rho2 (with optional --rho1)")
@@ -215,6 +217,8 @@ def _cmd_variance(args) -> dict:
     spec = _resolve_annulus(args)
     if args.samples is None and args.m_max is None:
         raise DomainError("request --samples (Monte Carlo) and/or --m-max (series)")
+    if args.zonal_out and args.m_max is None:
+        raise DomainError("--zonal-out writes the series' coefficient table and needs --m-max")
     mc = None
     if args.samples is not None:
         if args.seed is None:
@@ -224,7 +228,7 @@ def _cmd_variance(args) -> dict:
     if args.m_max is not None:
         series = harmonics.variance_series(None, spec, args.m_max, points=pts)
         if args.zonal_out:
-            h = harmonics.zonal_coeffs(spec, args.m_max).coeffs.tolist()
+            h = harmonics.zonal_coeffs(spec, args.m_max).tolist()
             _write_file(args.zonal_out, _csv("m,h", (f"{m},{_fmt_float(v)}" for m, v in enumerate(h))))
     return {
         "config": _config(args),

@@ -59,20 +59,13 @@ def _legendre_seq(m_max: int, x):
         yield p_cur
 
 
-@dataclass
-class ZonalCoefficients:
-    """Legendre coefficients h(m) of an annulus indicator.
+def zonal_coeffs(spec: AnnulusSpec, m_max: int) -> np.ndarray:
+    """Legendre coefficients h(0), ..., h(m_max) of an annulus indicator.
 
     h(m) = 2*pi * integral of P_m over the indicator's support in
     t = cos(angle), evaluated through the antiderivative
     (P_{m+1} - P_{m-1}) / (2m+1); h(0) = 4*pi*area.
     """
-
-    spec: AnnulusSpec
-    coeffs: np.ndarray
-
-
-def zonal_coeffs(spec: AnnulusSpec, m_max: int) -> ZonalCoefficients:
     if m_max < 0:
         raise DomainError("m_max must be nonnegative")
     t_hi = 1.0 - spec.rho1**2 / 2.0
@@ -82,7 +75,7 @@ def zonal_coeffs(spec: AnnulusSpec, m_max: int) -> ZonalCoefficients:
     h[0] = 2.0 * math.pi * (t_hi - t_lo)
     m = np.arange(1, m_max + 1)
     h[1:] = 2.0 * math.pi * ((hi[2:] - hi[:-2]) - (lo[2:] - lo[:-2])) / (2 * m + 1)
-    return ZonalCoefficients(spec, h)
+    return h
 
 
 def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
@@ -316,7 +309,7 @@ def variance_series(
     budget("shell_degree", m_max, "variance series")
     pts = _resolve_points(n, points)
     sums = _pair_legendre_sums(pts, m_max)
-    h = zonal_coeffs(spec, m_max).coeffs
+    h = zonal_coeffs(spec, m_max)
     m = np.arange(m_max + 1)
     terms = (h * h / (4.0 * math.pi)) * ((2 * m + 1) / (4.0 * math.pi)) * sums
     terms[0] = 0.0

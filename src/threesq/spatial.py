@@ -42,13 +42,15 @@ counts of a lattice source walk the integer points, where every partial
 sum of the product is an integer of at most 4n, so their squared
 distances are exact: in float64 up to n = _FLOAT_SAFE = 2^50, past it in
 int64.  Float squared distances are within a few ulps of 4 of the
-coordinate-difference form, far inside _RIPLEY_TIE; the few below
-_CLOSE_D2, where that is a loss of digits, are recomputed from
-coordinate differences, as are float Ripley pairs within _RIPLEY_TIE of
-r^2, so no count depends on the shape of the tile that holds a pair.
-Every tile and mask of a plan is a view of one array sized from its
-largest tile, overwritten in place (matmul and ufunc `out=`).  The
-s = 1 energy takes 1/sqrt(d^2), two correctly rounded steps, not pow.
+coordinate-difference form, and each statistic writes that form
+(`_settle`) into only the entries it reads where the gap matters: a
+float Ripley count into its pairs within _RIPLEY_TIE of r^2, so no count
+depends on the shape of the tile that holds a pair, and the energy
+alone into the few below _CLOSE_D2, where the gap is a loss of digits.
+Every tile, and every mask a count reduces, is a view of one array sized
+from its plan's largest tile, overwritten in place (matmul and ufunc
+`out=`).  The s = 1 energy takes 1/sqrt(d^2), two correctly rounded
+steps, not pow.
 
 Nearest-neighbour spacings of every set need no pair loop: a kd-tree
 offers each point its nearest candidates, and the spacing is the
@@ -268,9 +270,9 @@ def _products(left: np.ndarray, right: np.ndarray, tiles):
 
 
 def _distance_blocks(P: np.ndarray, tiles):
-    """Yield (i0, j0, d2, close) over the tiles (i0, i1, j0, j1) of a `_z_band` pair plan of P.
+    """Yield (i0, j0, d2) over the tiles (i0, i1, j0, j1) of a `_z_band` pair plan of P.
 
-    d2 holds |P_i - P_j|^2 for rows i0 <= i < i1 and columns
+    d2 holds |P_i - P_j|^2 for rows i0 <= i < i0 + len(d2) and columns
     j0 <= j < j1, the `_products` of the augmented coordinates
     [P_i, |P_i|^2, 1] and [-2 P_j, 1, |P_j|^2], each written once in its
     final layout (N x 5 and 5 x N), with a diagonal tile's self entries
@@ -284,40 +286,31 @@ def _distance_blocks(P: np.ndarray, tiles):
     sum is an integer of at most 2^52, else in int64, which holds 4n for
     n < 2^61.  On float points of the unit sphere each term is at most 2,
     so d2 is within a few ulps of 4 (a few 1e-15) of its coordinate-
-    difference form: far inside _RIPLEY_TIE, but a loss of digits where
-    d2 is small.  So the entries below _CLOSE_D2 are recomputed from
-    coordinate differences, which keeps them and makes d2 never negative;
-    close holds their flat indices into d2, ascending, and every pair
-    closer than about 0.03 is among them, duplicates included.  A tile
-    whose first column's z lies more than sqrt(_CLOSE_D2) above its last
-    row's z holds no such pair, since |dz| <= |P_i - P_j|, and is not
-    scanned.  Integer points have none to recompute, and their close is
-    empty.  d2 is `_products`' workspace, and its close mask one more of
-    the same size.
+    difference form, and a statistic that needs more digits at some
+    entries writes that form there (`_settle`).  d2 is `_products`'
+    workspace.
     """
-    exact = P.dtype.kind == "i"
     sq = np.einsum("ij,ij->i", P, P)
-    dtype = np.int64 if exact and sq.max(initial=0) > _FLOAT_SAFE else np.float64
+    dtype = np.int64 if P.dtype.kind == "i" and sq.max(initial=0) > _FLOAT_SAFE else np.float64
     left = np.empty((len(P), 5), dtype)
     right = np.empty((5, len(P)), dtype)
     left[:, :3], left[:, 3], left[:, 4] = P, sq, 1
     np.multiply(P.T, -2, out=right[:3])
     right[3], right[4] = 1, sq
     top = np.iinfo(dtype).max if dtype == np.int64 else np.inf
-    gap = math.sqrt(_CLOSE_D2)
-    near = _workspace(tiles, bool)
-    none = np.empty(0, np.intp)
-    for i0, i1, j0, d2 in _products(left, right, tiles):
+    for i0, _, j0, d2 in _products(left, right, tiles):
         if j0 == i0:
             np.fill_diagonal(d2, top)
-        close = none
-        if not exact and P[j0, 2] - P[i1 - 1, 2] <= gap:
-            close = np.flatnonzero(np.less(d2, _CLOSE_D2, out=_block(near, *d2.shape)))
-            if len(close):
-                i, j = np.divmod(close, d2.shape[1])
-                diff = P[i0 + i] - P[j0 + j]
-                d2.flat[close] = np.einsum("ij,ij->i", diff, diff)
-        yield i0, j0, d2, close
+        yield i0, j0, d2
+
+
+def _settle(P: np.ndarray, i0: int, j0: int, d2: np.ndarray, flat: np.ndarray) -> None:
+    """Write the coordinate-difference form |P_i - P_j|^2 into the entries
+    of a `_distance_blocks` tile d2 at (i0, j0) whose flat indices are
+    `flat`: it keeps the digits of a small d2 and is never negative."""
+    i, j = np.divmod(flat, d2.shape[1])
+    diff = P[i0 + i] - P[j0 + j]
+    d2.flat[flat] = np.einsum("ij,ij->i", diff, diff)
 
 
 def _ordered(total, x: np.ndarray, diagonal: bool):
@@ -355,7 +348,7 @@ def _table_energy(n: int, s: float) -> float:
 def _check_duplicates(order: np.ndarray, i0: int, j0: int, d2: np.ndarray, close: np.ndarray) -> None:
     """Raise on the first pair of a `_distance_blocks` tile closer than
     chord 1e-7, named by its indices before the walk's `order`; such
-    pairs count as equal, and all are among `close`."""
+    pairs count as equal, and all are among the settled `close`."""
     dup = close[d2.flat[close] < 1e-14]
     if len(dup):
         i, j = divmod(int(dup[0]), d2.shape[1])
@@ -378,6 +371,13 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
     reach inf, the whole upper triangle, whose Gram products are
     predicted first, and past the "pair_products" budget the energy is
     refused before any product.
+
+    The tiles' d2 carry an absolute error of a few 1e-15, a loss of
+    digits where d2 is small, so the entries below _CLOSE_D2 are settled
+    from coordinate differences (`_settle`); every pair closer than about
+    0.03 is among them, duplicates included.  A tile whose first column's
+    z lies more than sqrt(_CLOSE_D2) above its last row's z holds no such
+    pair, since |dz| <= |P_i - P_j|, and is not scanned.
     """
     if not 0 < s < 2:
         raise DomainError("s must lie in (0, 2)")
@@ -387,9 +387,14 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         return _table_energy(pts.source_n, s)
     order = np.argsort(pts.points[:, 2], kind="stable")
     P = pts.points[order]
+    gap = math.sqrt(_CLOSE_D2)
     parts = []
-    for i0, j0, d2, close in _distance_blocks(P, _z_band(P[:, 2], math.inf)):
-        _check_duplicates(order, i0, j0, d2, close)
+    for i0, j0, d2 in _distance_blocks(P, _z_band(P[:, 2], math.inf)):
+        if P[j0, 2] - P[i0 + len(d2) - 1, 2] <= gap:
+            close = np.flatnonzero(d2 < _CLOSE_D2)
+            if len(close):
+                _settle(P, i0, j0, d2, close)
+                _check_duplicates(order, i0, j0, d2, close)
         terms = d2  # the tile's workspace, overwritten in place
         if s == 1.0:
             # two correctly rounded steps, several times cheaper than pow
@@ -430,15 +435,21 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     On float points the Gram form of d^2 is within a few 1e-15 of the
     coordinate-difference form |x - y|^2, and BLAS rounds it differently
     for different tile shapes.  A pair whose Gram-form d^2 lies within
-    _RIPLEY_TIE of r^2 is therefore settled from differences, and the
-    count equals that of |x - y|^2 < r^2 over all pairs, whatever the
-    tiling.
+    _RIPLEY_TIE of r^2 is therefore settled from differences (`_settle`),
+    and the count equals that of |x - y|^2 < r^2 over all pairs, whatever
+    the tiling.  No other pair needs settling, close ones included: a
+    Gram-form d^2 farther than _RIPLEY_TIE from r^2 lies on the same side
+    of r^2 as its difference form, however small it is, and when
+    r^2 < _RIPLEY_TIE the band reaches below 0, so duplicates and
+    near-duplicates lie in it and are settled.  On integer points the
+    band is empty: d^2 < dmax + 1 is one exact compare per tile.
     """
     if not 0 < r <= 2:
         raise DomainError("r must lie in (0, 2]")
     N = pts.size
     if N < 2:
         return 0
+    r2 = r * r
     if pts.source_n is not None and pts.int_points is not None:
         n = pts.source_n
         if n >= 1 << 61:
@@ -447,32 +458,25 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
             )
         lim = Fraction(r) * Fraction(r) * n  # exact rational threshold
         dmax = (lim.numerator - 1) // lim.denominator
-        A = pts.int_points[np.argsort(pts.int_points[:, 2], kind="stable")]
-        tiles = _z_band(A[:, 2], math.isqrt(dmax))
-        inside = _workspace(tiles, bool)
-        total = 0
-        for i0, j0, d2, _ in _distance_blocks(A, tiles):
-            within = np.less_equal(d2, dmax, out=_block(inside, *d2.shape))
-            total += _ordered(np.count_nonzero, within, j0 == i0)
-        return total
-    P = pts.points[np.argsort(pts.points[:, 2], kind="stable")]
-    tiles = _z_band(P[:, 2], math.sqrt(r * r + _BAND_SLACK))
-    r2 = r * r
+        P = pts.int_points[np.argsort(pts.int_points[:, 2], kind="stable")]
+        reach = math.isqrt(dmax)
+        lo = hi = dmax + 1
+    else:
+        P = pts.points[np.argsort(pts.points[:, 2], kind="stable")]
+        reach = math.sqrt(r2 + _BAND_SLACK)
+        lo, hi = r2 - _RIPLEY_TIE, r2 + _RIPLEY_TIE
+    tiles = _z_band(P[:, 2], reach)
     below = _workspace(tiles, bool)
-    above = _workspace(tiles, bool)
+    above = _workspace(tiles, bool) if hi > lo else None
     total = 0
-    for i0, j0, d2, _ in _distance_blocks(P, tiles):
-        b, c = d2.shape
-        lo = np.less(d2, r2 - _RIPLEY_TIE, out=_block(below, b, c))
-        hi = np.less(d2, r2 + _RIPLEY_TIE, out=_block(above, b, c))
-        if np.count_nonzero(hi) > np.count_nonzero(lo):
-            # settle the pairs within _RIPLEY_TIE of r^2 from differences
-            tie = np.flatnonzero(np.not_equal(lo, hi, out=hi))
-            i, j = np.divmod(tie, c)
-            diff = P[i0 + i] - P[j0 + j]
-            d2.flat[tie] = np.einsum("ij,ij->i", diff, diff)
-            np.less(d2, r2, out=lo)
-        total += _ordered(np.count_nonzero, lo, j0 == i0)
+    for i0, j0, d2 in _distance_blocks(P, tiles):
+        within = np.less(d2, lo, out=_block(below, *d2.shape))
+        if above is not None:
+            band = np.less(d2, hi, out=_block(above, *d2.shape))
+            if np.count_nonzero(band) > np.count_nonzero(within):
+                _settle(P, i0, j0, d2, np.flatnonzero(np.not_equal(within, band, out=band)))
+                np.less(d2, r2, out=within)
+        total += _ordered(np.count_nonzero, within, j0 == i0)
     return total
 
 
@@ -631,26 +635,24 @@ def covering_radius(pts: UnitPointSet) -> float:
         raise DomainError("fewer than 4 points always sit in a closed hemisphere")
     if _is_whole_shell(pts):
         return _shell_covering(pts)
-    hull = _hull(pts.points)
-    off = -hull.equations[:, 3]
-    _check_offsets(off)
-    return _float_covering(pts.points, hull.simplices, off)
+    return _float_covering(pts.points, *_hull(pts.points))
 
 
-def _hull(P: np.ndarray):
+def _hull(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(simplices, offsets) of the whole hull of P, refused unless every
+    facet's offset is positive (the origin strictly inside)."""
     from scipy.spatial import ConvexHull, QhullError
 
     try:
-        return ConvexHull(P)
+        hull = ConvexHull(P)
     except QhullError as exc:
         raise DomainError(
             "degenerate configuration: points lie in a closed hemisphere or a plane"
         ) from exc
-
-
-def _check_offsets(off: np.ndarray) -> None:
+    off = -hull.equations[:, 3]
     if off.min() <= 1e-12:
         raise DomainError("points lie in a closed hemisphere; covering radius >= sqrt(2)")
+    return hull.simplices, off
 
 
 def _float_covering(P: np.ndarray, simplices: np.ndarray, off: np.ndarray) -> float:
@@ -680,10 +682,7 @@ def _shell_covering(pts: UnitPointSet) -> float:
         if facets is not None:
             return _exact_covering(A[near], pts.source_n, *facets)
         margin *= 2.0
-    hull = _hull(P)
-    off = -hull.equations[:, 3]
-    _check_offsets(off)
-    return _exact_covering(A, pts.source_n, hull.simplices, off)
+    return _exact_covering(A, pts.source_n, *_hull(P))
 
 
 def _sector_facets(Q: np.ndarray, reach: float):

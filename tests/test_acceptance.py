@@ -93,7 +93,7 @@ def test_criterion_02_closure_near_1e9(n):
     t0 = time.time()
     N = lattice.enumerate_points(n).size
     assert arith.gauss_count(n) == N
-    d = arith.discriminant(n).d
+    d = arith.discriminant(n)
     l_value = 2 * math.pi * arith.class_number(d) / (2 * math.sqrt(-d))  # w = 2: d is neither -3 nor -4
     gap = abs(arith.dirichlet_l_one(n, 1e-12) - l_value)
     assert gap <= 1e-11

@@ -165,7 +165,7 @@ def density_triples(draw):
 
 def class_number_l_value(n: int) -> float:
     """2*pi*h / (w*sqrt(q)): the class-number expression for L(1, chi)."""
-    d = arith.discriminant(n).d
+    d = arith.discriminant(n)
     w = 6 if d == -3 else 4 if d == -4 else 2
     return 2.0 * math.pi * arith.class_number(d) / (w * math.sqrt(-d))
 
@@ -468,10 +468,10 @@ def test_class_number_rejects_bad_inputs():
 
 
 def test_discriminant_rule():
-    assert arith.discriminant(5).d == -20
-    assert arith.discriminant(3).d == -3
-    assert arith.discriminant(7).d == -7
-    assert arith.discriminant(1).d == -4
+    assert arith.discriminant(5) == -20
+    assert arith.discriminant(3) == -3
+    assert arith.discriminant(7) == -7
+    assert arith.discriminant(1) == -4
     with pytest.raises(DomainError):
         arith.discriminant(12)
 
@@ -487,7 +487,7 @@ def test_discriminant_rule():
 def test_chi_table_matches_kronecker(n, upto):
     # primes above sqrt(upto) take the indexed pass, the rest their slices
     assume(n % 8 != 7 and arith.is_squarefree(n))
-    d = arith.discriminant(n).d
+    d = arith.discriminant(n)
     assert arith._chi_table(d, upto).tolist() == [arith.kronecker(d, m) for m in range(upto + 1)]
 
 
@@ -602,13 +602,15 @@ def test_gauss_count_domain_errors():
 # ------------------------------------------------------ multiplicative bounds
 
 def test_majorant_squarefree_pinned():
-    assert arith.majorant_squarefree(5, 8) == 1  # powers of two contribute 1
-    assert arith.majorant_squarefree(5, 9) == 3  # chi(3) = +1, sum over 3 terms
-    assert arith.majorant_squarefree(5, 5) == 1  # p | n, exponent 1
+    assert arith.majorant_general(1, 5, 8) == 1  # powers of two contribute 1
+    assert arith.majorant_general(1, 5, 9) == 3  # chi(3) = +1, sum over 3 terms
+    assert arith.majorant_general(1, 5, 5) == 1  # p | n, exponent 1
 
 
 def test_majorant_squarefree_multiplicative():
-    f = arith.majorant_squarefree
+    def f(n, arg):
+        return arith.majorant_general(1, n, arg)
+
     for a in (3, 4, 7, 9, 25, 11):
         for b in (8, 13, 27, 49):
             if math.gcd(a, b) == 1:
@@ -620,7 +622,7 @@ def squarefree_majorant_oracle(n: int, arg: int) -> int:
 
     Euler's criterion, not the Kronecker symbol that `arith` reads, so
     the oracle's characters come by a second path."""
-    d = arith.discriminant(n).d
+    d = arith.discriminant(n)
     out = 1
     for p, k in arith.factorize(arg).factors:
         if p == 2:
@@ -639,8 +641,7 @@ def squarefree_majorant_oracle(n: int, arg: int) -> int:
 @example(3, 3**4 * 7**3)
 def test_majorant_squarefree_is_general_at_m_one(n, arg):
     assume(arith.is_squarefree(n))
-    value = arith.majorant_squarefree(n, arg)
-    assert value == arith.majorant_general(1, n, arg) == squarefree_majorant_oracle(n, arg)
+    assert arith.majorant_general(1, n, arg) == squarefree_majorant_oracle(n, arg)
 
 
 def test_character_sum_closed_form():
@@ -660,7 +661,7 @@ def test_formula_table_shell_matches_public_functions(n):
     assert tbl.t.tolist() == list(range(-(n - 1), n))
     for t, formula, majorant in zip(tbl.t.tolist(), tbl.formula.tolist(), tbl.majorant.tolist()):
         assert formula == arith.pair_count_formula(n, t), (n, t)
-        assert majorant == arith.majorant_squarefree(n, n * n - t * t), (n, t)
+        assert majorant == arith.majorant_general(1, n, n * n - t * t), (n, t)
 
 
 def dense_counts(n: int) -> np.ndarray:
@@ -847,7 +848,7 @@ def test_local_density_trivial_prime():
 def test_local_density_closed_form_away_from_2n():
     # for odd p coprime to 2n the density is the geometric character sum
     for n in (5, 6, 13, 21, 30):
-        d = arith.discriminant(n).d
+        d = arith.discriminant(n)
         for t in range(-(n - 1), n):
             disc = n * n - t * t
             for p, k in arith.factorize(disc).factors:
@@ -909,7 +910,7 @@ def test_pair_count_formula_vs_brute_small():
         for t in range(-(n - 1), n):
             a = brute_pair_count(n, t)
             assert a in (0, arith.pair_count_formula(n, t)), (n, t, a)
-            assert a <= 24 * arith.majorant_squarefree(n, n * n - t * t)
+            assert a <= 24 * arith.majorant_general(1, n, n * n - t * t)
 
 
 def test_general_majorant_bounds_pair_counts():

@@ -538,6 +538,29 @@ def test_negative_seed_is_a_domain_error(argv, capsys):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["variance", "--n", "5", "--sigma", "0.1", "--samples", "200", "--seed", "1", "--zonal-out"], "--m-max"),
+        (["variance", "--n", "5", "--sigma", "0.1", "--rho1", "0.2", "--rho2", "0.5", "--m-max", "3"], "not both"),
+        (["variance", "--n", "5", "--sigma", "0.1", "--rho2", "0.5", "--m-max", "3"], "not both"),
+        (["baseline", "--stat", "variance", "--N", "10", "--seed", "1", "--sigma", "0.1", "--rho1", "0.2",
+          "--samples", "100"], "not both"),
+    ],
+    ids=["zonal-out-without-series", "sigma-and-radii", "sigma-and-rho2", "baseline-sigma-and-rho1"],
+)
+def test_variance_refuses_options_it_cannot_use(argv, needle, capsys, tmp_path):
+    # the table needs the series, and a cap of area sigma would drop the radii
+    zpath = tmp_path / "z.csv"
+    if argv[-1] == "--zonal-out":
+        argv = [*argv, str(zpath)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
+    assert not zpath.exists()
+
+
 def test_covering_mesh_check_flag(capsys):
     assert main(["covering", "--n", "5", "--mesh-check", "0.01"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -263,7 +263,8 @@ def test_negative_seed_is_refused():
 def test_close_pair_keeps_its_digits():
     # one pair planted 2.2e-5 apart in a binomial sample: the Gram form
     # |x|^2 + |y|^2 - 2x.y would carry an absolute error near 1e-16 on its
-    # d^2 = 4.8e-10, so both statistics must take it from differences
+    # d^2 = 4.8e-10, so the energy, the spacings and a Ripley count whose
+    # r^2 lies that near it must take it from differences
     P = spatial.binomial_sample(500, 77).points.copy()
     tangent = np.cross(P[0], [0.0, 0.0, 1.0])
     tangent /= np.linalg.norm(tangent)
@@ -281,16 +282,20 @@ def test_close_pair_keeps_its_digits():
     np.testing.assert_array_max_ulp(
         spatial.nn_spacings(pts).rescaled_values, len(P) * nn / 4, maxulp=1
     )
+    d = math.sqrt(d2[0, 1])
+    for eps in (1e-9, -1e-9, 1e-12, -1e-12):
+        r = d * (1 + eps)
+        assert spatial.ripley_k(pts, r) == int((d2[off] < r * r).sum()) == (2 if eps > 0 else 0), eps
 
 
 # ------------------------------------------------- reach-limited pair sums
 
 def ripley_full_width(pts, r):
-    """Ripley's count over every pair in one block, settling every pair as
-    the z-banded kernel does: exact integer d^2 on a lattice source (int64
-    past _FLOAT_SAFE), else the Gram form (|x|^2 + |y|^2) - 2x.y, which is
-    not the kernel's augmented product, with close pairs, and pairs within
-    _RIPLEY_TIE of r^2, recomputed from differences."""
+    """Ripley's count over every pair in one block: exact integer d^2 on a
+    lattice source (int64 past _FLOAT_SAFE), else the Gram form
+    (|x|^2 + |y|^2) - 2x.y, which is not the kernel's augmented product,
+    with close pairs, and pairs within _RIPLEY_TIE of r^2, recomputed from
+    differences, which the kernel's tie band alone must match."""
     if pts.source_n is not None and pts.int_points is not None:
         n = pts.source_n
         lim = Fraction(r) * Fraction(r) * n
@@ -1318,7 +1323,7 @@ def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
         dense = dense_difference_d2(S)
         np.fill_diagonal(dense, np.inf)
         parts = []
-        for (i0, i1, j0, j1), (k0, l0, tile, _) in zip(tiles, spatial._distance_blocks(S, tiles), strict=True):
+        for (i0, i1, j0, j1), (k0, l0, tile) in zip(tiles, spatial._distance_blocks(S, tiles), strict=True):
             assert (k0, l0) == (i0, j0)
             np.testing.assert_allclose(tile, dense[i0:i1, j0:j1], rtol=0, atol=1e-14)
             parts.append(float(spatial._ordered(np.sum, np.maximum(r * r - tile, 0.0), j0 == i0)))

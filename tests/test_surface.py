@@ -32,12 +32,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threesq"
 
 KEPT = {
-    "twosquares.window": "perfbench/tracer.py wraps it to trace the two-squares sieve",
-    "twosquares.TwoSquaresWindow": "what twosquares.window returns",
-    "lattice.PairCountTable.entries": "perfbench/tracer.py counts distinct t through it",
-    "primes.spf_limit": "the benchmark worker records the prime-table size through it",
-    "twosquares.rough_interval_check": "demos/06_two_squares_gaps.py reads it",
-    "arith.majorant_general": "the paper's majorant at general n; the tests bound pair counts by it",
     "arith.local_density": "one prime's density; the tests hold it against a Fraction oracle",
     "spatial.CellPartition.diameter_bound": "the tests bound every cell's chord diameter by it",
 }
@@ -128,6 +122,12 @@ def test_every_private_name_is_read_by_the_package():
         if not any(name in names for other, names in reads if other is not stmt)
     ]
     assert not unread, f"private names nothing in src/ reads: {unread}"
+
+
+def test_every_kept_name_is_otherwise_unread():
+    # a KEPT entry for a name that has a reader exempts nothing
+    stale = set(KEPT) - unread_names()
+    assert not stale, f"KEPT names that something outside the tests reads: {sorted(stale)}"
 
 
 def test_kept_names_exist():
