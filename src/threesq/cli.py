@@ -12,6 +12,16 @@ numbers and arrays.  A handler returns a dict (printed as canonical JSON)
 or finished text, every CSV goes through `_csv`, and each config echo is
 read off the parsed arguments.  Statistics that a lattice shell and the
 binomial baseline both report build their fields in one function each.
+
+Each statistic declares its own options once, in `_STAT_OPTIONS`: its
+shell command and `baseline --stat` take exactly those.  `baseline`
+itself declares only --stat, --N, --seed and --out; `main` parses what
+those leave with the statistic's own parser, so another statistic's
+option exits 2.  So does an option that the run's other options leave
+unread (--seed with no draw, --geodesic with --sigma, --zonal-out with no
+series), rather than being dropped and echoed into the config; only
+discrepancy --centers, which has a default, is echoed unread without
+--estimate.
 """
 
 from __future__ import annotations
@@ -202,8 +212,8 @@ def _cmd_covering(args) -> dict:
 
 def _resolve_annulus(args) -> spatial.AnnulusSpec:
     if args.sigma is not None:
-        if args.rho1 != 0.0 or args.rho2 is not None:
-            raise DomainError("give either --sigma or --rho2 (with optional --rho1), not both")
+        if args.rho1 != 0.0 or args.rho2 is not None or args.geodesic:
+            raise DomainError("give either --sigma or radii (--rho2, optional --rho1 and --geodesic), not both")
         return spatial.AnnulusSpec.cap_of_area(args.sigma)
     if args.rho2 is None:
         raise DomainError("give either --sigma or --rho2 (with optional --rho1)")
@@ -219,10 +229,10 @@ def _cmd_variance(args) -> dict:
         raise DomainError("request --samples (Monte Carlo) and/or --m-max (series)")
     if args.zonal_out and args.m_max is None:
         raise DomainError("--zonal-out writes the series' coefficient table and needs --m-max")
+    if (args.seed is None) != (args.samples is None):
+        raise DomainError("the Monte Carlo path takes --samples and an explicit --seed together")
     mc = None
     if args.samples is not None:
-        if args.seed is None:
-            raise DomainError("Monte Carlo path requires an explicit --seed")
         mc = spatial.number_variance(pts, spec, args.samples, args.seed)
     series = None
     if args.m_max is not None:
@@ -260,11 +270,11 @@ def _cmd_weyl(args) -> str:
 
 def _cmd_discrepancy(args) -> dict:
     pts = _shell_or_fail(args.n)
+    if args.estimate != (args.seed is not None):
+        raise DomainError("the sampled estimate takes --estimate and an explicit --seed together")
     bound = harmonics.discrepancy_bound(None, args.m_max, points=pts)
     estimate = None
     if args.estimate:
-        if args.seed is None:
-            raise DomainError("--estimate requires an explicit --seed")
         grid = np.geomspace(2.0 / math.sqrt(pts.size), 2.0, 32)
         estimate = harmonics.cap_discrepancy_estimate(pts, args.centers, grid, args.seed)
     return {
@@ -334,8 +344,6 @@ def _cmd_twosq_probe(args) -> dict:
 
 
 def _cmd_baseline(args) -> dict:
-    if args.seed is None:
-        raise DomainError("baseline sampling requires an explicit --seed")
     pts = spatial.binomial_sample(args.N, args.seed)
     stat = args.stat
     if stat == "covering":
@@ -383,6 +391,31 @@ _HANDLERS = {
 }
 
 
+# Each statistic's own options, declared once: its shell command and
+# `baseline --stat` take exactly these.
+_GEODESIC = ("--geodesic", {"action": "store_true", "help": "interpret radii as geodesic"})
+_STAT_OPTIONS = {
+    "energy": [("--s", {"type": float, "default": 1.0})],
+    "ripley": [("--r", {"type": float, "required": True}), _GEODESIC],
+    "spacing": [],
+    "covering": [],
+    "variance": [("--rho1", {"type": float, "default": 0.0}), ("--rho2", {"type": float}),
+                 ("--sigma", {"type": float, "help": "cap area (alternative to radii)"}),
+                 ("--samples", {"type": int}), _GEODESIC],
+    "boxes": [("--cells", {"type": int, "required": True})],
+}
+
+
+@functools.cache
+def _stat_parser(stat: str) -> argparse.ArgumentParser:
+    """A statistic's options: a parent of its shell command, and the
+    parser of what `baseline --stat <stat>` leaves after its own options."""
+    p = argparse.ArgumentParser(prog=f"threesq baseline --stat {stat}", add_help=False)
+    for flag, kw in _STAT_OPTIONS[stat]:
+        p.add_argument(flag, **kw)
+    return p
+
+
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -396,21 +429,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         return p
 
-    def shell_cmd(name, **kw):  # a command on the shell |x|^2 = n
-        p = cmd(name, **kw)
-        p.add_argument("--n", type=int, required=True)
-        return p
+    n_opt = argparse.ArgumentParser(add_help=False)
+    n_opt.add_argument("--n", type=int, required=True)
+
+    def shell_cmd(name, **kw):  # a command on the shell |x|^2 = n, with a statistic's own options
+        stat = [_stat_parser(name)] if name in _STAT_OPTIONS else []
+        return cmd(name, parents=[n_opt, *stat], **kw)
 
     shell_cmd("enumerate", help="list all integer points with |x|^2 = n")
 
     shell_cmd("pairs", help="inner-product histogram as CSV")
 
-    p = shell_cmd("energy", help="Riesz s-energy of the projected shell")
-    p.add_argument("--s", type=float, default=1.0)
+    shell_cmd("energy", help="Riesz s-energy of the projected shell")
 
-    p = shell_cmd("ripley", help="pair count below chord distance r")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--geodesic", action="store_true", help="interpret radii as geodesic")
+    shell_cmd("ripley", help="pair count below chord distance r")
 
     shell_cmd("spacing", help="nearest-neighbour spacing summary")
 
@@ -418,18 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh-check", type=float, default=None, help="also report the lower end of the certified covering interval (cube-sphere branch and bound) at this resolution")
 
     p = shell_cmd("variance", help="annulus count variance (Monte Carlo and/or series)")
-    p.add_argument("--rho1", type=float, default=0.0)
-    p.add_argument("--rho2", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None, help="cap area (alternative to radii)")
-    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--m-max", type=int, default=None, dest="m_max")
-    p.add_argument("--geodesic", action="store_true")
     p.add_argument("--zonal-out", default=None, dest="zonal_out",
                    help="also write the zonal coefficient table (CSV) here")
 
-    p = shell_cmd("boxes", help="equal-area cell occupancy moments")
-    p.add_argument("--cells", type=int, required=True)
+    shell_cmd("boxes", help="equal-area cell occupancy moments")
 
     p = shell_cmd("weyl", help="harmonic sums of one degree as CSV")
     p.add_argument("--degree", type=int, required=True)
@@ -451,18 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
 
-    p = cmd("baseline", help="binomial-process analog of a statistic")
-    p.add_argument("--stat", required=True, choices=["ripley", "energy", "spacing", "covering", "variance", "boxes"])
+    # --s would abbreviate --stat and --seed: a statistic's options are
+    # left whole for its own parser
+    p = cmd("baseline", help="binomial-process analog of a statistic", description="--stat S takes the options of the shell command S", allow_abbrev=False)
+    p.add_argument("--stat", required=True, choices=list(_STAT_OPTIONS))
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--r", type=float, default=0.1)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--rho1", type=float, default=0.0)
-    p.add_argument("--rho2", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--cells", type=int, default=100)
-    p.add_argument("--geodesic", action="store_true")
+    p.add_argument("--seed", type=int, required=True)
 
     return top
 
@@ -470,7 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        if args.command == "baseline":
+            _stat_parser(args.stat).parse_args(rest, args)
+        elif rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

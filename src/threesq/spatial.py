@@ -871,13 +871,10 @@ class VarianceReport:
     """Monte Carlo counts over uniformly random annulus centers."""
 
     n: int | None
-    annulus: AnnulusSpec
     samples: int
     mean: float
     variance: float
-    expected_mean: float
     seed: int
-    n_points: int
     variance_stderr: float
 
 
@@ -991,13 +988,10 @@ def number_variance(
     var_of_var = max(0.0, (m4 - (S - 3) / (S - 1) * variance**2) / S)
     return VarianceReport(
         n=pts.source_n,
-        annulus=spec,
         samples=samples,
         mean=mean,
         variance=variance,
-        expected_mean=N * spec.area,
         seed=seed,
-        n_points=N,
         variance_stderr=math.sqrt(var_of_var),
     )
 

@@ -153,10 +153,10 @@ _NO_SCIPY_RUNS = [
     ["verify-arith", "--n-max", "20"],
     ["twosq-gaps", "--y-list", "100"],
     ["twosq-probe", "--m", "5", "--h", "1"],
-    *(
-        ["baseline", "--stat", stat, "--N", "50", "--seed", "1", "--sigma", "0.3", "--samples", "100"]
-        for stat in ("ripley", "energy", "variance", "boxes")
-    ),
+    ["baseline", "--stat", "ripley", "--N", "50", "--seed", "1", "--r", "0.1"],
+    ["baseline", "--stat", "energy", "--N", "50", "--seed", "1"],
+    ["baseline", "--stat", "variance", "--N", "50", "--seed", "1", "--sigma", "0.3", "--samples", "100"],
+    ["baseline", "--stat", "boxes", "--N", "50", "--seed", "1", "--cells", "100"],
 ]
 _SCIPY_RUNS = [
     ["spacing", "--n", "101"],
@@ -402,9 +402,16 @@ def rerun_args(draw):
         m_max = str(draw(st.integers(1, 40)))
         return ["variance", "--n", n, "--sigma", sigma, "--samples", samples, "--seed", seed, "--m-max", m_max]
     if kind == "baseline":
-        stat = draw(st.sampled_from(["ripley", "energy", "spacing", "covering", "variance", "boxes"]))
         big_n = str(draw(st.integers(50, 500)))
-        return ["baseline", "--stat", stat, "--N", big_n, "--seed", seed, "--sigma", sigma, "--samples", samples]
+        own = draw(st.sampled_from([
+            ["ripley", "--r", repr(draw(st.floats(1e-3, 2.0)))],
+            ["energy"],
+            ["spacing"],
+            ["covering"],
+            ["variance", "--sigma", sigma, "--samples", samples],
+            ["boxes", "--cells", str(draw(st.integers(1, 200)))],
+        ]))
+        return ["baseline", "--stat", own[0], "--N", big_n, "--seed", seed, *own[1:]]
     m_max = str(draw(st.integers(1, 30)))
     return ["discrepancy", "--n", n, "--m-max", m_max, "--estimate", "--centers", samples, "--seed", seed]
 
@@ -546,11 +553,18 @@ def test_negative_seed_is_a_domain_error(argv, capsys):
         (["variance", "--n", "5", "--sigma", "0.1", "--rho2", "0.5", "--m-max", "3"], "not both"),
         (["baseline", "--stat", "variance", "--N", "10", "--seed", "1", "--sigma", "0.1", "--rho1", "0.2",
           "--samples", "100"], "not both"),
+        (["variance", "--n", "5", "--sigma", "0.1", "--geodesic", "--m-max", "3"], "--geodesic"),
+        (["baseline", "--stat", "variance", "--N", "10", "--seed", "1", "--sigma", "0.1", "--geodesic",
+          "--samples", "100"], "--geodesic"),
+        (["variance", "--n", "5", "--sigma", "0.1", "--seed", "1", "--m-max", "3"], "--samples"),
+        (["discrepancy", "--n", "5", "--m-max", "3", "--seed", "1"], "--estimate"),
     ],
-    ids=["zonal-out-without-series", "sigma-and-radii", "sigma-and-rho2", "baseline-sigma-and-rho1"],
+    ids=["zonal-out-without-series", "sigma-and-radii", "sigma-and-rho2", "baseline-sigma-and-rho1",
+         "sigma-and-geodesic", "baseline-sigma-and-geodesic", "seed-without-samples", "seed-without-estimate"],
 )
 def test_variance_refuses_options_it_cannot_use(argv, needle, capsys, tmp_path):
-    # the table needs the series, and a cap of area sigma would drop the radii
+    # the table needs the series, a cap of area sigma would drop the radii
+    # and their conversion, and a seed with no draw would seed nothing
     zpath = tmp_path / "z.csv"
     if argv[-1] == "--zonal-out":
         argv = [*argv, str(zpath)]
@@ -601,11 +615,36 @@ def test_baseline_stats_all_run(capsys):
 
 def test_baseline_zero_ripley_baseline(capsys):
     # one point has no pairs: baseline 0, reported ratio 0
-    assert main(["baseline", "--stat", "ripley", "--N", "1", "--seed", "1"]) == 0
+    assert main(["baseline", "--stat", "ripley", "--N", "1", "--seed", "1", "--r", "0.1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["result"]["baseline"] == 0.0
     assert out["result"]["ratio"] == 0.0
     assert "m_max" not in out["config"]
+
+
+@pytest.mark.parametrize(
+    "stat_args, needle",
+    [
+        (["energy", "--sigma", "0.3"], "unrecognized arguments: --sigma 0.3"),
+        (["spacing", "--r", "0.2", "--geodesic"], "unrecognized arguments: --r 0.2 --geodesic"),
+        (["ripley", "--r", "0.2", "--s", "2"], "unrecognized arguments: --s 2"),
+        (["boxes", "--cells", "7", "--samples", "100"], "unrecognized arguments: --samples 100"),
+        (["covering", "--cells", "7"], "unrecognized arguments: --cells 7"),
+        (["variance", "--sigma", "0.1", "--samples", "100", "--cells", "7"], "unrecognized arguments: --cells 7"),
+        (["ripley"], "required: --r"),
+        (["boxes"], "required: --cells"),
+    ],
+    ids=["energy-sigma", "spacing-r-geodesic", "ripley-s", "boxes-samples", "covering-cells", "variance-cells",
+         "ripley-without-r", "boxes-without-cells"],
+)
+def test_baseline_takes_exactly_its_statistics_options(stat_args, needle, capsys):
+    # a statistic takes the same options under baseline as on its shell
+    # command: another statistic's option is refused, not dropped
+    argv = ["baseline", "--stat", stat_args[0], "--N", "20", "--seed", "1", *stat_args[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert captured.out == ""
 
 
 def test_baseline_has_no_m_max_flag():
@@ -649,22 +688,40 @@ def test_config_echoes_parser_options(capsys):
         "verify-arith": ["--n-max", "5"],
         "twosq-gaps": ["--y-list", "9"],
         "twosq-probe": ["--m", "5", "--h", "1"],
-        "baseline": ["--stat", "spacing", "--N", "20", "--seed", "1"],
     }
-    assert set(cases) | {"enumerate"} == set(subparsers.choices)
-    for command, args in cases.items():
-        assert main([command, *args]) == 0, command
+    # each statistic's own options in declaration order, and a run of it
+    stats = {
+        "energy": ([], ["s"]),
+        "ripley": (["--r", "0.5"], ["r", "geodesic"]),
+        "spacing": ([], []),
+        "covering": ([], []),
+        "variance": (["--sigma", "0.3", "--samples", "100"], ["rho1", "rho2", "sigma", "samples", "geodesic"]),
+        "boxes": (["--cells", "4"], ["cells"]),
+    }
+    assert set(cases) | {"enumerate", "baseline"} == set(subparsers.choices)
+
+    def config_of(argv):
+        assert main(argv) == 0, argv
         text = capsys.readouterr().out
         if text.startswith("# config: "):
-            config = json.loads(text.splitlines()[0].removeprefix("# config: "))
-        else:
-            config = json.loads(text)["config"]
+            return json.loads(text.splitlines()[0].removeprefix("# config: "))
+        return json.loads(text)["config"]
+
+    for command, args in cases.items():
+        config = config_of([command, *args])
         options = [
             a.dest for a in subparsers.choices[command]._actions
             if a.dest not in ("help", "out", "seed")
         ]
         assert list(config) == ["command", *options, "seed"], command
         assert config["command"] == command
+        if command in stats:  # the shell command takes the statistic's options after n
+            own = stats[command][1]
+            assert list(config)[2 : 2 + len(own)] == own, command
+    for stat, (args, own) in stats.items():
+        config = config_of(["baseline", "--stat", stat, "--N", "20", "--seed", "1", *args])
+        assert list(config) == ["command", "stat", "N", *own, "seed"], stat
+        assert config["command"] == "baseline" and config["stat"] == stat
 
 
 def test_verify_arith_clean(capsys):

@@ -14,11 +14,15 @@ module must be read by `src/` itself, outside its own definition, so no
 helper outlives its last caller; the tests may reach into private names,
 but they do not keep one alive.
 
+Every option the command-line parsers declare is read as `args.<dest>`
+in `cli.py`, so no flag is parsed, echoed and then dropped.
+
 Every work or memory refusal goes through `errors.budget`: each entry of
 `errors.BUDGETS` is named by some call of it, and no other DomainError
 of the package speaks of a budget or a cap.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -27,6 +31,7 @@ from pathlib import Path
 
 import threesq
 from threesq import errors
+from threesq.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "threesq"
@@ -186,3 +191,24 @@ def test_no_refusal_outside_the_registry_speaks_of_a_budget():
 def test_readme_limits_table_lists_every_budget():
     rows = re.findall(r"^\| `(\w+)` \|", (ROOT / "README.md").read_text(), re.MULTILINE)
     assert rows == list(errors.BUDGETS)
+
+
+def test_every_cli_option_has_a_reader():
+    # the general form of test_threads_flag_is_gone and
+    # test_twosq_probe_has_no_delta_flag in tests/test_cli.py
+    top = build_parser()
+    subparsers = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        action.dest
+        for parser in [top, *subparsers.choices.values()]
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    assert "command" in declared and "cells" in declared
+    assert not declared - read, f"options cli.py never reads: {sorted(declared - read)}"
