@@ -19,9 +19,9 @@ itself declares only --stat, --N, --seed and --out; `main` parses what
 those leave with the statistic's own parser, so another statistic's
 option exits 2.  So does an option that the run's other options leave
 unread (--seed with no draw, --geodesic with --sigma, --zonal-out with no
-series), rather than being dropped and echoed into the config; only
-discrepancy --centers, which has a default, is echoed unread without
---estimate.
+series), rather than being dropped and echoed into the config; so
+discrepancy --centers has no default, and draws its centers only when
+given, with --seed.
 """
 
 from __future__ import annotations
@@ -270,11 +270,11 @@ def _cmd_weyl(args) -> str:
 
 def _cmd_discrepancy(args) -> dict:
     pts = _shell_or_fail(args.n)
-    if args.estimate != (args.seed is not None):
-        raise DomainError("the sampled estimate takes --estimate and an explicit --seed together")
+    if (args.seed is None) != (args.centers is None):
+        raise DomainError("the sampled estimate takes --centers and an explicit --seed together")
     bound = harmonics.discrepancy_bound(None, args.m_max, points=pts)
     estimate = None
-    if args.estimate:
+    if args.centers is not None:
         grid = np.geomspace(2.0 / math.sqrt(pts.size), 2.0, 32)
         estimate = harmonics.cap_discrepancy_estimate(pts, args.centers, grid, args.seed)
     return {
@@ -283,7 +283,7 @@ def _cmd_discrepancy(args) -> dict:
         "N": pts.size,
         "m_max": args.m_max,
         "bound": bound,
-        "centers": args.centers if args.estimate else None,
+        "centers": args.centers,
         "seed": args.seed,
         "estimate": estimate,
     }
@@ -463,8 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = shell_cmd("discrepancy", help="discrepancy bound shape and sampled estimate")
     p.add_argument("--m-max", type=int, required=True, dest="m_max")
-    p.add_argument("--estimate", action="store_true")
-    p.add_argument("--centers", type=int, default=1000)
+    p.add_argument("--centers", type=int)
     p.add_argument("--seed", type=int, default=None)
 
     p = cmd("verify-arith", help="pair-count formula versus direct counting")

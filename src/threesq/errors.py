@@ -87,10 +87,15 @@ BUDGETS: dict[str, Budget] = {
     # integers the int32 smallest-prime-factor table of primes may cover
     # (128 MB)
     "prime_table": Budget(1 << 25, "integers"),
-    # highest series degree on a whole lattice shell, whose pair sums come
-    # from the pair table: the degree loop is interpreted and keeps a few
-    # floats per degree
-    "shell_degree": Budget(1 << 16, "degrees"),
+    # order terms of one harmonic-sum recurrence, rows x (M + 1)(M + 2)/2
+    # at degree M: harmonics._harmonic_sums (rows are the points, or the
+    # z-axis orbits of a whole shell) and harmonics.weyl_sums (every
+    # point).  2-vCPU Xeon, OpenBLAS 1 thread: the sums take 5.5-7.3 ns a
+    # term on hundreds of rows or more (0.23 s for the 1 913 orbits of
+    # n = 1e7+19 at M = 200) and 10.8 ns on 128 rows at M = 2000, the
+    # real basis of weyl_sums 3.8-4.0 ns; so the limit is about 10 s of
+    # sums, and it admits n = 1e10+19 at M = 200 (1.21e9 terms)
+    "harmonic_terms": Budget(1_500_000_000, "order terms"),
     # verify-arith's predicted work, in (n, t) rows and Gram products: the
     # formula table has at most sum_{n <= X} (2n - 1) = X^2 rows at
     # n_max = X, and the pair tables take about sum_{n <= X} r3(n)^2 / 48

@@ -18,15 +18,17 @@ aggregate of plain harmonic sums is
 
 and V = sum_{m>=1} h(m)^2/(4*pi) * aggregate(m).
 
-The pair sums S_m = sum_{x,y} P_m(x.y) of a whole lattice shell are read
-from its exact inner-product histogram (the pair table, built by the
-orbit-reduced Gram kernel) as sum_t c(t) P_m(t/n).  Any other set takes
-them from the other side of the addition theorem, as sums of squares of
-its harmonic sums over every degree at once (`_harmonic_sums`): O(N M^2)
-work with no pair loop, against O(N^2 M) for the pairs.  The discrepancy
-bound reads the magnitudes of the same harmonic sums.  The basis sums in
-`weyl_sums` run order outer, one degree at a time, and use neither, so
-they stay an independent check of both.
+Every set takes the pair sums S_m = sum_{x,y} P_m(x.y) from the addition
+theorem, as sums of squares of its harmonic sums over every degree at
+once (`_harmonic_sums`): O(N M^2) work with no pair loop, against
+O(N^2 M) for the pairs.  A whole lattice shell sums over one point per
+orbit of the 16 signed permutations that fix the z axis, about N/16
+points, and keeps the orders its symmetry leaves.  The discrepancy bound
+reads the magnitudes of the same harmonic sums.  The basis sums in
+`weyl_sums` run order outer, one degree at a time, over every point, so
+they stay an independent check of both.  Nothing here reads the pair
+table; its readers are the energy, `lattice.pairs_in_band` and
+`lattice.pair_count`, and the `pairs` and `verify-arith` commands.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, budget
-from .lattice import enumerate_points, pair_table
+from .lattice import enumerate_points
 from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_whole_shell, _random_units, _rng, project
 
 MAX_DEGREE = 2000
@@ -81,25 +83,15 @@ def zonal_coeffs(spec: AnnulusSpec, m_max: int) -> np.ndarray:
 def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
     """S_m = sum over all ordered pairs (diagonal included) of P_m(x.y), m <= m_max.
 
-    A whole shell reads them from its pair table, sum_t c(t) P_m(t/n).  Any
-    other set takes them from the addition theorem, S_m = 4 pi/(2m+1)
-    (|W_0|^2 + 2 sum_{mu>=1} |W_mu|^2) over its harmonic sums W_m^mu of
-    `_harmonic_sums`, and is refused above MAX_DEGREE before anything is
-    allocated.  Every term is a sum of squares, so S_m >= 0 exactly, and
-    S_0 = N^2.  Work is O(N m_max^2), which beats the O(N^2 m_max) of the
-    pairs while m_max is below about N (at N = 500, m_max = 400 the pairs
-    were about 3x faster; no caller runs there).
+    From the addition theorem, S_m = 4 pi/(2m+1) (|W_0|^2 + 2 sum_{mu>=1}
+    |W_mu|^2) over the harmonic sums W_m^mu of `_harmonic_sums`.  Every
+    term is a sum of squares, so S_m >= 0 exactly, and S_0 = N^2.  Work is
+    O(R m_max^2) over R rows (N, or about N/16 on a whole shell), which
+    beats the O(N^2 m_max) of the pairs while m_max is below about N (at
+    N = 500, m_max = 400 the pairs were about 3x faster; no caller runs
+    there).
     """
-    if _is_whole_shell(pts):
-        tbl = pair_table(pts.source_n)
-        c = tbl.count.astype(np.float64)
-        x = tbl.t / float(tbl.n)
-        # einsum, not BLAS: a threaded ddot would tie the digits to the thread count
-        sums = (np.einsum("i,i->", c, p) for p in _legendre_seq(m_max, x))
-        return np.fromiter(sums, np.float64, m_max + 1)
-    if m_max > MAX_DEGREE:
-        raise DomainError(f"m_max must be at most {MAX_DEGREE} for a set that is not a whole shell")
-    W, start = _harmonic_sums(pts.points, m_max)
+    W, start = _harmonic_sums(pts, m_max)
     sums = np.empty(m_max + 1)
     sums[0] = float(pts.size) * pts.size
     for m in range(1, m_max + 1):
@@ -109,7 +101,18 @@ def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
     return sums
 
 
-def _harmonic_sums(U: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _z_orbits(pts: UnitPointSet) -> tuple[np.ndarray, np.ndarray]:
+    """One unit point per orbit of a whole shell under the 16 signed
+    permutations that fix the z axis, and the orbit sizes.
+
+    (min(|x|, |y|), max(|x|, |y|)) keys the orbit, since n then fixes |z|.
+    """
+    lo, hi = np.sort(np.abs(pts.int_points[:, :2]), axis=1).T
+    _, first, size = np.unique(hi * (int(hi.max(initial=0)) + 1) + lo, return_index=True, return_counts=True)
+    return pts.points[first], size
+
+
+def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Complex harmonic sums W_m^mu of a point set, 0 <= mu <= m <= m_max.
 
     W_m^mu = sum_x P~_m^mu(z_x) e^{i mu phi_x}, with P~ the fully normalized
@@ -123,25 +126,39 @@ def _harmonic_sums(U: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
     At the poles the degree step's rounding grows like m^2 eps: one point
     there gives S_m = 1 within 2e-14 at m = 60 and 9e-11 at m = 2000.
 
-    Points go in chunks of _PAIR_ENTRIES // (m_max + 1), so the three
-    recurrence arrays hold at most about _PAIR_ENTRIES entries each, and
-    the order sums, (m_max + 1)(m_max + 2)/2 of them, are accumulated
-    across chunks (153 at m_max = 16, within the budget up to m_max = 360,
-    32 MB at MAX_DEGREE).
+    A whole shell sums over one point per orbit of `_z_orbits`, weighted by
+    the orbit size through the recurrence's starting value.  The quarter
+    turn about z, y -> -y and z -> -z each map the shell onto itself, so
+    W_m^mu vanishes unless m is even and 4 | mu, and there it is the
+    weighted sum of Re Y_m^mu; the other orders are set to 0, and the sums
+    are returned real.
+
+    Degrees past MAX_DEGREE are refused before the whole-shell test
+    enumerates, and R rows (points or orbits) past the "harmonic_terms"
+    budget of `errors.BUDGETS`, R (m_max + 1)(m_max + 2)/2 order terms,
+    before any allocation.  Rows go in chunks of _PAIR_ENTRIES //
+    (m_max + 1), so the three recurrence arrays hold at most about
+    _PAIR_ENTRIES entries each, and the order sums are accumulated across
+    chunks (153 at m_max = 16, no more than _PAIR_ENTRIES up to
+    m_max = 360, 32 MB at MAX_DEGREE).
     """
-    N = len(U)
+    if m_max > MAX_DEGREE:
+        raise DomainError(f"m_max must be at most {MAX_DEGREE} for the harmonic sums")
+    whole = _is_whole_shell(pts)
+    U, weight = _z_orbits(pts) if whole else (pts.points, np.ones(pts.size))
     start = np.arange(m_max + 2)
     start = start * (start + 1) // 2
+    budget("harmonic_terms", len(U) * int(start[-1]), f"harmonic sums to degree {m_max}")
     acc = np.zeros(start[-1], dtype=complex)
     orders = np.arange(m_max, dtype=np.float64)
     rows = max(1, _PAIR_ENTRIES // (m_max + 1))
-    for i0 in range(0, N, rows):
+    for i0 in range(0, len(U), rows):
         X = U[i0 : i0 + rows]
         z, xy = X[:, 2], X[:, 0] + 1j * X[:, 1]
         prev = np.zeros((m_max + 1, len(X)), dtype=complex)
         cur = np.zeros_like(prev)
         tmp = np.empty_like(prev)
-        cur[0] = _ORDER_SCALE / math.sqrt(4.0 * math.pi)
+        cur[0] = _ORDER_SCALE / math.sqrt(4.0 * math.pi) * weight[i0 : i0 + rows]
         acc[0] += cur[0].sum()
         for m in range(1, m_max + 1):
             mu = orders[:m]
@@ -158,6 +175,9 @@ def _harmonic_sums(U: np.ndarray, m_max: int) -> tuple[np.ndarray, np.ndarray]:
             prev, cur = cur, prev
             acc[start[m] : start[m + 1]] += cur[: m + 1].sum(axis=1)
     acc /= _ORDER_SCALE
+    if whole:  # order mu of degree m sits at start[m] + mu
+        m = np.repeat(np.arange(m_max + 1), np.arange(1, m_max + 2))
+        acc = np.where((m % 2 == 0) & ((np.arange(len(acc)) - start[m]) % 4 == 0), acc.real, 0.0)
     return acc, start
 
 
@@ -224,10 +244,7 @@ def real_harmonic_basis(deg: int, points: np.ndarray) -> np.ndarray:
 class WeylSumTable:
     """Harmonic sums of one degree over a point set."""
 
-    n: int | None
-    degree: int
     values: np.ndarray  # (2*degree + 1,)
-    normalized: bool
 
     def aggregate(self) -> float:
         """Basis-independent rotation invariant sum_j W_j^2."""
@@ -254,16 +271,21 @@ def weyl_sums(
     """Sums of an orthonormal degree-`degree` harmonic basis over a shell.
 
     Odd degrees vanish for lattice shells (antipodal symmetry); the
-    aggregate sum of squares does not depend on the basis choice.
+    aggregate sum of squares does not depend on the basis choice.  Every
+    point is summed, with no use of the shell's symmetry, so these sums
+    stay an independent check of `_harmonic_sums`; N (degree + 1)(degree
+    + 2)/2 order terms past the "harmonic_terms" budget of
+    `errors.BUDGETS` are refused before the basis is built.
     """
     if degree < 1 or degree > MAX_DEGREE:
         raise DomainError(f"degree must lie in [1, {MAX_DEGREE}]")
     pts = _resolve_points(n, points)
+    budget("harmonic_terms", pts.size * (degree + 1) * (degree + 2) // 2, f"harmonic basis of degree {degree}")
     basis = real_harmonic_basis(degree, pts.points)
     vals = basis.sum(axis=1)
     if normalized:
         vals = vals / pts.size
-    return WeylSumTable(pts.source_n, degree, vals, normalized)
+    return WeylSumTable(vals)
 
 
 @dataclass
@@ -294,19 +316,16 @@ def variance_series(
     """Closed-form count variance over random centers, truncated at m_max.
 
     V = sum_{m=1..m_max} h(m)^2/(4 pi) * (2m+1)/(4 pi) * sum_{x,y} P_m(x.y).
-    A set that is not a whole lattice shell takes the pair sums from its
-    harmonic sums and is refused above MAX_DEGREE before anything is
-    allocated; a whole shell is refused past the "shell_degree" budget of
-    `errors.BUDGETS`.  Terms are nonnegative, so partial sums increase
-    toward the Monte Carlo variance of the annulus count over uniform
-    centers.  The returned
+    The pair sums come from the harmonic sums (`_harmonic_sums`, which
+    refuses above MAX_DEGREE and past its budget before allocating).  Terms
+    are nonnegative, so partial sums increase toward the Monte Carlo
+    variance of the annulus count over uniform centers.  The returned
     `tail_estimate` indicates the truncation error but does not bound it
     while m_max is below about sqrt(N), so |series - Monte Carlo| can
     exceed it there on correct code.
     """
     if m_max < 1:
         raise DomainError("m_max must be positive")
-    budget("shell_degree", m_max, "variance series")
     pts = _resolve_points(n, points)
     sums = _pair_legendre_sums(pts, m_max)
     h = zonal_coeffs(spec, m_max)
@@ -336,7 +355,7 @@ def discrepancy_bound(
     if not 1 <= m_max <= MAX_DEGREE:
         raise DomainError(f"m_max must lie in [1, {MAX_DEGREE}]")
     pts = _resolve_points(n, points)
-    W, start = _harmonic_sums(pts.points, m_max)
+    W, start = _harmonic_sums(pts, m_max)
     mags = math.sqrt(2.0) * (np.abs(W.real) + np.abs(W.imag))
     first = start[1:-1]  # order 0 of degrees 1..m_max
     mags[first] = np.abs(W[first])

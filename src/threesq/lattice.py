@@ -9,9 +9,11 @@ test (`_two_squares`) and one group table.  Shells past _FLOAT_SAFE = 2^50
 are refused: their enumeration would take weeks, and below it every float
 dot product of two points is exact.
 
-The same group drives the pair statistics.  Every function of x.y over a
-whole shell is read from the exact inner-product histogram (`pair_table`),
-and that histogram comes from one orbit-reduced Gram kernel: one
+The same group drives the pair statistics.  The exact inner-product
+histogram of a whole shell (`pair_table`) is read by the energy, by
+`pairs_in_band` and `pair_count`, and by the `pairs` and `verify-arith`
+commands; the harmonic sums take a shell's symmetry without it.  The
+histogram comes from one orbit-reduced Gram kernel: one
 representative per orbit is dotted with all N points, and its row is
 weighted by the orbit size, since a signed permutation maps the shell onto
 itself and keeps x.y.  That is about N^2/48 integer products instead of N^2,

@@ -68,7 +68,7 @@ def case_center_products(mp):
         (100 * 256, lambda: spatial.number_variance(shell, spatial.AnnulusSpec.cap(0.5), 100, 1)),
         (100 * 1024, lambda: harmonics.cap_discrepancy_estimate(shell, 100, [0.5], 1)),
         (100 * 256, ["variance", "--n", "5", "--sigma", "0.1", "--samples", "100", "--seed", "1"]),
-        (100 * 1024, ["discrepancy", "--n", "5", "--m-max", "5", "--estimate", "--centers", "100", "--seed", "1"]),
+        (100 * 1024, ["discrepancy", "--n", "5", "--m-max", "5", "--centers", "100", "--seed", "1"]),
     ]
 
 
@@ -151,12 +151,23 @@ def case_prime_table(mp):
     ]
 
 
-def case_shell_degree(mp):
-    forbid(mp, harmonics, "_pair_legendre_sums")
+def case_harmonic_terms(mp):
+    # the first work after the check: the order sums' array of
+    # _harmonic_sums, and the real basis of weyl_sums
+    mp.setattr(harmonics, "np", Forbidding(np, "zeros"))
+    forbid(mp, harmonics, "real_harmonic_basis")
     spec = spatial.AnnulusSpec.cap_of_area(0.1)
+    pts = spatial.binomial_sample(10, 1)
+    # 36 order terms to degree 7 per row: the 24 points of n = 5, or its 3
+    # orbits under the signed permutations that fix the z axis
     return [
-        (7, lambda: harmonics.variance_series(5, spec, 7)),
-        (7, ["variance", "--n", "5", "--sigma", "0.1", "--m-max", "7"]),
+        (10 * 36, lambda: harmonics.variance_series(None, spec, 7, points=pts)),
+        (3 * 36, lambda: harmonics.variance_series(5, spec, 7)),
+        (3 * 36, lambda: harmonics.discrepancy_bound(5, 7)),
+        (24 * 36, lambda: harmonics.weyl_sums(5, 7)),
+        (3 * 36, ["variance", "--n", "5", "--sigma", "0.1", "--m-max", "7"]),
+        (3 * 36, ["discrepancy", "--n", "5", "--m-max", "7"]),
+        (24 * 36, ["weyl", "--n", "5", "--degree", "7"]),
     ]
 
 

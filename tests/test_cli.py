@@ -149,7 +149,7 @@ _NO_SCIPY_RUNS = [
     ["variance", "--n", "5", "--sigma", "0.3", "--samples", "100", "--seed", "1", "--m-max", "6"],
     ["boxes", "--n", "5", "--cells", "10"],
     ["weyl", "--n", "5", "--degree", "2"],
-    ["discrepancy", "--n", "5", "--m-max", "4", "--estimate", "--centers", "100", "--seed", "1"],
+    ["discrepancy", "--n", "5", "--m-max", "4", "--centers", "100", "--seed", "1"],
     ["verify-arith", "--n-max", "20"],
     ["twosq-gaps", "--y-list", "100"],
     ["twosq-probe", "--m", "5", "--h", "1"],
@@ -312,8 +312,8 @@ def test_monte_carlo_counts_refuse_over_budget_before_drawing(capsys, monkeypatc
     runs = [
         ["variance", "--n", "5", "--sigma", "0.1", "--samples", "1000000000000", "--seed", "1"],
         ["variance", "--n", "100057", "--sigma", "0.01", "--samples", "1000000", "--seed", "1"],
-        ["discrepancy", "--n", "5", "--m-max", "5", "--estimate", "--centers", "100000000", "--seed", "1"],
-        ["discrepancy", "--n", "5", "--m-max", "5", "--estimate", "--centers", "1000000", "--seed", "1"],
+        ["discrepancy", "--n", "5", "--m-max", "5", "--centers", "100000000", "--seed", "1"],
+        ["discrepancy", "--n", "5", "--m-max", "5", "--centers", "1000000", "--seed", "1"],
     ]
     for argv in runs:
         assert main(argv) == 2, argv
@@ -353,7 +353,9 @@ def test_discrepancy_refuses_degrees_past_max(capsys):
 def test_variance_refuses_shell_degrees_past_cap(capsys):
     import time
 
-    limit = BUDGETS["shell_degree"].limit
+    from threesq import harmonics
+
+    limit = harmonics.MAX_DEGREE
     start = time.perf_counter()
     assert main(["variance", "--n", "5", "--sigma", "0.1", "--m-max", str(limit + 1)]) == 2
     assert time.perf_counter() - start < 1.0
@@ -413,7 +415,7 @@ def rerun_args(draw):
         ]))
         return ["baseline", "--stat", own[0], "--N", big_n, "--seed", seed, *own[1:]]
     m_max = str(draw(st.integers(1, 30)))
-    return ["discrepancy", "--n", n, "--m-max", m_max, "--estimate", "--centers", samples, "--seed", seed]
+    return ["discrepancy", "--n", n, "--m-max", m_max, "--centers", samples, "--seed", seed]
 
 
 # every example is two fresh processes, so the examples are few
@@ -536,7 +538,7 @@ def test_geodesic_radius_pi_is_the_whole_sphere(capsys):
         ["variance", "--n", "5", "--sigma", "0.1", "--samples", "100", "--seed", "-1"],
         ["baseline", "--stat", "energy", "--N", "10", "--seed", "-1"],
         ["baseline", "--stat", "variance", "--N", "10", "--seed", "-1", "--sigma", "0.1", "--samples", "100"],
-        ["discrepancy", "--n", "5", "--m-max", "3", "--estimate", "--centers", "100", "--seed", "-1"],
+        ["discrepancy", "--n", "5", "--m-max", "3", "--centers", "100", "--seed", "-1"],
     ],
     ids=["variance", "baseline", "baseline-variance", "discrepancy"],
 )
@@ -557,10 +559,12 @@ def test_negative_seed_is_a_domain_error(argv, capsys):
         (["baseline", "--stat", "variance", "--N", "10", "--seed", "1", "--sigma", "0.1", "--geodesic",
           "--samples", "100"], "--geodesic"),
         (["variance", "--n", "5", "--sigma", "0.1", "--seed", "1", "--m-max", "3"], "--samples"),
-        (["discrepancy", "--n", "5", "--m-max", "3", "--seed", "1"], "--estimate"),
+        (["discrepancy", "--n", "5", "--m-max", "3", "--seed", "1"], "--centers"),
+        (["discrepancy", "--n", "5", "--m-max", "3", "--centers", "100"], "--seed"),
     ],
     ids=["zonal-out-without-series", "sigma-and-radii", "sigma-and-rho2", "baseline-sigma-and-rho1",
-         "sigma-and-geodesic", "baseline-sigma-and-geodesic", "seed-without-samples", "seed-without-estimate"],
+         "sigma-and-geodesic", "baseline-sigma-and-geodesic", "seed-without-samples", "seed-without-centers",
+         "centers-without-seed"],
 )
 def test_variance_refuses_options_it_cannot_use(argv, needle, capsys, tmp_path):
     # the table needs the series, a cap of area sigma would drop the radii

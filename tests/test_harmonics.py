@@ -5,11 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threesq import harmonics, lattice, spatial
-from threesq.errors import BUDGETS, DomainError
+from threesq.errors import DomainError
 
 
 # ---------------------------------------------------------------- oracles
@@ -33,9 +33,18 @@ def legendre(m: int, t):
 def weyl_aggregate(degree: int, pts) -> float:
     """The degree-d aggregate sum_j W_j^2 without the real basis, through
     the addition theorem: (2d+1)/(4 pi) S_d, S_d from
-    `harmonics._pair_legendre_sums` (a whole shell's pair table, any other
-    set's complex harmonic sums, which run no code of `weyl_sums`)."""
+    `harmonics._pair_legendre_sums` (complex harmonic sums, over one point
+    per z-axis orbit on a whole shell, which run no code of `weyl_sums`)."""
     return (2 * degree + 1) / (4.0 * math.pi) * float(harmonics._pair_legendre_sums(pts, degree)[degree])
+
+
+def table_legendre_sums(n: int, m_max: int) -> np.ndarray:
+    """S_m = sum_t c(t) P_m(t/n) over the exact inner-product histogram of
+    a whole shell (`lattice.pair_table`), m <= m_max: the pairs' side of
+    the addition theorem, which sums no harmonic."""
+    tbl = lattice.pair_table(n)
+    c = tbl.count.astype(np.float64)
+    return np.array([math.fsum((c * p).tolist()) for p in harmonics._legendre_seq(m_max, tbl.t / float(n))])
 
 
 def rotation(alpha: float, beta: float) -> np.ndarray:
@@ -291,29 +300,68 @@ def test_float_route_refuses_degrees_past_max_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16  # the order sums alone would take 32 MB
-    # a whole shell reads the pair table, up to its "shell_degree" budget
-    assert harmonics.variance_series(5, spec, harmonics.MAX_DEGREE + 1).value > 0
 
 
 def test_shell_route_refuses_degrees_past_cap_before_allocating():
+    # a whole shell takes the same harmonic sums, so the same MAX_DEGREE
     spec = spatial.AnnulusSpec.cap_of_area(0.1)
+    shell = spatial.unit_shell(5)
+    assert harmonics.variance_series(None, spec, harmonics.MAX_DEGREE, points=shell).value > 0
     tracemalloc.start()
     try:
-        for m_max in (BUDGETS["shell_degree"].limit + 1, 10**8):
-            with pytest.raises(DomainError):
-                harmonics.variance_series(5, spec, m_max)
+        for m_max in (harmonics.MAX_DEGREE + 1, 10**8):
+            with pytest.raises(DomainError, match=str(harmonics.MAX_DEGREE)):
+                harmonics.variance_series(None, spec, m_max, points=shell)
+            with pytest.raises(DomainError, match=str(harmonics.MAX_DEGREE)):
+                harmonics.discrepancy_bound(None, m_max, points=shell)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
 
 
+# tiny shells whose orbits lie on the axes and diagonals, 4^a m, p^2 | n,
+# p^3 | n, and the shell of the series' exact check
+@example(1, 40)
+@example(2, 40)
+@example(3, 40)
+@example(9, 40)
+@example(25, 40)
+@example(4**3 * 101, 40)
+@example(49 * 11, 40)
+@example(27 * 7, 40)
+@example(100_057, 60)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 200_000).filter(lattice.three_squares_representable), st.integers(1, 40))
+def test_shell_sums_on_z_orbits_match_pair_table(n, m_max):
+    pts = spatial.unit_shell(n)
+    assert spatial._is_whole_shell(pts)
+    ours = harmonics._pair_legendre_sums(pts, m_max)
+    np.testing.assert_allclose(ours, table_legendre_sums(n, m_max), rtol=0, atol=1e-13 * pts.size**2)
+
+
+@pytest.mark.parametrize("n", [5, 101, 1009, 100_057])
+def test_weyl_sums_of_a_shell_vanish_off_the_z_orbit_orders(n):
+    # the independent side of the reduction: summed over every point, a
+    # whole shell's real basis sums vanish but at mu = 0 and cos(4 k phi)
+    # of even degrees, to rounding that grows like m^2 eps N
+    pts = spatial.unit_shell(n)
+    for deg in range(1, 61):
+        vals = harmonics.weyl_sums(None, deg, points=pts).values
+        keep = np.zeros(2 * deg + 1, dtype=bool)
+        if deg % 2 == 0:
+            keep[0] = True
+            keep[7::8] = True  # the row of cos(mu phi) is 2 mu - 1
+        assert np.abs(vals[~keep]).max(initial=0.0) <= deg * deg * np.finfo(float).eps * pts.size, (n, deg)
+
+
 # ------------------------------------------------------ pair-table routes
 
 @pytest.mark.parametrize("n", [5, 101, 1009])
 def test_table_routes_match_generic_path(n):
-    # a whole shell reads its pair sums from the pair table; the same
-    # points without their integer source take the float kernels
+    # a whole shell reads its energies from the pair table and its pair
+    # sums from one point per z-axis orbit; the same points without their
+    # integer source take the float kernels
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
     keeps_n = spatial.UnitPointSet(pts.points, n)  # a source without integer points
