@@ -36,13 +36,17 @@ class Budget(NamedTuple):
 
 
 BUDGETS: dict[str, Budget] = {
-    # Gram products one pair walk of spatial may take, predicted by its
+    # Gram products one tile plan of spatial may take, predicted by its
     # z-band plan as the sum of rows x columns over the tiles (riesz_energy
-    # plans the whole upper triangle, ripley_k the band within r).  Float
-    # sets on a 2-vCPU Xeon, OpenBLAS at 1 thread: the s = 1 energy takes
-    # 3.37 ns per product at N = 8 192 and 3.22 at 32 768, Ripley at r = 2
-    # 1.42 and 1.10; so the limit is about 15 s of energies and 5-6 s of
-    # Ripley counts
+    # plans the whole upper triangle, ripley_k the band within r; on a
+    # symmetric set both plan one row per orbit against every point, and a
+    # Monte Carlo chunk of centers stays near 2^22).  Float sets on a
+    # 2-vCPU Xeon, OpenBLAS at 1 thread: the s = 1 energy takes 3.37 ns per
+    # product at N = 8 192 and 3.22 at 32 768, Ripley at r = 2 1.42 and
+    # 1.10; so the limit is about 15 s of energies and 5-6 s of Ripley
+    # counts.  The energy of the shell n = 1e10+19 (about 2e4 orbits x
+    # 9.6e5 points, 1.9e10 products) is refused, after its ~11 s
+    # enumeration; n = 1e9+3 (1.6e8) is admitted
     "pair_products": Budget(4_500_000_000, "Gram products"),
     # points one binomial sample may hold: room for a same-size baseline of
     # the largest stretch shell, n = 1e10+19 with N = 955 416

@@ -21,14 +21,16 @@ and V = sum_{m>=1} h(m)^2/(4*pi) * aggregate(m).
 Every set takes the pair sums S_m = sum_{x,y} P_m(x.y) from the addition
 theorem, as sums of squares of its harmonic sums over every degree at
 once (`_harmonic_sums`): O(N M^2) work with no pair loop, against
-O(N^2 M) for the pairs.  A whole lattice shell sums over one point per
-orbit of the 16 signed permutations that fix the z axis, about N/16
-points, and keeps the orders its symmetry leaves.  The discrepancy bound
-reads the magnitudes of the same harmonic sums.  The basis sums in
+O(N^2 M) for the pairs.  A symmetric integer set (`spatial._is_symmetric`:
+whole orbits of the 48 signed permutations, each point once), a whole
+lattice shell among them, sums over one point per orbit of the 16 signed
+permutations that fix the z axis, about N/16 points, and keeps the
+orders its symmetry leaves.  The discrepancy bound reads the magnitudes
+of the same harmonic sums.  The basis sums in
 `weyl_sums` run order outer, one degree at a time, over every point, so
-they stay an independent check of both.  Nothing here reads the pair
-table; its readers are the energy, `lattice.pairs_in_band` and
-`lattice.pair_count`, and the `pairs` and `verify-arith` commands.
+they stay an independent check of both.  No statistic reads the pair
+table; its readers are `lattice.pairs_in_band` and `lattice.pair_count`,
+and the `pairs` and `verify-arith` commands.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, budget
 from .lattice import enumerate_points
-from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_whole_shell, _random_units, _rng, project
+from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_symmetric, _random_units, _rng, project
 
 MAX_DEGREE = 2000
 # power-of-two scale of the order recurrence, so that sectoral values of
@@ -86,7 +88,7 @@ def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
     From the addition theorem, S_m = 4 pi/(2m+1) (|W_0|^2 + 2 sum_{mu>=1}
     |W_mu|^2) over the harmonic sums W_m^mu of `_harmonic_sums`.  Every
     term is a sum of squares, so S_m >= 0 exactly, and S_0 = N^2.  Work is
-    O(R m_max^2) over R rows (N, or about N/16 on a whole shell), which
+    O(R m_max^2) over R rows (N, or about N/16 on a symmetric set), which
     beats the O(N^2 m_max) of the pairs while m_max is below about N (at
     N = 500, m_max = 400 the pairs were about 3x faster; no caller runs
     there).
@@ -102,7 +104,7 @@ def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
 
 
 def _z_orbits(pts: UnitPointSet) -> tuple[np.ndarray, np.ndarray]:
-    """One unit point per orbit of a whole shell under the 16 signed
+    """One unit point per orbit of a symmetric set under the 16 signed
     permutations that fix the z axis, and the orbit sizes.
 
     (min(|x|, |y|), max(|x|, |y|)) keys the orbit, since n then fixes |z|.
@@ -126,17 +128,17 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
     At the poles the degree step's rounding grows like m^2 eps: one point
     there gives S_m = 1 within 2e-14 at m = 60 and 9e-11 at m = 2000.
 
-    A whole shell sums over one point per orbit of `_z_orbits`, weighted by
-    the orbit size through the recurrence's starting value.  The quarter
-    turn about z, y -> -y and z -> -z each map the shell onto itself, so
+    A symmetric set sums over one point per orbit of `_z_orbits`, weighted
+    by the orbit size through the recurrence's starting value.  The quarter
+    turn about z, y -> -y and z -> -z each map the set onto itself, so
     W_m^mu vanishes unless m is even and 4 | mu, and there it is the
     weighted sum of Re Y_m^mu; the other orders are set to 0, and the sums
     are returned real.
 
-    Degrees past MAX_DEGREE are refused before the whole-shell test
-    enumerates, and R rows (points or orbits) past the "harmonic_terms"
-    budget of `errors.BUDGETS`, R (m_max + 1)(m_max + 2)/2 order terms,
-    before any allocation.  Rows go in chunks of _PAIR_ENTRIES //
+    Degrees past MAX_DEGREE are refused before the symmetry test, and R
+    rows (points or orbits) past the "harmonic_terms" budget of
+    `errors.BUDGETS`, R (m_max + 1)(m_max + 2)/2 order terms, before any
+    allocation.  Rows go in chunks of _PAIR_ENTRIES //
     (m_max + 1), so the three recurrence arrays hold at most about
     _PAIR_ENTRIES entries each, and the order sums are accumulated across
     chunks (153 at m_max = 16, no more than _PAIR_ENTRIES up to
@@ -144,8 +146,8 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
     """
     if m_max > MAX_DEGREE:
         raise DomainError(f"m_max must be at most {MAX_DEGREE} for the harmonic sums")
-    whole = _is_whole_shell(pts)
-    U, weight = _z_orbits(pts) if whole else (pts.points, np.ones(pts.size))
+    symmetric = _is_symmetric(pts)
+    U, weight = _z_orbits(pts) if symmetric else (pts.points, np.ones(pts.size))
     start = np.arange(m_max + 2)
     start = start * (start + 1) // 2
     budget("harmonic_terms", len(U) * int(start[-1]), f"harmonic sums to degree {m_max}")
@@ -175,7 +177,7 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
             prev, cur = cur, prev
             acc[start[m] : start[m + 1]] += cur[: m + 1].sum(axis=1)
     acc /= _ORDER_SCALE
-    if whole:  # order mu of degree m sits at start[m] + mu
+    if symmetric:  # order mu of degree m sits at start[m] + mu
         m = np.repeat(np.arange(m_max + 1), np.arange(1, m_max + 2))
         acc = np.where((m % 2 == 0) & ((np.arange(len(acc)) - start[m]) % 4 == 0), acc.real, 0.0)
     return acc, start

@@ -10,9 +10,10 @@ are refused: their enumeration would take weeks, and below it every float
 dot product of two points is exact.
 
 The same group drives the pair statistics.  The exact inner-product
-histogram of a whole shell (`pair_table`) is read by the energy, by
-`pairs_in_band` and `pair_count`, and by the `pairs` and `verify-arith`
-commands; the harmonic sums take a shell's symmetry without it.  The
+histogram of a whole shell (`pair_table`) is read by `pairs_in_band` and
+`pair_count`, and by the `pairs` and `verify-arith` commands; no
+statistic reads it, since the energy, the Ripley counts and the harmonic
+sums take a shell's symmetry from its orbits (`shell_orbits`).  The
 histogram comes from one orbit-reduced Gram kernel: one
 representative per orbit is dotted with all N points, and its row is
 weighted by the orbit size, since a signed permutation maps the shell onto

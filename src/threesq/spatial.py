@@ -7,57 +7,65 @@ against integer distance shells (Ripley counts) are evaluated on exact
 integers whenever the set remembers its integer source, which removes
 boundary misclassification entirely.
 
-A whole lattice shell is a set that remembers its source n and integer
-points and has as many points as `enumerate_points(n)`; testing that
-builds no pair table.  A whole shell takes its energies from the pair
-table, sum over t < n of c(t) f(2(n - t)/n), with every distance exact
-from integers.  Ripley counts stay geometric, so they remain a second
-path to the pair table, and nearest-neighbour spacings need no table.
-Its covering radius needs only the hull facets over one sector of its
-48 signed permutations: one hull of the points near that sector and a
-phantom vertex opposite it, accepted when a certificate shows those
-facets are facets of the whole hull (see `covering_radius`), and the
-winning plane is evaluated on its integer points, free of the
-cancellation in 2 - 2*offset.  Other sets take the whole hull.
+A symmetric integer set remembers its source n <= _FLOAT_SAFE and integer
+points that are whole orbits of the 48 signed permutations, each point
+once: a whole lattice shell, or any union of its orbits.  Every
+whole-shell shortcut rests on that property alone, and `_is_symmetric`
+tests it exactly, with no pair table and no enumeration.  Its energies
+and Ripley counts walk one row per orbit (below), its spacings query one
+point per orbit, and its annulus counts fold each center into one
+sector.  Its covering radius needs only the hull facets over one sector:
+one hull of the points near that sector and a phantom vertex opposite
+it, accepted when a certificate shows those facets are facets of the
+whole hull (see `covering_radius`), and the winning plane is evaluated
+on its integer points, free of the cancellation in 2 - 2*offset.  Other
+sets take the whole hull.
 
-Every other pair sum of a point set (energies and Ripley counts) and
-every Monte Carlo annulus count takes its tiles from one planner and its
+Every pair sum of a point set (energies and Ripley counts) and every
+Monte Carlo annulus count takes its tiles from one planner and its
 products from one loop.  The planner, `_z_band`, takes points sorted by
 z and cuts row blocks of one height, each over the columns whose z lies
 within a reach of its rows', into tiles of at most _PAIR_ENTRIES
 entries (64 x 1024 at the default); a coordinate of a difference is at
-most its length, so every pair within the reach is in.  A pair walk's
-rows are its columns, from each row block's diagonal: Ripley counts plan
-at a reach just past r, energies at reach inf, the whole upper triangle,
-and the plan refuses past the "pair_products" budget before any product.
-An annulus count's rows are a chunk of random centers (`number_variance`),
-in taller row blocks where fewer points than a tile is wide leave room.
-The loop, `_products`, writes each tile's matrix product into one
-workspace.  The pair walk, `_distance_blocks`, multiplies augmented
-coordinates, [x, |x|^2, 1] . [-2y, 1, |y|^2], so each tile holds squared
-distances, a diagonal tile's self entries at the dtype's largest value,
-and every statistic reduces a tile by one rule, `_ordered`: a diagonal
-tile's own square counts once and every other entry twice.  Ripley
-counts of a lattice source walk the integer points, where every partial
+most its length, so every pair within the reach is in.  Every plan's
+Gram products are predicted first, and past the "pair_products" budget
+it is refused before any product.  A pair walk's rows are its columns,
+from each row block's diagonal: Ripley counts plan at a reach just past
+r, energies at reach inf, the whole upper triangle.  A symmetric set's
+pair walk is a rectangle instead: its rows are the first point of each
+orbit, sorted by z, and its columns every point (`_pair_plan`).  A
+signed permutation maps the set onto itself and keeps distances, so a
+sum over ordered pairs i != j is the sum over orbits of the orbit's size
+times its row's sum over j.  An annulus count's rows are a chunk of
+random centers (`number_variance`).  A rectangle with fewer columns than
+a tile is wide takes taller row blocks.  The loop, `_products`, writes
+each tile's matrix product into one workspace.  The pair walk,
+`_distance_blocks`, multiplies augmented coordinates,
+[x, |x|^2, 1] . [-2y, 1, |y|^2], so each tile holds squared distances,
+each point's own entry at the dtype's largest value, and every statistic
+reduces a tile by one rule, `_ordered`: a diagonal tile's own square
+counts once and every other entry twice, and an orbit row as many times
+as its orbit has points.  Ripley counts of a lattice source, and the
+energy of a symmetric set, walk the integer points, where every partial
 sum of the product is an integer of at most 4n, so their squared
 distances are exact: in float64 up to n = _FLOAT_SAFE = 2^50, past it in
-int64.  Float squared distances are within a few ulps of 4 of the
-coordinate-difference form, and each statistic writes that form
-(`_settle`) into only the entries it reads where the gap matters: a
-float Ripley count into its pairs within _RIPLEY_TIE of r^2, so no count
-depends on the shape of the tile that holds a pair, and the energy
-alone into the few below _CLOSE_D2, where the gap is a loss of digits.
-Every tile, and every mask a count reduces, is a view of one array sized
-from its plan's largest tile, overwritten in place (matmul and ufunc
-`out=`).  The s = 1 energy takes 1/sqrt(d^2), two correctly rounded
-steps, not pow.
+int64.  The energy divides them by n once and settles none.  Float
+squared distances are within a few ulps of 4 of the coordinate-difference
+form, and each statistic writes that form (`_settle`) into only the
+entries it reads where the gap matters: a float Ripley count into its
+pairs within _RIPLEY_TIE of r^2, so no count depends on the shape of the
+tile that holds a pair, and a float energy alone into the few below
+_CLOSE_D2, where the gap is a loss of digits.  Every tile, and every mask
+a count reduces, is a view of one array sized from its plan's largest
+tile, overwritten in place (matmul and ufunc `out=`).  The s = 1 energy
+takes 1/sqrt(d^2), two correctly rounded steps, not pow.
 
 Nearest-neighbour spacings of every set need no pair loop: a kd-tree
 offers each point its nearest candidates, and the spacing is the
 coordinate-difference d^2 of the nearest other one, ties and duplicates
 settled against every point near it.  On the integer points of a whole
 shell each of those d^2 is an exact integer, so one routine serves float
-sets and shells alike, and a whole shell queries it at one point per
+sets and shells alike, and a symmetric set queries it at one point per
 orbit of the signed permutations, which share their d^2.  The Legendre
 pair sums in `harmonics` need no pair loop either: they come from the
 same harmonic sums as its discrepancy bound, in chunks under the same
@@ -65,7 +73,7 @@ entry budget.
 
 Monte Carlo statistics use a counter-based generator (Philox) keyed by
 the caller's seed (`_rng`, which refuses a negative one), and every
-randomized result embeds that seed.  A whole shell's annulus counts fold
+randomized result embeds that seed.  A symmetric set's annulus counts fold
 each center into the sector D (`lattice.fold`), which keeps its count,
 and walk only the points near D.
 """
@@ -79,7 +87,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, DuplicatePointError, InvariantError, budget
-from .lattice import _FLOAT_SAFE, LatticeSet, enumerate_points, fold, pair_table, shell_orbits
+from .lattice import _FLOAT_SAFE, LatticeSet, enumerate_points, fold, shell_orbits
 
 _PAIR_ENTRIES = 1 << 16  # Gram entries per tile of the pair kernel
 _NORM_TOL = 1e-12
@@ -219,14 +227,15 @@ def _z_band(z: np.ndarray, reach, rows: np.ndarray | None = None):
     diagonal (j0 = i0): its first tile, the diagonal tile, holds the
     block's own square, and the tiles hold every pair of the upper
     triangle whose z differ by at most the reach (all of it at reach inf).
-    Their Gram products are predicted from the row blocks before any tile
-    is listed, and past the "pair_products" budget the plan is refused
-    with DomainError.  With `rows`, the ascending z of a second set, a
-    row block starts at the first column whose z reaches its first row's
-    z less the reach, and one with no column that near has no tile; its
-    caller bounds the products.  There the rows need no square diagonal
-    tile, so fewer columns c than a tile is wide take row blocks
-    _PAIR_ENTRIES // c high (2730 at c = 24), whose columns fit one tile.
+    With `rows`, the ascending z of a second set (orbit rows or random
+    centers), a row block starts at the first column whose z reaches its
+    first row's z less the reach, and one with no column that near has
+    no tile.  There the rows need no square diagonal tile, so fewer
+    columns c than a tile is wide take row blocks _PAIR_ENTRIES // c high
+    (2730 at c = 24), whose columns fit one tile.  Either plan's Gram
+    products are predicted from the row blocks before any tile is listed,
+    and past the "pair_products" budget the plan is refused with
+    DomainError; a chunk of random centers predicts about 2^22 of them.
     """
     zr = z if rows is None else rows
     h = max(1, math.isqrt(_PAIR_ENTRIES) // 4)
@@ -238,11 +247,8 @@ def _z_band(z: np.ndarray, reach, rows: np.ndarray | None = None):
     i0 = np.arange(0, len(zr), h)
     i1 = np.minimum(i0 + h, len(zr))
     j1 = np.searchsorted(z, zr[i1 - 1] + reach, side="right")
-    if rows is None:
-        j0 = i0
-        budget("pair_products", int(((i1 - i0) * (j1 - j0)).sum()), "pair kernel")
-    else:
-        j0 = np.searchsorted(z, rows[i0] - reach, side="left")
+    j0 = i0 if rows is None else np.searchsorted(z, rows[i0] - reach, side="left")
+    budget("pair_products", int(((i1 - i0) * (j1 - j0)).sum()), "pair kernel")
     return [
         (a, b, j, min(j + w, c))
         for a, b, d, c in zip(i0.tolist(), i1.tolist(), j0.tolist(), j1.tolist())
@@ -269,15 +275,19 @@ def _products(left: np.ndarray, right: np.ndarray, tiles):
         yield i0, i1, j0, np.matmul(left[i0:i1], right[:, j0:j1], out=_block(buf, i1 - i0, j1 - j0))
 
 
-def _distance_blocks(P: np.ndarray, tiles):
-    """Yield (i0, j0, d2) over the tiles (i0, i1, j0, j1) of a `_z_band` pair plan of P.
+def _distance_blocks(P: np.ndarray, tiles, rows: np.ndarray | None = None):
+    """Yield (i0, j0, d2) over the tiles (i0, i1, j0, j1) of a `_z_band` plan of P.
 
-    d2 holds |P_i - P_j|^2 for rows i0 <= i < i0 + len(d2) and columns
+    d2 holds |X_i - P_j|^2 for rows i0 <= i < i0 + len(d2) and columns
     j0 <= j < j1, the `_products` of the augmented coordinates
-    [P_i, |P_i|^2, 1] and [-2 P_j, 1, |P_j|^2], each written once in its
-    final layout (N x 5 and 5 x N), with a diagonal tile's self entries
-    (i = j) set to the dtype's largest value (+inf for floats).  Every
-    pair sum of a point set is a reduction of these tiles by `_ordered`.
+    [X_i, |X_i|^2, 1] and [-2 P_j, 1, |P_j|^2], each written once in its
+    final layout (R x 5 and 5 x N).  Without `rows` the plan is a pair
+    plan, X is P, and a diagonal tile's self entries (i = j) are set to
+    the dtype's largest value (+inf for floats).  With `rows`, indices
+    into P in ascending order, the plan is a rectangle, X_i is
+    P[rows[i]], and each row's own column is set to that value where a
+    tile holds it.  Every pair sum of a point set is a reduction of these
+    tiles by `_ordered`.
 
     Integer points (int64) give exact d2.  Every partial sum of the
     augmented product, in any order, is at most |P_i|^2 + 2|P_i||P_j| +
@@ -298,8 +308,11 @@ def _distance_blocks(P: np.ndarray, tiles):
     np.multiply(P.T, -2, out=right[:3])
     right[3], right[4] = 1, sq
     top = np.iinfo(dtype).max if dtype == np.int64 else np.inf
-    for i0, _, j0, d2 in _products(left, right, tiles):
-        if j0 == i0:
+    for i0, _, j0, d2 in _products(left if rows is None else left[rows], right, tiles):
+        if rows is not None:  # ascending, so the rows whose own column is here are a run
+            a, b = np.searchsorted(rows[i0 : i0 + len(d2)], (j0, j0 + d2.shape[1]))
+            d2[np.arange(a, b), rows[i0 + a : i0 + b] - j0] = top
+        elif j0 == i0:
             np.fill_diagonal(d2, top)
         yield i0, j0, d2
 
@@ -313,36 +326,62 @@ def _settle(P: np.ndarray, i0: int, j0: int, d2: np.ndarray, flat: np.ndarray) -
     d2.flat[flat] = np.einsum("ij,ij->i", diff, diff)
 
 
-def _ordered(total, x: np.ndarray, diagonal: bool):
-    """total(x) over the ordered pairs of a `_distance_blocks` tile x.
+def _ordered(total, x: np.ndarray, i0: int, j0: int, weight: np.ndarray | None = None):
+    """total(x) over the ordered pairs of a `_distance_blocks` tile x at (i0, j0).
 
-    A diagonal tile's own square (its first rows-many columns) holds
-    both orders of each of its pairs, and every other entry of any tile
-    holds one order of a pair whose other order no tile holds; so the
-    square counts once and the rest twice.
+    In a pair plan, a diagonal tile's (j0 = i0) own square (its first
+    rows-many columns) holds both orders of each of its pairs, and every
+    other entry of any tile holds one order of a pair whose other order no
+    tile holds; so the square counts once and the rest twice.  In a
+    rectangle of orbit rows, `weight` holds every row's orbit size, and
+    each row's total counts that many times.
     """
-    return 2 * total(x) - total(x[:, : x.shape[0]]) if diagonal else 2 * total(x)
+    if weight is not None:
+        return total(x, axis=1) @ weight[i0 : i0 + len(x)]
+    return 2 * total(x) - total(x[:, : len(x)]) if j0 == i0 else 2 * total(x)
 
 
-def _is_whole_shell(pts: UnitPointSet) -> bool:
-    """True if pts is a whole lattice shell: its source's every point.
+def _is_symmetric(pts: UnitPointSet) -> bool:
+    """True if pts is a symmetric integer set: it remembers its source
+    n <= _FLOAT_SAFE and integer points that are whole orbits of the 48
+    signed permutations, each point once.  A whole shell is one, and so is
+    any union of its orbits; a set with a repeated row is not.
 
-    No shell past _FLOAT_SAFE is enumerated, so a set there is never one.
+    Only `enumerate_points` freezes the points it hands out, so frozen
+    points are looked up there, and those of its shell are recognised by
+    one identity test, on a cache hit.  Any other set is tested exactly,
+    and nothing is enumerated.  Each orbit (`shell_orbits`) must
+    hold as many points as its folded point (a, b, c) has images: 6, 3 or
+    1 arrangements of a, b and c, times 2 to the number of nonzero ones.
+    And no two points of an orbit may share a place, their signs and the
+    order of their absolute values, which together fix a point.
     """
-    return (
-        pts.source_n is not None
-        and pts.int_points is not None
-        and pts.source_n <= _FLOAT_SAFE
-        and enumerate_points(pts.source_n).size == pts.size
-    )
+    A, n = pts.int_points, pts.source_n
+    if A is None or n is None or n > _FLOAT_SAFE:
+        return False
+    if not A.flags.writeable and A is enumerate_points(n).points:
+        return True
+    orb = shell_orbits(A)
+    a, b, c = F = fold(A[orb.first]).T
+    images = np.where(a == c, 1, np.where((a == b) | (b == c), 3, 6)) << np.count_nonzero(F, axis=0)
+    place = (np.column_stack([np.sign(A), np.sign(np.abs(A) - np.abs(A[:, [1, 2, 0]]))]) + 1) @ 3 ** np.arange(6)
+    return np.array_equal(orb.size, images) and len(np.unique(orb.index * 729 + place)) == len(A)
 
 
-def _table_energy(n: int, s: float) -> float:
-    """Sum over t < n of c(t) d^(-s), with d^2 = 2(n - t)/n: the energy of
-    a whole shell, read from its pair table."""
-    tbl = pair_table(n)
-    d2 = 2.0 * (n - tbl.t[:-1]) / n
-    return math.fsum((tbl.count[:-1] * d2 ** (-s / 2.0)).tolist())
+def _pair_plan(P: np.ndarray, reach, symmetric: bool):
+    """(tiles, rows, weight) of a pair sum over the points P, sorted by z.
+
+    Any other set walks the `_z_band` pair plan of P, with no rows or
+    weights.  A symmetric set (`_is_symmetric`, P its integer points)
+    walks a rectangle: its rows are the first point of each orbit
+    (`shell_orbits`), in ascending order and so sorted by z, each
+    weighted by its orbit's size, and its columns are every point.
+    """
+    if not symmetric:
+        return _z_band(P[:, 2], reach), None, None
+    orb = shell_orbits(P)
+    k = np.argsort(orb.first)
+    return _z_band(P[:, 2], reach, P[orb.first[k], 2]), orb.first[k], orb.size[k]
 
 
 def _check_duplicates(order: np.ndarray, i0: int, j0: int, d2: np.ndarray, close: np.ndarray) -> None:
@@ -366,31 +405,35 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
     """Sum of |P_i - P_j|^(-s) over ordered pairs i != j.
 
     The uniform baseline is uniform_energy_integral(s) * N^2.  Duplicate
-    points raise DuplicatePointError naming the offending indices.  A
-    whole shell reads its pair table; any other set walks the z band at
-    reach inf, the whole upper triangle, whose Gram products are
-    predicted first, and past the "pair_products" budget the energy is
-    refused before any product.
+    points raise DuplicatePointError naming the offending indices.  The
+    energy walks the z band at reach inf (`_pair_plan`), whose Gram
+    products are predicted first, and past the "pair_products" budget it
+    is refused before any product.
 
-    The tiles' d2 carry an absolute error of a few 1e-15, a loss of
-    digits where d2 is small, so the entries below _CLOSE_D2 are settled
-    from coordinate differences (`_settle`); every pair closer than about
-    0.03 is among them, duplicates included.  A tile whose first column's
-    z lies more than sqrt(_CLOSE_D2) above its last row's z holds no such
+    A symmetric set (`_is_symmetric`) walks its integer points, one row
+    per orbit against every point, so every d2 is an exact integer
+    D = |x - y|^2, and D/n is correctly rounded; it has no duplicates.
+    Any other set walks the whole upper triangle of its float points.
+    Their d2 carry an absolute error of a few 1e-15, a loss of digits
+    where d2 is small, so the entries below _CLOSE_D2 are settled from
+    coordinate differences (`_settle`); every pair closer than about 0.03
+    is among them, duplicates included.  A tile whose first column's z
+    lies more than sqrt(_CLOSE_D2) above its last row's z holds no such
     pair, since |dz| <= |P_i - P_j|, and is not scanned.
     """
     if not 0 < s < 2:
         raise DomainError("s must lie in (0, 2)")
     if pts.size < 2:
         raise DomainError("need at least two points")
-    if _is_whole_shell(pts):
-        return _table_energy(pts.source_n, s)
-    order = np.argsort(pts.points[:, 2], kind="stable")
-    P = pts.points[order]
-    gap = math.sqrt(_CLOSE_D2)
+    symmetric = _is_symmetric(pts)
+    order = np.argsort(pts.points[:, 2], kind="stable")  # integer z sort alike
+    P = (pts.int_points if symmetric else pts.points)[order]
+    tiles, rows, weight = _pair_plan(P, math.inf, symmetric)
     parts = []
-    for i0, j0, d2 in _distance_blocks(P, _z_band(P[:, 2], math.inf)):
-        if P[j0, 2] - P[i0 + len(d2) - 1, 2] <= gap:
+    for i0, j0, d2 in _distance_blocks(P, tiles, rows):
+        if symmetric:
+            d2 /= pts.source_n
+        elif P[j0, 2] - P[i0 + len(d2) - 1, 2] <= math.sqrt(_CLOSE_D2):
             close = np.flatnonzero(d2 < _CLOSE_D2)
             if len(close):
                 _settle(P, i0, j0, d2, close)
@@ -402,7 +445,7 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
             np.divide(1.0, terms, out=terms)
         else:
             np.power(terms, -s / 2.0, out=terms)
-        parts.append(float(_ordered(np.sum, terms, j0 == i0)))
+        parts.append(float(_ordered(np.sum, terms, i0, j0, weight)))
     return math.fsum(parts)
 
 
@@ -428,9 +471,10 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     isqrt(dmax) is exact.  On float points it is sqrt(r^2 + _BAND_SLACK),
     as in `number_variance`: a computed d^2 below r^2 is within about
     1e-15 of the true one, and the slack also outgrows the rounding of
-    z + reach at every r.  The band's Gram products are predicted first,
-    and past the "pair_products" budget the count is refused before any
-    product.
+    z + reach at every r.  A symmetric set (`_is_symmetric`) walks one
+    row per orbit against every point (`_pair_plan`).  The band's Gram
+    products are predicted first, and past the "pair_products" budget the
+    count is refused before any product.
 
     On float points the Gram form of d^2 is within a few 1e-15 of the
     coordinate-difference form |x - y|^2, and BLAS rounds it differently
@@ -446,8 +490,7 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     """
     if not 0 < r <= 2:
         raise DomainError("r must lie in (0, 2]")
-    N = pts.size
-    if N < 2:
+    if pts.size < 2:
         return 0
     r2 = r * r
     if pts.source_n is not None and pts.int_points is not None:
@@ -465,19 +508,19 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
         P = pts.points[np.argsort(pts.points[:, 2], kind="stable")]
         reach = math.sqrt(r2 + _BAND_SLACK)
         lo, hi = r2 - _RIPLEY_TIE, r2 + _RIPLEY_TIE
-    tiles = _z_band(P[:, 2], reach)
+    tiles, rows, weight = _pair_plan(P, reach, _is_symmetric(pts))
     below = _workspace(tiles, bool)
     above = _workspace(tiles, bool) if hi > lo else None
     total = 0
-    for i0, j0, d2 in _distance_blocks(P, tiles):
+    for i0, j0, d2 in _distance_blocks(P, tiles, rows):
         within = np.less(d2, lo, out=_block(below, *d2.shape))
         if above is not None:
             band = np.less(d2, hi, out=_block(above, *d2.shape))
             if np.count_nonzero(band) > np.count_nonzero(within):
                 _settle(P, i0, j0, d2, np.flatnonzero(np.not_equal(within, band, out=band)))
                 np.less(d2, r2, out=within)
-        total += _ordered(np.count_nonzero, within, j0 == i0)
-    return total
+        total += _ordered(np.count_nonzero, within, i0, j0, weight)
+    return int(total)
 
 
 @dataclass
@@ -551,12 +594,13 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
 
     Every set takes d_j^2 from one kd-tree routine (`_nn_d2`), as the
     coordinate-difference form |P_j - P_i|^2 of its nearest other point,
-    so a duplicate point gives 0.  A whole lattice shell runs it on its
-    integer points, where every squared distance D = 2(n - x.y) is exact,
-    and divides by n once: d_j^2 = D/n, correctly rounded.  It queries the
-    tree at one point per orbit of the 48 signed permutations
+    so a duplicate point gives 0.  A symmetric set (`_is_symmetric`), a
+    whole lattice shell among them, runs it on its integer points, where
+    every squared distance D = 2(n - x.y) is exact, and divides by n
+    once: d_j^2 = D/n, correctly rounded.  It queries the tree at one
+    point per orbit of the 48 signed permutations
     (`lattice.shell_orbits`), about N/48 queries: a signed permutation g
-    maps the shell onto itself and keeps distances, so g x has the nearest
+    maps the set onto itself and keeps distances, so g x has the nearest
     distance of x, and each point takes its orbit's exact D through the
     orbit index.  The values are those of querying every point, bit for
     bit.  Any other set queries every point.
@@ -564,7 +608,7 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
     if pts.size < 2:
         raise DomainError("need at least two points")
     N = pts.size
-    if _is_whole_shell(pts):
+    if _is_symmetric(pts):
         orb = shell_orbits(pts.int_points)
         d2min = (_nn_d2(pts.int_points, at=orb.first) / pts.source_n)[orb.index]
     else:
@@ -588,8 +632,9 @@ def covering_radius(pts: UnitPointSet) -> float:
     the hull; otherwise (all points in a closed hemisphere) the method is
     invalid and the covering radius is at least sqrt(2).
 
-    A whole lattice shell needs only the facets over one symmetry sector.
-    The shell is invariant under the 48 signed permutations, so a deepest
+    A symmetric set (`_is_symmetric`), a whole lattice shell among them,
+    needs only the facets over one symmetry sector.  The set is
+    invariant under the 48 signed permutations, so a deepest
     hole lies in D = {0 <= x <= y <= z}, which the cap of chord radius
     r_D around c0 holds (`_SECTOR_CENTER`, `_SECTOR_RADIUS`).  One hull is
     taken of the shell points within r_D + M of c0 and a phantom vertex at
@@ -633,7 +678,7 @@ def covering_radius(pts: UnitPointSet) -> float:
     """
     if pts.size < 4:
         raise DomainError("fewer than 4 points always sit in a closed hemisphere")
-    if _is_whole_shell(pts):
+    if _is_symmetric(pts):
         return _shell_covering(pts)
     return _float_covering(pts.points, *_hull(pts.points))
 
@@ -671,8 +716,8 @@ def _float_covering(P: np.ndarray, simplices: np.ndarray, off: np.ndarray) -> fl
 
 
 def _shell_covering(pts: UnitPointSet) -> float:
-    """`covering_radius` of a whole shell: the sector hull, else the whole
-    hull, which a shell of at most 48 points (one orbit) takes at once."""
+    """`covering_radius` of a symmetric set: the sector hull, else the
+    whole hull, which a set of at most 48 points (one orbit) takes at once."""
     P, A, N = pts.points, pts.int_points, pts.size
     margin = _SECTOR_MARGIN * N**-0.25
     while N > 48 and _SECTOR_RADIUS + margin < 2.0:
@@ -887,7 +932,7 @@ def _annulus_histogram(
     lo, hi = spec.dot_window()
     reach = math.sqrt(spec.rho2**2 + _BAND_SLACK)
     P = pts.points
-    sector = _is_whole_shell(pts)
+    sector = _is_symmetric(pts)
     if sector:
         gather = _SECTOR_RADIUS + reach + _SECTOR_SLACK
         if gather < 2.0:
@@ -947,7 +992,7 @@ def number_variance(
     over the tiles of its row block, which may be several or none; the
     tiles' dots and masks are views of workspaces sized once per chunk.
 
-    A whole lattice shell walks one symmetry sector.  Its chunks are drawn
+    A symmetric set (`_is_symmetric`) walks one symmetry sector.  Its chunks are drawn
     as above, then each center c is folded into D = {0 <= x <= y <= z}
     (`lattice.fold`, absolute values then a sort), a signed permutation g
     with g c in D.  Since g P = P and g keeps dot products, g c sees as

@@ -45,10 +45,15 @@ def case_pair_products(mp):
     # the unit sphere is the whole band too: a row block of 64 rows by
     # 100 columns, then one of the last 36 rows by 36 columns
     products = 64 * 100 + 36 * 36
+    # a whole shell plans one row per orbit against every point: n = 5 has
+    # one orbit, the 24 signed permutations of (0, 1, 2), so 1 x 24
+    shell = spatial.unit_shell(5)
     return [
         (products, lambda: spatial.riesz_energy(pts, 1.0)),
         (products, lambda: spatial.ripley_k(pts, 2.0)),
         (products, ["baseline", "--stat", "energy", "--N", "100", "--seed", "1"]),
+        (1 * 24, lambda: spatial.ripley_k(shell, 2.0)),
+        (1 * 24, ["energy", "--n", "5"]),
     ]
 
 

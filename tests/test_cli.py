@@ -84,6 +84,34 @@ def test_json_commands_match_schema(capsys, tmp_path):
         assert "seed" in out["config"]
 
 
+SCALED_COMMANDS = [
+    ["ripley", "--r", "0.05"],
+    ["energy", "--s", "1"],
+    ["energy", "--s", "0.5"],
+    ["spacing"],
+    ["covering"],
+    ["variance", "--sigma", "0.01", "--samples", "2000", "--seed", "1", "--m-max", "16"],
+    ["boxes", "--cells", "317"],
+    ["weyl", "--degree", "6"],
+    ["discrepancy", "--m-max", "20"],
+]
+
+
+@pytest.mark.parametrize("args", SCALED_COMMANDS, ids=" ".join)
+def test_shells_n_4n_16n_give_the_same_statistics(capsys, args):
+    # every point of 4n is twice one of n, so the three shells project to
+    # the same unit points, and their exact integers (squared distances
+    # and n, inner products) scale by powers of 4 together: every field but
+    # the echoed n is the same, byte for byte, whichever route takes them
+    outs = []
+    for n in (100_057, 4 * 100_057, 16 * 100_057):
+        assert main([args[0], "--n", str(n), *args[1:]]) == 0
+        out = capsys.readouterr().out
+        assert out.count(f'"n": {n},') == (1 if args[0] == "weyl" else 2)
+        outs.append(out.replace(f'"n": {n},', '"n": 100057,'))
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_csv_commands_parse(capsys):
     assert main(["pairs", "--n", "5"]) == 0
     text = capsys.readouterr().out

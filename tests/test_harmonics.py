@@ -273,7 +273,7 @@ def test_pair_legendre_sums_match_full_matrix(pts, m_max, data):
 
 def test_pair_legendre_sums_pinned_cases(octahedron):
     bare = spatial.UnitPointSet(octahedron.points)
-    assert not spatial._is_whole_shell(bare)
+    assert not spatial._is_symmetric(bare)
     assert abs(harmonics._pair_legendre_sums(bare, 2)[2]) <= 1e-10 * 36
     # one point: S_m = P_m(1) = 1 at every degree.  At the poles the degree
     # step's rounding grows like m^2 eps (9e-11 at m = 2000).  The point at
@@ -335,7 +335,7 @@ def test_shell_route_refuses_degrees_past_cap_before_allocating():
 @given(st.integers(1, 200_000).filter(lattice.three_squares_representable), st.integers(1, 40))
 def test_shell_sums_on_z_orbits_match_pair_table(n, m_max):
     pts = spatial.unit_shell(n)
-    assert spatial._is_whole_shell(pts)
+    assert spatial._is_symmetric(pts)
     ours = harmonics._pair_legendre_sums(pts, m_max)
     np.testing.assert_allclose(ours, table_legendre_sums(n, m_max), rtol=0, atol=1e-13 * pts.size**2)
 
@@ -365,8 +365,8 @@ def test_table_routes_match_generic_path(n):
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
     keeps_n = spatial.UnitPointSet(pts.points, n)  # a source without integer points
-    assert spatial._is_whole_shell(pts)
-    assert not spatial._is_whole_shell(bare) and not spatial._is_whole_shell(keeps_n)
+    assert spatial._is_symmetric(pts)
+    assert not spatial._is_symmetric(bare) and not spatial._is_symmetric(keeps_n)
 
     def close(a, b):
         return a == pytest.approx(b, rel=1e-9)
@@ -392,7 +392,7 @@ def test_partial_shell_takes_generic_path():
     ls = lattice.enumerate_points(101)
     part = spatial.project(lattice.LatticeSet(101, ls.points[1:]))
     lattice.pair_table.cache_clear()
-    assert not spatial._is_whole_shell(part)
+    assert not spatial._is_symmetric(part)
     bare = spatial.UnitPointSet(part.points)
     assert spatial.riesz_energy(part, 1.0) == spatial.riesz_energy(bare, 1.0)
     assert np.array_equal(
@@ -400,16 +400,15 @@ def test_partial_shell_takes_generic_path():
     )
     assert lattice.pair_table.cache_info().misses == 0  # no table for a partial shell
 
-    # the whole shell: its spacings build no table, its energies one, once
+    # the whole shell: its spacings, energies and Ripley counts build no
+    # table either, since they walk its orbits
     whole = spatial.unit_shell(101)
-    assert spatial._is_whole_shell(whole)
+    assert spatial._is_symmetric(whole)
     spatial.nn_spacings(whole)
-    assert lattice.pair_table.cache_info().misses == 0
     spatial.riesz_energy(whole, 1.0)
-    assert lattice.pair_table.cache_info().misses == 1
     spatial.riesz_energy(whole, 0.5)
-    spatial.nn_spacings(whole)
-    assert lattice.pair_table.cache_info().misses == 1
+    spatial.ripley_k(whole, 1.0)
+    assert lattice.pair_table.cache_info().misses == 0
 
 
 # ---------------------------------------------------------------- discrepancy

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import time
 import tracemalloc
 from unittest import mock
 from decimal import Decimal, localcontext
@@ -71,8 +72,39 @@ def test_shell_energy_matches_float_kernel(n, s):
     assume(lattice.three_squares_representable(n))
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
-    assert spatial._is_whole_shell(pts) and not spatial._is_whole_shell(bare)
+    assert spatial._is_symmetric(pts) and not spatial._is_symmetric(bare)
     assert spatial.riesz_energy(pts, s) == pytest.approx(spatial.riesz_energy(bare, s), rel=1e-9)
+
+
+def table_energy(n, s):
+    """Sum over t < n of c(t) d^(-s), with d^2 = 2(n - t)/n: the energy of
+    a whole shell read from its exact inner-product histogram
+    (`lattice.pair_table`), with no tile walk."""
+    tbl = lattice.pair_table(n)
+    d2 = 2.0 * (n - tbl.t[:-1]) / n
+    return math.fsum((tbl.count[:-1] * d2 ** (-s / 2.0)).tolist())
+
+
+# tiny shells whose orbits lie on the axes and diagonals, 4^a m, p^2 | n,
+# and the shell of the benchmark's stretch of N = 2016
+@example(1)
+@example(2)
+@example(3)
+@example(9)
+@example(25)
+@example(4**3 * 101)
+@example(49 * 11)
+@example(100_057)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200_000).filter(lattice.three_squares_representable))
+def test_orbit_row_energy_matches_pair_table(n):
+    # one row per orbit against every point, weighted by the orbit size,
+    # against the histogram's sum over t: the same exact d^2, summed in
+    # another order
+    pts = spatial.unit_shell(n)
+    assert spatial._is_symmetric(pts)
+    for s in (0.5, 1.0, 1.5):
+        assert spatial.riesz_energy(pts, s) == pytest.approx(table_energy(n, s), rel=1e-14, abs=0), s
 
 
 # ------------------------------------------------------------------- ripley
@@ -188,6 +220,93 @@ def test_set_past_float_safe_is_not_enumerated():
         rep = spatial.nn_spacings(pts)
     assert energy == pytest.approx(6 * (4 / math.sqrt(2) + 1 / 2))
     assert np.allclose(rep.rescaled_values, 3.0)
+
+
+# ------------------------------------------------------------ symmetric sets
+
+def test_set_with_repeated_rows_is_not_symmetric():
+    # eight rows of n = 3, as many as its shell has, but seven copies of one
+    # point: not a symmetric set, so every statistic takes its bare copy's
+    # route, and the energy refuses the copies
+    P = lattice.enumerate_points(3).points
+    Q = P[[0, 0, 0, 0, 0, 0, 0, 3]]
+    pts = spatial.UnitPointSet(Q / math.sqrt(3), 3, Q)
+    bare = spatial.UnitPointSet(Q / math.sqrt(3))
+    assert len(Q) == len(P) and not spatial._is_symmetric(pts)
+    for X in (pts, bare):
+        with pytest.raises(DuplicatePointError):
+            spatial.riesz_energy(X, 1.0)
+    spacings = [spatial.nn_spacings(X).rescaled_values.tolist() for X in (pts, bare)]
+    assert spacings[0] == spacings[1]
+    assert spacings[0][-1] == pytest.approx(16 / 3)  # 8 * (8/3) / 4
+    radii = (0.5, 1.7, 2.0)
+    assert [spatial.ripley_k(pts, r) for r in radii] == [spatial.ripley_k(bare, r) for r in radii] == [42, 56, 56]
+    spec = spatial.AnnulusSpec.cap(1.0)
+    hists = [spatial._annulus_histogram(X, spec, 500, 4).tolist() for X in (pts, bare)]
+    assert hists[0] == hists[1]
+
+
+def seeded_orbit(seed):
+    """n and the signed-permutation orbit of a seeded point whose entries
+    lie in [2^23, 2^24), so n lies between 3 * 2^46 and 3 * 2^48, about
+    2^49, where enumerating the shell would take weeks."""
+    a, b, c = (int(x) for x in np.random.default_rng(seed).integers(1 << 23, 1 << 24, 3))
+    return a * a + b * b + c * c, _signed_perms((a, b, c))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_orbit_near_2_49_is_tested_without_enumerating(seed):
+    # a seeded part of one orbit is no symmetric set, and the whole orbit,
+    # shuffled, is one; neither enumerates its shell, and each answers at
+    # once, the whole orbit on one orbit row
+    n, P = seeded_orbit(seed)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(P)) < 0.7
+    keep[:2], keep[-1] = True, False
+    fragment = spatial.project(lattice.LatticeSet(n, P[keep]))
+    whole = spatial.project(lattice.LatticeSet(n, P[rng.permutation(len(P))]))
+    with mock.patch.object(spatial, "enumerate_points", side_effect=AssertionError("enumerated")):
+        for pts, symmetric in ((fragment, False), (whole, True)):
+            start = time.perf_counter()
+            assert spatial._is_symmetric(pts) == symmetric
+            rep = spatial.nn_spacings(pts)
+            counts = [spatial.ripley_k(pts, r) for r in (0.1, 1.0, 2.0)]
+            assert time.perf_counter() - start < 1.0
+            assert counts == [ripley_full_width(pts, r) for r in (0.1, 1.0, 2.0)]
+            # the bare copy's difference form loses digits on the closest
+            # pairs of so large a shell, d^2 near 8/n
+            bare = spatial.nn_spacings(spatial.UnitPointSet(pts.points)).rescaled_values
+            np.testing.assert_allclose(rep.rescaled_values, bare, rtol=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([101, 539, 1009, 6464, 100_057]), st.floats(1e-3, 2.0), st.data())
+def test_union_of_whole_orbits_takes_the_orbit_routes(n, r, data):
+    # a drawn union of a shell's orbits, shuffled, is a symmetric set: its
+    # statistics walk one row per orbit, query one point per orbit and
+    # fold into one sector, and they match the same points without their
+    # source; one point less, or one repeated, and it is no longer one
+    P = lattice.enumerate_points(n).points
+    orb = lattice.shell_orbits(P)
+    picked = data.draw(st.sets(st.integers(0, len(orb.first) - 1), min_size=1, max_size=12))
+    Q = P[np.isin(orb.index, list(picked))]
+    Q = Q[data.draw(st.permutations(range(len(Q))))]
+    pts = spatial.project(lattice.LatticeSet(n, Q))
+    bare = spatial.UnitPointSet(pts.points)
+    assert spatial._is_symmetric(pts)
+    for broken in (Q[1:], np.vstack([Q[1:], Q[:1], Q[:1]])):
+        assert not spatial._is_symmetric(spatial.project(lattice.LatticeSet(n, broken)))
+    with mock.patch.object(spatial, "_pair_plan", wraps=spatial._pair_plan) as plan:
+        energies = [spatial.riesz_energy(X, 1.0) for X in (pts, bare)]
+        assert spatial.ripley_k(pts, r) == ripley_full_width(pts, r)
+    # the orbit rows for the set, the triangle for its bare copy
+    assert [call.args[2] for call in plan.call_args_list] == [True, False, True]
+    assert energies[0] == pytest.approx(energies[1], rel=1e-12)
+    np.testing.assert_allclose(
+        spatial.nn_spacings(pts).rescaled_values, spatial.nn_spacings(bare).rescaled_values, rtol=1e-9
+    )
+    assert spatial.covering_radius(pts) == pytest.approx(spatial.covering_radius(bare), rel=1e-9)
 
 
 # ------------------------------------------------------------------ spacings
@@ -365,10 +484,16 @@ SHELLS = [n for n in range(1, 700) if lattice.three_squares_representable(n)]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(SHELLS), st.integers(0, 10**6), st.sampled_from([-0.5, 0.0, 0.5]), BLOCK_ENTRIES)
+@given(st.sampled_from(SHELLS), st.integers(0, 10**6), st.sampled_from([-0.5, 0.0, 0.5]), st.sampled_from([1, 2, 3, 5, 17]))
 def test_banded_ripley_matches_full_width_on_shells(n, pick, nudge, entries):
+    # the oracle is one dense integer Gram, which shares no orbit code; the
+    # count walks one row per orbit, and at these tile sizes the orbit rows
+    # split into row blocks of one or two
     pts = spatial.unit_shell(n)
     P = pts.int_points
+    with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+        tiles, rows, _ = spatial._pair_plan(P[np.argsort(P[:, 2], kind="stable")], math.inf, True)
+    assert len({i0 for i0, _, _, _ in tiles}) > 1 or len(rows) == 1
     d2 = sorted({int(x) for x in ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2).ravel()} - {0})
     z = sorted({int(c) for c in np.abs(P[:, 2])} - {0})
     radii = [min(2.0, math.sqrt((d2[pick % len(d2)] + nudge) / n))] if d2 else []
@@ -648,7 +773,7 @@ def test_float_spacings_match_dense_difference_form(P):
 def test_whole_shell_spacings_are_exact(n):
     # the kd-tree on integer points gives the exact largest x.y below n
     pts = spatial.unit_shell(n)
-    assert spatial._is_whole_shell(pts)
+    assert spatial._is_symmetric(pts)
     P = pts.int_points
     G = P @ P.T
     np.fill_diagonal(G, -n - 1)
@@ -709,8 +834,13 @@ def test_ripley_refuses_over_product_budget_before_any_product(monkeypatch):
     assert band_products(z_band_of(pts.points, 0.01)[1]) < 10**6
     with pytest.raises(DomainError, match="budget"):
         spatial.ripley_k(pts, 2.0)
-    with pytest.raises(DomainError, match="budget"):
+    # a whole shell plans one row per orbit against every point: n = 100 057
+    # predicts 43 x 2016 products, under the limit, so it reaches the
+    # products; n = 2 000 003 predicts 179 x 8568, over it
+    with pytest.raises(AssertionError, match="before the budget"):
         spatial.ripley_k(spatial.unit_shell(100_057), 2.0)
+    with pytest.raises(DomainError, match=f"needs {179 * 8568} Gram products"):
+        spatial.ripley_k(spatial.unit_shell(2_000_003), 2.0)
     with pytest.raises(DomainError, match="budget"):
         spatial.riesz_energy(pts, 1.0)
 
@@ -1191,7 +1321,7 @@ def test_sector_cap_counts_match_dense_folded_and_not(n, spec, samples, seed):
     # point, on the default tiles and on 4 x 64 ones
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
-    assert spatial._is_whole_shell(pts) and not spatial._is_whole_shell(bare)
+    assert spatial._is_symmetric(pts) and not spatial._is_symmetric(bare)
     wide = (256, spatial._PAIR_ENTRIES)
     assert_banded_equals_dense(pts, spec, samples, seed, wide)
     assert_banded_equals_dense(bare, spec, samples, seed, wide)
@@ -1326,7 +1456,7 @@ def test_pair_workspace_matches_dense(P, entries, r, pick, spec, seed):
         for (i0, i1, j0, j1), (k0, l0, tile) in zip(tiles, spatial._distance_blocks(S, tiles), strict=True):
             assert (k0, l0) == (i0, j0)
             np.testing.assert_allclose(tile, dense[i0:i1, j0:j1], rtol=0, atol=1e-14)
-            parts.append(float(spatial._ordered(np.sum, np.maximum(r * r - tile, 0.0), j0 == i0)))
+            parts.append(float(spatial._ordered(np.sum, np.maximum(r * r - tile, 0.0), i0, j0)))
         expect = math.fsum(np.maximum(r * r - dense, 0.0).ravel().tolist())
         assert math.fsum(parts) == pytest.approx(expect, rel=1e-12, abs=1e-14 * N * N)
     hist = dense_histogram(pts, spec, 300, seed)

@@ -212,3 +212,11 @@ def test_every_cli_option_has_a_reader():
     }
     assert "command" in declared and "cells" in declared
     assert not declared - read, f"options cli.py never reads: {sorted(declared - read)}"
+
+
+def test_no_statistic_reads_the_pair_table():
+    # the energies, Ripley counts and harmonic sums of a whole shell walk its
+    # orbits; the table's readers are lattice's pair counts and the `pairs`
+    # and `verify-arith` commands
+    for name in ("spatial", "harmonics"):
+        assert "pair_table" not in names_read(ast.parse((PACKAGE / f"{name}.py").read_text())), name
