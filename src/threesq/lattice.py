@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -39,6 +40,9 @@ _FLOAT_SAFE = 1 << 50  # below this, float dot products of points are exact
 _GRAM_ENTRIES = 1 << 23  # entries per row block of the Gram kernel
 _CANDIDATES = 1 << 14  # values of a per _two_squares call: 128 KB int64 arrays
 _MAX_POLE_RADIUS = 1 << 31  # near-pole scans stay in int64 up to here
+# the point arrays enumerate_points has handed out, keyed by (id, n), held
+# weakly: `spatial` recognises a whole shell by identity, never enumerating
+_SHELLS = weakref.WeakValueDictionary()
 
 # The 48 signed permutations x -> sign * x[perm]; _FIX_X3 marks the 8 fixing x3
 _PERM = np.repeat(list(itertools.permutations(range(3))), 8, axis=0)
@@ -68,12 +72,6 @@ class LatticeSet:
     @property
     def size(self) -> int:
         return len(self.points)
-
-    @classmethod
-    def of(cls, n: int, points: np.ndarray) -> LatticeSet:
-        """The set of sorted `points`, frozen."""
-        points.setflags(write=False)
-        return cls(n, points)
 
 
 @dataclass(eq=False)
@@ -166,13 +164,18 @@ def enumerate_points(n: int) -> LatticeSet:
 
     Shells past _FLOAT_SAFE are refused: the work grows about linearly
     in n (11 s at n = 1e10), so n = 2^50 would take about two weeks.
+    The points are frozen and entered in _SHELLS, where `spatial` knows
+    them for a whole shell by identity.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
     if n > _FLOAT_SAFE:
         raise DomainError(f"n = {n} exceeds 2^50, past which shells are not enumerated")
     x1 = np.arange(math.isqrt(n // 3) + 1, dtype=np.int64)
-    ls = LatticeSet.of(n, _images(_solve_rows(x1, n - x1 * x1, x1)))
+    P = _images(_solve_rows(x1, n - x1 * x1, x1))
+    P.setflags(write=False)
+    _SHELLS[id(P), n] = P
+    ls = LatticeSet(n, P)
     if bool(ls.size) != three_squares_representable(n):
         raise InvariantError(f"enumeration of n={n} contradicts the 4^a(8b+7) test")
     return ls

@@ -87,7 +87,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, DuplicatePointError, InvariantError, budget
-from .lattice import _FLOAT_SAFE, LatticeSet, enumerate_points, fold, shell_orbits
+from .lattice import _FLOAT_SAFE, _SHELLS, LatticeSet, enumerate_points, fold, shell_orbits
 
 _PAIR_ENTRIES = 1 << 16  # Gram entries per tile of the pair kernel
 _NORM_TOL = 1e-12
@@ -347,10 +347,10 @@ def _is_symmetric(pts: UnitPointSet) -> bool:
     signed permutations, each point once.  A whole shell is one, and so is
     any union of its orbits; a set with a repeated row is not.
 
-    Only `enumerate_points` freezes the points it hands out, so frozen
-    points are looked up there, and those of its shell are recognised by
-    one identity test, on a cache hit.  Any other set is tested exactly,
-    and nothing is enumerated.  Each orbit (`shell_orbits`) must
+    The points `enumerate_points` hands out, frozen, are recognised by
+    one identity test in its registry (`lattice._SHELLS`), which holds
+    them weakly; a view or a copy of them is not.  Any other set is tested
+    exactly.  Neither enumerates.  Each orbit (`shell_orbits`) must
     hold as many points as its folded point (a, b, c) has images: 6, 3 or
     1 arrangements of a, b and c, times 2 to the number of nonzero ones.
     And no two points of an orbit may share a place, their signs and the
@@ -359,7 +359,7 @@ def _is_symmetric(pts: UnitPointSet) -> bool:
     A, n = pts.int_points, pts.source_n
     if A is None or n is None or n > _FLOAT_SAFE:
         return False
-    if not A.flags.writeable and A is enumerate_points(n).points:
+    if not A.flags.writeable and _SHELLS.get((id(A), n)) is A:
         return True
     orb = shell_orbits(A)
     a, b, c = F = fold(A[orb.first]).T
@@ -438,14 +438,14 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
             if len(close):
                 _settle(P, i0, j0, d2, close)
                 _check_duplicates(order, i0, j0, d2, close)
-        terms = d2  # the tile's workspace, overwritten in place
+        # the terms overwrite the tile's workspace in place
         if s == 1.0:
             # two correctly rounded steps, several times cheaper than pow
-            np.sqrt(terms, out=terms)
-            np.divide(1.0, terms, out=terms)
+            np.sqrt(d2, out=d2)
+            np.divide(1.0, d2, out=d2)
         else:
-            np.power(terms, -s / 2.0, out=terms)
-        parts.append(float(_ordered(np.sum, terms, i0, j0, weight)))
+            np.power(d2, -s / 2.0, out=d2)
+        parts.append(float(_ordered(np.sum, d2, i0, j0, weight)))
     return math.fsum(parts)
 
 

@@ -280,6 +280,36 @@ def test_orbit_near_2_49_is_tested_without_enumerating(seed):
             np.testing.assert_allclose(rep.rescaled_values, bare, rtol=1e-6)
 
 
+def test_frozen_points_are_tested_without_enumerating():
+    # read-only integer points that enumerate_points did not hand out, a
+    # slice of a shell's and an orbit near 2^49 frozen by its caller, are
+    # tested exactly, and neither enumerates; the shell's own points are
+    # known by identity alone, unless made writeable again
+    ls = lattice.enumerate_points(101)
+    n, P = seeded_orbit(7)
+    P.setflags(write=False)
+    cases = [(ls.points[1:], 101, False), (ls.points[:48], 101, False), (P, n, True), (ls.points, 101, True)]
+    fail = mock.Mock(side_effect=AssertionError("enumerated"))
+    with mock.patch.object(spatial, "enumerate_points", fail), mock.patch.object(lattice, "enumerate_points", fail):
+        for Q, m, symmetric in cases:
+            pts = spatial.project(lattice.LatticeSet(m, Q))
+            start = time.perf_counter()
+            assert not Q.flags.writeable and spatial._is_symmetric(pts) == symmetric
+            counts = [spatial.ripley_k(pts, r) for r in (0.1, 1.0, 2.0)]
+            spatial.nn_spacings(pts)
+            assert time.perf_counter() - start < 1.0
+            assert counts == [ripley_full_width(pts, r) for r in (0.1, 1.0, 2.0)]
+    with mock.patch.object(spatial, "shell_orbits", side_effect=AssertionError("tested")):
+        assert spatial._is_symmetric(spatial.project(ls))
+    ls.points.setflags(write=True)
+    try:
+        with mock.patch.object(spatial, "shell_orbits", wraps=lattice.shell_orbits) as orbits:
+            assert spatial._is_symmetric(spatial.project(ls))
+        assert orbits.called
+    finally:
+        ls.points.setflags(write=False)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([101, 539, 1009, 6464, 100_057]), st.floats(1e-3, 2.0), st.data())
 def test_union_of_whole_orbits_takes_the_orbit_routes(n, r, data):
@@ -484,16 +514,17 @@ SHELLS = [n for n in range(1, 700) if lattice.three_squares_representable(n)]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(SHELLS), st.integers(0, 10**6), st.sampled_from([-0.5, 0.0, 0.5]), st.sampled_from([1, 2, 3, 5, 17]))
+@given(st.sampled_from(SHELLS), st.integers(0, 10**6), st.sampled_from([-0.5, 0.0, 0.5]), BLOCK_ENTRIES)
 def test_banded_ripley_matches_full_width_on_shells(n, pick, nudge, entries):
     # the oracle is one dense integer Gram, which shares no orbit code; the
-    # count walks one row per orbit, and at these tile sizes the orbit rows
-    # split into row blocks of one or two
+    # count walks one row per orbit, and below 64 entries a tile the orbit
+    # rows split into row blocks of one or two
     pts = spatial.unit_shell(n)
     P = pts.int_points
     with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
         tiles, rows, _ = spatial._pair_plan(P[np.argsort(P[:, 2], kind="stable")], math.inf, True)
-    assert len({i0 for i0, _, _, _ in tiles}) > 1 or len(rows) == 1
+    if entries < 64:
+        assert len({i0 for i0, _, _, _ in tiles}) > 1 or len(rows) == 1
     d2 = sorted({int(x) for x in ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2).ravel()} - {0})
     z = sorted({int(c) for c in np.abs(P[:, 2])} - {0})
     radii = [min(2.0, math.sqrt((d2[pick % len(d2)] + nudge) / n))] if d2 else []
