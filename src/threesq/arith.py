@@ -539,8 +539,8 @@ def dirichlet_l_one(n: int, target_error: float) -> float:
     relative up to x = 6 (2.9e-14 out to 26, where the rounding of x^2
     dominates).
     """
-    if target_error <= 0:
-        raise DomainError("target_error must be positive")
+    if not 0 < target_error < math.inf:  # NaN fails too
+        raise DomainError("target_error must be positive and finite")
     if n % 8 == 7:
         raise DomainError(
             f"n = {n} = 7 (mod 8): not a sum of three squares, no count identity"

@@ -7,11 +7,15 @@ randomized command requires an explicit --seed which is echoed into the
 output.  Exit codes: 0 success, 2 domain error, 3 internal invariant
 violation.
 
-This module alone formats JSON and CSV; the library modules return
-numbers and arrays.  A handler returns a dict (printed as canonical JSON)
-or finished text, every CSV goes through `_csv`, and each config echo is
-read off the parsed arguments.  Statistics that a lattice shell and the
-binomial baseline both report build their fields in one function each.
+This module alone formats JSON, CSV and the point list; the library
+modules return numbers and arrays.  A handler returns a dict (printed as
+canonical JSON) or finished text, every CSV goes through `_csv`, and each
+config echo is read off the parsed arguments.  Each subcommand is declared
+once, in `build_parser`, which attaches its handler to its parser, and
+`main` calls the handler that the parsed arguments carry.  Every JSON
+shell command is one field builder in `_FIELDS`, which maps a shell's
+points and the arguments to the statistic's fields; the binomial baseline
+reads the builders of the statistics it reports alike.
 
 Each statistic declares its own options once, in `_STAT_OPTIONS`: its
 shell command and `baseline --stat` take exactly those.  `baseline`
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -97,13 +100,14 @@ def _csv(header: str, rows, config: dict | None = None) -> str:
 
 
 def _config(args) -> dict:
-    """`command`, every parsed option but `out` in parser order, then `seed`.
+    """`command`, every parsed option but `out` in parser order, then `seed`;
+    the handler is no option.
 
     argparse fills the namespace in the order the options are declared.
     """
     cfg = {"command": args.command}
     for k, v in vars(args).items():
-        if k not in ("command", "out", "seed"):
+        if k not in ("command", "handler", "out", "seed"):
             cfg[k] = v
     cfg["seed"] = getattr(args, "seed", None)
     return cfg
@@ -136,8 +140,9 @@ def _write_file(path: str, text: str) -> None:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-# Fields of the statistics that a lattice shell and the binomial baseline
-# report alike: each maps (points, args) to the statistic's fields.
+# Field builders: each maps (points, args) to a statistic's fields, which a
+# JSON shell command prints after its config, n and N.  The binomial
+# baseline shares energy, ripley, spacing and boxes.
 
 def _energy(pts, args) -> dict:
     value = spatial.riesz_energy(pts, args.s)
@@ -162,52 +167,14 @@ def _boxes(pts, args) -> dict:
     return {"cells": args.cells, "sum_counts": sum_counts, "sum_squares": sum_squares}
 
 
-_SHARED = {"energy": _energy, "ripley": _ripley, "spacing": _spacing, "boxes": _boxes}
-
-
-def _shell_stat(args) -> dict:
-    pts = _shell_or_fail(args.n)
-    fields = _SHARED[args.command](pts, args)
-    return {"config": _config(args), "n": args.n, "N": pts.size, **fields}
-
-
-def _cmd_enumerate(args) -> str:
-    ls = lattice.enumerate_points(args.n)
-    if ls.size == 0:
-        print(f"warning: n = {args.n} is not representable (4^a(8b+7))", file=sys.stderr)
-    buf = io.StringIO()
-    lattice.save_points(ls, buf)
-    return buf.getvalue()
-
-
-def _cmd_pairs(args) -> str:
-    tbl = lattice.pair_table(args.n)
-    if tbl.empty:
-        print(f"warning: n = {args.n} has no lattice points", file=sys.stderr)
-    # one % format over the interleaved t, count list: half the time of a
-    # format per row on the 15 467 rows of n = 100 117
-    k = len(tbl.t)
-    flat = np.column_stack((tbl.t, tbl.count)).ravel().tolist()
-    rows = ["\n".join(["%d,%d"] * k) % tuple(flat)] if k else []
-    return _csv("t,count", rows, _config(args))
-
-
-def _cmd_covering(args) -> dict:
-    pts = _shell_or_fail(args.n)
+def _covering(pts, args) -> dict:
     value = spatial.covering_radius(pts)
     mesh = (
         spatial.covering_radius_mesh(pts, args.mesh_check)
         if args.mesh_check is not None
         else None
     )
-    return {
-        "config": _config(args),
-        "n": args.n,
-        "N": pts.size,
-        "value": value,
-        "mesh_estimate": mesh,
-        "lower_bound": 2.0 / math.sqrt(pts.size),
-    }
+    return {"value": value, "mesh_estimate": mesh, "lower_bound": 2.0 / math.sqrt(pts.size)}
 
 
 def _resolve_annulus(args) -> spatial.AnnulusSpec:
@@ -222,8 +189,7 @@ def _resolve_annulus(args) -> spatial.AnnulusSpec:
     return spatial.AnnulusSpec(rho1, rho2)
 
 
-def _cmd_variance(args) -> dict:
-    pts = _shell_or_fail(args.n)
+def _variance(pts, args) -> dict:
     spec = _resolve_annulus(args)
     if args.samples is None and args.m_max is None:
         raise DomainError("request --samples (Monte Carlo) and/or --m-max (series)")
@@ -241,9 +207,6 @@ def _cmd_variance(args) -> dict:
             h = harmonics.zonal_coeffs(spec, args.m_max).tolist()
             _write_file(args.zonal_out, _csv("m,h", (f"{m},{_fmt_float(v)}" for m, v in enumerate(h))))
     return {
-        "config": _config(args),
-        "n": args.n,
-        "N": pts.size,
         "rho1": spec.rho1,
         "rho2": spec.rho2,
         "sigma": spec.area,
@@ -260,16 +223,7 @@ def _cmd_variance(args) -> dict:
     }
 
 
-def _cmd_weyl(args) -> str:
-    pts = _shell_or_fail(args.n)
-    tbl = harmonics.weyl_sums(None, args.degree, args.normalized, points=pts)
-    rows = [f"{j},{_fmt_float(v)}" for j, v in enumerate(tbl.values.tolist())]
-    rows.append(f"# aggregate,{_fmt_float(tbl.aggregate())}")
-    return _csv("j,value", rows, _config(args))
-
-
-def _cmd_discrepancy(args) -> dict:
-    pts = _shell_or_fail(args.n)
+def _discrepancy(pts, args) -> dict:
     if (args.seed is None) != (args.centers is None):
         raise DomainError("the sampled estimate takes --centers and an explicit --seed together")
     bound = harmonics.discrepancy_bound(None, args.m_max, points=pts)
@@ -278,15 +232,50 @@ def _cmd_discrepancy(args) -> dict:
         grid = np.geomspace(2.0 / math.sqrt(pts.size), 2.0, 32)
         estimate = harmonics.cap_discrepancy_estimate(pts, args.centers, grid, args.seed)
     return {
-        "config": _config(args),
-        "n": args.n,
-        "N": pts.size,
         "m_max": args.m_max,
         "bound": bound,
         "centers": args.centers,
         "seed": args.seed,
         "estimate": estimate,
     }
+
+
+_FIELDS = {"energy": _energy, "ripley": _ripley, "spacing": _spacing, "covering": _covering,
+           "variance": _variance, "boxes": _boxes, "discrepancy": _discrepancy}
+
+
+def _shell_stat(args) -> dict:
+    pts = _shell_or_fail(args.n)
+    fields = _FIELDS[args.command](pts, args)
+    return {"config": _config(args), "n": args.n, "N": pts.size, **fields}
+
+
+def _cmd_enumerate(args) -> str:
+    ls = lattice.enumerate_points(args.n)
+    if ls.size == 0:
+        print(f"warning: n = {args.n} is not representable (4^a(8b+7))", file=sys.stderr)
+    # the header '# n=<n> N=<N>', then one 'x1 x2 x3' per line
+    return ("# n=%d N=%d\n" + "%d %d %d\n" * ls.size) % (args.n, ls.size, *ls.points.ravel().tolist())
+
+
+def _cmd_pairs(args) -> str:
+    tbl = lattice.pair_table(args.n)
+    if tbl.empty:
+        print(f"warning: n = {args.n} has no lattice points", file=sys.stderr)
+    # one % format over the interleaved t, count list: half the time of a
+    # format per row on the 15 467 rows of n = 100 117
+    k = len(tbl.t)
+    flat = np.column_stack((tbl.t, tbl.count)).ravel().tolist()
+    rows = ["\n".join(["%d,%d"] * k) % tuple(flat)] if k else []
+    return _csv("t,count", rows, _config(args))
+
+
+def _cmd_weyl(args) -> str:
+    pts = _shell_or_fail(args.n)
+    tbl = harmonics.weyl_sums(None, args.degree, args.normalized, points=pts)
+    rows = [f"{j},{_fmt_float(v)}" for j, v in enumerate(tbl.values.tolist())]
+    rows.append(f"# aggregate,{_fmt_float(tbl.aggregate())}")
+    return _csv("j,value", rows, _config(args))
 
 
 def _verify_arith_work(n_max: int) -> int:
@@ -363,7 +352,7 @@ def _cmd_baseline(args) -> dict:
             "binomial_variance": pts.size * spec.area * (1 - spec.area),
         }
     else:
-        result = _SHARED[stat](pts, args)
+        result = _FIELDS[stat](pts, args)
     return {
         "config": _config(args),
         "stat": stat,
@@ -371,24 +360,6 @@ def _cmd_baseline(args) -> dict:
         "seed": args.seed,
         "result": result,
     }
-
-
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "pairs": _cmd_pairs,
-    "energy": _shell_stat,
-    "ripley": _shell_stat,
-    "spacing": _shell_stat,
-    "covering": _cmd_covering,
-    "variance": _cmd_variance,
-    "boxes": _shell_stat,
-    "weyl": _cmd_weyl,
-    "discrepancy": _cmd_discrepancy,
-    "verify-arith": _cmd_verify_arith,
-    "twosq-gaps": _cmd_twosq_gaps,
-    "twosq-probe": _cmd_twosq_probe,
-    "baseline": _cmd_baseline,
-}
 
 
 # Each statistic's own options, declared once: its shell command and
@@ -424,21 +395,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kw):
+    def cmd(name, handler, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(handler=handler)
         return p
 
     n_opt = argparse.ArgumentParser(add_help=False)
     n_opt.add_argument("--n", type=int, required=True)
 
-    def shell_cmd(name, **kw):  # a command on the shell |x|^2 = n, with a statistic's own options
+    def shell_cmd(name, handler=_shell_stat, **kw):  # a command on the shell |x|^2 = n, with a statistic's own options
         stat = [_stat_parser(name)] if name in _STAT_OPTIONS else []
-        return cmd(name, parents=[n_opt, *stat], **kw)
+        return cmd(name, handler, parents=[n_opt, *stat], **kw)
 
-    shell_cmd("enumerate", help="list all integer points with |x|^2 = n")
+    shell_cmd("enumerate", _cmd_enumerate, help="list all integer points with |x|^2 = n")
 
-    shell_cmd("pairs", help="inner-product histogram as CSV")
+    shell_cmd("pairs", _cmd_pairs, help="inner-product histogram as CSV")
 
     shell_cmd("energy", help="Riesz s-energy of the projected shell")
 
@@ -457,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shell_cmd("boxes", help="equal-area cell occupancy moments")
 
-    p = shell_cmd("weyl", help="harmonic sums of one degree as CSV")
+    p = shell_cmd("weyl", _cmd_weyl, help="harmonic sums of one degree as CSV")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--normalized", action="store_true")
 
@@ -466,19 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centers", type=int)
     p.add_argument("--seed", type=int, default=None)
 
-    p = cmd("verify-arith", help="pair-count formula versus direct counting")
+    p = cmd("verify-arith", _cmd_verify_arith, help="pair-count formula versus direct counting")
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
 
-    p = cmd("twosq-gaps", help="largest gaps between sums of two squares")
+    p = cmd("twosq-gaps", _cmd_twosq_gaps, help="largest gaps between sums of two squares")
     p.add_argument("--y-list", required=True, dest="y_list", help="comma-separated window starts")
 
-    p = cmd("twosq-probe", help="near-pole probe of dist(2m, sums of two squares)")
+    p = cmd("twosq-probe", _cmd_twosq_probe, help="near-pole probe of dist(2m, sums of two squares)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
 
     # --s would abbreviate --stat and --seed: a statistic's options are
     # left whole for its own parser
-    p = cmd("baseline", help="binomial-process analog of a statistic", description="--stat S takes the options of the shell command S", allow_abbrev=False)
+    p = cmd("baseline", _cmd_baseline, help="binomial-process analog of a statistic", description="--stat S takes the options of the shell command S", allow_abbrev=False)
     p.add_argument("--stat", required=True, choices=list(_STAT_OPTIONS))
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -497,7 +469,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        out = _HANDLERS[args.command](args)
+        out = args.handler(args)
         text = out if isinstance(out, str) else dumps_canonical(out) + "\n"
         if args.out:
             _write_file(args.out, text)

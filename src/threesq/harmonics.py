@@ -380,7 +380,7 @@ def cap_discrepancy_estimate(
     if center_samples < 100:
         raise DomainError("need at least 100 sampled centers")
     radii = np.asarray(radius_grid, dtype=np.float64)
-    if radii.ndim != 1 or len(radii) == 0 or radii.min() <= 0 or radii.max() > 2:
+    if radii.ndim != 1 or len(radii) == 0 or not (radii.min() > 0 and radii.max() <= 2):  # NaN fails too
         raise DomainError("radius grid must contain chord radii in (0, 2]")
     N = pts.size
     budget("center_products", center_samples * max(N, _ESTIMATE_FLOOR), f"{center_samples} random centers")

@@ -342,10 +342,3 @@ def points_near_pole(m: int, height: int) -> np.ndarray:
     if not np.all(np.einsum("ij,ij->i", pts, pts) == m * m):
         raise InvariantError("near-pole point off the sphere")
     return pts
-
-
-def save_points(ls: LatticeSet, fh) -> None:
-    """Text format: header '# n=<n> N=<N>' then one 'x1 x2 x3' per line."""
-    fh.write(f"# n={ls.n} N={ls.size}\n")
-    fh.write(("%d %d %d\n" * ls.size) % tuple(ls.points.ravel().tolist()))
-

@@ -129,7 +129,7 @@ class UnitPointSet:
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if len(pts):
             norms = np.linalg.norm(pts, axis=1)
-            if np.abs(norms - 1.0).max() > _NORM_TOL:
+            if not np.abs(norms - 1.0).max() <= _NORM_TOL:  # NaN fails too
                 raise DomainError("points must lie on the unit sphere to 1e-12")
         self.points = pts
 
@@ -164,10 +164,6 @@ class AnnulusSpec:
     def area(self) -> float:
         """Normalized area, exactly (rho2^2 - rho1^2) / 4."""
         return (self.rho2**2 - self.rho1**2) / 4.0
-
-    @classmethod
-    def cap(cls, rho: float) -> "AnnulusSpec":
-        return cls(0.0, rho)
 
     @classmethod
     def cap_of_area(cls, sigma: float) -> "AnnulusSpec":

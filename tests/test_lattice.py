@@ -1,4 +1,4 @@
-import io
+import argparse
 import itertools
 import math
 import tracemalloc
@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from threesq import lattice
-from threesq.cli import main
+from threesq.cli import _cmd_enumerate, main
 from threesq.errors import BUDGETS, DomainError
 
 
@@ -471,6 +471,11 @@ def test_points_near_pole_refuses_over_candidate_budget(monkeypatch):
 
 # ------------------------------------------------------------- serialization
 
+def enumerate_text(n: int) -> str:
+    """What `threesq enumerate --n <n>` writes."""
+    return _cmd_enumerate(argparse.Namespace(n=n))
+
+
 def read_points(text: str) -> np.ndarray:
     """The 'x1 x2 x3' rows below the header line of the point-set text format."""
     return np.array(text.split("\n", 1)[1].split(), dtype=np.int64).reshape(-1, 3)
@@ -478,9 +483,7 @@ def read_points(text: str) -> np.ndarray:
 
 def test_point_roundtrip():
     ls = lattice.enumerate_points(5)
-    buf = io.StringIO()
-    lattice.save_points(ls, buf)
-    text = buf.getvalue()
+    text = enumerate_text(5)
     assert text.startswith("# n=5 N=24\n")
     assert read_points(text).tolist() == ls.points.tolist()
 
@@ -493,9 +496,7 @@ def test_point_roundtrip():
 @example(100_000)
 def test_point_roundtrip_random_shells(n):
     ls = lattice.enumerate_points(n)
-    buf = io.StringIO()
-    lattice.save_points(ls, buf)
-    text = buf.getvalue()
+    text = enumerate_text(n)
     assert text.splitlines()[0] == f"# n={n} N={ls.size}"
     back = read_points(text)
     assert back.shape == (ls.size, 3)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from threesq import lattice, spatial
+from threesq import arith, harmonics, lattice, spatial
 from threesq.errors import BUDGETS, DomainError, DuplicatePointError
 
 
@@ -23,10 +23,26 @@ def test_unit_point_set_rejects_off_sphere():
         spatial.UnitPointSet(np.array([[0.0, 0.0, 1.1]]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spatial.UnitPointSet(np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]])),
+        lambda: arith.dirichlet_l_one(1_000_003, math.nan),
+        lambda: arith.dirichlet_l_one(1_000_003, math.inf),
+        lambda: harmonics.cap_discrepancy_estimate(spatial.unit_shell(101), 100, [0.5, math.nan], 1),
+    ],
+    ids=["unit-point-set", "l-value-nan", "l-value-inf", "discrepancy-radii"],
+)
+def test_float_guards_refuse_nan(call):
+    # NaN fails every comparison, so each guard asks that its input be valid
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_annulus_area():
     spec = spatial.AnnulusSpec(0.5, 1.5)
     assert spec.area == (1.5**2 - 0.5**2) / 4
-    assert spatial.AnnulusSpec.cap(2.0).area == 1.0
+    assert spatial.AnnulusSpec(0.0, 2.0).area == 1.0
     assert spatial.AnnulusSpec.cap_of_area(0.25).rho2 == pytest.approx(1.0)
     with pytest.raises(DomainError):
         spatial.AnnulusSpec(1.0, 0.5)
@@ -241,7 +257,7 @@ def test_set_with_repeated_rows_is_not_symmetric():
     assert spacings[0][-1] == pytest.approx(16 / 3)  # 8 * (8/3) / 4
     radii = (0.5, 1.7, 2.0)
     assert [spatial.ripley_k(pts, r) for r in radii] == [spatial.ripley_k(bare, r) for r in radii] == [42, 56, 56]
-    spec = spatial.AnnulusSpec.cap(1.0)
+    spec = spatial.AnnulusSpec(0.0, 1.0)
     hists = [spatial._annulus_histogram(X, spec, 500, 4).tolist() for X in (pts, bare)]
     assert hists[0] == hists[1]
 
@@ -405,7 +421,7 @@ def test_negative_seed_is_refused():
     with pytest.raises(DomainError, match="non-negative"):
         spatial.binomial_sample(10, -1)
     with pytest.raises(DomainError, match="non-negative"):
-        spatial.number_variance(shell, spatial.AnnulusSpec.cap(0.5), 100, -1)
+        spatial.number_variance(shell, spatial.AnnulusSpec(0.0, 0.5), 100, -1)
     assert spatial._rng(0).random() == np.random.Generator(np.random.Philox(0)).random()
 
 
@@ -1166,9 +1182,9 @@ def test_points_on_their_center_count():
     # x.x rounds to 1 + 2^-52 for some points; a cap has no upper dot test
     # and the whole sphere no lower one, so neither drops such a point
     pts = spatial.binomial_sample(170, 0)
-    assert count_in(pts, pts.points[5], spatial.AnnulusSpec.cap(0.1)) >= 1
+    assert count_in(pts, pts.points[5], spatial.AnnulusSpec(0.0, 0.1)) >= 1
     for x in pts.points:
-        assert count_in(pts, x, spatial.AnnulusSpec.cap(1e-3)) >= 1
+        assert count_in(pts, x, spatial.AnnulusSpec(0.0, 1e-3)) >= 1
         assert count_in(pts, -x, spatial.AnnulusSpec(0, 2)) == 170
     # the centers of 170 samples at seed 0 are that sample's own points
     rep = spatial.number_variance(pts, spatial.AnnulusSpec(0, 2), 170, seed=0)
@@ -1177,8 +1193,8 @@ def test_points_on_their_center_count():
 
 def test_count_in_pinned(octahedron):
     e1 = np.array([1.0, 0.0, 0.0])
-    assert count_in(octahedron, e1, spatial.AnnulusSpec.cap(2.0)) == 6
-    assert count_in(octahedron, e1, spatial.AnnulusSpec.cap(1.0)) == 1
+    assert count_in(octahedron, e1, spatial.AnnulusSpec(0.0, 2.0)) == 6
+    assert count_in(octahedron, e1, spatial.AnnulusSpec(0.0, 1.0)) == 1
     assert count_in(octahedron, e1, spatial.AnnulusSpec(1.0, 1.5)) == 4
 
 
@@ -1213,7 +1229,7 @@ def test_number_variance_unbiased_over_seeds(shell5):
 
 
 def test_number_variance_determinism(shell5):
-    spec = spatial.AnnulusSpec.cap(0.8)
+    spec = spatial.AnnulusSpec(0.0, 0.8)
     a = spatial.number_variance(shell5, spec, 500, seed=42)
     b = spatial.number_variance(shell5, spec, 500, seed=42)
     assert (a.mean, a.variance) == (b.mean, b.variance)
@@ -1221,7 +1237,7 @@ def test_number_variance_determinism(shell5):
 
 def test_number_variance_rejects_few_samples(shell5):
     with pytest.raises(DomainError):
-        spatial.number_variance(shell5, spatial.AnnulusSpec.cap(0.5), 99, seed=0)
+        spatial.number_variance(shell5, spatial.AnnulusSpec(0.0, 0.5), 99, seed=0)
 
 
 def dense_histogram(pts, spec, samples, seed):
@@ -1303,7 +1319,7 @@ def test_banded_counts_pinned_cases(octahedron, shell5):
     assert_banded_equals_dense(shell5, spatial.AnnulusSpec(0.9, 1.1), 1001, 14)
     empty = spatial.unit_shell(7)
     assert empty.size == 0
-    assert_banded_equals_dense(empty, spatial.AnnulusSpec.cap(0.5), 101, 15)
+    assert_banded_equals_dense(empty, spatial.AnnulusSpec(0.0, 0.5), 101, 15)
 
 
 def columns_walked(pts, spec, samples, seed):
@@ -1325,11 +1341,11 @@ def columns_walked(pts, spec, samples, seed):
 # r_D + rho2 past 2, drops no point
 SECTOR_SPECS = [
     spatial.AnnulusSpec.cap_of_area(0.01),
-    spatial.AnnulusSpec.cap(0.05),
+    spatial.AnnulusSpec(0.0, 0.05),
     spatial.AnnulusSpec(0.05, 0.3),
     spatial.AnnulusSpec(0.3, 0.9),
     spatial.AnnulusSpec(0, 2),
-    spatial.AnnulusSpec.cap(1.6),
+    spatial.AnnulusSpec(0.0, 1.6),
     spatial.AnnulusSpec(1.0, 1.8),
 ]
 
@@ -1405,7 +1421,7 @@ def test_banded_counts_stay_zero_where_a_row_block_meets_no_point():
     # they start at (twelve columns give row blocks of 5461 centers)
     phi = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
     pts = spatial.UnitPointSet(np.column_stack([0.1 * np.cos(phi), 0.1 * np.sin(phi), np.full(12, math.sqrt(0.99))]))
-    spec = spatial.AnnulusSpec.cap(0.3)
+    spec = spatial.AnnulusSpec(0.0, 0.3)
     _, tiles = chunk_plan(pts, spec, 20_001, 23)
     h = rectangle_rows(spatial._PAIR_ENTRIES, 12)
     assert len({i0 for i0, _, _, _ in tiles}) < len(range(0, 20_001, h)) // 2
@@ -1419,7 +1435,7 @@ def test_banded_counts_keep_points_past_a_fixed_pad():
     # UnitPointSet tolerance) dot it at lo + 4e-13 for a cap of radius
     # 1e-6, so every BLAS kernel counts them, yet their z lies farther
     # than rho2 + 1e-9 from the center's
-    spec = spatial.AnnulusSpec.cap(1e-6)
+    spec = spatial.AnnulusSpec(0.0, 1e-6)
     theta, eta = 1.4e-6, 9e-13
     rng = np.random.Generator(np.random.Philox(5))
     centers = spatial._random_units(rng, 101)

@@ -4,8 +4,9 @@ Every public top-level function or class of a `src/threesq` module, and
 every public method or property of such a class, must be read somewhere
 other than its own definition: in `src/`, `demos/`, `perfbench/*.py` or
 `README.md`.  A read in Python is a name, an attribute or an imported
-name, matched by name; in the README it is the name as a word.  A
-re-export from `__init__.py` is no read, and there is none.  The tests do
+name, matched by name; in the README it is the name as a word inside a
+code span or a fenced block, since a prose word such as "cap" names no
+code.  A re-export from `__init__.py` is no read, and there is none.  The tests do
 not count, so a name that only they read is an oracle and lives in the
 tests.  The names kept for another reason are listed in KEPT with it.
 
@@ -68,6 +69,15 @@ def is_public_def(stmt: ast.stmt) -> bool:
     return isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
 
 
+def readme_code() -> str:
+    """The README's fenced blocks and inline code spans, one per line."""
+    fence = r"^```[^\n]*\n(.*?)^```"
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(fence, text, re.MULTILINE | re.DOTALL)
+    prose = re.sub(fence, "", text, flags=re.MULTILINE | re.DOTALL)
+    return "\n".join(blocks + re.findall(r"`([^`]+)`", prose))
+
+
 def unread_names() -> set[str]:
     """module.name of every public top-level def or class nothing reads, and
     module.class.name of every such method or property."""
@@ -77,7 +87,7 @@ def unread_names() -> set[str]:
     statements += [stmt for path in scripts for stmt in ast.parse(path.read_text()).body]
     # what each top-level statement reads; a definition is one of them
     reads = [(stmt, names_read(stmt)) for stmt in statements]
-    readme = (ROOT / "README.md").read_text()
+    readme = readme_code()
 
     def is_read(name: str, readers: list[set[str]]) -> bool:
         return any(name in names for names in readers) or bool(re.search(rf"\b{re.escape(name)}\b", readme))
