@@ -1,6 +1,6 @@
 """Exact arithmetic behind sphere pair counts.
 
-Integer factorization, Kronecker and Jacobi symbols, class numbers of
+Integer factorization, the Jacobi symbol, class numbers of
 imaginary quadratic fields, Dirichlet L-values at s=1, and the p-adic
 local densities of the binary quadratic form
 
@@ -40,6 +40,21 @@ as the rows of a grid over m, sieved like `twosquares._sieve_segment`:
   Every odd prime of n, small or left as the remainder of m = n,
   contributes 1 there and is applied by the general density at the rows
   with p | t, the only rows where p divides both sides.
+
+Each integer primitive has one implementation, and each path reads it:
+
+* factorizations come from `factorize` alone (trial division by the
+  primes below 10^4, then Pollard rho on the cofactor), read by
+  `is_squarefree`, `is_squarefull`, `majorant_general` and the scalar
+  `pair_count_formula`; `class_number` walks the smallest-prime-factor
+  table of `primes` for its boundary forms only;
+* quadratic symbols on arrays come from `_jacobi`, read by the
+  densities, the formula grid and `_chi_table`, which takes chi_d(2)
+  from d mod 8; `majorant_general` takes (-n | p) on Python ints by
+  Euler's criterion;
+* valuations come from `_valuation`, read by `local_density` and the
+  grid's densities at the primes of n; the grid's own slices count
+  ord_p(m) by nesting.
 
 All functions are pure; the only caches are the prime tables and a
 bounded cache of class numbers.
@@ -103,12 +118,6 @@ def _rho_split(n: int) -> int:
     raise InvariantError(f"rho failed to split {n}")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    value: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
-
-
 def _split_into(n: int, out: dict[int, int]) -> None:
     if n == 1:
         return
@@ -130,103 +139,50 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(_primes.primes_up_to(10_000).tolist())
 
 
-def factorize(n: int) -> Factorization:
-    """Full factorization; trial division backed by a rho splitter.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1, primes ascending.
 
-    Intended range is n up to about 2^80 (discriminants n^2 - t^2 for
-    sphere radii up to 2^40); Python integers keep everything exact.
+    Trial division by the primes below 10^4, then Pollard rho on a
+    cofactor with no prime factor among them, so the route depends on n
+    alone.  Intended range is n up to about 2^80 (discriminants
+    n^2 - t^2 for sphere radii up to 2^40); Python integers keep
+    everything exact, and the factors are multiplied back before they
+    are returned.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     value = n
     fac: dict[int, int] = {}
-    if n <= _primes.spf_limit():
-        spf = _primes.spf_table(n)
-        while n > 1:
-            p = int(spf[n])
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            fac[p] = k
+    for p in _trial_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            fac[p] = fac.get(p, 0) + 1
+            n //= p
     else:
-        for p in _trial_primes():
-            if p * p > n:
-                break
-            while n % p == 0:
-                fac[p] = fac.get(p, 0) + 1
-                n //= p
-        else:
-            # cofactor free of primes below the trial bound: split by rho
-            _split_into(n, fac)
-            n = 1
-        if n > 1:
-            # no prime factor up to its square root
-            fac[n] = 1
-    f = Factorization(value, tuple(sorted(fac.items())))
-    check = 1
-    for p, k in f.factors:
-        check *= p**k
-    if check != value:
+        # cofactor free of primes below the trial bound: split by rho
+        _split_into(n, fac)
+        n = 1
+    if n > 1:
+        # no prime factor up to its square root
+        fac[n] = 1
+    factors = tuple(sorted(fac.items()))
+    if math.prod(p**k for p, k in factors) != value:
         raise InvariantError(f"factorization of {value} does not multiply back")
-    return f
-
-
-def ord_p(m: int, p: int) -> int:
-    """Largest k with p^k | m (m must be nonzero)."""
-    if m == 0:
-        raise DomainError("ord_p(0) is infinite; handle zero separately")
-    m = abs(m)
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    return k
+    return factors
 
 
 def is_squarefree(n: int) -> bool:
     if n < 1:
         return False
-    return all(k == 1 for _, k in factorize(n).factors)
+    return all(k == 1 for _, k in factorize(n))
 
 
 def is_squarefull(n: int) -> bool:
     """Every prime factor appears with exponent >= 2 (true for n = 1)."""
     if n < 1:
         return False
-    return all(k >= 2 for _, k in factorize(n).factors)
-
-
-def kronecker(d: int, m: int) -> int:
-    """Kronecker symbol (d|m), defined for all integer pairs."""
-    a, n = d, m
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    k = 1
-    if v % 2 == 1 and a % 8 in (3, 5):
-        k = -1
-    if n < 0:
-        n = -n
-        if a < 0:
-            k = -k
-    a %= n
-    while a:
-        v = 0
-        while a % 2 == 0:
-            a //= 2
-            v += 1
-        if v % 2 == 1 and n % 8 in (3, 5):
-            k = -k
-        if a % 4 == 3 and n % 4 == 3:
-            k = -k
-        a, n = n % a, a
-    return k if n == 1 else 0
+    return all(k >= 2 for _, k in factorize(n))
 
 
 def _jacobi(a, m) -> np.ndarray:
@@ -418,7 +374,7 @@ def _chi_table(d: int, upto: int) -> np.ndarray:
     chi[0] = 0.0
     ps = _primes.primes_up_to(upto).astype(np.int64)
     values = np.empty(ps.size)
-    values[:1] = kronecker(d, 2)
+    values[:1] = 0 if d % 2 == 0 else -1 if d % 8 in (3, 5) else 1  # (d | 2)
     values[1:] = _jacobi(d, ps[1:])
     ps, values = ps[values != 1], values[values != 1]
     small = np.searchsorted(ps, math.isqrt(upto), side="right")
@@ -600,12 +556,13 @@ def majorant_general(m: int, n: int, arg: int) -> int:
         raise DomainError(f"m = {m} must be squarefull")
     if arg < 1:
         raise DomainError("argument must be a positive integer")
-    return _majorant(n, m, factorize(arg).factors)
+    return _majorant(n, m, factorize(arg))
 
 
 def _majorant(n: int, m: int, factors) -> int:
     # majorant_general from the factors of arg.  For odd p the character
-    # chi_d(p) of d = -n or d = -4n is (-n | p), as 4 is a square mod p.
+    # chi_d(p) of d = -n or d = -4n is (-n | p), as 4 is a square mod p,
+    # taken by Euler's criterion, exact on Python ints of any size.
     out = 1
     for p, k in factors:
         if p == 2:
@@ -613,7 +570,8 @@ def _majorant(n: int, m: int, factors) -> int:
         if m % p == 0:
             out *= k + 1
         elif n % p != 0:
-            out *= int(_character_sum(kronecker(-n, p), k))
+            chi = 1 if pow(-n % p, (p - 1) // 2, p) == 1 else -1
+            out *= int(_character_sum(chi, k))
         elif k >= 2:
             out *= 2
     return out
@@ -685,7 +643,7 @@ def _odd_prime_entries(n: int, t: int):
     of n^2 - t^2, from `factorize` of n - t and n + t."""
     ords: dict[int, list[int]] = {}
     for side, m in enumerate((n - t, n + t)):
-        for p, k in factorize(m).factors:
+        for p, k in factorize(m):
             if p != 2:
                 ords.setdefault(p, [0, 0])[side] = k
     rows = [(p, a, b) for p, (a, b) in ords.items()]
@@ -709,8 +667,9 @@ def local_density(n: int, t: int, p: int) -> int:
     integer (see `_local_factors`).  n >= 2^62 is refused.
     """
     _check_pair_prime(n, t, p)
-    one = [np.array([v], dtype=np.int64) for v in (p, ord_p(n - t, p), ord_p(n + t, p))]
-    return int(_local_factors(n, t, *one)[0][0])
+    prime = np.array([p], dtype=np.int64)
+    ords = [_valuation(np.array([m], dtype=np.int64), prime) for m in (n - t, n + t)]
+    return int(_local_factors(n, t, prime, *ords)[0][0])
 
 
 def pair_count_formula(n: int, t: int) -> int:

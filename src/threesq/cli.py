@@ -50,43 +50,18 @@ def _fmt_float(x: float) -> str:
 
 def dumps_canonical(obj) -> str:
     """JSON with fixed field order and 17-significant-digit floats."""
-    parts: list[str] = []
-    _write(obj, parts.append)
-    return "".join(parts)
-
-
-def _write(o, emit) -> None:
-    if o is None:
-        emit("null")
-    elif o is True:
-        emit("true")
-    elif o is False:
-        emit("false")
-    elif isinstance(o, str):
-        emit(json.dumps(o))
-    elif isinstance(o, (int, np.integer)):
-        emit(str(int(o)))
-    elif isinstance(o, (float, np.floating)):
-        emit(_fmt_float(float(o)))
-    elif isinstance(o, dict):
-        emit("{")
-        for i, (k, v) in enumerate(o.items()):
-            if i:
-                emit(", ")
-            emit(json.dumps(str(k)))
-            emit(": ")
-            _write(v, emit)
-        emit("}")
-    elif isinstance(o, (list, tuple, np.ndarray)):
-        emit("[")
-        seq = o.tolist() if isinstance(o, np.ndarray) else o
-        for i, v in enumerate(seq):
-            if i:
-                emit(", ")
-            _write(v, emit)
-        emit("]")
-    else:
-        raise InvariantError(f"unserializable value of type {type(o)!r}")
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {dumps_canonical(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        return "[" + ", ".join(map(dumps_canonical, seq)) + "]"
+    raise InvariantError(f"unserializable value of type {type(obj)!r}")
 
 
 def _csv(header: str, rows, config: dict | None = None) -> str:
@@ -283,6 +258,8 @@ def _verify_arith_work(n_max: int) -> int:
 
 
 def _cmd_verify_arith(args) -> dict:
+    if args.n_max < 1:
+        raise DomainError(f"--n-max must be at least 1, not {args.n_max}")
     budget("verify_arith", _verify_arith_work(args.n_max), f"verify-arith --n-max {args.n_max}")
     shells, tables = [], []
     for n in range(1, args.n_max + 1):

@@ -35,6 +35,7 @@ and the `pairs` and `verify-arith` commands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,9 @@ MAX_DEGREE = 2000
 # power-of-two scale of the order recurrence, so that sectoral values of
 # points near s = 1/e stay out of the subnormal range up to MAX_DEGREE
 _ORDER_SCALE = 2.0**900
+# weyl_sums builds the basis over chunks of points holding at most this
+# many floats at once, (3 degree + 2) per point: 64 MB
+_BASIS_ENTRIES = 1 << 23
 # cap_discrepancy_estimate's cost of one center in dot products: each row
 # is sorted and searched in Python, about 10 us against 10 ns a product
 _ESTIMATE_FLOOR = 1024
@@ -277,14 +281,17 @@ def weyl_sums(
     point is summed, with no use of the shell's symmetry, so these sums
     stay an independent check of `_harmonic_sums`; N (degree + 1)(degree
     + 2)/2 order terms past the "harmonic_terms" budget of
-    `errors.BUDGETS` are refused before the basis is built.
+    `errors.BUDGETS` are refused before the basis is built.  The basis is
+    built and summed over chunks of points within _BASIS_ENTRIES floats,
+    and the chunk sums added in order.
     """
     if degree < 1 or degree > MAX_DEGREE:
         raise DomainError(f"degree must lie in [1, {MAX_DEGREE}]")
     pts = _resolve_points(n, points)
     budget("harmonic_terms", pts.size * (degree + 1) * (degree + 2) // 2, f"harmonic basis of degree {degree}")
-    basis = real_harmonic_basis(degree, pts.points)
-    vals = basis.sum(axis=1)
+    rows = max(1, _BASIS_ENTRIES // (3 * degree + 2))
+    chunks = (pts.points[lo : lo + rows] for lo in range(0, max(pts.size, 1), rows))
+    vals = functools.reduce(np.add, (real_harmonic_basis(degree, c).sum(axis=1) for c in chunks))
     if normalized:
         vals = vals / pts.size
     return WeylSumTable(vals)

@@ -63,7 +63,8 @@ def three_squares_representable(n: int) -> bool:
 class LatticeSet:
     """All integer triples of squared length n, lexicographically sorted.
 
-    Instances are cached and shared; treat the arrays as read-only.
+    Instances are cached and shared, and the points are frozen: the array
+    is not writeable.
     """
 
     n: int

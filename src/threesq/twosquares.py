@@ -62,7 +62,7 @@ def is_sum_two_squares(n: int) -> bool:
         raise DomainError("n must be nonnegative")
     if n == 0:
         return True
-    return all(k % 2 == 0 for p, k in factorize(n).factors if p % 4 == 3)
+    return all(k % 2 == 0 for p, k in factorize(n) if p % 4 == 3)
 
 
 @dataclass

@@ -17,6 +17,49 @@ from threesq.errors import BUDGETS, DomainError
 
 # ---------------------------------------------------------------- oracles
 
+def kronecker(d: int, m: int) -> int:
+    """Kronecker symbol (d|m) on Python ints, defined for all integer pairs."""
+    a, n = d, m
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    if a % 2 == 0 and n % 2 == 0:
+        return 0
+    v = 0
+    while n % 2 == 0:
+        n //= 2
+        v += 1
+    k = 1
+    if v % 2 == 1 and a % 8 in (3, 5):
+        k = -1
+    if n < 0:
+        n = -n
+        if a < 0:
+            k = -k
+    a %= n
+    while a:
+        v = 0
+        while a % 2 == 0:
+            a //= 2
+            v += 1
+        if v % 2 == 1 and n % 8 in (3, 5):
+            k = -k
+        if a % 4 == 3 and n % 4 == 3:
+            k = -k
+        a, n = n % a, a
+    return k if n == 1 else 0
+
+
+def ord_p(m: int, p: int) -> int:
+    """Largest k with p^k | m, for nonzero m."""
+    assert m != 0
+    m = abs(m)
+    k = 0
+    while m % p == 0:
+        m //= p
+        k += 1
+    return k
+
+
 def brute_legendre(a: int, p: int) -> int:
     """Quadratic residue test by enumerating all squares mod p."""
     a %= p
@@ -52,7 +95,7 @@ def diagonalize_pair_form(n: int, t: int, p: int) -> LocalDiagonalization:
     min(ord_p n, ord_p t) = min(A, B), so a1 = min(A, B), a2 = max(A, B),
     and ord_p(n) exceeds a1 exactly when p divides n / p^a1.
     """
-    a_minus, a_plus = arith.ord_p(n - t, p), arith.ord_p(n + t, p)
+    a_minus, a_plus = ord_p(n - t, p), ord_p(n + t, p)
     a1 = min(a_minus, a_plus)
     u_minus = (n - t) // p**a_minus % p
     u_plus = (n + t) // p**a_plus % p
@@ -76,9 +119,9 @@ def fraction_local_density(n: int, t: int, p: int) -> Fraction:
     a1, a2, e1, e2 = diag.a1, diag.a2, diag.eps1_residue, diag.eps2_residue
     one, pf = Fraction(1), Fraction(p)
     if a1 % 2 == 1:
-        s = arith.kronecker(-e1 * e2 if a2 % 2 == 1 else -e2, p)
+        s = kronecker(-e1 * e2 if a2 % 2 == 1 else -e2, p)
         return pf ** ((a1 - 1) // 2) * (one - pf ** (-((a1 + 1) // 2))) / (one - one / pf) * (1 + s)
-    s = arith.kronecker(-e1, p)
+    s = kronecker(-e1, p)
     geo = sum(Fraction(s) ** k for k in range(a2 - a1 + 1))
     head = pf ** ((a1 - 2) // 2) * (one - pf ** (-(a1 // 2))) / (one - one / pf)
     if a2 % 2 == 1:
@@ -97,17 +140,17 @@ def scalar_local_density(n: int, t: int, p: int) -> int:
     disc = n * n - t * t
     if disc % p != 0:
         return 1
-    a_total = arith.ord_p(disc, p)
-    v_n = arith.ord_p(n, p)
-    v_t = None if t == 0 else arith.ord_p(t, p)
+    a_total = ord_p(disc, p)
+    v_n = ord_p(n, p)
+    v_t = None if t == 0 else ord_p(t, p)
     if v_t is None or v_n <= v_t:
         a1 = v_n
         e1 = (n // p**v_n) % p
         e2 = (disc // p**a_total) % p * pow(e1, p - 2, p) % p
     else:
         a1 = v_t
-        e1 = (n + t) // p ** arith.ord_p(n + t, p) * 2 % p
-        e2 = (n - t) // p ** arith.ord_p(n - t, p) * 2 % p
+        e1 = (n + t) // p ** ord_p(n + t, p) * 2 % p
+        e2 = (n - t) // p ** ord_p(n - t, p) * 2 % p
     a2 = a_total - a1
     assert a1 <= a2
 
@@ -115,16 +158,16 @@ def scalar_local_density(n: int, t: int, p: int) -> int:
         return sum(p**j for j in range(k))
 
     if a1 % 2 == 1:
-        s = arith.kronecker(-e1 * e2 if a2 % 2 == 1 else -e2, p)
+        s = kronecker(-e1 * e2 if a2 % 2 == 1 else -e2, p)
         return geometric((a1 + 1) // 2) * (1 + s)
-    s = arith.kronecker(-e1, p)
+    s = kronecker(-e1, p)
     geo = sum(s**k for k in range(a2 - a1 + 1))
     return geometric(a1 // 2) * (1 + s if a2 % 2 == 1 else 2) + p ** (a1 // 2) * geo
 
 
 def scalar_pair_formula(n: int, t: int) -> int:
     """24 times scalar_local_density over the odd primes of n^2 - t^2."""
-    primes = {p for m in (n - t, n + t) for p, _ in arith.factorize(m).factors if p != 2}
+    primes = {p for m in (n - t, n + t) for p, _ in arith.factorize(m) if p != 2}
     return 24 * math.prod(scalar_local_density(n, t, p) for p in primes)
 
 
@@ -132,7 +175,7 @@ def squarefull_gcd_part(n: int, t: int) -> int:
     """Product of p^ord_p(gcd(n,t)) over primes with ord_p(gcd(n,t)) >= 2."""
     g = math.gcd(n, t)
     out = 1
-    for p, k in arith.factorize(g).factors if g > 1 else ():
+    for p, k in arith.factorize(g) if g > 1 else ():
         if k >= 2:
             out *= p**k
     return out
@@ -154,11 +197,11 @@ def density_triples(draw):
         )
         assume(n >= 2)
     t = draw(st.integers(min_value=-(n - 1), max_value=n - 1))
-    odd_n = [p for p, _ in arith.factorize(n).factors if p != 2]
+    odd_n = [p for p, _ in arith.factorize(n) if p != 2]
     if odd_n and draw(st.booleans()):
         q = draw(st.sampled_from(odd_n)) ** draw(st.integers(1, 4))
         t = (1 if t >= 0 else -1) * (abs(t) // q * q)
-    odd_disc = [p for p, _ in arith.factorize(n * n - t * t).factors if p != 2]
+    odd_disc = [p for p, _ in arith.factorize(n * n - t * t) if p != 2]
     p = draw(st.sampled_from(odd_disc + [3, 5, 7, 13]))
     return n, t, p
 
@@ -195,19 +238,19 @@ def brute_pair_count(n: int, t: int) -> int:
 # ------------------------------------------------------------ factorization
 
 def test_factorize_unit():
-    assert arith.factorize(1).factors == ()
+    assert arith.factorize(1) == ()
 
 
 def test_factorize_small():
-    assert arith.factorize(12).factors == ((2, 2), (3, 1))
-    assert arith.factorize(97).factors == ((97, 1),)
+    assert arith.factorize(12) == ((2, 2), (3, 1))
+    assert arith.factorize(97) == ((97, 1),)
 
 
 def test_factorize_roundtrip_large():
     n = 2**40 + 1
     f = arith.factorize(n)
     prod = 1
-    for p, k in f.factors:
+    for p, k in f:
         assert arith.is_prime(p)
         # independent primality check: trial division to the root
         assert all(p % q for q in range(2, min(p, 10**6)) if q * q <= p)
@@ -238,7 +281,58 @@ def brute_factors(n: int) -> tuple[tuple[int, int], ...]:
 @example(10_007**2)
 @example(2 * 10_007 * 10_009)
 def test_factorize_matches_trial_division(n):
-    assert arith.factorize(n).factors == brute_factors(n)
+    assert arith.factorize(n) == brute_factors(n)
+
+
+def sieve(limit: int) -> list[int]:
+    """The primes below limit, by Eratosthenes."""
+    flags = np.ones(limit, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
+
+
+PRIMES_BELOW_2_20 = sieve(1 << 20)
+
+
+@st.composite
+def known_factorizations(draw):
+    """(n, factors) with n <= 2^40 built from drawn primes below 2^20 and
+    exponents, so the factors are known without factoring anything."""
+    fac: dict[int, int] = {}
+    n = 1
+    for _ in range(draw(st.integers(0, 6))):
+        p = draw(st.sampled_from(PRIMES_BELOW_2_20))
+        k = draw(st.integers(1, 5))
+        if n * p**k <= 1 << 40:
+            n *= p**k
+            fac[p] = fac.get(p, 0) + k
+    return n, tuple(sorted(fac.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(known_factorizations(), st.integers(min_value=1, max_value=1 << 40))
+@example((1, ()), 1)
+@example((2**40, ((2, 40),)), 9_973)
+@example((1_048_573, ((1_048_573, 1),)), 10_007**2)
+@example((3**25, ((3, 25),)), 1_048_573**2)
+@example((9_973**3, ((9_973, 3),)), (1 << 40) - 87)
+def test_factorize_reads_no_prime_table(built, n):
+    # the route depends on n alone: no smallest-prime-factor table is read,
+    # however far earlier calls grew it
+    def forbidden(*args):
+        raise AssertionError("factorize read the prime table")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith._primes, "spf_table", forbidden)
+        mp.setattr(arith._primes, "spf_limit", forbidden)
+        assert arith.factorize(built[0]) == built[1]
+        got = arith.factorize(n)
+    assert [p for p, _ in got] == sorted({p for p, _ in got})
+    assert all(arith.is_prime(p) and k >= 1 for p, k in got)
+    assert math.prod(p**k for p, k in got) == n
 
 
 def test_factorize_zero_rejected():
@@ -262,21 +356,21 @@ def test_squarefree_and_squarefull():
 # ----------------------------------------------------------------- symbols
 
 def test_kronecker_examples():
-    assert arith.kronecker(-20, 3) == 1
-    assert arith.kronecker(-4, 2) == 0
+    assert kronecker(-20, 3) == 1
+    assert kronecker(-4, 2) == 0
     # -20 = 1 mod 7 is a square mod 7; the residue oracle settles the sign
     assert brute_legendre(-20, 7) == 1
-    assert arith.kronecker(-20, 7) == 1
+    assert kronecker(-20, 7) == 1
     # (a|-1) is the sign of a
-    assert arith.kronecker(-3, -1) == -1
-    assert arith.kronecker(3, -1) == 1
+    assert kronecker(-3, -1) == -1
+    assert kronecker(3, -1) == 1
 
 
 def test_kronecker_matches_legendre_at_odd_primes():
     for p in (3, 5, 7, 11, 13, 31, 97):
         for d in range(-50, 51):
             if d % p:
-                assert arith.kronecker(d, p) == brute_legendre(d, p), (d, p)
+                assert kronecker(d, p) == brute_legendre(d, p), (d, p)
 
 
 NONZERO = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
@@ -288,7 +382,7 @@ NONZERO = st.integers(min_value=-10**6, max_value=10**6).filter(bool)
 @example(-4, 2, 2)
 @example(5, -1, -2)
 def test_kronecker_multiplicative_in_bottom(d, m1, m2):
-    assert arith.kronecker(d, m1 * m2) == arith.kronecker(d, m1) * arith.kronecker(d, m2)
+    assert kronecker(d, m1 * m2) == kronecker(d, m1) * kronecker(d, m2)
 
 
 @settings(max_examples=500, deadline=None)
@@ -297,7 +391,7 @@ def test_kronecker_multiplicative_in_bottom(d, m1, m2):
 @example(-20, 3, 1)
 def test_kronecker_multiplicative_in_top(d1, d2, half):
     m = 2 * half + 1  # odd m > 0: the Jacobi symbol, multiplicative on top
-    assert arith.kronecker(d1 * d2, m) == arith.kronecker(d1, m) * arith.kronecker(d2, m)
+    assert kronecker(d1 * d2, m) == kronecker(d1, m) * kronecker(d2, m)
 
 
 INT64 = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
@@ -310,7 +404,7 @@ ODD_MODULI = st.integers(min_value=0, max_value=(1 << 60) - 1).map(lambda h: 2 *
 def test_jacobi_matches_kronecker_on_int64(pairs):
     a = np.array([x for x, _ in pairs], dtype=np.int64)
     m = np.array([y for _, y in pairs], dtype=np.int64)
-    assert arith._jacobi(a, m).tolist() == [arith.kronecker(x, y) for x, y in pairs]
+    assert arith._jacobi(a, m).tolist() == [kronecker(x, y) for x, y in pairs]
 
 
 SMALL_ODD_PRIMES = [p for p in range(3, 10_000) if arith.is_prime(p)]
@@ -338,7 +432,7 @@ def test_jacobi_pinned_cases():
         assert arith._jacobi(np.array(tops), p).tolist() == euler, p
     # broadcast: shells by moduli
     grid = arith._jacobi(np.array([[-5], [-7]]), np.array([3, 11, 13]))
-    assert grid.tolist() == [[arith.kronecker(d, q) for q in (3, 11, 13)] for d in (-5, -7)]
+    assert grid.tolist() == [[kronecker(d, q) for q in (3, 11, 13)] for d in (-5, -7)]
 
 
 # ------------------------------------------------------------ class numbers
@@ -427,7 +521,7 @@ def test_class_number_reads_no_character(monkeypatch):
     def broken(*args):
         raise AssertionError("class_number read a character")
 
-    for name in ("_chi_table", "_jacobi", "kronecker"):
+    for name in ("_chi_table", "_jacobi"):
         monkeypatch.setattr(arith, name, broken)
     arith.class_number.cache_clear()
     # both values agree with the form loop; 16416 also with 2 pi h / (w sqrt q)
@@ -480,15 +574,18 @@ def test_discriminant_rule():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=10**10), st.integers(min_value=0, max_value=3000))
-@example(1, 3)
-@example(3, 4)
+@example(1, 3)  # d = -4 = 4 (mod 8): chi(2) = 0
+@example(2, 8)  # d = -8 = 0 (mod 8): chi(2) = 0
+@example(3, 4)  # d = -3 = 5 (mod 8): chi(2) = -1
+@example(7, 8)  # d = -7 = 1 (mod 8): chi(2) = 1
 @example(10**10 + 19, 2)
 @example(5, 0)
 def test_chi_table_matches_kronecker(n, upto):
-    # primes above sqrt(upto) take the indexed pass, the rest their slices
-    assume(n % 8 != 7 and arith.is_squarefree(n))
+    # primes above sqrt(upto) take the indexed pass, the rest their slices;
+    # the squarefree n give every fundamental d < 0, of each class mod 8
+    assume(arith.is_squarefree(n))
     d = arith.discriminant(n)
-    assert arith._chi_table(d, upto).tolist() == [arith.kronecker(d, m) for m in range(upto + 1)]
+    assert arith._chi_table(d, upto).tolist() == [kronecker(d, m) for m in range(upto + 1)]
 
 
 def test_l_series_terms_match_math_erfc():
@@ -624,7 +721,7 @@ def squarefree_majorant_oracle(n: int, arg: int) -> int:
     the oracle's characters come by a second path."""
     d = arith.discriminant(n)
     out = 1
-    for p, k in arith.factorize(arg).factors:
+    for p, k in arith.factorize(arg):
         if p == 2:
             continue
         if n % p == 0:
@@ -635,10 +732,30 @@ def squarefree_majorant_oracle(n: int, arg: int) -> int:
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=1, max_value=10**5), st.integers(min_value=1, max_value=10**9))
+def next_prime(x: int) -> int:
+    x |= 1
+    while not arith.is_prime(x):
+        x += 2
+    return x
+
+
+# p^k c at a random prime p below 2^61: (-n | p) on Python ints far past
+# int64 and the trial-division bound
+LARGE_PRIME_ARGS = st.builds(
+    lambda start, k, c: next_prime(start) ** k * c,
+    st.integers(min_value=3, max_value=1 << 61),
+    st.integers(1, 2),
+    st.integers(min_value=1, max_value=1000),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=10**5), st.integers(min_value=1, max_value=10**9) | LARGE_PRIME_ARGS)
 @example(5, 9)
 @example(3, 3**4 * 7**3)
+@example(1, 2**64 + 13)  # a prime past 2^64
+@example(5, (2**64 + 13) ** 2 * 9)
+@example(3, 2**61 - 1)  # the Mersenne prime 2^61 - 1
 def test_majorant_squarefree_is_general_at_m_one(n, arg):
     assume(arith.is_squarefree(n))
     assert arith.majorant_general(1, n, arg) == squarefree_majorant_oracle(n, arg)
@@ -723,7 +840,7 @@ def shell_rows(draw):
     a multiple of a power of a prime of n."""
     n = draw(st.integers(1, 20_000) | st.sampled_from(RICH_SHELLS))
     t = draw(st.integers(min_value=-(n - 1), max_value=n - 1))
-    odd_n = [p for p, _ in arith.factorize(n).factors if p != 2]
+    odd_n = [p for p, _ in arith.factorize(n) if p != 2]
     if odd_n and draw(st.booleans()):
         q = draw(st.sampled_from(odd_n)) ** draw(st.integers(1, 4))
         t = (1 if t >= 0 else -1) * (abs(t) // q * q)
@@ -780,7 +897,7 @@ def test_pair_formula_refuses_shells_past_int64_cap(monkeypatch):
         raise AssertionError("factored before the cap check")
 
     monkeypatch.setattr(arith, "factorize", forbidden)
-    monkeypatch.setattr(arith, "ord_p", forbidden)
+    monkeypatch.setattr(arith, "_valuation", forbidden)
     for call in (
         lambda: arith.pair_count_formula(arith.MAX_PAIR_SHELL, 1),
         lambda: arith.local_density(arith.MAX_PAIR_SHELL + 5, 0, 3),
@@ -851,10 +968,10 @@ def test_local_density_closed_form_away_from_2n():
         d = arith.discriminant(n)
         for t in range(-(n - 1), n):
             disc = n * n - t * t
-            for p, k in arith.factorize(disc).factors:
+            for p, k in arith.factorize(disc):
                 if p == 2 or n % p == 0:
                     continue
-                expected = sum(arith.kronecker(d, p) ** j for j in range(k + 1))
+                expected = sum(kronecker(d, p) ** j for j in range(k + 1))
                 assert arith.local_density(n, t, p) == Fraction(expected), (n, t, p)
 
 
@@ -882,13 +999,13 @@ def test_diagonalization_invariants():
     for n in (5, 9, 12, 45, 75, 98):
         for t in range(-(n - 1), n):
             disc = n * n - t * t
-            for p, _ in arith.factorize(disc).factors:
+            for p, _ in arith.factorize(disc):
                 if p == 2:
                     continue
                 diag = diagonalize_pair_form(n, t, p)
                 g = math.gcd(n, t)
-                assert diag.a1 == (arith.ord_p(g, p) if g % p == 0 else 0)
-                assert diag.a1 + diag.a2 == arith.ord_p(disc, p)
+                assert diag.a1 == (ord_p(g, p) if g % p == 0 else 0)
+                assert diag.a1 + diag.a2 == ord_p(disc, p)
                 assert diag.a1 <= diag.a2
                 assert diag.eps1_residue % p != 0
                 assert diag.eps2_residue % p != 0
@@ -925,7 +1042,7 @@ def test_general_majorant_bounds_pair_counts():
             m = squarefull_gcd_part(n, t)
             n1, t1 = n // m, t // m
             tau = 1
-            for _, k in arith.factorize(m).factors:
+            for _, k in arith.factorize(m):
                 tau *= k + 1
             bound = math.sqrt(m) * tau * arith.majorant_general(m, n, n1 * n1 - t1 * t1)
             worst = max(worst, count / bound)

@@ -757,6 +757,15 @@ def test_config_echoes_parser_options(capsys):
         assert config["command"] == "baseline" and config["stat"] == stat
 
 
+@pytest.mark.parametrize("n_max", ["0", "-5"])
+def test_verify_arith_refuses_n_max_below_one(n_max, capsys):
+    # a run over no shell would report zero mismatches having checked nothing
+    assert main(["verify-arith", "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--n-max must be at least 1, not {n_max}" in captured.err
+
+
 def test_verify_arith_clean(capsys):
     assert main(["verify-arith", "--n-max", "60"]) == 0
     out = json.loads(capsys.readouterr().out)

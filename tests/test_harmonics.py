@@ -160,6 +160,23 @@ def test_weyl_normalized_scaling(shell5):
     assert np.allclose(norm.values * shell5.size, plain.values)
 
 
+def test_weyl_sums_hold_one_chunk_of_basis(monkeypatch):
+    # 2^16 points at degree 20 make a basis of about 32 MB built at once;
+    # in chunks of 2^18 floats (2 MB) the sums hold a few MB
+    pts = spatial.binomial_sample(1 << 16, 4)
+    whole = harmonics.weyl_sums(None, 20, points=pts).values
+    monkeypatch.setattr(harmonics, "_BASIS_ENTRIES", 1 << 18)
+    tracemalloc.start()
+    try:
+        chunked = harmonics.weyl_sums(None, 20, points=pts).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    # the chunk sums add up to the whole sum within rounding
+    assert np.allclose(chunked, whole, rtol=1e-12, atol=1e-9)
+
+
 def test_weyl_rejects_empty_shell():
     with pytest.raises(DomainError):
         harmonics.weyl_sums(7, 2)
