@@ -82,8 +82,9 @@ BUDGETS: dict[str, Budget] = {
     # int64, and powers p^k of the sieve stay below 2n.
     "formula_cells": Budget((1 << 23) - 1, "grid cells"),
     # sum of Y over one twosquares.gap_scan: Y = 4e9 alone sieves in about
-    # 10 s on a 2-vCPU AMD EPYC (2.4 ns per integer; 1.3 ns at Y = 1e8,
-    # where primes are fewer)
+    # 10 s on a 2-vCPU AMD EPYC (2.4 ns per integer).  On a 2-vCPU Xeon a
+    # scan takes 2.7 ns per integer at Y = 1e8, 3.9 at 1e9 and 5.2 at 4e9
+    # (21 s), the loop over the bad primes growing with sqrt(Y)
     "gap_scan": Budget(4 * 10**9, "integers"),
     # the members of a window [Y, 2Y) as int64 (twosquares.window), or the
     # rough flags and run lengths of rough_interval_check: at most 8 Y bytes

@@ -281,6 +281,19 @@ def test_twosq_gaps_refuses_over_budget_before_sieving(capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ys", ["1000000000000,-1000000000000", "-1,5"])
+def test_twosq_gaps_refuses_nonpositive_y_before_sieving(capsys, monkeypatch, ys):
+    # the negative Y would offset the large one in the budget's sum
+    from threesq import twosquares
+
+    def forbidden(*args):
+        raise AssertionError("sieved a list with a nonpositive Y")
+
+    monkeypatch.setattr(twosquares, "_sieve_segment", forbidden)
+    assert main(["twosq-gaps", f"--y-list={ys}"]) == 2
+    assert "Y must be positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ys", ["10,abc", ",", "", "1.5", "10,,20"])
 def test_twosq_gaps_refuses_malformed_y_list(capsys, ys):
     assert main(["twosq-gaps", "--y-list", ys]) == 2

@@ -51,6 +51,9 @@ def expected_gap(members: np.ndarray) -> tuple[int, tuple[int, int] | None]:
     return int(members[k + 1] - members[k]), (int(members[k]), int(members[k + 1]))
 
 
+WHEEL = 16 * 9 * 49  # period of the sieve's pre-filled exclusions
+
+
 # --------------------------------------------------------------- membership
 
 def test_membership_pinned():
@@ -142,8 +145,30 @@ def assert_segment_matches_parity_oracle(lo: int, hi: int) -> None:
 @example(1, 1)
 @example(1, 1 << 16)
 @example(3**18 - 40, 1 << 16)  # every k up to 18 for p = 3
+# segments at the phases -1, 0 and 1 of the 7 056-periodic wheel, shorter
+# than one period, of whole periods, and of periods with a ragged end
+@example(WHEEL - 1, 100)
+@example(WHEEL, WHEEL)
+@example(WHEEL + 1, 3 * WHEEL + 5)
+@example(143 * WHEEL - 1, 2 * WHEEL)
+@example(143 * WHEEL, 100)
+@example(143 * WHEEL + 1, WHEEL - 1)
+@example(5, 20)  # starts below the 2-adic period 16
+@example(1, 8)  # hi = 9: 3 is not yet a bad prime
+@example(10, 39)  # hi = 49: nor is 7
 def test_sieve_segment_matches_parity_oracle(lo, length):
     assert_segment_matches_parity_oracle(lo, lo + length)
+
+
+def test_small_segments_match_brute_search():
+    # every [lo, hi) with hi <= 64: shorter than the wheel's 2-adic period,
+    # starting below 16, and ending where 3 (hi <= 9) or 7 (hi <= 49) is
+    # not yet a bad prime, while the wheel already holds ord_p(n) = 1
+    member = [brute_two_squares(n) for n in range(64)]
+    for hi in range(2, 65):
+        for lo in range(1, hi):
+            flags = ts._sieve_segment(lo, hi, bad_primes_through(hi))
+            assert flags.tolist() == member[lo:hi], (lo, hi)
 
 
 @pytest.mark.parametrize("p", [3, 7, 11, 1999])
@@ -192,12 +217,14 @@ def test_gap_scan_carries_across_segments(y, half):
     assert row[:2] == (y, expected)
 
 
-@pytest.mark.parametrize("fold", [1, 7, ts._FOLD])
+@pytest.mark.parametrize("fold", [1, 7, 64, 8 * 16 + 3, 1 << 16, ts._FOLD])
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=20_000), st.integers(min_value=0, max_value=60))
 def test_gap_fold_independent_of_slice_length(fold, y, half):
     # members and gaps against the whole-array diff, with fold slices of
-    # 1 and 7 flags (many empty, gaps across every slice edge) or the
+    # 1 and 7 flags (shorter than a word: member by member, many empty,
+    # gaps across every slice edge), 64 (eight words), 131 (words and a
+    # 3-flag tail, word edges off the slice's alignment), 2^16 or the
     # default, in segments of 2 * half + 1 integers or the default
     members = np.array(
         [n for n in range(y, 2 * y) if ts.is_sum_two_squares(n)], dtype=np.int64
@@ -212,6 +239,77 @@ def test_gap_fold_independent_of_slice_length(fold, y, half):
         assert np.array_equal(w.members, members)
         assert (w.max_gap, w.argmax_pair) == (gap, pair)
         assert row[:2] == (y, gap)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=200_000, max_value=3_000_000))
+def test_word_fold_matches_member_array(y):
+    # at these Y the slices' largest gaps span several 8-flag words, so the
+    # word path runs; segments of the default length and of an odd one
+    # (3 * 2^16 + 5: word edges off the segment's alignment, ragged slices)
+    expected = None
+    for segment in (ts._SEGMENT, 3 * (1 << 16) + 5):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ts, "_SEGMENT", segment)
+            w = ts.window(y)
+            (row,) = ts.gap_scan([y])
+        gap, pair = expected_gap(w.members)
+        assert (w.max_gap, w.argmax_pair) == (gap, pair)
+        assert row[:2] == (y, gap)
+        if expected is None:
+            expected = w.members
+        assert np.array_equal(w.members, expected)
+
+
+def fold_slice_of(n: int, y: int) -> int:
+    return (n - y) // ts._FOLD
+
+
+# largest gaps found by a brute-force search over Y on the member-by-member
+# fold, placed against the default fold slices and segments
+@pytest.mark.parametrize(
+    "y, gap, pair, edge",
+    [
+        (464_689, 35, (685_541, 685_576), "span"),
+        (707_049, 35, (804_205, 804_240), "span"),
+        (554_470, 35, (685_541, 685_576), "slice"),
+        (554_504, 35, (685_541, 685_576), "slice"),
+        (3_491_154, 49, (5_588_305, 5_588_354), "segment"),
+        (3_491_202, 49, (5_588_305, 5_588_354), "segment"),
+    ],
+)
+def test_largest_gap_pinned_at_word_slice_and_segment_edges(y, gap, pair, edge):
+    a, b = pair
+    w = ts.window(y)
+    assert (w.max_gap, w.argmax_pair) == (gap, pair) == expected_gap(w.members)
+    assert ts.gap_scan([y])[0][:2] == (y, gap)
+    if edge == "span":
+        # the gap spans d_max - 1 words of its slice, whose widest span
+        # between consecutive nonempty words is d_max
+        start = y + fold_slice_of(a, y) * ts._FOLD
+        assert fold_slice_of(b, y) == fold_slice_of(a, y)
+        m = w.members[(w.members >= start) & (w.members < start + ts._FOLD)] - start
+        words = np.unique(m // 8)
+        assert (b - start) // 8 - (a - start) // 8 == np.diff(words).max() - 1
+    elif edge == "slice":
+        # a fold slice ends just after the left member, or starts at the right one
+        assert fold_slice_of(b, y) == fold_slice_of(a, y) + 1
+        assert (a - y) % ts._FOLD == ts._FOLD - 1 or (b - y) % ts._FOLD == 0
+    else:
+        # likewise a segment of the sieve
+        assert (b - y) // ts._SEGMENT == (a - y) // ts._SEGMENT + 1
+        assert (a - y) % ts._SEGMENT == ts._SEGMENT - 1 or (b - y) % ts._SEGMENT == 0
+
+
+@pytest.mark.parametrize("ys", [[10**12, -(10**12)], [-1, 5]])
+def test_gap_scan_refuses_nonpositive_y_before_the_budget(monkeypatch, ys):
+    # a negative Y must not offset a large one in the budget's sum
+    def forbidden(*args):
+        raise AssertionError("sieved a list with a nonpositive Y")
+
+    monkeypatch.setattr(ts, "_sieve_segment", forbidden)
+    with pytest.raises(DomainError, match="Y must be positive"):
+        ts.gap_scan(ys)
 
 
 def test_gap_scan_refuses_over_budget_before_sieving(monkeypatch):
