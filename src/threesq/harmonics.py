@@ -35,7 +35,6 @@ and the `pairs` and `verify-arith` commands.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,9 +48,6 @@ MAX_DEGREE = 2000
 # power-of-two scale of the order recurrence, so that sectoral values of
 # points near s = 1/e stay out of the subnormal range up to MAX_DEGREE
 _ORDER_SCALE = 2.0**900
-# weyl_sums builds the basis over chunks of points holding at most this
-# many floats at once, (3 degree + 2) per point: 64 MB
-_BASIS_ENTRIES = 1 << 23
 # cap_discrepancy_estimate's cost of one center in dot products: each row
 # is sorted and searched in Python, about 10 us against 10 ns a product
 _ESTIMATE_FLOOR = 1024
@@ -122,7 +118,7 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
     """Complex harmonic sums W_m^mu of a point set, 0 <= mu <= m <= m_max.
 
     W_m^mu = sum_x P~_m^mu(z_x) e^{i mu phi_x}, with P~ the fully normalized
-    associated Legendre function of `_assoc_legendre_normalized`; degree m
+    associated Legendre function of `_assoc_legendre_rows`; degree m
     holds orders 0..m at [start[m]:start[m + 1]].  Y_m^mu = P~_m^mu
     e^{i mu phi} runs its recurrence in complex form, degree outer and every
     order at once: the degree step P~_m^mu = a z P~_{m-1}^mu - b P~_{m-2}^mu
@@ -187,63 +183,64 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
     return acc, start
 
 
-def _assoc_legendre_normalized(deg: int, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Fully normalized P~_deg^mu(z) for mu = 0..deg, shape (deg+1, N).
+def _assoc_legendre_rows(deg: int, z: np.ndarray, s: np.ndarray):
+    """Yield the fully normalized P~_deg^mu(z) for mu = 0..deg, one (N,)
+    row at a time, so that a caller holds a few arrays of N floats.
 
     Normalization sqrt((2 deg + 1)/(4 pi) * (deg-mu)!/(deg+mu)!) is baked
     into the recurrences so every intermediate stays O(1) times
-    _ORDER_SCALE, which is divided out once at the end.  The scale keeps
-    the sectoral values of points near s = 1/e out of the subnormal range
-    up to MAX_DEGREE; being a power of two it changes no digit elsewhere.
+    _ORDER_SCALE, which is divided out of each row.  The scale keeps the
+    sectoral values of points near s = 1/e out of the subnormal range up
+    to MAX_DEGREE; being a power of two it changes no digit elsewhere.
+    The degree steps of one order run in place on three buffers.
     """
-    out = np.empty((deg + 1, len(z)))
     pmm = np.full(len(z), _ORDER_SCALE * math.sqrt(1.0 / (4.0 * math.pi)))
+    p_prev, p_cur, tmp = np.empty((3, len(z)))
     for mu in range(deg + 1):
         if mu > 0:
             pmm = -math.sqrt((2 * mu + 1) / (2.0 * mu)) * s * pmm
         if mu == deg:
-            out[mu] = pmm
-            break
-        p_prev = pmm
-        p_cur = math.sqrt(2 * mu + 3.0) * z * pmm
-        for nu in range(mu + 2, deg + 1):
+            yield pmm / _ORDER_SCALE
+            return
+        p_prev[:] = pmm
+        np.multiply(z, math.sqrt(2 * mu + 3.0), out=p_cur)
+        p_cur *= pmm
+        for nu in range(mu + 2, deg + 1):  # p_cur <- a z p_cur - b p_prev
             a = math.sqrt((4.0 * nu * nu - 1.0) / (nu * nu - mu * mu))
             b = math.sqrt(
-                (2.0 * nu + 1.0)
-                * (nu - 1.0 - mu)
-                * (nu - 1.0 + mu)
-                / ((2.0 * nu - 3.0) * (nu * nu - mu * mu))
+                (2.0 * nu + 1.0) * (nu - 1.0 - mu) * (nu - 1.0 + mu) / ((2.0 * nu - 3.0) * (nu * nu - mu * mu))
             )
-            p_prev, p_cur = p_cur, a * z * p_cur - b * p_prev
-        out[mu] = p_cur
-    return out / _ORDER_SCALE
+            np.multiply(z, a, out=tmp)
+            tmp *= p_cur
+            p_prev *= b
+            tmp -= p_prev
+            p_prev, p_cur, tmp = p_cur, tmp, p_prev
+        yield p_cur / _ORDER_SCALE
 
 
-def real_harmonic_basis(deg: int, points: np.ndarray) -> np.ndarray:
-    """Real orthonormal spherical harmonics of one degree at given points.
+def _harmonic_rows(deg: int, points: np.ndarray):
+    """Yield the real orthonormal spherical harmonics of degree `deg` at
+    the given points, one (N,) row at a time as the order recurrence
+    reaches it.
 
-    Returns shape (2*deg+1, N), rows ordered [mu=0, cos(1), sin(1),
-    cos(2), sin(2), ...]; orthonormal against the plain (un-normalized)
-    area measure, so sum_j Y_j(x)^2 = (2*deg+1)/(4*pi) pointwise.
+    Rows come in the order [mu=0, cos(1), sin(1), cos(2), sin(2), ...];
+    orthonormal against the plain (un-normalized) area measure, so
+    sum_j Y_j(x)^2 = (2*deg+1)/(4*pi) pointwise.
     """
-    if deg < 0 or deg > MAX_DEGREE:
-        raise DomainError(f"degree must lie in [0, {MAX_DEGREE}]")
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
     s = np.hypot(x, y)
-    safe = np.where(s > 0, s, 1.0)
-    cphi = np.where(s > 0, x / safe, 1.0)
-    sphi = np.where(s > 0, y / safe, 0.0)
-    ptilde = _assoc_legendre_normalized(deg, z, s)
-    out = np.empty((2 * deg + 1, len(points)))
-    out[0] = ptilde[0]
+    cphi = np.divide(x, s, out=np.ones_like(s), where=s > 0)
+    sphi = np.divide(y, s, out=np.zeros_like(s), where=s > 0)
+    legendre = _assoc_legendre_rows(deg, z, s)
+    yield next(legendre)
     cos_m = np.ones_like(cphi)
     sin_m = np.zeros_like(sphi)
     root2 = math.sqrt(2.0)
-    for mu in range(1, deg + 1):
+    for ptilde in legendre:
         cos_m, sin_m = cos_m * cphi - sin_m * sphi, sin_m * cphi + cos_m * sphi
-        out[2 * mu - 1] = root2 * ptilde[mu] * cos_m
-        out[2 * mu] = root2 * ptilde[mu] * sin_m
-    return out
+        ptilde *= root2
+        yield ptilde * cos_m
+        yield ptilde * sin_m
 
 
 @dataclass
@@ -281,17 +278,15 @@ def weyl_sums(
     point is summed, with no use of the shell's symmetry, so these sums
     stay an independent check of `_harmonic_sums`; N (degree + 1)(degree
     + 2)/2 order terms past the "harmonic_terms" budget of
-    `errors.BUDGETS` are refused before the basis is built.  The basis is
-    built and summed over chunks of points within _BASIS_ENTRIES floats,
-    and the chunk sums added in order.
+    `errors.BUDGETS` are refused before the basis is built.  Each row of
+    the basis is summed as the order recurrence yields it, so the
+    recurrence runs once and a call holds a few arrays of N floats.
     """
     if degree < 1 or degree > MAX_DEGREE:
         raise DomainError(f"degree must lie in [1, {MAX_DEGREE}]")
     pts = _resolve_points(n, points)
     budget("harmonic_terms", pts.size * (degree + 1) * (degree + 2) // 2, f"harmonic basis of degree {degree}")
-    rows = max(1, _BASIS_ENTRIES // (3 * degree + 2))
-    chunks = (pts.points[lo : lo + rows] for lo in range(0, max(pts.size, 1), rows))
-    vals = functools.reduce(np.add, (real_harmonic_basis(degree, c).sum(axis=1) for c in chunks))
+    vals = np.array([row.sum() for row in _harmonic_rows(degree, pts.points)])
     if normalized:
         vals = vals / pts.size
     return WeylSumTable(vals)
@@ -355,7 +350,7 @@ def discrepancy_bound(
 ) -> float:
     """Discrepancy bound shape 1/(M+1) + sum_nu (1/nu) sum_j |W_j| / N.
 
-    W_j are the sums of the real basis of `real_harmonic_basis`, read off
+    W_j are the sums of the real basis of `_harmonic_rows`, read off
     the complex sums of `_harmonic_sums`: |W_0|, then sqrt(2) |Re W_mu| and
     sqrt(2) |Im W_mu|.  The unspecified absolute constant in front is not
     included, so treat the value as a shape to compare against, not a

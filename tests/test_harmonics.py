@@ -38,6 +38,12 @@ def weyl_aggregate(degree: int, pts) -> float:
     return (2 * degree + 1) / (4.0 * math.pi) * float(harmonics._pair_legendre_sums(pts, degree)[degree])
 
 
+def real_basis(deg: int, points: np.ndarray) -> np.ndarray:
+    """The rows of the real harmonic basis of `weyl_sums`, stacked (2 deg
+    + 1, N)."""
+    return np.array(list(harmonics._harmonic_rows(deg, points)))
+
+
 def table_legendre_sums(n: int, m_max: int) -> np.ndarray:
     """S_m = sum_t c(t) P_m(t/n) over the exact inner-product histogram of
     a whole shell (`lattice.pair_table`), m <= m_max: the pairs' side of
@@ -160,21 +166,21 @@ def test_weyl_normalized_scaling(shell5):
     assert np.allclose(norm.values * shell5.size, plain.values)
 
 
-def test_weyl_sums_hold_one_chunk_of_basis(monkeypatch):
-    # 2^16 points at degree 20 make a basis of about 32 MB built at once;
-    # in chunks of 2^18 floats (2 MB) the sums hold a few MB
+def test_weyl_sums_hold_one_chunk_of_basis():
+    # 2^16 points at degree 20 make a basis of 41 rows, 21 MB built at
+    # once; summed one row at a time as the recurrence yields it, the sums
+    # hold a few arrays of the 2^16 points
     pts = spatial.binomial_sample(1 << 16, 4)
-    whole = harmonics.weyl_sums(None, 20, points=pts).values
-    monkeypatch.setattr(harmonics, "_BASIS_ENTRIES", 1 << 18)
+    whole = real_basis(20, pts.points).sum(axis=1)
     tracemalloc.start()
     try:
-        chunked = harmonics.weyl_sums(None, 20, points=pts).values
+        rows = harmonics.weyl_sums(None, 20, points=pts).values
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20, peak
-    # the chunk sums add up to the whole sum within rounding
-    assert np.allclose(chunked, whole, rtol=1e-12, atol=1e-9)
+    # the same rows, each summed alone
+    assert np.array_equal(rows, whole)
 
 
 def test_weyl_rejects_empty_shell():
@@ -185,7 +191,7 @@ def test_weyl_rejects_empty_shell():
 def test_harmonic_basis_pointwise_identity():
     pts = spatial.binomial_sample(40, 3)
     for deg in (1, 2, 5, 9):
-        basis = harmonics.real_harmonic_basis(deg, pts.points)
+        basis = real_basis(deg, pts.points)
         target = (2 * deg + 1) / (4 * math.pi)
         assert np.allclose((basis**2).sum(axis=0), target, rtol=1e-11)
 
@@ -195,7 +201,7 @@ def test_harmonic_basis_identity_at_max_degree():
     # point pass through the subnormal range before degree 2000
     pts = spatial.binomial_sample(1, 3)
     deg = harmonics.MAX_DEGREE
-    basis = harmonics.real_harmonic_basis(deg, pts.points)
+    basis = real_basis(deg, pts.points)
     assert float((basis**2).sum()) == pytest.approx((2 * deg + 1) / (4 * math.pi), rel=1e-10)
 
 

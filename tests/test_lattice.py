@@ -96,7 +96,6 @@ def test_enumerate_counts_match_convolution_to_10000():
     counts = convolution_counts(10_000)
     for n in range(1, 10_001):
         assert lattice.enumerate_points(n).size == counts[n], n
-    lattice.enumerate_points.cache_clear()
 
 
 def test_enumerate_empty_iff_4a_8b7():
@@ -307,6 +306,91 @@ def test_pair_count_pinned():
     assert lattice.pair_count(4, 0) == 24
     assert lattice.pair_count(5, 3) == 24 and lattice.pair_count(4, 2) == 0  # gap
     assert lattice.pair_count(7, 0) == 0  # empty shell
+
+
+# ------------------------------------------------------------------ caches
+
+CACHES = (lattice.enumerate_points, lattice.pair_table)
+
+
+@pytest.fixture
+def small_caches(monkeypatch):
+    """Both caches emptied and bounded to a few KB."""
+    monkeypatch.setattr(lattice, "_POINTS_BYTES", 4096)
+    monkeypatch.setattr(lattice, "_TABLE_BYTES", 2048)
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def test_verify_arith_reruns_from_the_cache(capsys):
+    def run(n_max):
+        assert main(["verify-arith", "--n-max", str(n_max)]) == 0
+        return capsys.readouterr().out
+
+    first = run(65)
+    misses = lattice.pair_table.cache_info().misses
+    second = run(50)
+    assert lattice.pair_table.cache_info().misses == misses  # every table kept
+    for expect, n_max in ((first, 65), (second, 50)):
+        for cache in CACHES:
+            cache.cache_clear()
+        assert run(n_max) == expect
+
+
+def test_cache_holds_its_bound_plus_the_newest_entry(small_caches):
+    for n in range(1, 400):
+        for cache, bound in ((lattice.enumerate_points, 4096), (lattice.pair_table, 2048)):
+            newest = cache(n)
+            info = cache.cache_info()
+            assert info.maxbytes == bound
+            assert info.currbytes <= max(bound, newest.nbytes), (n, info)
+    # n = 101 has 168 points (4032 bytes) and 117 distinct t (1872 bytes)
+    assert lattice.enumerate_points(101).nbytes == 4032 and lattice.pair_table(101).nbytes == 1872
+
+
+def test_cache_hit_refreshes_its_entry(small_caches, monkeypatch):
+    # the shells 5, 6 and 10 each have 24 points (576 bytes); two fit
+    monkeypatch.setattr(lattice, "_POINTS_BYTES", 2 * 576)
+    cache = lattice.enumerate_points
+    for n in (5, 6, 5, 10):  # the hit on 5 leaves 6 the oldest, so 10 evicts 6
+        cache(n)
+    assert cache.cache_info()[:2] == (1, 3)
+    cache(5)
+    cache(10)
+    assert cache.cache_info()[:2] == (3, 3)
+    cache(6)
+    assert cache.cache_info()[:2] == (3, 4)
+
+
+def test_cache_keeps_an_entry_over_the_bound_until_the_next_insert(small_caches, monkeypatch):
+    monkeypatch.setattr(lattice, "_POINTS_BYTES", 1024)
+    cache = lattice.enumerate_points
+    big = cache(101)
+    assert big.nbytes > 1024 and cache(101) is big
+    assert cache.cache_info() == (1, 1, 1024, big.nbytes)
+    small = cache(5)
+    assert cache.cache_info() == (1, 2, 1024, small.nbytes)  # 101 went
+    assert cache(101) is not big
+    assert cache.cache_info()[:2] == (1, 3)
+
+
+def test_cache_keeps_no_refused_call(small_caches, monkeypatch):
+    lattice.enumerate_points(5)
+    before = lattice.enumerate_points.cache_info()
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            lattice.enumerate_points(0)
+    info = lattice.enumerate_points.cache_info()
+    assert (info.hits, info.misses, info.currbytes) == (before.hits, before.misses + 2, before.currbytes)
+    # a table refused by its budget is built once the budget admits it
+    gram = BUDGETS["gram_products"]
+    monkeypatch.setitem(BUDGETS, "gram_products", gram._replace(limit=0))
+    with pytest.raises(DomainError, match="budget"):
+        lattice.pair_table(101)
+    assert lattice.pair_table.cache_info()[:2] == (0, 1) and lattice.pair_table.cache_info().currbytes == 0
+    monkeypatch.setitem(BUDGETS, "gram_products", gram)
+    assert lattice.pair_table(101).total == 168**2
+    assert lattice.pair_table.cache_info()[:2] == (0, 2)
 
 
 # ------------------------------------------------------------ distance bands
