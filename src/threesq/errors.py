@@ -98,7 +98,7 @@ BUDGETS: dict[str, Budget] = {
     # point).  2-vCPU Xeon, OpenBLAS 1 thread: the sums take 5.5-7.3 ns a
     # term on hundreds of rows or more (0.23 s for the 1 913 orbits of
     # n = 1e7+19 at M = 200) and 10.8 ns on 128 rows at M = 2000, the
-    # real basis of weyl_sums about 2 ns (2.5-3.6 s on 6 096 points at
+    # real basis of weyl_sums 1.6-1.8 ns (2.4-2.7 s on 6 096 points at
     # degree 700); so the limit is about 10 s of sums, and it admits
     # n = 1e10+19 at M = 200 (1.21e9 terms)
     "harmonic_terms": Budget(1_500_000_000, "order terms"),
