@@ -338,6 +338,15 @@ def test_boxes_refuses_cells_past_cap_before_partitioning(capsys, monkeypatch):
             spatial.equal_area_cells(cells)
 
 
+@pytest.mark.parametrize("cells", ["1", "0"])
+def test_boxes_refuses_fewer_than_two_cells(capsys, cells):
+    for argv in (["boxes", "--n", "5"], ["baseline", "--stat", "boxes", "--N", "50", "--seed", "0"]):
+        assert main([*argv, "--cells", cells]) == 2
+        captured = capsys.readouterr()
+        assert "need at least two cells" in captured.err
+        assert captured.out == ""
+
+
 def test_monte_carlo_counts_refuse_over_budget_before_drawing(capsys, monkeypatch):
     from threesq import harmonics, spatial
 
@@ -453,7 +462,8 @@ def rerun_args(draw):
             ["spacing"],
             ["covering"],
             ["variance", "--sigma", sigma, "--samples", samples],
-            ["boxes", "--cells", str(draw(st.integers(1, 200)))],
+            # one cell is refused (test_boxes_refuses_fewer_than_two_cells)
+            ["boxes", "--cells", str(draw(st.integers(2, 200)))],
         ]))
         return ["baseline", "--stat", own[0], "--N", big_n, "--seed", seed, *own[1:]]
     m_max = str(draw(st.integers(1, 30)))
