@@ -21,9 +21,10 @@ and V = sum_{m>=1} h(m)^2/(4*pi) * aggregate(m).
 Every set takes the pair sums S_m = sum_{x,y} P_m(x.y) from the addition
 theorem, as sums of squares of its harmonic sums over every degree at
 once (`_harmonic_sums`): O(N M^2) work with no pair loop, against
-O(N^2 M) for the pairs.  A symmetric integer set (`spatial._is_symmetric`:
-whole orbits of the 48 signed permutations, each point once), a whole
-lattice shell among them, sums over one point per orbit of the 16 signed
+O(N^2 M) for the pairs.  A symmetric integer set (whole orbits of the
+48 signed permutations, each point once), which `spatial._orbits` knows
+from the orbit record a projected shell carries from its enumeration or
+else by its exact test, sums over one point per orbit of the 16 signed
 permutations that fix the z axis, about N/16 points, and keeps the
 orders its symmetry leaves.  The discrepancy bound reads the magnitudes
 of the same harmonic sums.  The basis sums in
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, budget
 from .lattice import enumerate_points
-from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _is_symmetric, _random_units, _rng, project
+from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _orbits, _random_units, _rng, project
 
 MAX_DEGREE = 2000
 # power-of-two scale of the order recurrence, so that sectoral values of
@@ -146,7 +147,7 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
     """
     if m_max > MAX_DEGREE:
         raise DomainError(f"m_max must be at most {MAX_DEGREE} for the harmonic sums")
-    symmetric = _is_symmetric(pts)
+    symmetric = _orbits(pts) is not None
     U, weight = _z_orbits(pts) if symmetric else (pts.points, np.ones(pts.size))
     start = np.arange(m_max + 2)
     start = start * (start + 1) // 2

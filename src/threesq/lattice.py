@@ -9,37 +9,40 @@ test (`_two_squares`) and one group table.  Shells past _FLOAT_SAFE = 2^50
 are refused: their enumeration would take weeks, and below it every float
 dot product of two points is exact.
 
-The same group drives the pair statistics.  The exact inner-product
-histogram of a whole shell (`pair_table`) is read by `pairs_in_band` and
-`pair_count`, and by the `pairs` and `verify-arith` commands; no
-statistic reads it, since the energy, the Ripley counts and the harmonic
-sums take a shell's symmetry from its orbits (`shell_orbits`).  The
-histogram comes from one orbit-reduced Gram kernel: one
-representative per orbit is dotted with all N points, and its row is
-weighted by the orbit size, since a signed permutation maps the shell onto
-itself and keeps x.y.  That is about N^2/48 integer products instead of N^2,
-and no N x N matrix is ever formed.  The histogram is two sorted int64
-arrays, `t` and `count`; a pair count or a distance band is read from them
-by `np.searchsorted` and one slice sum.
+The same group drives the pair statistics.  Each enumerated shell
+carries its orbit record (`LatticeSet.orbits`), built once: the stable z
+order of its points and `shell_orbits` of the points in that order.
+Every whole-shell statistic in `spatial` and `harmonics` knows the shell
+by it, and the pair walks and spacings read its orbit rows.  The exact
+inner-product histogram of a whole shell (`pair_table`) is read by
+`pairs_in_band` and `pair_count`, and by the `pairs` and `verify-arith`
+commands; no statistic reads it, and it folds its own orbits.  The
+histogram comes from one orbit-reduced Gram kernel: one representative
+per orbit is dotted with all N points, and its row is weighted by the
+orbit size, since a signed permutation maps the shell onto itself and
+keeps x.y.  That is about N^2/48 integer products instead of N^2, and no
+N x N matrix is ever formed.  The histogram is two sorted int64 arrays,
+`t` and `count`; a pair count or a distance band is read from them by
+`np.searchsorted` and one slice sum.
 
 Both `enumerate_points` and `pair_table` keep their results per n, least
 recently used first out, bounded by the bytes of their arrays rather than
 by a count (`_byte_lru`): a run over many small shells keeps every table,
 and a few large shells cannot take gigabytes.  _POINTS_BYTES (32 MB of
-points) holds hundreds of shells of N ~ 2000 or one shell at n = 1e10+19
-(23 MB); _TABLE_BYTES (2 MB of `t` and `count`) holds eight tables at
-N ~ 2100, or every table of `verify-arith --n-max 500` (0.48 MB).  The
-newest entry always stays, even alone over its bound, so repeated calls
-on one large shell keep hitting; it goes at the next insert.
+points and orbit records, about 40 N bytes a shell) holds hundreds of
+shells of N ~ 2000; _TABLE_BYTES (2 MB of `t` and `count`) holds eight
+tables at N ~ 2100, or every table of `verify-arith --n-max 500`
+(0.48 MB).  The newest entry always stays, even alone over its bound, as
+the shell at n = 1e10+19 (38 MB) does, so repeated calls on one large
+shell keep hitting; it goes at the next insert.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, update_wrapper
 
@@ -53,9 +56,6 @@ _POINTS_BYTES = 32 << 20  # point arrays the enumerate_points cache holds
 _TABLE_BYTES = 2 << 20  # t and count arrays the pair_table cache holds
 _CANDIDATES = 1 << 14  # values of a per _two_squares call: 128 KB int64 arrays
 _MAX_POLE_RADIUS = 1 << 31  # near-pole scans stay in int64 up to here
-# the point arrays enumerate_points has handed out, keyed by (id, n), held
-# weakly: `spatial` recognises a whole shell by identity, never enumerating
-_SHELLS = weakref.WeakValueDictionary()
 
 # The 48 signed permutations x -> sign * x[perm]; _FIX_X3 marks the 8 fixing x3
 _PERM = np.repeat(list(itertools.permutations(range(3))), 8, axis=0)
@@ -73,16 +73,40 @@ def three_squares_representable(n: int) -> bool:
 
 
 @dataclass
+class ShellOrbits:
+    """Points of one sphere split into orbits of the signed-permutation group.
+
+    Points share an orbit exactly when their images in the sector
+    0 <= x <= y <= z (`fold`) agree.  For a set closed under the group (a
+    whole shell) `size` is the orbit size.  An orbit record also holds
+    `order`, the stable z order of the points, and then `first` and
+    `index` name rows of the points in that order.
+    """
+
+    first: np.ndarray  # (R,) the row of each orbit's first point
+    size: np.ndarray  # (R,) points per orbit
+    index: np.ndarray  # (N,) the orbit of each row
+    order: np.ndarray | None = None  # (N,) the stable z order of the points
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.first, self.size, self.index, self.order) if a is not None)
+
+
+@dataclass
 class LatticeSet:
     """All integer triples of squared length n, lexicographically sorted.
 
-    Instances are shared through the `enumerate_points` cache, which
-    counts `nbytes` against _POINTS_BYTES, and the points are frozen: the
-    array is not writeable.
+    `orbits` is the shell's orbit record, which only `enumerate_points`
+    builds; a set built any other way carries none.  Instances are shared
+    through the `enumerate_points` cache, which counts `nbytes`, the points
+    and the record, against _POINTS_BYTES, and every array is frozen
+    (read-only).
     """
 
     n: int
     points: np.ndarray  # (N, 3) int64
+    orbits: ShellOrbits | None = field(default=None, init=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -90,7 +114,7 @@ class LatticeSet:
 
     @property
     def nbytes(self) -> int:
-        return self.points.nbytes
+        return self.points.nbytes + (0 if self.orbits is None else self.orbits.nbytes)
 
 
 @dataclass(eq=False)
@@ -127,20 +151,6 @@ class PairCountTable:
     @property
     def total(self) -> int:
         return int(self.count.sum())
-
-
-@dataclass
-class ShellOrbits:
-    """Points of one sphere split into orbits of the signed-permutation group.
-
-    Points share an orbit exactly when their images in the sector
-    0 <= x <= y <= z (`fold`) agree.  For a set closed under the group (a
-    whole shell) `size` is the orbit size.
-    """
-
-    first: np.ndarray  # (R,) the row of each orbit's first point
-    size: np.ndarray  # (R,) points per orbit
-    index: np.ndarray  # (N,) the orbit of each row
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxbytes currbytes")
@@ -234,8 +244,9 @@ def enumerate_points(n: int) -> LatticeSet:
 
     Shells past _FLOAT_SAFE are refused: the work grows about linearly
     in n (11 s at n = 1e10), so n = 2^50 would take about two weeks.
-    The points are frozen and entered in _SHELLS, where `spatial` knows
-    them for a whole shell by identity.
+    The set carries its orbit record, `shell_orbits` of the points in
+    their stable z order, with that order; every whole-shell statistic
+    reads it.  The points and the record are frozen.
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
@@ -243,9 +254,12 @@ def enumerate_points(n: int) -> LatticeSet:
         raise DomainError(f"n = {n} exceeds 2^50, past which shells are not enumerated")
     x1 = np.arange(math.isqrt(n // 3) + 1, dtype=np.int64)
     P = _images(_solve_rows(x1, n - x1 * x1, x1))
-    P.setflags(write=False)
-    _SHELLS[id(P), n] = P
+    order = np.argsort(P[:, 2], kind="stable")
     ls = LatticeSet(n, P)
+    ls.orbits = orb = shell_orbits(P[order])
+    orb.order = order
+    for a in (P, order, orb.first, orb.size, orb.index):
+        a.setflags(write=False)
     if bool(ls.size) != three_squares_representable(n):
         raise InvariantError(f"enumeration of n={n} contradicts the 4^a(8b+7) test")
     return ls

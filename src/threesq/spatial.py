@@ -10,16 +10,19 @@ boundary misclassification entirely.
 A symmetric integer set remembers its source n <= _FLOAT_SAFE and integer
 points that are whole orbits of the 48 signed permutations, each point
 once: a whole lattice shell, or any union of its orbits.  Every
-whole-shell shortcut rests on that property alone, and `_is_symmetric`
-tests it exactly, with no pair table and no enumeration.  Its energies
-and Ripley counts walk one row per orbit (below), its spacings query one
-point per orbit, and its annulus counts fold each center into one
-sector.  Its covering radius needs only the hull facets over one sector:
-one hull of the points near that sector and a phantom vertex opposite
-it, accepted when a certificate shows those facets are facets of the
-whole hull (see `covering_radius`), and the winning plane is evaluated
-on its integer points, free of the cancellation in 2 - 2*offset.  Other
-sets take the whole hull.
+whole-shell shortcut rests on that property alone and reads one orbit
+record (`_orbits`): the stable z order of the integer points and
+`shell_orbits` of the points in that order.  A projected shell carries
+the record that `lattice.enumerate_points` built once; any other set is
+tested exactly, with no pair table and no enumeration, and the test
+builds the record.  Its energies and Ripley counts walk one row per
+orbit (below), its spacings query one point per orbit, and its annulus
+counts fold each center into one sector.  Its covering radius needs
+only the hull facets over one sector: one hull of the points near that
+sector and a phantom vertex opposite it, accepted when a certificate
+shows those facets are facets of the whole hull (see `covering_radius`),
+and the winning plane is evaluated on its integer points, free of the
+cancellation in 2 - 2*offset.  Other sets take the whole hull.
 
 Every pair sum of a point set (energies and Ripley counts) and every
 Monte Carlo annulus count takes its tiles from one planner and its
@@ -33,12 +36,12 @@ it is refused before any product.  A pair walk's rows are its columns,
 from each row block's diagonal: Ripley counts plan at a reach just past
 r, energies at reach inf, the whole upper triangle.  A symmetric set's
 pair walk is a rectangle instead: its rows are the first point of each
-orbit, sorted by z, and its columns every point (`_pair_plan`).  A
-signed permutation maps the set onto itself and keeps distances, so a
-sum over ordered pairs i != j is the sum over orbits of the orbit's size
-times its row's sum over j.  An annulus count's rows are a chunk of
-random centers (`number_variance`).  A rectangle with fewer columns than
-a tile is wide takes taller row blocks.  The loop, `_products`, writes
+orbit, sorted by z, and its columns every point in the record's z order
+(`_pair_plan`).  A signed permutation maps the set onto itself and keeps
+distances, so a sum over ordered pairs i != j is the sum over orbits of
+the orbit's size times its row's sum over j.  An annulus count's rows
+are a chunk of random centers (`number_variance`).  A rectangle with
+fewer columns than a tile is wide takes taller row blocks.  The loop, `_products`, writes
 each tile's matrix product into one workspace.  The pair walk,
 `_distance_blocks`, multiplies augmented coordinates,
 [x, |x|^2, 1] . [-2y, 1, |y|^2], so each tile holds squared distances,
@@ -81,13 +84,13 @@ and walk only the points near D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, DuplicatePointError, InvariantError, budget
-from .lattice import _FLOAT_SAFE, _SHELLS, LatticeSet, enumerate_points, fold, shell_orbits
+from .lattice import _FLOAT_SAFE, LatticeSet, ShellOrbits, enumerate_points, fold, shell_orbits
 
 _PAIR_ENTRIES = 1 << 16  # Gram entries per tile of the pair kernel
 _NORM_TOL = 1e-12
@@ -119,18 +122,33 @@ _PLANE_TIE = 1e-12  # float offsets this close to the smallest are settled exact
 
 @dataclass
 class UnitPointSet:
-    """Points on S^2, optionally remembering the integer shell they came from."""
+    """Points on S^2, optionally remembering the integer shell they came from.
+
+    Integer points come with their source n: one row of squared length
+    exactly n per point, the point being that row over sqrt(n) to 1e-12,
+    and any other source is refused.  `orbits` is the orbit record of an
+    enumerated shell, which only `project` passes on; a set built by hand
+    carries none.
+    """
 
     points: np.ndarray
     source_n: int | None = None
     int_points: np.ndarray | None = None
+    orbits: ShellOrbits | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
         if len(pts):
-            norms = np.linalg.norm(pts, axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
             if not np.abs(norms - 1.0).max() <= _NORM_TOL:  # NaN fails too
                 raise DomainError("points must lie on the unit sphere to 1e-12")
+        A, n = self.int_points, self.source_n
+        if A is not None:
+            if n is None or A.shape != pts.shape or np.any(np.einsum("ij,ij->i", A, A) != n):
+                raise DomainError(f"integer points need their source n and one row of squared length n per point (n = {n})")
+            off = pts - A / math.sqrt(n)
+            if not np.einsum("ij,ij->i", off, off).max(initial=0.0) <= _NORM_TOL**2:
+                raise DomainError("points must be the integer points over sqrt(n) to 1e-12")
         self.points = pts
 
     @property
@@ -139,10 +157,11 @@ class UnitPointSet:
 
 
 def project(ls: LatticeSet) -> UnitPointSet:
-    """Divide a lattice shell by sqrt(n) to land on the unit sphere."""
-    if ls.size == 0:
-        return UnitPointSet(np.zeros((0, 3)), ls.n, ls.points)
-    return UnitPointSet(ls.points / math.sqrt(ls.n), ls.n, ls.points)
+    """Divide a lattice shell by sqrt(n) to land on the unit sphere,
+    passing on its orbit record."""
+    pts = UnitPointSet(ls.points / math.sqrt(ls.n), ls.n, ls.points)
+    pts.orbits = ls.orbits
+    return pts
 
 
 def unit_shell(n: int) -> UnitPointSet:
@@ -337,45 +356,46 @@ def _ordered(total, x: np.ndarray, i0: int, j0: int, weight: np.ndarray | None =
     return 2 * total(x) - total(x[:, : len(x)]) if j0 == i0 else 2 * total(x)
 
 
-def _is_symmetric(pts: UnitPointSet) -> bool:
-    """True if pts is a symmetric integer set: it remembers its source
-    n <= _FLOAT_SAFE and integer points that are whole orbits of the 48
-    signed permutations, each point once.  A whole shell is one, and so is
-    any union of its orbits; a set with a repeated row is not.
+def _orbits(pts: UnitPointSet) -> ShellOrbits | None:
+    """The orbit record of a symmetric integer set, None for any other set.
 
-    The points `enumerate_points` hands out, frozen, are recognised by
-    one identity test in its registry (`lattice._SHELLS`), which holds
-    them weakly; a view or a copy of them is not.  Any other set is tested
-    exactly.  Neither enumerates.  Each orbit (`shell_orbits`) must
-    hold as many points as its folded point (a, b, c) has images: 6, 3 or
+    A symmetric integer set remembers its source n <= _FLOAT_SAFE and
+    integer points that are whole orbits of the 48 signed permutations,
+    each point once.  A whole shell is one, and so is any union of its
+    orbits; a set with a repeated row is not.  Its record is the stable z
+    order of the integer points and `shell_orbits` of the points in that
+    order, with the order.
+
+    A projected shell carries the record `lattice.enumerate_points` built.
+    Any other set is tested exactly and never enumerates: each orbit must
+    hold as many points as its folded point (a, b, c) has images, 6, 3 or
     1 arrangements of a, b and c, times 2 to the number of nonzero ones.
     And no two points of an orbit may share a place, their signs and the
     order of their absolute values, which together fix a point.
     """
-    A, n = pts.int_points, pts.source_n
-    if A is None or n is None or n > _FLOAT_SAFE:
-        return False
-    if not A.flags.writeable and _SHELLS.get((id(A), n)) is A:
-        return True
+    if pts.orbits is not None or pts.int_points is None or pts.source_n > _FLOAT_SAFE:
+        return pts.orbits  # carried, or None: no integer set to test
+    order = np.argsort(pts.int_points[:, 2], kind="stable")
+    A = pts.int_points[order]
     orb = shell_orbits(A)
     a, b, c = F = fold(A[orb.first]).T
     images = np.where(a == c, 1, np.where((a == b) | (b == c), 3, 6)) << np.count_nonzero(F, axis=0)
     place = (np.column_stack([np.sign(A), np.sign(np.abs(A) - np.abs(A[:, [1, 2, 0]]))]) + 1) @ 3 ** np.arange(6)
-    return np.array_equal(orb.size, images) and len(np.unique(orb.index * 729 + place)) == len(A)
+    whole = np.array_equal(orb.size, images) and len(np.unique(orb.index * 729 + place)) == len(A)
+    return replace(orb, order=order) if whole else None
 
 
-def _pair_plan(P: np.ndarray, reach, symmetric: bool):
+def _pair_plan(P: np.ndarray, reach, orb: ShellOrbits | None):
     """(tiles, rows, weight) of a pair sum over the points P, sorted by z.
 
-    Any other set walks the `_z_band` pair plan of P, with no rows or
-    weights.  A symmetric set (`_is_symmetric`, P its integer points)
-    walks a rectangle: its rows are the first point of each orbit
-    (`shell_orbits`), in ascending order and so sorted by z, each
+    Any other set (no record) walks the `_z_band` pair plan of P, with no
+    rows or weights.  A symmetric set, P its integer points in the z order
+    of its record `orb` (`_orbits`), walks a rectangle: its rows are the
+    first point of each orbit, in ascending order and so sorted by z, each
     weighted by its orbit's size, and its columns are every point.
     """
-    if not symmetric:
+    if orb is None:
         return _z_band(P[:, 2], reach), None, None
-    orb = shell_orbits(P)
     k = np.argsort(orb.first)
     return _z_band(P[:, 2], reach, P[orb.first[k], 2]), orb.first[k], orb.size[k]
 
@@ -406,9 +426,10 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
     products are predicted first, and past the "pair_products" budget it
     is refused before any product.
 
-    A symmetric set (`_is_symmetric`) walks its integer points, one row
-    per orbit against every point, so every d2 is an exact integer
-    D = |x - y|^2, and D/n is correctly rounded; it has no duplicates.
+    A symmetric set (`_orbits`) walks its integer points in its record's
+    z order, one row per orbit against every point, so every d2 is an
+    exact integer D = |x - y|^2, and D/n is correctly rounded; it has no
+    duplicates.
     Any other set walks the whole upper triangle of its float points.
     Their d2 carry an absolute error of a few 1e-15, a loss of digits
     where d2 is small, so the entries below _CLOSE_D2 are settled from
@@ -421,13 +442,13 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         raise DomainError("s must lie in (0, 2)")
     if pts.size < 2:
         raise DomainError("need at least two points")
-    symmetric = _is_symmetric(pts)
-    order = np.argsort(pts.points[:, 2], kind="stable")  # integer z sort alike
-    P = (pts.int_points if symmetric else pts.points)[order]
-    tiles, rows, weight = _pair_plan(P, math.inf, symmetric)
+    orb = _orbits(pts)
+    order = np.argsort(pts.points[:, 2], kind="stable") if orb is None else orb.order
+    P = (pts.points if orb is None else pts.int_points)[order]
+    tiles, rows, weight = _pair_plan(P, math.inf, orb)
     parts = []
     for i0, j0, d2 in _distance_blocks(P, tiles, rows):
-        if symmetric:
+        if orb is not None:
             d2 /= pts.source_n
         elif P[j0, 2] - P[i0 + len(d2) - 1, 2] <= math.sqrt(_CLOSE_D2):
             close = np.flatnonzero(d2 < _CLOSE_D2)
@@ -467,8 +488,8 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     isqrt(dmax) is exact.  On float points it is sqrt(r^2 + _BAND_SLACK),
     as in `number_variance`: a computed d^2 below r^2 is within about
     1e-15 of the true one, and the slack also outgrows the rounding of
-    z + reach at every r.  A symmetric set (`_is_symmetric`) walks one
-    row per orbit against every point (`_pair_plan`).  The band's Gram
+    z + reach at every r.  A symmetric set (`_orbits`) walks one row per
+    orbit against every point, in its record's z order (`_pair_plan`).  The band's Gram
     products are predicted first, and past the "pair_products" budget the
     count is refused before any product.
 
@@ -489,7 +510,7 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     if pts.size < 2:
         return 0
     r2 = r * r
-    if pts.source_n is not None and pts.int_points is not None:
+    if pts.int_points is not None:
         n = pts.source_n
         if n >= 1 << 61:
             raise DomainError(
@@ -497,14 +518,16 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
             )
         lim = Fraction(r) * Fraction(r) * n  # exact rational threshold
         dmax = (lim.numerator - 1) // lim.denominator
-        P = pts.int_points[np.argsort(pts.int_points[:, 2], kind="stable")]
+        X = pts.int_points
         reach = math.isqrt(dmax)
         lo = hi = dmax + 1
     else:
-        P = pts.points[np.argsort(pts.points[:, 2], kind="stable")]
+        X = pts.points
         reach = math.sqrt(r2 + _BAND_SLACK)
         lo, hi = r2 - _RIPLEY_TIE, r2 + _RIPLEY_TIE
-    tiles, rows, weight = _pair_plan(P, reach, _is_symmetric(pts))
+    orb = _orbits(pts)
+    P = X[np.argsort(X[:, 2], kind="stable") if orb is None else orb.order]
+    tiles, rows, weight = _pair_plan(P, reach, orb)
     below = _workspace(tiles, bool)
     above = _workspace(tiles, bool) if hi > lo else None
     total = 0
@@ -590,23 +613,24 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
 
     Every set takes d_j^2 from one kd-tree routine (`_nn_d2`), as the
     coordinate-difference form |P_j - P_i|^2 of its nearest other point,
-    so a duplicate point gives 0.  A symmetric set (`_is_symmetric`), a
-    whole lattice shell among them, runs it on its integer points, where
-    every squared distance D = 2(n - x.y) is exact, and divides by n
-    once: d_j^2 = D/n, correctly rounded.  It queries the tree at one
-    point per orbit of the 48 signed permutations
-    (`lattice.shell_orbits`), about N/48 queries: a signed permutation g
-    maps the set onto itself and keeps distances, so g x has the nearest
-    distance of x, and each point takes its orbit's exact D through the
-    orbit index.  The values are those of querying every point, bit for
-    bit.  Any other set queries every point.
+    so a duplicate point gives 0.  A symmetric set (`_orbits`), a whole
+    lattice shell among them, runs it on its integer points, where every
+    squared distance D = 2(n - x.y) is exact, and divides by n once:
+    d_j^2 = D/n, correctly rounded.  It queries the tree at the first
+    point of each orbit of the 48 signed permutations in its record,
+    about N/48 queries: a signed permutation g maps the set onto itself
+    and keeps distances, so g x has the nearest distance of x, and each
+    point takes its orbit's exact D through the record's orbit index.
+    The values are those of querying every point, bit for bit.  Any other
+    set queries every point.
     """
     if pts.size < 2:
         raise DomainError("need at least two points")
     N = pts.size
-    if _is_symmetric(pts):
-        orb = shell_orbits(pts.int_points)
-        d2min = (_nn_d2(pts.int_points, at=orb.first) / pts.source_n)[orb.index]
+    orb = _orbits(pts)
+    if orb is not None:  # the record's rows are in its z order
+        d2min = np.empty(N)
+        d2min[orb.order] = (_nn_d2(pts.int_points, at=orb.order[orb.first]) / pts.source_n)[orb.index]
     else:
         d2min = _nn_d2(pts.points)
     rescaled = N * d2min / 4.0
@@ -628,7 +652,7 @@ def covering_radius(pts: UnitPointSet) -> float:
     the hull; otherwise (all points in a closed hemisphere) the method is
     invalid and the covering radius is at least sqrt(2).
 
-    A symmetric set (`_is_symmetric`), a whole lattice shell among them,
+    A symmetric set (`_orbits`), a whole lattice shell among them,
     needs only the facets over one symmetry sector.  The set is
     invariant under the 48 signed permutations, so a deepest
     hole lies in D = {0 <= x <= y <= z}, which the cap of chord radius
@@ -674,7 +698,7 @@ def covering_radius(pts: UnitPointSet) -> float:
     """
     if pts.size < 4:
         raise DomainError("fewer than 4 points always sit in a closed hemisphere")
-    if _is_symmetric(pts):
+    if _orbits(pts) is not None:
         return _shell_covering(pts)
     return _float_covering(pts.points, *_hull(pts.points))
 
@@ -928,13 +952,13 @@ def _annulus_histogram(
     lo, hi = spec.dot_window()
     reach = math.sqrt(spec.rho2**2 + _BAND_SLACK)
     P = pts.points
-    sector = _is_symmetric(pts)
-    if sector:
-        gather = _SECTOR_RADIUS + reach + _SECTOR_SLACK
-        if gather < 2.0:
-            P = P[P @ _SECTOR_CENTER >= 1.0 - gather * gather / 2.0]
+    orb = _orbits(pts)
+    order = np.argsort(P[:, 2], kind="stable") if orb is None else orb.order
+    gather = _SECTOR_RADIUS + reach + _SECTOR_SLACK
+    if orb is not None and gather < 2.0:  # the gathered points, still in the record's z order
+        order = order[(P @ _SECTOR_CENTER >= 1.0 - gather * gather / 2.0)[order]]
     # the points sorted by z, one C-contiguous 3 x N factor for every chunk
-    PT = np.ascontiguousarray(P[np.argsort(P[:, 2], kind="stable")].T)
+    PT = np.ascontiguousarray(P[order].T)
     rng = _rng(seed)
     hist = np.zeros(N + 1, dtype=np.int64)
     chunk = max(1, (1 << 22) // max(N, 1))
@@ -943,7 +967,7 @@ def _annulus_histogram(
         k = min(chunk, remaining)
         remaining -= k
         centers = _random_units(rng, k)
-        if sector:
+        if orb is not None:
             centers = fold(centers)
         centers = centers[np.argsort(centers[:, 2])]
         tiles = _z_band(PT[2], reach, centers[:, 2])
@@ -988,8 +1012,9 @@ def number_variance(
     over the tiles of its row block, which may be several or none; the
     tiles' dots and masks are views of workspaces sized once per chunk.
 
-    A symmetric set (`_is_symmetric`) walks one symmetry sector.  Its chunks are drawn
-    as above, then each center c is folded into D = {0 <= x <= y <= z}
+    A symmetric set (`_orbits`) walks one symmetry sector, its gathered
+    points taken in its record's z order.  Its chunks are drawn as above,
+    then each center c is folded into D = {0 <= x <= y <= z}
     (`lattice.fold`, absolute values then a sort), a signed permutation g
     with g c in D.  Since g P = P and g keeps dot products, g c sees as
     many points as c: in exact arithmetic the same count, and in floats

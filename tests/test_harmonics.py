@@ -296,7 +296,7 @@ def test_pair_legendre_sums_match_full_matrix(pts, m_max, data):
 
 def test_pair_legendre_sums_pinned_cases(octahedron):
     bare = spatial.UnitPointSet(octahedron.points)
-    assert not spatial._is_symmetric(bare)
+    assert spatial._orbits(bare) is None
     assert abs(harmonics._pair_legendre_sums(bare, 2)[2]) <= 1e-10 * 36
     # one point: S_m = P_m(1) = 1 at every degree.  At the poles the degree
     # step's rounding grows like m^2 eps (9e-11 at m = 2000).  The point at
@@ -358,7 +358,7 @@ def test_shell_route_refuses_degrees_past_cap_before_allocating():
 @given(st.integers(1, 200_000).filter(lattice.three_squares_representable), st.integers(1, 40))
 def test_shell_sums_on_z_orbits_match_pair_table(n, m_max):
     pts = spatial.unit_shell(n)
-    assert spatial._is_symmetric(pts)
+    assert spatial._orbits(pts) is not None
     ours = harmonics._pair_legendre_sums(pts, m_max)
     np.testing.assert_allclose(ours, table_legendre_sums(n, m_max), rtol=0, atol=1e-13 * pts.size**2)
 
@@ -388,8 +388,8 @@ def test_table_routes_match_generic_path(n):
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
     keeps_n = spatial.UnitPointSet(pts.points, n)  # a source without integer points
-    assert spatial._is_symmetric(pts)
-    assert not spatial._is_symmetric(bare) and not spatial._is_symmetric(keeps_n)
+    assert spatial._orbits(pts) is not None
+    assert spatial._orbits(bare) is None and spatial._orbits(keeps_n) is None
 
     def close(a, b):
         return a == pytest.approx(b, rel=1e-9)
@@ -415,7 +415,7 @@ def test_partial_shell_takes_generic_path():
     ls = lattice.enumerate_points(101)
     part = spatial.project(lattice.LatticeSet(101, ls.points[1:]))
     lattice.pair_table.cache_clear()
-    assert not spatial._is_symmetric(part)
+    assert spatial._orbits(part) is None
     bare = spatial.UnitPointSet(part.points)
     assert spatial.riesz_energy(part, 1.0) == spatial.riesz_energy(bare, 1.0)
     assert np.array_equal(
@@ -426,7 +426,7 @@ def test_partial_shell_takes_generic_path():
     # the whole shell: its spacings, energies and Ripley counts build no
     # table either, since they walk its orbits
     whole = spatial.unit_shell(101)
-    assert spatial._is_symmetric(whole)
+    assert spatial._orbits(whole) is not None
     spatial.nn_spacings(whole)
     spatial.riesz_energy(whole, 1.0)
     spatial.riesz_energy(whole, 0.5)

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import itertools
 import math
 import tracemalloc
@@ -338,19 +339,36 @@ def test_verify_arith_reruns_from_the_cache(capsys):
 
 
 def test_cache_holds_its_bound_plus_the_newest_entry(small_caches):
+    # the points cache counts each shell's points and its orbit record, and
+    # evicts by their total, oldest first: a model of the held shells, each
+    # counted from its arrays, holds exactly the bytes the cache reports
+    held = collections.OrderedDict()
     for n in range(1, 400):
         for cache, bound in ((lattice.enumerate_points, 4096), (lattice.pair_table, 2048)):
             newest = cache(n)
             info = cache.cache_info()
             assert info.maxbytes == bound
             assert info.currbytes <= max(bound, newest.nbytes), (n, info)
-    # n = 101 has 168 points (4032 bytes) and 117 distinct t (1872 bytes)
-    assert lattice.enumerate_points(101).nbytes == 4032 and lattice.pair_table(101).nbytes == 1872
+        ls = lattice.enumerate_points(n)
+        orb = ls.orbits
+        held[n] = ls.points.nbytes + orb.order.nbytes + orb.first.nbytes + orb.size.nbytes + orb.index.nbytes
+        while sum(held.values()) > 4096 and len(held) > 1:
+            held.popitem(last=False)
+        assert lattice.enumerate_points.cache_info().currbytes == sum(held.values()), n
+    misses = lattice.enumerate_points.cache_info().misses
+    for n in held:
+        lattice.enumerate_points(n)
+    assert lattice.enumerate_points.cache_info().misses == misses  # the model's shells are the held ones
+    # n = 101 has 168 points (4032 bytes) in 4 orbits, a record of 2752
+    # bytes (the z order and the orbit index, 168 int64 each, and the
+    # first row and size of each orbit), and 117 distinct t (1872 bytes)
+    assert lattice.enumerate_points(101).nbytes == 6784 and lattice.pair_table(101).nbytes == 1872
 
 
 def test_cache_hit_refreshes_its_entry(small_caches, monkeypatch):
-    # the shells 5, 6 and 10 each have 24 points (576 bytes); two fit
-    monkeypatch.setattr(lattice, "_POINTS_BYTES", 2 * 576)
+    # the shells 5, 6 and 10 each have 24 points in one orbit (576 bytes,
+    # and 400 of orbit record); two fit
+    monkeypatch.setattr(lattice, "_POINTS_BYTES", 2 * 976)
     cache = lattice.enumerate_points
     for n in (5, 6, 5, 10):  # the hit on 5 leaves 6 the oldest, so 10 evicts 6
         cache(n)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 import time
@@ -54,6 +55,35 @@ def test_projection_carries_source(shell5):
     assert np.allclose(np.linalg.norm(shell5.points, axis=1), 1.0)
 
 
+@pytest.mark.parametrize(
+    "case", ["no source n", "fewer rows", "another shell", "one row off the shell", "rows reordered", "point moved"]
+)
+def test_inconsistent_integer_source_is_refused(case):
+    # the integer rows are the points times sqrt(n), one each, or no
+    # statistic may read them: the 24 points of n = 6 over those of n = 5
+    # passed the symmetric-set test, and three rows gave a 24-point set
+    # Ripley count 6 at r = 1
+    P = lattice.enumerate_points(5).points
+    U = P / math.sqrt(5)
+    moved = U.copy()
+    moved[0, 2] += 1e-9
+    moved[0] /= np.linalg.norm(moved[0])
+    args = {
+        "no source n": (U, None, P),
+        "fewer rows": (U, 5, P[:3]),
+        "another shell": (U, 5, lattice.enumerate_points(6).points),
+        "one row off the shell": (U, 5, np.vstack([P[:-1], [[1, 2, 1]]])),
+        "rows reordered": (U, 5, P[::-1]),
+        "point moved": (moved, 5, P),
+    }[case]
+    with pytest.raises(DomainError):
+        spatial.UnitPointSet(*args)
+    own = spatial.UnitPointSet(U, 5, P)
+    assert spatial.riesz_energy(own, 1.0) == pytest.approx(spatial.riesz_energy(spatial.UnitPointSet(U), 1.0))
+    assert spatial.ripley_k(own, 1.0) == 96
+    assert spatial.UnitPointSet(np.zeros((0, 3)), 7, np.zeros((0, 3), dtype=np.int64)).size == 0
+
+
 # ------------------------------------------------------------------ energy
 
 def test_riesz_energy_antipodal(antipodal_pair):
@@ -88,7 +118,7 @@ def test_shell_energy_matches_float_kernel(n, s):
     assume(lattice.three_squares_representable(n))
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
-    assert spatial._is_symmetric(pts) and not spatial._is_symmetric(bare)
+    assert spatial._orbits(pts) is not None and spatial._orbits(bare) is None
     assert spatial.riesz_energy(pts, s) == pytest.approx(spatial.riesz_energy(bare, s), rel=1e-9)
 
 
@@ -118,7 +148,7 @@ def test_orbit_row_energy_matches_pair_table(n):
     # against the histogram's sum over t: the same exact d^2, summed in
     # another order
     pts = spatial.unit_shell(n)
-    assert spatial._is_symmetric(pts)
+    assert spatial._orbits(pts) is not None
     for s in (0.5, 1.0, 1.5):
         assert spatial.riesz_energy(pts, s) == pytest.approx(table_energy(n, s), rel=1e-14, abs=0), s
 
@@ -248,7 +278,7 @@ def test_set_with_repeated_rows_is_not_symmetric():
     Q = P[[0, 0, 0, 0, 0, 0, 0, 3]]
     pts = spatial.UnitPointSet(Q / math.sqrt(3), 3, Q)
     bare = spatial.UnitPointSet(Q / math.sqrt(3))
-    assert len(Q) == len(P) and not spatial._is_symmetric(pts)
+    assert len(Q) == len(P) and spatial._orbits(pts) is None
     for X in (pts, bare):
         with pytest.raises(DuplicatePointError):
             spatial.riesz_energy(X, 1.0)
@@ -285,7 +315,7 @@ def test_orbit_near_2_49_is_tested_without_enumerating(seed):
     with mock.patch.object(spatial, "enumerate_points", side_effect=AssertionError("enumerated")):
         for pts, symmetric in ((fragment, False), (whole, True)):
             start = time.perf_counter()
-            assert spatial._is_symmetric(pts) == symmetric
+            assert (spatial._orbits(pts) is not None) == symmetric
             rep = spatial.nn_spacings(pts)
             counts = [spatial.ripley_k(pts, r) for r in (0.1, 1.0, 2.0)]
             assert time.perf_counter() - start < 1.0
@@ -296,34 +326,97 @@ def test_orbit_near_2_49_is_tested_without_enumerating(seed):
             np.testing.assert_allclose(rep.rescaled_values, bare, rtol=1e-6)
 
 
-def test_frozen_points_are_tested_without_enumerating():
-    # read-only integer points that enumerate_points did not hand out, a
-    # slice of a shell's and an orbit near 2^49 frozen by its caller, are
-    # tested exactly, and neither enumerates; the shell's own points are
-    # known by identity alone, unless made writeable again
+def frozen(A):
+    A = A.copy()
+    A.setflags(write=False)
+    return A
+
+
+def test_sets_built_without_unit_shell_take_the_exact_test():
+    # integer points that enumerate_points did not hand out carry no orbit
+    # record, frozen or not: slices of a shell, an orbit near 2^49 and a
+    # union of a shell's orbits are each tested exactly, and none
+    # enumerates; a projected shell reads the record it carries
     ls = lattice.enumerate_points(101)
     n, P = seeded_orbit(7)
-    P.setflags(write=False)
-    cases = [(ls.points[1:], 101, False), (ls.points[:48], 101, False), (P, n, True), (ls.points, 101, True)]
+    orb = lattice.shell_orbits(ls.points)
+    union = ls.points[np.isin(orb.index, [0, 2, 3])]
+    cases = [
+        (ls.points[1:], 101, False),
+        (ls.points[:48].copy(), 101, False),
+        (ls.points[:], 101, True),
+        (ls.points.copy(), 101, True),
+        (P, n, True),
+        (frozen(P), n, True),
+        (frozen(union), 101, True),
+        (union.copy(), 101, True),
+    ]
     fail = mock.Mock(side_effect=AssertionError("enumerated"))
     with mock.patch.object(spatial, "enumerate_points", fail), mock.patch.object(lattice, "enumerate_points", fail):
         for Q, m, symmetric in cases:
             pts = spatial.project(lattice.LatticeSet(m, Q))
+            assert pts.orbits is None
             start = time.perf_counter()
-            assert not Q.flags.writeable and spatial._is_symmetric(pts) == symmetric
-            counts = [spatial.ripley_k(pts, r) for r in (0.1, 1.0, 2.0)]
-            spatial.nn_spacings(pts)
+            with mock.patch.object(spatial, "shell_orbits", wraps=lattice.shell_orbits) as tested:
+                assert (spatial._orbits(pts) is not None) == symmetric
+                counts = [spatial.ripley_k(pts, r) for r in (0.1, 1.0, 2.0)]
+                spatial.nn_spacings(pts)
+            assert tested.called
             assert time.perf_counter() - start < 1.0
             assert counts == [ripley_full_width(pts, r) for r in (0.1, 1.0, 2.0)]
     with mock.patch.object(spatial, "shell_orbits", side_effect=AssertionError("tested")):
-        assert spatial._is_symmetric(spatial.project(ls))
-    ls.points.setflags(write=True)
-    try:
-        with mock.patch.object(spatial, "shell_orbits", wraps=lattice.shell_orbits) as orbits:
-            assert spatial._is_symmetric(spatial.project(ls))
-        assert orbits.called
-    finally:
-        ls.points.setflags(write=False)
+        assert spatial._orbits(spatial.project(ls)) is ls.orbits is not None
+
+
+def whole_shell_statistics(pts):
+    """Every statistic with a whole-shell route, each float as its bytes."""
+    N = pts.size
+    spec = spatial.AnnulusSpec.cap_of_area(0.05)
+    spacings = spatial.nn_spacings(pts)
+    values = [
+        *(spatial.riesz_energy(pts, s) for s in (0.5, 1.0)),
+        spacings.ks_distance_to_exp,
+        spatial.covering_radius(pts),
+        *dataclasses.astuple(spatial.number_variance(pts, spec, 300, 11)),
+        *dataclasses.astuple(harmonics.variance_series(None, spec, 12, points=pts)),
+        harmonics.discrepancy_bound(None, 12, points=pts),
+    ]
+    counts = [spatial.ripley_k(pts, r) for r in (3 / math.sqrt(N), 1.0, 1.9)]
+    return counts, spacings.rescaled_values.tobytes(), np.array(values, dtype=np.float64).tobytes()
+
+
+# tiny shells whose orbits lie on the axes and diagonals, 4^a m and p^2 | n
+@example(1)
+@example(2)
+@example(3)
+@example(9)
+@example(25)
+@example(4**3 * 101)
+@example(49 * 11)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200_000).filter(lattice.three_squares_representable))
+def test_carried_record_matches_the_exact_test(n):
+    # a projected shell reads the orbit record its enumeration built and
+    # never folds its orbits again; a hand-built copy of its points takes
+    # the exact test, which builds the record anew: every statistic agrees
+    # byte for byte
+    carried = spatial.unit_shell(n)
+    tested = spatial.project(lattice.LatticeSet(n, carried.int_points.copy()))
+    assert carried.orbits is not None and tested.orbits is None
+    with mock.patch.object(spatial, "shell_orbits", side_effect=AssertionError("folded again")):
+        fast = whole_shell_statistics(carried)
+    with mock.patch.object(spatial, "shell_orbits", wraps=lattice.shell_orbits) as folded:
+        assert whole_shell_statistics(tested) == fast
+    assert folded.called
+
+
+def test_pair_table_folds_its_own_orbits():
+    # the pair table stays a path apart from the record the statistics read
+    lattice.enumerate_points(101)
+    lattice.pair_table.cache_clear()
+    with mock.patch.object(lattice, "shell_orbits", wraps=lattice.shell_orbits) as folded:
+        lattice.pair_table(101)
+    assert folded.call_count == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -340,14 +433,14 @@ def test_union_of_whole_orbits_takes_the_orbit_routes(n, r, data):
     Q = Q[data.draw(st.permutations(range(len(Q))))]
     pts = spatial.project(lattice.LatticeSet(n, Q))
     bare = spatial.UnitPointSet(pts.points)
-    assert spatial._is_symmetric(pts)
+    assert spatial._orbits(pts) is not None
     for broken in (Q[1:], np.vstack([Q[1:], Q[:1], Q[:1]])):
-        assert not spatial._is_symmetric(spatial.project(lattice.LatticeSet(n, broken)))
+        assert spatial._orbits(spatial.project(lattice.LatticeSet(n, broken))) is None
     with mock.patch.object(spatial, "_pair_plan", wraps=spatial._pair_plan) as plan:
         energies = [spatial.riesz_energy(X, 1.0) for X in (pts, bare)]
         assert spatial.ripley_k(pts, r) == ripley_full_width(pts, r)
     # the orbit rows for the set, the triangle for its bare copy
-    assert [call.args[2] for call in plan.call_args_list] == [True, False, True]
+    assert [call.args[2] is not None for call in plan.call_args_list] == [True, False, True]
     assert energies[0] == pytest.approx(energies[1], rel=1e-12)
     np.testing.assert_allclose(
         spatial.nn_spacings(pts).rescaled_values, spatial.nn_spacings(bare).rescaled_values, rtol=1e-9
@@ -537,8 +630,9 @@ def test_banded_ripley_matches_full_width_on_shells(n, pick, nudge, entries):
     # rows split into row blocks of one or two
     pts = spatial.unit_shell(n)
     P = pts.int_points
+    orb = spatial._orbits(pts)
     with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
-        tiles, rows, _ = spatial._pair_plan(P[np.argsort(P[:, 2], kind="stable")], math.inf, True)
+        tiles, rows, _ = spatial._pair_plan(P[orb.order], math.inf, orb)
     if entries < 64:
         assert len({i0 for i0, _, _, _ in tiles}) > 1 or len(rows) == 1
     d2 = sorted({int(x) for x in ((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2).ravel()} - {0})
@@ -820,7 +914,7 @@ def test_float_spacings_match_dense_difference_form(P):
 def test_whole_shell_spacings_are_exact(n):
     # the kd-tree on integer points gives the exact largest x.y below n
     pts = spatial.unit_shell(n)
-    assert spatial._is_symmetric(pts)
+    assert spatial._orbits(pts) is not None
     P = pts.int_points
     G = P @ P.T
     np.fill_diagonal(G, -n - 1)
@@ -1368,7 +1462,7 @@ def test_sector_cap_counts_match_dense_folded_and_not(n, spec, samples, seed):
     # point, on the default tiles and on 4 x 64 ones
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
-    assert spatial._is_symmetric(pts) and not spatial._is_symmetric(bare)
+    assert spatial._orbits(pts) is not None and spatial._orbits(bare) is None
     wide = (256, spatial._PAIR_ENTRIES)
     assert_banded_equals_dense(pts, spec, samples, seed, wide)
     assert_banded_equals_dense(bare, spec, samples, seed, wide)
