@@ -489,9 +489,9 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     as in `number_variance`: a computed d^2 below r^2 is within about
     1e-15 of the true one, and the slack also outgrows the rounding of
     z + reach at every r.  A symmetric set (`_orbits`) walks one row per
-    orbit against every point, in its record's z order (`_pair_plan`).  The band's Gram
-    products are predicted first, and past the "pair_products" budget the
-    count is refused before any product.
+    orbit against every point, in its record's z order (`_pair_plan`).
+    The band's Gram products are predicted first, and past the
+    "pair_products" budget the count is refused before any product.
 
     On float points the Gram form of d^2 is within a few 1e-15 of the
     coordinate-difference form |x - y|^2, and BLAS rounds it differently
