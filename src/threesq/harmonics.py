@@ -21,10 +21,10 @@ and V = sum_{m>=1} h(m)^2/(4*pi) * aggregate(m).
 Every set takes the pair sums S_m = sum_{x,y} P_m(x.y) from the addition
 theorem, as sums of squares of its harmonic sums over every degree at
 once (`_harmonic_sums`): O(N M^2) work with no pair loop, against
-O(N^2 M) for the pairs.  A symmetric integer set (whole orbits of the
-48 signed permutations, each point once), which `spatial._orbits` knows
-from the orbit record a projected shell carries from its enumeration or
-else by its exact test, sums over one point per orbit of the 16 signed
+O(N^2 M) for the pairs.  A symmetric set, an enumerated shell (whole
+orbits of the 48 signed permutations, each point once), which
+`spatial._orbits` knows by the orbit record its `shell` carries from the
+enumeration, sums over one point per orbit of the 16 signed
 permutations that fix the z axis, about N/16 points, and keeps the
 orders its symmetry leaves.  The discrepancy bound reads the magnitudes
 of the same harmonic sums.  The basis sums in
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, budget
-from .lattice import enumerate_points
-from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _orbits, _random_units, _rng, project
+from .spatial import _PAIR_ENTRIES, AnnulusSpec, UnitPointSet, _orbits, _random_units, _rng, unit_shell
 
 MAX_DEGREE = 2000
 # power-of-two scale of the order recurrence, so that sectoral values of
@@ -108,9 +107,10 @@ def _z_orbits(pts: UnitPointSet) -> tuple[np.ndarray, np.ndarray]:
     """One unit point per orbit of a symmetric set under the 16 signed
     permutations that fix the z axis, and the orbit sizes.
 
-    (min(|x|, |y|), max(|x|, |y|)) keys the orbit, since n then fixes |z|.
+    (min(|x|, |y|), max(|x|, |y|)) of the integer points of its `shell`
+    keys the orbit, since n then fixes |z|.
     """
-    lo, hi = np.sort(np.abs(pts.int_points[:, :2]), axis=1).T
+    lo, hi = np.sort(np.abs(pts.shell.points[:, :2]), axis=1).T
     _, first, size = np.unique(hi * (int(hi.max(initial=0)) + 1) + lo, return_index=True, return_counts=True)
     return pts.points[first], size
 
@@ -136,7 +136,7 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
     weighted sum of Re Y_m^mu; the other orders are set to 0, and the sums
     are returned real.
 
-    Degrees past MAX_DEGREE are refused before the symmetry test, and R
+    Degrees past MAX_DEGREE are refused before the orbits are read, and R
     rows (points or orbits) past the "harmonic_terms" budget of
     `errors.BUDGETS`, R (m_max + 1)(m_max + 2)/2 order terms, before any
     allocation.  Rows go in chunks of _PAIR_ENTRIES //
@@ -260,7 +260,7 @@ def _resolve_points(n: int | None, points: UnitPointSet | None) -> UnitPointSet:
         return points
     if n is None:
         raise DomainError("need either n or an explicit point set")
-    pts = project(enumerate_points(n))
+    pts = unit_shell(n)
     if pts.size == 0:
         raise DomainError(f"n = {n} has no lattice points")
     return pts

@@ -11,9 +11,13 @@ dot product of two points is exact.
 
 The same group drives the pair statistics.  Each enumerated shell
 carries its orbit record (`LatticeSet.orbits`), built once: the stable z
-order of its points and `shell_orbits` of the points in that order.
-Every whole-shell statistic in `spatial` and `harmonics` knows the shell
-by it, and the pair walks and spacings read its orbit rows.  The exact
+order of its points and `shell_orbits` of the points in that order.  A
+`LatticeSet` is the one integer source of a point set: its constructor
+checks that every row lies on the shell of n <= 2^50, and
+`spatial.project` attaches it to the projected points.  Every
+whole-shell statistic in `spatial` and `harmonics` knows a shell by the
+record it carries, which no hand-built set has, and the pair walks and
+spacings read its orbit rows; neither module folds orbits itself.  The exact
 inner-product histogram of a whole shell (`pair_table`) is read by
 `pairs_in_band` and `pair_count`, and by the `pairs` and `verify-arith`
 commands; no statistic reads it, and it folds its own orbits.  The
@@ -50,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, budget
 
-_FLOAT_SAFE = 1 << 50  # below this, float dot products of points are exact
+_FLOAT_SAFE = 1 << 50  # the largest n of a LatticeSet: float dot products of its points are exact
 _GRAM_ENTRIES = 1 << 23  # entries per row block of the Gram kernel
 _POINTS_BYTES = 32 << 20  # point arrays the enumerate_points cache holds
 _TABLE_BYTES = 2 << 20  # t and count arrays the pair_table cache holds
@@ -95,10 +99,19 @@ class ShellOrbits:
 
 @dataclass
 class LatticeSet:
-    """All integer triples of squared length n, lexicographically sorted.
+    """Integer points of squared length n: from `enumerate_points` all of
+    them, lexicographically sorted, or any rows of the shell built by hand.
+
+    The constructor refuses, with DomainError, an n that is no integer in
+    [1, 2^50] (_FLOAT_SAFE), points that are not an int64 (N, 3) array,
+    and a row whose squared length is not exactly n.  Every coordinate is
+    checked to be at most isqrt(n) in absolute value first, so no square
+    wraps in int64: (2^32, 0, 1) would pass as a point of n = 1.  N = 0
+    is allowed.
 
     `orbits` is the shell's orbit record, which only `enumerate_points`
-    builds; a set built any other way carries none.  Instances are shared
+    builds; a set built any other way carries none, and a point set counts
+    as symmetric exactly when its shell carries one.  Instances are shared
     through the `enumerate_points` cache, which counts `nbytes`, the points
     and the record, against _POINTS_BYTES, and every array is frozen
     (read-only).
@@ -107,6 +120,16 @@ class LatticeSet:
     n: int
     points: np.ndarray  # (N, 3) int64
     orbits: ShellOrbits | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        n, P = self.n, self.points
+        if not (isinstance(n, int | np.integer) and 1 <= n <= _FLOAT_SAFE):
+            raise DomainError(f"a lattice set needs an integer 1 <= n <= 2^50, not n = {n}")
+        if not (isinstance(P, np.ndarray) and P.dtype == np.int64 and P.ndim == 2 and P.shape[1] == 3):
+            raise DomainError("a lattice set's points must be an int64 (N, 3) array")
+        m = math.isqrt(n)
+        if not (-m <= P.min(initial=0) and P.max(initial=0) <= m and np.all(np.einsum("ij,ij->i", P, P) == n)):
+            raise DomainError(f"every point of a lattice set must have squared length n = {n}")
 
     @property
     def size(self) -> int:

@@ -4,25 +4,27 @@ Distances are Euclidean (chord) distances throughout, so a cap of chord
 radius rho has normalized area rho^2/4 exactly and annulus areas are
 (rho2^2 - rho1^2)/4.  Statistics that compare a projected lattice shell
 against integer distance shells (Ripley counts) are evaluated on exact
-integers whenever the set remembers its integer source, which removes
+integers whenever the set has an integer source, which removes
 boundary misclassification entirely.
 
-A symmetric integer set remembers its source n <= _FLOAT_SAFE and integer
-points that are whole orbits of the 48 signed permutations, each point
-once: a whole lattice shell, or any union of its orbits.  Every
-whole-shell shortcut rests on that property alone and reads one orbit
-record (`_orbits`): the stable z order of the integer points and
-`shell_orbits` of the points in that order.  A projected shell carries
-the record that `lattice.enumerate_points` built once; any other set is
-tested exactly, with no pair table and no enumeration, and the test
-builds the record.  Its energies and Ripley counts walk one row per
-orbit (below), its spacings query one point per orbit, and its annulus
-counts fold each center into one sector.  Its covering radius needs
-only the hull facets over one sector: one hull of the points near that
-sector and a phantom vertex opposite it, accepted when a certificate
-shows those facets are facets of the whole hull (see `covering_radius`),
-and the winning plane is evaluated on its integer points, free of the
-cancellation in 2 - 2*offset.  Other sets take the whole hull.
+A point set is either a float set or the projection of a
+`lattice.LatticeSet` (`project`), which it keeps as `shell`, its one
+integer source: rows of squared length n <= 2^50, the points being those
+rows over sqrt(n).  It is symmetric exactly when that shell carries the
+orbit record `lattice.enumerate_points` built (`_orbits`): the stable z
+order of the integer points and `shell_orbits` of the points in that
+order.  A whole enumerated shell is whole orbits of the 48 signed
+permutations, each point once, and every whole-shell shortcut rests on
+that alone.  Its energies and Ripley counts walk one row per orbit
+(below), its spacings query one point per orbit, and its annulus counts
+fold each center into one sector.  Its covering radius needs only the
+hull facets over one sector: one hull of the points near that sector and
+a phantom vertex opposite it, accepted when a certificate shows those
+facets are facets of the whole hull (see `covering_radius`), and the
+winning plane is evaluated on its integer points, free of the
+cancellation in 2 - 2*offset.  A set built by hand carries no record,
+whatever its rows, and takes the routes of a float set; only its Ripley
+count reads its integer rows.
 
 Every pair sum of a point set (energies and Ripley counts) and every
 Monte Carlo annulus count takes its tiles from one planner and its
@@ -45,20 +47,20 @@ fewer columns than a tile is wide takes taller row blocks.  The loop, `_products
 each tile's matrix product into one workspace.  The pair walk,
 `_distance_blocks`, multiplies augmented coordinates,
 [x, |x|^2, 1] . [-2y, 1, |y|^2], so each tile holds squared distances,
-each point's own entry at the dtype's largest value, and every statistic
-reduces a tile by one rule, `_ordered`: a diagonal tile's own square
-counts once and every other entry twice, and an orbit row as many times
-as its orbit has points.  Ripley counts of a lattice source, and the
-energy of a symmetric set, walk the integer points, where every partial
-sum of the product is an integer of at most 4n, so their squared
-distances are exact: in float64 up to n = _FLOAT_SAFE = 2^50, past it in
-int64.  The energy divides them by n once and settles none.  Float
-squared distances are within a few ulps of 4 of the coordinate-difference
-form, and each statistic writes that form (`_settle`) into only the
-entries it reads where the gap matters: a float Ripley count into its
-pairs within _RIPLEY_TIE of r^2, so no count depends on the shape of the
-tile that holds a pair, and a float energy alone into the few below
-_CLOSE_D2, where the gap is a loss of digits.  Every tile, and every mask
+each point's own entry at +inf, and every statistic reduces a tile by
+one rule, `_ordered`: a diagonal tile's own square counts once and every
+other entry twice, and an orbit row as many times as its orbit has
+points.  Ripley counts of a lattice source, and the energy of a
+symmetric set, walk the integer points, where every partial sum of the
+product is an integer of at most 4n <= 2^52, so their squared distances
+are exact in float64.  The energy divides them by n once and settles
+none.  Float squared distances are within a few ulps of 4 of the
+coordinate-difference form, and each statistic writes that form
+(`_settle`) into only the entries it reads where the gap matters: a
+float Ripley count into its pairs within _RIPLEY_TIE of r^2, so no
+count depends on the shape of the tile that holds a pair, and a float
+energy alone into the few below _CLOSE_D2, where the gap is a loss of
+digits.  Every tile, and every mask
 a count reduces, is a view of one array sized from its plan's largest
 tile, overwritten in place (matmul and ufunc `out=`).  The s = 1 energy
 takes 1/sqrt(d^2), two correctly rounded steps, not pow.
@@ -84,13 +86,13 @@ and walk only the points near D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, DuplicatePointError, InvariantError, budget
-from .lattice import _FLOAT_SAFE, LatticeSet, ShellOrbits, enumerate_points, fold, shell_orbits
+from .lattice import LatticeSet, ShellOrbits, enumerate_points, fold
 
 _PAIR_ENTRIES = 1 << 16  # Gram entries per tile of the pair kernel
 _NORM_TOL = 1e-12
@@ -122,33 +124,25 @@ _PLANE_TIE = 1e-12  # float offsets this close to the smallest are settled exact
 
 @dataclass
 class UnitPointSet:
-    """Points on S^2, optionally remembering the integer shell they came from.
+    """Points on S^2, an (N, 3) float array of unit rows to 1e-12.
 
-    Integer points come with their source n: one row of squared length
-    exactly n per point, the point being that row over sqrt(n) to 1e-12,
-    and any other source is refused.  `orbits` is the orbit record of an
-    enumerated shell, which only `project` passes on; a set built by hand
-    carries none.
+    The constructor takes the points alone and refuses, with DomainError,
+    any other shape and any row off the sphere.  `shell` is the integer
+    source, the `lattice.LatticeSet` whose rows over sqrt(n) are the
+    points, which only `project` sets; a set built by hand has none.
     """
 
     points: np.ndarray
-    source_n: int | None = None
-    int_points: np.ndarray | None = None
-    orbits: ShellOrbits | None = field(default=None, init=False, repr=False)
+    shell: LatticeSet | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise DomainError(f"points must be an (N, 3) array, not of shape {pts.shape}")
         if len(pts):
             norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
             if not np.abs(norms - 1.0).max() <= _NORM_TOL:  # NaN fails too
                 raise DomainError("points must lie on the unit sphere to 1e-12")
-        A, n = self.int_points, self.source_n
-        if A is not None:
-            if n is None or A.shape != pts.shape or np.any(np.einsum("ij,ij->i", A, A) != n):
-                raise DomainError(f"integer points need their source n and one row of squared length n per point (n = {n})")
-            off = pts - A / math.sqrt(n)
-            if not np.einsum("ij,ij->i", off, off).max(initial=0.0) <= _NORM_TOL**2:
-                raise DomainError("points must be the integer points over sqrt(n) to 1e-12")
         self.points = pts
 
     @property
@@ -157,10 +151,11 @@ class UnitPointSet:
 
 
 def project(ls: LatticeSet) -> UnitPointSet:
-    """Divide a lattice shell by sqrt(n) to land on the unit sphere,
-    passing on its orbit record."""
-    pts = UnitPointSet(ls.points / math.sqrt(ls.n), ls.n, ls.points)
-    pts.orbits = ls.orbits
+    """Divide a lattice set by sqrt(n) to land on the unit sphere, keeping
+    it as the points' `shell`: row i of the points is row i of `ls` over
+    sqrt(n), and the orbit record, if `ls` carries one, comes with it."""
+    pts = UnitPointSet(ls.points / math.sqrt(ls.n))
+    pts.shell = ls
     return pts
 
 
@@ -298,37 +293,33 @@ def _distance_blocks(P: np.ndarray, tiles, rows: np.ndarray | None = None):
     [X_i, |X_i|^2, 1] and [-2 P_j, 1, |P_j|^2], each written once in its
     final layout (R x 5 and 5 x N).  Without `rows` the plan is a pair
     plan, X is P, and a diagonal tile's self entries (i = j) are set to
-    the dtype's largest value (+inf for floats).  With `rows`, indices
-    into P in ascending order, the plan is a rectangle, X_i is
-    P[rows[i]], and each row's own column is set to that value where a
-    tile holds it.  Every pair sum of a point set is a reduction of these
-    tiles by `_ordered`.
+    +inf.  With `rows`, indices into P in ascending order, the plan is a
+    rectangle, X_i is P[rows[i]], and each row's own column is set to
+    +inf where a tile holds it.  Every pair sum of a point set is a
+    reduction of these tiles by `_ordered`.
 
-    Integer points (int64) give exact d2.  Every partial sum of the
-    augmented product, in any order, is at most |P_i|^2 + 2|P_i||P_j| +
-    |P_j|^2 <= 4n in magnitude, so the product is taken in float64 when
-    every |P_i|^2 = n is at most _FLOAT_SAFE = 2^50, where every partial
-    sum is an integer of at most 2^52, else in int64, which holds 4n for
-    n < 2^61.  On float points of the unit sphere each term is at most 2,
-    so d2 is within a few ulps of 4 (a few 1e-15) of its coordinate-
-    difference form, and a statistic that needs more digits at some
-    entries writes that form there (`_settle`).  d2 is `_products`'
+    The product is always taken in float64.  Integer points (the int64
+    rows of a `lattice.LatticeSet`, n <= 2^50) give exact d2: every
+    partial sum of the augmented product, in any order, is at most
+    |P_i|^2 + 2|P_i||P_j| + |P_j|^2 <= 4n <= 2^52 in magnitude, an
+    integer float64 holds.  On float points of the unit sphere each term
+    is at most 2, so d2 is within a few ulps of 4 (a few 1e-15) of its
+    coordinate-difference form, and a statistic that needs more digits at
+    some entries writes that form there (`_settle`).  d2 is `_products`'
     workspace.
     """
     sq = np.einsum("ij,ij->i", P, P)
-    dtype = np.int64 if P.dtype.kind == "i" and sq.max(initial=0) > _FLOAT_SAFE else np.float64
-    left = np.empty((len(P), 5), dtype)
-    right = np.empty((5, len(P)), dtype)
+    left = np.empty((len(P), 5))
+    right = np.empty((5, len(P)))
     left[:, :3], left[:, 3], left[:, 4] = P, sq, 1
     np.multiply(P.T, -2, out=right[:3])
     right[3], right[4] = 1, sq
-    top = np.iinfo(dtype).max if dtype == np.int64 else np.inf
     for i0, _, j0, d2 in _products(left if rows is None else left[rows], right, tiles):
         if rows is not None:  # ascending, so the rows whose own column is here are a run
             a, b = np.searchsorted(rows[i0 : i0 + len(d2)], (j0, j0 + d2.shape[1]))
-            d2[np.arange(a, b), rows[i0 + a : i0 + b] - j0] = top
+            d2[np.arange(a, b), rows[i0 + a : i0 + b] - j0] = np.inf
         elif j0 == i0:
-            np.fill_diagonal(d2, top)
+            np.fill_diagonal(d2, np.inf)
         yield i0, j0, d2
 
 
@@ -357,32 +348,17 @@ def _ordered(total, x: np.ndarray, i0: int, j0: int, weight: np.ndarray | None =
 
 
 def _orbits(pts: UnitPointSet) -> ShellOrbits | None:
-    """The orbit record of a symmetric integer set, None for any other set.
+    """The orbit record of a symmetric set, None for any other set.
 
-    A symmetric integer set remembers its source n <= _FLOAT_SAFE and
-    integer points that are whole orbits of the 48 signed permutations,
-    each point once.  A whole shell is one, and so is any union of its
-    orbits; a set with a repeated row is not.  Its record is the stable z
-    order of the integer points and `shell_orbits` of the points in that
-    order, with the order.
-
-    A projected shell carries the record `lattice.enumerate_points` built.
-    Any other set is tested exactly and never enumerates: each orbit must
-    hold as many points as its folded point (a, b, c) has images, 6, 3 or
-    1 arrangements of a, b and c, times 2 to the number of nonzero ones.
-    And no two points of an orbit may share a place, their signs and the
-    order of their absolute values, which together fix a point.
+    A set is symmetric exactly when its `shell` carries the record that
+    `lattice.enumerate_points` built: the stable z order of the integer
+    points and `shell_orbits` of the points in that order, with the
+    order.  A whole enumerated shell is whole orbits of the 48 signed
+    permutations, each point once.  A float set, or a set projected from
+    rows built by hand (a fragment, a union of orbits, a shuffled shell),
+    has no record.
     """
-    if pts.orbits is not None or pts.int_points is None or pts.source_n > _FLOAT_SAFE:
-        return pts.orbits  # carried, or None: no integer set to test
-    order = np.argsort(pts.int_points[:, 2], kind="stable")
-    A = pts.int_points[order]
-    orb = shell_orbits(A)
-    a, b, c = F = fold(A[orb.first]).T
-    images = np.where(a == c, 1, np.where((a == b) | (b == c), 3, 6)) << np.count_nonzero(F, axis=0)
-    place = (np.column_stack([np.sign(A), np.sign(np.abs(A) - np.abs(A[:, [1, 2, 0]]))]) + 1) @ 3 ** np.arange(6)
-    whole = np.array_equal(orb.size, images) and len(np.unique(orb.index * 729 + place)) == len(A)
-    return replace(orb, order=order) if whole else None
+    return None if pts.shell is None else pts.shell.orbits
 
 
 def _pair_plan(P: np.ndarray, reach, orb: ShellOrbits | None):
@@ -444,12 +420,12 @@ def riesz_energy(pts: UnitPointSet, s: float) -> float:
         raise DomainError("need at least two points")
     orb = _orbits(pts)
     order = np.argsort(pts.points[:, 2], kind="stable") if orb is None else orb.order
-    P = (pts.points if orb is None else pts.int_points)[order]
+    P = (pts.points if orb is None else pts.shell.points)[order]
     tiles, rows, weight = _pair_plan(P, math.inf, orb)
     parts = []
     for i0, j0, d2 in _distance_blocks(P, tiles, rows):
         if orb is not None:
-            d2 /= pts.source_n
+            d2 /= pts.shell.n
         elif P[j0, 2] - P[i0 + len(d2) - 1, 2] <= math.sqrt(_CLOSE_D2):
             close = np.flatnonzero(d2 < _CLOSE_D2)
             if len(close):
@@ -478,8 +454,8 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     with its copy at distance 0 on every path.  For a projected lattice
     shell the count is taken over exact integer squared distances, so it
     agrees exactly with the inner-product sum pairs_in_band(n, 0, r^2 * n);
-    those reach 4n, which int64 holds only for n < 2^61, and a source
-    past that is refused.
+    a hand-built lattice set (`project` of a `lattice.LatticeSet`) is
+    counted on its integer rows too, repeated rows and all.
 
     A coordinate of a difference is at most its length, so only pairs
     whose z differ by at most a reach can count, and the count walks a
@@ -510,15 +486,10 @@ def ripley_k(pts: UnitPointSet, r: float) -> int:
     if pts.size < 2:
         return 0
     r2 = r * r
-    if pts.int_points is not None:
-        n = pts.source_n
-        if n >= 1 << 61:
-            raise DomainError(
-                f"integer Ripley counts need n < 2^61, where every squared distance (at most 4n) fits in int64; n = {n}"
-            )
-        lim = Fraction(r) * Fraction(r) * n  # exact rational threshold
+    if pts.shell is not None:
+        lim = Fraction(r) * Fraction(r) * pts.shell.n  # exact rational threshold
         dmax = (lim.numerator - 1) // lim.denominator
-        X = pts.int_points
+        X = pts.shell.points
         reach = math.isqrt(dmax)
         lo = hi = dmax + 1
     else:
@@ -552,7 +523,6 @@ class SpacingReport:
     random points.
     """
 
-    n: int | None
     rescaled_values: np.ndarray
     ks_distance_to_exp: float
     mean: float
@@ -577,8 +547,8 @@ def _nn_d2(P: np.ndarray, at: np.ndarray | None = None) -> np.ndarray:
     (1 + _NN_TIE) times the nearest distance, so it equals the minimum
     over all j != i.
 
-    P may be float or int64.  On the integer points of an enumerable shell
-    (n <= _FLOAT_SAFE = 2^50) every coordinate, difference and square is
+    P may be float or int64.  On the integer points of a lattice set
+    (n <= 2^50) every coordinate, difference and square is
     an integer of at most 2^52, and so is every |P_i - P_j|^2 <= 4n; the
     tree and the float64 sums of squares therefore compute each squared
     distance exactly, and the result is the exact minimum.
@@ -613,8 +583,8 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
 
     Every set takes d_j^2 from one kd-tree routine (`_nn_d2`), as the
     coordinate-difference form |P_j - P_i|^2 of its nearest other point,
-    so a duplicate point gives 0.  A symmetric set (`_orbits`), a whole
-    lattice shell among them, runs it on its integer points, where every
+    so a duplicate point gives 0.  A symmetric set (`_orbits`), an
+    enumerated shell, runs it on its integer points, where every
     squared distance D = 2(n - x.y) is exact, and divides by n once:
     d_j^2 = D/n, correctly rounded.  It queries the tree at the first
     point of each orbit of the 48 signed permutations in its record,
@@ -630,7 +600,7 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
     orb = _orbits(pts)
     if orb is not None:  # the record's rows are in its z order
         d2min = np.empty(N)
-        d2min[orb.order] = (_nn_d2(pts.int_points, at=orb.order[orb.first]) / pts.source_n)[orb.index]
+        d2min[orb.order] = (_nn_d2(pts.shell.points, at=orb.order[orb.first]) / pts.shell.n)[orb.index]
     else:
         d2min = _nn_d2(pts.points)
     rescaled = N * d2min / 4.0
@@ -638,7 +608,7 @@ def nn_spacings(pts: UnitPointSet) -> SpacingReport:
     cdf = 1.0 - np.exp(-x)
     i = np.arange(1, N + 1)
     ks = float(max(np.max(i / N - cdf), np.max(cdf - (i - 1) / N)))
-    return SpacingReport(pts.source_n, rescaled, ks, float(rescaled.mean()))
+    return SpacingReport(rescaled, ks, float(rescaled.mean()))
 
 
 def covering_radius(pts: UnitPointSet) -> float:
@@ -652,8 +622,8 @@ def covering_radius(pts: UnitPointSet) -> float:
     the hull; otherwise (all points in a closed hemisphere) the method is
     invalid and the covering radius is at least sqrt(2).
 
-    A symmetric set (`_orbits`), a whole lattice shell among them,
-    needs only the facets over one symmetry sector.  The set is
+    A symmetric set (`_orbits`), an enumerated shell, needs only the
+    facets over one symmetry sector.  The set is
     invariant under the 48 signed permutations, so a deepest
     hole lies in D = {0 <= x <= y <= z}, which the cap of chord radius
     r_D around c0 holds (`_SECTOR_CENTER`, `_SECTOR_RADIUS`).  One hull is
@@ -737,17 +707,19 @@ def _float_covering(P: np.ndarray, simplices: np.ndarray, off: np.ndarray) -> fl
 
 def _shell_covering(pts: UnitPointSet) -> float:
     """`covering_radius` of a symmetric set: the sector hull, else the
-    whole hull, which a set of at most 48 points (one orbit) takes at once."""
-    P, A, N = pts.points, pts.int_points, pts.size
+    whole hull, which a set of at most 48 points (one orbit) takes at once.
+    Row i of the points is row i of its shell over sqrt(n) (`project`),
+    so the hull's vertex indices name the integer points of its planes."""
+    P, A, N = pts.points, pts.shell.points, pts.size
     margin = _SECTOR_MARGIN * N**-0.25
     while N > 48 and _SECTOR_RADIUS + margin < 2.0:
         reach = _SECTOR_RADIUS + margin
         near = np.flatnonzero(P @ _SECTOR_CENTER >= 1.0 - reach * reach / 2.0)
         facets = _sector_facets(P[near], reach)
         if facets is not None:
-            return _exact_covering(A[near], pts.source_n, *facets)
+            return _exact_covering(A[near], pts.shell.n, *facets)
         margin *= 2.0
-    return _exact_covering(A, pts.source_n, *_hull(P))
+    return _exact_covering(A, pts.shell.n, *_hull(P))
 
 
 def _sector_facets(Q: np.ndarray, reach: float):
@@ -935,7 +907,6 @@ def covering_radius_mesh(pts: UnitPointSet, resolution: float = 1e-3) -> float:
 class VarianceReport:
     """Monte Carlo counts over uniformly random annulus centers."""
 
-    n: int | None
     samples: int
     mean: float
     variance: float
@@ -1053,7 +1024,6 @@ def number_variance(
     m4 = sum(w * (k - mean) ** 4 for k, w in enumerate(weights, first)) / S
     var_of_var = max(0.0, (m4 - (S - 3) / (S - 1) * variance**2) / S)
     return VarianceReport(
-        n=pts.source_n,
         samples=samples,
         mean=mean,
         variance=variance,

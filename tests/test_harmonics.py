@@ -378,40 +378,10 @@ def test_weyl_sums_of_a_shell_vanish_off_the_z_orbit_orders(n):
         assert np.abs(vals[~keep]).max(initial=0.0) <= deg * deg * np.finfo(float).eps * pts.size, (n, deg)
 
 
-# ------------------------------------------------------ pair-table routes
-
-@pytest.mark.parametrize("n", [5, 101, 1009])
-def test_table_routes_match_generic_path(n):
-    # a whole shell reads its energies from the pair table and its pair
-    # sums from one point per z-axis orbit; the same points without their
-    # integer source take the float kernels
-    pts = spatial.unit_shell(n)
-    bare = spatial.UnitPointSet(pts.points)
-    keeps_n = spatial.UnitPointSet(pts.points, n)  # a source without integer points
-    assert spatial._orbits(pts) is not None
-    assert spatial._orbits(bare) is None and spatial._orbits(keeps_n) is None
-
-    def close(a, b):
-        return a == pytest.approx(b, rel=1e-9)
-
-    for sigma in (0.01, 0.2):
-        spec = spatial.AnnulusSpec.cap_of_area(sigma)
-        assert close(
-            harmonics.variance_series(None, spec, 40, points=pts).value,
-            harmonics.variance_series(None, spec, 40, points=bare).value,
-        )
-    for deg in (4, 6):
-        assert close(weyl_aggregate(deg, pts), weyl_aggregate(deg, bare))
-    for s in (0.5, 1.0, 1.5):
-        assert close(spatial.riesz_energy(pts, s), spatial.riesz_energy(bare, s))
-    table = spatial.nn_spacings(pts)
-    generic = spatial.nn_spacings(bare)
-    assert np.allclose(table.rescaled_values, generic.rescaled_values, rtol=1e-9, atol=0)
-    assert close(table.ks_distance_to_exp, generic.ks_distance_to_exp)
-
+# ----------------------------------------------------- routes and the table
 
 def test_partial_shell_takes_generic_path():
-    # a subset that still remembers its source is not a whole shell
+    # a subset built by hand carries no orbit record: no whole-shell route
     ls = lattice.enumerate_points(101)
     part = spatial.project(lattice.LatticeSet(101, ls.points[1:]))
     lattice.pair_table.cache_clear()

@@ -1,8 +1,6 @@
 import collections
-import dataclasses
 import itertools
 import math
-import time
 import tracemalloc
 from unittest import mock
 from decimal import Decimal, localcontext
@@ -50,38 +48,54 @@ def test_annulus_area():
 
 
 def test_projection_carries_source(shell5):
-    assert shell5.source_n == 5
-    assert shell5.int_points is not None
-    assert np.allclose(np.linalg.norm(shell5.points, axis=1), 1.0)
+    # the one integer source: the enumerated shell, with its orbit record,
+    # whose rows over sqrt(n) are the points row for row
+    assert shell5.shell.n == 5 and shell5.shell.orbits is not None
+    np.testing.assert_allclose(shell5.points * math.sqrt(5), shell5.shell.points, rtol=0, atol=1e-12)
+    with pytest.raises(TypeError):
+        spatial.UnitPointSet(shell5.points, 5, shell5.shell.points)
 
 
 @pytest.mark.parametrize(
-    "case", ["no source n", "fewer rows", "another shell", "one row off the shell", "rows reordered", "point moved"]
+    "P",
+    [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2, 3)), np.zeros((2, 2))],
+    ids=["3x2", "2x2x3", "2x2"],
+)
+def test_unit_point_set_refuses_other_shapes(P):
+    # a (3, 2) array once became two points at the north pole, a (2, 2, 3)
+    # one four points, and a (2, 2) one raised ValueError from reshape
+    with pytest.raises(DomainError, match="shape"):
+        spatial.UnitPointSet(P)
+    assert spatial.UnitPointSet(np.zeros((0, 3))).size == 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["another shell", "one row off the shell", "n past 2^50", "n = 0", "n = 5.0", "wrapped row", "not int64 (N, 3)"],
 )
 def test_inconsistent_integer_source_is_refused(case):
-    # the integer rows are the points times sqrt(n), one each, or no
-    # statistic may read them: the 24 points of n = 6 over those of n = 5
-    # passed the symmetric-set test, and three rows gave a 24-point set
-    # Ripley count 6 at r = 1
+    # a lattice set's rows all lie on its shell, n in [1, 2^50], or it is
+    # refused at construction; no statistic checks them again.  The 24
+    # points of n = 6 once passed a symmetry test as rows of n = 5, and
+    # (2^32, 0, 1) squares to 1 in int64, so the bound on the coordinates
+    # comes before the squares
     P = lattice.enumerate_points(5).points
-    U = P / math.sqrt(5)
-    moved = U.copy()
-    moved[0, 2] += 1e-9
-    moved[0] /= np.linalg.norm(moved[0])
-    args = {
-        "no source n": (U, None, P),
-        "fewer rows": (U, 5, P[:3]),
-        "another shell": (U, 5, lattice.enumerate_points(6).points),
-        "one row off the shell": (U, 5, np.vstack([P[:-1], [[1, 2, 1]]])),
-        "rows reordered": (U, 5, P[::-1]),
-        "point moved": (moved, 5, P),
+    n, rows = {
+        "another shell": (5, lattice.enumerate_points(6).points),
+        "one row off the shell": (5, np.vstack([P[:-1], [[1, 2, 1]]])),
+        "n past 2^50": ((1 << 50) + 1, np.array([[1 << 25, 0, 1]])),
+        "n = 0": (0, np.zeros((0, 3), dtype=np.int64)),
+        "n = 5.0": (5.0, P),
+        "wrapped row": (1, np.array([[1 << 32, 0, 1]])),
+        "not int64 (N, 3)": (5, P.astype(np.float64)),
     }[case]
     with pytest.raises(DomainError):
-        spatial.UnitPointSet(*args)
-    own = spatial.UnitPointSet(U, 5, P)
-    assert spatial.riesz_energy(own, 1.0) == pytest.approx(spatial.riesz_energy(spatial.UnitPointSet(U), 1.0))
+        lattice.LatticeSet(n, rows)
+    own = spatial.project(lattice.LatticeSet(5, P.copy()))
+    assert spatial.riesz_energy(own, 1.0) == pytest.approx(spatial.riesz_energy(spatial.UnitPointSet(own.points), 1.0))
     assert spatial.ripley_k(own, 1.0) == 96
-    assert spatial.UnitPointSet(np.zeros((0, 3)), 7, np.zeros((0, 3), dtype=np.int64)).size == 0
+    assert spatial.project(lattice.LatticeSet(7, np.zeros((0, 3), dtype=np.int64))).size == 0
+    assert lattice.LatticeSet(1 << 50, np.array([[1 << 25, 0, 0]])).size == 1
 
 
 # ------------------------------------------------------------------ energy
@@ -199,7 +213,7 @@ def test_ripley_counts_a_duplicate_point_as_a_pair():
     # at distance 0, once each way, on the integer path and the float one
     P = lattice.enumerate_points(5).points[:6]
     P = np.vstack([P, P[:1]])
-    for pts in (spatial.UnitPointSet(P / math.sqrt(5), 5, P), spatial.UnitPointSet(P / math.sqrt(5))):
+    for pts in (spatial.project(lattice.LatticeSet(5, P)), spatial.UnitPointSet(P / math.sqrt(5))):
         assert [spatial.ripley_k(pts, r) for r in (0.5, 1.0, 2.0)] == [2, 26, 42]
 
 
@@ -213,8 +227,8 @@ def test_ripley_integer_set_with_repeated_rows_matches_its_float_copy(n, data):
     # the float copy may round either way
     assume(abs(r * r * n - round(r * r * n)) > 1e-6)
     Q = P[rows]
-    exact = spatial.UnitPointSet(Q / math.sqrt(n), n, Q)
-    float_copy = spatial.UnitPointSet(Q / math.sqrt(n))
+    exact = spatial.project(lattice.LatticeSet(n, Q))
+    float_copy = spatial.UnitPointSet(exact.points)
     assert spatial.ripley_k(exact, r) == spatial.ripley_k(float_copy, r)
 
 
@@ -236,48 +250,16 @@ def _signed_perms(v):
     )
 
 
-@pytest.mark.parametrize(
-    "v", [(1 << 26, 0, 0), (1 << 25, 1 << 25, 0), ((1 << 26) + 1, (1 << 26) + 3, 5)]
-)
-def test_ripley_int64_route_above_float_safe(v):
-    # n = 2^52, 2^51 and about 2^53: past _FLOAT_SAFE the Gram tiles stay
-    # in int64; float64 would round the last orbit's Gram entries
-    P = _signed_perms(v)
-    n = sum(x * x for x in v)
-    assert n > lattice._FLOAT_SAFE
-    pts = spatial.project(lattice.LatticeSet(n, P))
-    ints = [tuple(int(x) for x in p) for p in P]
-    d2 = [sum((x - y) ** 2 for x, y in zip(p, q)) for p in ints for q in ints]
-    # 1.0 and 2.0 land exactly on distance shells (d^2 = n, d^2 = 4n), and
-    # sqrt(d^2 / n) rounds to either side of the smallest shells
-    near = [math.sqrt(d / n) for d in sorted(set(d2) - {0})[:4]]
-    for r in [0.5, 1.0, 1.2, math.sqrt(2), 1.5, 1.8, 2.0, *near]:
-        lim = Fraction(r) ** 2 * n
-        assert spatial.ripley_k(pts, r) == sum(1 for d in d2 if 0 < d < lim), r
-
-
-def test_set_past_float_safe_is_not_enumerated():
-    # n = 2^52: a hand-built octahedron takes the float pair kernel, since
-    # no shell past _FLOAT_SAFE is enumerated (enumerate_points refuses it)
-    P = _signed_perms((1 << 26, 0, 0))
-    pts = spatial.project(lattice.LatticeSet(1 << 52, P))
-    with mock.patch.object(spatial, "enumerate_points", side_effect=AssertionError):
-        energy = spatial.riesz_energy(pts, 1.0)
-        rep = spatial.nn_spacings(pts)
-    assert energy == pytest.approx(6 * (4 / math.sqrt(2) + 1 / 2))
-    assert np.allclose(rep.rescaled_values, 3.0)
-
-
 # ------------------------------------------------------------ symmetric sets
 
 def test_set_with_repeated_rows_is_not_symmetric():
     # eight rows of n = 3, as many as its shell has, but seven copies of one
-    # point: not a symmetric set, so every statistic takes its bare copy's
-    # route, and the energy refuses the copies
+    # point: built by hand, it carries no orbit record, so every statistic
+    # takes its bare copy's route, and the energy refuses the copies
     P = lattice.enumerate_points(3).points
     Q = P[[0, 0, 0, 0, 0, 0, 0, 3]]
-    pts = spatial.UnitPointSet(Q / math.sqrt(3), 3, Q)
-    bare = spatial.UnitPointSet(Q / math.sqrt(3))
+    pts = spatial.project(lattice.LatticeSet(3, Q))
+    bare = spatial.UnitPointSet(pts.points)
     assert len(Q) == len(P) and spatial._orbits(pts) is None
     for X in (pts, bare):
         with pytest.raises(DuplicatePointError):
@@ -300,89 +282,65 @@ def seeded_orbit(seed):
     return a * a + b * b + c * c, _signed_perms((a, b, c))
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_orbit_near_2_49_is_tested_without_enumerating(seed):
-    # a seeded part of one orbit is no symmetric set, and the whole orbit,
-    # shuffled, is one; neither enumerates its shell, and each answers at
-    # once, the whole orbit on one orbit row
-    n, P = seeded_orbit(seed)
-    rng = np.random.default_rng(seed)
-    keep = rng.random(len(P)) < 0.7
-    keep[:2], keep[-1] = True, False
-    fragment = spatial.project(lattice.LatticeSet(n, P[keep]))
-    whole = spatial.project(lattice.LatticeSet(n, P[rng.permutation(len(P))]))
-    with mock.patch.object(spatial, "enumerate_points", side_effect=AssertionError("enumerated")):
-        for pts, symmetric in ((fragment, False), (whole, True)):
-            start = time.perf_counter()
-            assert (spatial._orbits(pts) is not None) == symmetric
-            rep = spatial.nn_spacings(pts)
-            counts = [spatial.ripley_k(pts, r) for r in (0.1, 1.0, 2.0)]
-            assert time.perf_counter() - start < 1.0
-            assert counts == [ripley_full_width(pts, r) for r in (0.1, 1.0, 2.0)]
-            # the bare copy's difference form loses digits on the closest
-            # pairs of so large a shell, d^2 near 8/n
-            bare = spatial.nn_spacings(spatial.UnitPointSet(pts.points)).rescaled_values
-            np.testing.assert_allclose(rep.rescaled_values, bare, rtol=1e-6)
+def outcome(stat, pts):
+    """A statistic's value on a set, or the type of the DomainError it
+    raises (a part of an orbit may lie in a hemisphere)."""
+    try:
+        return stat(pts)
+    except DomainError as exc:
+        return type(exc)
 
 
-def frozen(A):
-    A = A.copy()
-    A.setflags(write=False)
-    return A
-
-
-def test_sets_built_without_unit_shell_take_the_exact_test():
-    # integer points that enumerate_points did not hand out carry no orbit
-    # record, frozen or not: slices of a shell, an orbit near 2^49 and a
-    # union of a shell's orbits are each tested exactly, and none
-    # enumerates; a projected shell reads the record it carries
+def test_sets_built_without_unit_shell_take_the_general_routes():
+    # rows that enumerate_points did not hand out carry no orbit record,
+    # however symmetric they are: a slice and a copy of a shell, a union of
+    # its orbits, and a whole orbit near 2^49, shuffled, and a part of it.
+    # None enumerates or folds orbits.  Each takes its bare copy's routes
+    # and agrees with it byte for byte, but for its Ripley count, which
+    # walks its exact integer rows on the z band, with no orbit rows
     ls = lattice.enumerate_points(101)
-    n, P = seeded_orbit(7)
     orb = lattice.shell_orbits(ls.points)
-    union = ls.points[np.isin(orb.index, [0, 2, 3])]
+    n, P = seeded_orbit(7)
+    rng = np.random.default_rng(7)
     cases = [
-        (ls.points[1:], 101, False),
-        (ls.points[:48].copy(), 101, False),
-        (ls.points[:], 101, True),
-        (ls.points.copy(), 101, True),
-        (P, n, True),
-        (frozen(P), n, True),
-        (frozen(union), 101, True),
-        (union.copy(), 101, True),
+        (101, ls.points[1:]),
+        (101, ls.points.copy()),
+        (101, ls.points[np.isin(orb.index, [0, 2, 3])]),
+        (n, P[rng.permutation(len(P))]),
+        (n, P[rng.random(len(P)) < 0.7]),
     ]
-    fail = mock.Mock(side_effect=AssertionError("enumerated"))
-    with mock.patch.object(spatial, "enumerate_points", fail), mock.patch.object(lattice, "enumerate_points", fail):
-        for Q, m, symmetric in cases:
-            pts = spatial.project(lattice.LatticeSet(m, Q))
-            assert pts.orbits is None
-            start = time.perf_counter()
-            with mock.patch.object(spatial, "shell_orbits", wraps=lattice.shell_orbits) as tested:
-                assert (spatial._orbits(pts) is not None) == symmetric
-                counts = [spatial.ripley_k(pts, r) for r in (0.1, 1.0, 2.0)]
-                spatial.nn_spacings(pts)
-            assert tested.called
-            assert time.perf_counter() - start < 1.0
-            assert counts == [ripley_full_width(pts, r) for r in (0.1, 1.0, 2.0)]
-    with mock.patch.object(spatial, "shell_orbits", side_effect=AssertionError("tested")):
-        assert spatial._orbits(spatial.project(ls)) is ls.orbits is not None
-
-
-def whole_shell_statistics(pts):
-    """Every statistic with a whole-shell route, each float as its bytes."""
-    N = pts.size
     spec = spatial.AnnulusSpec.cap_of_area(0.05)
-    spacings = spatial.nn_spacings(pts)
-    values = [
-        *(spatial.riesz_energy(pts, s) for s in (0.5, 1.0)),
-        spacings.ks_distance_to_exp,
-        spatial.covering_radius(pts),
-        *dataclasses.astuple(spatial.number_variance(pts, spec, 300, 11)),
-        *dataclasses.astuple(harmonics.variance_series(None, spec, 12, points=pts)),
-        harmonics.discrepancy_bound(None, 12, points=pts),
-    ]
-    counts = [spatial.ripley_k(pts, r) for r in (3 / math.sqrt(N), 1.0, 1.9)]
-    return counts, spacings.rescaled_values.tobytes(), np.array(values, dtype=np.float64).tobytes()
+    statistics = {
+        "energy": lambda X: spatial.riesz_energy(X, 0.5),
+        "covering": spatial.covering_radius,
+        "spacings": lambda X: spatial.nn_spacings(X).rescaled_values,
+        "counts": lambda X: spatial._annulus_histogram(X, spec, 300, 11),
+        "bound": lambda X: harmonics.discrepancy_bound(None, 12, points=X),
+    }
+    fail = mock.Mock(side_effect=AssertionError("enumerated or folded"))
+    with (
+        mock.patch.object(spatial, "enumerate_points", fail),
+        mock.patch.object(lattice, "enumerate_points", fail),
+        mock.patch.object(lattice, "shell_orbits", fail),
+        mock.patch.object(spatial, "_pair_plan", wraps=spatial._pair_plan) as plan,
+    ):
+        for m, Q in cases:
+            pts = spatial.project(lattice.LatticeSet(m, Q))
+            bare = spatial.UnitPointSet(pts.points)
+            assert pts.shell.orbits is None and spatial._orbits(pts) is None
+            for name, stat in statistics.items():
+                got = [outcome(stat, X) for X in (pts, bare)]
+                assert np.array_equal(got[0], got[1]), name
+            for r in (0.1, 1.0, 2.0):
+                assert spatial.ripley_k(pts, r) == ripley_full_width(pts, r), r
+    assert plan.call_count and all(call.args[2] is None for call in plan.call_args_list)
+
+
+def shell_radii(n, N):
+    """Ripley radii for a shell of n with N points, leaving out any whose
+    r^2 n lies within 1e-6 of an integer, a distance shell the float
+    route may put on either side."""
+    return [r for r in (3 / math.sqrt(N), 0.77, 1.0, 1.33, 1.9) if abs(r * r * n - round(r * r * n)) > 1e-6]
 
 
 # tiny shells whose orbits lie on the axes and diagonals, 4^a m and p^2 | n
@@ -395,19 +353,35 @@ def whole_shell_statistics(pts):
 @example(49 * 11)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 200_000).filter(lattice.three_squares_representable))
-def test_carried_record_matches_the_exact_test(n):
-    # a projected shell reads the orbit record its enumeration built and
-    # never folds its orbits again; a hand-built copy of its points takes
-    # the exact test, which builds the record anew: every statistic agrees
-    # byte for byte
-    carried = spatial.unit_shell(n)
-    tested = spatial.project(lattice.LatticeSet(n, carried.int_points.copy()))
-    assert carried.orbits is not None and tested.orbits is None
-    with mock.patch.object(spatial, "shell_orbits", side_effect=AssertionError("folded again")):
-        fast = whole_shell_statistics(carried)
-    with mock.patch.object(spatial, "shell_orbits", wraps=lattice.shell_orbits) as folded:
-        assert whole_shell_statistics(tested) == fast
-    assert folded.called
+def test_shell_routes_match_the_bare_copy(n):
+    # every whole-shell route against the same points as a bare float set,
+    # which takes the general ones: one pair row per orbit against the
+    # upper triangle, one spacing query per orbit against every point, the
+    # sector hull against the whole hull, folded centers against unfolded
+    # ones, and harmonic sums over z-axis orbits against every point.
+    # Counts agree exactly.  Energies and the covering radius agree to
+    # 1e-12 relative, both sides' error being a few ulps per term; the
+    # spacings, the series and the bound to 1e-9, where the bare side's
+    # difference form and the harmonic sums the shell's symmetry zeroes
+    # (rounding near m^2 eps N) enter
+    pts = spatial.unit_shell(n)
+    bare = spatial.UnitPointSet(pts.points)
+    assert spatial._orbits(pts) is not None and spatial._orbits(bare) is None
+    for r in shell_radii(n, pts.size):
+        assert spatial.ripley_k(pts, r) == spatial.ripley_k(bare, r), r
+    for s in (0.5, 1.0, 1.5):
+        assert spatial.riesz_energy(pts, s) == pytest.approx(spatial.riesz_energy(bare, s), rel=1e-12), s
+    shell, generic = spatial.nn_spacings(pts), spatial.nn_spacings(bare)
+    np.testing.assert_allclose(shell.rescaled_values, generic.rescaled_values, rtol=1e-9, atol=0)
+    assert shell.ks_distance_to_exp == pytest.approx(generic.ks_distance_to_exp, rel=1e-9)
+    assert spatial.covering_radius(pts) == pytest.approx(spatial.covering_radius(bare), rel=1e-12)
+    for spec in (spatial.AnnulusSpec.cap_of_area(0.01), spatial.AnnulusSpec.cap_of_area(0.2), spatial.AnnulusSpec(0.3, 0.9)):
+        hists = [spatial._annulus_histogram(X, spec, 300, 11).tolist() for X in (pts, bare)]
+        assert hists[0] == hists[1], spec
+        series = [harmonics.variance_series(None, spec, 40, points=X).value for X in (pts, bare)]
+        assert series[0] == pytest.approx(series[1], rel=1e-9), spec
+    bounds = [harmonics.discrepancy_bound(None, 12, points=X) for X in (pts, bare)]
+    assert bounds[0] == pytest.approx(bounds[1], rel=1e-9)
 
 
 def test_pair_table_folds_its_own_orbits():
@@ -417,35 +391,6 @@ def test_pair_table_folds_its_own_orbits():
     with mock.patch.object(lattice, "shell_orbits", wraps=lattice.shell_orbits) as folded:
         lattice.pair_table(101)
     assert folded.call_count == 1
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([101, 539, 1009, 6464, 100_057]), st.floats(1e-3, 2.0), st.data())
-def test_union_of_whole_orbits_takes_the_orbit_routes(n, r, data):
-    # a drawn union of a shell's orbits, shuffled, is a symmetric set: its
-    # statistics walk one row per orbit, query one point per orbit and
-    # fold into one sector, and they match the same points without their
-    # source; one point less, or one repeated, and it is no longer one
-    P = lattice.enumerate_points(n).points
-    orb = lattice.shell_orbits(P)
-    picked = data.draw(st.sets(st.integers(0, len(orb.first) - 1), min_size=1, max_size=12))
-    Q = P[np.isin(orb.index, list(picked))]
-    Q = Q[data.draw(st.permutations(range(len(Q))))]
-    pts = spatial.project(lattice.LatticeSet(n, Q))
-    bare = spatial.UnitPointSet(pts.points)
-    assert spatial._orbits(pts) is not None
-    for broken in (Q[1:], np.vstack([Q[1:], Q[:1], Q[:1]])):
-        assert spatial._orbits(spatial.project(lattice.LatticeSet(n, broken))) is None
-    with mock.patch.object(spatial, "_pair_plan", wraps=spatial._pair_plan) as plan:
-        energies = [spatial.riesz_energy(X, 1.0) for X in (pts, bare)]
-        assert spatial.ripley_k(pts, r) == ripley_full_width(pts, r)
-    # the orbit rows for the set, the triangle for its bare copy
-    assert [call.args[2] is not None for call in plan.call_args_list] == [True, False, True]
-    assert energies[0] == pytest.approx(energies[1], rel=1e-12)
-    np.testing.assert_allclose(
-        spatial.nn_spacings(pts).rescaled_values, spatial.nn_spacings(bare).rescaled_values, rtol=1e-9
-    )
-    assert spatial.covering_radius(pts) == pytest.approx(spatial.covering_radius(bare), rel=1e-9)
 
 
 # ------------------------------------------------------------------ spacings
@@ -550,16 +495,15 @@ def test_close_pair_keeps_its_digits():
 
 def ripley_full_width(pts, r):
     """Ripley's count over every pair in one block: exact integer d^2 on a
-    lattice source (int64 past _FLOAT_SAFE), else the Gram form
+    lattice source, else the Gram form
     (|x|^2 + |y|^2) - 2x.y, which is not the kernel's augmented product,
     with close pairs, and pairs within _RIPLEY_TIE of r^2, recomputed from
     differences, which the kernel's tie band alone must match."""
-    if pts.source_n is not None and pts.int_points is not None:
-        n = pts.source_n
-        lim = Fraction(r) * Fraction(r) * n
+    if pts.shell is not None:
+        lim = Fraction(r) * Fraction(r) * pts.shell.n
         dmax = (lim.numerator - 1) // lim.denominator
-        P = pts.int_points
-        A = P.astype(np.float64) if n <= lattice._FLOAT_SAFE else P
+        P = pts.shell.points
+        A = P.astype(np.float64)
         sq = np.einsum("ij,ij->i", P, P)
         d2 = sq[:, None] + sq[None, :] - 2 * (A @ A.T).astype(np.int64)
         return int(((d2 >= 1) & (d2 <= dmax)).sum())
@@ -629,7 +573,7 @@ def test_banded_ripley_matches_full_width_on_shells(n, pick, nudge, entries):
     # count walks one row per orbit, and below 64 entries a tile the orbit
     # rows split into row blocks of one or two
     pts = spatial.unit_shell(n)
-    P = pts.int_points
+    P = pts.shell.points
     orb = spatial._orbits(pts)
     with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
         tiles, rows, _ = spatial._pair_plan(P[orb.order], math.inf, orb)
@@ -659,33 +603,6 @@ def test_banded_ripley_keeps_pairs_apart_in_z_alone():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1 << 26, 1 << 29),
-    st.integers(0, 1 << 29),
-    st.integers(0, 1 << 29),
-    st.integers(0, 2**32 - 1),
-    st.floats(1e-3, 2.0),
-    BLOCK_ENTRIES,
-)
-def test_banded_ripley_matches_full_width_past_float_safe(a, b, c, seed, r, entries):
-    assume(a * a + b * b + c * c > lattice._FLOAT_SAFE)
-    assert_orbit_ripley_matches_full_width((a, b, c), seed, r, entries)
-
-
-def assert_orbit_ripley_matches_full_width(v, seed, r, entries):
-    """Ripley counts of a seeded part of v's signed-permutation orbit, at r
-    and at one of the orbit's own distances, equal ripley_full_width."""
-    P = _signed_perms(v)
-    n = sum(x * x for x in v)
-    keep = np.random.default_rng(seed).random(len(P)) < 0.7
-    pts = spatial.project(lattice.LatticeSet(n, P[keep]))
-    d2 = np.unique(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))[1:]
-    for radius in (r, min(2.0, math.sqrt(int(d2[seed % len(d2)]) / n))):
-        with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
-            assert spatial.ripley_k(pts, radius) == ripley_full_width(pts, radius)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
     st.integers((1 << 24) + 1, (1 << 24) + (1 << 21)),
     st.integers(0, 1 << 24),
     st.integers(0, 1 << 24),
@@ -694,28 +611,19 @@ def assert_orbit_ripley_matches_full_width(v, seed, r, entries):
     BLOCK_ENTRIES,
 )
 def test_banded_ripley_matches_full_width_up_to_float_safe(a, b, c, seed, r, entries):
-    # at n in (2^48, 2^50] the walk still takes the augmented product in
-    # float64; its partial sums reach 4n <= 2^52, integers it holds exactly
-    assert 1 << 48 < a * a + b * b + c * c <= lattice._FLOAT_SAFE
-    assert_orbit_ripley_matches_full_width((a, b, c), seed, r, entries)
-
-
-def octahedron_of_radius(m):
-    """The six points +-m e_i on the shell n = m^2, as its lattice source."""
-    P = np.concatenate([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)]) * m
-    return spatial.project(lattice.LatticeSet(m * m, P))
-
-
-def test_integer_ripley_counts_exactly_below_2_61():
-    # at m = 2^30 the antipodes' d^2 = 4n = 2^62 still fits in int64
-    pts = octahedron_of_radius(2**30)
-    assert pts.source_n == 2**60
-    # neighbours sit at chord sqrt 2, antipodes at 2, which r = 2 leaves out
-    assert spatial.ripley_k(pts, 1.5) == 24
-    assert spatial.ripley_k(pts, 2.0) == 24
-    # at m = 2^31 - 1, 4n passes 2^63 and would wrap
-    with pytest.raises(DomainError, match=r"n < 2\^61"):
-        spatial.ripley_k(octahedron_of_radius(2**31 - 1), 1.5)
+    # a seeded part of the orbit of (a, b, c), built by hand at n in
+    # (2^48, 2^50], the largest a lattice set takes: the walk's augmented
+    # product in float64 has partial sums up to 4n <= 2^52, integers it
+    # holds exactly.  Counted at r and at one of the orbit's own distances
+    n = a * a + b * b + c * c
+    assert 1 << 48 < n <= lattice._FLOAT_SAFE
+    P = _signed_perms((a, b, c))
+    keep = np.random.default_rng(seed).random(len(P)) < 0.7
+    pts = spatial.project(lattice.LatticeSet(n, P[keep]))
+    d2 = np.unique(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))[1:]
+    for radius in (r, min(2.0, math.sqrt(int(d2[seed % len(d2)]) / n))):
+        with mock.patch.object(spatial, "_PAIR_ENTRIES", entries):
+            assert spatial.ripley_k(pts, radius) == ripley_full_width(pts, radius)
 
 
 @settings(max_examples=100, deadline=None)
@@ -915,7 +823,7 @@ def test_whole_shell_spacings_are_exact(n):
     # the kd-tree on integer points gives the exact largest x.y below n
     pts = spatial.unit_shell(n)
     assert spatial._orbits(pts) is not None
-    P = pts.int_points
+    P = pts.shell.points
     G = P @ P.T
     np.fill_diagonal(G, -n - 1)
     tmax = G.max(axis=1)
@@ -940,7 +848,7 @@ def test_whole_shell_spacings_query_one_point_per_orbit(n):
     # point then takes its orbit's d^2, which the query over all rows gives
     # it too, the same exact integer, so the floats agree byte for byte
     pts = spatial.unit_shell(n)
-    P = pts.int_points
+    P = pts.shell.points
     assert len(lattice.shell_orbits(P).first) < len(P)
     expect = len(P) * (spatial._nn_d2(P) / n) / 4.0
     assert spatial.nn_spacings(pts).rescaled_values.tobytes() == expect.tobytes()
@@ -1074,7 +982,7 @@ def full_hull_covering(pts):
 
     hull = ConvexHull(pts.points)
     return spatial._exact_covering(
-        pts.int_points, pts.source_n, hull.simplices, -hull.equations[:, 3]
+        pts.shell.points, pts.shell.n, hull.simplices, -hull.equations[:, 3]
     )
 
 
@@ -1089,8 +997,8 @@ def float_hull_covering(pts):
 
 def assert_shell_covering_exact(pts):
     value = spatial.covering_radius(pts)
-    assert value == full_hull_covering(pts), pts.source_n
-    assert value == pytest.approx(float_hull_covering(pts), rel=1e-12), pts.source_n
+    assert value == full_hull_covering(pts), pts.shell.n
+    assert value == pytest.approx(float_hull_covering(pts), rel=1e-12), pts.shell.n
 
 
 @settings(max_examples=60, deadline=None)
@@ -1155,14 +1063,6 @@ def test_shell_covering_passes_rim_slivers_on_the_first_hull(monkeypatch):
     assert hulls == [5490]
     monkeypatch.setattr(scipy.spatial, "ConvexHull", hull)
     assert value == full_hull_covering(pts)
-
-
-@pytest.mark.parametrize("n", [59, 1009, 100_057])
-def test_shell_covering_ignores_row_order(n):
-    pts = spatial.unit_shell(n)
-    perm = np.random.default_rng(n).permutation(pts.size)
-    shuffled = spatial.UnitPointSet(pts.points[perm], n, pts.int_points[perm])
-    assert spatial.covering_radius(shuffled) == spatial.covering_radius(pts)
 
 
 def test_covering_radius_mesh_agrees(octahedron):
@@ -1670,14 +1570,18 @@ def test_binomial_single_point():
 # ------------------------------------------------------------------ symmetry
 
 def antipodal(pts):
-    """The set mapped by x -> -x, keeping its integer source."""
-    ip = None if pts.int_points is None else -pts.int_points
-    return spatial.UnitPointSet(-pts.points, pts.source_n, ip)
+    """The set mapped by x -> -x, a shell's image as its rows negated,
+    built by hand and so with no orbit record."""
+    if pts.shell is None:
+        return spatial.UnitPointSet(-pts.points)
+    return spatial.project(lattice.LatticeSet(pts.shell.n, -pts.shell.points))
 
 
 def test_statistics_antipodal_invariance(shell5):
+    # the image of a whole shell is the shell in another row order; it
+    # takes the general routes, and the Ripley count its integer rows
     flipped = antipodal(shell5)
-    assert spatial.riesz_energy(shell5, 1.0) == spatial.riesz_energy(flipped, 1.0)
+    assert spatial.riesz_energy(shell5, 1.0) == pytest.approx(spatial.riesz_energy(flipped, 1.0), rel=1e-12)
     assert spatial.ripley_k(shell5, 0.9) == spatial.ripley_k(flipped, 0.9)
     assert spatial.covering_radius(shell5) == pytest.approx(
         spatial.covering_radius(flipped), rel=1e-12
