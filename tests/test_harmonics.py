@@ -380,6 +380,24 @@ def test_weyl_sums_of_a_shell_vanish_off_the_z_orbit_orders(n):
 
 # ----------------------------------------------------- routes and the table
 
+@pytest.mark.parametrize("n", [5, 101, 1009])
+def test_table_routes_match_generic_path(n):
+    # a whole shell sums its harmonics over one point per z-axis orbit (the
+    # route that took over from its pair table), its bare copy over every
+    # point: the Weyl aggregates, which the whole-shell harness of
+    # test_spatial does not compare, and the variance series agree
+    pts = spatial.unit_shell(n)
+    bare = spatial.UnitPointSet(pts.points)
+    assert spatial._orbits(pts) is not None and spatial._orbits(bare) is None
+    for deg in (4, 6):
+        assert weyl_aggregate(deg, pts) == pytest.approx(weyl_aggregate(deg, bare), rel=1e-9), deg
+    for sigma in (0.01, 0.2):
+        spec = spatial.AnnulusSpec.cap_of_area(sigma)
+        assert harmonics.variance_series(None, spec, 40, points=pts).value == pytest.approx(
+            harmonics.variance_series(None, spec, 40, points=bare).value, rel=1e-9
+        )
+
+
 def test_partial_shell_takes_generic_path():
     # a subset built by hand carries no orbit record: no whole-shell route
     ls = lattice.enumerate_points(101)

@@ -71,7 +71,17 @@ def test_unit_point_set_refuses_other_shapes(P):
 
 @pytest.mark.parametrize(
     "case",
-    ["another shell", "one row off the shell", "n past 2^50", "n = 0", "n = 5.0", "wrapped row", "not int64 (N, 3)"],
+    [
+        "no source n",
+        "another shell",
+        "one row off the shell",
+        "point moved",
+        "n past 2^50",
+        "n = 0",
+        "n = 5.0",
+        "wrapped row",
+        "not int64 (N, 3)",
+    ],
 )
 def test_inconsistent_integer_source_is_refused(case):
     # a lattice set's rows all lie on its shell, n in [1, 2^50], or it is
@@ -80,9 +90,13 @@ def test_inconsistent_integer_source_is_refused(case):
     # (2^32, 0, 1) squares to 1 in int64, so the bound on the coordinates
     # comes before the squares
     P = lattice.enumerate_points(5).points
+    moved = P.copy()
+    moved[0, 2] += 1  # within the coordinate bound, off the shell
     n, rows = {
+        "no source n": (None, P),
         "another shell": (5, lattice.enumerate_points(6).points),
         "one row off the shell": (5, np.vstack([P[:-1], [[1, 2, 1]]])),
+        "point moved": (5, moved),
         "n past 2^50": ((1 << 50) + 1, np.array([[1 << 25, 0, 1]])),
         "n = 0": (0, np.zeros((0, 3), dtype=np.int64)),
         "n = 5.0": (5.0, P),
@@ -250,6 +264,21 @@ def _signed_perms(v):
     )
 
 
+def test_set_past_float_safe_is_not_enumerated():
+    # n = 2^52: an octahedron of its shell is refused as a lattice set, and
+    # the shell is refused before any enumeration; the same points as a
+    # float set take the float kernels
+    P = _signed_perms((1 << 26, 0, 0))
+    with mock.patch.object(lattice, "_solve_rows", side_effect=AssertionError("enumerated")):
+        with pytest.raises(DomainError):
+            lattice.LatticeSet(1 << 52, P)
+        with pytest.raises(DomainError, match="not enumerated"):
+            spatial.unit_shell(1 << 52)
+    pts = spatial.UnitPointSet(P / float(1 << 26))
+    assert spatial.riesz_energy(pts, 1.0) == pytest.approx(6 * (4 / math.sqrt(2) + 1 / 2))
+    assert np.allclose(spatial.nn_spacings(pts).rescaled_values, 3.0)
+
+
 # ------------------------------------------------------------ symmetric sets
 
 def test_set_with_repeated_rows_is_not_symmetric():
@@ -291,24 +320,14 @@ def outcome(stat, pts):
         return type(exc)
 
 
-def test_sets_built_without_unit_shell_take_the_general_routes():
-    # rows that enumerate_points did not hand out carry no orbit record,
-    # however symmetric they are: a slice and a copy of a shell, a union of
-    # its orbits, and a whole orbit near 2^49, shuffled, and a part of it.
-    # None enumerates or folds orbits.  Each takes its bare copy's routes
-    # and agrees with it byte for byte, but for its Ripley count, which
-    # walks its exact integer rows on the z band, with no orbit rows
-    ls = lattice.enumerate_points(101)
-    orb = lattice.shell_orbits(ls.points)
-    n, P = seeded_orbit(7)
-    rng = np.random.default_rng(7)
-    cases = [
-        (101, ls.points[1:]),
-        (101, ls.points.copy()),
-        (101, ls.points[np.isin(orb.index, [0, 2, 3])]),
-        (n, P[rng.permutation(len(P))]),
-        (n, P[rng.random(len(P)) < 0.7]),
-    ]
+def assert_takes_general_routes(n, Q):
+    """Project rows Q of the shell of n, built by hand, and check that the
+    set carries no orbit record, enumerates and folds nothing, and takes
+    its bare copy's routes, agreeing with it byte for byte, but for its
+    Ripley count, which walks its exact integer rows on the z band with no
+    orbit rows."""
+    pts = spatial.project(lattice.LatticeSet(n, Q))
+    bare = spatial.UnitPointSet(pts.points)
     spec = spatial.AnnulusSpec.cap_of_area(0.05)
     statistics = {
         "energy": lambda X: spatial.riesz_energy(X, 0.5),
@@ -324,16 +343,37 @@ def test_sets_built_without_unit_shell_take_the_general_routes():
         mock.patch.object(lattice, "shell_orbits", fail),
         mock.patch.object(spatial, "_pair_plan", wraps=spatial._pair_plan) as plan,
     ):
-        for m, Q in cases:
-            pts = spatial.project(lattice.LatticeSet(m, Q))
-            bare = spatial.UnitPointSet(pts.points)
-            assert pts.shell.orbits is None and spatial._orbits(pts) is None
-            for name, stat in statistics.items():
-                got = [outcome(stat, X) for X in (pts, bare)]
-                assert np.array_equal(got[0], got[1]), name
-            for r in (0.1, 1.0, 2.0):
-                assert spatial.ripley_k(pts, r) == ripley_full_width(pts, r), r
+        assert pts.shell.orbits is None and spatial._orbits(pts) is None
+        for name, stat in statistics.items():
+            got = [outcome(stat, X) for X in (pts, bare)]
+            assert np.array_equal(got[0], got[1]), name
+        for r in (0.1, 1.0, 2.0):
+            assert spatial.ripley_k(pts, r) == ripley_full_width(pts, r), r
     assert plan.call_count and all(call.args[2] is None for call in plan.call_args_list)
+
+
+def test_sets_built_without_unit_shell_take_the_general_routes():
+    # rows that enumerate_points did not hand out carry no orbit record,
+    # however symmetric they are: a slice and a copy of a shell, and a
+    # union of its orbits
+    ls = lattice.enumerate_points(101)
+    orb = lattice.shell_orbits(ls.points)
+    for Q in (ls.points[1:], ls.points.copy(), ls.points[np.isin(orb.index, [0, 2, 3])]):
+        assert_takes_general_routes(101, Q)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_orbit_near_2_49_is_tested_without_enumerating(seed):
+    # a seeded orbit near 2^49, shuffled, and a part of it: neither
+    # enumerates its shell, whose enumeration would take weeks, and each
+    # takes the general routes
+    n, P = seeded_orbit(seed)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(P)) < 0.7
+    keep[:2], keep[-1] = True, False
+    for Q in (P[rng.permutation(len(P))], P[keep]):
+        assert_takes_general_routes(n, Q)
 
 
 def shell_radii(n, N):
@@ -382,6 +422,51 @@ def test_shell_routes_match_the_bare_copy(n):
         assert series[0] == pytest.approx(series[1], rel=1e-9), spec
     bounds = [harmonics.discrepancy_bound(None, 12, points=X) for X in (pts, bare)]
     assert bounds[0] == pytest.approx(bounds[1], rel=1e-9)
+
+
+SIGNED_PERMS = np.array(
+    [
+        np.diag(signs)[list(p)]
+        for p in itertools.permutations(range(3))
+        for signs in itertools.product((1, -1), repeat=3)
+    ],
+    dtype=np.int64,
+)  # (48, 3, 3)
+
+
+@example(1)
+@example(2)
+@example(3)
+@example(9)
+@example(25)
+@example(4**3 * 101)
+@example(49 * 11)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200_000).filter(lattice.three_squares_representable))
+def test_carried_record_matches_the_exact_test(n):
+    # the orbit record enumerate_points builds against an exact test that
+    # applies all 48 signed permutations to every point: the shell is
+    # closed under them, two points share an orbit exactly when one is an
+    # image of the other, each orbit holds as many points as its point has
+    # distinct images, `first` is the first point of each orbit in the
+    # stable z order, and the orbits ascend in their sector image
+    ls = lattice.enumerate_points(n)
+    orb = ls.orbits
+    np.testing.assert_array_equal(orb.order, np.argsort(ls.points[:, 2], kind="stable"))
+    Z = ls.points[orb.order]
+    m = math.isqrt(n)
+    images = np.einsum("gij,nj->ngi", SIGNED_PERMS, Z)  # (N, 48, 3)
+    code = ((images[..., 0] + m) * (2 * m + 1) + images[..., 1] + m) * (2 * m + 1) + images[..., 2] + m
+    assert np.isin(code, code[:, 0]).all()  # every image is a point
+    _, index = np.unique(code.min(axis=1), return_inverse=True)
+    # the same partition of the points, in the record's numbering
+    assert len(np.unique(np.column_stack([index, orb.index]), axis=0)) == len(orb.size) == index.max(initial=-1) + 1
+    distinct = 1 + (np.diff(np.sort(code, axis=1), axis=1) != 0).sum(axis=1)
+    np.testing.assert_array_equal(orb.size[orb.index], distinct)
+    np.testing.assert_array_equal(np.bincount(orb.index, minlength=len(orb.size)), orb.size)
+    np.testing.assert_array_equal(orb.first, [np.flatnonzero(orb.index == k)[0] for k in range(len(orb.size))])
+    sector = [tuple(sorted(abs(int(x)) for x in Z[i])) for i in orb.first]
+    assert sector == sorted(sector)
 
 
 def test_pair_table_folds_its_own_orbits():
@@ -1063,6 +1148,19 @@ def test_shell_covering_passes_rim_slivers_on_the_first_hull(monkeypatch):
     assert hulls == [5490]
     monkeypatch.setattr(scipy.spatial, "ConvexHull", hull)
     assert value == full_hull_covering(pts)
+
+
+@pytest.mark.parametrize("n", [59, 1009, 100_057])
+def test_shell_covering_ignores_row_order(n):
+    # a shuffled copy of a shell, built by hand, carries no orbit record
+    # and takes the whole hull: it gives the bare copy's radius in the
+    # enumerated order exactly, and the sector hull's to 1e-12
+    pts = spatial.unit_shell(n)
+    perm = np.random.default_rng(n).permutation(pts.size)
+    shuffled = spatial.project(lattice.LatticeSet(n, pts.shell.points[perm]))
+    value = spatial.covering_radius(shuffled)
+    assert value == spatial.covering_radius(spatial.UnitPointSet(pts.points))
+    assert value == pytest.approx(spatial.covering_radius(pts), rel=1e-12)
 
 
 def test_covering_radius_mesh_agrees(octahedron):
