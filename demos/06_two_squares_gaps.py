@@ -21,7 +21,3 @@ for m in (5, 101, 1009, 99_991):
     best = "-" if res.best_x3 is None else res.best_x3
     cert = "-" if res.certified_distance is None else res.certified_distance
     print(f"  {m:>6}  {best:>8}   {cert:>9}        {res.distance:>5}")
-
-ok, worst, need = twosquares.rough_interval_check(100_000)
-print(f"\nrough-number spacing inside [1e5, 2e5): worst run {worst}, "
-      f"allowed {need} ({'ok' if ok else 'violated'})")

@@ -7,8 +7,8 @@ Every input whose cost in work or memory can be predicted before any of
 it starts is checked against one entry of BUDGETS by `budget`, which
 refuses it with a DomainError of one shape.  Bounds that protect
 exactness or a numeric range (2^50 shells, 2^31 pole radii, 2^62 pair
-shells, 2^61 integer Ripley sources, degree 2000 of the harmonic sums)
-are not budgets: their messages give that reason instead.
+shells, degree 2000 of the harmonic sums) are not budgets: their
+messages give that reason instead.
 """
 
 from typing import NamedTuple
@@ -86,8 +86,8 @@ BUDGETS: dict[str, Budget] = {
     # scan takes 2.7 ns per integer at Y = 1e8, 3.9 at 1e9 and 5.2 at 4e9
     # (21 s), the loop over the bad primes growing with sqrt(Y)
     "gap_scan": Budget(4 * 10**9, "integers"),
-    # the members of a window [Y, 2Y) as int64 (twosquares.window), or the
-    # rough flags and run lengths of rough_interval_check: at most 8 Y bytes
+    # the members of a window [Y, 2Y) as int64 (twosquares.window): at most
+    # 8 Y bytes
     "window_bytes": Budget(1 << 28, "bytes"),
     # integers the int32 smallest-prime-factor table of primes may cover
     # (128 MB)

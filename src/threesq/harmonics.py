@@ -286,6 +286,8 @@ def weyl_sums(
     if degree < 1 or degree > MAX_DEGREE:
         raise DomainError(f"degree must lie in [1, {MAX_DEGREE}]")
     pts = _resolve_points(n, points)
+    if normalized and pts.size == 0:
+        raise DomainError("need at least one point")
     budget("harmonic_terms", pts.size * (degree + 1) * (degree + 2) // 2, f"harmonic basis of degree {degree}")
     vals = np.array([row.sum() for row in _harmonic_rows(degree, pts.points)])
     if normalized:
@@ -360,6 +362,8 @@ def discrepancy_bound(
     if not 1 <= m_max <= MAX_DEGREE:
         raise DomainError(f"m_max must lie in [1, {MAX_DEGREE}]")
     pts = _resolve_points(n, points)
+    if pts.size == 0:
+        raise DomainError("need at least one point")
     W, start = _harmonic_sums(pts, m_max)
     mags = math.sqrt(2.0) * (np.abs(W.real) + np.abs(W.imag))
     first = start[1:-1]  # order 0 of degrees 1..m_max
@@ -386,12 +390,14 @@ def cap_discrepancy_estimate(
     if radii.ndim != 1 or len(radii) == 0 or not (radii.min() > 0 and radii.max() <= 2):  # NaN fails too
         raise DomainError("radius grid must contain chord radii in (0, 2]")
     N = pts.size
+    if N == 0:
+        raise DomainError("need at least one point")
     budget("center_products", center_samples * max(N, _ESTIMATE_FLOOR), f"{center_samples} random centers")
     rng = _rng(seed)
     thresholds = np.sort(1.0 - radii**2 / 2.0)
     areas = (2.0 - 2.0 * thresholds) / 4.0  # cap area for each threshold
     best = 0.0
-    chunk = max(1, (1 << 21) // max(N, 1))
+    chunk = max(1, (1 << 21) // N)
     remaining = center_samples
     while remaining:
         k = min(chunk, remaining)

@@ -17,17 +17,20 @@ checks that every row lies on the shell of n <= 2^50, and
 `spatial.project` attaches it to the projected points.  Every
 whole-shell statistic in `spatial` and `harmonics` knows a shell by the
 record it carries, which no hand-built set has, and the pair walks and
-spacings read its orbit rows; neither module folds orbits itself.  The exact
-inner-product histogram of a whole shell (`pair_table`) is read by
-`pairs_in_band` and `pair_count`, and by the `pairs` and `verify-arith`
-commands; no statistic reads it, and it folds its own orbits.  The
-histogram comes from one orbit-reduced Gram kernel: one representative
-per orbit is dotted with all N points, and its row is weighted by the
-orbit size, since a signed permutation maps the shell onto itself and
-keeps x.y.  That is about N^2/48 integer products instead of N^2, and no
-N x N matrix is ever formed.  The histogram is two sorted int64 arrays,
-`t` and `count`; a pair count or a distance band is read from them by
-`np.searchsorted` and one slice sum.
+spacings read its orbit rows.  Neither module folds orbits itself, with
+one exception: `harmonics._z_orbits` keys the orbits under the 16 signed
+permutations that fix the z axis by `np.unique` over every point, on
+each call, where the record could give them (the open end of item 18 of
+ROADMAP.md).  The exact inner-product histogram of a whole shell
+(`pair_table`) is read by `pairs_in_band` and `pair_count`, and by the
+`pairs` and `verify-arith` commands; no statistic reads it, and it folds
+its own orbits.  The histogram comes from one orbit-reduced Gram kernel:
+one representative per orbit is dotted with all N points, and its row is
+weighted by the orbit size, since a signed permutation maps the shell
+onto itself and keeps x.y.  That is about N^2/48 integer products
+instead of N^2, and no N x N matrix is ever formed.  The histogram is
+two sorted int64 arrays, `t` and `count`; a pair count or a distance
+band is read from them by `np.searchsorted` and one slice sum.
 
 Both `enumerate_points` and `pair_table` keep their results per n, least
 recently used first out, bounded by the bytes of their arrays rather than

@@ -269,30 +269,3 @@ def gap_probe(m: int, height: int) -> ProbeResult:
         pole_in_sequence=is_sum_two_squares(2 * m),
         candidates=len(pts),
     )
-
-
-def rough_interval_check(y: int, delta: float = 0.1) -> tuple[bool, int, int]:
-    """Every length-G/8 subinterval of [Y, 2Y) holds a G^delta-rough number?
-
-    Returns (ok, max run of non-rough integers, required bound G/8); at
-    desk scale the cutoff G^delta stays below 2 and the check is vacuous,
-    which is recorded rather than hidden.  A Y whose rough flags and run
-    lengths could pass the "window_bytes" budget is refused before G is
-    sieved.
-    """
-    budget("window_bytes", 8 * y, f"rough flags of Y = {y}")
-    ((_, g, _),) = gap_scan([y])
-    if g <= 0:
-        return True, 0, 0
-    cutoff = int(g**delta)
-    need = max(1, g // 8)
-    if cutoff < 2:
-        return True, 0, need
-    smooth_ps = [int(p) for p in _primes.primes_up_to(cutoff).tolist()]
-    flags = np.ones(y, dtype=bool)  # rough flags for [Y, 2Y)
-    for p in smooth_ps:
-        start = (-y) % p
-        flags[start::p] = False
-    runs = np.diff(np.flatnonzero(np.concatenate([[True], flags, [True]])))
-    worst = int(runs.max() - 1) if len(runs) else 0
-    return worst < need, worst, need

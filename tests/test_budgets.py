@@ -142,7 +142,6 @@ def case_window_bytes(mp):
     forbid(mp, ts, "_sieve_segment")
     return [
         (8 * 1000, lambda: ts.window(1000)),
-        (8 * 1000, lambda: ts.rough_interval_check(1000, 1.0)),
     ]
 
 

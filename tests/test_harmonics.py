@@ -188,6 +188,21 @@ def test_weyl_rejects_empty_shell():
         harmonics.weyl_sums(7, 2)
 
 
+@pytest.mark.parametrize(
+    "stat",
+    [
+        lambda pts: harmonics.discrepancy_bound(None, 5, points=pts),
+        lambda pts: harmonics.cap_discrepancy_estimate(pts, 100, [0.5], 1),
+        lambda pts: harmonics.weyl_sums(None, 2, normalized=True, points=pts),
+    ],
+    ids=["discrepancy_bound", "cap_discrepancy_estimate", "normalized_weyl_sums"],
+)
+def test_normalized_statistics_refuse_an_empty_set(stat):
+    # each divides by N: no 0/0, no NaN and no ZeroDivisionError
+    with pytest.raises(DomainError, match="at least one point"):
+        stat(spatial.UnitPointSet(np.zeros((0, 3))))
+
+
 def test_harmonic_basis_pointwise_identity():
     pts = spatial.binomial_sample(40, 3)
     for deg in (1, 2, 5, 9):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from threesq import arith, harmonics, lattice, spatial
+from threesq import arith, cli, harmonics, lattice, spatial
 from threesq.errors import BUDGETS, DomainError, DuplicatePointError
 
 
@@ -422,6 +422,24 @@ def test_shell_routes_match_the_bare_copy(n):
         assert series[0] == pytest.approx(series[1], rel=1e-9), spec
     bounds = [harmonics.discrepancy_bound(None, 12, points=X) for X in (pts, bare)]
     assert bounds[0] == pytest.approx(bounds[1], rel=1e-9)
+
+
+# the shell statistics of the CLI that test_shell_routes_match_the_bare_copy
+# compares, and those with no whole-shell route, each with its reason
+HARNESS_STATISTICS = {"energy", "ripley", "spacing", "covering", "variance", "discrepancy"}
+NO_SHELL_ROUTE = {
+    "boxes": "the equal-area zonal partition is not invariant under the signed "
+    "permutations, so no orbit fold gives its counts: box_moment assigns every point",
+}
+
+
+def test_every_shell_statistic_is_in_the_harness_or_has_no_route():
+    # a statistic added to cli._FIELDS must be declared on one side, so that
+    # it cannot skip the harness silently
+    declared = [HARNESS_STATISTICS, set(NO_SHELL_ROUTE)]
+    for stat in cli._FIELDS:
+        assert sum(stat in side for side in declared) == 1, stat
+    assert HARNESS_STATISTICS | set(NO_SHELL_ROUTE) == set(cli._FIELDS)
 
 
 SIGNED_PERMS = np.array(

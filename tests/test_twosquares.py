@@ -397,46 +397,3 @@ def test_probe_exhausted_reported_not_raised():
     assert res.best_x3 is None
     assert res.certified_distance is None
     assert res.distance == 0  # 4 = 4 + 0
-
-
-# ------------------------------------------------------------- rough numbers
-
-def test_rough_interval_check_windows():
-    for y in (10_000, 100_000):
-        ok, worst, need = ts.rough_interval_check(y)
-        assert ok, (y, worst, need)
-
-
-def test_rough_interval_check_builds_no_window(monkeypatch):
-    # G from the segment fold; delta = 0.5 makes the cutoff 3 or more, so
-    # the rough runs are really sieved: both checked by scalar loops
-    expected = {}
-    for y in (1_000, 77_777):
-        g = expected_gap(ts.window(y).members)[0]
-        small = [p for p in range(2, int(g**0.5) + 1) if all(p % q for q in range(2, p))]
-        worst = run = 0
-        for n in range(y, 2 * y):
-            run = run + 1 if any(n % p == 0 for p in small) else 0
-            worst = max(worst, run)
-        need = max(1, g // 8)
-        expected[y] = (worst < need, worst, need)
-    monkeypatch.setattr(ts, "window", lambda y: pytest.fail("window built"))
-    for y, result in expected.items():
-        assert ts.rough_interval_check(y, 0.5) == result
-
-
-def test_rough_interval_check_refuses_before_sieving(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("sieved before the byte check")
-
-    # delta = 1 makes the cutoff G itself, so the rough flags are needed
-    monkeypatch.setattr(ts, "_sieve_segment", forbidden)
-    with pytest.raises(DomainError, match="bytes"):
-        ts.rough_interval_check(BUDGETS["window_bytes"].limit // 8 + 1, delta=1.0)
-
-
-def test_rough_interval_check_refuses_flags_over_byte_cap(monkeypatch):
-    y = BUDGETS["window_bytes"].limit // 8 + 1
-    monkeypatch.setattr(ts, "gap_scan", lambda ys: [(y, 100, 100 / y**0.25)])
-    with pytest.raises(DomainError, match="bytes"):
-        ts.rough_interval_check(y, 0.5)
