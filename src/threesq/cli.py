@@ -14,8 +14,9 @@ config echo is read off the parsed arguments.  Each subcommand is declared
 once, in `build_parser`, which attaches its handler to its parser, and
 `main` calls the handler that the parsed arguments carry.  Every JSON
 shell command is one field builder in `_FIELDS`, which maps a shell's
-points and the arguments to the statistic's fields; the binomial baseline
-reads the builders of the statistics it reports alike.
+points and the arguments to the statistic's fields.  The binomial
+baseline reads the builders of energy, ripley, spacing and boxes, and
+builds its own result fields for covering and variance.
 
 Each statistic declares its own options once, in `_STAT_OPTIONS`: its
 shell command and `baseline --stat` take exactly those.  `baseline`
@@ -204,8 +205,7 @@ def _discrepancy(pts, args) -> dict:
     bound = harmonics.discrepancy_bound(None, args.m_max, points=pts)
     estimate = None
     if args.centers is not None:
-        grid = np.geomspace(2.0 / math.sqrt(pts.size), 2.0, 32)
-        estimate = harmonics.cap_discrepancy_estimate(pts, args.centers, grid, args.seed)
+        estimate = harmonics.cap_discrepancy_estimate(pts, args.centers, args.seed)
     return {
         "m_max": args.m_max,
         "bound": bound,

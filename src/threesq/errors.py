@@ -78,8 +78,12 @@ BUDGETS: dict[str, Budget] = {
     # rows of one arith.pair_count_formula_table, the sum of 2n - 1 over its
     # shells: at one shell of n = 2^22 the table's four int64 columns take
     # 0.27 GB and the call peaks at 0.34 GB (81 MB at n = 1e6 + 3, in
-    # 0.25 s).  The bound is memory: the characters are exact for any
-    # int64, and powers p^k of the sieve stay below 2n.
+    # 0.25 s).  Small odd primes p of n cost more, in the fix-up over about
+    # 2n/p rows at each: n = 2^22 - 1 = 3 * 23 * 89 * 683 took 7.5-8.3 s
+    # and 1 206 MB peak RSS, against 2.5 s and 351 MB at the prime
+    # n = 2^22 - 3 (fresh processes, 2-vCPU Xeon).  The bound is memory:
+    # the characters are exact for any int64, and powers p^k of the sieve
+    # stay below 2n.
     "formula_cells": Budget((1 << 23) - 1, "grid cells"),
     # sum of Y over one twosquares.gap_scan: Y = 4e9 alone sieves in about
     # 10 s on a 2-vCPU AMD EPYC (2.4 ns per integer).  On a 2-vCPU Xeon a

@@ -257,6 +257,8 @@ class WeylSumTable:
 
 def _resolve_points(n: int | None, points: UnitPointSet | None) -> UnitPointSet:
     if points is not None:
+        if n is not None:
+            raise DomainError("give either n or an explicit point set, not both")
         return points
     if n is None:
         raise DomainError("need either n or an explicit point set")
@@ -372,12 +374,11 @@ def discrepancy_bound(
     return 1.0 / (m_max + 1) + float(per_degree.sum()) / pts.size
 
 
-def cap_discrepancy_estimate(
-    pts: UnitPointSet, center_samples: int, radius_grid, seed: int
-) -> float:
+def cap_discrepancy_estimate(pts: UnitPointSet, center_samples: int, seed: int) -> float:
     """Max over sampled caps of |count/N - area|: a lower bound on the
     spherical cap discrepancy (closed caps, so each sampled value is a
-    true cap discrepancy).
+    true cap discrepancy).  The caps have 32 chord radii, geometric from
+    2/sqrt(N) to 2.
 
     Each center is dotted with all N points, and a count predicted to
     pass the "center_products" budget of `errors.BUDGETS` is refused
@@ -386,14 +387,12 @@ def cap_discrepancy_estimate(
     """
     if center_samples < 100:
         raise DomainError("need at least 100 sampled centers")
-    radii = np.asarray(radius_grid, dtype=np.float64)
-    if radii.ndim != 1 or len(radii) == 0 or not (radii.min() > 0 and radii.max() <= 2):  # NaN fails too
-        raise DomainError("radius grid must contain chord radii in (0, 2]")
     N = pts.size
     if N == 0:
         raise DomainError("need at least one point")
     budget("center_products", center_samples * max(N, _ESTIMATE_FLOOR), f"{center_samples} random centers")
     rng = _rng(seed)
+    radii = np.geomspace(2.0 / math.sqrt(N), 2.0, 32)
     thresholds = np.sort(1.0 - radii**2 / 2.0)
     areas = (2.0 - 2.0 * thresholds) / 4.0  # cap area for each threshold
     best = 0.0

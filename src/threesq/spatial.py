@@ -1045,10 +1045,6 @@ class CellPartition:
     sectors: np.ndarray  # cells per band
     offsets: np.ndarray  # first cell id of each band
 
-    @property
-    def size(self) -> int:
-        return self.cells
-
     def assign(self, points: np.ndarray) -> np.ndarray:
         u = 1.0 - points[:, 2]
         band = np.clip(
@@ -1060,21 +1056,6 @@ class CellPartition:
         m = self.sectors[band]
         sector = np.minimum((phi / (2.0 * math.pi) * m).astype(np.int64), m - 1)
         return self.offsets[band] + sector
-
-    def diameter_bound(self) -> float:
-        """Upper bound on the chord diameter of any cell."""
-        best = 0.0
-        for b in range(len(self.sectors)):
-            z1 = 1.0 - self.u_edges[b]
-            z2 = 1.0 - self.u_edges[b + 1]
-            a1 = math.sqrt(max(0.0, 1.0 - z1 * z1))
-            a2 = math.sqrt(max(0.0, 1.0 - z2 * z2))
-            chord_z = math.hypot(a1 - a2, z1 - z2)
-            dphi = min(2.0 * math.pi / int(self.sectors[b]), math.pi)
-            a_max = 1.0 if z1 * z2 <= 0 else max(a1, a2)
-            width = 2.0 * a_max * math.sin(dphi / 2.0)
-            best = max(best, min(2.0, chord_z + width))
-        return best
 
 
 def equal_area_cells(cells: int) -> CellPartition:
@@ -1111,5 +1092,5 @@ def box_moment(pts: UnitPointSet, cells: int) -> tuple[int, int]:
         raise DomainError("need at least two cells")
     part = equal_area_cells(cells)
     ids = part.assign(pts.points)
-    counts = np.bincount(ids, minlength=part.size)
+    counts = np.bincount(ids, minlength=part.cells)
     return int(counts.sum()), int((counts * counts).sum())

@@ -48,12 +48,12 @@ consecutive nonempty words; if those are d words apart, the gap is in
 widest span between consecutive nonempty words is d_max >= 2, the
 largest gap is at least 8 d_max - 7 >= 9, while a span of d_max - 2 or
 less holds a gap of at most 8 d_max - 9 and one word a gap of at most
-7: the largest gap and every tie of it lie across the spans of at
-least d_max - 1 words, which are opened in order, from the last member
-of the left word to the first of the right one, and the first tie is
-kept.  A slice whose nonempty words all touch is folded member by
-member.  A scan is refused up front past the "gap_scan" budget of
-`errors.BUDGETS`, a window past its "window_bytes" budget of members.
+7: the largest gap lies across one of the spans of at least d_max - 1
+words, each opened from the last member of the left word to the first
+of the right one.  A slice whose nonempty words all touch is folded
+member by member.  A scan is refused up front past the "gap_scan"
+budget of `errors.BUDGETS`, a window past its "window_bytes" budget of
+members.
 
 The probe connects lattice points near the pole of the sphere of radius
 m to gap certificates: a point (x1, x2, x3) with x1^2 + x2^2 =
@@ -96,8 +96,6 @@ def is_sum_two_squares(n: int) -> bool:
 class TwoSquaresWindow:
     y: int
     members: np.ndarray  # sorted members of the sequence in [Y, 2Y)
-    max_gap: int
-    argmax_pair: tuple[int, int] | None
 
 
 def _sieve_segment(lo: int, hi: int, bad_primes: list[int]) -> np.ndarray:
@@ -144,9 +142,9 @@ def _segments(y: int):
         yield lo, _sieve_segment(lo, min(lo + _SEGMENT, hi_total), bad)
 
 
-def _fold_slice(flags: np.ndarray) -> tuple[int, int, int, int] | None:
-    """(first member, last member, largest gap, its first left member) of
-    the flags, relative to their start; None when they hold no member.
+def _fold_slice(flags: np.ndarray) -> tuple[int, int, int] | None:
+    """(first member, last member, largest gap) of the flags, relative to
+    their start; None when they hold no member.
 
     The flags are read as 8-flag words, and only the pairs of consecutive
     nonempty words that can hold the largest gap are opened (see the
@@ -164,50 +162,41 @@ def _fold_slice(flags: np.ndarray) -> tuple[int, int, int, int] | None:
     span = np.diff(words)
     widest = int(span.max()) if span.size else 0
     if widest <= 1:
-        idx = np.flatnonzero(flags)
-        gaps = np.diff(idx, append=idx[-1])  # a closing 0: one member folds too
-        k = int(np.argmax(gaps))
-        return first, last, int(gaps[k]), int(idx[k])
+        return first, last, int(np.diff(np.flatnonzero(flags)).max(initial=0))
     pairs = np.flatnonzero(span >= widest - 1)
     lw, rw = words[pairs], words[pairs + 1]
     left = 8 * lw + 7 - np.argmax(rows[lw, ::-1], axis=1)  # last member of lw
     right = 8 * rw + np.argmax(rows[rw], axis=1)  # first member of rw
-    gaps = right - left
-    k = int(np.argmax(gaps))
-    return first, last, int(gaps[k]), int(left[k])
+    return first, last, int((right - left).max())
 
 
-def _largest_gap(segments) -> tuple[int, tuple[int, int] | None]:
-    """Largest gap between consecutive members and its first pair.
+def _largest_gap(segments) -> int:
+    """Largest gap between consecutive members, 0 with fewer than two.
 
     Each segment is folded in slices of _FOLD flags; only the last member
     and the running maximum are carried across slices, so no member, word
     or gap array spans a slice.
     """
-    best, pair, last = 0, None, None
+    best, last = 0, None
     for lo, flags in segments:
         for start in range(0, len(flags), _FOLD):
             folded = _fold_slice(flags[start : start + _FOLD])
             if folded is None:
                 continue
-            first, final, gap, left = folded
+            first, final, gap = folded
             base = lo + start
-            if last is not None and base + first - last > best:
-                best, pair = base + first - last, (last, base + first)
-            if gap > best:
-                best, pair = gap, (base + left, base + left + gap)
+            best = max(best, gap, 0 if last is None else base + first - last)
             last = base + final
-    return best, pair
+    return best
 
 
 def window(y: int) -> TwoSquaresWindow:
-    """All sums of two squares in [Y, 2Y) and the largest internal gap.
-    A Y whose members could pass the "window_bytes" budget is refused."""
+    """All sums of two squares in [Y, 2Y).  A Y whose members could pass
+    the "window_bytes" budget is refused."""
     budget("window_bytes", 8 * y, f"window of Y = {y}")
-    segments = list(_segments(y))
-    chunks = [np.flatnonzero(flags) + lo for lo, flags in segments]
+    chunks = [np.flatnonzero(flags) + lo for lo, flags in _segments(y)]
     members = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    return TwoSquaresWindow(y, members, *_largest_gap(segments))
+    return TwoSquaresWindow(y, members)
 
 
 def gap_scan(y_values) -> list[tuple[int, int, float]]:
@@ -224,7 +213,7 @@ def gap_scan(y_values) -> list[tuple[int, int, float]]:
     budget("gap_scan", sum(ys), "gap scan")
     out = []
     for y in ys:
-        g, _ = _largest_gap(_segments(y))
+        g = _largest_gap(_segments(y))
         out.append((y, g, g / y**0.25))
     return out
 

@@ -300,7 +300,7 @@ def test_criterion_10_two_squares_suite():
     """Sieve, gaps, and probe identities for sums of two squares."""
     w = twosquares.window(9)
     assert w.members.tolist() == [9, 10, 13, 16, 17]
-    assert w.max_gap == 3
+    assert twosquares.gap_scan([9])[0][:2] == (9, 3)
 
     # sieve vs factorization, exhaustive through 1e6 via dyadic windows
     t0 = time.time()

@@ -71,7 +71,7 @@ def case_center_products(mp):
     shell = spatial.unit_shell(5)  # 24 points, below either floor
     return [
         (100 * 256, lambda: spatial.number_variance(shell, spatial.AnnulusSpec(0.0, 0.5), 100, 1)),
-        (100 * 1024, lambda: harmonics.cap_discrepancy_estimate(shell, 100, [0.5], 1)),
+        (100 * 1024, lambda: harmonics.cap_discrepancy_estimate(shell, 100, 1)),
         (100 * 256, ["variance", "--n", "5", "--sigma", "0.1", "--samples", "100", "--seed", "1"]),
         (100 * 1024, ["discrepancy", "--n", "5", "--m-max", "5", "--centers", "100", "--seed", "1"]),
     ]

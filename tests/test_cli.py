@@ -97,7 +97,14 @@ SCALED_COMMANDS = [
     ["boxes", "--cells", "317"],
     ["weyl", "--degree", "6"],
     ["discrepancy", "--m-max", "20"],
+    ["discrepancy", "--m-max", "20", "--centers", "200", "--seed", "3"],
 ]
+
+
+def test_scaled_commands_cover_every_shell_statistic():
+    from threesq import cli
+
+    assert set(cli._FIELDS) <= {args[0] for args in SCALED_COMMANDS}
 
 
 @pytest.mark.parametrize("args", SCALED_COMMANDS, ids=" ".join)
@@ -373,7 +380,7 @@ def test_monte_carlo_counts_refuse_over_budget_before_drawing(capsys, monkeypatc
     with pytest.raises(DomainError, match="budget"):
         spatial.number_variance(shell, spatial.AnnulusSpec(0.0, 0.5), 10**12, 1)
     with pytest.raises(DomainError, match="budget"):
-        harmonics.cap_discrepancy_estimate(shell, 10**8, [0.5], 1)
+        harmonics.cap_discrepancy_estimate(shell, 10**8, 1)
 
 
 def test_baseline_energy_refuses_over_pair_budget_before_any_product(capsys, monkeypatch):

@@ -191,8 +191,25 @@ def test_weyl_rejects_empty_shell():
 @pytest.mark.parametrize(
     "stat",
     [
+        lambda n, pts: harmonics.weyl_sums(n, 2, points=pts),
+        lambda n, pts: harmonics.variance_series(n, spatial.AnnulusSpec(0.0, 0.5), 4, points=pts),
+        lambda n, pts: harmonics.discrepancy_bound(n, 5, points=pts),
+    ],
+    ids=["weyl_sums", "variance_series", "discrepancy_bound"],
+)
+def test_shell_statistics_refuse_n_with_a_point_set(stat, shell5):
+    # a shell number beside an explicit set would be dropped unread; n = 5
+    # is refused even with the points of its own shell
+    for n in (5, 7):
+        with pytest.raises(DomainError, match="not both"):
+            stat(n, shell5)
+
+
+@pytest.mark.parametrize(
+    "stat",
+    [
         lambda pts: harmonics.discrepancy_bound(None, 5, points=pts),
-        lambda pts: harmonics.cap_discrepancy_estimate(pts, 100, [0.5], 1),
+        lambda pts: harmonics.cap_discrepancy_estimate(pts, 100, 1),
         lambda pts: harmonics.weyl_sums(None, 2, normalized=True, points=pts),
     ],
     ids=["discrepancy_bound", "cap_discrepancy_estimate", "normalized_weyl_sums"],
@@ -462,27 +479,30 @@ def test_discrepancy_bound_matches_real_basis_sums(pts, m_max):
 
 
 def test_discrepancy_estimate_octahedron(octahedron):
-    grid = np.geomspace(0.05, 2.0, 64)
-    est = harmonics.cap_discrepancy_estimate(octahedron, 3000, grid, seed=4)
-    # a small cap near a vertex captures 1/6 of the points on ~0 area
-    assert est >= 1 / 6 - 0.05
+    # the caps' chord radii are 32, geometric from 2/sqrt(6) to 2; the second
+    # largest below the vertex spacing sqrt(2), r = 1.374, caps one vertex on
+    # area r^2/4 = 0.472 when the center lies within 1 - r^2/2 = 0.057 of
+    # the vertex's axis in both other coordinates, as about 18 of 3000
+    # random centers do
+    radii = np.geomspace(2 / math.sqrt(6), 2.0, 32)
+    r = radii[radii < math.sqrt(2)][-2]
+    est = harmonics.cap_discrepancy_estimate(octahedron, 3000, seed=4)
+    assert est >= r * r / 4 - 1 / 6 - 1e-12
     assert est <= 1.0
 
 
 def test_discrepancy_estimate_refuses_negative_seed(octahedron):
     with pytest.raises(DomainError, match="non-negative"):
-        harmonics.cap_discrepancy_estimate(octahedron, 100, [0.5], seed=-1)
+        harmonics.cap_discrepancy_estimate(octahedron, 100, seed=-1)
 
 
 def test_discrepancy_estimate_binomial_scale():
     pts = spatial.binomial_sample(10_000, 21)
-    grid = np.geomspace(0.02, 2.0, 32)
-    est = harmonics.cap_discrepancy_estimate(pts, 500, grid, seed=5)
+    est = harmonics.cap_discrepancy_estimate(pts, 500, seed=5)
     assert 1e-3 <= est <= 0.2  # N^(-1/2) polylog band
 
 
 def test_discrepancy_estimate_below_bound_shape(shell5):
     bound = harmonics.discrepancy_bound(None, 30, points=shell5)
-    grid = np.geomspace(0.05, 2.0, 32)
-    est = harmonics.cap_discrepancy_estimate(shell5, 1000, grid, seed=6)
+    est = harmonics.cap_discrepancy_estimate(shell5, 1000, seed=6)
     assert est <= bound

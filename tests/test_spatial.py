@@ -28,9 +28,8 @@ def test_unit_point_set_rejects_off_sphere():
         lambda: spatial.UnitPointSet(np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]])),
         lambda: arith.dirichlet_l_one(1_000_003, math.nan),
         lambda: arith.dirichlet_l_one(1_000_003, math.inf),
-        lambda: harmonics.cap_discrepancy_estimate(spatial.unit_shell(101), 100, [0.5, math.nan], 1),
     ],
-    ids=["unit-point-set", "l-value-nan", "l-value-inf", "discrepancy-radii"],
+    ids=["unit-point-set", "l-value-nan", "l-value-inf"],
 )
 def test_float_guards_refuse_nan(call):
     # NaN fails every comparison, so each guard asks that its input be valid
@@ -403,7 +402,9 @@ def test_shell_routes_match_the_bare_copy(n):
     # 1e-12 relative, both sides' error being a few ulps per term; the
     # spacings, the series and the bound to 1e-9, where the bare side's
     # difference form and the harmonic sums the shell's symmetry zeroes
-    # (rounding near m^2 eps N) enter
+    # (rounding near m^2 eps N) enter.  Its n-against-4n half, the same
+    # statistics from shells whose points project alike, is
+    # test_shells_n_4n_16n_give_the_same_statistics in test_cli.py
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
     assert spatial._orbits(pts) is not None and spatial._orbits(bare) is None
@@ -1646,6 +1647,22 @@ def test_equal_area_cells_have_equal_area():
     assert part.sectors.sum() == 37
 
 
+def diameter_bound(part) -> float:
+    """Upper bound on the chord diameter of any cell of the partition."""
+    best = 0.0
+    for b in range(len(part.sectors)):
+        z1 = 1.0 - part.u_edges[b]
+        z2 = 1.0 - part.u_edges[b + 1]
+        a1 = math.sqrt(max(0.0, 1.0 - z1 * z1))
+        a2 = math.sqrt(max(0.0, 1.0 - z2 * z2))
+        chord_z = math.hypot(a1 - a2, z1 - z2)
+        dphi = min(2.0 * math.pi / int(part.sectors[b]), math.pi)
+        a_max = 1.0 if z1 * z2 <= 0 else max(a1, a2)
+        width = 2.0 * a_max * math.sin(dphi / 2.0)
+        best = max(best, min(2.0, chord_z + width))
+    return best
+
+
 def test_box_moment_close_pair_inequality():
     # occupancy second moment is bounded by the count of pairs closer than
     # any cell diameter, which the pair table evaluates exactly
@@ -1655,7 +1672,7 @@ def test_box_moment_close_pair_inequality():
         K = max(2, math.isqrt(n))
         part = spatial.equal_area_cells(K)
         _, sum_squares = spatial.box_moment(pts, K)
-        d = part.diameter_bound()
+        d = diameter_bound(part)
         t_min = n * (1 - d * d / 2)
         tbl = lattice.pair_table(n)
         close_pairs = int(tbl.count[tbl.t >= t_min].sum())

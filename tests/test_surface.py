@@ -39,7 +39,6 @@ PACKAGE = ROOT / "src" / "threesq"
 
 KEPT = {
     "arith.local_density": "one prime's density; the tests hold it against a Fraction oracle",
-    "spatial.CellPartition.diameter_bound": "the tests bound every cell's chord diameter by it",
 }
 
 

@@ -79,15 +79,12 @@ def test_membership_rejects_negative():
 def test_window_nine():
     w = ts.window(9)
     assert w.members.tolist() == [9, 10, 13, 16, 17]
-    assert w.max_gap == 3
-    assert w.argmax_pair == (10, 13)
 
 
 def test_window_degenerate():
     w = ts.window(1)
     assert w.members.tolist() == [1]
-    assert w.max_gap == 0
-    assert w.argmax_pair is None
+    assert ts.gap_scan([1])[0][:2] == (1, 0)  # one member: no gap
 
 
 def test_window_agrees_with_membership():
@@ -199,8 +196,6 @@ def test_window_independent_of_segment_size(y, half):
         mp.setattr(ts, "_SEGMENT", 2 * half + 1)
         got = ts.window(y)
     assert np.array_equal(got.members, expected.members)
-    assert got.max_gap == expected.max_gap
-    assert got.argmax_pair == expected.argmax_pair
 
 
 @settings(max_examples=30, deadline=None)
@@ -229,7 +224,7 @@ def test_gap_fold_independent_of_slice_length(fold, y, half):
     members = np.array(
         [n for n in range(y, 2 * y) if ts.is_sum_two_squares(n)], dtype=np.int64
     )
-    gap, pair = expected_gap(members)
+    gap, _ = expected_gap(members)
     for segment in (2 * half + 1, ts._SEGMENT):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ts, "_FOLD", fold)
@@ -237,7 +232,6 @@ def test_gap_fold_independent_of_slice_length(fold, y, half):
             w = ts.window(y)
             (row,) = ts.gap_scan([y])
         assert np.array_equal(w.members, members)
-        assert (w.max_gap, w.argmax_pair) == (gap, pair)
         assert row[:2] == (y, gap)
 
 
@@ -253,8 +247,7 @@ def test_word_fold_matches_member_array(y):
             mp.setattr(ts, "_SEGMENT", segment)
             w = ts.window(y)
             (row,) = ts.gap_scan([y])
-        gap, pair = expected_gap(w.members)
-        assert (w.max_gap, w.argmax_pair) == (gap, pair)
+        gap, _ = expected_gap(w.members)
         assert row[:2] == (y, gap)
         if expected is None:
             expected = w.members
@@ -281,7 +274,7 @@ def fold_slice_of(n: int, y: int) -> int:
 def test_largest_gap_pinned_at_word_slice_and_segment_edges(y, gap, pair, edge):
     a, b = pair
     w = ts.window(y)
-    assert (w.max_gap, w.argmax_pair) == (gap, pair) == expected_gap(w.members)
+    assert expected_gap(w.members) == (gap, pair)
     assert ts.gap_scan([y])[0][:2] == (y, gap)
     if edge == "span":
         # the gap spans d_max - 1 words of its slice, whose widest span
@@ -346,7 +339,7 @@ def test_gap_scan_keeps_no_member_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert row[1] == ts.window(y).max_gap
+    assert row[1] == expected_gap(ts.window(y).members)[0]
     assert peak < 1 << 19
 
 
