@@ -395,7 +395,8 @@ def _chi_table(d: int, upto: int) -> np.ndarray:
 # W. J. Cody's rational kernels (Math. Comp. 23, 1969, 631-637), with the
 # coefficients of Cephes ndtr.c, highest degree first: erf(x) = x T(z)/U(z)
 # with z = x^2 for x < 1, and erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8,
-# exp(-x^2) R(x)/S(x) from 8 on.  U, Q and S are monic.
+# which covers every x the L-value series reaches (see `dirichlet_l_one`).
+# U and Q are monic.
 _ERF_T = (
     9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
     7.00332514112805075473e3, 5.55923013010394962768e4,
@@ -414,14 +415,6 @@ _ERFC_Q = (
     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
     1.65666309194161350182e3, 5.57535340817727675546e2,
 )
-_ERFC_R = (
-    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
-)
 _SQRT_PI = math.sqrt(math.pi)
 _RSQRT_PI = 1 / _SQRT_PI
 
@@ -437,17 +430,15 @@ def _horner(x: np.ndarray, coef) -> np.ndarray:
 
 
 def _l_series_terms(x: np.ndarray) -> np.ndarray:
-    """erfc(x) + exp(-x^2)/(sqrt(pi) x) for ascending x > 0, each x through
-    one kernel; see `dirichlet_l_one`."""
+    """erfc(x) + exp(-x^2)/(sqrt(pi) x) for ascending x in (0, 8), each x
+    through one kernel; see `dirichlet_l_one`."""
     out = np.exp(-x * x)
-    one, eight = np.searchsorted(x, (1.0, 8.0)).tolist()
-    for lo, hi, num, den in ((one, eight, _ERFC_P, _ERFC_Q), (eight, x.size, _ERFC_R, _ERFC_S)):
-        if lo < hi:
-            v = x[lo:hi]
-            ratio = _horner(v, num)
-            ratio /= _horner(v, den)
-            ratio += _RSQRT_PI / v
-            out[lo:hi] *= ratio
+    one = int(np.searchsorted(x, 1.0))
+    v = x[one:]
+    ratio = _horner(v, _ERFC_P)
+    ratio /= _horner(v, _ERFC_Q)
+    ratio += _RSQRT_PI / v
+    out[one:] *= ratio
     v = x[:one]
     z = v * v
     erf = _horner(z, _ERF_T)
@@ -479,7 +470,10 @@ def dirichlet_l_one(n: int, target_error: float) -> float:
 
     The sum stops at the smallest M whose bound is <= target_error / 2,
     which leaves the other half for rounding (near machine precision,
-    since the terms decay like a Gaussian); M is about
+    since the terms decay like a Gaussian).  So a target_error below
+    machine epsilon (2^-52) is refused: the tail could be made that
+    small, but the float64 sum itself rounds near 1e-16, and the bound
+    would not be met.  M is about
     sqrt(q log(1/target_error) / pi), 2.7 sqrt(q) at 1e-10, so chi is
     tabulated through M only.  Agreement with 2*pi*h/(w*sqrt(q)) from
     the reduced-form class number is the cross-check exercised by the
@@ -489,14 +483,15 @@ def dirichlet_l_one(n: int, target_error: float) -> float:
     erfc (Math. Comp. 23, 1969, 631-637, with the coefficients of Cephes
     ndtr.c), evaluated here in numpy: since x_m ascends, the terms with
     x_m < 1 are an index prefix and take 1 - erf(x) from Cody's erf
-    ratio, and the rest take exp(-x^2) (R(x) + 1/(sqrt(pi) x)), R his
-    erfc ratio, with exp(-x^2) computed once for both summands.  Against
-    math.erfc(x) + exp(-x^2)/(sqrt(pi) x), a term is within 2.2e-15
-    relative up to x = 6 (2.9e-14 out to 26, where the rounding of x^2
-    dominates).
+    ratio, and the rest take exp(-x^2) (P(x)/Q(x) + 1/(sqrt(pi) x)), P/Q
+    his erfc ratio for 1 <= x < 8, with exp(-x^2) computed once for both
+    summands.  At target_error >= 2^-52 the last x_m is below 5.9 for
+    every conductor (5.88 at q = 11, tending to 5.77 as q grows), so his
+    kernel for x >= 8 is never needed.  Against math.erfc(x) +
+    exp(-x^2)/(sqrt(pi) x), a term is within 2.2e-15 relative up to x = 6.
     """
-    if not 0 < target_error < math.inf:  # NaN fails too
-        raise DomainError("target_error must be positive and finite")
+    if not np.finfo(float).eps <= target_error < math.inf:  # NaN fails too
+        raise DomainError("target_error must be finite and at least 2^-52, the float64 epsilon")
     if n % 8 == 7:
         raise DomainError(
             f"n = {n} = 7 (mod 8): not a sum of three squares, no count identity"

@@ -97,10 +97,10 @@ BUDGETS: dict[str, Budget] = {
     # (128 MB)
     "prime_table": Budget(1 << 25, "integers"),
     # order terms of one harmonic-sum recurrence, rows x (M + 1)(M + 2)/2
-    # at degree M: harmonics._harmonic_sums (rows are the points, or the
-    # z-axis orbits of a whole shell) and harmonics.weyl_sums (every
-    # point).  2-vCPU Xeon, OpenBLAS 1 thread: the sums take 5.5-7.3 ns a
-    # term on hundreds of rows or more (0.23 s for the 1 913 orbits of
+    # at degree M: harmonics._harmonic_sums (rows are the points, or three
+    # per orbit of a whole shell) and harmonics.weyl_sums (every point).
+    # 2-vCPU Xeon, OpenBLAS 1 thread: the sums take 5.3-7.3 ns a term on
+    # hundreds of rows or more (0.21-0.23 s for the 3 x 638 rows of
     # n = 1e7+19 at M = 200) and 10.8 ns on 128 rows at M = 2000, the
     # real basis of weyl_sums 1.6-1.8 ns (2.4-2.7 s on 6 096 points at
     # degree 700); so the limit is about 10 s of sums, and it admits

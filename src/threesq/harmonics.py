@@ -24,14 +24,13 @@ once (`_harmonic_sums`): O(N M^2) work with no pair loop, against
 O(N^2 M) for the pairs.  A symmetric set, an enumerated shell (whole
 orbits of the 48 signed permutations, each point once), which
 `spatial._orbits` knows by the orbit record its `shell` carries from the
-enumeration, sums over one point per orbit of the 16 signed
-permutations that fix the z axis, about N/16 points, and keeps the
-orders its symmetry leaves.  The discrepancy bound reads the magnitudes
-of the same harmonic sums.  The basis sums in
-`weyl_sums` run order outer, one degree at a time, over every point, so
-they stay an independent check of both.  No statistic reads the pair
-table; its readers are `lattice.pairs_in_band` and `lattice.pair_count`,
-and the `pairs` and `verify-arith` commands.
+enumeration, sums over the three cyclic images of each orbit's first
+point, about N/16 rows, and keeps the orders its symmetry leaves.  The
+discrepancy bound reads the magnitudes of the same harmonic sums.  The
+basis sums in `weyl_sums` run order outer, one degree at a time, over
+every point, so they stay an independent check of both.  No statistic
+reads the pair table; its readers are `lattice.pairs_in_band` and
+`lattice.pair_count`, and the `pairs` and `verify-arith` commands.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
     From the addition theorem, S_m = 4 pi/(2m+1) (|W_0|^2 + 2 sum_{mu>=1}
     |W_mu|^2) over the harmonic sums W_m^mu of `_harmonic_sums`.  Every
     term is a sum of squares, so S_m >= 0 exactly, and S_0 = N^2.  Work is
-    O(R m_max^2) over R rows (N, or about N/16 on a symmetric set), which
+    O(R m_max^2) over R rows (N, or 3 per orbit on a symmetric set), which
     beats the O(N^2 m_max) of the pairs while m_max is below about N (at
     N = 500, m_max = 400 the pairs were about 3x faster; no caller runs
     there).
@@ -101,18 +100,6 @@ def _pair_legendre_sums(pts: UnitPointSet, m_max: int) -> np.ndarray:
         sq = w.real * w.real + w.imag * w.imag
         sums[m] = 4.0 * math.pi / (2 * m + 1) * (sq[0] + 2.0 * sq[1:].sum())
     return sums
-
-
-def _z_orbits(pts: UnitPointSet) -> tuple[np.ndarray, np.ndarray]:
-    """One unit point per orbit of a symmetric set under the 16 signed
-    permutations that fix the z axis, and the orbit sizes.
-
-    (min(|x|, |y|), max(|x|, |y|)) of the integer points of its `shell`
-    keys the orbit, since n then fixes |z|.
-    """
-    lo, hi = np.sort(np.abs(pts.shell.points[:, :2]), axis=1).T
-    _, first, size = np.unique(hi * (int(hi.max(initial=0)) + 1) + lo, return_index=True, return_counts=True)
-    return pts.points[first], size
 
 
 def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,15 +116,22 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
     At the poles the degree step's rounding grows like m^2 eps: one point
     there gives S_m = 1 within 2e-14 at m = 60 and 9e-11 at m = 2000.
 
-    A symmetric set sums over one point per orbit of `_z_orbits`, weighted
-    by the orbit size through the recurrence's starting value.  The quarter
-    turn about z, y -> -y and z -> -z each map the set onto itself, so
-    W_m^mu vanishes unless m is even and 4 | mu, and there it is the
-    weighted sum of Re Y_m^mu; the other orders are set to 0, and the sums
-    are returned real.
+    The quarter turn about z, y -> -y and z -> -z each map a symmetric set
+    onto itself, so W_m^mu vanishes unless m is even and 4 | mu, and there
+    it is the sum of Re Y_m^mu; the other orders are set to 0, and the sums
+    are returned real.  Each order kept, f = Re Y_m^mu, is invariant under
+    the group H of the 16 signed permutations that fix the z axis, and the
+    48 signed permutations are the three cosets H, Hc and Hc^2 of the
+    cyclic shift c: (x, y, z) -> (y, z, x).  Summing f(g x0) over all 48 g
+    counts each point of the orbit O of x0 48/|O| times, and it is
+    16 (f(x0) + f(c x0) + f(c^2 x0)); so f sums over O to |O|/3 times
+    f(x0) + f(c x0) + f(c^2 x0), also when coordinates of x0 are equal.
+    A symmetric set therefore sums over the three cyclic images of the
+    first point of each orbit of its record, each weighted |O|/3 through
+    the recurrence's starting value.
 
     Degrees past MAX_DEGREE are refused before the orbits are read, and R
-    rows (points or orbits) past the "harmonic_terms" budget of
+    rows (points, or 3 per orbit) past the "harmonic_terms" budget of
     `errors.BUDGETS`, R (m_max + 1)(m_max + 2)/2 order terms, before any
     allocation.  Rows go in chunks of _PAIR_ENTRIES //
     (m_max + 1), so the three recurrence arrays hold at most about
@@ -147,8 +141,12 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
     """
     if m_max > MAX_DEGREE:
         raise DomainError(f"m_max must be at most {MAX_DEGREE} for the harmonic sums")
-    symmetric = _orbits(pts) is not None
-    U, weight = _z_orbits(pts) if symmetric else (pts.points, np.ones(pts.size))
+    orb = _orbits(pts)
+    if orb is None:
+        U, weight = pts.points, np.ones(pts.size)
+    else:  # (x, y, z), (y, z, x) and (z, x, y) of each orbit's first point
+        U = np.concatenate([np.roll(pts.points[orb.order[orb.first]], -k, axis=1) for k in range(3)])
+        weight = np.tile(orb.size / 3, 3)
     start = np.arange(m_max + 2)
     start = start * (start + 1) // 2
     budget("harmonic_terms", len(U) * int(start[-1]), f"harmonic sums to degree {m_max}")
@@ -178,7 +176,7 @@ def _harmonic_sums(pts: UnitPointSet, m_max: int) -> tuple[np.ndarray, np.ndarra
             prev, cur = cur, prev
             acc[start[m] : start[m + 1]] += cur[: m + 1].sum(axis=1)
     acc /= _ORDER_SCALE
-    if symmetric:  # order mu of degree m sits at start[m] + mu
+    if orb is not None:  # order mu of degree m sits at start[m] + mu
         m = np.repeat(np.arange(m_max + 1), np.arange(1, m_max + 2))
         acc = np.where((m % 2 == 0) & ((np.arange(len(acc)) - start[m]) % 4 == 0), acc.real, 0.0)
     return acc, start

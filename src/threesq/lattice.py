@@ -16,12 +16,9 @@ order of its points and `shell_orbits` of the points in that order.  A
 checks that every row lies on the shell of n <= 2^50, and
 `spatial.project` attaches it to the projected points.  Every
 whole-shell statistic in `spatial` and `harmonics` knows a shell by the
-record it carries, which no hand-built set has, and the pair walks and
-spacings read its orbit rows.  Neither module folds orbits itself, with
-one exception: `harmonics._z_orbits` keys the orbits under the 16 signed
-permutations that fix the z axis by `np.unique` over every point, on
-each call, where the record could give them (the open end of item 18 of
-ROADMAP.md).  The exact inner-product histogram of a whole shell
+record it carries, which no hand-built set has, and the pair walks,
+spacings and harmonic sums read its orbit rows.  Neither module folds
+orbits itself.  The exact inner-product histogram of a whole shell
 (`pair_table`) is read by `pairs_in_band` and `pair_count`, and by the
 `pairs` and `verify-arith` commands; no statistic reads it, and it folds
 its own orbits.  The histogram comes from one orbit-reduced Gram kernel:

@@ -589,10 +589,11 @@ def test_chi_table_matches_kronecker(n, upto):
 
 
 def test_l_series_terms_match_math_erfc():
-    # the kernels switch at x = 1 and x = 8; both and their neighbours are
-    # on the grid
-    edges = [np.nextafter(e, e - 1) for e in (1.0, 8.0)] + [1.0, 8.0] + [np.nextafter(e, e + 1) for e in (1.0, 8.0)]
+    # the kernels switch at x = 1, which with its neighbours is on the
+    # grid; the series never reaches x = 8, where the erfc kernel ends
+    edges = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
     x = np.unique(np.concatenate([np.linspace(0, 26, 100_001)[1:], np.geomspace(1e-6, 26, 2001), edges]))
+    x = x[x < 8]
     got = arith._l_series_terms(x)
     want = np.array([math.erfc(v) + math.exp(-v * v) / (math.sqrt(math.pi) * v) for v in x.tolist()])
     rel = np.abs(got - want) / want

@@ -162,14 +162,18 @@ def case_harmonic_terms(mp):
     forbid(mp, harmonics, "_harmonic_rows")
     spec = spatial.AnnulusSpec.cap_of_area(0.1)
     pts = spatial.binomial_sample(10, 1)
-    # 36 order terms to degree 7 per row: the 24 points of n = 5, or its 3
-    # orbits under the signed permutations that fix the z axis
+    # 36 order terms to degree 7 per row: the 24 points of n = 5, or the
+    # three cyclic images of the first point of its one orbit under the
+    # 48 signed permutations; n = 3 and n = 1 have one orbit each too, the
+    # 8 points (+-1, +-1, +-1) and the 6 points +-e_i
     return [
         (10 * 36, lambda: harmonics.variance_series(None, spec, 7, points=pts)),
         (3 * 36, lambda: harmonics.variance_series(5, spec, 7)),
         (3 * 36, lambda: harmonics.discrepancy_bound(5, 7)),
+        (3 * 36, lambda: harmonics.discrepancy_bound(1, 7)),
         (24 * 36, lambda: harmonics.weyl_sums(5, 7)),
         (3 * 36, ["variance", "--n", "5", "--sigma", "0.1", "--m-max", "7"]),
+        (3 * 36, ["variance", "--n", "3", "--sigma", "0.1", "--m-max", "7"]),
         (3 * 36, ["discrepancy", "--n", "5", "--m-max", "7"]),
         (24 * 36, ["weyl", "--n", "5", "--degree", "7"]),
     ]

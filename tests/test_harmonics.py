@@ -33,8 +33,9 @@ def legendre(m: int, t):
 def weyl_aggregate(degree: int, pts) -> float:
     """The degree-d aggregate sum_j W_j^2 without the real basis, through
     the addition theorem: (2d+1)/(4 pi) S_d, S_d from
-    `harmonics._pair_legendre_sums` (complex harmonic sums, over one point
-    per z-axis orbit on a whole shell, which run no code of `weyl_sums`)."""
+    `harmonics._pair_legendre_sums` (complex harmonic sums, over three
+    cyclic images of each orbit's first point on a whole shell, which run
+    no code of `weyl_sums`)."""
     return (2 * degree + 1) / (4.0 * math.pi) * float(harmonics._pair_legendre_sums(pts, degree)[degree])
 
 
@@ -375,13 +376,15 @@ def test_shell_route_refuses_degrees_past_cap_before_allocating():
     assert peak < 1 << 16
 
 
-# tiny shells whose orbits lie on the axes and diagonals, 4^a m, p^2 | n,
-# p^3 | n, and the shell of the series' exact check
+# tiny shells whose orbits lie on the axes and diagonals, n = 27 with the
+# orbit (3, 3, 3) of weight 8/3 a row, 4^a m, p^2 | n, p^3 | n, and the
+# shell of the series' exact check
 @example(1, 40)
 @example(2, 40)
 @example(3, 40)
 @example(9, 40)
 @example(25, 40)
+@example(27, 40)
 @example(4**3 * 101, 40)
 @example(49 * 11, 40)
 @example(27 * 7, 40)
@@ -414,10 +417,11 @@ def test_weyl_sums_of_a_shell_vanish_off_the_z_orbit_orders(n):
 
 @pytest.mark.parametrize("n", [5, 101, 1009])
 def test_table_routes_match_generic_path(n):
-    # a whole shell sums its harmonics over one point per z-axis orbit (the
-    # route that took over from its pair table), its bare copy over every
-    # point: the Weyl aggregates, which the whole-shell harness of
-    # test_spatial does not compare, and the variance series agree
+    # a whole shell sums its harmonics over three cyclic images of each
+    # orbit's first point (the route that took over from its pair table),
+    # its bare copy over every point: the Weyl aggregates, which the
+    # whole-shell harness of test_spatial does not compare, and the
+    # variance series agree
     pts = spatial.unit_shell(n)
     bare = spatial.UnitPointSet(pts.points)
     assert spatial._orbits(pts) is not None and spatial._orbits(bare) is None

@@ -28,11 +28,13 @@ def test_unit_point_set_rejects_off_sphere():
         lambda: spatial.UnitPointSet(np.array([[0.0, 0.0, 1.0], [math.nan, 0.0, 1.0]])),
         lambda: arith.dirichlet_l_one(1_000_003, math.nan),
         lambda: arith.dirichlet_l_one(1_000_003, math.inf),
+        lambda: arith.dirichlet_l_one(1_000_003, 1e-17),
     ],
-    ids=["unit-point-set", "l-value-nan", "l-value-inf"],
+    ids=["unit-point-set", "l-value-nan", "l-value-inf", "l-value-below-epsilon"],
 )
 def test_float_guards_refuse_nan(call):
-    # NaN fails every comparison, so each guard asks that its input be valid
+    # NaN fails every comparison, so each guard asks that its input be
+    # valid; a target error below the float64 epsilon cannot be met
     with pytest.raises(DomainError):
         call()
 
@@ -388,6 +390,7 @@ def shell_radii(n, N):
 @example(3)
 @example(9)
 @example(25)
+@example(27)
 @example(4**3 * 101)
 @example(49 * 11)
 @settings(max_examples=40, deadline=None)
@@ -397,7 +400,9 @@ def test_shell_routes_match_the_bare_copy(n):
     # which takes the general ones: one pair row per orbit against the
     # upper triangle, one spacing query per orbit against every point, the
     # sector hull against the whole hull, folded centers against unfolded
-    # ones, and harmonic sums over z-axis orbits against every point.
+    # ones, and harmonic sums over three cyclic images of each orbit's
+    # first point (weighted a third of the orbit size, 8/3 for the orbit
+    # of (3, 3, 3) at n = 27) against every point.
     # Counts agree exactly.  Energies and the covering radius agree to
     # 1e-12 relative, both sides' error being a few ulps per term; the
     # spacings, the series and the bound to 1e-9, where the bare side's
